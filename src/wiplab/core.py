@@ -14,6 +14,8 @@ from enum import Enum
 HEIGHT_FLOOR = -0.005  # m
 HEIGHT_CEILING = 2.0   # m, no foot gets this high
 
+_INF = float("inf")
+
 
 class WipError(Exception):
     """Base class for engine errors."""
@@ -75,7 +77,7 @@ class Variant(Enum):
     SHEF = "shef"  # frequency-driven, scaled by step height
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FootSample:
     """Timestamped vertical height of one foot above the ground plane."""
 
@@ -88,21 +90,35 @@ def validate_sample(sample: FootSample, previous_time_for_foot: float | None) ->
     """Check one sample against the stream invariants and return it unchanged.
 
     ``previous_time_for_foot`` is the time of the last accepted sample for
-    the same foot, or None at stream start. Raises NonMonotonicTime or
-    OutOfRangeHeight on violation.
+    the same foot, or None at stream start. Raises NonMonotonicTime when the
+    time is negative or not finite, when the previous time is not a finite
+    time >= 0, or when the time does not advance past it; raises
+    OutOfRangeHeight on a bad height.
     """
-    if sample.time < 0.0:
-        raise NonMonotonicTime(f"sample time {sample.time!r} precedes stream start")
-    if previous_time_for_foot is not None and sample.time <= previous_time_for_foot:
-        raise NonMonotonicTime(
-            f"foot {sample.foot.value} sample at t={sample.time!r} does not advance "
-            f"past t={previous_time_for_foot!r}"
-        )
+    t, prev = sample.time, previous_time_for_foot
+    # one chained comparison per sample; NaN fails every comparison
+    if not (0.0 <= t < _INF if prev is None else 0.0 <= prev < t < _INF):
+        raise NonMonotonicTime(_time_fault(sample, prev))
     if not (HEIGHT_FLOOR <= sample.height <= HEIGHT_CEILING):
         raise OutOfRangeHeight(
             f"height {sample.height!r} m outside [{HEIGHT_FLOOR}, {HEIGHT_CEILING}]"
         )
     return sample
+
+
+def _time_fault(sample: FootSample, prev: float | None) -> str:
+    """Why validate_sample rejected a sample's time."""
+    t = sample.time
+    if not -_INF < t < _INF:
+        return f"sample time {t!r} is not finite"
+    if t < 0.0:
+        return f"sample time {t!r} precedes stream start"
+    if prev is not None and not 0.0 <= prev < _INF:
+        return f"previous sample time {prev!r} is not a finite time >= 0"
+    return (
+        f"foot {sample.foot.value} sample at t={t!r} does not advance "
+        f"past t={prev!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -131,7 +147,7 @@ class WipParams:
             raise ValueError("reference constants must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaitEstimate:
     """Instantaneous gait state consumed by the speed laws.
 

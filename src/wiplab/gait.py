@@ -29,6 +29,12 @@ class Phase(Enum):
     DESCENDING = "descending"
 
 
+# Reading an enum member through its class costs ~0.1 us on CPython 3.11;
+# the per-frame paths compare against these constants instead.
+_GROUNDED, _ASCENDING, _DESCENDING = Phase.GROUNDED, Phase.ASCENDING, Phase.DESCENDING
+_LEFT = Foot.LEFT
+
+
 # Transitions the state machine may take; anything else is a bug.
 LEGAL_TRANSITIONS = frozenset(
     {
@@ -50,7 +56,7 @@ class GaitPhase:
     height_at_entry: float  # m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepEvent:
     """One completed step: lift-off, apex, and re-grounding."""
 
@@ -114,12 +120,19 @@ class GaitTracker:
 
     Feed samples through advance() in time order (feet may interleave) and
     query the estimators at any time at or after the newest sample.
+
+    Staleness is tracked incrementally: a count of feet off the ground is
+    kept up to date on every phase transition, so is_stale() is O(1), and
+    estimate() checks it once per query.
     """
 
     def __init__(self, config: GaitConfig | None = None):
         self.config = config or GaitConfig()
-        self._feet: dict[Foot, _FootTrack] = {}
+        self._left: _FootTrack | None = None
+        self._right: _FootTrack | None = None
+        self._airborne = 0  # tracks whose phase is not GROUNDED
         self._events: deque[StepEvent] = deque(maxlen=self.config.buffer_len)
+        self._active_feet = 1  # distinct feet among the last four events
         self._last_transition: float | None = None
         self._last_footfall: float | None = None
         self._freq_ema: float | None = None
@@ -132,7 +145,8 @@ class GaitTracker:
 
     def advance(self, sample: FootSample) -> StepEvent | None:
         """Ingest one sample; returns a StepEvent when a step completes."""
-        track = self._feet.get(sample.foot)
+        left = sample.foot is _LEFT
+        track = self._left if left else self._right
         validate_sample(sample, track.prev_time if track is not None else None)
         cfg = self.config
         t, h = sample.time, sample.height
@@ -141,7 +155,7 @@ class GaitTracker:
         if track is None:
             # A foot first seen in the air has no known lift-off; its current
             # swing is discarded rather than guessed at.
-            phase = Phase.GROUNDED if grounded else Phase.ASCENDING
+            phase = _GROUNDED if grounded else _ASCENDING
             track = _FootTrack(
                 phase=phase,
                 entered_at=t,
@@ -152,7 +166,11 @@ class GaitTracker:
             if not grounded:
                 track.running_apex = h
                 track.apex_time = t
-            self._feet[sample.foot] = track
+                self._airborne += 1
+            if left:
+                self._left = track
+            else:
+                self._right = track
             self._last_transition = t if self._last_transition is None else max(
                 self._last_transition, t
             )
@@ -163,16 +181,16 @@ class GaitTracker:
         new = old
         event: StepEvent | None = None
 
-        if old is Phase.GROUNDED:
+        if old is _GROUNDED:
             if not grounded:
-                new = Phase.ASCENDING
+                new = _ASCENDING
                 track.swing_start = track.prev_time
                 track.swing_valid = True
                 track.running_apex = h
                 track.apex_time = t
         else:
             if grounded:
-                new = Phase.GROUNDED
+                new = _GROUNDED
                 if track.swing_valid and track.running_apex >= cfg.min_step_height:
                     event = StepEvent(
                         foot=sample.foot,
@@ -187,12 +205,16 @@ class GaitTracker:
                 if h > track.running_apex:
                     track.running_apex = h
                     track.apex_time = t
-                if old is Phase.ASCENDING and velocity < -cfg.velocity_deadband:
-                    new = Phase.DESCENDING
-                elif old is Phase.DESCENDING and velocity > cfg.velocity_deadband:
-                    new = Phase.ASCENDING
+                if old is _ASCENDING and velocity < -cfg.velocity_deadband:
+                    new = _DESCENDING
+                elif old is _DESCENDING and velocity > cfg.velocity_deadband:
+                    new = _ASCENDING
 
         if new is not old:
+            if old is _GROUNDED:
+                self._airborne += 1
+            elif new is _GROUNDED:
+                self._airborne -= 1
             track.phase = new
             track.entered_at = t
             track.height_at_entry = h
@@ -207,6 +229,8 @@ class GaitTracker:
         self._last_footfall = event.end
         self._total_steps += 1
         self._events.append(event)
+        recent = list(self._events)[-4:]
+        self._active_feet = len({e.foot for e in recent})
 
         if prev_footfall is not None:
             delta = event.end - prev_footfall
@@ -239,7 +263,7 @@ class GaitTracker:
     # queries
 
     def phase(self, foot: Foot) -> GaitPhase | None:
-        track = self._feet.get(foot)
+        track = self._left if foot is _LEFT else self._right
         if track is None:
             return None
         return GaitPhase(track.phase, track.entered_at, track.height_at_entry)
@@ -255,7 +279,7 @@ class GaitTracker:
         """Stopped: every foot grounded and no phase activity in the window."""
         if self._last_transition is None:
             return True
-        if any(tr.phase is not Phase.GROUNDED for tr in self._feet.values()):
+        if self._airborne:
             return False
         return now - self._last_transition >= self.config.stop_window
 
@@ -269,16 +293,21 @@ class GaitTracker:
         before the next footfall confirms it. Returns 0 when stale or
         before two footfalls have been seen.
         """
-        if self.is_stale(now) or self._freq_ema is None:
+        if self.is_stale(now):
+            return 0.0
+        return self._frequency(now)
+
+    def _frequency(self, now: float) -> float:
+        """estimate_frequency() without the stale check."""
+        if self._freq_ema is None:
             return 0.0
         cfg = self.config
         candidates = [self._freq_ema]
 
-        recent = list(self._events)[-4:]
-        active_feet = len({e.foot for e in recent}) or 1
+        active_feet = self._active_feet
         swing_fraction = cfg.swing_fraction
-        for track in self._feet.values():
-            if track.phase is Phase.GROUNDED:
+        for track in (self._left, self._right):
+            if track is None or track.phase is _GROUNDED:
                 continue
             # anchor at lift-off when it was observed; the whole-swing
             # budget keeps the bound independent of where the deadband
@@ -305,11 +334,15 @@ class GaitTracker:
         """
         if self.is_stale(now):
             return 0.0
+        return self._step_height(now)
+
+    def _step_height(self, now: float) -> float:
+        """estimate_step_height() without the stale check."""
         cfg = self.config
         base = self._apex_ema if self._apex_ema is not None else 0.0
         value = base
-        for track in self._feet.values():
-            if track.phase is Phase.GROUNDED or not track.swing_valid:
+        for track in (self._left, self._right):
+            if track is None or track.phase is _GROUNDED or not track.swing_valid:
                 continue
             if track.running_apex <= base:
                 continue
@@ -322,8 +355,8 @@ class GaitTracker:
         if self.is_stale(now):
             return GaitEstimate(step_frequency=0.0, step_height=0.0, as_of=now, stale=True)
         return GaitEstimate(
-            step_frequency=self.estimate_frequency(now),
-            step_height=self.estimate_step_height(now),
+            step_frequency=self._frequency(now),
+            step_height=self._step_height(now),
             as_of=now,
             stale=False,
         )

@@ -47,6 +47,12 @@ class Stage(Enum):
     CHASE = "chase"
 
 
+# Reading an enum member through its class costs ~0.1 us on CPython 3.11;
+# the frame loops use these constants instead.
+_PREP, _COUNTDOWN, _CHASE = Stage.PREP, Stage.COUNTDOWN, Stage.CHASE
+_LEFT = Foot.LEFT
+
+
 @dataclass(frozen=True)
 class ChaseScenario:
     """Geometry and timing of one chasing-task run."""
@@ -115,7 +121,7 @@ class MetricsReport:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameRow:
     time: float
     stage: Stage
@@ -211,12 +217,17 @@ def compute_metrics(log: RunLog) -> MetricsReport:
     )
 
 
-def _stage_at(scenario: ChaseScenario, t: float) -> Stage:
-    if t < scenario.prep_walk_time + scenario.prep_duration:
-        return Stage.PREP
-    if t < scenario.chase_start:
-        return Stage.COUNTDOWN
-    return Stage.CHASE
+def _stage_bounds(scenario: ChaseScenario) -> tuple[float, float]:
+    """Start times of the countdown and of the chase, computed once per run."""
+    return scenario.prep_walk_time + scenario.prep_duration, scenario.chase_start
+
+
+def _stage_at(t: float, countdown_start: float, chase_start: float) -> Stage:
+    if t < countdown_start:
+        return _PREP
+    if t < chase_start:
+        return _COUNTDOWN
+    return _CHASE
 
 
 def run_chase(
@@ -237,32 +248,35 @@ def run_chase(
     tracker = GaitTracker(gait_config)
     n_frames = int(round(scenario.total_duration / dt))
     replan_every = max(1, int(round(REPLAN_INTERVAL / dt)))
-    chase_start = scenario.chase_start
+    countdown_start, chase_start = _stage_bounds(scenario)
+    circle_lead, target_speed = scenario.circle_lead, scenario.target_speed
+    pins_output = agent.pins_output
 
     position = 0.0
-    sphere = scenario.circle_lead  # starts at the catch-circle center
+    sphere = circle_lead  # starts at the catch-circle center
     log = RunLog(scenario=scenario)
+    events, rows = log.events, log.rows
 
-    agent.command(chase_policy(0.0, scenario.target_speed))
+    agent.command(chase_policy(0.0, target_speed))
     for k in range(n_frames):
         t = k * dt
-        error = sphere - (position + scenario.circle_lead)
+        error = sphere - (position + circle_lead)
         if k % replan_every == 0:
-            agent.command(chase_policy(error, scenario.target_speed))
+            agent.command(chase_policy(error, target_speed))
 
         frame_samples = agent.samples(t, dt)
         height_left = height_right = 0.0
         for s in frame_samples:
             ev = tracker.advance(s)
             if ev is not None:
-                log.events.append(ev)
-            if s.foot is Foot.LEFT:
+                events.append(ev)
+            if s.foot is _LEFT:
                 height_left = s.height
             else:
                 height_right = s.height
         log.samples.extend(frame_samples)
 
-        if agent.pins_output:
+        if pins_output:
             est_f = est_sh = 0.0
             raw = out = agent.pinned_speed
         else:
@@ -271,10 +285,10 @@ def run_chase(
             est_f, est_sh = est.step_frequency, est.step_height
             raw, out = spd.raw_speed, spd.output_speed
 
-        log.rows.append(
+        rows.append(
             FrameRow(
                 time=t,
-                stage=_stage_at(scenario, t),
+                stage=_stage_at(t, countdown_start, chase_start),
                 height_left=height_left,
                 height_right=height_right,
                 est_frequency=est_f,
@@ -288,7 +302,7 @@ def run_chase(
         )
 
         position += out * dt
-        sphere += (scenario.target_speed if t >= chase_start else out) * dt
+        sphere += (target_speed if t >= chase_start else out) * dt
         if not (math.isfinite(position) and math.isfinite(sphere)):
             raise DivergedSimulation(f"non-finite state at t={t:.3f}")
 
@@ -322,26 +336,29 @@ def replay_trace(
         else:
             ticks.append((s.time, [s]))
 
-    position = 0.0
-    sphere = scenario.circle_lead if scenario is not None else 0.0
-    chase_start = scenario.chase_start if scenario is not None else 0.0
+    position = sphere = 0.0
+    if scenario is not None:
+        dt, circle_lead = scenario.timestep, scenario.circle_lead
+        target_speed = scenario.target_speed
+        countdown_start, chase_start = _stage_bounds(scenario)
+        sphere = circle_lead
+    events, rows = log.events, log.rows
 
     for i, (t, tick_samples) in enumerate(ticks):
         if scenario is not None:
-            dt = scenario.timestep
-            error = sphere - (position + scenario.circle_lead)
-            stage = _stage_at(scenario, t)
+            error = sphere - (position + circle_lead)
+            stage = _stage_at(t, countdown_start, chase_start)
         else:
             dt = ticks[i + 1][0] - t if i + 1 < len(ticks) else 0.0
             error = 0.0
-            stage = Stage.CHASE
+            stage = _CHASE
 
         height_left = height_right = 0.0
         for s in tick_samples:
             ev = tracker.advance(s)
             if ev is not None:
-                log.events.append(ev)
-            if s.foot is Foot.LEFT:
+                events.append(ev)
+            if s.foot is _LEFT:
                 height_left = s.height
             else:
                 height_right = s.height
@@ -349,7 +366,7 @@ def replay_trace(
         est = tracker.estimate(t)
         spd = output_speed(params, est)
 
-        log.rows.append(
+        rows.append(
             FrameRow(
                 time=t,
                 stage=stage,
@@ -367,7 +384,7 @@ def replay_trace(
 
         position += spd.output_speed * dt
         if scenario is not None:
-            sphere += (scenario.target_speed if t >= chase_start else spd.output_speed) * dt
+            sphere += (target_speed if t >= chase_start else spd.output_speed) * dt
         if not math.isfinite(position):
             raise DivergedSimulation(f"non-finite state at t={t:.3f}")
 
@@ -401,7 +418,7 @@ class SlopeProfile:
         return on_slope * math.tan(math.radians(self.gradient_deg))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlopeFrame:
     time: float
     raw_speed: float
@@ -428,6 +445,8 @@ def run_slope_bout(
     tracker = GaitTracker(gait_config)
     agent.command(cruise_speed)
     n_frames = int(round(duration / timestep))
+    law_params = replace(params, speed_gain=1.0)
+    natural_gain = params.natural_visual_gain
     position = 0.0
     frames: list[SlopeFrame] = []
     for k in range(n_frames):
@@ -435,9 +454,9 @@ def run_slope_bout(
         for s in agent.samples(t, timestep):
             tracker.advance(s)
         est = tracker.estimate(t)
-        spd = output_speed(replace(params, speed_gain=1.0), est)
+        spd = output_speed(law_params, est)
         gain = profile.gain_at(position)
-        out = apply_gain(spd.raw_speed, gain, params.natural_visual_gain)
+        out = apply_gain(spd.raw_speed, gain, natural_gain)
         frames.append(
             SlopeFrame(time=t, raw_speed=spd.raw_speed, output_speed=out,
                        position=position, gain=gain)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .core import Foot, FootSample, InvalidRate, Variant, WipParams
 from .elastic import ElasticRig, PullDirection, rig_force
 from .speed import gud_speed, shef_speed
 
+FEET = (Foot.LEFT, Foot.RIGHT)  # order of per-foot agent state and of emitted samples
 MIN_SAMPLE_RATE = 30.0  # Hz, below this swing segmentation falls apart
 
 # Knob coupling rig force into realized step apex, meters per newton of net
@@ -27,6 +29,10 @@ APEX_FORCE_RESPONSE = 0.002
 
 # How strongly an unachievable command degrades execution noise.
 STRAIN_NOISE_GAIN = 3.0
+
+# Standard normals drawn from a generator per block. A Generator's block
+# draws equal the same number of scalar draws, so the stream is unchanged.
+NOISE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -75,6 +81,15 @@ def cycle_height(cycle_pos: float, stance_fraction: float, apex: float) -> float
     return apex * math.sin(math.pi * u)
 
 
+def normal_stream(rng: np.random.Generator) -> Iterator[float]:
+    """The generator's standard normals, in draw order, drawn in blocks.
+
+    Nothing is drawn until the first value is taken.
+    """
+    while True:
+        yield from rng.standard_normal(NOISE_BLOCK).tolist()
+
+
 def synth_trace(program: GaitProgram, duration: float, sample_rate: float) -> list[FootSample]:
     """Closed-form two-foot trace sampled on a regular grid.
 
@@ -84,7 +99,7 @@ def synth_trace(program: GaitProgram, duration: float, sample_rate: float) -> li
     """
     if sample_rate < MIN_SAMPLE_RATE:
         raise InvalidRate(f"sample rate {sample_rate} Hz below {MIN_SAMPLE_RATE} Hz")
-    rng = np.random.default_rng(program.seed)
+    noise = normal_stream(np.random.default_rng(program.seed))
     n = int(round(duration * sample_rate))
     samples: list[FootSample] = []
     for k in range(n):
@@ -97,7 +112,7 @@ def synth_trace(program: GaitProgram, duration: float, sample_rate: float) -> li
                 cycle = (t * program.step_frequency / 2.0 + offset) % 1.0
                 h = cycle_height(cycle, program.stance_fraction, program.apex_height)
             if program.noise_sd > 0.0:
-                h = max(0.0, h + program.noise_sd * rng.standard_normal())
+                h = max(0.0, h + program.noise_sd * next(noise))
             samples.append(FootSample(time=t, foot=foot, height=h))
     return samples
 
@@ -188,6 +203,11 @@ class WalkerAgent:
     run. When the plan cannot reach the commanded speed the shortfall
     scales the execution noise up (strain): a walker forced against its
     caps steps raggedly, while one inside its comfort zone does not.
+
+    Noise is drawn from the agent's generator in blocks and consumed in
+    order, and only while the effective SD is positive, so the sequence of
+    draws equals one scalar standard_normal() per noisy sample. That
+    equality keeps recorded runs and their goldens exact.
     """
 
     pins_output = False
@@ -211,10 +231,11 @@ class WalkerAgent:
         self.apex_response = apex_response
         self.strain_noise_gain = strain_noise_gain
         self.stance_fraction = stance_fraction
-        self._rng = np.random.default_rng(seed)
-        self._cycle = {Foot.LEFT: 0.0, Foot.RIGHT: 0.5}
-        self._apex = {Foot.LEFT: 0.0, Foot.RIGHT: 0.0}
-        self._in_stance = {Foot.LEFT: True, Foot.RIGHT: True}
+        self._noise = normal_stream(np.random.default_rng(seed))
+        # per-foot state, indexed like FEET
+        self._cycle = [0.0, 0.5]
+        self._apex = [0.0, 0.0]
+        self._in_stance = [True, True]
         self._pending_apex = 0.0
         self._frequency = 0.0
         self._effective_sd = noise_sd
@@ -232,24 +253,26 @@ class WalkerAgent:
         self._pending_apex = max(0.0, program.apex_height + shift)
         if self._frequency <= 0.0:
             # feet settle; park both cycles at stance start
-            self._cycle = {Foot.LEFT: 0.0, Foot.RIGHT: 0.0}
-            self._in_stance = {Foot.LEFT: True, Foot.RIGHT: True}
+            self._cycle = [0.0, 0.0]
+            self._in_stance = [True, True]
         return replace(program, apex_height=self._pending_apex)
 
     def samples(self, now: float, dt: float) -> list[FootSample]:
         """Emit both feet at time `now`, then advance the gait clock by dt."""
         out: list[FootSample] = []
-        for foot in (Foot.LEFT, Foot.RIGHT):
-            cyc = self._cycle[foot]
-            in_stance = self._frequency <= 0.0 or cyc < self.stance_fraction
-            if not in_stance and self._in_stance[foot]:
+        frequency, sd, stance = self._frequency, self._effective_sd, self.stance_fraction
+        cycle, was_in_stance = self._cycle, self._in_stance
+        for i, foot in enumerate(FEET):
+            cyc = cycle[i]
+            in_stance = frequency <= 0.0 or cyc < stance
+            if not in_stance and was_in_stance[i]:
                 # lift-off: adopt whatever plan is current
-                self._apex[foot] = self._pending_apex
-            self._in_stance[foot] = in_stance
-            h = 0.0 if in_stance else cycle_height(cyc, self.stance_fraction, self._apex[foot])
-            if self._effective_sd > 0.0:
-                h = max(0.0, h + self._effective_sd * self._rng.standard_normal())
+                self._apex[i] = self._pending_apex
+            was_in_stance[i] = in_stance
+            h = 0.0 if in_stance else cycle_height(cyc, stance, self._apex[i])
+            if sd > 0.0:
+                h = max(0.0, h + sd * next(self._noise))
             out.append(FootSample(time=now, foot=foot, height=h))
-            if self._frequency > 0.0:
-                self._cycle[foot] = (cyc + dt * self._frequency / 2.0) % 1.0
+            if frequency > 0.0:
+                cycle[i] = (cyc + dt * frequency / 2.0) % 1.0
         return out

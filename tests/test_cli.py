@@ -132,6 +132,19 @@ class TestRecordReplay:
         assert code == 2
         assert "line 4" in err
 
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_non_finite_sample_time_is_bad_input(self, tmp_path, capsys, time):
+        trace = tmp_path / "run.csv"
+        run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)
+        lines = trace.read_text().splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("1.0,"))
+        lines[row] = time + lines[row][lines[row].index(","):]
+        trace.write_text("".join(lines))
+        code, out, err = run(["replay", str(trace)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"line {row + 1}" in err
+
     def test_empty_trace_is_a_runtime_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         save_trace(str(empty), [])

@@ -1,5 +1,7 @@
 """Validation plumbing: sample invariants, parameter guards, estimates."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -36,6 +38,27 @@ def test_validate_sample_rejects_non_advancing_time(prev):
     s = FootSample(time=0.5, foot=Foot.RIGHT, height=0.0)
     with pytest.raises(NonMonotonicTime):
         validate_sample(s, prev)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("prev", [None, 0.4])
+def test_validate_sample_rejects_non_finite_time(t, prev):
+    s = FootSample(time=t, foot=Foot.LEFT, height=0.0)
+    with pytest.raises(NonMonotonicTime):
+        validate_sample(s, prev)
+
+
+@pytest.mark.parametrize("prev", [math.nan, math.inf, -math.inf, -0.1])
+def test_validate_sample_rejects_a_previous_time_no_sample_can_have(prev):
+    # a NaN previous time used to switch the monotonicity check off
+    s = FootSample(time=0.5, foot=Foot.LEFT, height=0.0)
+    with pytest.raises(NonMonotonicTime, match="previous sample time"):
+        validate_sample(s, prev)
+
+
+def test_validate_sample_names_the_non_finite_time():
+    with pytest.raises(NonMonotonicTime, match="nan is not finite"):
+        validate_sample(FootSample(time=math.nan, foot=Foot.RIGHT, height=0.0), None)
 
 
 @pytest.mark.parametrize("height", [-0.0051, 2.0001, 5.0, -1.0])

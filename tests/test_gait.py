@@ -301,3 +301,58 @@ def test_events_buffer_is_bounded():
     stream(tracker, make_trace(3.0, 0.15, 12.0))
     assert len(tracker.events()) <= cfg.buffer_len
     assert tracker.total_steps > cfg.buffer_len
+
+
+# ---------------------------------------------------------------------------
+# the fast paths against their definitions
+
+
+def reference_is_stale(tracker, now, stop_window):
+    """The staleness definition: every seen foot grounded, and no phase
+    transition (a foot's first sample counts as one) within the window."""
+    phases = [p for p in (tracker.phase(foot) for foot in Foot) if p is not None]
+    if not phases:
+        return True
+    if any(p.phase is not Phase.GROUNDED for p in phases):
+        return False
+    return now - max(p.entered_at for p in phases) >= stop_window
+
+
+# a stream is a list of runs: each foot ramps linearly between two heights
+# (0 means grounded) for a number of 90 Hz frames
+height = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.25))
+runs = st.lists(
+    st.tuples(height, height, height, height, st.integers(min_value=1, max_value=100)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=runs, offsets=st.lists(st.floats(0.0, 3.0), max_size=4))
+def test_estimate_equals_its_parts_and_the_staleness_definition(runs, offsets):
+    cfg = GaitConfig()
+    tracker = GaitTracker(cfg)
+
+    def check(now):
+        est = tracker.estimate(now)
+        stale = tracker.is_stale(now)
+        assert stale == reference_is_stale(tracker, now, cfg.stop_window)
+        assert (est.step_frequency, est.step_height, est.stale) == (
+            tracker.estimate_frequency(now),
+            tracker.estimate_step_height(now),
+            stale,
+        )
+
+    check(0.0)
+    k = 0
+    for left_a, left_b, right_a, right_b, n in runs:
+        for i in range(n):
+            u = i / n
+            t = k / 90.0
+            tracker.advance(FootSample(t, Foot.LEFT, left_a + u * (left_b - left_a)))
+            tracker.advance(FootSample(t, Foot.RIGHT, right_a + u * (right_b - right_a)))
+            check(t)
+            k += 1
+    for offset in offsets:
+        check((k - 1) / 90.0 + offset)

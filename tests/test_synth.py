@@ -1,10 +1,12 @@
 """Synthetic gait generation, gait planning, and the simulated walker."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiplab.core import Foot, InvalidRate, Variant, WipParams
+from wiplab import synth
+from wiplab.core import Foot, FootSample, InvalidRate, Variant, WipParams
 from wiplab.elastic import ElasticRig, PullDirection
 from wiplab.speed import gud_speed
 from wiplab.synth import (
@@ -244,3 +246,32 @@ class TestWalkerAgent:
         weighted = apex_with(ElasticRig(direction=PullDirection.DOWNWARD, band_count=12))
         assisted = apex_with(ElasticRig(direction=PullDirection.UPWARD, band_count=10))
         assert weighted < free < assisted
+
+
+def test_block_drawn_noise_equals_scalar_draws():
+    """Noisy heights equal the clean heights plus one scalar standard normal
+    per noisy sample from an independent generator of the same seed, also
+    when the effective SD toggles between zero and non-zero."""
+    seed, dt = 21, 1.0 / 90.0
+    agent = WalkerAgent(GUD, noise_sd=0.004, seed=seed)
+    clean = WalkerAgent(GUD)  # noise never changes the gait state
+    rng = np.random.default_rng(seed)
+    # (commanded speed, noise SD): the strained command past the cap, the
+    # zero command, and two noise-free stretches all change the draws
+    plan = [(1.2, 0.004), (1.5, 0.0), (4.0, 0.004), (0.0, 0.003), (2.0, 0.0), (1.0, 0.0035)]
+    k = draws = 0
+    for speed, noise_sd in plan:
+        agent.noise_sd = noise_sd
+        agent.command(speed)
+        clean.command(speed)
+        sd = agent._effective_sd
+        for _ in range(200):
+            got = agent.samples(k * dt, dt)
+            for noisy, base in zip(got, clean.samples(k * dt, dt)):
+                expected = base.height
+                if sd > 0.0:
+                    expected = max(0.0, expected + sd * rng.standard_normal())
+                    draws += 1
+                assert noisy == FootSample(base.time, base.foot, expected)
+            k += 1
+    assert draws > 2 * synth.NOISE_BLOCK  # the stream crossed block boundaries

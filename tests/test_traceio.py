@@ -109,6 +109,13 @@ class TestParseErrors:
         with pytest.raises(TraceParseError):
             load_trace(path)
 
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_non_finite_time(self, tmp_path, time):
+        path = write(tmp_path, GOOD + f"{time},R,0.0\n0.2,L,0.0\n")
+        with pytest.raises(TraceParseError, match="not finite") as info:
+            load_trace(path)
+        assert info.value.line == 6
+
     def test_malformed_header(self, tmp_path):
         path = write(tmp_path, "# wip-trace v1\n# loose words\ntime,foot,height\n")
         with pytest.raises(TraceParseError) as info:
