@@ -9,7 +9,10 @@ prints one line per check, and the test suite asserts them one by one.
 
 Checks deliberately reach functions through their modules (e.g.
 ``speed.gud_speed`` at call time) so a monkeypatched implementation is
-caught rather than a stale reference.
+caught rather than a stale reference. The steady-state helper behind
+ROUND-TRIP and CEILING replays its trace through ``harness.replay_trace``,
+whose frame step takes its law from ``speed.law`` at the start of every
+run, so a monkeypatched law is caught there too.
 """
 
 from __future__ import annotations
@@ -67,24 +70,15 @@ def _steady_mean_speed(
 ) -> float:
     """Mean pipeline output while walking a planned gait at steady state.
 
-    Synthesizes the gait a capped agent would plan for `target`, streams it
-    through a fresh tracker, and averages the configured speed law's output
-    over the post-settling portion.
+    Synthesizes the gait a capped agent would plan for `target`, replays it
+    through a fresh tracker and the configured law, and averages the output
+    speed of the frames after the settling time.
     """
     params = WipParams(variant=variant)
     program = plan_gait(target, params, AgentCaps())
     program = replace(program, noise_sd=noise_sd, seed=seed)
-    trace = synth_trace(program, duration, sample_rate)
-    tracker = GaitTracker()
-    outputs: list[float] = []
-    i, n = 0, len(trace)
-    while i < n:
-        t = trace[i].time
-        while i < n and trace[i].time == t:
-            tracker.advance(trace[i])
-            i += 1
-        if t >= settle:
-            outputs.append(speed.output_speed(params, tracker.estimate(t)).output_speed)
+    _, log = replay_trace(synth_trace(program, duration, sample_rate), params)
+    outputs = [row.output_speed for row in log.rows if row.time >= settle]
     return sum(outputs) / len(outputs)
 
 

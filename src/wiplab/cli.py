@@ -272,20 +272,13 @@ def cmd_calibrate_bands(args: argparse.Namespace) -> int:
 def cmd_acceptance(args: argparse.Namespace) -> int:
     only: list[str] | None = args.only or None
     if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                try:
-                    config = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"{args.config}: line {exc.lineno}: {exc.msg}"
-                    ) from exc
-        except FileNotFoundError:
-            print(
-                f"warning: config {args.config} not found, using defaults",
-                file=sys.stderr,
-            )
-            config = {}
+        with open(args.config, "r", encoding="utf-8") as fh:
+            try:
+                config = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{args.config}: line {exc.lineno}: {exc.msg}"
+                ) from exc
         if not isinstance(config, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         if only is None and "only" in config:

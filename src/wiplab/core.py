@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, NamedTuple
 
 # Trackers may report slightly negative heights while a foot rests on the
 # floor; anything below this is a sensor fault, not noise.
@@ -77,8 +78,7 @@ class Variant(Enum):
     SHEF = "shef"  # frequency-driven, scaled by step height
 
 
-@dataclass(frozen=True, slots=True)
-class FootSample:
+class FootSample(NamedTuple):
     """Timestamped vertical height of one foot above the ground plane."""
 
     time: float    # s
@@ -121,6 +121,15 @@ def _time_fault(sample: FootSample, prev: float | None) -> str:
     )
 
 
+def require_finite(owner: object, names: Iterable[str]) -> None:
+    """Raise ValueError naming the first of owner's named fields that is NaN
+    or infinite. Run settings pass through here once, where they enter."""
+    for name in names:
+        value = getattr(owner, name)
+        if not -_INF < value < _INF:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WipParams:
     """User constants of the speed laws plus the output gain stage.
@@ -139,6 +148,10 @@ class WipParams:
     ref_step_height: float = 0.1       # m
 
     def __post_init__(self) -> None:
+        require_finite(self, (
+            "user_height", "speed_gain", "natural_visual_gain",
+            "ref_frequency", "ref_user_height", "ref_step_height",
+        ))
         if not 1.0 <= self.user_height <= 2.5:
             raise ValueError(f"user_height {self.user_height} outside [1.0, 2.5] m")
         if self.speed_gain <= 0.0 or self.natural_visual_gain <= 0.0:
@@ -147,8 +160,16 @@ class WipParams:
             raise ValueError("reference constants must be > 0")
 
 
-@dataclass(frozen=True, slots=True)
-class GaitEstimate:
+# The per-frame records are NamedTuples: a frozen dataclass pays one
+# object.__setattr__ per field, a positional NamedTuple one tuple build.
+class _GaitEstimateFields(NamedTuple):
+    step_frequency: float  # Hz, footfalls per second over both feet
+    step_height: float     # m, smoothed apex height
+    as_of: float           # s, query time
+    stale: bool = False
+
+
+class GaitEstimate(_GaitEstimateFields):
     """Instantaneous gait state consumed by the speed laws.
 
     A stale estimate means no gait activity inside the tracker's stop
@@ -156,13 +177,17 @@ class GaitEstimate:
     zero regardless of history.
     """
 
-    step_frequency: float  # Hz, footfalls per second over both feet
-    step_height: float     # m, smoothed apex height
-    as_of: float           # s, query time
-    stale: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.step_frequency < 0.0 or self.step_height < 0.0:
+    def __new__(
+        cls,
+        step_frequency: float,
+        step_height: float,
+        as_of: float,
+        stale: bool = False,
+    ) -> "GaitEstimate":
+        if step_frequency < 0.0 or step_height < 0.0:
             raise ValueError("gait estimates are non-negative")
-        if self.stale and self.step_frequency != 0.0:
-            object.__setattr__(self, "step_frequency", 0.0)
+        if stale and step_frequency != 0.0:
+            step_frequency = 0.0
+        return tuple.__new__(cls, (step_frequency, step_height, as_of, stale))

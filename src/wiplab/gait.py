@@ -353,10 +353,5 @@ class GaitTracker:
     def estimate(self, now: float) -> GaitEstimate:
         """Bundle both estimators into the structure the speed laws consume."""
         if self.is_stale(now):
-            return GaitEstimate(step_frequency=0.0, step_height=0.0, as_of=now, stale=True)
-        return GaitEstimate(
-            step_frequency=self._frequency(now),
-            step_height=self._step_height(now),
-            as_of=now,
-            stale=False,
-        )
+            return GaitEstimate(0.0, 0.0, now, True)
+        return GaitEstimate(self._frequency(now), self._step_height(now), now, False)

@@ -8,17 +8,21 @@ mirroring (so the chase starts with zero error), and the timed chase moves
 the sphere at constant speed while every metric is collected. Metrics are
 computed strictly from frames and step events inside the chase window.
 
-Replaying a recorded trace drives the identical kinematics code path, which
-is what makes record/replay reports bit-identical.
+Every simulation loop runs its frames through one frame step: advance the
+gait tracker through the frame's samples, estimate once, evaluate the law
+built once per run by speed.law. Replaying a recorded trace drives that step
+and the same kinematics as the live run, which is what makes record/replay
+reports bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
+from . import speed
 from .core import (
     DivergedSimulation,
     EmptyWindow,
@@ -27,9 +31,10 @@ from .core import (
     NonTermination,
     WipParams,
     WrongArity,
+    require_finite,
 )
 from .gait import GaitConfig, GaitTracker, StepEvent
-from .speed import apply_gain, output_speed
+from .speed import apply_gain
 from .synth import WalkerAgent, chase_policy
 
 REPLAN_INTERVAL = 0.5  # s, how often agents re-plan their gait
@@ -67,17 +72,11 @@ class ChaseScenario:
     timestep: float = DEFAULT_TIMESTEP
 
     def __post_init__(self) -> None:
+        names = [f.name for f in fields(self)]
+        require_finite(self, names)
         if self.target_speed < 0.0:
             raise ValueError("target_speed must be >= 0")
-        for name in (
-            "prep_distance",
-            "prep_duration",
-            "countdown",
-            "chase_duration",
-            "circle_lead",
-            "sphere_radius",
-            "timestep",
-        ):
+        for name in names[1:]:  # the lengths and durations after target_speed
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
 
@@ -121,8 +120,7 @@ class MetricsReport:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
-@dataclass(frozen=True, slots=True)
-class FrameRow:
+class FrameRow(NamedTuple):
     time: float
     stage: Stage
     height_left: float
@@ -230,6 +228,39 @@ def _stage_at(t: float, countdown_start: float, chase_start: float) -> Stage:
     return _CHASE
 
 
+def _frame_step(
+    evaluate: Callable[[float, float], tuple[float, float]],
+    gait_config: GaitConfig | None,
+    events: list[StepEvent],
+) -> Callable[[float, Sequence[FootSample]], tuple[float, ...]]:
+    """The pipeline of one frame, built once per run around a fresh tracker.
+
+    step(t, samples) advances the tracker through the frame's samples,
+    appending every completed StepEvent to events, calls estimate(t) once,
+    and feeds its frequency and step height to evaluate. It returns
+    (height_left, height_right, est_frequency, est_step_height, raw_speed,
+    output_speed); a foot without a sample in the frame reads height 0.
+    """
+    tracker = GaitTracker(gait_config)
+    advance, estimate, record = tracker.advance, tracker.estimate, events.append
+
+    def step(t: float, samples: Sequence[FootSample]):
+        height_left = height_right = 0.0
+        for s in samples:
+            ev = advance(s)
+            if ev is not None:
+                record(ev)
+            if s.foot is _LEFT:
+                height_left = s.height
+            else:
+                height_right = s.height
+        f, sh, _, _ = estimate(t)
+        raw, out = evaluate(f, sh)
+        return height_left, height_right, f, sh, raw, out
+
+    return step
+
+
 def run_chase(
     scenario: ChaseScenario,
     agent,
@@ -240,22 +271,26 @@ def run_chase(
     """Simulate one chasing-task run and compute its metrics.
 
     The agent must provide command(speed) and samples(now, dt). Agents with
-    pins_output True bypass the estimation pipeline and realize commanded
-    speed exactly; everything else flows through the gait tracker and the
-    configured speed law.
+    pins_output True realize commanded speed exactly: the frame step still
+    tracks their samples, but its law is replaced by the pinned speed.
+    Everything else flows through the gait tracker and the configured law.
     """
     dt = scenario.timestep
-    tracker = GaitTracker(gait_config)
     n_frames = int(round(scenario.total_duration / dt))
     replan_every = max(1, int(round(REPLAN_INTERVAL / dt)))
     countdown_start, chase_start = _stage_bounds(scenario)
     circle_lead, target_speed = scenario.circle_lead, scenario.target_speed
-    pins_output = agent.pins_output
+    log = RunLog(scenario=scenario)
+    rows, samples = log.rows, log.samples
+    if agent.pins_output:
+        def evaluate(f: float, sh: float) -> tuple[float, float]:
+            return agent.pinned_speed, agent.pinned_speed
+    else:
+        evaluate = speed.law(params)
+    step = _frame_step(evaluate, gait_config, log.events)
 
     position = 0.0
     sphere = circle_lead  # starts at the catch-circle center
-    log = RunLog(scenario=scenario)
-    events, rows = log.events, log.rows
 
     agent.command(chase_policy(0.0, target_speed))
     for k in range(n_frames):
@@ -265,41 +300,12 @@ def run_chase(
             agent.command(chase_policy(error, target_speed))
 
         frame_samples = agent.samples(t, dt)
-        height_left = height_right = 0.0
-        for s in frame_samples:
-            ev = tracker.advance(s)
-            if ev is not None:
-                events.append(ev)
-            if s.foot is _LEFT:
-                height_left = s.height
-            else:
-                height_right = s.height
-        log.samples.extend(frame_samples)
-
-        if pins_output:
-            est_f = est_sh = 0.0
-            raw = out = agent.pinned_speed
-        else:
-            est = tracker.estimate(t)
-            spd = output_speed(params, est)
-            est_f, est_sh = est.step_frequency, est.step_height
-            raw, out = spd.raw_speed, spd.output_speed
-
-        rows.append(
-            FrameRow(
-                time=t,
-                stage=_stage_at(t, countdown_start, chase_start),
-                height_left=height_left,
-                height_right=height_right,
-                est_frequency=est_f,
-                est_step_height=est_sh,
-                raw_speed=raw,
-                output_speed=out,
-                position=position,
-                sphere=sphere,
-                error=error,
-            )
-        )
+        height_left, height_right, f, sh, raw, out = step(t, frame_samples)
+        samples.extend(frame_samples)
+        rows.append(FrameRow(
+            t, _stage_at(t, countdown_start, chase_start), height_left, height_right,
+            f, sh, raw, out, position, sphere, error,
+        ))
 
         position += out * dt
         sphere += (target_speed if t >= chase_start else out) * dt
@@ -316,18 +322,20 @@ def replay_trace(
     *,
     gait_config: GaitConfig | None = None,
 ) -> tuple[MetricsReport, RunLog]:
-    """Feed recorded samples through gait and speed in file order.
+    """Feed recorded samples through the frame step in file order, one frame
+    per distinct sample time.
 
-    With a scenario the full chase kinematics are reconstructed frame by
-    frame in the same operation order as run_chase, so the resulting
-    MetricsReport is bit-identical to the recording run's. Without one the
-    whole trace is the measurement window and the target distance is zero.
+    With a scenario the chase kinematics are reconstructed frame by frame
+    exactly as run_chase integrates them, so the resulting MetricsReport is
+    bit-identical to the recording run's. Without one the whole trace is the
+    measurement window, each frame lasts until the next sample time, and the
+    target distance is zero.
     """
     if not samples:
         raise EmptyWindow("trace holds no samples")
-    tracker = GaitTracker(gait_config)
     log = RunLog(scenario=scenario)
     log.samples = list(samples)
+    step = _frame_step(speed.law(params), gait_config, log.events)
 
     ticks: list[tuple[float, list[FootSample]]] = []
     for s in samples:
@@ -342,7 +350,7 @@ def replay_trace(
         target_speed = scenario.target_speed
         countdown_start, chase_start = _stage_bounds(scenario)
         sphere = circle_lead
-    events, rows = log.events, log.rows
+    rows = log.rows
 
     for i, (t, tick_samples) in enumerate(ticks):
         if scenario is not None:
@@ -353,38 +361,14 @@ def replay_trace(
             error = 0.0
             stage = _CHASE
 
-        height_left = height_right = 0.0
-        for s in tick_samples:
-            ev = tracker.advance(s)
-            if ev is not None:
-                events.append(ev)
-            if s.foot is _LEFT:
-                height_left = s.height
-            else:
-                height_right = s.height
+        height_left, height_right, f, sh, raw, out = step(t, tick_samples)
+        rows.append(FrameRow(
+            t, stage, height_left, height_right, f, sh, raw, out, position, sphere, error,
+        ))
 
-        est = tracker.estimate(t)
-        spd = output_speed(params, est)
-
-        rows.append(
-            FrameRow(
-                time=t,
-                stage=stage,
-                height_left=height_left,
-                height_right=height_right,
-                est_frequency=est.step_frequency,
-                est_step_height=est.step_height,
-                raw_speed=spd.raw_speed,
-                output_speed=spd.output_speed,
-                position=position,
-                sphere=sphere,
-                error=error,
-            )
-        )
-
-        position += spd.output_speed * dt
+        position += out * dt
         if scenario is not None:
-            sphere += (target_speed if t >= chase_start else spd.output_speed) * dt
+            sphere += (target_speed if t >= chase_start else out) * dt
         if not math.isfinite(position):
             raise DivergedSimulation(f"non-finite state at t={t:.3f}")
 
@@ -418,8 +402,7 @@ class SlopeProfile:
         return on_slope * math.tan(math.radians(self.gradient_deg))
 
 
-@dataclass(frozen=True, slots=True)
-class SlopeFrame:
+class SlopeFrame(NamedTuple):
     time: float
     raw_speed: float
     output_speed: float
@@ -442,25 +425,18 @@ def run_slope_bout(
     The position-gated profile gain replaces params.speed_gain here; the
     natural visual gain still applies everywhere.
     """
-    tracker = GaitTracker(gait_config)
+    step = _frame_step(speed.law(replace(params, speed_gain=1.0)), gait_config, [])
     agent.command(cruise_speed)
     n_frames = int(round(duration / timestep))
-    law_params = replace(params, speed_gain=1.0)
     natural_gain = params.natural_visual_gain
     position = 0.0
     frames: list[SlopeFrame] = []
     for k in range(n_frames):
         t = k * timestep
-        for s in agent.samples(t, timestep):
-            tracker.advance(s)
-        est = tracker.estimate(t)
-        spd = output_speed(law_params, est)
+        _, _, _, _, raw, _ = step(t, agent.samples(t, timestep))
         gain = profile.gain_at(position)
-        out = apply_gain(spd.raw_speed, gain, natural_gain)
-        frames.append(
-            SlopeFrame(time=t, raw_speed=spd.raw_speed, output_speed=out,
-                       position=position, gain=gain)
-        )
+        out = apply_gain(raw, gain, natural_gain)
+        frames.append(SlopeFrame(t, raw, out, position, gain))
         position += out * timestep
         if not math.isfinite(position):
             raise DivergedSimulation(f"non-finite position at t={t:.3f}")
@@ -506,15 +482,15 @@ class AdjustmentProtocol:
     ) -> "AdjustmentProtocol":
         interval, asc_start, desc_start = STAIRCASE_PRESETS[slope]
         initial = asc_start if series is SeriesKind.ASCENDING else desc_start
-        fields = dict(
+        kwargs = dict(
             slope=slope,
             series=series,
             initial_gain=initial,
             interval=interval,
             judge=judge,
         )
-        fields.update(overrides)
-        return cls(**fields)
+        kwargs.update(overrides)
+        return cls(**kwargs)
 
 
 def make_reference_judge(reference: float, tolerance: float) -> Callable[[float], bool]:

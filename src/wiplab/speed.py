@@ -4,11 +4,17 @@ Two variants share the same frequency core: the base law squares the
 height-normalized cadence, and the height-scaled law multiplies it by the
 step height relative to a 0.1 m reference. A separate gain stage applies
 the experiment gain and the natural visual gain.
+
+law() is the one variant dispatch: it binds one WipParams into a function of
+(step frequency, step height) once per run. output_speed(),
+synth.program_speed() and the simulation loops evaluate the configured law
+only through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
     GaitEstimate,
@@ -17,11 +23,6 @@ from .core import (
     Variant,
     WipParams,
 )
-
-
-# Reading an enum member through its class costs ~0.1 us on CPython 3.11;
-# the per-frame dispatch compares against this constant instead.
-_GUD = Variant.GUD
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,6 +85,39 @@ def apply_gain(speed: float, gain: float, natural_visual_gain: float = 1.0) -> f
     return speed * gain * natural_visual_gain
 
 
+def law(params: WipParams) -> Callable[[float, float], tuple[float, float]]:
+    """The configured law and gain stage as one function, built once per run.
+
+    The returned function maps a step frequency and a step height, both
+    >= 0, to (raw speed, output speed). It performs exactly the operations
+    of gud_speed or shef_speed followed by apply_gain, in the same order, so
+    every result is bit-identical to theirs; the per-call argument checks
+    are left out because WipParams validated the constants and gait
+    estimates are non-negative by construction.
+    """
+    ref_frequency = params.ref_frequency
+    height_ratio = params.user_height / params.ref_user_height
+    gain, natural_gain = params.speed_gain, params.natural_visual_gain
+
+    if params.variant is Variant.GUD:
+
+        def gud(step_frequency: float, step_height: float) -> tuple[float, float]:
+            scaled = (step_frequency / ref_frequency) * height_ratio
+            raw = scaled * scaled
+            return raw, raw * gain * natural_gain
+
+        return gud
+
+    ref_step_height = params.ref_step_height
+
+    def shef(step_frequency: float, step_height: float) -> tuple[float, float]:
+        scaled = (step_frequency / ref_frequency) * height_ratio
+        raw = scaled * scaled * (step_height / ref_step_height)
+        return raw, raw * gain * natural_gain
+
+    return shef
+
+
 def output_speed(params: WipParams, estimate: GaitEstimate) -> SpeedSample:
     """Dispatch one gait estimate through the configured law and gain stage.
 
@@ -92,21 +126,5 @@ def output_speed(params: WipParams, estimate: GaitEstimate) -> SpeedSample:
     """
     if estimate.stale:
         return SpeedSample(time=estimate.as_of, raw_speed=0.0, output_speed=0.0)
-    if params.variant is _GUD:
-        raw = gud_speed(
-            estimate.step_frequency,
-            params.user_height,
-            ref_frequency=params.ref_frequency,
-            ref_user_height=params.ref_user_height,
-        )
-    else:
-        raw = shef_speed(
-            estimate.step_frequency,
-            params.user_height,
-            estimate.step_height,
-            ref_frequency=params.ref_frequency,
-            ref_user_height=params.ref_user_height,
-            ref_step_height=params.ref_step_height,
-        )
-    out = apply_gain(raw, params.speed_gain, params.natural_visual_gain)
+    raw, out = law(params)(estimate.step_frequency, estimate.step_height)
     return SpeedSample(time=estimate.as_of, raw_speed=raw, output_speed=out)

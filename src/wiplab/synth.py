@@ -16,9 +16,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import Foot, FootSample, InvalidRate, Variant, WipParams
+from .core import Foot, FootSample, InvalidRate, Variant, WipParams, require_finite
 from .elastic import ElasticRig, PullDirection, rig_force
-from .speed import gud_speed, shef_speed
+from .speed import gud_speed, law
 
 FEET = (Foot.LEFT, Foot.RIGHT)  # order of per-foot agent state and of emitted samples
 MIN_SAMPLE_RATE = 30.0  # Hz, below this swing segmentation falls apart
@@ -113,7 +113,7 @@ def synth_trace(program: GaitProgram, duration: float, sample_rate: float) -> li
                 h = cycle_height(cycle, program.stance_fraction, program.apex_height)
             if program.noise_sd > 0.0:
                 h = max(0.0, h + program.noise_sd * next(noise))
-            samples.append(FootSample(time=t, foot=foot, height=h))
+            samples.append(FootSample(t, foot, h))
     return samples
 
 
@@ -155,21 +155,8 @@ def plan_gait(target_speed: float, params: WipParams, caps: AgentCaps) -> GaitPr
 
 def program_speed(program: GaitProgram, params: WipParams) -> float:
     """Forward-evaluate the configured law on a program's gait parameters."""
-    if params.variant is Variant.GUD:
-        return gud_speed(
-            program.step_frequency,
-            params.user_height,
-            ref_frequency=params.ref_frequency,
-            ref_user_height=params.ref_user_height,
-        )
-    return shef_speed(
-        program.step_frequency,
-        params.user_height,
-        program.apex_height,
-        ref_frequency=params.ref_frequency,
-        ref_user_height=params.ref_user_height,
-        ref_step_height=params.ref_step_height,
-    )
+    raw, _ = law(params)(program.step_frequency, program.apex_height)
+    return raw
 
 
 def chase_policy(distance_error: float, target_speed: float, *, gain: float = 0.5) -> float:
@@ -227,6 +214,9 @@ class WalkerAgent:
         self.params = params
         self.caps = caps or AgentCaps()
         self.noise_sd = noise_sd
+        require_finite(self, ("noise_sd",))
+        if noise_sd < 0.0:
+            raise ValueError("noise_sd must be >= 0")
         self.rig = rig
         self.apex_response = apex_response
         self.strain_noise_gain = strain_noise_gain
@@ -272,7 +262,7 @@ class WalkerAgent:
             h = 0.0 if in_stance else cycle_height(cyc, stance, self._apex[i])
             if sd > 0.0:
                 h = max(0.0, h + sd * next(self._noise))
-            out.append(FootSample(time=now, foot=foot, height=h))
+            out.append(FootSample(now, foot, h))
             if frequency > 0.0:
                 cycle[i] = (cyc + dt * frequency / 2.0) % 1.0
         return out

@@ -28,3 +28,17 @@ def test_gate_catches_a_broken_speed_law(monkeypatch):
     )
     results = acceptance.run_all(only=["EQ1-ANCHOR"])
     assert not results[0].passed
+
+
+def test_gate_catches_a_broken_law_in_the_frame_step(monkeypatch):
+    """ROUND-TRIP streams its gait through the harness frame step, which
+    builds its law from speed.law at the start of every run."""
+    true_law = speed.law
+
+    def broken_law(params):
+        evaluate = true_law(params)
+        return lambda f, sh: tuple(1.2 * v for v in evaluate(f, sh))
+
+    monkeypatch.setattr(speed, "law", broken_law)
+    results = acceptance.run_all(only=["ROUND-TRIP"])
+    assert not results[0].passed

@@ -77,6 +77,25 @@ class TestSimulate:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--target", "1", "--gain", "nan"],
+            ["--target", "1", "--natural-gain", "nan"],
+            ["--target", "1", "--gain", "inf"],
+            ["--target", "1", "--timestep", "inf"],
+            ["--target", "inf"],
+            ["--target", "nan"],
+            ["--target", "1", "--noise", "nan"],
+        ],
+        ids=lambda flags: " ".join(flags[-2:]),
+    )
+    def test_non_finite_setting_is_bad_input(self, flags, capsys):
+        code, out, err = run(["simulate", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err
+
     def test_bad_rig_spec(self, capsys):
         code, _, err = run(["simulate", "--target", "1.0", "--rig", "left:3"], capsys)
         assert code == 2
@@ -144,6 +163,27 @@ class TestRecordReplay:
         assert code == 2
         assert out == ""
         assert f"line {row + 1}" in err
+
+    def test_non_finite_scenario_header_is_bad_input(self, tmp_path, capsys):
+        trace = tmp_path / "run.csv"
+        run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)
+        text = trace.read_text()
+        assert "# scenario.target_speed: 1.0\n" in text
+        trace.write_text(text.replace(
+            "# scenario.target_speed: 1.0\n", "# scenario.target_speed: nan\n"
+        ))
+        code, out, err = run(["replay", str(trace)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "target_speed must be finite" in err
+
+    def test_non_finite_gain_override_is_bad_input(self, tmp_path, capsys):
+        trace = tmp_path / "run.csv"
+        run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)
+        code, out, err = run(["replay", str(trace), "--gain", "nan"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "speed_gain must be finite" in err
 
     def test_empty_trace_is_a_runtime_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -215,15 +255,15 @@ class TestAcceptance:
         assert code == 0
         assert "[PASS] EQ2-IDENTITY" in out
 
-    def test_missing_config_warns_and_runs_defaults(self, tmp_path, capsys):
+    def test_missing_config_is_bad_input(self, tmp_path, capsys):
         code, out, err = run(
             ["acceptance", "--config", str(tmp_path / "nope.json"),
              "--only", "ELASTIC-ANCHORS"],
             capsys,
         )
-        assert code == 0
-        assert "warning" in err.lower()
-        assert "[PASS] ELASTIC-ANCHORS" in out
+        assert code == 2
+        assert out == ""
+        assert "nope.json" in err
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         from wiplab import acceptance, speed

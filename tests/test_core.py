@@ -105,6 +105,16 @@ class TestWipParams:
         with pytest.raises(ValueError):
             WipParams(ref_step_height=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["user_height", "speed_gain", "natural_visual_gain",
+         "ref_frequency", "ref_user_height", "ref_step_height"],
+    )
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            WipParams(**{name: value})
+
 
 class TestGaitEstimate:
     def test_negative_values_rejected(self):

@@ -1,4 +1,4 @@
-"""Golden fixed-seed chase reports.
+"""Golden fixed-seed chase reports and frame-loop outputs.
 
 The values below were recorded from short closed-loop runs and are compared
 by ``repr``, so any change to the bits of a simulated run fails here. A
@@ -6,13 +6,26 @@ performance change must leave them untouched; only a deliberate change of
 simulated behaviour may re-record them, and says so in its description.
 """
 
+import contextlib
+import hashlib
+import io
+import json
 from dataclasses import asdict
 
 import pytest
 
+from wiplab import cli
+from wiplab.acceptance import _steady_mean_speed
 from wiplab.core import Variant, WipParams
-from wiplab.harness import ChaseScenario, run_chase
-from wiplab.synth import WalkerAgent
+from wiplab.harness import (
+    SLOPE_NATURAL_GAIN,
+    ChaseScenario,
+    SlopeProfile,
+    replay_trace,
+    run_chase,
+    run_slope_bout,
+)
+from wiplab.synth import GaitProgram, WalkerAgent, synth_trace
 from wiplab.traceio import parse_rig_spec
 
 SHORT = dict(prep_duration=2.0, countdown=1.0, chase_duration=6.0)
@@ -86,3 +99,98 @@ def test_chase_report_matches_golden(name):
     report, log = run_chase(ChaseScenario(target_speed=target, **SHORT), agent, params)
     assert {k: repr(v) for k, v in asdict(report).items()} == fields
     assert (len(log.events), len(log.rows)) == (events, frames)
+
+
+# ----------------------------------------------------------------------
+# The other frame loops: slope bouts, the acceptance steady-state helper,
+# scenario-less replay and the replay CLI's per-frame CSV. Recorded the same
+# way, before the loops were merged into one frame step.
+
+SLOPE_FIELDS = ("time", "raw_speed", "output_speed", "position", "gain")
+FRAME_FIELDS = (
+    "time", "stage", "height_left", "height_right", "est_frequency",
+    "est_step_height", "raw_speed", "output_speed", "position", "sphere", "error",
+)
+
+
+def rows_digest(rows, names):
+    """sha256 over the repr of every named field of every row, in order."""
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(",".join(repr(getattr(row, n)) for n in names).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def slope_bout():
+    params = WipParams(natural_visual_gain=SLOPE_NATURAL_GAIN)
+    agent = WalkerAgent(params, noise_sd=0.003, seed=4)
+    profile = SlopeProfile(gain_on_slope=0.85, flat_leadin=3.0)
+    return run_slope_bout(profile, params, agent, 6.0, cruise_speed=1.2)
+
+
+def steady_mean_speeds():
+    return {
+        v.value: repr(_steady_mean_speed(v, 2.5, noise_sd=0.003, seed=1))
+        for v in (Variant.GUD, Variant.SHEF)
+    }
+
+
+def scenario_less_replay():
+    program = GaitProgram(step_frequency=1.8, apex_height=0.12, noise_sd=0.002, seed=5)
+    trace = synth_trace(program, 6.0, 90.0)
+    params = WipParams(variant=Variant.GUD, speed_gain=1.3)
+    report, log = replay_trace(trace, params)
+    fields = {k: repr(v) for k, v in asdict(report).items()}
+    return fields, rows_digest(log.rows, FRAME_FIELDS), len(log.rows)
+
+
+def replay_frames_csv(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "target_speed": 1.3, "variant": "gud", "noise_sd": 0.003, "seed": 2,
+        "prep_duration": 2.0, "countdown": 1.0, "chase_duration": 4.0,
+    }))
+    trace, frames = tmp_path / "run.trace", tmp_path / "frames.csv"
+    argv = ["record", "--scenario", str(scenario), "--trace-out", str(trace)]
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+        argv = ["replay", str(trace), "--variant", "shef", "--gain", "1.25",
+                "--out", str(tmp_path / "report.json"), "--frames-out", str(frames)]
+        assert cli.main(argv) == 0
+    return hashlib.sha256(frames.read_bytes()).hexdigest()
+
+
+# (digest, frames)
+GOLDEN_SLOPE = ("e1f1343c9431f65831a80d9f5cfec9722f84b626ed8ea28ba96cb380b6417495", 540)
+GOLDEN_STEADY = {"gud": "1.964251653814834", "shef": "2.5675136656943356"}
+# (report fields by repr, digest, frames)
+GOLDEN_REPLAY = (
+    {
+        "avg_step_height": "0.12255930522919109",
+        "avg_step_frequency": "1.8045918367346938",
+        "avg_target_distance": "0.0",
+        "avg_speed": "1.24091475762866",
+        "speed_sd": "0.7661299608555477",
+    },
+    "10d470594776fe5f0b0bf6679935b6077a8392639a3682a6836fbab707e5bff5",
+    540,
+)
+GOLDEN_FRAMES_CSV = "7b82a56399502246c723127f8b83bd1faf2bcf19d2933b4a6ce9532c22cc7653"
+
+
+def test_slope_bout_matches_golden():
+    frames = slope_bout()
+    assert (rows_digest(frames, SLOPE_FIELDS), len(frames)) == GOLDEN_SLOPE
+
+
+def test_steady_mean_speed_matches_golden():
+    assert steady_mean_speeds() == GOLDEN_STEADY
+
+
+def test_scenario_less_replay_matches_golden():
+    assert scenario_less_replay() == GOLDEN_REPLAY
+
+
+def test_replay_frames_csv_matches_golden(tmp_path):
+    assert replay_frames_csv(tmp_path) == GOLDEN_FRAMES_CSV

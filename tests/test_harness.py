@@ -49,6 +49,27 @@ class TestChaseScenario:
         with pytest.raises(ValueError):
             ChaseScenario(target_speed=1.0, timestep=0.0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"target_speed": math.nan},
+            {"target_speed": math.inf},
+            {"timestep": math.inf},
+            {"prep_distance": math.inf},
+            {"prep_duration": math.nan},
+            {"countdown": math.nan},
+            {"chase_duration": math.nan},
+            {"circle_lead": math.nan},
+            {"sphere_radius": math.inf},
+        ],
+        ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_non_finite_values_rejected(self, overrides):
+        settings = {"target_speed": 1.0, **overrides}
+        (name,) = overrides
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ChaseScenario(**settings)
+
 
 def frame(t, speed, error=0.0, stage=Stage.CHASE):
     return FrameRow(

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wiplab.core import GaitEstimate, NonPositiveGain, NonPositiveHeight, Variant, WipParams
-from wiplab.speed import apply_gain, gud_speed, output_speed, shef_speed
+from wiplab.speed import apply_gain, gud_speed, law, output_speed, shef_speed
 
 frequencies = st.floats(min_value=0.05, max_value=4.0, allow_nan=False)
 heights = st.floats(min_value=1.0, max_value=2.5, allow_nan=False)
@@ -131,3 +131,42 @@ class TestOutputSpeed:
         params = WipParams(variant=Variant.GUD, ref_frequency=2.0)
         est = GaitEstimate(step_frequency=2.0, step_height=0.1, as_of=0.0)
         assert output_speed(params, est).raw_speed == pytest.approx(1.0)
+
+
+def bits(*values):
+    return tuple(float.hex(v) for v in values)
+
+
+positive = st.floats(min_value=1e-3, max_value=10.0)
+law_params = st.builds(
+    WipParams,
+    user_height=heights,
+    variant=st.sampled_from(Variant),
+    speed_gain=positive,
+    natural_visual_gain=positive,
+    ref_frequency=positive,
+    ref_user_height=positive,
+    ref_step_height=positive,
+)
+
+
+@given(
+    params=law_params,
+    f=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0)),
+    sh=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+)
+def test_law_equals_the_reference_laws_and_gain_stage_bit_for_bit(params, f, sh):
+    refs = dict(ref_frequency=params.ref_frequency, ref_user_height=params.ref_user_height)
+    if params.variant is Variant.GUD:
+        raw = gud_speed(f, params.user_height, **refs)
+    else:
+        raw = shef_speed(
+            f, params.user_height, sh, ref_step_height=params.ref_step_height, **refs
+        )
+    out = apply_gain(raw, params.speed_gain, params.natural_visual_gain)
+    expected = bits(raw, out)
+    assert bits(*law(params)(f, sh)) == expected
+    sample = output_speed(params, GaitEstimate(f, sh, as_of=1.0))
+    assert bits(sample.raw_speed, sample.output_speed) == expected
+    stale = output_speed(params, GaitEstimate(f, sh, as_of=1.0, stale=True))
+    assert bits(stale.raw_speed, stale.output_speed) == bits(0.0, 0.0)

@@ -171,6 +171,11 @@ class TestElasticApexShift:
 
 
 class TestWalkerAgent:
+    @pytest.mark.parametrize("noise_sd", [float("nan"), float("inf"), -0.001])
+    def test_rejects_a_noise_sd_that_is_not_finite_and_non_negative(self, noise_sd):
+        with pytest.raises(ValueError, match="noise_sd must be"):
+            WalkerAgent(SHEF, noise_sd=noise_sd)
+
     def test_streams_through_the_pipeline(self):
         agent = WalkerAgent(SHEF)
         agent.command(1.5)
