@@ -11,8 +11,9 @@ Checks deliberately reach functions through their modules (e.g.
 ``speed.gud_speed`` at call time) so a monkeypatched implementation is
 caught rather than a stale reference. The steady-state helper behind
 ROUND-TRIP and CEILING replays its trace through ``harness.replay_trace``,
-whose frame step takes its law from ``speed.law`` at the start of every
-run, so a monkeypatched law is caught there too.
+which takes its law from ``speed.law`` at the start of every run and
+evaluates it on the arrays of every frame's estimate, so a monkeypatched
+law is caught there too.
 """
 
 from __future__ import annotations

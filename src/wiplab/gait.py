@@ -16,11 +16,16 @@ suite exploits as an oracle.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice, repeat
+from typing import NamedTuple, Sequence
 
-from .core import Foot, FootSample, GaitEstimate, validate_sample
+import numpy as np
+
+from .core import Foot, FootSample, GaitEstimate, NonMonotonicTime, validate_sample
 
 
 class Phase(Enum):
@@ -355,3 +360,202 @@ class GaitTracker:
         if self.is_stale(now):
             return GaitEstimate(0.0, 0.0, now, True)
         return GaitEstimate(self._frequency(now), self._step_height(now), now, False)
+
+
+# ----------------------------------------------------------------------
+# whole-stream estimation for replay
+
+
+class FrameEstimates(NamedTuple):
+    """Per-frame columns of a replayed stream, one frame per distinct sample
+    time: what the frame loop reads from its samples and from estimate(t)."""
+
+    time: np.ndarray
+    height_left: np.ndarray   # m, 0 where the foot has no sample in the frame
+    height_right: np.ndarray
+    step_frequency: np.ndarray
+    step_height: np.ndarray
+
+
+class _FootFrames(NamedTuple):
+    """One foot's tracker state after each frame's samples."""
+
+    height: np.ndarray         # the frame's sample height, 0 without one
+    aerial: np.ndarray         # phase is not GROUNDED
+    valid: np.ndarray          # aerial in a swing whose lift-off was seen
+    anchor: np.ndarray         # swing_start when valid, else entered_at
+    running_apex: np.ndarray
+    grounded_since: np.ndarray  # entered_at while grounded, -inf otherwise
+
+
+def _foot_frames(
+    idx: np.ndarray,
+    t: np.ndarray,
+    h: np.ndarray,
+    aerial: np.ndarray,
+    frame: np.ndarray,
+    n_frames: int,
+    entered: np.ndarray,
+) -> _FootFrames:
+    """Derive one foot's per-frame tracker state from its heights.
+
+    idx holds the global indices of the foot's samples. Grounded means
+    h <= ground_epsilon, so the phase is GROUNDED exactly when the latest
+    sample is grounded; a swing is valid once the foot has been seen on the
+    ground; swing_start is the last grounded sample time, and the running
+    apex is the running max within each aerial run. entered holds the
+    tracker's entered_at, read after each sample of a run the foot was first
+    seen in: its ascent/descent switches are the velocity machine's.
+    """
+    if idx.size == 0:
+        never = np.zeros(n_frames, bool)
+        zero = np.zeros(n_frames)
+        return _FootFrames(zero, never, never, zero, zero, np.full(n_frames, -np.inf))
+    tx, hx, ax = t[idx], h[idx], aerial[idx]
+    gx = ~ax
+    m = idx.size
+    after_aerial = np.empty(m, bool)
+    after_aerial[0] = True  # a first sample is a phase entry too
+    after_aerial[1:] = ax[:-1]
+    grounded_since = np.maximum.accumulate(np.where(gx & after_aerial, tx, -np.inf))
+    anchor = np.maximum.accumulate(np.where(gx, tx, -np.inf))  # swing_start
+    first_grounded = int(gx.argmax()) if gx.any() else m
+    valid = ax.copy()
+    valid[:first_grounded] = False
+    anchor[:first_grounded] = entered[idx[:first_grounded]]
+
+    running_apex = hx.copy()
+    edges = np.flatnonzero(np.diff(ax, prepend=False, append=False))
+    for a, b in zip(edges[0::2].tolist(), edges[1::2].tolist()):
+        np.maximum.accumulate(hx[a:b], out=running_apex[a:b])
+
+    fx = frame[idx]
+    height = np.zeros(n_frames)
+    height[fx] = hx
+    latest = np.full(n_frames, -1)
+    latest[fx] = np.arange(m)  # one sample per foot per frame
+    latest = np.maximum.accumulate(latest)
+    seen = latest >= 0
+    j = np.maximum(latest, 0)
+    aerial_f = seen & ax[j]
+    return _FootFrames(
+        height,
+        aerial_f,
+        seen & valid[j],
+        anchor[j],
+        running_apex[j],
+        np.where(seen & ~aerial_f, grounded_since[j], -np.inf),
+    )
+
+
+def estimate_frames(
+    samples: Sequence[FootSample],
+    config: GaitConfig | None,
+    events: list[StepEvent],
+) -> FrameEstimates:
+    """Stream time-sorted samples through one tracker, then estimate every
+    frame at once.
+
+    Every sample goes through GaitTracker.advance, in order, so validation,
+    segmentation and the StepEvents (appended to events) are the streaming
+    tracker's. The tracker's EMA state is snapshotted after each step event,
+    and each foot's swing state is derived from its heights; from both, the
+    frequency and step height that estimate(t) returns after each frame's
+    samples are computed with array operations, bit for bit.
+
+    Raises NonMonotonicTime at the first sample whose time precedes the one
+    before it: staleness reads the latest grounding time, which is a running
+    max only on sorted input.
+    """
+    tracker = GaitTracker(config)
+    cfg = tracker.config
+    n = len(samples)
+    times, feet, heights = zip(*samples)
+    t = np.array(times, dtype=float)
+    h = np.array(heights, dtype=float)
+    left = np.fromiter(map(operator.is_, feet, repeat(_LEFT)), bool, n)
+    aerial = h > cfg.ground_epsilon
+    per_foot = (np.flatnonzero(left), np.flatnonzero(~left))
+
+    backwards = np.flatnonzero(t[1:] < t[:-1])
+    stop = int(backwards[0]) + 1 if backwards.size else n
+    # samples of a run a foot was first seen in, up to its first grounded one
+    first_run = 0
+    for idx in per_foot:
+        ax = aerial[idx]
+        if ax.size and ax[0]:
+            first_run = max(first_run, n if ax.all() else int(idx[ax.argmin()]))
+
+    advance, found = tracker.advance, []
+    snapshots: list[tuple[float | None, float | None, int]] = []
+    entered: list[float] = []
+    for s in islice(samples, min(first_run, stop)):
+        ev = advance(s)
+        if ev is not None:
+            found.append(ev)
+            snapshots.append((tracker._freq_ema, tracker._apex_ema, tracker._active_feet))
+        entered.append((tracker._left if s.foot is _LEFT else tracker._right).entered_at)
+    for s in islice(samples, len(entered), stop):
+        ev = advance(s)
+        if ev is not None:
+            found.append(ev)
+            snapshots.append((tracker._freq_ema, tracker._apex_ema, tracker._active_feet))
+    events.extend(found)
+    if stop < n:
+        s = samples[stop]
+        raise NonMonotonicTime(
+            f"foot {s.foot.value} sample at t={s.time!r} precedes the sample "
+            f"before it at t={samples[stop - 1].time!r}; replay needs "
+            "time-sorted samples"
+        )
+
+    starts = np.empty(n, bool)
+    starts[0] = True
+    np.not_equal(t[1:], t[:-1], out=starts[1:])
+    frame = np.cumsum(starts) - 1
+    now = t[starts]
+    n_frames = now.size
+    entered_at = np.array(entered)
+    feet_f = [_foot_frames(idx, t, h, aerial, frame, n_frames, entered_at) for idx in per_foot]
+
+    # EMA state after the last footfall at or before each frame; entry 0 is
+    # the state before any footfall
+    freq_ema, apex_ema, active = zip((None, None, 1), *snapshots)
+    footfall = np.array([np.nan] + [ev.end for ev in found])  # NaN: no gap bound
+    k = np.searchsorted(np.searchsorted(now, footfall[1:]), np.arange(n_frames), side="right")
+    has_freq = np.array([f is not None for f in freq_ema])[k]
+    ema = np.array([f if f is not None else np.inf for f in freq_ema])[k]
+    base = np.array([a if a is not None else 0.0 for a in apex_ema])[k]
+    active_feet = np.array(active)[k]
+    footfall = footfall[k]
+
+    slack = cfg.partial_slack
+    freq = ema
+    for foot in feet_f:
+        elapsed = now - foot.anchor
+        bound = foot.aerial & (elapsed > 0.0)
+        partial = np.divide(cfg.swing_fraction, elapsed, out=np.zeros(n_frames), where=bound)
+        freq = np.where(bound, np.minimum(freq, slack * active_feet * partial), freq)
+    gap = now - footfall
+    bound = gap > 0.0
+    freq = np.where(bound, np.minimum(freq, np.divide(slack, gap, out=np.zeros(n_frames), where=bound)), freq)
+
+    value = base
+    for foot in feet_f:
+        rising = foot.valid & (foot.running_apex > base)
+        weight = np.minimum(1.0, np.maximum(0.0, (now - foot.anchor) / cfg.smoothing_tau))
+        value = np.where(
+            rising, np.maximum(value, base + weight * (foot.running_apex - base)), value
+        )
+
+    left_f, right_f = feet_f
+    stale = ~(left_f.aerial | right_f.aerial) & (
+        now - np.maximum(left_f.grounded_since, right_f.grounded_since) >= cfg.stop_window
+    )
+    return FrameEstimates(
+        now,
+        left_f.height,
+        right_f.height,
+        np.where(has_freq & ~stale, np.maximum(0.0, freq), 0.0),
+        np.where(stale, 0.0, value),
+    )

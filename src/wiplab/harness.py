@@ -8,11 +8,14 @@ mirroring (so the chase starts with zero error), and the timed chase moves
 the sphere at constant speed while every metric is collected. Metrics are
 computed strictly from frames and step events inside the chase window.
 
-Every simulation loop runs its frames through one frame step: advance the
-gait tracker through the frame's samples, estimate once, evaluate the law
-built once per run by speed.law. Replaying a recorded trace drives that step
-and the same kinematics as the live run, which is what makes record/replay
-reports bit-identical.
+The live loops (run_chase, run_slope_bout) run their frames through one
+frame step: advance the gait tracker through the frame's samples, estimate
+once, evaluate the law built once per run by speed.law. Replaying a
+time-sorted recorded trace advances the same streaming tracker sample by
+sample, then computes every frame's estimate, law and kinematics as arrays
+in the frame step's operation order, which is what keeps record/replay
+reports bit-identical; the DETERMINISM check, the replay goldens and a
+property test against a frame-step loop guard that.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from . import speed
 from .core import (
@@ -33,7 +38,7 @@ from .core import (
     WrongArity,
     require_finite,
 )
-from .gait import GaitConfig, GaitTracker, StepEvent
+from .gait import GaitConfig, GaitTracker, StepEvent, estimate_frames
 from .speed import apply_gain
 from .synth import WalkerAgent, chase_policy
 
@@ -322,11 +327,20 @@ def replay_trace(
     *,
     gait_config: GaitConfig | None = None,
 ) -> tuple[MetricsReport, RunLog]:
-    """Feed recorded samples through the frame step in file order, one frame
-    per distinct sample time.
+    """Replay time-sorted recorded samples, one frame per distinct sample time.
 
-    With a scenario the chase kinematics are reconstructed frame by frame
-    exactly as run_chase integrates them, so the resulting MetricsReport is
+    Every sample goes through the streaming tracker in file order, so step
+    events are the live run's; gait.estimate_frames then gives every frame's
+    estimate at once, and the law, stages and kinematics are evaluated on
+    those arrays with the scalar loop's operation order (the position and
+    sphere sums are sequential cumulative sums). Rows, events and reports
+    are bit-identical to running the frames through _frame_step; the
+    DETERMINISM check, the replay goldens and a property test against a
+    _frame_step loop guard that. Samples out of time order raise
+    NonMonotonicTime.
+
+    With a scenario the chase kinematics are reconstructed exactly as
+    run_chase integrates them, so the resulting MetricsReport is
     bit-identical to the recording run's. Without one the whole trace is the
     measurement window, each frame lasts until the next sample time, and the
     target distance is zero.
@@ -335,43 +349,34 @@ def replay_trace(
         raise EmptyWindow("trace holds no samples")
     log = RunLog(scenario=scenario)
     log.samples = list(samples)
-    step = _frame_step(speed.law(params), gait_config, log.events)
-
-    ticks: list[tuple[float, list[FootSample]]] = []
-    for s in samples:
-        if ticks and ticks[-1][0] == s.time:
-            ticks[-1][1].append(s)
-        else:
-            ticks.append((s.time, [s]))
-
-    position = sphere = 0.0
-    if scenario is not None:
-        dt, circle_lead = scenario.timestep, scenario.circle_lead
-        target_speed = scenario.target_speed
-        countdown_start, chase_start = _stage_bounds(scenario)
-        sphere = circle_lead
-    rows = log.rows
-
-    for i, (t, tick_samples) in enumerate(ticks):
+    frames = estimate_frames(log.samples, gait_config, log.events)
+    t = frames.time
+    n = t.size
+    with np.errstate(over="ignore", invalid="ignore"):  # caught as divergence below
+        raw, out = speed.law(params)(frames.step_frequency, frames.step_height)
         if scenario is not None:
-            error = sphere - (position + circle_lead)
-            stage = _stage_at(t, countdown_start, chase_start)
+            dt, circle_lead = scenario.timestep, scenario.circle_lead
+            countdown_start, chase_start = _stage_bounds(scenario)
+            position = np.cumsum(np.concatenate(([0.0], out * dt)))
+            sphere_step = np.where(t >= chase_start, scenario.target_speed, out) * dt
+            sphere = np.cumsum(np.concatenate(([circle_lead], sphere_step[:-1])))
+            error = (sphere - (position[:-1] + circle_lead)).tolist()
+            sphere = sphere.tolist()
+            prep, countdown = np.searchsorted(t, (countdown_start, chase_start)).tolist()
+            stages = [_PREP] * prep + [_COUNTDOWN] * (countdown - prep) + [_CHASE] * (n - countdown)
         else:
-            dt = ticks[i + 1][0] - t if i + 1 < len(ticks) else 0.0
-            error = 0.0
-            stage = _CHASE
+            position = np.cumsum(np.concatenate(([0.0], out * np.diff(t, append=t[-1]))))
+            sphere = error = [0.0] * n
+            stages = [_CHASE] * n
+    diverged = np.flatnonzero(~np.isfinite(position[1:]))
+    if diverged.size:
+        raise DivergedSimulation(f"non-finite state at t={t[diverged[0]]:.3f}")
 
-        height_left, height_right, f, sh, raw, out = step(t, tick_samples)
-        rows.append(FrameRow(
-            t, stage, height_left, height_right, f, sh, raw, out, position, sphere, error,
-        ))
-
-        position += out * dt
-        if scenario is not None:
-            sphere += (target_speed if t >= chase_start else out) * dt
-        if not math.isfinite(position):
-            raise DivergedSimulation(f"non-finite state at t={t:.3f}")
-
+    log.rows = list(map(FrameRow._make, zip(
+        t.tolist(), stages, frames.height_left.tolist(), frames.height_right.tolist(),
+        frames.step_frequency.tolist(), frames.step_height.tolist(), raw.tolist(),
+        out.tolist(), position[:-1].tolist(), sphere, error,
+    )))
     return compute_metrics(log), log
 
 

@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import repeat
+from typing import Any, Callable
+
+import numpy as np
 
 from .core import (
+    HEIGHT_CEILING,
+    HEIGHT_FLOOR,
     DivergedSimulation,
     Foot,
     FootSample,
@@ -81,65 +87,147 @@ def _parse_scalar(text: str):
         return text
 
 
+_COLUMNS = "time,foot,height"
+_FEET = {foot.value: foot for foot in Foot}
+_LEFT = Foot.LEFT
+
+
+def _header_line(header: TraceHeader, line: str, lineno: int) -> bool:
+    """Apply one '#' line to header; True when it is the format line.
+
+    sample_rate_hint and user_height must be finite numbers > 0. Unknown
+    keys are ignored for forward compatibility.
+    """
+    body = line[1:].strip()
+    if body == TRACE_MAGIC:
+        return True
+    if ":" not in body:
+        raise TraceParseError(f"malformed header {body!r}", lineno)
+    key, _, value = body.partition(":")
+    key = key.strip()
+    if key in ("sample_rate_hint", "user_height"):
+        try:
+            number = float(_parse_scalar(value))
+        except ValueError:
+            number = math.nan
+        if not 0.0 < number < math.inf:
+            raise TraceParseError(
+                f"{key} must be a finite number > 0, got {value.strip()!r}", lineno
+            )
+        setattr(header, key, number)
+    elif key.startswith("scenario."):
+        header.scenario[key[len("scenario."):]] = _parse_scalar(value)
+    return False
+
+
 def load_trace(path: str) -> tuple[TraceHeader, list[FootSample]]:
-    """Read a trace; raises TraceParseError with a line number on bad input."""
+    """Read a trace; raises TraceParseError with a line number on bad input.
+
+    The data block is parsed by column; anything that parse does not accept
+    as clean (a wrong field count, a failed conversion or check, blank or
+    '#' lines among the rows) is read again by the line walk, which names
+    the offending line.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return _load_columns(text) or _load_lines(text)
+
+
+def _load_columns(text: str) -> tuple[TraceHeader, list[FootSample]] | None:
+    """The whole-block parse of load_trace; None defers to the line walk."""
+    header = TraceHeader()
+    saw_magic = False
+    lineno = start = 0
+    while True:  # header lines, up to the column line
+        end = text.find("\n", start)
+        if end < 0:
+            return None
+        line = text[start:end]
+        lineno += 1
+        start = end + 1
+        if line.startswith("#"):
+            saw_magic = _header_line(header, line, lineno) or saw_magic
+        elif line.strip() == _COLUMNS and saw_magic:
+            break
+        elif line.strip():
+            return None
+
+    rows = text[start:].split("\n")
+    if not rows[-1]:
+        rows.pop()
+    if not rows:
+        return header, []
+    if set(map(str.count, rows, repeat(","))) != {2}:
+        return None
+    tokens = ",".join(rows).split(",")
+    del rows
+    try:
+        times = list(map(float, tokens[0::3]))
+        feet = list(map(_FEET.__getitem__, tokens[1::3]))
+        heights = list(map(float, tokens[2::3]))
+    except (ValueError, KeyError):
+        return None
+    del tokens
+
+    t = np.array(times)
+    h = np.array(heights)
+    left = np.fromiter(map(operator.is_, feet, repeat(_LEFT)), bool, len(feet))
+    t_left, t_right = t[left], t[~left]
+    clean = (
+        0.0 <= t[0]
+        and t[-1] < math.inf
+        and (t[1:] >= t[:-1]).all()
+        and (t_left[1:] > t_left[:-1]).all()
+        and (t_right[1:] > t_right[:-1]).all()
+        and ((HEIGHT_FLOOR <= h) & (h <= HEIGHT_CEILING)).all()
+    )
+    if not clean:
+        return None
+    return header, list(map(FootSample._make, zip(times, feet, heights)))
+
+
+def _load_lines(text: str) -> tuple[TraceHeader, list[FootSample]]:
+    """The line walk of load_trace: checks every line in file order."""
     header = TraceHeader()
     samples: list[FootSample] = []
     saw_magic = False
     saw_columns = False
     last_time: float | None = None
     last_time_per_foot: dict[Foot, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body == TRACE_MAGIC:
-                    saw_magic = True
-                    continue
-                if ":" not in body:
-                    raise TraceParseError(f"malformed header {body!r}", lineno)
-                key, _, value = body.partition(":")
-                key = key.strip()
-                parsed = _parse_scalar(value)
-                if key == "sample_rate_hint":
-                    header.sample_rate_hint = float(parsed)
-                elif key == "user_height":
-                    header.user_height = float(parsed)
-                elif key.startswith("scenario."):
-                    header.scenario[key[len("scenario."):]] = parsed
-                # unknown header keys are ignored for forward compatibility
-                continue
-            if not saw_magic:
-                raise TraceParseError("missing trace format line", lineno)
-            if not saw_columns:
-                if line.strip() != "time,foot,height":
-                    raise TraceParseError(f"unexpected column line {line!r}", lineno)
-                saw_columns = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise TraceParseError(f"expected 3 fields, got {len(parts)}", lineno)
-            try:
-                t = float(parts[0])
-                foot = Foot(parts[1].strip())
-                h = float(parts[2])
-            except (ValueError, KeyError) as exc:
-                raise TraceParseError(str(exc), lineno) from exc
-            if last_time is not None and t < last_time:
-                raise TraceParseError(
-                    f"rows not sorted by time ({t!r} after {last_time!r})", lineno
-                )
-            last_time = t
-            sample = FootSample(time=t, foot=foot, height=h)
-            try:
-                validate_sample(sample, last_time_per_foot.get(foot))
-            except WipError as exc:
-                raise TraceParseError(str(exc), lineno) from exc
-            last_time_per_foot[foot] = t
-            samples.append(sample)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            saw_magic = _header_line(header, line, lineno) or saw_magic
+            continue
+        if not saw_magic:
+            raise TraceParseError("missing trace format line", lineno)
+        if not saw_columns:
+            if line.strip() != _COLUMNS:
+                raise TraceParseError(f"unexpected column line {line!r}", lineno)
+            saw_columns = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise TraceParseError(f"expected 3 fields, got {len(parts)}", lineno)
+        try:
+            t = float(parts[0])
+            foot = Foot(parts[1].strip())
+            h = float(parts[2])
+        except (ValueError, KeyError) as exc:
+            raise TraceParseError(str(exc), lineno) from exc
+        if last_time is not None and t < last_time:
+            raise TraceParseError(
+                f"rows not sorted by time ({t!r} after {last_time!r})", lineno
+            )
+        last_time = t
+        sample = FootSample(time=t, foot=foot, height=h)
+        try:
+            validate_sample(sample, last_time_per_foot.get(foot))
+        except WipError as exc:
+            raise TraceParseError(str(exc), lineno) from exc
+        last_time_per_foot[foot] = t
+        samples.append(sample)
     if not saw_magic:
         raise TraceParseError("missing trace format line", 1)
     return header, samples
@@ -254,14 +342,22 @@ def scenario_echo(
     return echo
 
 
+def _from_echo(echo: dict[str, Any], key: str, convert: Callable[[Any], Any]) -> Any:
+    """Convert one header value; a failure names its scenario.<key>."""
+    try:
+        return convert(echo[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"scenario.{key}: {exc}") from exc
+
+
 def params_from_echo(echo: dict[str, Any]) -> WipParams:
     """Rebuild control-law settings from header metadata (defaults fill gaps)."""
     kwargs: dict[str, Any] = {}
     if "variant" in echo:
-        kwargs["variant"] = Variant(echo["variant"])
+        kwargs["variant"] = _from_echo(echo, "variant", Variant)
     for key in ("user_height", "speed_gain", "natural_visual_gain"):
         if key in echo:
-            kwargs[key] = float(echo[key])
+            kwargs[key] = _from_echo(echo, key, float)
     return WipParams(**kwargs)
 
 
@@ -269,7 +365,7 @@ def scenario_from_echo(echo: dict[str, Any]) -> ChaseScenario | None:
     """Rebuild the chase scenario; None when the header has no target_speed."""
     if "target_speed" not in echo:
         return None
-    kwargs: dict[str, Any] = {"target_speed": float(echo["target_speed"])}
+    kwargs: dict[str, Any] = {"target_speed": _from_echo(echo, "target_speed", float)}
     for key in (
         "prep_distance",
         "prep_duration",
@@ -280,5 +376,5 @@ def scenario_from_echo(echo: dict[str, Any]) -> ChaseScenario | None:
         "timestep",
     ):
         if key in echo:
-            kwargs[key] = float(echo[key])
+            kwargs[key] = _from_echo(echo, key, float)
     return ChaseScenario(**kwargs)

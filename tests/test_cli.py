@@ -177,6 +177,31 @@ class TestRecordReplay:
         assert out == ""
         assert "target_speed must be finite" in err
 
+    @pytest.mark.parametrize("line", [
+        "# sample_rate_hint: abc", "# user_height: nan", "# sample_rate_hint: inf",
+    ])
+    def test_bad_header_number_is_bad_input_naming_its_line(self, tmp_path, capsys, line):
+        trace = tmp_path / "run.csv"
+        trace.write_text(f"# wip-trace v1\n{line}\ntime,foot,height\n0.0,L,0.0\n")
+        code, out, err = run(["replay", str(trace)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"line 2: {line[2:line.index(':')]} must be a finite number > 0" in err
+
+    @pytest.mark.parametrize("key,value", [("target_speed", "fast"), ("variant", "sideways")])
+    def test_bad_scenario_header_is_bad_input_naming_its_key(self, tmp_path, capsys, key,
+                                                             value):
+        trace = tmp_path / "run.csv"
+        run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)
+        text = trace.read_text()
+        start = text.index(f"# scenario.{key}: ")
+        end = text.index("\n", start)
+        trace.write_text(text[:start] + f"# scenario.{key}: {value}" + text[end:])
+        code, out, err = run(["replay", str(trace)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: scenario.{key}: " in err
+
     def test_non_finite_gain_override_is_bad_input(self, tmp_path, capsys):
         trace = tmp_path / "run.csv"
         run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)

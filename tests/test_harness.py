@@ -3,9 +3,21 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wiplab.core import EmptyWindow, Foot, NonTermination, Variant, WipParams, WrongArity
-from wiplab.gait import StepEvent
+from wiplab import speed
+from wiplab.core import (
+    EmptyWindow,
+    Foot,
+    FootSample,
+    NonMonotonicTime,
+    NonTermination,
+    Variant,
+    WipParams,
+    WrongArity,
+)
+from wiplab.gait import GaitConfig, StepEvent
 from wiplab.harness import (
     STAIRCASE_PRESETS,
     AdjustmentProtocol,
@@ -18,6 +30,9 @@ from wiplab.harness import (
     SlopeKind,
     SlopeProfile,
     Stage,
+    _frame_step,
+    _stage_at,
+    _stage_bounds,
     aggregate_adjustments,
     compute_metrics,
     make_reference_judge,
@@ -196,6 +211,138 @@ class TestReplay:
     def test_empty_trace_raises(self):
         with pytest.raises(EmptyWindow):
             replay_trace([], SHEF)
+
+    def test_unsorted_samples_raise_naming_the_first_out_of_order_one(self):
+        trace = synth_trace(GaitProgram(2.0, 0.15), 1.0, 90.0)
+        late = FootSample(0.5, Foot.RIGHT, 0.0)
+        with pytest.raises(NonMonotonicTime, match=r"t=0\.5 precedes .* t=0\.9888"):
+            replay_trace(trace + [late], SHEF)
+        with pytest.raises(NonMonotonicTime):
+            replay_trace([FootSample(0.1, Foot.LEFT, 0.0), FootSample(0.0, Foot.RIGHT, 0.0)], SHEF)
+
+
+def reference_replay(samples, params, scenario=None, gait_config=None):
+    """replay_trace as a per-frame loop: one _frame_step call per distinct
+    sample time, with the kinematics integrated frame by frame."""
+    log = RunLog(scenario=scenario)
+    log.samples = list(samples)
+    step = _frame_step(speed.law(params), gait_config, log.events)
+    ticks = []
+    for s in samples:
+        if ticks and ticks[-1][0] == s.time:
+            ticks[-1][1].append(s)
+        else:
+            ticks.append((s.time, [s]))
+    position = sphere = 0.0
+    if scenario is not None:
+        dt, circle_lead = scenario.timestep, scenario.circle_lead
+        countdown_start, chase_start = _stage_bounds(scenario)
+        sphere = circle_lead
+    for i, (t, frame_samples) in enumerate(ticks):
+        if scenario is not None:
+            error = sphere - (position + circle_lead)
+            stage = _stage_at(t, countdown_start, chase_start)
+        else:
+            dt = ticks[i + 1][0] - t if i + 1 < len(ticks) else 0.0
+            error, stage = 0.0, Stage.CHASE
+        height_left, height_right, f, sh, raw, out = step(t, frame_samples)
+        log.rows.append(FrameRow(
+            t, stage, height_left, height_right, f, sh, raw, out, position, sphere, error,
+        ))
+        position += out * dt
+        if scenario is not None:
+            sphere += (scenario.target_speed if t >= chase_start else out) * dt
+    return compute_metrics(log), log
+
+
+def pause_and_resume(trace, gap):
+    """Both feet grounded for gap seconds after the trace, then the trace again."""
+    end = trace[-1].time
+    pause = [
+        FootSample(end + k / 90.0, foot, 0.0)
+        for k in range(1, int(gap * 90.0))
+        for foot in (Foot.LEFT, Foot.RIGHT)
+    ]
+    resume = end + gap + 1.0 / 90.0
+    return trace + pause + [FootSample(resume + s.time, s.foot, s.height) for s in trace]
+
+
+def hold_a_foot_up(trace, height, duration):
+    """After the trace, the left foot hangs at height for duration seconds
+    while the right stays grounded; then both stand for a second."""
+    end = trace[-1].time
+    n = int(duration * 90.0)
+    return trace + [
+        FootSample(end + k / 90.0, foot, height if k <= n and foot is Foot.LEFT else 0.0)
+        for k in range(1, n + 90)
+        for foot in (Foot.LEFT, Foot.RIGHT)
+    ]
+
+
+@st.composite
+def replay_cases(draw):
+    program = GaitProgram(
+        step_frequency=draw(st.sampled_from([0.0, 0.7, 1.6, 2.4, 3.2])),
+        apex_height=draw(st.floats(0.0, 0.35)),
+        stance_fraction=draw(st.floats(0.2, 0.7)),
+        phase_offset_between_feet=draw(st.floats(0.0, 1.0)),
+        noise_sd=draw(st.sampled_from([0.0, 0.002, 0.006])),
+        seed=draw(st.integers(0, 1000)),
+    )
+    trace = synth_trace(program, draw(st.floats(0.3, 4.0)), 90.0)
+    shape = draw(st.sampled_from(
+        ["whole", "one foot", "decimated", "late start", "pause", "hold"]
+    ))
+    if shape == "one foot":
+        trace = [s for s in trace if s.foot is Foot.LEFT]
+    elif shape == "decimated":  # one sample per tick; feet first seen mid-swing
+        trace = trace[draw(st.integers(0, 2))::3]
+    elif shape == "late start":
+        trace = trace[draw(st.integers(0, len(trace) - 1)):]
+    elif shape == "pause":  # a zero-cadence stretch longer than resume_gap
+        trace = pause_and_resume(trace, draw(st.floats(2.6, 3.5)))
+    elif shape == "hold":  # the partial-swing bound takes over the cadence
+        trace = hold_a_foot_up(trace, draw(st.floats(0.02, 0.3)), draw(st.floats(0.2, 2.0)))
+    params = WipParams(
+        variant=draw(st.sampled_from(list(Variant))),
+        speed_gain=draw(st.sampled_from([1.0, 1.3])),
+    )
+    scenario = draw(st.none() | st.builds(
+        ChaseScenario,
+        target_speed=st.floats(0.0, 3.0),
+        prep_duration=st.floats(0.2, 2.0),
+        countdown=st.floats(0.2, 1.0),
+        chase_duration=st.floats(0.5, 3.0),
+    ))
+    config = draw(st.none() | st.builds(
+        GaitConfig,
+        ground_epsilon=st.floats(0.0, 0.04),
+        min_step_height=st.floats(0.0, 0.08),
+        smoothing_tau=st.floats(0.1, 1.0),
+        stop_window=st.floats(0.2, 1.5),
+        resume_gap=st.floats(0.8, 3.0),
+        partial_slack=st.floats(1.0, 1.5),
+    ))
+    return trace, params, scenario, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=replay_cases())
+def test_replay_equals_the_streaming_frame_step(case):
+    trace, params, scenario, config = case
+    if not trace:
+        return
+    try:
+        want = reference_replay(trace, params, scenario, config)
+    except EmptyWindow:
+        with pytest.raises(EmptyWindow):
+            replay_trace(trace, params, scenario, gait_config=config)
+        return
+    report, log = replay_trace(trace, params, scenario, gait_config=config)
+    want_report, want_log = want
+    assert [repr(r) for r in log.rows] == [repr(r) for r in want_log.rows]
+    assert [repr(e) for e in log.events] == [repr(e) for e in want_log.events]
+    assert repr(report) == repr(want_report)
 
 
 class TestSlope:

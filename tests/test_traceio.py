@@ -3,7 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wiplab import traceio
 from wiplab.core import DivergedSimulation, Foot, FootSample, Variant, WipParams
 from wiplab.elastic import ElasticRig, PullDirection
 from wiplab.harness import ChaseScenario
@@ -82,6 +85,13 @@ class TestParseErrors:
             load_trace(path)
         assert info.value.line == 6
 
+    def test_field_counts_are_checked_per_row(self, tmp_path):
+        # the surplus of row 6 and the shortfalls of rows 7 and 8 cancel out
+        path = write(tmp_path, GOOD + "0.2,L,0.0,0.2,R,0.0\n0.3\nL,0.05\n")
+        with pytest.raises(TraceParseError, match="got 6") as info:
+            load_trace(path)
+        assert info.value.line == 6
+
     def test_unknown_foot_label(self, tmp_path):
         path = write(tmp_path, GOOD + "0.2,X,0.0\n")
         with pytest.raises(TraceParseError) as info:
@@ -132,6 +142,114 @@ class TestParseErrors:
         path = write(tmp_path, GOOD.replace("time,", "\ntime,"))
         _, samples = load_trace(path)
         assert len(samples) == 3
+
+    @pytest.mark.parametrize("line", [
+        "# sample_rate_hint: abc",
+        "# sample_rate_hint: inf",
+        "# sample_rate_hint: 0",
+        "# user_height: nan",
+        "# user_height: -1.7",
+    ])
+    def test_header_numbers_must_be_finite_and_positive(self, tmp_path, line):
+        path = write(tmp_path, GOOD.replace("\n", f"\n{line}\n", 1))
+        key = line[2:line.index(":")]
+        with pytest.raises(TraceParseError, match=f"{key} must be a finite number > 0") as info:
+            load_trace(path)
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize("key,value,rebuild", [
+        ("target_speed", "fast", scenario_from_echo),
+        ("variant", "sideways", params_from_echo),
+    ])
+    def test_bad_scenario_values_name_their_key(self, tmp_path, key, value, rebuild):
+        header, _ = load_trace(write(tmp_path, f"# wip-trace v1\n# scenario.{key}: {value}\n"))
+        with pytest.raises(ValueError, match=f"^scenario.{key}: "):
+            rebuild(header.scenario)
+
+
+def trace_text(n_rows):
+    rows = [f"{k // 2 / 90.0!r},{'LR'[k % 2]},{0.1 * (k % 7) / 6!r}" for k in range(n_rows)]
+    return ["# wip-trace v1", "# sample_rate_hint: 90.0", "time,foot,height"] + rows
+
+
+def mutate(lines, kind, row, other):
+    """One defect (or harmless variation) at a data row of a trace."""
+    at = 3 + row
+    time, foot, height = (lines[at].split(",") + ["", ""])[:3]
+    if kind == "drop field":
+        lines[at] = f"{time},{foot}"
+    elif kind == "extra field":
+        lines[at] += ",0.0"
+    elif kind == "corrupt time":
+        lines[at] = f"1.2.3,{foot},{height}"
+    elif kind == "corrupt height":
+        lines[at] = f"{time},{foot},tall"
+    elif kind in ("nan", "inf", "-inf"):
+        lines[at] = f"{kind},{foot},{height}"
+    elif kind == "unknown foot":
+        lines[at] = f"{time},X,{height}"
+    elif kind == "padded foot":
+        lines[at] = f"{time}, {foot} ,{height}"
+    elif kind == "height out of range":
+        lines[at] = f"{time},{foot},2.5"
+    elif kind == "swap rows":
+        b = 3 + other
+        lines[at], lines[b] = lines[b], lines[at]
+    elif kind == "blank line":
+        lines.insert(at, "")
+    elif kind == "comment line":
+        lines.insert(at, "# scenario.note: 1")
+    elif kind == "bare comment":
+        lines.insert(at, "# loose words")
+    elif kind == "trailing spaces":
+        lines[at] += "   "
+    elif kind == "header after the rows":
+        lines.append("# user_height: 0")
+    return lines
+
+
+MUTATIONS = [
+    "none", "drop field", "extra field", "corrupt time", "corrupt height", "nan", "inf",
+    "-inf", "unknown foot", "padded foot", "height out of range", "swap rows",
+    "blank line", "comment line", "bare comment", "trailing spaces",
+    "header after the rows",
+]
+
+
+def outcome(load, path):
+    try:
+        header, samples = load(path)
+    except TraceParseError as exc:
+        return ("error", exc.line, str(exc))
+    return (repr(header), [repr(s) for s in samples])
+
+
+def walk_lines(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return traceio._load_lines(fh.read())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_rows=st.integers(1, 40),
+    defects=st.lists(
+        st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 39), st.integers(0, 39)),
+        max_size=3,
+    ),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final_newline=st.booleans(),
+)
+def test_column_parse_agrees_with_the_line_walk(tmp_path_factory, n_rows, defects, newline,
+                                                final_newline):
+    lines = trace_text(n_rows)
+    for kind, row, other in defects:
+        lines = mutate(lines, kind, row % n_rows, other % n_rows)
+    text = newline.join(lines) + (newline if final_newline else "")
+    path = tmp_path_factory.mktemp("fuzz") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(load_trace, str(path)) == outcome(walk_lines, str(path))
+    if all(kind == "none" for kind, _, _ in defects):
+        assert traceio._load_columns(path.read_text(encoding="utf-8")) is not None
 
 
 class TestScalarParsing:
