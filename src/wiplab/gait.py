@@ -414,14 +414,11 @@ def _foot_frames(
     tx, hx, ax = t[idx], h[idx], aerial[idx]
     gx = ~ax
     m = idx.size
-    after_aerial = np.empty(m, bool)
-    after_aerial[0] = True  # a first sample is a phase entry too
-    after_aerial[1:] = ax[:-1]
-    grounded_since = np.maximum.accumulate(np.where(gx & after_aerial, tx, -np.inf))
+    entry = gx & np.concatenate(([True], ax[:-1]))  # a first sample enters a phase too
+    grounded_since = np.maximum.accumulate(np.where(entry, tx, -np.inf))
     anchor = np.maximum.accumulate(np.where(gx, tx, -np.inf))  # swing_start
     first_grounded = int(gx.argmax()) if gx.any() else m
-    valid = ax.copy()
-    valid[:first_grounded] = False
+    valid = ax & (np.arange(m) > first_grounded)
     anchor[:first_grounded] = entered[idx[:first_grounded]]
 
     running_apex = hx.copy()

@@ -123,78 +123,21 @@ def _header_line(header: TraceHeader, line: str, lineno: int) -> bool:
 def load_trace(path: str) -> tuple[TraceHeader, list[FootSample]]:
     """Read a trace; raises TraceParseError with a line number on bad input.
 
-    The data block is parsed by column; anything that parse does not accept
-    as clean (a wrong field count, a failed conversion or check, blank or
-    '#' lines among the rows) is read again by the line walk, which names
-    the offending line.
+    The rows after the column line are parsed by column when that parse
+    accepts them as clean; anything else (a wrong field count, a failed
+    conversion or check, blank or '#' lines among the rows) is left to the
+    line walk, which checks every line in file order and names the
+    offending one.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return _load_columns(text) or _load_lines(text)
-
-
-def _load_columns(text: str) -> tuple[TraceHeader, list[FootSample]] | None:
-    """The whole-block parse of load_trace; None defers to the line walk."""
-    header = TraceHeader()
-    saw_magic = False
-    lineno = start = 0
-    while True:  # header lines, up to the column line
-        end = text.find("\n", start)
-        if end < 0:
-            return None
-        line = text[start:end]
-        lineno += 1
-        start = end + 1
-        if line.startswith("#"):
-            saw_magic = _header_line(header, line, lineno) or saw_magic
-        elif line.strip() == _COLUMNS and saw_magic:
-            break
-        elif line.strip():
-            return None
-
-    rows = text[start:].split("\n")
-    if not rows[-1]:
-        rows.pop()
-    if not rows:
-        return header, []
-    if set(map(str.count, rows, repeat(","))) != {2}:
-        return None
-    tokens = ",".join(rows).split(",")
-    del rows
-    try:
-        times = list(map(float, tokens[0::3]))
-        feet = list(map(_FEET.__getitem__, tokens[1::3]))
-        heights = list(map(float, tokens[2::3]))
-    except (ValueError, KeyError):
-        return None
-    del tokens
-
-    t = np.array(times)
-    h = np.array(heights)
-    left = np.fromiter(map(operator.is_, feet, repeat(_LEFT)), bool, len(feet))
-    t_left, t_right = t[left], t[~left]
-    clean = (
-        0.0 <= t[0]
-        and t[-1] < math.inf
-        and (t[1:] >= t[:-1]).all()
-        and (t_left[1:] > t_left[:-1]).all()
-        and (t_right[1:] > t_right[:-1]).all()
-        and ((HEIGHT_FLOOR <= h) & (h <= HEIGHT_CEILING)).all()
-    )
-    if not clean:
-        return None
-    return header, list(map(FootSample._make, zip(times, feet, heights)))
-
-
-def _load_lines(text: str) -> tuple[TraceHeader, list[FootSample]]:
-    """The line walk of load_trace: checks every line in file order."""
+        lines = fh.read().split("\n")
     header = TraceHeader()
     samples: list[FootSample] = []
     saw_magic = False
     saw_columns = False
     last_time: float | None = None
     last_time_per_foot: dict[Foot, float] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -206,6 +149,9 @@ def _load_lines(text: str) -> tuple[TraceHeader, list[FootSample]]:
             if line.strip() != _COLUMNS:
                 raise TraceParseError(f"unexpected column line {line!r}", lineno)
             saw_columns = True
+            parsed = _parse_columns(lines[lineno:])
+            if parsed is not None:
+                return header, parsed
             continue
         parts = line.split(",")
         if len(parts) != 3:
@@ -231,6 +177,41 @@ def _load_lines(text: str) -> tuple[TraceHeader, list[FootSample]]:
     if not saw_magic:
         raise TraceParseError("missing trace format line", 1)
     return header, samples
+
+
+def _parse_columns(rows: list[str]) -> list[FootSample] | None:
+    """The samples of the data rows, parsed one column at a time, or None
+    unless every row is a clean sample the line walk would accept."""
+    if rows and not rows[-1]:
+        rows.pop()  # the newline that ends the file
+    if not rows:
+        return []
+    if set(map(str.count, rows, repeat(","))) != {2}:
+        return None
+    tokens = ",".join(rows).split(",")
+    try:
+        times = list(map(float, tokens[0::3]))
+        feet = list(map(_FEET.__getitem__, tokens[1::3]))
+        heights = list(map(float, tokens[2::3]))
+    except (ValueError, KeyError):
+        return None
+    del tokens
+
+    t = np.array(times)
+    h = np.array(heights)
+    left = np.fromiter(map(operator.is_, feet, repeat(_LEFT)), bool, len(feet))
+    t_left, t_right = t[left], t[~left]
+    clean = (
+        0.0 <= t[0]
+        and t[-1] < math.inf
+        and (t[1:] >= t[:-1]).all()
+        and (t_left[1:] > t_left[:-1]).all()
+        and (t_right[1:] > t_right[:-1]).all()
+        and ((HEIGHT_FLOOR <= h) & (h <= HEIGHT_CEILING)).all()
+    )
+    if not clean:
+        return None
+    return list(map(FootSample._make, zip(times, feet, heights)))
 
 
 def _check_finite(obj: Any, path: str = "$") -> None:

@@ -1,6 +1,7 @@
 """Trace file round trips, parse errors, and report serialization."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +127,13 @@ class TestParseErrors:
             load_trace(path)
         assert info.value.line == 6
 
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_non_finite_time_in_the_last_row(self, tmp_path, time):
+        path = write(tmp_path, GOOD + f"{time},R,0.0\n")
+        with pytest.raises(TraceParseError, match="not finite") as info:
+            load_trace(path)
+        assert info.value.line == 6
+
     def test_malformed_header(self, tmp_path):
         path = write(tmp_path, "# wip-trace v1\n# loose words\ntime,foot,height\n")
         with pytest.raises(TraceParseError) as info:
@@ -225,8 +233,8 @@ def outcome(load, path):
 
 
 def walk_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return traceio._load_lines(fh.read())
+    with mock.patch.object(traceio, "_parse_columns", return_value=None):
+        return load_trace(path)
 
 
 @settings(max_examples=200, deadline=None)
@@ -249,7 +257,8 @@ def test_column_parse_agrees_with_the_line_walk(tmp_path_factory, n_rows, defect
     path.write_bytes(text.encode("utf-8"))
     assert outcome(load_trace, str(path)) == outcome(walk_lines, str(path))
     if all(kind == "none" for kind, _, _ in defects):
-        assert traceio._load_columns(path.read_text(encoding="utf-8")) is not None
+        rows = path.read_text(encoding="utf-8").split("\n")[3:]
+        assert traceio._parse_columns(rows) is not None
 
 
 class TestScalarParsing:
