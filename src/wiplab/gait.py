@@ -519,12 +519,12 @@ def estimate_frames(
     # the state before any footfall
     freq_ema, apex_ema, active = zip((None, None, 1), *snapshots)
     footfall = np.array([np.nan] + [ev.end for ev in found])  # NaN: no gap bound
-    k = np.searchsorted(np.searchsorted(now, footfall[1:]), np.arange(n_frames), side="right")
-    has_freq = np.array([f is not None for f in freq_ema])[k]
-    ema = np.array([f if f is not None else np.inf for f in freq_ema])[k]
-    base = np.array([a if a is not None else 0.0 for a in apex_ema])[k]
-    active_feet = np.array(active)[k]
-    footfall = footfall[k]
+    snap = np.searchsorted(np.searchsorted(now, footfall[1:]), np.arange(n_frames), side="right")
+    has_freq = np.array([f is not None for f in freq_ema])[snap]
+    ema = np.array([f if f is not None else np.inf for f in freq_ema])[snap]
+    base = np.array([a if a is not None else 0.0 for a in apex_ema])[snap]
+    active_feet = np.array(active)[snap]
+    footfall = footfall[snap]
 
     slack = cfg.partial_slack
     freq = ema
@@ -535,7 +535,8 @@ def estimate_frames(
         freq = np.where(bound, np.minimum(freq, slack * active_feet * partial), freq)
     gap = now - footfall
     bound = gap > 0.0
-    freq = np.where(bound, np.minimum(freq, np.divide(slack, gap, out=np.zeros(n_frames), where=bound)), freq)
+    gap_bound = np.divide(slack, gap, out=np.zeros(n_frames), where=bound)
+    freq = np.where(bound, np.minimum(freq, gap_bound), freq)
 
     value = base
     for foot in feet_f:
