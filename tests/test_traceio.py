@@ -176,6 +176,8 @@ class TestParseErrors:
 
 
 def trace_text(n_rows):
+    """A clean trace as lines: two header lines, the column line, and rows
+    alternating between the feet, both feet sharing each time."""
     rows = [f"{k // 2 / 90.0!r},{'LR'[k % 2]},{0.1 * (k % 7) / 6!r}" for k in range(n_rows)]
     return ["# wip-trace v1", "# sample_rate_hint: 90.0", "time,foot,height"] + rows
 
