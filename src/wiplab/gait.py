@@ -10,7 +10,8 @@ within a fraction of a step when the user slows or stops.
 Grounded is defined purely by height against ground_epsilon. That keeps
 streaming segmentation equivalent to brute-force offline segmentation of
 the same samples (contiguous above-threshold regions), which the test
-suite exploits as an oracle.
+suite exploits as an oracle. It also lets estimate_frames derive each
+foot's swing state for a whole recorded stream from its heights alone.
 """
 
 from __future__ import annotations
