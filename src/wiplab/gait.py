@@ -19,14 +19,21 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import islice, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Foot, FootSample, GaitEstimate, NonMonotonicTime, validate_sample
+from .core import (
+    Foot,
+    FootSample,
+    GaitEstimate,
+    NonMonotonicTime,
+    require_finite,
+    validate_sample,
+)
 
 
 class Phase(Enum):
@@ -39,6 +46,9 @@ class Phase(Enum):
 # the per-frame paths compare against these constants instead.
 _GROUNDED, _ASCENDING, _DESCENDING = Phase.GROUNDED, Phase.ASCENDING, Phase.DESCENDING
 _LEFT = Foot.LEFT
+# estimate() builds its result directly: its values hold GaitEstimate's
+# invariants (non-negative, zero frequency when stale) by construction.
+_new_estimate = tuple.__new__
 
 
 # Transitions the state machine may take; anything else is a bug.
@@ -101,6 +111,20 @@ class GaitConfig:
     partial_slack: float = 1.15
     buffer_len: int = 8              # completed steps kept for estimation
 
+    def __post_init__(self) -> None:
+        require_finite(self, [f.name for f in fields(self) if f.name != "buffer_len"])
+        for name in ("min_step_height", "smoothing_tau", "stop_window", "resume_gap",
+                     "partial_slack"):
+            value = getattr(self, name)
+            if value <= 0.0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+        for name in ("fraction_grounded", "fraction_ascending", "fraction_descending"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must be in (0, 1), got {value!r}")
+        if not (isinstance(self.buffer_len, int) and self.buffer_len >= 1):
+            raise ValueError(f"buffer_len must be an integer >= 1, got {self.buffer_len!r}")
+
     @property
     def swing_fraction(self) -> float:
         return self.fraction_ascending + self.fraction_descending
@@ -127,13 +151,22 @@ class GaitTracker:
     Feed samples through advance() in time order (feet may interleave) and
     query the estimators at any time at or after the newest sample.
 
+    The config's per-frame scalars are bound to the tracker once, here.
     Staleness is tracked incrementally: a count of feet off the ground is
-    kept up to date on every phase transition, so is_stale() is O(1), and
-    estimate() checks it once per query.
+    kept up to date on every phase transition, so is_stale() is O(1).
+    estimate() checks it once per query, then derives frequency and step
+    height in one pass over the two feet.
     """
 
     def __init__(self, config: GaitConfig | None = None):
-        self.config = config or GaitConfig()
+        cfg = self.config = config or GaitConfig()
+        self.ground_epsilon = cfg.ground_epsilon
+        self.velocity_deadband = cfg.velocity_deadband
+        self.min_step_height = cfg.min_step_height
+        self.swing_fraction = cfg.swing_fraction
+        self.partial_slack = cfg.partial_slack
+        self.smoothing_tau = cfg.smoothing_tau
+        self.stop_window = cfg.stop_window
         self._left: _FootTrack | None = None
         self._right: _FootTrack | None = None
         self._airborne = 0  # tracks whose phase is not GROUNDED
@@ -151,12 +184,11 @@ class GaitTracker:
 
     def advance(self, sample: FootSample) -> StepEvent | None:
         """Ingest one sample; returns a StepEvent when a step completes."""
-        left = sample.foot is _LEFT
+        t, foot, h = sample
+        left = foot is _LEFT
         track = self._left if left else self._right
         validate_sample(sample, track.prev_time if track is not None else None)
-        cfg = self.config
-        t, h = sample.time, sample.height
-        grounded = h <= cfg.ground_epsilon
+        grounded = h <= self.ground_epsilon
 
         if track is None:
             # A foot first seen in the air has no known lift-off; its current
@@ -182,49 +214,51 @@ class GaitTracker:
             )
             return None
 
-        velocity = (h - track.prev_height) / (t - track.prev_time)
-        old = track.phase
-        new = old
         event: StepEvent | None = None
-
-        if old is _GROUNDED:
-            if not grounded:
-                new = _ASCENDING
-                track.swing_start = track.prev_time
-                track.swing_valid = True
+        if track.phase is _GROUNDED:
+            if grounded:
+                # the common case: a standing foot stays standing
+                track.prev_time = t
+                track.prev_height = h
+                return None
+            track.phase = _ASCENDING
+            track.swing_start = track.prev_time
+            track.swing_valid = True
+            track.running_apex = h
+            track.apex_time = t
+            self._airborne += 1
+        elif grounded:
+            track.phase = _GROUNDED
+            if track.swing_valid and track.running_apex >= self.min_step_height:
+                event = StepEvent(
+                    foot=foot,
+                    start=track.swing_start,
+                    apex_time=track.apex_time,
+                    end=t,
+                    apex_height=track.running_apex,
+                )
+                self._register_footfall(event)
+            track.swing_valid = False
+            self._airborne -= 1
+        else:
+            if h > track.running_apex:
                 track.running_apex = h
                 track.apex_time = t
-        else:
-            if grounded:
-                new = _GROUNDED
-                if track.swing_valid and track.running_apex >= cfg.min_step_height:
-                    event = StepEvent(
-                        foot=sample.foot,
-                        start=track.swing_start,
-                        apex_time=track.apex_time,
-                        end=t,
-                        apex_height=track.running_apex,
-                    )
-                    self._register_footfall(event)
-                track.swing_valid = False
+            velocity = (h - track.prev_height) / (t - track.prev_time)
+            old = track.phase
+            if old is _ASCENDING and velocity < -self.velocity_deadband:
+                track.phase = _DESCENDING
+            elif old is _DESCENDING and velocity > self.velocity_deadband:
+                track.phase = _ASCENDING
             else:
-                if h > track.running_apex:
-                    track.running_apex = h
-                    track.apex_time = t
-                if old is _ASCENDING and velocity < -cfg.velocity_deadband:
-                    new = _DESCENDING
-                elif old is _DESCENDING and velocity > cfg.velocity_deadband:
-                    new = _ASCENDING
+                track.prev_time = t
+                track.prev_height = h
+                return None
 
-        if new is not old:
-            if old is _GROUNDED:
-                self._airborne += 1
-            elif new is _GROUNDED:
-                self._airborne -= 1
-            track.phase = new
-            track.entered_at = t
-            track.height_at_entry = h
-            self._last_transition = t
+        # the phase changed
+        track.entered_at = t
+        track.height_at_entry = h
+        self._last_transition = t
         track.prev_time = t
         track.prev_height = h
         return event
@@ -287,80 +321,76 @@ class GaitTracker:
             return True
         if self._airborne:
             return False
-        return now - self._last_transition >= self.config.stop_window
+        return now - self._last_transition >= self.stop_window
 
     def estimate_frequency(self, now: float) -> float:
-        """Footfall cadence over both feet, Hz.
+        """Footfall cadence over both feet, Hz: estimate(now).step_frequency."""
+        return self.estimate(now).step_frequency
 
-        The committed value is an EMA over completed footfall intervals. A
-        phase in progress contributes a partial bound fraction / elapsed
-        (scaled to cadence by the number of active feet), and the gap since
-        the last footfall bounds likewise, so slowing decays the estimate
-        before the next footfall confirms it. Returns 0 when stale or
-        before two footfalls have been seen.
+    def estimate_step_height(self, now: float) -> float:
+        """Smoothed apex height, m: estimate(now).step_height."""
+        return self.estimate(now).step_height
+
+    def estimate(self, now: float) -> GaitEstimate:
+        """Cadence and step height at `now`, the structure the speed laws
+        consume; both are 0 when stale.
+
+        Cadence: the committed value is an EMA over completed footfall
+        intervals. A phase in progress contributes a partial bound
+        swing_fraction / elapsed (scaled to cadence by the number of active
+        feet), and the gap since the last footfall bounds likewise, so
+        slowing decays the estimate before the next footfall confirms it.
+        The smallest of these wins; 0 before two footfalls have been seen.
+
+        Step height: an EMA over completed step apexes, blended upward with
+        the running apex of any observed swing in progress, so a user
+        stepping higher is seen before the step completes.
+
+        One pass over the two feet gathers both bounds.
         """
         if self.is_stale(now):
-            return 0.0
-        return self._frequency(now)
-
-    def _frequency(self, now: float) -> float:
-        """estimate_frequency() without the stale check."""
-        if self._freq_ema is None:
-            return 0.0
-        cfg = self.config
-        candidates = [self._freq_ema]
-
-        active_feet = self._active_feet
-        swing_fraction = cfg.swing_fraction
+            return _new_estimate(GaitEstimate, (0.0, 0.0, now, True))
+        freq = self._freq_ema
+        apex_ema = self._apex_ema
+        base = height = apex_ema if apex_ema is not None else 0.0
+        partial_scale = self.partial_slack * self._active_feet
         for track in (self._left, self._right):
             if track is None or track.phase is _GROUNDED:
                 continue
-            # anchor at lift-off when it was observed; the whole-swing
-            # budget keeps the bound independent of where the deadband
-            # happens to split ascent from descent
-            anchor = track.swing_start if track.swing_valid else track.entered_at
-            elapsed = now - anchor
-            if elapsed > 0.0:
-                partial = swing_fraction / elapsed
-                candidates.append(cfg.partial_slack * active_feet * partial)
-
-        if self._last_footfall is not None:
+            if track.swing_valid:
+                # anchor at lift-off when it was observed; the whole-swing
+                # budget keeps the bound independent of where the deadband
+                # happens to split ascent from descent
+                anchor = track.swing_start
+                apex = track.running_apex
+                if apex > base:
+                    weight = (now - anchor) / self.smoothing_tau
+                    if not weight > 0.0:
+                        weight = 0.0
+                    elif not weight < 1.0:
+                        weight = 1.0
+                    blended = base + weight * (apex - base)
+                    if blended > height:
+                        height = blended
+            else:
+                anchor = track.entered_at
+            if freq is not None:
+                elapsed = now - anchor
+                if elapsed > 0.0:
+                    bound = partial_scale * (self.swing_fraction / elapsed)
+                    if bound < freq:
+                        freq = bound
+        if freq is None:
+            freq = 0.0
+        else:
             gap = now - self._last_footfall
             if gap > 0.0:
-                candidates.append(cfg.partial_slack / gap)
-
-        return max(0.0, min(candidates))
-
-    def estimate_step_height(self, now: float) -> float:
-        """Smoothed apex height, m.
-
-        EMA over completed step apexes, blended upward with the running
-        apex of any swing in progress so a user stepping higher is seen
-        before the step completes. Returns 0 when stale.
-        """
-        if self.is_stale(now):
-            return 0.0
-        return self._step_height(now)
-
-    def _step_height(self, now: float) -> float:
-        """estimate_step_height() without the stale check."""
-        cfg = self.config
-        base = self._apex_ema if self._apex_ema is not None else 0.0
-        value = base
-        for track in (self._left, self._right):
-            if track is None or track.phase is _GROUNDED or not track.swing_valid:
-                continue
-            if track.running_apex <= base:
-                continue
-            weight = min(1.0, max(0.0, (now - track.swing_start) / cfg.smoothing_tau))
-            value = max(value, base + weight * (track.running_apex - base))
-        return value
-
-    def estimate(self, now: float) -> GaitEstimate:
-        """Bundle both estimators into the structure the speed laws consume."""
-        if self.is_stale(now):
-            return GaitEstimate(0.0, 0.0, now, True)
-        return GaitEstimate(self._frequency(now), self._step_height(now), now, False)
+                bound = self.partial_slack / gap
+                if bound < freq:
+                    freq = bound
+            if not freq > 0.0:
+                freq = 0.0
+        return _new_estimate(GaitEstimate, (freq, height, now, False))
 
 
 # ----------------------------------------------------------------------

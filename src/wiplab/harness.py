@@ -10,7 +10,11 @@ computed strictly from frames and step events inside the chase window.
 
 The live loops (run_chase, run_slope_bout) run their frames through one
 frame step: advance the gait tracker through the frame's samples, estimate
-once, evaluate the law built once per run by speed.law. Replaying a
+once, evaluate the law built once per run by speed.law. A live frame feeds
+the next (the agent re-plans from the chase error), so these loops stay
+scalar; their per-frame cost is the agent's samples(), one advance() per
+sample, one estimate() and the loop body, and run_chase binds what its loop
+calls once per run and computes each frame's stage inline. Replaying a
 time-sorted recorded trace advances the same streaming tracker sample by
 sample, then computes every frame's estimate, law and kinematics as arrays
 in the frame step's operation order, which is what keeps record/replay
@@ -139,6 +143,9 @@ class FrameRow(NamedTuple):
     error: float  # sphere minus catch-circle center; positive means behind
 
 
+_new_row = tuple.__new__  # a FrameRow without its Python-level __new__
+
+
 @dataclass
 class RunLog:
     """Everything a run produced: per-frame rows, step events, raw samples."""
@@ -225,14 +232,6 @@ def _stage_bounds(scenario: ChaseScenario) -> tuple[float, float]:
     return scenario.prep_walk_time + scenario.prep_duration, scenario.chase_start
 
 
-def _stage_at(t: float, countdown_start: float, chase_start: float) -> Stage:
-    if t < countdown_start:
-        return _PREP
-    if t < chase_start:
-        return _COUNTDOWN
-    return _CHASE
-
-
 def _frame_step(
     evaluate: Callable[[float, float], tuple[float, float]],
     gait_config: GaitConfig | None,
@@ -241,8 +240,9 @@ def _frame_step(
     """The pipeline of one frame, built once per run around a fresh tracker.
 
     step(t, samples) advances the tracker through the frame's samples,
-    appending every completed StepEvent to events, calls estimate(t) once,
-    and feeds its frequency and step height to evaluate. It returns
+    appending every completed StepEvent to events, calls estimate(t) once
+    (one pass over the tracker's two feet gives both the frequency and the
+    step height), and feeds them to evaluate. It returns
     (height_left, height_right, est_frequency, est_step_height, raw_speed,
     output_speed); a foot without a sample in the frame reads height 0.
     """
@@ -293,28 +293,31 @@ def run_chase(
     else:
         evaluate = speed.law(params)
     step = _frame_step(evaluate, gait_config, log.events)
+    command, emit = agent.command, agent.samples
+    keep_samples, keep_row = samples.extend, rows.append
+    isfinite = math.isfinite
 
     position = 0.0
     sphere = circle_lead  # starts at the catch-circle center
 
-    agent.command(chase_policy(0.0, target_speed))
+    command(chase_policy(0.0, target_speed))
     for k in range(n_frames):
         t = k * dt
         error = sphere - (position + circle_lead)
         if k % replan_every == 0:
-            agent.command(chase_policy(error, target_speed))
+            command(chase_policy(error, target_speed))
 
-        frame_samples = agent.samples(t, dt)
+        frame_samples = emit(t, dt)
         height_left, height_right, f, sh, raw, out = step(t, frame_samples)
-        samples.extend(frame_samples)
-        rows.append(FrameRow(
-            t, _stage_at(t, countdown_start, chase_start), height_left, height_right,
-            f, sh, raw, out, position, sphere, error,
-        ))
+        keep_samples(frame_samples)
+        stage = _PREP if t < countdown_start else _COUNTDOWN if t < chase_start else _CHASE
+        keep_row(_new_row(FrameRow, (
+            t, stage, height_left, height_right, f, sh, raw, out, position, sphere, error,
+        )))
 
         position += out * dt
         sphere += (target_speed if t >= chase_start else out) * dt
-        if not (math.isfinite(position) and math.isfinite(sphere)):
+        if not (isfinite(position) and isfinite(sphere)):
             raise DivergedSimulation(f"non-finite state at t={t:.3f}")
 
     return compute_metrics(log), log

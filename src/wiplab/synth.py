@@ -21,6 +21,8 @@ from .elastic import ElasticRig, PullDirection, rig_force
 from .speed import gud_speed, law
 
 FEET = (Foot.LEFT, Foot.RIGHT)  # order of per-foot agent state and of emitted samples
+_LEFT, _RIGHT = FEET
+_new_sample = tuple.__new__  # FootSample without its Python-level __new__
 MIN_SAMPLE_RATE = 30.0  # Hz, below this swing segmentation falls apart
 
 # Knob coupling rig force into realized step apex, meters per newton of net
@@ -248,21 +250,39 @@ class WalkerAgent:
         return replace(program, apex_height=self._pending_apex)
 
     def samples(self, now: float, dt: float) -> list[FootSample]:
-        """Emit both feet at time `now`, then advance the gait clock by dt."""
-        out: list[FootSample] = []
+        """Emit both feet at time `now`, then advance the gait clock by dt.
+
+        The two feet are written out rather than looped over; noise is drawn
+        for the left foot, then the right, as the per-foot loop drew it.
+        """
         frequency, sd, stance = self._frequency, self._effective_sd, self.stance_fraction
-        cycle, was_in_stance = self._cycle, self._in_stance
-        for i, foot in enumerate(FEET):
-            cyc = cycle[i]
-            in_stance = frequency <= 0.0 or cyc < stance
-            if not in_stance and was_in_stance[i]:
+        cycle, apex, was_in_stance = self._cycle, self._apex, self._in_stance
+        left, right = cycle
+        left_stance = frequency <= 0.0 or left < stance
+        right_stance = frequency <= 0.0 or right < stance
+        if left_stance:
+            left_h = 0.0
+        else:
+            if was_in_stance[0]:
                 # lift-off: adopt whatever plan is current
-                self._apex[i] = self._pending_apex
-            was_in_stance[i] = in_stance
-            h = 0.0 if in_stance else cycle_height(cyc, stance, self._apex[i])
-            if sd > 0.0:
-                h = max(0.0, h + sd * next(self._noise))
-            out.append(FootSample(now, foot, h))
-            if frequency > 0.0:
-                cycle[i] = (cyc + dt * frequency / 2.0) % 1.0
-        return out
+                apex[0] = self._pending_apex
+            left_h = cycle_height(left, stance, apex[0])
+        if right_stance:
+            right_h = 0.0
+        else:
+            if was_in_stance[1]:
+                apex[1] = self._pending_apex
+            right_h = cycle_height(right, stance, apex[1])
+        was_in_stance[0], was_in_stance[1] = left_stance, right_stance
+        if sd > 0.0:
+            noise = self._noise
+            left_h = max(0.0, left_h + sd * next(noise))
+            right_h = max(0.0, right_h + sd * next(noise))
+        if frequency > 0.0:
+            phase_step = dt * frequency / 2.0
+            cycle[0] = (left + phase_step) % 1.0
+            cycle[1] = (right + phase_step) % 1.0
+        return [
+            _new_sample(FootSample, (now, _LEFT, left_h)),
+            _new_sample(FootSample, (now, _RIGHT, right_h)),
+        ]

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiplab.core import Foot, FootSample, NonMonotonicTime, OutOfRangeHeight
+from wiplab.core import Foot, FootSample, GaitEstimate, NonMonotonicTime, OutOfRangeHeight
 from wiplab.gait import LEGAL_TRANSITIONS, GaitConfig, GaitTracker, Phase, StepEvent
-from wiplab.synth import GaitProgram, synth_trace
+from wiplab.synth import GaitProgram, cycle_height, synth_trace
 
 EPS = GaitConfig().ground_epsilon
 MIN_APEX = GaitConfig().min_step_height
@@ -187,6 +187,36 @@ def test_phase_transitions_stay_legal(heights):
         assert a is b or (a, b) in LEGAL_TRANSITIONS
 
 
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("smoothing_tau", 0.0, "smoothing_tau must be > 0"),
+        ("smoothing_tau", -1.0, "smoothing_tau must be > 0"),
+        ("stop_window", float("nan"), "stop_window must be finite"),
+        ("stop_window", 0.0, "stop_window must be > 0"),
+        ("resume_gap", -0.5, "resume_gap must be > 0"),
+        ("partial_slack", float("inf"), "partial_slack must be finite"),
+        ("partial_slack", 0.0, "partial_slack must be > 0"),
+        ("min_step_height", 0.0, "min_step_height must be > 0"),
+        ("ground_epsilon", float("nan"), "ground_epsilon must be finite"),
+        ("velocity_deadband", float("-inf"), "velocity_deadband must be finite"),
+        ("fraction_grounded", 0.0, "fraction_grounded must be in"),
+        ("fraction_ascending", 1.0, "fraction_ascending must be in"),
+        ("fraction_descending", -0.3, "fraction_descending must be in"),
+        ("buffer_len", 0, "buffer_len must be an integer >= 1"),
+        ("buffer_len", 2.5, "buffer_len must be an integer >= 1"),
+    ],
+)
+def test_gait_config_rejects_bad_fields_where_they_enter(field, value, match):
+    with pytest.raises(ValueError, match=match):
+        GaitConfig(**{field: value})
+
+
+def test_gait_config_accepts_its_defaults_and_edge_values():
+    GaitConfig()
+    GaitConfig(ground_epsilon=0.0, velocity_deadband=0.0, buffer_len=1)
+
+
 # ---------------------------------------------------------------------------
 # estimation
 
@@ -318,6 +348,64 @@ def reference_is_stale(tracker, now, stop_window):
     return now - max(p.entered_at for p in phases) >= stop_window
 
 
+def reference_frequency(tracker, now):
+    """Cadence as a separate pass over the tracks: the smallest of the
+    footfall EMA, each swing's partial bound and the footfall-gap bound."""
+    cfg = tracker.config
+    if tracker._freq_ema is None:
+        return 0.0
+    candidates = [tracker._freq_ema]
+    for track in (tracker._left, tracker._right):
+        if track is None or track.phase is Phase.GROUNDED:
+            continue
+        anchor = track.swing_start if track.swing_valid else track.entered_at
+        elapsed = now - anchor
+        if elapsed > 0.0:
+            partial = cfg.swing_fraction / elapsed
+            candidates.append(cfg.partial_slack * tracker._active_feet * partial)
+    if tracker._last_footfall is not None:
+        gap = now - tracker._last_footfall
+        if gap > 0.0:
+            candidates.append(cfg.partial_slack / gap)
+    return max(0.0, min(candidates))
+
+
+def reference_step_height(tracker, now):
+    """Step height as a separate pass over the tracks: the apex EMA, blended
+    up toward the running apex of each observed swing in progress."""
+    cfg = tracker.config
+    base = tracker._apex_ema if tracker._apex_ema is not None else 0.0
+    value = base
+    for track in (tracker._left, tracker._right):
+        if track is None or track.phase is Phase.GROUNDED or not track.swing_valid:
+            continue
+        if track.running_apex <= base:
+            continue
+        weight = min(1.0, max(0.0, (now - track.swing_start) / cfg.smoothing_tau))
+        value = max(value, base + weight * (track.running_apex - base))
+    return value
+
+
+def reference_estimate(tracker, now):
+    """(step_frequency, step_height, as_of, stale), every float by hex."""
+    if reference_is_stale(tracker, now, tracker.config.stop_window):
+        freq, height, stale = 0.0, 0.0, True
+    else:
+        freq, height = reference_frequency(tracker, now), reference_step_height(tracker, now)
+        stale = False
+    return freq.hex(), height.hex(), now.hex(), stale
+
+
+def estimate_bits(tracker, now):
+    est = tracker.estimate(now)
+    assert type(est) is GaitEstimate
+    assert (est.step_frequency, est.step_height) == (
+        tracker.estimate_frequency(now),
+        tracker.estimate_step_height(now),
+    )
+    return est.step_frequency.hex(), est.step_height.hex(), est.as_of.hex(), est.stale
+
+
 # a stream is a list of runs: each foot ramps linearly between two heights
 # (0 means grounded) for a number of 90 Hz frames
 height = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.25))
@@ -335,14 +423,9 @@ def test_estimate_equals_its_parts_and_the_staleness_definition(runs, offsets):
     tracker = GaitTracker(cfg)
 
     def check(now):
-        est = tracker.estimate(now)
         stale = tracker.is_stale(now)
         assert stale == reference_is_stale(tracker, now, cfg.stop_window)
-        assert (est.step_frequency, est.step_height, est.stale) == (
-            tracker.estimate_frequency(now),
-            tracker.estimate_step_height(now),
-            stale,
-        )
+        assert estimate_bits(tracker, now) == reference_estimate(tracker, now)
 
     check(0.0)
     k = 0
@@ -356,3 +439,85 @@ def test_estimate_equals_its_parts_and_the_staleness_definition(runs, offsets):
             k += 1
     for offset in offsets:
         check((k - 1) / 90.0 + offset)
+
+
+configs = st.builds(
+    GaitConfig,
+    ground_epsilon=st.floats(0.0, 0.04),
+    velocity_deadband=st.floats(0.0, 0.2),
+    min_step_height=st.floats(0.005, 0.1),
+    fraction_ascending=st.floats(0.1, 0.5),
+    fraction_descending=st.floats(0.1, 0.5),
+    smoothing_tau=st.floats(0.05, 1.5),
+    stop_window=st.floats(0.1, 2.0),
+    resume_gap=st.floats(0.5, 3.0),
+    partial_slack=st.floats(0.8, 2.0),
+    buffer_len=st.integers(1, 12),
+)
+# a segment of a stream, sampled at 90 Hz:
+#   ("steps", cadence Hz, apex m, stance share, frames): half-sine swings,
+#       feet half a cycle apart, so the right foot starts mid-swing
+#   ("ramp", left from, left to, right from, right to, frames)
+#   ("pause", seconds): both feet grounded, up to past any resume_gap
+segments = st.lists(
+    st.one_of(
+        st.tuples(st.just("steps"), st.floats(0.4, 3.5), st.floats(0.0, 0.3),
+                  st.floats(0.2, 0.7), st.integers(1, 300)),
+        st.tuples(st.just("ramp"), height, height, height, height, st.integers(1, 60)),
+        st.tuples(st.just("pause"), st.floats(0.0, 4.0)),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def segment_heights(segment):
+    """(left, right) heights of each frame of one segment."""
+    kind, *args = segment
+    if kind == "pause":
+        return [(0.0, 0.0)] * int(args[0] * 90.0)
+    if kind == "ramp":
+        left_a, left_b, right_a, right_b, n = args
+        return [
+            (left_a + i / n * (left_b - left_a), right_a + i / n * (right_b - right_a))
+            for i in range(n)
+        ]
+    cadence, apex, stance, n = args
+    return [
+        tuple(
+            cycle_height((k / 90.0 * cadence / 2.0 + offset) % 1.0, stance, apex)
+            for offset in (0.0, 0.5)
+        )
+        for k in range(n)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    config=configs,
+    segments=segments,
+    feet=st.sampled_from(["both", "left", "right"]),
+    offsets=st.lists(st.floats(0.0, 4.0), max_size=6),
+)
+def test_estimate_equals_the_two_pass_reference(config, segments, feet, offsets):
+    """estimate(now) equals the separate frequency, step-height and
+    staleness passes bit for bit, under any config, on one- and two-foot
+    streams, across pauses, and queried inside and past the stop window."""
+    tracker = GaitTracker(config)
+
+    def check(now):
+        assert estimate_bits(tracker, now) == reference_estimate(tracker, now)
+
+    check(0.0)
+    emit = [foot for foot in Foot if feet in ("both", foot.name.lower())]
+    k = 0
+    for segment in segments:
+        for left, right in segment_heights(segment):
+            t = k / 90.0
+            for foot in emit:
+                tracker.advance(FootSample(t, foot, left if foot is Foot.LEFT else right))
+            check(t)
+            k += 1
+    last = max(k - 1, 0) / 90.0
+    for offset in offsets:
+        check(last + offset)

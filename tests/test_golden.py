@@ -17,6 +17,7 @@ import pytest
 from wiplab import cli
 from wiplab.acceptance import _steady_mean_speed
 from wiplab.core import Variant, WipParams
+from wiplab.gait import GaitConfig
 from wiplab.harness import (
     SLOPE_NATURAL_GAIN,
     ChaseScenario,
@@ -97,6 +98,50 @@ def test_chase_report_matches_golden(name):
     params = WipParams(variant=Variant(variant))
     agent = WalkerAgent(params, noise_sd=noise, seed=seed, rig=parse_rig_spec(rig))
     report, log = run_chase(ChaseScenario(target_speed=target, **SHORT), agent, params)
+    assert {k: repr(v) for k, v in asdict(report).items()} == fields
+    assert (len(log.events), len(log.rows)) == (events, frames)
+
+
+# Every tracker threshold and constant moved off its default, so a tracker
+# that reads a default instead of its config changes these bits.
+TUNED_GAIT = GaitConfig(
+    ground_epsilon=0.015, velocity_deadband=0.04, min_step_height=0.04,
+    fraction_grounded=0.35, fraction_ascending=0.35, fraction_descending=0.3,
+    smoothing_tau=0.3, stop_window=0.6, resume_gap=1.8, partial_slack=1.25, buffer_len=5,
+)
+GOLDEN_TUNED_GAIT = {
+    "shef-noisy-down4": (
+        "shef", 1.4, 0.004, 9, "down:4",
+        {
+            "avg_step_height": "0.09159387745253013",
+            "avg_step_frequency": "1.920817000166478",
+            "avg_target_distance": "0.18699420939239889",
+            "avg_speed": "1.3658583231389798",
+            "speed_sd": "0.08552172976399884",
+        },
+        22, 1131,
+    ),
+    "gud-noisy-past-cap": (
+        "gud", 2.6, 0.0035, 13, "none",
+        {
+            "avg_step_height": "0.1101835463196303",
+            "avg_step_frequency": "2.202957742641549",
+            "avg_target_distance": "1.8816449405927897",
+            "avg_speed": "1.9650496256322278",
+            "speed_sd": "0.10916984282631936",
+        },
+        23, 983,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TUNED_GAIT))
+def test_chase_with_a_tuned_gait_config_matches_golden(name):
+    variant, target, noise, seed, rig, fields, events, frames = GOLDEN_TUNED_GAIT[name]
+    params = WipParams(variant=Variant(variant))
+    agent = WalkerAgent(params, noise_sd=noise, seed=seed, rig=parse_rig_spec(rig))
+    scenario = ChaseScenario(target_speed=target, **SHORT)
+    report, log = run_chase(scenario, agent, params, gait_config=TUNED_GAIT)
     assert {k: repr(v) for k, v in asdict(report).items()} == fields
     assert (len(log.events), len(log.rows)) == (events, frames)
 

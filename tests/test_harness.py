@@ -31,7 +31,6 @@ from wiplab.harness import (
     SlopeProfile,
     Stage,
     _frame_step,
-    _stage_at,
     _stage_bounds,
     aggregate_adjustments,
     compute_metrics,
@@ -241,7 +240,11 @@ def reference_replay(samples, params, scenario=None, gait_config=None):
     for i, (t, frame_samples) in enumerate(ticks):
         if scenario is not None:
             error = sphere - (position + circle_lead)
-            stage = _stage_at(t, countdown_start, chase_start)
+            stage = (
+                Stage.PREP if t < countdown_start
+                else Stage.COUNTDOWN if t < chase_start
+                else Stage.CHASE
+            )
         else:
             dt = ticks[i + 1][0] - t if i + 1 < len(ticks) else 0.0
             error, stage = 0.0, Stage.CHASE
@@ -317,7 +320,7 @@ def replay_cases(draw):
     config = draw(st.none() | st.builds(
         GaitConfig,
         ground_epsilon=st.floats(0.0, 0.04),
-        min_step_height=st.floats(0.0, 0.08),
+        min_step_height=st.floats(0.0, 0.08, exclude_min=True),
         smoothing_tau=st.floats(0.1, 1.0),
         stop_window=st.floats(0.2, 1.5),
         resume_gap=st.floats(0.8, 3.0),

@@ -280,3 +280,56 @@ def test_block_drawn_noise_equals_scalar_draws():
                 assert noisy == FootSample(base.time, base.foot, expected)
             k += 1
     assert draws > 2 * synth.NOISE_BLOCK  # the stream crossed block boundaries
+
+
+class PerFootAgent(WalkerAgent):
+    """Reference emission: the agent's gait clock run as one loop over the
+    feet, each foot's state indexed like FEET."""
+
+    def samples(self, now, dt):
+        out = []
+        frequency, sd, stance = self._frequency, self._effective_sd, self.stance_fraction
+        cycle, was_in_stance = self._cycle, self._in_stance
+        for i, foot in enumerate(synth.FEET):
+            cyc = cycle[i]
+            in_stance = frequency <= 0.0 or cyc < stance
+            if not in_stance and was_in_stance[i]:
+                self._apex[i] = self._pending_apex
+            was_in_stance[i] = in_stance
+            h = 0.0 if in_stance else cycle_height(cyc, stance, self._apex[i])
+            if sd > 0.0:
+                h = max(0.0, h + sd * next(self._noise))
+            out.append(FootSample(now, foot, h))
+            if frequency > 0.0:
+                cycle[i] = (cyc + dt * frequency / 2.0) % 1.0
+        return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    variant=st.sampled_from(list(Variant)),
+    noise_sd=st.sampled_from([0.0, 0.002, 0.004]),
+    seed=st.integers(0, 2**16),
+    rig=st.sampled_from([None, ElasticRig(direction=PullDirection.DOWNWARD, band_count=4)]),
+    stance=st.floats(0.2, 0.7),
+    rate=st.sampled_from([60.0, 90.0, 120.0]),
+    # (commanded speed, frames until the next command); 0 parks the feet
+    plan=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.3, 1.0, 1.7, 2.5, 4.0]) | st.floats(0.0, 5.0),
+                  st.integers(1, 120)),
+        min_size=1, max_size=8,
+    ),
+)
+def test_samples_equal_the_per_foot_loop(variant, noise_sd, seed, rig, stance, rate, plan):
+    params = WipParams(variant=variant)
+    kwargs = dict(noise_sd=noise_sd, seed=seed, rig=rig, stance_fraction=stance)
+    agent, reference = WalkerAgent(params, **kwargs), PerFootAgent(params, **kwargs)
+    dt, k = 1.0 / rate, 0
+    for speed, frames in plan:
+        assert agent.command(speed) == reference.command(speed)
+        for _ in range(frames):
+            got, want = agent.samples(k * dt, dt), reference.samples(k * dt, dt)
+            assert [(s.time.hex(), s.foot, s.height.hex()) for s in got] == [
+                (s.time.hex(), s.foot, s.height.hex()) for s in want
+            ]
+            k += 1
