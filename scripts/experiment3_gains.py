@@ -7,14 +7,13 @@ points are averaged, mirroring the usual adjustment-method bookkeeping.
 
 Usage:
     python3 scripts/experiment3_gains.py
-    python3 scripts/experiment3_gains.py --simulate-bouts --out gains.json
+    python3 scripts/experiment3_gains.py --out gains.json
 """
 
 import argparse
 import json
 import sys
 
-from wiplab.core import Variant, WipParams
 from wiplab.harness import (
     STAIRCASE_PRESETS,
     AdjustmentProtocol,
@@ -31,15 +30,8 @@ REFERENCES = {SlopeKind.UPHILL: 0.71, SlopeKind.DOWNHILL: 1.43}
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--natural-gain", type=float, default=2.02,
-                        help="visual gain reported as natural on flat ground")
-    parser.add_argument("--simulate-bouts", action="store_true",
-                        help="walk each bout on the ramp instead of judging "
-                             "the gain value directly (slower)")
     parser.add_argument("--out", metavar="FILE", help="also write results as JSON")
     args = parser.parse_args(argv)
-
-    params = WipParams(variant=Variant.SHEF, natural_visual_gain=args.natural_gain)
 
     results = {}
     print(f"{'slope':9} {'series':11} {'landing':>8}")
@@ -50,8 +42,7 @@ def main(argv=None):
         for series in (SeriesKind.ASCENDING, SeriesKind.DESCENDING,
                        SeriesKind.ASCENDING, SeriesKind.DESCENDING):
             protocol = AdjustmentProtocol.preset(slope, series, judge)
-            gain = run_adjustment(protocol, params,
-                                  simulate_bouts=args.simulate_bouts)
+            gain = run_adjustment(protocol)
             landings.append(gain)
             print(f"{slope.value:9} {series.value:11} {gain:8.3f}")
         mean = aggregate_adjustments(landings)
@@ -63,9 +54,7 @@ def main(argv=None):
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"natural_visual_gain": args.natural_gain,
-                       "simulated_bouts": args.simulate_bouts,
-                       "slopes": results}, fh, indent=2)
+            json.dump({"slopes": results}, fh, indent=2)
         print(f"wrote {args.out}", file=sys.stderr)
     return 0
 

@@ -18,7 +18,6 @@ law is caught there too.
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
@@ -184,7 +183,6 @@ def check_band_calibration() -> tuple[bool, str]:
 
 def check_staircase() -> tuple[bool, str]:
     """Staircase series land on-grid near the reference; 4-series means in band."""
-    params = WipParams(natural_visual_gain=2.02)
     bands = {SlopeKind.UPHILL: (0.71, 0.07), SlopeKind.DOWNHILL: (1.43, 0.25)}
     ok = True
     parts: list[str] = []
@@ -198,7 +196,7 @@ def check_staircase() -> tuple[bool, str]:
             direction = 1.0 if series is SeriesKind.ASCENDING else -1.0
             for _ in range(2):
                 protocol = AdjustmentProtocol.preset(slope, series, judge)
-                gain = run_adjustment(protocol, params)
+                gain = run_adjustment(protocol)
                 on_grid = any(
                     gain == start + direction * k * interval
                     for k in range(protocol.max_bouts)

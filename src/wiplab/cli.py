@@ -17,30 +17,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Any
 
 from . import acceptance as acceptance_mod
-from .core import (
-    DivergedSimulation,
-    EmptyWindow,
-    InvalidRate,
-    NegativeExtension,
-    NonMonotonicTime,
-    NonPositiveGain,
-    NonPositiveHeight,
-    NonTermination,
-    OutOfRangeHeight,
-    Variant,
-    WipParams,
-    WrongArity,
-    ZeroExtension,
-)
+from .core import Variant, WipError
 from .elastic import ElasticRig, PullDirection, bands_for_target, rig_force
-from .harness import DEFAULT_TIMESTEP, ChaseScenario, FrameRow, replay_trace, run_chase
+from .harness import FrameRow, MetricsReport, RunLog, replay_trace, run_chase
 from .synth import WalkerAgent
 from .traceio import (
-    TraceParseError,
+    PARAMS_KEYS,
+    RUN_KEYS,
     load_trace,
     params_from_echo,
     parse_rig_spec,
@@ -53,41 +40,12 @@ from .traceio import (
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_BAD_INPUT = 2
-EXIT_RUNTIME = 3
+EXIT_BAD_INPUT = 2  # WipError subclasses carry their own exit_code
 
-# Keys a JSON scenario file may set, with their defaults. target_speed has
-# no default: it must come from the file or from --target.
-RUN_DEFAULTS: dict[str, Any] = {
-    "variant": "shef",
-    "target_speed": None,
-    "user_height": 1.72,
-    "speed_gain": 1.0,
-    "natural_visual_gain": 1.0,
-    "noise_sd": 0.0,
-    "seed": 0,
-    "rig": "none",
-    "timestep": DEFAULT_TIMESTEP,
-    "prep_distance": 5.0,
-    "prep_duration": 10.0,
-    "countdown": 3.0,
-    "chase_duration": 20.0,
-    "circle_lead": 1.0,
-    "sphere_radius": 0.25,
-}
-
-# (flag attribute, config key) pairs for the run subcommands.
-_FLAG_TO_KEY = (
-    ("variant", "variant"),
-    ("target", "target_speed"),
-    ("user_height", "user_height"),
-    ("gain", "speed_gain"),
-    ("natural_gain", "natural_visual_gain"),
-    ("noise", "noise_sd"),
-    ("seed", "seed"),
-    ("rig", "rig"),
-    ("timestep", "timestep"),
-)
+# A JSON scenario file may set any of RUN_KEYS, and every run flag's dest is
+# its key. WipParams and ChaseScenario default their own keys; target_speed
+# has no default: it must come from the file or from --target.
+RUN_DEFAULTS: dict[str, Any] = {"seed": 0, "noise_sd": 0.0, "rig": "none"}
 
 
 def _load_scenario_file(path: str) -> dict[str, Any]:
@@ -98,7 +56,7 @@ def _load_scenario_file(path: str) -> dict[str, Any]:
             raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: scenario file must be a JSON object")
-    unknown = sorted(set(data) - set(RUN_DEFAULTS))
+    unknown = sorted(set(data) - set(RUN_KEYS))
     if unknown:
         raise ValueError(f"{path}: unknown scenario keys: {', '.join(unknown)}")
     return data
@@ -106,43 +64,32 @@ def _load_scenario_file(path: str) -> dict[str, Any]:
 
 def _merge_run_config(args: argparse.Namespace) -> dict[str, Any]:
     config = dict(RUN_DEFAULTS)
-    if getattr(args, "scenario", None):
+    if args.scenario:
         config.update(_load_scenario_file(args.scenario))
-    for flag, key in _FLAG_TO_KEY:
-        value = getattr(args, flag, None)
-        if value is not None:
-            config[key] = value
-    if config["target_speed"] is None:
+    config.update(
+        (key, value) for key in RUN_KEYS if (value := getattr(args, key, None)) is not None
+    )
+    if config.get("target_speed") is None:
         raise ValueError(
             "no target speed: pass --target or a scenario file with target_speed"
         )
+    seed = config["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     return config
 
 
-def _build_run(
-    config: dict[str, Any],
-) -> tuple[WipParams, ChaseScenario, WalkerAgent, ElasticRig | None]:
-    params = WipParams(
-        user_height=float(config["user_height"]),
-        variant=Variant(str(config["variant"])),
-        speed_gain=float(config["speed_gain"]),
-        natural_visual_gain=float(config["natural_visual_gain"]),
-    )
-    scenario = ChaseScenario(
-        target_speed=float(config["target_speed"]),
-        prep_distance=float(config["prep_distance"]),
-        prep_duration=float(config["prep_duration"]),
-        countdown=float(config["countdown"]),
-        chase_duration=float(config["chase_duration"]),
-        circle_lead=float(config["circle_lead"]),
-        sphere_radius=float(config["sphere_radius"]),
-        timestep=float(config["timestep"]),
-    )
+def _simulate(args: argparse.Namespace) -> tuple[MetricsReport, RunLog, dict[str, Any]]:
+    """Run the chase the flags and scenario file configure; also return its
+    echo, the flat key/value record of everything that was run."""
+    config = _merge_run_config(args)
+    params = params_from_echo(config)
+    scenario = scenario_from_echo(config)
     rig = parse_rig_spec(str(config["rig"]))
-    agent = WalkerAgent(
-        params, noise_sd=float(config["noise_sd"]), seed=int(config["seed"]), rig=rig
-    )
-    return params, scenario, agent, rig
+    noise_sd, seed = float(config["noise_sd"]), config["seed"]
+    agent = WalkerAgent(params, noise_sd=noise_sd, seed=seed, rig=rig)
+    report, log = run_chase(scenario, agent, params)
+    return report, log, scenario_echo(scenario, params, seed=seed, noise_sd=noise_sd, rig=rig)
 
 
 def _emit_report(out: str | None, document: dict[str, Any]) -> None:
@@ -170,36 +117,18 @@ def _write_frames(path: str, rows: list[FrameRow]) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _merge_run_config(args)
-    params, scenario, agent, rig = _build_run(config)
-    report, _log = run_chase(scenario, agent, params)
-    echo = scenario_echo(
-        scenario,
-        params,
-        seed=int(config["seed"]),
-        noise_sd=float(config["noise_sd"]),
-        rig=rig,
-    )
+    report, _log, echo = _simulate(args)
     _emit_report(args.out, report_document("chase", echo, asdict(report)))
     return EXIT_OK
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    config = _merge_run_config(args)
-    params, scenario, agent, rig = _build_run(config)
-    report, log = run_chase(scenario, agent, params)
-    echo = scenario_echo(
-        scenario,
-        params,
-        seed=int(config["seed"]),
-        noise_sd=float(config["noise_sd"]),
-        rig=rig,
-    )
+    report, log, echo = _simulate(args)
     save_trace(
         args.trace_out,
         log.samples,
-        sample_rate_hint=1.0 / scenario.timestep,
-        user_height=params.user_height,
+        sample_rate_hint=1.0 / echo["timestep"],
+        user_height=echo["user_height"],
         scenario=echo,
     )
     print(f"wrote {args.trace_out}", file=sys.stderr)
@@ -210,15 +139,8 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     header, samples = load_trace(args.trace)
-    params = params_from_echo(header.scenario)
-    if args.variant is not None:
-        params = replace(params, variant=Variant(args.variant))
-    if args.user_height is not None:
-        params = replace(params, user_height=args.user_height)
-    if args.gain is not None:
-        params = replace(params, speed_gain=args.gain)
-    if args.natural_gain is not None:
-        params = replace(params, natural_visual_gain=args.natural_gain)
+    overrides = {key: value for key in PARAMS_KEYS if (value := getattr(args, key)) is not None}
+    params = params_from_echo(header.scenario | overrides)
     scenario = scenario_from_echo(header.scenario)
     report, log = replay_trace(samples, params, scenario)
     _emit_report(
@@ -300,14 +222,17 @@ def cmd_acceptance(args: argparse.Namespace) -> int:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", metavar="FILE", help="JSON scenario file")
     parser.add_argument("--variant", choices=[v.value for v in Variant])
-    parser.add_argument("--target", type=float, help="chase target speed, m/s")
+    parser.add_argument("--target", dest="target_speed", type=float, metavar="TARGET",
+                        help="chase target speed, m/s")
     parser.add_argument("--user-height", dest="user_height", type=float, metavar="M")
-    parser.add_argument("--gain", type=float, help="speed gain applied to raw speed")
+    parser.add_argument("--gain", dest="speed_gain", type=float, metavar="GAIN",
+                        help="speed gain applied to raw speed")
     parser.add_argument(
-        "--natural-gain", dest="natural_gain", type=float, metavar="G",
+        "--natural-gain", dest="natural_visual_gain", type=float, metavar="G",
         help="natural visual gain multiplier",
     )
-    parser.add_argument("--noise", type=float, metavar="SD", help="height noise SD, m")
+    parser.add_argument("--noise", dest="noise_sd", type=float, metavar="SD",
+                        help="height noise SD, m")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--rig", help="elastic rig: none, up:<bands>, or down:<bands>")
     parser.add_argument("--timestep", type=float, metavar="S")
@@ -334,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace", help="trace file written by record")
     p.add_argument("--variant", choices=[v.value for v in Variant])
     p.add_argument("--user-height", dest="user_height", type=float, metavar="M")
-    p.add_argument("--gain", type=float)
-    p.add_argument("--natural-gain", dest="natural_gain", type=float, metavar="G")
+    p.add_argument("--gain", dest="speed_gain", type=float, metavar="GAIN")
+    p.add_argument("--natural-gain", dest="natural_visual_gain", type=float, metavar="G")
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--frames-out", dest="frames_out", metavar="FILE",
                    help="also write per-frame rows as CSV")
@@ -364,25 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TraceParseError as exc:
+    except (WipError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (
-        NonMonotonicTime,
-        OutOfRangeHeight,
-        NonPositiveGain,
-        NonPositiveHeight,
-        NegativeExtension,
-        ZeroExtension,
-        InvalidRate,
-        ValueError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (DivergedSimulation, EmptyWindow, NonTermination, WrongArity) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return getattr(exc, "exit_code", EXIT_BAD_INPUT)
 
 
 if __name__ == "__main__":

@@ -19,35 +19,55 @@ _INF = float("inf")
 
 
 class WipError(Exception):
-    """Base class for engine errors."""
+    """Base class for engine errors.
+
+    exit_code is the command line's exit status for the error: 3, a runtime
+    failure, unless a subclass marks bad input with 2.
+    """
+
+    exit_code = 3
 
 
 class NonMonotonicTime(WipError):
     """Sample time did not advance for its foot."""
 
+    exit_code = 2
+
 
 class OutOfRangeHeight(WipError):
     """Foot height outside the plausible sensor range."""
+
+    exit_code = 2
 
 
 class NonPositiveHeight(WipError):
     """User height must be strictly positive."""
 
+    exit_code = 2
+
 
 class NonPositiveGain(WipError):
     """Speed gains must be strictly positive."""
+
+    exit_code = 2
 
 
 class NegativeExtension(WipError):
     """Band extension below zero has no meaning."""
 
+    exit_code = 2
+
 
 class ZeroExtension(WipError):
     """Rig geometry yields no extension, so no target force is attainable."""
 
+    exit_code = 2
+
 
 class InvalidRate(WipError):
     """Sample rate too low for gait segmentation."""
+
+    exit_code = 2
 
 
 class DivergedSimulation(WipError):

@@ -51,27 +51,6 @@ _LEFT = Foot.LEFT
 _new_estimate = tuple.__new__
 
 
-# Transitions the state machine may take; anything else is a bug.
-LEGAL_TRANSITIONS = frozenset(
-    {
-        (Phase.GROUNDED, Phase.ASCENDING),
-        (Phase.ASCENDING, Phase.DESCENDING),
-        (Phase.DESCENDING, Phase.GROUNDED),
-        (Phase.DESCENDING, Phase.ASCENDING),  # re-lift mid-descent
-        (Phase.ASCENDING, Phase.GROUNDED),    # aborted micro-step
-    }
-)
-
-
-@dataclass(frozen=True)
-class GaitPhase:
-    """Public view of one foot's current phase."""
-
-    phase: Phase
-    entered_at: float       # s
-    height_at_entry: float  # m
-
-
 @dataclass(frozen=True, slots=True)
 class StepEvent:
     """One completed step: lift-off, apex, and re-grounding."""
@@ -93,16 +72,16 @@ class StepEvent:
 class GaitConfig:
     """Thresholds and smoothing constants of the tracker.
 
-    The phase fractions are the nominal share of one per-foot gait cycle
-    spent in each phase; they drive the partial-step frequency bound. The
-    partial_slack factor tolerates one sample of censoring at the phase
-    boundary so steady gait never gets dragged below its true cadence.
+    The two aerial fractions are the nominal share of one per-foot gait
+    cycle spent ascending and descending; their sum, swing_fraction, drives
+    the partial-step frequency bound. The partial_slack factor tolerates
+    one sample of censoring at the phase boundary so steady gait never gets
+    dragged below its true cadence.
     """
 
     ground_epsilon: float = 0.01     # m, grounded iff height <= this
     velocity_deadband: float = 0.05  # m/s, hysteresis between aerial phases
     min_step_height: float = 0.03    # m, smaller apexes are jitter, not steps
-    fraction_grounded: float = 0.4
     fraction_ascending: float = 0.3
     fraction_descending: float = 0.3
     smoothing_tau: float = 0.5       # s, EMA time constant for cadence and apex
@@ -118,7 +97,7 @@ class GaitConfig:
             value = getattr(self, name)
             if value <= 0.0:
                 raise ValueError(f"{name} must be > 0, got {value!r}")
-        for name in ("fraction_grounded", "fraction_ascending", "fraction_descending"):
+        for name in ("fraction_ascending", "fraction_descending"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {value!r}")
@@ -134,7 +113,6 @@ class GaitConfig:
 class _FootTrack:
     phase: Phase
     entered_at: float
-    height_at_entry: float
     prev_time: float
     prev_height: float
     # swing bookkeeping; swing_start is the last grounded sample time and is
@@ -149,7 +127,7 @@ class GaitTracker:
     """Single-owner mutable tracker; create one per user session.
 
     Feed samples through advance() in time order (feet may interleave) and
-    query the estimators at any time at or after the newest sample.
+    query estimate() at any time at or after the newest sample.
 
     The config's per-frame scalars are bound to the tracker once, here.
     Staleness is tracked incrementally: a count of feet off the ground is
@@ -177,7 +155,6 @@ class GaitTracker:
         self._freq_ema: float | None = None
         self._apex_ema: float | None = None
         self._apex_ema_at: float = 0.0
-        self._total_steps: int = 0
 
     # ------------------------------------------------------------------
     # ingestion
@@ -197,7 +174,6 @@ class GaitTracker:
             track = _FootTrack(
                 phase=phase,
                 entered_at=t,
-                height_at_entry=h,
                 prev_time=t,
                 prev_height=h,
             )
@@ -257,7 +233,6 @@ class GaitTracker:
 
         # the phase changed
         track.entered_at = t
-        track.height_at_entry = h
         self._last_transition = t
         track.prev_time = t
         track.prev_height = h
@@ -267,7 +242,6 @@ class GaitTracker:
         cfg = self.config
         prev_footfall = self._last_footfall
         self._last_footfall = event.end
-        self._total_steps += 1
         self._events.append(event)
         recent = list(self._events)[-4:]
         self._active_feet = len({e.foot for e in recent})
@@ -302,19 +276,6 @@ class GaitTracker:
     # ------------------------------------------------------------------
     # queries
 
-    def phase(self, foot: Foot) -> GaitPhase | None:
-        track = self._left if foot is _LEFT else self._right
-        if track is None:
-            return None
-        return GaitPhase(track.phase, track.entered_at, track.height_at_entry)
-
-    def events(self) -> tuple[StepEvent, ...]:
-        return tuple(self._events)
-
-    @property
-    def total_steps(self) -> int:
-        return self._total_steps
-
     def is_stale(self, now: float) -> bool:
         """Stopped: every foot grounded and no phase activity in the window."""
         if self._last_transition is None:
@@ -322,14 +283,6 @@ class GaitTracker:
         if self._airborne:
             return False
         return now - self._last_transition >= self.stop_window
-
-    def estimate_frequency(self, now: float) -> float:
-        """Footfall cadence over both feet, Hz: estimate(now).step_frequency."""
-        return self.estimate(now).step_frequency
-
-    def estimate_step_height(self, now: float) -> float:
-        """Smoothed apex height, m: estimate(now).step_height."""
-        return self.estimate(now).step_height
 
     def estimate(self, now: float) -> GaitEstimate:
         """Cadence and step height at `now`, the structure the speed laws

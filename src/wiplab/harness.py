@@ -1,5 +1,5 @@
-"""Deterministic fixed-timestep simulations: the chasing task, slope walks,
-and the gain-adjustment staircase.
+"""Deterministic fixed-timestep simulations of the chasing task, and the
+gain-adjustment staircase.
 
 A chase run has three stages. During preparation the target sphere mirrors
 the walker's own speed from its start position one circle-lead ahead, first
@@ -8,24 +8,24 @@ mirroring (so the chase starts with zero error), and the timed chase moves
 the sphere at constant speed while every metric is collected. Metrics are
 computed strictly from frames and step events inside the chase window.
 
-The live loops (run_chase, run_slope_bout) run their frames through one
-frame step: advance the gait tracker through the frame's samples, estimate
-once, evaluate the law built once per run by speed.law. A live frame feeds
-the next (the agent re-plans from the chase error), so these loops stay
-scalar; their per-frame cost is the agent's samples(), one advance() per
-sample, one estimate() and the loop body, and run_chase binds what its loop
-calls once per run and computes each frame's stage inline. Replaying a
-time-sorted recorded trace advances the same streaming tracker sample by
-sample, then computes every frame's estimate, law and kinematics as arrays
-in the frame step's operation order, which is what keeps record/replay
-reports bit-identical; the DETERMINISM check, the replay goldens and a
-property test against a frame-step loop guard that.
+The live loop, run_chase, runs its frames through one frame step: advance
+the gait tracker through the frame's samples, estimate once, evaluate the
+law built once per run by speed.law. A live frame feeds the next (the agent
+re-plans from the chase error), so the loop stays scalar; its per-frame cost
+is the agent's samples(), one advance() per sample, one estimate() and the
+loop body, and run_chase binds what its loop calls once per run and
+computes each frame's stage inline. Replaying a time-sorted recorded trace
+advances the same streaming tracker sample by sample, then computes every
+frame's estimate, law and kinematics as arrays in the frame step's
+operation order, which is what keeps record/replay reports bit-identical;
+the DETERMINISM check, the replay goldens and a property test against a
+frame-step loop guard that.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -43,16 +43,13 @@ from .core import (
     require_finite,
 )
 from .gait import GaitConfig, GaitTracker, StepEvent, estimate_frames
-from .speed import apply_gain
-from .synth import WalkerAgent, chase_policy
+from .synth import MIN_SAMPLE_RATE, chase_policy
 
 REPLAN_INTERVAL = 0.5  # s, how often agents re-plan their gait
 DEFAULT_TIMESTEP = 1.0 / 90.0
-
-# Shipped slope gain presets for quick simulations.
-UPHILL_GAIN_DEFAULT = 0.71
-DOWNHILL_GAIN_DEFAULT = 1.43
-SLOPE_NATURAL_GAIN = 2.02  # natural visual gain used in slope scenarios
+# Frames one run may have. A run keeps every frame in memory; this is about
+# 3 h at 90 Hz, while the default protocol runs 3,000-4,000 frames.
+MAX_FRAMES = 1_000_000
 
 
 class Stage(Enum):
@@ -77,7 +74,6 @@ class ChaseScenario:
     countdown: float = 3.0       # s
     chase_duration: float = 20.0 # s, the measurement window
     circle_lead: float = 1.0     # m, catch circle ahead of the walker
-    sphere_radius: float = 0.25  # m
     timestep: float = DEFAULT_TIMESTEP
 
     def __post_init__(self) -> None:
@@ -88,6 +84,16 @@ class ChaseScenario:
         for name in names[1:]:  # the lengths and durations after target_speed
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
+        if self.timestep > 1.0 / MIN_SAMPLE_RATE:
+            raise ValueError(
+                f"timestep must be <= 1/{MIN_SAMPLE_RATE:g} s, got {self.timestep!r}"
+            )
+        frames = self.total_duration / self.timestep
+        if frames > MAX_FRAMES:
+            raise ValueError(
+                f"timestep {self.timestep!r} s over {self.total_duration!r} s gives "
+                f"{frames:.4g} frames, more than {MAX_FRAMES}"
+            )
 
     @property
     def prep_walk_time(self) -> float:
@@ -384,71 +390,7 @@ def replay_trace(
 
 
 # ----------------------------------------------------------------------
-# slope walking and the gain-adjustment staircase
-
-
-@dataclass(frozen=True)
-class SlopeProfile:
-    """Straight virtual path: a flat lead-in, then a uniform grade."""
-
-    gradient_deg: float = 5.71
-    slope_length: float = 75.0
-    flat_leadin: float = 10.0
-    gain_on_slope: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.gain_on_slope <= 0.0:
-            raise ValueError("gain_on_slope must be > 0")
-
-    def gain_at(self, position: float) -> float:
-        """Speed gain applied at a path position; unity on the lead-in."""
-        return 1.0 if position < self.flat_leadin else self.gain_on_slope
-
-    def elevation_at(self, position: float) -> float:
-        """Unsigned elevation change at a path position."""
-        on_slope = min(max(0.0, position - self.flat_leadin), self.slope_length)
-        return on_slope * math.tan(math.radians(self.gradient_deg))
-
-
-class SlopeFrame(NamedTuple):
-    time: float
-    raw_speed: float
-    output_speed: float
-    position: float
-    gain: float
-
-
-def run_slope_bout(
-    profile: SlopeProfile,
-    params: WipParams,
-    agent,
-    duration: float,
-    *,
-    cruise_speed: float = 1.0,
-    timestep: float = DEFAULT_TIMESTEP,
-    gait_config: GaitConfig | None = None,
-) -> list[SlopeFrame]:
-    """Walk the slope path for a fixed duration at a constant commanded pace.
-
-    The position-gated profile gain replaces params.speed_gain here; the
-    natural visual gain still applies everywhere.
-    """
-    step = _frame_step(speed.law(replace(params, speed_gain=1.0)), gait_config, [])
-    agent.command(cruise_speed)
-    n_frames = int(round(duration / timestep))
-    natural_gain = params.natural_visual_gain
-    position = 0.0
-    frames: list[SlopeFrame] = []
-    for k in range(n_frames):
-        t = k * timestep
-        _, _, _, _, raw, _ = step(t, agent.samples(t, timestep))
-        gain = profile.gain_at(position)
-        out = apply_gain(raw, gain, natural_gain)
-        frames.append(SlopeFrame(t, raw, out, position, gain))
-        position += out * timestep
-        if not math.isfinite(position):
-            raise DivergedSimulation(f"non-finite position at t={t:.3f}")
-    return frames
+# the gain-adjustment staircase
 
 
 class SlopeKind(Enum):
@@ -470,14 +412,13 @@ STAIRCASE_PRESETS = {
 
 @dataclass(frozen=True)
 class AdjustmentProtocol:
-    """One staircase series: walk a bout, judge the gain, step, repeat."""
+    """One staircase series: judge the gain, step, repeat."""
 
     slope: SlopeKind
     series: SeriesKind
     initial_gain: float
     interval: float
     judge: Callable[[float], bool]
-    bout_duration: float = 5.0
     max_bouts: int = 100
 
     @classmethod
@@ -510,41 +451,20 @@ def make_reference_judge(reference: float, tolerance: float) -> Callable[[float]
     return judge
 
 
-def run_adjustment(
-    protocol: AdjustmentProtocol,
-    params: WipParams,
-    *,
-    profile: SlopeProfile | None = None,
-    agent_factory: Callable[[], object] | None = None,
-    cruise_speed: float = 1.0,
-    timestep: float = DEFAULT_TIMESTEP,
-    simulate_bouts: bool = True,
-) -> float:
+def run_adjustment(protocol: AdjustmentProtocol) -> float:
     """Run one staircase series and return the accepted gain.
 
-    Every bout walks the slope at the current gain (a fresh agent per bout,
-    the walker is returned to the start), then asks the judge. Gains step
-    by the protocol interval in the series direction. Raises NonTermination
-    if the judge stays unsatisfied for max_bouts bouts or the gain leaves
-    the positive domain.
+    Every bout asks the judge about the current gain; gains step by the
+    protocol interval in the series direction. Raises NonTermination if the
+    judge stays unsatisfied for max_bouts bouts or the gain leaves the
+    positive domain.
     """
-    base = profile or SlopeProfile()
     direction = 1.0 if protocol.series is SeriesKind.ASCENDING else -1.0
     for k in range(protocol.max_bouts):
         gain = protocol.initial_gain + direction * k * protocol.interval
         if gain <= 0.0:
             raise NonTermination(
                 f"staircase left the positive-gain domain after {k} bouts"
-            )
-        if simulate_bouts:
-            agent = agent_factory() if agent_factory is not None else WalkerAgent(params)
-            run_slope_bout(
-                replace(base, gain_on_slope=gain),
-                params,
-                agent,
-                protocol.bout_duration,
-                cruise_speed=cruise_speed,
-                timestep=timestep,
             )
         if protocol.judge(gain):
             return gain

@@ -6,30 +6,15 @@ step height relative to a 0.1 m reference. A separate gain stage applies
 the experiment gain and the natural visual gain.
 
 law() is the one variant dispatch: it binds one WipParams into a function of
-(step frequency, step height) once per run. output_speed(),
-synth.program_speed() and the simulation loops evaluate the configured law
-only through it.
+(step frequency, step height) once per run. synth.program_speed() and the
+simulation loops evaluate the configured law only through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
-from .core import (
-    GaitEstimate,
-    NonPositiveGain,
-    NonPositiveHeight,
-    Variant,
-    WipParams,
-)
-
-
-@dataclass(frozen=True, slots=True)
-class SpeedSample:
-    time: float          # s
-    raw_speed: float     # m/s, law output before gains
-    output_speed: float  # m/s, after gains
+from .core import NonPositiveGain, NonPositiveHeight, Variant, WipParams
 
 
 def gud_speed(
@@ -116,15 +101,3 @@ def law(params: WipParams) -> Callable[[float, float], tuple[float, float]]:
         return raw, raw * gain * natural_gain
 
     return shef
-
-
-def output_speed(params: WipParams, estimate: GaitEstimate) -> SpeedSample:
-    """Dispatch one gait estimate through the configured law and gain stage.
-
-    Stale estimates short-circuit to zero output so a stopped user stops
-    moving immediately.
-    """
-    if estimate.stale:
-        return SpeedSample(time=estimate.as_of, raw_speed=0.0, output_speed=0.0)
-    raw, out = law(params)(estimate.step_frequency, estimate.step_height)
-    return SpeedSample(time=estimate.as_of, raw_speed=raw, output_speed=out)

@@ -25,8 +25,8 @@ _LEFT, _RIGHT = FEET
 _new_sample = tuple.__new__  # FootSample without its Python-level __new__
 MIN_SAMPLE_RATE = 30.0  # Hz, below this swing segmentation falls apart
 
-# Knob coupling rig force into realized step apex, meters per newton of net
-# downward force. Zero disables the coupling.
+# Coupling of rig force into realized step apex, meters per newton of net
+# downward force.
 APEX_FORCE_RESPONSE = 0.002
 
 # How strongly an unachievable command degrades execution noise.
@@ -170,18 +170,14 @@ def chase_policy(distance_error: float, target_speed: float, *, gain: float = 0.
     return max(0.0, target_speed + gain * distance_error)
 
 
-def elastic_apex_shift(
-    rig: ElasticRig | None,
-    planned_apex: float,
-    response: float = APEX_FORCE_RESPONSE,
-) -> float:
+def elastic_apex_shift(rig: ElasticRig | None, planned_apex: float) -> float:
     """Apex change induced by a rig: downward pull lowers steps, upward
     pull assists them. Force is evaluated at the planned apex height."""
-    if rig is None or rig.direction is PullDirection.NONE or response == 0.0:
+    if rig is None or rig.direction is PullDirection.NONE:
         return 0.0
     reading = rig_force(rig, planned_apex)
     net_downward = -reading.direction_sign * reading.magnitude
-    return -response * net_downward
+    return -APEX_FORCE_RESPONSE * net_downward
 
 
 class WalkerAgent:
@@ -209,8 +205,6 @@ class WalkerAgent:
         noise_sd: float = 0.0,
         seed: int = 0,
         rig: ElasticRig | None = None,
-        apex_response: float = APEX_FORCE_RESPONSE,
-        strain_noise_gain: float = STRAIN_NOISE_GAIN,
         stance_fraction: float = 0.4,
     ):
         self.params = params
@@ -220,8 +214,6 @@ class WalkerAgent:
         if noise_sd < 0.0:
             raise ValueError("noise_sd must be >= 0")
         self.rig = rig
-        self.apex_response = apex_response
-        self.strain_noise_gain = strain_noise_gain
         self.stance_fraction = stance_fraction
         self._noise = normal_stream(np.random.default_rng(seed))
         # per-foot state, indexed like FEET
@@ -239,9 +231,9 @@ class WalkerAgent:
         strain = 0.0
         if speed > 0.0:
             strain = max(0.0, speed - planned_v) / speed
-        self._effective_sd = self.noise_sd * (1.0 + self.strain_noise_gain * strain)
+        self._effective_sd = self.noise_sd * (1.0 + STRAIN_NOISE_GAIN * strain)
         self._frequency = program.step_frequency
-        shift = elastic_apex_shift(self.rig, program.apex_height, self.apex_response)
+        shift = elastic_apex_shift(self.rig, program.apex_height)
         self._pending_apex = max(0.0, program.apex_height + shift)
         if self._frequency <= 0.0:
             # feet settle; park both cycles at stance start

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import Any, Callable
 
@@ -37,6 +37,8 @@ REPORT_SCHEMA_VERSION = 1
 
 class TraceParseError(WipError):
     """Malformed trace file; carries the offending 1-based line number."""
+
+    exit_code = 2
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
@@ -264,7 +266,13 @@ def load_report(path: str) -> dict[str, Any]:
 # A recorded trace carries enough header metadata to re-run the exact same
 # simulation: the chase scenario geometry, the control-law settings, and the
 # agent's noise/seed/rig configuration. Keys are flat "scenario.<name>"
-# entries in the file.
+# entries in the file, in the order of RUN_KEYS; a scenario file uses the
+# same keys.
+
+PARAMS_KEYS = ("variant", "user_height", "speed_gain", "natural_visual_gain")
+SCENARIO_KEYS = tuple(f.name for f in fields(ChaseScenario))
+AGENT_KEYS = ("seed", "noise_sd", "rig")
+RUN_KEYS = PARAMS_KEYS + SCENARIO_KEYS + AGENT_KEYS
 
 
 def rig_spec(rig: ElasticRig | None) -> str:
@@ -301,20 +309,9 @@ def scenario_echo(
     rig: ElasticRig | None = None,
 ) -> dict[str, Any]:
     """Flatten a run configuration into trace-header key/value pairs."""
-    echo: dict[str, Any] = {
-        "variant": params.variant.value,
-        "user_height": params.user_height,
-        "speed_gain": params.speed_gain,
-        "natural_visual_gain": params.natural_visual_gain,
-        "target_speed": scenario.target_speed,
-        "prep_distance": scenario.prep_distance,
-        "prep_duration": scenario.prep_duration,
-        "countdown": scenario.countdown,
-        "chase_duration": scenario.chase_duration,
-        "circle_lead": scenario.circle_lead,
-        "sphere_radius": scenario.sphere_radius,
-        "timestep": scenario.timestep,
-    }
+    echo: dict[str, Any] = {key: getattr(params, key) for key in PARAMS_KEYS}
+    echo["variant"] = params.variant.value
+    echo.update((key, getattr(scenario, key)) for key in SCENARIO_KEYS)
     if seed is not None:
         echo["seed"] = seed
     if noise_sd is not None:
@@ -333,29 +330,18 @@ def _from_echo(echo: dict[str, Any], key: str, convert: Callable[[Any], Any]) ->
 
 def params_from_echo(echo: dict[str, Any]) -> WipParams:
     """Rebuild control-law settings from header metadata (defaults fill gaps)."""
-    kwargs: dict[str, Any] = {}
-    if "variant" in echo:
-        kwargs["variant"] = _from_echo(echo, "variant", Variant)
-    for key in ("user_height", "speed_gain", "natural_visual_gain"):
-        if key in echo:
-            kwargs[key] = _from_echo(echo, key, float)
-    return WipParams(**kwargs)
+    return WipParams(**{
+        key: _from_echo(echo, key, Variant if key == "variant" else float)
+        for key in PARAMS_KEYS if key in echo
+    })
 
 
 def scenario_from_echo(echo: dict[str, Any]) -> ChaseScenario | None:
-    """Rebuild the chase scenario; None when the header has no target_speed."""
+    """Rebuild the chase scenario; None when the header has no target_speed.
+    Keys that are not ChaseScenario fields, such as the retired
+    sphere_radius of older traces, are ignored."""
     if "target_speed" not in echo:
         return None
-    kwargs: dict[str, Any] = {"target_speed": _from_echo(echo, "target_speed", float)}
-    for key in (
-        "prep_distance",
-        "prep_duration",
-        "countdown",
-        "chase_duration",
-        "circle_lead",
-        "sphere_radius",
-        "timestep",
-    ):
-        if key in echo:
-            kwargs[key] = _from_echo(echo, key, float)
-    return ChaseScenario(**kwargs)
+    return ChaseScenario(**{
+        key: _from_echo(echo, key, float) for key in SCENARIO_KEYS if key in echo
+    })

@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from wiplab import cli
-from wiplab.core import FootSample
-from wiplab.traceio import save_trace
+from wiplab import cli, core
+from wiplab.traceio import TraceParseError, save_trace
 
 
 def run(args, capsys):
@@ -100,6 +99,36 @@ class TestSimulate:
         code, _, err = run(["simulate", "--target", "1.0", "--rig", "left:3"], capsys)
         assert code == 2
         assert "rig" in err
+
+    @pytest.mark.parametrize("seed", [1.7, True, "3", -3], ids=repr)
+    def test_scenario_seed_must_be_a_non_negative_integer(self, tmp_path, capsys, seed):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"target_speed": 1.0, "seed": seed}))
+        code, out, err = run(["simulate", "--scenario", str(scenario)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"seed must be an integer >= 0, got {seed!r}" in err
+
+    @pytest.mark.parametrize("key", ["user_height", "variant", "countdown"])
+    def test_null_scenario_value_is_bad_input_naming_its_key(self, tmp_path, capsys, key):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"target_speed": 1.0, key: None}))
+        code, out, err = run(["simulate", "--scenario", str(scenario)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: scenario.{key}: " in err
+
+    def test_negative_seed_flag_is_bad_input(self, capsys):
+        code, out, err = run(["simulate", "--target", "1.0", "--seed", "-3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "seed must be an integer >= 0, got -3" in err
+
+    def test_timestep_below_the_minimum_sample_rate_is_bad_input(self, capsys):
+        code, out, err = run(["simulate", "--target", "1.5", "--timestep", "0.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "timestep must be <= 1/30 s" in err
 
 
 class TestRecordReplay:
@@ -301,6 +330,31 @@ class TestAcceptance:
         assert code == 1
         assert "[FAIL] EQ1-ANCHOR" in out
         assert "0/1 checks passed" in out
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (TraceParseError("bad", 3), 2),
+        *[(getattr(core, name)("bad"), 2) for name in (
+            "NonMonotonicTime", "OutOfRangeHeight", "NonPositiveGain", "NonPositiveHeight",
+            "NegativeExtension", "ZeroExtension", "InvalidRate",
+        )],
+        *[(getattr(core, name)("bad"), 3) for name in (
+            "WipError", "DivergedSimulation", "EmptyWindow", "NonTermination", "WrongArity",
+        )],
+        (ValueError("bad"), 2),
+        (OSError("bad"), 2),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_errors_map_to_their_exit_codes(error, code, capsys, monkeypatch):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_calibrate_bands", fail)
+    assert cli.main(["calibrate-bands", "--direction", "up"]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 class TestEntryPoint:

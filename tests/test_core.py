@@ -132,3 +132,12 @@ class TestGaitEstimate:
         est = GaitEstimate(step_frequency=2.0, step_height=0.1, as_of=3.0)
         assert est.step_frequency == 2.0
         assert not est.stale
+
+
+def test_every_public_name_resolves():
+    import wiplab
+
+    namespace = {}
+    exec("from wiplab import *", namespace)
+    for name in wiplab.__all__:
+        assert namespace[name] is getattr(wiplab, name)

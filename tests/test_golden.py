@@ -18,14 +18,7 @@ from wiplab import cli
 from wiplab.acceptance import _steady_mean_speed
 from wiplab.core import Variant, WipParams
 from wiplab.gait import GaitConfig
-from wiplab.harness import (
-    SLOPE_NATURAL_GAIN,
-    ChaseScenario,
-    SlopeProfile,
-    replay_trace,
-    run_chase,
-    run_slope_bout,
-)
+from wiplab.harness import ChaseScenario, replay_trace, run_chase
 from wiplab.synth import GaitProgram, WalkerAgent, synth_trace
 from wiplab.traceio import parse_rig_spec
 
@@ -106,7 +99,7 @@ def test_chase_report_matches_golden(name):
 # that reads a default instead of its config changes these bits.
 TUNED_GAIT = GaitConfig(
     ground_epsilon=0.015, velocity_deadband=0.04, min_step_height=0.04,
-    fraction_grounded=0.35, fraction_ascending=0.35, fraction_descending=0.3,
+    fraction_ascending=0.35, fraction_descending=0.3,
     smoothing_tau=0.3, stop_window=0.6, resume_gap=1.8, partial_slack=1.25, buffer_len=5,
 )
 GOLDEN_TUNED_GAIT = {
@@ -147,11 +140,10 @@ def test_chase_with_a_tuned_gait_config_matches_golden(name):
 
 
 # ----------------------------------------------------------------------
-# The other frame loops: slope bouts, the acceptance steady-state helper,
-# scenario-less replay and the replay CLI's per-frame CSV. Recorded the same
-# way, before the loops were merged into one frame step.
+# The other frame loops: the acceptance steady-state helper, scenario-less
+# replay and the replay CLI's per-frame CSV. Recorded the same way, before the
+# loops were merged into one frame step.
 
-SLOPE_FIELDS = ("time", "raw_speed", "output_speed", "position", "gain")
 FRAME_FIELDS = (
     "time", "stage", "height_left", "height_right", "est_frequency",
     "est_step_height", "raw_speed", "output_speed", "position", "sphere", "error",
@@ -165,13 +157,6 @@ def rows_digest(rows, names):
         h.update(",".join(repr(getattr(row, n)) for n in names).encode())
         h.update(b"\n")
     return h.hexdigest()
-
-
-def slope_bout():
-    params = WipParams(natural_visual_gain=SLOPE_NATURAL_GAIN)
-    agent = WalkerAgent(params, noise_sd=0.003, seed=4)
-    profile = SlopeProfile(gain_on_slope=0.85, flat_leadin=3.0)
-    return run_slope_bout(profile, params, agent, 6.0, cruise_speed=1.2)
 
 
 def steady_mean_speeds():
@@ -206,8 +191,6 @@ def replay_frames_csv(tmp_path):
     return hashlib.sha256(frames.read_bytes()).hexdigest()
 
 
-# (digest, frames)
-GOLDEN_SLOPE = ("e1f1343c9431f65831a80d9f5cfec9722f84b626ed8ea28ba96cb380b6417495", 540)
 GOLDEN_STEADY = {"gud": "1.964251653814834", "shef": "2.5675136656943356"}
 # (report fields by repr, digest, frames)
 GOLDEN_REPLAY = (
@@ -224,11 +207,6 @@ GOLDEN_REPLAY = (
 GOLDEN_FRAMES_CSV = "7b82a56399502246c723127f8b83bd1faf2bcf19d2933b4a6ce9532c22cc7653"
 
 
-def test_slope_bout_matches_golden():
-    frames = slope_bout()
-    assert (rows_digest(frames, SLOPE_FIELDS), len(frames)) == GOLDEN_SLOPE
-
-
 def test_steady_mean_speed_matches_golden():
     assert steady_mean_speeds() == GOLDEN_STEADY
 
@@ -239,3 +217,63 @@ def test_scenario_less_replay_matches_golden():
 
 def test_replay_frames_csv_matches_golden(tmp_path):
     assert replay_frames_csv(tmp_path) == GOLDEN_FRAMES_CSV
+
+
+# ----------------------------------------------------------------------
+# The run schema: what `wiplab record` writes and `wiplab simulate` reports
+# for one scenario that sets every key off its default, by sha256, so the
+# echoed keys, their order and their values are pinned. Recorded before the
+# key lists were derived from the dataclasses, with the retired sphere_radius
+# line and key taken out.
+
+SCHEMA_SCENARIO = {
+    "target_speed": 1.4, "variant": "gud", "noise_sd": 0.003, "seed": 7, "rig": "down:4",
+    "user_height": 1.8, "natural_visual_gain": 1.05, "prep_distance": 4.0,
+    "prep_duration": 1.5, "countdown": 0.5, "chase_duration": 3.0, "circle_lead": 1.2,
+    "timestep": 1 / 60,
+}  # and --gain 1.1 for speed_gain
+GOLDEN_RECORD_TRACE = "fea143c8e9609133e04e0fcdd320acc16e35e4619679e4494758daae7f416025"
+GOLDEN_SIMULATE_REPORT = "2e09db909a1f1c65f437f5b966f8e9e10fd7e1b9489acc4f56a3d3a12c9a1842"
+
+
+def run_cli(argv):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def schema_scenario(tmp_path, **extra):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**SCHEMA_SCENARIO, **extra}))
+    return str(path)
+
+
+def test_record_and_simulate_outputs_match_golden(tmp_path):
+    scenario = schema_scenario(tmp_path)
+    trace, report = tmp_path / "run.trace", tmp_path / "report.json"
+    assert run_cli(["record", "--scenario", scenario, "--gain", "1.1",
+                    "--trace-out", str(trace)])[0] == 0
+    assert run_cli(["simulate", "--scenario", scenario, "--gain", "1.1",
+                    "--out", str(report)])[0] == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == GOLDEN_RECORD_TRACE
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_SIMULATE_REPORT
+
+
+def test_a_trace_with_the_retired_sphere_radius_still_replays(tmp_path):
+    trace, recorded = tmp_path / "run.trace", tmp_path / "recorded.json"
+    replayed = tmp_path / "replayed.json"
+    assert run_cli(["record", "--scenario", schema_scenario(tmp_path),
+                    "--trace-out", str(trace), "--out", str(recorded)])[0] == 0
+    text = trace.read_text()
+    at = text.index("# scenario.timestep: ")
+    trace.write_text(text[:at] + "# scenario.sphere_radius: 0.25\n" + text[at:])
+    assert run_cli(["replay", str(trace), "--out", str(replayed)])[0] == 0
+    doc = json.loads(replayed.read_text())
+    assert doc["metrics"] == json.loads(recorded.read_text())["metrics"]
+    assert doc["scenario"]["sphere_radius"] == 0.25  # echoed as read
+
+
+def test_a_scenario_file_with_sphere_radius_is_bad_input(tmp_path):
+    code, err = run_cli(["simulate", "--scenario", schema_scenario(tmp_path, sphere_radius=0.25)])
+    assert code == 2
+    assert "unknown scenario keys: sphere_radius" in err

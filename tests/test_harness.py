@@ -1,4 +1,4 @@
-"""Simulation harness: chase runs, metrics, slope bouts, staircases."""
+"""Simulation harness: chase runs, metrics, replay, staircases."""
 
 import math
 
@@ -28,7 +28,6 @@ from wiplab.harness import (
     RunLog,
     SeriesKind,
     SlopeKind,
-    SlopeProfile,
     Stage,
     _frame_step,
     _stage_bounds,
@@ -38,9 +37,8 @@ from wiplab.harness import (
     replay_trace,
     run_adjustment,
     run_chase,
-    run_slope_bout,
 )
-from wiplab.synth import GaitProgram, WalkerAgent, synth_trace
+from wiplab.synth import MIN_SAMPLE_RATE, GaitProgram, WalkerAgent, synth_trace
 
 SHEF = WipParams(variant=Variant.SHEF)
 
@@ -74,7 +72,6 @@ class TestChaseScenario:
             {"countdown": math.nan},
             {"chase_duration": math.nan},
             {"circle_lead": math.nan},
-            {"sphere_radius": math.inf},
         ],
         ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
     )
@@ -83,6 +80,29 @@ class TestChaseScenario:
         (name,) = overrides
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ChaseScenario(**settings)
+
+    def test_timestep_must_sample_at_the_minimum_rate(self):
+        ChaseScenario(target_speed=1.5, timestep=1.0 / MIN_SAMPLE_RATE)
+        with pytest.raises(ValueError, match="^timestep must be <= 1/30 s, got 0.5$"):
+            ChaseScenario(target_speed=1.5, timestep=0.5)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"target_speed": 1.5, "timestep": 1e-9},  # 36,333,333,333 frames
+            {"target_speed": 1.5, "chase_duration": 1e6},
+            {"target_speed": 1e-320},  # the walk-in never ends
+        ],
+        ids=["timestep", "chase_duration", "target_speed"],
+    )
+    def test_frame_count_has_a_ceiling(self, settings):
+        # construction only: such a run must never start
+        with pytest.raises(ValueError, match=r"^timestep .* frames, more than 1000000$"):
+            ChaseScenario(**settings)
+
+    def test_a_long_run_below_the_ceiling_is_accepted(self):
+        scenario = ChaseScenario(target_speed=1.5, chase_duration=10_000.0)
+        assert scenario.total_duration / scenario.timestep < 1_000_000
 
 
 def frame(t, speed, error=0.0, stage=Stage.CHASE):
@@ -312,7 +332,7 @@ def replay_cases(draw):
     )
     scenario = draw(st.none() | st.builds(
         ChaseScenario,
-        target_speed=st.floats(0.0, 3.0),
+        target_speed=st.just(0.0) | st.floats(1e-3, 3.0),  # a walk-in under the frame ceiling
         prep_duration=st.floats(0.2, 2.0),
         countdown=st.floats(0.2, 1.0),
         chase_duration=st.floats(0.5, 3.0),
@@ -348,29 +368,6 @@ def test_replay_equals_the_streaming_frame_step(case):
     assert repr(report) == repr(want_report)
 
 
-class TestSlope:
-    def test_profile_gain_gates_on_position(self):
-        profile = SlopeProfile(gain_on_slope=2.0)
-        assert profile.gain_at(0.0) == 1.0
-        assert profile.gain_at(9.99) == 1.0
-        assert profile.gain_at(10.0) == 2.0
-
-    def test_elevation_accumulates_on_the_slope_only(self):
-        profile = SlopeProfile(gradient_deg=45.0, flat_leadin=10.0, slope_length=5.0)
-        assert profile.elevation_at(10.0) == 0.0
-        assert profile.elevation_at(12.0) == pytest.approx(2.0)
-        assert profile.elevation_at(100.0) == pytest.approx(5.0)
-
-    def test_bout_applies_the_slope_gain(self):
-        profile = SlopeProfile(gain_on_slope=2.0, flat_leadin=2.0)
-        frames = run_slope_bout(profile, SHEF, WalkerAgent(SHEF), 8.0)
-        on_flat = [f for f in frames if f.gain == 1.0 and f.raw_speed > 0.0]
-        on_slope = [f for f in frames if f.gain == 2.0]
-        assert on_flat and on_slope
-        for f in on_slope:
-            assert f.output_speed == pytest.approx(f.raw_speed * 2.0)
-
-
 class TestStaircase:
     def test_presets_are_registered(self):
         assert set(STAIRCASE_PRESETS) == {SlopeKind.UPHILL, SlopeKind.DOWNHILL}
@@ -388,23 +385,15 @@ class TestStaircase:
         reference = 0.71 if slope is SlopeKind.UPHILL else 1.43
         judge = make_reference_judge(reference, STAIRCASE_PRESETS[slope][0])
         protocol = AdjustmentProtocol.preset(slope, series, judge)
-        gain = run_adjustment(protocol, SHEF, simulate_bouts=False)
+        gain = run_adjustment(protocol)
         assert gain == pytest.approx(expected, abs=1e-12)
-
-    def test_simulated_bouts_land_on_the_same_grid_point(self):
-        judge = make_reference_judge(0.71, 0.07)
-        protocol = AdjustmentProtocol.preset(
-            SlopeKind.UPHILL, SeriesKind.ASCENDING, judge, bout_duration=2.0
-        )
-        gain = run_adjustment(protocol, SHEF, simulate_bouts=True)
-        assert gain == pytest.approx(0.65, abs=1e-12)
 
     def test_unsatisfiable_judge_raises(self):
         protocol = AdjustmentProtocol.preset(
             SlopeKind.UPHILL, SeriesKind.ASCENDING, lambda g: False, max_bouts=10
         )
         with pytest.raises(NonTermination):
-            run_adjustment(protocol, SHEF, simulate_bouts=False)
+            run_adjustment(protocol)
 
     def test_descending_into_zero_raises(self):
         protocol = AdjustmentProtocol.preset(
@@ -412,7 +401,7 @@ class TestStaircase:
             initial_gain=0.2,
         )
         with pytest.raises(NonTermination):
-            run_adjustment(protocol, SHEF, simulate_bouts=False)
+            run_adjustment(protocol)
 
     def test_judge_boundary_is_inclusive(self):
         judge = make_reference_judge(1.0, 0.25)

@@ -44,9 +44,9 @@ def test_experiment2_elastic(tmp_path):
     assert heights == sorted(heights)  # downward pull lowers steps, upward raises
 
 
-def test_experiment3_gains_with_simulated_bouts(tmp_path):
-    doc = run_script("experiment3_gains", ["--simulate-bouts"], tmp_path / "gains.json")
-    assert doc["simulated_bouts"] is True
+def test_experiment3_gains(tmp_path):
+    doc = run_script("experiment3_gains", [], tmp_path / "gains.json")
+    assert set(doc) == {"slopes"}
     for slope, reference in (("uphill", 0.71), ("downhill", 1.43)):
         result = doc["slopes"][slope]
         assert len(result["landings"]) == 4

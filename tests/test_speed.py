@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wiplab.core import GaitEstimate, NonPositiveGain, NonPositiveHeight, Variant, WipParams
-from wiplab.speed import apply_gain, gud_speed, law, output_speed, shef_speed
+from wiplab.speed import apply_gain, gud_speed, law, shef_speed
 
 frequencies = st.floats(min_value=0.05, max_value=4.0, allow_nan=False)
 heights = st.floats(min_value=1.0, max_value=2.5, allow_nan=False)
@@ -106,31 +106,30 @@ class TestApplyGain:
 
 
 class TestOutputSpeed:
+    """law(params) gives (raw speed, output speed) for one estimate."""
+
     def test_shef_dispatch(self):
         params = WipParams(variant=Variant.SHEF, speed_gain=1.5, natural_visual_gain=2.0)
-        est = GaitEstimate(step_frequency=1.8, step_height=0.12, as_of=4.0)
-        sample = output_speed(params, est)
-        assert sample.time == 4.0
-        assert sample.raw_speed == pytest.approx(shef_speed(1.8, 1.72, 0.12))
-        assert sample.output_speed == pytest.approx(sample.raw_speed * 3.0)
+        raw, out = law(params)(1.8, 0.12)
+        assert raw == pytest.approx(shef_speed(1.8, 1.72, 0.12))
+        assert out == pytest.approx(raw * 3.0)
 
     def test_gud_dispatch_ignores_step_height(self):
-        params = WipParams(variant=Variant.GUD)
-        hi = output_speed(params, GaitEstimate(1.8, 0.30, as_of=0.0))
-        lo = output_speed(params, GaitEstimate(1.8, 0.05, as_of=0.0))
-        assert hi.raw_speed == lo.raw_speed == pytest.approx(gud_speed(1.8, 1.72))
+        evaluate = law(WipParams(variant=Variant.GUD))
+        hi, _ = evaluate(1.8, 0.30)
+        lo, _ = evaluate(1.8, 0.05)
+        assert hi == lo == pytest.approx(gud_speed(1.8, 1.72))
 
     def test_stale_estimate_short_circuits_to_zero(self):
-        params = WipParams(variant=Variant.SHEF)
-        est = GaitEstimate(step_frequency=0.0, step_height=0.2, as_of=9.0, stale=True)
-        sample = output_speed(params, est)
-        assert sample.raw_speed == 0.0
-        assert sample.output_speed == 0.0
+        est = GaitEstimate(step_frequency=1.8, step_height=0.2, as_of=9.0, stale=True)
+        assert est.step_frequency == 0.0
+        raw, out = law(WipParams(variant=Variant.SHEF))(est.step_frequency, est.step_height)
+        assert raw == 0.0
+        assert out == 0.0
 
     def test_params_references_are_honored(self):
-        params = WipParams(variant=Variant.GUD, ref_frequency=2.0)
-        est = GaitEstimate(step_frequency=2.0, step_height=0.1, as_of=0.0)
-        assert output_speed(params, est).raw_speed == pytest.approx(1.0)
+        raw, _ = law(WipParams(variant=Variant.GUD, ref_frequency=2.0))(2.0, 0.1)
+        assert raw == pytest.approx(1.0)
 
 
 def bits(*values):
@@ -166,7 +165,5 @@ def test_law_equals_the_reference_laws_and_gain_stage_bit_for_bit(params, f, sh)
     out = apply_gain(raw, params.speed_gain, params.natural_visual_gain)
     expected = bits(raw, out)
     assert bits(*law(params)(f, sh)) == expected
-    sample = output_speed(params, GaitEstimate(f, sh, as_of=1.0))
-    assert bits(sample.raw_speed, sample.output_speed) == expected
-    stale = output_speed(params, GaitEstimate(f, sh, as_of=1.0, stale=True))
-    assert bits(stale.raw_speed, stale.output_speed) == bits(0.0, 0.0)
+    stale = GaitEstimate(f, sh, as_of=1.0, stale=True)
+    assert bits(*law(params)(stale.step_frequency, stale.step_height)) == bits(0.0, 0.0)
