@@ -3,8 +3,8 @@
 Each named check exercises one end-to-end guarantee of the package:
 anchor values of the speed laws, closed-loop speed recovery, variant
 separation under a ceiling, elastic-band calibration, staircase
-convergence, segmentation against a brute-force offline oracle, and
-record/replay determinism. run_all() executes them in order; the CLI
+convergence under a synthetic judge of each gain, segmentation against a
+brute-force offline oracle, and record/replay determinism. run_all() executes them in order; the CLI
 prints one line per check, and the test suite asserts them one by one.
 
 Checks deliberately reach functions through their modules (e.g.
