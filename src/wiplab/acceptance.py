@@ -4,16 +4,16 @@ Each named check exercises one end-to-end guarantee of the package:
 anchor values of the speed laws, closed-loop speed recovery, variant
 separation under a ceiling, elastic-band calibration, staircase
 convergence under a synthetic judge of each gain, segmentation against a
-brute-force offline oracle, and record/replay determinism. run_all() executes them in order; the CLI
-prints one line per check, and the test suite asserts them one by one.
+brute-force offline oracle, and record/replay determinism. run_all()
+executes them in order; the CLI prints one line per check, and the test
+suite asserts them one by one.
 
 Checks deliberately reach functions through their modules (e.g.
 ``speed.gud_speed`` at call time) so a monkeypatched implementation is
 caught rather than a stale reference. The steady-state helper behind
-ROUND-TRIP and CEILING replays its trace through ``harness.replay_trace``,
-which takes its law from ``speed.law`` at the start of every run and
-evaluates it on the arrays of every frame's estimate, so a monkeypatched
-law is caught there too.
+ROUND-TRIP and CEILING estimates every frame of its trace with
+``gait.estimate_frames`` and evaluates ``speed.law``, looked up at call
+time, on those arrays, so a monkeypatched law is caught there too.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import elastic
 from . import speed
 from .core import Foot, FootSample, Variant, WipParams
 from .elastic import ElasticRig, PullDirection
-from .gait import GaitConfig, GaitTracker
+from .gait import GaitConfig, GaitTracker, estimate_frames
 from .harness import (
     STAIRCASE_PRESETS,
     AdjustmentProtocol,
@@ -41,7 +41,7 @@ from .harness import (
     run_adjustment,
     run_chase,
 )
-from .synth import AgentCaps, GaitProgram, WalkerAgent, plan_gait, synth_trace
+from .synth import GaitProgram, WalkerAgent, plan_gait, synth_trace
 from .traceio import (
     load_trace,
     params_from_echo,
@@ -49,6 +49,13 @@ from .traceio import (
     scenario_echo,
     scenario_from_echo,
 )
+
+
+# The steady-state walk behind ROUND-TRIP and CEILING: seconds walked, the
+# settling time before the outputs that are averaged, and the sample rate.
+STEADY_DURATION = 14.0
+STEADY_SETTLE = 6.0
+STEADY_RATE = 90.0
 
 
 @dataclass(frozen=True)
@@ -59,26 +66,20 @@ class CheckResult:
 
 
 def _steady_mean_speed(
-    variant: Variant,
-    target: float,
-    *,
-    noise_sd: float = 0.0,
-    seed: int = 0,
-    duration: float = 14.0,
-    settle: float = 6.0,
-    sample_rate: float = 90.0,
+    variant: Variant, target: float, *, noise_sd: float = 0.0, seed: int = 0
 ) -> float:
     """Mean pipeline output while walking a planned gait at steady state.
 
-    Synthesizes the gait a capped agent would plan for `target`, replays it
-    through a fresh tracker and the configured law, and averages the output
-    speed of the frames after the settling time.
+    Synthesizes the gait a capped agent would plan for `target`, estimates
+    every frame of it with a fresh tracker, evaluates the configured law on
+    those estimates, and averages, in frame order, the output speed of the
+    frames at or after the settling time.
     """
     params = WipParams(variant=variant)
-    program = plan_gait(target, params, AgentCaps())
-    program = replace(program, noise_sd=noise_sd, seed=seed)
-    _, log = replay_trace(synth_trace(program, duration, sample_rate), params)
-    outputs = [row.output_speed for row in log.rows if row.time >= settle]
+    program = replace(plan_gait(target, params), noise_sd=noise_sd, seed=seed)
+    frames = estimate_frames(synth_trace(program, STEADY_DURATION, STEADY_RATE), None, [])
+    _, out = speed.law(params)(frames.step_frequency, frames.step_height)
+    outputs = out[frames.time >= STEADY_SETTLE].tolist()
     return sum(outputs) / len(outputs)
 
 

@@ -28,6 +28,7 @@ from .synth import WalkerAgent
 from .traceio import (
     PARAMS_KEYS,
     RUN_KEYS,
+    _from_echo,
     load_trace,
     params_from_echo,
     parse_rig_spec,
@@ -59,6 +60,14 @@ def _load_scenario_file(path: str) -> dict[str, Any]:
     unknown = sorted(set(data) - set(RUN_KEYS))
     if unknown:
         raise ValueError(f"{path}: unknown scenario keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        # seed is checked as an integer >= 0, from the file or the flag, on merge
+        kind = str if key in ("variant", "rig") else (int, float)
+        if key != "seed" and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ValueError(
+                f"scenario.{key}: expected a JSON {'string' if kind is str else 'number'}, "
+                f"got {json.dumps(value)}"
+            )
     return data
 
 
@@ -85,8 +94,8 @@ def _simulate(args: argparse.Namespace) -> tuple[MetricsReport, RunLog, dict[str
     config = _merge_run_config(args)
     params = params_from_echo(config)
     scenario = scenario_from_echo(config)
-    rig = parse_rig_spec(str(config["rig"]))
-    noise_sd, seed = float(config["noise_sd"]), config["seed"]
+    rig = _from_echo(config, "rig", parse_rig_spec)
+    noise_sd, seed = _from_echo(config, "noise_sd", float), config["seed"]
     agent = WalkerAgent(params, noise_sd=noise_sd, seed=seed, rig=rig)
     report, log = run_chase(scenario, agent, params)
     return report, log, scenario_echo(scenario, params, seed=seed, noise_sd=noise_sd, rig=rig)
@@ -101,11 +110,7 @@ def _emit_report(out: str | None, document: dict[str, Any]) -> None:
 
 
 def _write_frames(path: str, rows: list[FrameRow]) -> None:
-    columns = (
-        "time,stage,height_left,height_right,est_frequency,est_step_height,"
-        "raw_speed,output_speed,position,sphere,error"
-    )
-    lines = [columns]
+    lines = [",".join(FrameRow._fields)]
     for r in rows:
         lines.append(
             f"{r.time!r},{r.stage.value},{r.height_left!r},{r.height_right!r},"

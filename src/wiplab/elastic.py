@@ -19,6 +19,8 @@ KGF_TO_N = 9.81
 # Affine tension law, kgf per band as a function of extension in cm.
 BAND_SLOPE = 0.011      # kgf / cm
 BAND_INTERCEPT = 0.085  # kgf
+VALID_EXTENSION_MAX = 25.0  # cm, measured range of the force law
+ANCHOR_DISTANCE = 39.0      # cm, upward anchor above the strap at rest
 
 
 class PullDirection(Enum):
@@ -29,15 +31,10 @@ class PullDirection(Enum):
 
 @dataclass(frozen=True)
 class ElasticRig:
-    """One band stack and its mounting geometry. Lengths in cm."""
+    """One band stack: its pull direction and how many bands it holds."""
 
     direction: PullDirection = PullDirection.NONE
     band_count: int = 0
-    coeff_slope: float = BAND_SLOPE
-    coeff_intercept: float = BAND_INTERCEPT
-    valid_extension_max: float = 25.0   # cm, measured range of the force law
-    anchor_distance: float = 39.0       # cm, upward anchor above the strap at rest
-    folded_band_length: float = 6.0     # cm, slack length of one folded band
 
     def __post_init__(self) -> None:
         if self.band_count < 0:
@@ -53,12 +50,7 @@ class ForceReading:
     extrapolated: bool = False  # extension beyond the measured law range
 
 
-def band_force_kgf(
-    extension: float,
-    *,
-    slope: float = BAND_SLOPE,
-    intercept: float = BAND_INTERCEPT,
-) -> float:
+def band_force_kgf(extension: float) -> float:
     """Tension of a single band at the given extension (cm), in kgf.
 
     The law was measured for extensions up to 25 cm; callers flag larger
@@ -66,17 +58,17 @@ def band_force_kgf(
     """
     if extension < 0.0:
         raise NegativeExtension(f"extension {extension} cm is negative")
-    return slope * extension + intercept
+    return BAND_SLOPE * extension + BAND_INTERCEPT
 
 
-def _extension_cm(direction: PullDirection, foot_height: float, anchor_distance: float) -> float:
+def _extension_cm(direction: PullDirection, foot_height: float) -> float:
     # Downward bands are taut at the ground hook, so extension tracks the
     # foot height directly. Upward bands start stretched by the anchor
     # distance and relax as the foot rises.
     if direction is PullDirection.DOWNWARD:
         return foot_height * 100.0
     if direction is PullDirection.UPWARD:
-        return max(0.0, anchor_distance - foot_height * 100.0)
+        return max(0.0, ANCHOR_DISTANCE - foot_height * 100.0)
     return 0.0
 
 
@@ -86,28 +78,17 @@ def rig_force(rig: ElasticRig, foot_height: float) -> ForceReading:
         raise NegativeExtension(f"foot height {foot_height} m is negative")
     if rig.direction is PullDirection.NONE:
         return ForceReading(magnitude=0.0, direction_sign=0, extrapolated=False)
-    extension = _extension_cm(rig.direction, foot_height, rig.anchor_distance)
-    per_band = band_force_kgf(
-        extension, slope=rig.coeff_slope, intercept=rig.coeff_intercept
-    )
-    magnitude = rig.band_count * per_band * KGF_TO_N
+    extension = _extension_cm(rig.direction, foot_height)
+    magnitude = rig.band_count * band_force_kgf(extension) * KGF_TO_N
     sign = 1 if rig.direction is PullDirection.UPWARD else -1
     return ForceReading(
         magnitude=magnitude,
         direction_sign=sign,
-        extrapolated=extension > rig.valid_extension_max,
+        extrapolated=extension > VALID_EXTENSION_MAX,
     )
 
 
-def bands_for_target(
-    direction: PullDirection,
-    target_kgf: float,
-    at_foot_height: float,
-    *,
-    slope: float = BAND_SLOPE,
-    intercept: float = BAND_INTERCEPT,
-    anchor_distance: float = 39.0,
-) -> int:
+def bands_for_target(direction: PullDirection, target_kgf: float, at_foot_height: float) -> int:
     """Smallest band count whose stack meets target_kgf at the given height.
 
     Upward rigs have zero extension once the foot reaches the anchor, so no
@@ -121,11 +102,11 @@ def bands_for_target(
         raise NegativeExtension(f"foot height {at_foot_height} m is negative")
     if direction is PullDirection.NONE:
         raise ZeroExtension("a rig with no direction produces no force")
-    extension = _extension_cm(direction, at_foot_height, anchor_distance)
+    extension = _extension_cm(direction, at_foot_height)
     if direction is PullDirection.UPWARD and extension == 0.0:
         raise ZeroExtension(
             f"upward rig is slack at foot height {at_foot_height} m"
         )
-    per_band = band_force_kgf(extension, slope=slope, intercept=intercept)
+    per_band = band_force_kgf(extension)
     # ceil with a small backoff so exact integer ratios do not round up
     return max(1, math.ceil(target_kgf / per_band - 1e-9))

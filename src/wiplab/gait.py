@@ -88,10 +88,9 @@ class GaitConfig:
     stop_window: float = 0.8         # s without activity means stopped
     resume_gap: float = 2.5          # s, footfall gaps past this are a restart
     partial_slack: float = 1.15
-    buffer_len: int = 8              # completed steps kept for estimation
 
     def __post_init__(self) -> None:
-        require_finite(self, [f.name for f in fields(self) if f.name != "buffer_len"])
+        require_finite(self, [f.name for f in fields(self)])
         for name in ("min_step_height", "smoothing_tau", "stop_window", "resume_gap",
                      "partial_slack"):
             value = getattr(self, name)
@@ -101,8 +100,6 @@ class GaitConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {value!r}")
-        if not (isinstance(self.buffer_len, int) and self.buffer_len >= 1):
-            raise ValueError(f"buffer_len must be an integer >= 1, got {self.buffer_len!r}")
 
     @property
     def swing_fraction(self) -> float:
@@ -148,8 +145,8 @@ class GaitTracker:
         self._left: _FootTrack | None = None
         self._right: _FootTrack | None = None
         self._airborne = 0  # tracks whose phase is not GROUNDED
-        self._events: deque[StepEvent] = deque(maxlen=self.config.buffer_len)
-        self._active_feet = 1  # distinct feet among the last four events
+        self._recent_feet: deque[Foot] = deque(maxlen=4)  # feet of the last four events
+        self._active_feet = 1  # distinct feet among them
         self._last_transition: float | None = None
         self._last_footfall: float | None = None
         self._freq_ema: float | None = None
@@ -242,9 +239,8 @@ class GaitTracker:
         cfg = self.config
         prev_footfall = self._last_footfall
         self._last_footfall = event.end
-        self._events.append(event)
-        recent = list(self._events)[-4:]
-        self._active_feet = len({e.foot for e in recent})
+        self._recent_feet.append(event.foot)
+        self._active_feet = len(set(self._recent_feet))
 
         if prev_footfall is not None:
             delta = event.end - prev_footfall

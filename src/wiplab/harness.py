@@ -8,18 +8,17 @@ mirroring (so the chase starts with zero error), and the timed chase moves
 the sphere at constant speed while every metric is collected. Metrics are
 computed strictly from frames and step events inside the chase window.
 
-The live loop, run_chase, runs its frames through one frame step: advance
-the gait tracker through the frame's samples, estimate once, evaluate the
-law built once per run by speed.law. A live frame feeds the next (the agent
-re-plans from the chase error), so the loop stays scalar; its per-frame cost
-is the agent's samples(), one advance() per sample, one estimate() and the
-loop body, and run_chase binds what its loop calls once per run and
-computes each frame's stage inline. Replaying a time-sorted recorded trace
-advances the same streaming tracker sample by sample, then computes every
-frame's estimate, law and kinematics as arrays in the frame step's
-operation order, which is what keeps record/replay reports bit-identical;
-the DETERMINISM check, the replay goldens and a property test against a
-frame-step loop guard that.
+The live loop, run_chase, does each frame's work inline: advance the gait
+tracker through the frame's samples, estimate once, evaluate the law built
+once per run by speed.law, then integrate. A live frame feeds the next (the
+agent re-plans from the chase error), so the loop stays scalar; its
+per-frame cost is the agent's samples(), one advance() per sample, one
+estimate() and the loop body, and run_chase binds what its loop calls once
+per run. Replaying a time-sorted recorded trace advances the same streaming
+tracker sample by sample, then computes every frame's estimate, law and
+kinematics as arrays in the live loop's operation order, which is what
+keeps record/replay reports bit-identical; the DETERMINISM check, the
+replay goldens and a property test against a per-frame loop guard that.
 """
 
 from __future__ import annotations
@@ -171,21 +170,6 @@ class RunLog:
         return (start, start + self.scenario.chase_duration)
 
 
-class PinnedAgent:
-    """Closed-loop identity double: realizes the commanded speed exactly."""
-
-    pins_output = True
-
-    def __init__(self) -> None:
-        self.pinned_speed = 0.0
-
-    def command(self, speed: float) -> None:
-        self.pinned_speed = speed
-
-    def samples(self, now: float, dt: float) -> list[FootSample]:
-        return []
-
-
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
@@ -238,40 +222,6 @@ def _stage_bounds(scenario: ChaseScenario) -> tuple[float, float]:
     return scenario.prep_walk_time + scenario.prep_duration, scenario.chase_start
 
 
-def _frame_step(
-    evaluate: Callable[[float, float], tuple[float, float]],
-    gait_config: GaitConfig | None,
-    events: list[StepEvent],
-) -> Callable[[float, Sequence[FootSample]], tuple[float, ...]]:
-    """The pipeline of one frame, built once per run around a fresh tracker.
-
-    step(t, samples) advances the tracker through the frame's samples,
-    appending every completed StepEvent to events, calls estimate(t) once
-    (one pass over the tracker's two feet gives both the frequency and the
-    step height), and feeds them to evaluate. It returns
-    (height_left, height_right, est_frequency, est_step_height, raw_speed,
-    output_speed); a foot without a sample in the frame reads height 0.
-    """
-    tracker = GaitTracker(gait_config)
-    advance, estimate, record = tracker.advance, tracker.estimate, events.append
-
-    def step(t: float, samples: Sequence[FootSample]):
-        height_left = height_right = 0.0
-        for s in samples:
-            ev = advance(s)
-            if ev is not None:
-                record(ev)
-            if s.foot is _LEFT:
-                height_left = s.height
-            else:
-                height_right = s.height
-        f, sh, _, _ = estimate(t)
-        raw, out = evaluate(f, sh)
-        return height_left, height_right, f, sh, raw, out
-
-    return step
-
-
 def run_chase(
     scenario: ChaseScenario,
     agent,
@@ -281,10 +231,11 @@ def run_chase(
 ) -> tuple[MetricsReport, RunLog]:
     """Simulate one chasing-task run and compute its metrics.
 
-    The agent must provide command(speed) and samples(now, dt). Agents with
-    pins_output True realize commanded speed exactly: the frame step still
-    tracks their samples, but its law is replaced by the pinned speed.
-    Everything else flows through the gait tracker and the configured law.
+    The agent must provide command(speed) and samples(now, dt). Each frame
+    advances a fresh gait tracker through the frame's samples, appending
+    every completed StepEvent to the log, calls estimate(t) once, and feeds
+    the estimate to the law speed.law builds for this run; a foot without a
+    sample in the frame reads height 0.
     """
     dt = scenario.timestep
     n_frames = int(round(scenario.total_duration / dt))
@@ -292,15 +243,10 @@ def run_chase(
     countdown_start, chase_start = _stage_bounds(scenario)
     circle_lead, target_speed = scenario.circle_lead, scenario.target_speed
     log = RunLog(scenario=scenario)
-    rows, samples = log.rows, log.samples
-    if agent.pins_output:
-        def evaluate(f: float, sh: float) -> tuple[float, float]:
-            return agent.pinned_speed, agent.pinned_speed
-    else:
-        evaluate = speed.law(params)
-    step = _frame_step(evaluate, gait_config, log.events)
+    tracker = GaitTracker(gait_config)
+    advance, estimate, evaluate = tracker.advance, tracker.estimate, speed.law(params)
     command, emit = agent.command, agent.samples
-    keep_samples, keep_row = samples.extend, rows.append
+    record, keep_samples, keep_row = log.events.append, log.samples.extend, log.rows.append
     isfinite = math.isfinite
 
     position = 0.0
@@ -314,7 +260,17 @@ def run_chase(
             command(chase_policy(error, target_speed))
 
         frame_samples = emit(t, dt)
-        height_left, height_right, f, sh, raw, out = step(t, frame_samples)
+        height_left = height_right = 0.0
+        for s in frame_samples:
+            ev = advance(s)
+            if ev is not None:
+                record(ev)
+            if s.foot is _LEFT:
+                height_left = s.height
+            else:
+                height_right = s.height
+        f, sh, _, _ = estimate(t)
+        raw, out = evaluate(f, sh)
         keep_samples(frame_samples)
         stage = _PREP if t < countdown_start else _COUNTDOWN if t < chase_start else _CHASE
         keep_row(_new_row(FrameRow, (
@@ -343,9 +299,9 @@ def replay_trace(
     estimate at once, and the law, stages and kinematics are evaluated on
     those arrays with the scalar loop's operation order (the position and
     sphere sums are sequential cumulative sums). Rows, events and reports
-    are bit-identical to running the frames through _frame_step; the
-    DETERMINISM check, the replay goldens and a property test against a
-    _frame_step loop guard that. Samples out of time order raise
+    are bit-identical to running the frames one by one as run_chase does;
+    the DETERMINISM check, the replay goldens and a property test against a
+    per-frame loop guard that. Samples out of time order raise
     NonMonotonicTime.
 
     With a scenario the chase kinematics are reconstructed exactly as

@@ -3,9 +3,9 @@
 Foot trajectories are half-sine swings over a stance/swing cycle, feet half
 a cycle apart. Agents invert the speed laws to pick a cadence and apex for
 a commanded speed, re-plan while chasing, and degrade their execution when
-asked for more than their caps can deliver: stepping at the limit is
-sloppier than stepping comfortably, which is what makes the frequency-only
-variant wobble at high targets.
+asked for more than the walker's caps (MAX_FREQUENCY, MAX_STEP_HEIGHT)
+can deliver: stepping at the limit is sloppier than stepping comfortably,
+which is what makes the frequency-only variant wobble at high targets.
 """
 
 from __future__ import annotations
@@ -32,6 +32,11 @@ APEX_FORCE_RESPONSE = 0.002
 # How strongly an unachievable command degrades execution noise.
 STRAIN_NOISE_GAIN = 3.0
 
+# Behavioral limits of a simulated walker.
+MAX_FREQUENCY = 2.2          # Hz
+MAX_STEP_HEIGHT = 0.3        # m
+COMFORT_BAND = (1.2, 2.2)    # Hz, preferred cadence range
+
 # Standard normals drawn from a generator per block. A Generator's block
 # draws equal the same number of scalar draws, so the stream is unchanged.
 NOISE_BLOCK = 512
@@ -53,22 +58,6 @@ class GaitProgram:
             raise ValueError("gait program values must be >= 0")
         if not 0.0 < self.stance_fraction < 1.0:
             raise ValueError("stance_fraction must be in (0, 1)")
-
-
-@dataclass(frozen=True)
-class AgentCaps:
-    """Behavioral limits of a simulated walker."""
-
-    max_frequency: float = 2.2    # Hz
-    max_step_height: float = 0.3  # m
-    comfort_band: tuple[float, float] = (1.2, 2.2)  # Hz, preferred cadence range
-
-    def __post_init__(self) -> None:
-        lo, hi = self.comfort_band
-        if not (0.0 <= lo <= hi <= self.max_frequency):
-            raise ValueError("comfort band must sit inside [0, max_frequency]")
-        if self.max_step_height <= 0.0:
-            raise ValueError("max_step_height must be > 0")
 
 
 def cycle_height(cycle_pos: float, stance_fraction: float, apex: float) -> float:
@@ -119,15 +108,15 @@ def synth_trace(program: GaitProgram, duration: float, sample_rate: float) -> li
     return samples
 
 
-def plan_gait(target_speed: float, params: WipParams, caps: AgentCaps) -> GaitProgram:
+def plan_gait(target_speed: float, params: WipParams) -> GaitProgram:
     """Choose cadence and apex that reach target_speed under the caps.
 
     Inverting the frequency law gives the cadence that would reach the
     target at the reference step height. The frequency-only variant clamps
-    that cadence at max_frequency and steps at the reference height. The
-    height-scaled variant instead settles on the nearest comfortable
-    cadence and makes up the difference with step height, clamped at
-    max_step_height.
+    that cadence at MAX_FREQUENCY and steps at the reference height. The
+    height-scaled variant instead settles on the nearest cadence in
+    COMFORT_BAND and makes up the difference with step height, clamped at
+    MAX_STEP_HEIGHT.
     """
     if target_speed < 0.0:
         raise ValueError("target speed must be >= 0")
@@ -139,10 +128,10 @@ def plan_gait(target_speed: float, params: WipParams, caps: AgentCaps) -> GaitPr
         * (params.ref_user_height / params.user_height)
     )
     if params.variant is Variant.GUD:
-        f = min(f_solo, caps.max_frequency)
+        f = min(f_solo, MAX_FREQUENCY)
         apex = params.ref_step_height
     else:
-        lo, hi = caps.comfort_band
+        lo, hi = COMFORT_BAND
         f = min(max(f_solo, lo), hi)
         base = gud_speed(
             f,
@@ -151,7 +140,7 @@ def plan_gait(target_speed: float, params: WipParams, caps: AgentCaps) -> GaitPr
             ref_user_height=params.ref_user_height,
         )
         apex = params.ref_step_height * target_speed / base
-        apex = min(max(apex, 0.0), caps.max_step_height)
+        apex = min(max(apex, 0.0), MAX_STEP_HEIGHT)
     return GaitProgram(step_frequency=f, apex_height=apex)
 
 
@@ -195,12 +184,9 @@ class WalkerAgent:
     equality keeps recorded runs and their goldens exact.
     """
 
-    pins_output = False
-
     def __init__(
         self,
         params: WipParams,
-        caps: AgentCaps | None = None,
         *,
         noise_sd: float = 0.0,
         seed: int = 0,
@@ -208,7 +194,6 @@ class WalkerAgent:
         stance_fraction: float = 0.4,
     ):
         self.params = params
-        self.caps = caps or AgentCaps()
         self.noise_sd = noise_sd
         require_finite(self, ("noise_sd",))
         if noise_sd < 0.0:
@@ -226,7 +211,7 @@ class WalkerAgent:
 
     def command(self, speed: float) -> GaitProgram:
         """Re-plan for a commanded speed; returns the adopted program."""
-        program = plan_gait(speed, self.params, self.caps)
+        program = plan_gait(speed, self.params)
         planned_v = program_speed(program, self.params)
         strain = 0.0
         if speed > 0.0:

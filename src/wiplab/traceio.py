@@ -324,7 +324,7 @@ def _from_echo(echo: dict[str, Any], key: str, convert: Callable[[Any], Any]) ->
     """Convert one header value; a failure names its scenario.<key>."""
     try:
         return convert(echo[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"scenario.{key}: {exc}") from exc
 
 

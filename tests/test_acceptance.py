@@ -64,8 +64,8 @@ def test_gate_catches_a_broken_speed_law(monkeypatch):
 
 
 def test_gate_catches_a_broken_law_in_the_frame_step(monkeypatch):
-    """ROUND-TRIP streams its gait through the harness frame step, which
-    builds its law from speed.law at the start of every run."""
+    """ROUND-TRIP evaluates speed.law, looked up at call time, on the frame
+    estimates of its steady-state walk."""
     true_law = speed.law
 
     def broken_law(params):

@@ -109,10 +109,35 @@ class TestSimulate:
         assert out == ""
         assert f"seed must be an integer >= 0, got {seed!r}" in err
 
-    @pytest.mark.parametrize("key", ["user_height", "variant", "countdown"])
+    @pytest.mark.parametrize("key", ["user_height", "variant", "countdown", "noise_sd", "rig"])
     def test_null_scenario_value_is_bad_input_naming_its_key(self, tmp_path, capsys, key):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({"target_speed": 1.0, key: None}))
+        code, out, err = run(["simulate", "--scenario", str(scenario)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: scenario.{key}: " in err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("target_speed", True),
+            ("countdown", "2"),
+            ("noise_sd", "0.1"),
+            ("speed_gain", [1.2]),
+            ("timestep", {"hz": 90}),
+            ("variant", 1),
+            ("rig", 4),
+            ("target_speed", 10**400),  # a JSON integer no float can hold
+            ("noise_sd", 10**400),
+        ],
+        ids=lambda v: str(v)[:12],
+    )
+    def test_scenario_value_that_does_not_convert_is_bad_input(
+        self, tmp_path, capsys, key, value
+    ):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"target_speed": 1.0, key: value}))
         code, out, err = run(["simulate", "--scenario", str(scenario)], capsys)
         assert code == 2
         assert out == ""
@@ -217,7 +242,9 @@ class TestRecordReplay:
         assert out == ""
         assert f"line 2: {line[2:line.index(':')]} must be a finite number > 0" in err
 
-    @pytest.mark.parametrize("key,value", [("target_speed", "fast"), ("variant", "sideways")])
+    @pytest.mark.parametrize("key,value", [
+        ("target_speed", "fast"), ("variant", "sideways"), ("target_speed", "1" + "0" * 400),
+    ], ids=lambda v: v[:20])
     def test_bad_scenario_header_is_bad_input_naming_its_key(self, tmp_path, capsys, key,
                                                              value):
         trace = tmp_path / "run.csv"

@@ -217,8 +217,6 @@ def test_phase_transitions_stay_legal(heights):
         ("velocity_deadband", float("-inf"), "velocity_deadband must be finite"),
         ("fraction_ascending", 1.0, "fraction_ascending must be in"),
         ("fraction_descending", -0.3, "fraction_descending must be in"),
-        ("buffer_len", 0, "buffer_len must be an integer >= 1"),
-        ("buffer_len", 2.5, "buffer_len must be an integer >= 1"),
     ],
 )
 def test_gait_config_rejects_bad_fields_where_they_enter(field, value, match):
@@ -228,7 +226,7 @@ def test_gait_config_rejects_bad_fields_where_they_enter(field, value, match):
 
 def test_gait_config_accepts_its_defaults_and_edge_values():
     GaitConfig()
-    GaitConfig(ground_epsilon=0.0, velocity_deadband=0.0, buffer_len=1)
+    GaitConfig(ground_epsilon=0.0, velocity_deadband=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +337,6 @@ def test_growing_apex_is_seen_before_the_step_completes():
     assert grown > baseline + 0.05
 
 
-def test_events_buffer_is_bounded():
-    cfg = GaitConfig()
-    tracker = GaitTracker(cfg)
-    events = stream(tracker, make_trace(3.0, 0.15, 12.0))
-    assert len(tracker._events) <= cfg.buffer_len
-    assert len(events) > cfg.buffer_len
-
-
 # ---------------------------------------------------------------------------
 # the fast paths against their definitions
 
@@ -362,12 +352,15 @@ def reference_is_stale(tracker, now, stop_window):
     return now - max(track.entered_at for track in seen) >= stop_window
 
 
-def reference_frequency(tracker, now):
+def reference_frequency(tracker, now, events):
     """Cadence as a separate pass over the tracks: the smallest of the
-    footfall EMA, each swing's partial bound and the footfall-gap bound."""
+    footfall EMA, each swing's partial bound and the footfall-gap bound.
+    The partial bound scales with the distinct feet among the last four of
+    the step events the tracker has returned."""
     cfg = tracker.config
     if tracker._freq_ema is None:
         return 0.0
+    active_feet = len({e.foot for e in events[-4:]}) if events else 1
     candidates = [tracker._freq_ema]
     for track in (tracker._left, tracker._right):
         if track is None or track.phase is Phase.GROUNDED:
@@ -376,7 +369,7 @@ def reference_frequency(tracker, now):
         elapsed = now - anchor
         if elapsed > 0.0:
             partial = cfg.swing_fraction / elapsed
-            candidates.append(cfg.partial_slack * tracker._active_feet * partial)
+            candidates.append(cfg.partial_slack * active_feet * partial)
     if tracker._last_footfall is not None:
         gap = now - tracker._last_footfall
         if gap > 0.0:
@@ -400,12 +393,13 @@ def reference_step_height(tracker, now):
     return value
 
 
-def reference_estimate(tracker, now):
+def reference_estimate(tracker, now, events):
     """(step_frequency, step_height, as_of, stale), every float by hex."""
     if reference_is_stale(tracker, now, tracker.config.stop_window):
         freq, height, stale = 0.0, 0.0, True
     else:
-        freq, height = reference_frequency(tracker, now), reference_step_height(tracker, now)
+        freq = reference_frequency(tracker, now, events)
+        height = reference_step_height(tracker, now)
         stale = False
     return freq.hex(), height.hex(), now.hex(), stale
 
@@ -431,11 +425,12 @@ runs = st.lists(
 def test_estimate_equals_its_parts_and_the_staleness_definition(runs, offsets):
     cfg = GaitConfig()
     tracker = GaitTracker(cfg)
+    events = []
 
     def check(now):
         stale = tracker.is_stale(now)
         assert stale == reference_is_stale(tracker, now, cfg.stop_window)
-        assert estimate_bits(tracker, now) == reference_estimate(tracker, now)
+        assert estimate_bits(tracker, now) == reference_estimate(tracker, now, events)
 
     check(0.0)
     k = 0
@@ -443,8 +438,10 @@ def test_estimate_equals_its_parts_and_the_staleness_definition(runs, offsets):
         for i in range(n):
             u = i / n
             t = k / 90.0
-            tracker.advance(FootSample(t, Foot.LEFT, left_a + u * (left_b - left_a)))
-            tracker.advance(FootSample(t, Foot.RIGHT, right_a + u * (right_b - right_a)))
+            events += stream(tracker, [
+                FootSample(t, Foot.LEFT, left_a + u * (left_b - left_a)),
+                FootSample(t, Foot.RIGHT, right_a + u * (right_b - right_a)),
+            ])
             check(t)
             k += 1
     for offset in offsets:
@@ -462,7 +459,6 @@ configs = st.builds(
     stop_window=st.floats(0.1, 2.0),
     resume_gap=st.floats(0.5, 3.0),
     partial_slack=st.floats(0.8, 2.0),
-    buffer_len=st.integers(1, 12),
 )
 # a segment of a stream, sampled at 90 Hz:
 #   ("steps", cadence Hz, apex m, stance share, frames): half-sine swings,
@@ -514,9 +510,10 @@ def test_estimate_equals_the_two_pass_reference(config, segments, feet, offsets)
     staleness passes bit for bit, under any config, on one- and two-foot
     streams, across pauses, and queried inside and past the stop window."""
     tracker = GaitTracker(config)
+    events = []
 
     def check(now):
-        assert estimate_bits(tracker, now) == reference_estimate(tracker, now)
+        assert estimate_bits(tracker, now) == reference_estimate(tracker, now, events)
 
     check(0.0)
     emit = [foot for foot in Foot if feet in ("both", foot.name.lower())]
@@ -524,8 +521,9 @@ def test_estimate_equals_the_two_pass_reference(config, segments, feet, offsets)
     for segment in segments:
         for left, right in segment_heights(segment):
             t = k / 90.0
-            for foot in emit:
-                tracker.advance(FootSample(t, foot, left if foot is Foot.LEFT else right))
+            events += stream(tracker, [
+                FootSample(t, foot, left if foot is Foot.LEFT else right) for foot in emit
+            ])
             check(t)
             k += 1
     last = max(k - 1, 0) / 90.0

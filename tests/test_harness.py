@@ -17,19 +17,17 @@ from wiplab.core import (
     WipParams,
     WrongArity,
 )
-from wiplab.gait import GaitConfig, StepEvent
+from wiplab.gait import GaitConfig, GaitTracker, StepEvent
 from wiplab.harness import (
     STAIRCASE_PRESETS,
     AdjustmentProtocol,
     ChaseScenario,
     FrameRow,
     MetricsReport,
-    PinnedAgent,
     RunLog,
     SeriesKind,
     SlopeKind,
     Stage,
-    _frame_step,
     _stage_bounds,
     aggregate_adjustments,
     compute_metrics,
@@ -175,10 +173,34 @@ class TestComputeMetrics:
             )
 
 
+class PinnedAgent:
+    """An agent with no feet that remembers the speed it was last commanded."""
+
+    def __init__(self):
+        self.pinned_speed = 0.0
+
+    def command(self, speed):
+        self.pinned_speed = speed
+
+    def samples(self, now, dt):
+        return []
+
+
+@pytest.fixture
+def pinned(monkeypatch):
+    """A PinnedAgent whose commanded speed is the law's output: a closed-loop
+    identity, so a chase run tests the loop's stages and kinematics alone."""
+    agent = PinnedAgent()
+    monkeypatch.setattr(
+        speed, "law", lambda params: lambda f, sh: (agent.pinned_speed, agent.pinned_speed)
+    )
+    return agent
+
+
 class TestRunChase:
-    def test_pinned_agent_tracks_perfectly(self):
+    def test_pinned_agent_tracks_perfectly(self, pinned):
         sc = ChaseScenario(target_speed=1.5)
-        report, log = run_chase(sc, PinnedAgent(), SHEF)
+        report, log = run_chase(sc, pinned, SHEF)
         assert report.avg_speed == pytest.approx(1.5, abs=1e-12)
         assert report.speed_sd <= 1e-9
         assert report.avg_target_distance <= 1e-9
@@ -204,9 +226,9 @@ class TestRunChase:
         assert report.avg_speed == pytest.approx(sum(speeds) / len(speeds), rel=1e-12)
         assert any(r.time < start for r in log.rows), "log keeps the whole run"
 
-    def test_stage_labels_progress(self):
+    def test_stage_labels_progress(self, pinned):
         sc = ChaseScenario(target_speed=1.0)
-        _, log = run_chase(sc, PinnedAgent(), SHEF)
+        _, log = run_chase(sc, pinned, SHEF)
         stages = [r.stage for r in log.rows]
         assert stages[0] is Stage.PREP
         assert stages[-1] is Stage.CHASE
@@ -240,12 +262,32 @@ class TestReplay:
             replay_trace([FootSample(0.1, Foot.LEFT, 0.0), FootSample(0.0, Foot.RIGHT, 0.0)], SHEF)
 
 
+def frame_step(params, gait_config, events):
+    """One frame of the live loop: advance a tracker through the frame's
+    samples, estimate once, evaluate the law."""
+    tracker = GaitTracker(gait_config)
+    evaluate = speed.law(params)
+
+    def step(t, samples):
+        heights = {Foot.LEFT: 0.0, Foot.RIGHT: 0.0}
+        for s in samples:
+            ev = tracker.advance(s)
+            if ev is not None:
+                events.append(ev)
+            heights[s.foot] = s.height
+        f, sh, _, _ = tracker.estimate(t)
+        raw, out = evaluate(f, sh)
+        return heights[Foot.LEFT], heights[Foot.RIGHT], f, sh, raw, out
+
+    return step
+
+
 def reference_replay(samples, params, scenario=None, gait_config=None):
-    """replay_trace as a per-frame loop: one _frame_step call per distinct
+    """replay_trace as a per-frame loop: one frame_step call per distinct
     sample time, with the kinematics integrated frame by frame."""
     log = RunLog(scenario=scenario)
     log.samples = list(samples)
-    step = _frame_step(speed.law(params), gait_config, log.events)
+    step = frame_step(params, gait_config, log.events)
     ticks = []
     for s in samples:
         if ticks and ticks[-1][0] == s.time:

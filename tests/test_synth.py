@@ -10,7 +10,8 @@ from wiplab.core import Foot, FootSample, InvalidRate, Variant, WipParams
 from wiplab.elastic import ElasticRig, PullDirection
 from wiplab.speed import gud_speed
 from wiplab.synth import (
-    AgentCaps,
+    COMFORT_BAND,
+    MAX_STEP_HEIGHT,
     GaitProgram,
     WalkerAgent,
     chase_policy,
@@ -86,55 +87,55 @@ class TestSynthTrace:
 
 class TestPlanGait:
     def test_zero_target_parks(self):
-        program = plan_gait(0.0, SHEF, AgentCaps())
+        program = plan_gait(0.0, SHEF)
         assert program.step_frequency == 0.0
         assert program.apex_height == 0.0
 
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
-            plan_gait(-0.1, SHEF, AgentCaps())
+            plan_gait(-0.1, SHEF)
 
     def test_gud_plans_reference_gait_for_unit_speed(self):
-        program = plan_gait(1.0, GUD, AgentCaps())
+        program = plan_gait(1.0, GUD)
         assert program.step_frequency == pytest.approx(1.57)
         assert program.apex_height == pytest.approx(0.1)
 
     def test_gud_cadence_saturates(self):
-        program = plan_gait(6.0, GUD, AgentCaps())
+        program = plan_gait(6.0, GUD)
         assert program.step_frequency == pytest.approx(2.2)
         assert program_speed(program, GUD) == pytest.approx(gud_speed(2.2, 1.72))
 
     def test_shef_keeps_cadence_in_comfort_band(self):
         for target in (0.3, 0.5, 1.0, 2.0, 4.0, 6.0):
-            program = plan_gait(target, SHEF, AgentCaps())
-            lo, hi = AgentCaps().comfort_band
+            program = plan_gait(target, SHEF)
+            lo, hi = COMFORT_BAND
             assert lo <= program.step_frequency <= hi
 
     def test_shef_apex_saturates(self):
-        program = plan_gait(8.0, SHEF, AgentCaps())
-        assert program.apex_height == pytest.approx(AgentCaps().max_step_height)
+        program = plan_gait(8.0, SHEF)
+        assert program.apex_height == pytest.approx(MAX_STEP_HEIGHT)
 
     @settings(max_examples=60, deadline=None)
     @given(target=st.floats(min_value=0.05, max_value=5.5))
     def test_shef_plan_inverts_exactly_until_the_apex_cap(self, target):
-        program = plan_gait(target, SHEF, AgentCaps())
-        if program.apex_height < AgentCaps().max_step_height:
+        program = plan_gait(target, SHEF)
+        if program.apex_height < MAX_STEP_HEIGHT:
             assert program_speed(program, SHEF) == pytest.approx(target, rel=1e-9)
 
     @given(target=st.floats(min_value=0.05, max_value=1.9))
     def test_gud_plan_inverts_below_the_cap(self, target):
         # the 2.2 Hz cap binds above (2.2/1.57)^2 = 1.96 m/s at default height
-        program = plan_gait(target, GUD, AgentCaps())
+        program = plan_gait(target, GUD)
         assert program_speed(program, GUD) == pytest.approx(target, rel=1e-9)
 
     def test_variants_separate_when_saturated(self):
-        gud_v = program_speed(plan_gait(6.0, GUD, AgentCaps()), GUD)
-        shef_v = program_speed(plan_gait(6.0, SHEF, AgentCaps()), SHEF)
+        gud_v = program_speed(plan_gait(6.0, GUD), GUD)
+        shef_v = program_speed(plan_gait(6.0, SHEF), SHEF)
         assert shef_v / gud_v == pytest.approx(3.0, rel=1e-9)
 
     def test_taller_user_needs_less_cadence(self):
-        short = plan_gait(1.5, WipParams(variant=Variant.GUD, user_height=1.55), AgentCaps())
-        tall = plan_gait(1.5, WipParams(variant=Variant.GUD, user_height=2.0), AgentCaps())
+        short = plan_gait(1.5, WipParams(variant=Variant.GUD, user_height=1.55))
+        tall = plan_gait(1.5, WipParams(variant=Variant.GUD, user_height=2.0))
         assert tall.step_frequency < short.step_frequency
 
 
@@ -185,9 +186,6 @@ class TestWalkerAgent:
             for s in agent.samples(k * dt, dt):
                 heights.append(s.height)
         assert max(heights) > 0.05  # it actually walks
-
-    def test_does_not_pin_output(self):
-        assert WalkerAgent(SHEF).pins_output is False
 
     def test_command_zero_parks_the_feet(self):
         agent = WalkerAgent(SHEF)
