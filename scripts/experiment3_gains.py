@@ -16,7 +16,6 @@ import sys
 
 from wiplab.harness import (
     STAIRCASE_PRESETS,
-    AdjustmentProtocol,
     SeriesKind,
     SlopeKind,
     aggregate_adjustments,
@@ -41,8 +40,7 @@ def main(argv=None):
         landings = []
         for series in (SeriesKind.ASCENDING, SeriesKind.DESCENDING,
                        SeriesKind.ASCENDING, SeriesKind.DESCENDING):
-            protocol = AdjustmentProtocol.preset(slope, series, judge)
-            gain = run_adjustment(protocol)
+            gain = run_adjustment(slope, series, judge)
             landings.append(gain)
             print(f"{slope.value:9} {series.value:11} {gain:8.3f}")
         mean = aggregate_adjustments(landings)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +28,10 @@ from . import elastic
 from . import speed
 from .core import Foot, FootSample, Variant, WipParams
 from .elastic import ElasticRig, PullDirection
-from .gait import GaitConfig, GaitTracker, estimate_frames
+from .gait import GROUND_EPSILON, MIN_STEP_HEIGHT, GaitTracker, estimate_frames
 from .harness import (
+    MAX_BOUTS,
     STAIRCASE_PRESETS,
-    AdjustmentProtocol,
     ChaseScenario,
     SeriesKind,
     SlopeKind,
@@ -65,19 +65,17 @@ class CheckResult:
     detail: str
 
 
-def _steady_mean_speed(
-    variant: Variant, target: float, *, noise_sd: float = 0.0, seed: int = 0
-) -> float:
+def _steady_mean_speed(variant: Variant, target: float) -> float:
     """Mean pipeline output while walking a planned gait at steady state.
 
-    Synthesizes the gait a capped agent would plan for `target`, estimates
-    every frame of it with a fresh tracker, evaluates the configured law on
-    those estimates, and averages, in frame order, the output speed of the
-    frames at or after the settling time.
+    Synthesizes the noise-free gait a capped agent would plan for `target`,
+    estimates every frame of it with a fresh tracker, evaluates the law of
+    `variant` on those estimates, and averages, in frame order, the output
+    speed of the frames at or after the settling time.
     """
     params = WipParams(variant=variant)
-    program = replace(plan_gait(target, params), noise_sd=noise_sd, seed=seed)
-    frames = estimate_frames(synth_trace(program, STEADY_DURATION, STEADY_RATE), None, [])
+    program = plan_gait(target, params)
+    frames = estimate_frames(synth_trace(program, STEADY_DURATION, STEADY_RATE), [])
     _, out = speed.law(params)(frames.step_frequency, frames.step_height)
     outputs = out[frames.time >= STEADY_SETTLE].tolist()
     return sum(outputs) / len(outputs)
@@ -196,11 +194,9 @@ def check_staircase() -> tuple[bool, str]:
             start = asc_start if series is SeriesKind.ASCENDING else desc_start
             direction = 1.0 if series is SeriesKind.ASCENDING else -1.0
             for _ in range(2):
-                protocol = AdjustmentProtocol.preset(slope, series, judge)
-                gain = run_adjustment(protocol)
+                gain = run_adjustment(slope, series, judge)
                 on_grid = any(
-                    gain == start + direction * k * interval
-                    for k in range(protocol.max_bouts)
+                    gain == start + direction * k * interval for k in range(MAX_BOUTS)
                 )
                 ok = ok and on_grid and abs(gain - reference) <= interval
                 gains.append(gain)
@@ -213,9 +209,7 @@ def check_staircase() -> tuple[bool, str]:
     return ok, "; ".join(parts)
 
 
-def offline_step_segments(
-    samples: list[FootSample], config: GaitConfig | None = None
-) -> list[tuple[Foot, float, float, float, float]]:
+def offline_step_segments(samples: list[FootSample]) -> list[tuple[Foot, float, float, float, float]]:
     """Brute-force offline segmentation over a complete trace.
 
     Per foot: contiguous runs of samples above the ground threshold form a
@@ -223,7 +217,6 @@ def offline_step_segments(
     peak clears the minimum step height. Returns (foot, start, apex_time,
     end, apex_height) tuples ordered by landing time.
     """
-    cfg = config or GaitConfig()
     by_foot: dict[Foot, list[FootSample]] = {}
     for s in samples:
         by_foot.setdefault(s.foot, []).append(s)
@@ -232,7 +225,7 @@ def offline_step_segments(
         prev_grounded: float | None = None
         region: list[float] | None = None  # [start, apex_height, apex_time]
         for s in rows:
-            if s.height > cfg.ground_epsilon:
+            if s.height > GROUND_EPSILON:
                 if region is None:
                     region = [prev_grounded, s.height, s.time]  # type: ignore[list-item]
                 elif s.height > region[1]:
@@ -241,7 +234,7 @@ def offline_step_segments(
                 if (
                     region is not None
                     and region[0] is not None
-                    and region[1] >= cfg.min_step_height
+                    and region[1] >= MIN_STEP_HEIGHT
                 ):
                     segments.append((foot, region[0], region[2], s.time, region[1]))
                 region = None

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from typing import Any
@@ -162,12 +163,16 @@ def cmd_calibrate_bands(args: argparse.Namespace) -> int:
     height = args.height
     if height is None:
         height = 0.156 if direction is PullDirection.DOWNWARD else 0.0
+    if not math.isfinite(height):
+        raise ValueError(f"--height must be a finite number, got {height!r}")
     try:
         targets = [float(part) for part in args.targets.split(",") if part.strip()]
     except ValueError as exc:
         raise ValueError(f"bad --targets value {args.targets!r}: {exc}") from exc
     if not targets:
         raise ValueError("--targets must list at least one force in kgf")
+    if not all(map(math.isfinite, targets)):
+        raise ValueError(f"--targets must be finite numbers, got {args.targets!r}")
 
     rows: list[dict[str, Any]] = []
     for target_kgf in targets:
@@ -196,20 +201,34 @@ def cmd_calibrate_bands(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _load_acceptance_config(path: str) -> list[str] | None:
+    """The check names an acceptance config file selects, None for all."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(config) - {"only"})
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    if "only" not in config:
+        return None
+    only = config["only"]
+    if not (isinstance(only, list) and only and all(isinstance(name, str) for name in only)):
+        raise ValueError(
+            f"{path}: only: expected a non-empty list of check names, got {json.dumps(only)}"
+        )
+    return only
+
+
 def cmd_acceptance(args: argparse.Namespace) -> int:
     only: list[str] | None = args.only or None
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                config = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{args.config}: line {exc.lineno}: {exc.msg}"
-                ) from exc
-        if not isinstance(config, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
-        if only is None and "only" in config:
-            only = list(config["only"])
+        from_file = _load_acceptance_config(args.config)
+        if only is None:
+            only = from_file
     if only is not None:
         unknown = sorted(set(only) - set(acceptance_mod.CHECK_NAMES))
         if unknown:

@@ -152,32 +152,21 @@ def require_finite(owner: object, names: Iterable[str]) -> None:
 
 @dataclass(frozen=True)
 class WipParams:
-    """User constants of the speed laws plus the output gain stage.
-
-    The reference values pin the unit of the law: stepping at the reference
-    cadence with the reference body height (and, for the height-scaled
-    variant, the reference step height) yields exactly 1 m/s before gains.
-    """
+    """User constants of the speed laws plus the output gain stage. The
+    law's reference point is fixed: speed.REF_FREQUENCY, REF_USER_HEIGHT and
+    REF_STEP_HEIGHT."""
 
     user_height: float = 1.72          # m
     variant: Variant = Variant.SHEF
     speed_gain: float = 1.0            # experiment-controlled multiplier
     natural_visual_gain: float = 1.0   # 2.02 in slope-perception scenarios
-    ref_frequency: float = 1.57        # Hz
-    ref_user_height: float = 1.72      # m
-    ref_step_height: float = 0.1       # m
 
     def __post_init__(self) -> None:
-        require_finite(self, (
-            "user_height", "speed_gain", "natural_visual_gain",
-            "ref_frequency", "ref_user_height", "ref_step_height",
-        ))
+        require_finite(self, ("user_height", "speed_gain", "natural_visual_gain"))
         if not 1.0 <= self.user_height <= 2.5:
             raise ValueError(f"user_height {self.user_height} outside [1.0, 2.5] m")
         if self.speed_gain <= 0.0 or self.natural_visual_gain <= 0.0:
             raise NonPositiveGain("speed gains must be > 0")
-        if min(self.ref_frequency, self.ref_user_height, self.ref_step_height) <= 0.0:
-            raise ValueError("reference constants must be > 0")
 
 
 # The per-frame records are NamedTuples: a frozen dataclass pays one

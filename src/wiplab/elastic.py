@@ -21,6 +21,9 @@ BAND_SLOPE = 0.011      # kgf / cm
 BAND_INTERCEPT = 0.085  # kgf
 VALID_EXTENSION_MAX = 25.0  # cm, measured range of the force law
 ANCHOR_DISTANCE = 39.0      # cm, upward anchor above the strap at rest
+# Most bands one rig holds; bounds how high an upward rig lifts a simulated
+# step (see synth.MAX_NOISE_SD for the height budget).
+MAX_BANDS = 100
 
 
 class PullDirection(Enum):
@@ -37,8 +40,8 @@ class ElasticRig:
     band_count: int = 0
 
     def __post_init__(self) -> None:
-        if self.band_count < 0:
-            raise ValueError("band_count must be >= 0")
+        if not 0 <= self.band_count <= MAX_BANDS:
+            raise ValueError(f"band_count must be in [0, {MAX_BANDS}], got {self.band_count!r}")
         if (self.band_count == 0) != (self.direction is PullDirection.NONE):
             raise ValueError("band_count is 0 exactly when direction is NONE")
 
@@ -89,15 +92,18 @@ def rig_force(rig: ElasticRig, foot_height: float) -> ForceReading:
 
 
 def bands_for_target(direction: PullDirection, target_kgf: float, at_foot_height: float) -> int:
-    """Smallest band count whose stack meets target_kgf at the given height.
+    """Smallest band count whose stack meets target_kgf at the given height;
+    a count above MAX_BANDS raises ValueError.
 
     Upward rigs have zero extension once the foot reaches the anchor, so no
     band count can produce force there; that raises ZeroExtension. A
     downward rig at zero height still sees the intercept tension per band
     because its bands are mounted taut.
     """
-    if target_kgf <= 0.0:
-        raise ValueError("target force must be > 0 kgf")
+    if not 0.0 < target_kgf < math.inf:
+        raise ValueError(f"target force must be a finite number > 0 kgf, got {target_kgf!r}")
+    if not math.isfinite(at_foot_height):
+        raise ValueError(f"foot height must be finite, got {at_foot_height!r}")
     if at_foot_height < 0.0:
         raise NegativeExtension(f"foot height {at_foot_height} m is negative")
     if direction is PullDirection.NONE:
@@ -107,6 +113,8 @@ def bands_for_target(direction: PullDirection, target_kgf: float, at_foot_height
         raise ZeroExtension(
             f"upward rig is slack at foot height {at_foot_height} m"
         )
-    per_band = band_force_kgf(extension)
-    # ceil with a small backoff so exact integer ratios do not round up
-    return max(1, math.ceil(target_kgf / per_band - 1e-9))
+    # a small backoff so exact integer ratios do not round up
+    needed = target_kgf / band_force_kgf(extension) - 1e-9
+    if needed > MAX_BANDS:
+        raise ValueError(f"{target_kgf!r} kgf needs more than MAX_BANDS = {MAX_BANDS} bands")
+    return max(1, math.ceil(needed))

@@ -7,7 +7,7 @@ steps become StepEvents; cadence is smoothed from footfall intervals and,
 between footfalls, bounded by partial-phase evidence so the estimate decays
 within a fraction of a step when the user slows or stops.
 
-Grounded is defined purely by height against ground_epsilon. That keeps
+Grounded is defined purely by height against GROUND_EPSILON. That keeps
 streaming segmentation equivalent to brute-force offline segmentation of
 the same samples (contiguous above-threshold regions), which the test
 suite exploits as an oracle. It also lets estimate_frames derive each
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from itertools import islice, repeat
 from typing import NamedTuple, Sequence
@@ -31,7 +31,6 @@ from .core import (
     FootSample,
     GaitEstimate,
     NonMonotonicTime,
-    require_finite,
     validate_sample,
 )
 
@@ -68,42 +67,19 @@ class StepEvent:
             raise ValueError("step apex must be positive")
 
 
-@dataclass(frozen=True)
-class GaitConfig:
-    """Thresholds and smoothing constants of the tracker.
-
-    The two aerial fractions are the nominal share of one per-foot gait
-    cycle spent ascending and descending; their sum, swing_fraction, drives
-    the partial-step frequency bound. The partial_slack factor tolerates
-    one sample of censoring at the phase boundary so steady gait never gets
-    dragged below its true cadence.
-    """
-
-    ground_epsilon: float = 0.01     # m, grounded iff height <= this
-    velocity_deadband: float = 0.05  # m/s, hysteresis between aerial phases
-    min_step_height: float = 0.03    # m, smaller apexes are jitter, not steps
-    fraction_ascending: float = 0.3
-    fraction_descending: float = 0.3
-    smoothing_tau: float = 0.5       # s, EMA time constant for cadence and apex
-    stop_window: float = 0.8         # s without activity means stopped
-    resume_gap: float = 2.5          # s, footfall gaps past this are a restart
-    partial_slack: float = 1.15
-
-    def __post_init__(self) -> None:
-        require_finite(self, [f.name for f in fields(self)])
-        for name in ("min_step_height", "smoothing_tau", "stop_window", "resume_gap",
-                     "partial_slack"):
-            value = getattr(self, name)
-            if value <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
-        for name in ("fraction_ascending", "fraction_descending"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {value!r}")
-
-    @property
-    def swing_fraction(self) -> float:
-        return self.fraction_ascending + self.fraction_descending
+# Tracker thresholds and smoothing constants. SWING_FRACTION is the nominal
+# share of one per-foot gait cycle spent in the air (0.3 ascending plus 0.3
+# descending); it drives the partial-step frequency bound. PARTIAL_SLACK
+# tolerates one sample of censoring at the phase boundary so steady gait is
+# never dragged below its true cadence.
+GROUND_EPSILON = 0.01     # m, grounded iff height <= this
+VELOCITY_DEADBAND = 0.05  # m/s, hysteresis between aerial phases
+MIN_STEP_HEIGHT = 0.03    # m, smaller apexes are jitter, not steps
+SWING_FRACTION = 0.6
+SMOOTHING_TAU = 0.5       # s, EMA time constant for cadence and apex
+STOP_WINDOW = 0.8         # s without activity means stopped
+RESUME_GAP = 2.5          # s, footfall gaps past this are a restart
+PARTIAL_SLACK = 1.15
 
 
 @dataclass
@@ -124,24 +100,16 @@ class GaitTracker:
     """Single-owner mutable tracker; create one per user session.
 
     Feed samples through advance() in time order (feet may interleave) and
-    query estimate() at any time at or after the newest sample.
+    query estimate() at any time at or after the newest sample. The
+    thresholds and smoothing constants are this module's constants.
 
-    The config's per-frame scalars are bound to the tracker once, here.
     Staleness is tracked incrementally: a count of feet off the ground is
     kept up to date on every phase transition, so is_stale() is O(1).
     estimate() checks it once per query, then derives frequency and step
     height in one pass over the two feet.
     """
 
-    def __init__(self, config: GaitConfig | None = None):
-        cfg = self.config = config or GaitConfig()
-        self.ground_epsilon = cfg.ground_epsilon
-        self.velocity_deadband = cfg.velocity_deadband
-        self.min_step_height = cfg.min_step_height
-        self.swing_fraction = cfg.swing_fraction
-        self.partial_slack = cfg.partial_slack
-        self.smoothing_tau = cfg.smoothing_tau
-        self.stop_window = cfg.stop_window
+    def __init__(self):
         self._left: _FootTrack | None = None
         self._right: _FootTrack | None = None
         self._airborne = 0  # tracks whose phase is not GROUNDED
@@ -162,7 +130,7 @@ class GaitTracker:
         left = foot is _LEFT
         track = self._left if left else self._right
         validate_sample(sample, track.prev_time if track is not None else None)
-        grounded = h <= self.ground_epsilon
+        grounded = h <= GROUND_EPSILON
 
         if track is None:
             # A foot first seen in the air has no known lift-off; its current
@@ -202,7 +170,7 @@ class GaitTracker:
             self._airborne += 1
         elif grounded:
             track.phase = _GROUNDED
-            if track.swing_valid and track.running_apex >= self.min_step_height:
+            if track.swing_valid and track.running_apex >= MIN_STEP_HEIGHT:
                 event = StepEvent(
                     foot=foot,
                     start=track.swing_start,
@@ -219,9 +187,9 @@ class GaitTracker:
                 track.apex_time = t
             velocity = (h - track.prev_height) / (t - track.prev_time)
             old = track.phase
-            if old is _ASCENDING and velocity < -self.velocity_deadband:
+            if old is _ASCENDING and velocity < -VELOCITY_DEADBAND:
                 track.phase = _DESCENDING
-            elif old is _DESCENDING and velocity > self.velocity_deadband:
+            elif old is _DESCENDING and velocity > VELOCITY_DEADBAND:
                 track.phase = _ASCENDING
             else:
                 track.prev_time = t
@@ -236,7 +204,6 @@ class GaitTracker:
         return event
 
     def _register_footfall(self, event: StepEvent) -> None:
-        cfg = self.config
         prev_footfall = self._last_footfall
         self._last_footfall = event.end
         self._recent_feet.append(event.foot)
@@ -244,10 +211,10 @@ class GaitTracker:
 
         if prev_footfall is not None:
             delta = event.end - prev_footfall
-            if delta > cfg.resume_gap:
+            if delta > RESUME_GAP:
                 # gait restarted after a pause; the spanning interval is not
                 # a cadence sample, so re-seed on the next real one. (Note
-                # this is deliberately longer than stop_window: slow but
+                # this is deliberately longer than STOP_WINDOW: slow but
                 # continuous gait has footfall gaps well past the stop
                 # threshold, and staleness is judged on phase activity.)
                 self._freq_ema = None
@@ -258,14 +225,14 @@ class GaitTracker:
                 if self._freq_ema is None:
                     self._freq_ema = freq
                 else:
-                    alpha = 1.0 - math.exp(-delta / cfg.smoothing_tau)
+                    alpha = 1.0 - math.exp(-delta / SMOOTHING_TAU)
                     self._freq_ema += alpha * (freq - self._freq_ema)
 
         if self._apex_ema is None:
             self._apex_ema = event.apex_height
         else:
             dt = max(0.0, event.end - self._apex_ema_at)
-            alpha = 1.0 - math.exp(-dt / cfg.smoothing_tau)
+            alpha = 1.0 - math.exp(-dt / SMOOTHING_TAU)
             self._apex_ema += alpha * (event.apex_height - self._apex_ema)
         self._apex_ema_at = event.end
 
@@ -278,7 +245,7 @@ class GaitTracker:
             return True
         if self._airborne:
             return False
-        return now - self._last_transition >= self.stop_window
+        return now - self._last_transition >= STOP_WINDOW
 
     def estimate(self, now: float) -> GaitEstimate:
         """Cadence and step height at `now`, the structure the speed laws
@@ -286,7 +253,7 @@ class GaitTracker:
 
         Cadence: the committed value is an EMA over completed footfall
         intervals. A phase in progress contributes a partial bound
-        swing_fraction / elapsed (scaled to cadence by the number of active
+        SWING_FRACTION / elapsed (scaled to cadence by the number of active
         feet), and the gap since the last footfall bounds likewise, so
         slowing decays the estimate before the next footfall confirms it.
         The smallest of these wins; 0 before two footfalls have been seen.
@@ -302,7 +269,7 @@ class GaitTracker:
         freq = self._freq_ema
         apex_ema = self._apex_ema
         base = height = apex_ema if apex_ema is not None else 0.0
-        partial_scale = self.partial_slack * self._active_feet
+        partial_scale = PARTIAL_SLACK * self._active_feet
         for track in (self._left, self._right):
             if track is None or track.phase is _GROUNDED:
                 continue
@@ -313,7 +280,7 @@ class GaitTracker:
                 anchor = track.swing_start
                 apex = track.running_apex
                 if apex > base:
-                    weight = (now - anchor) / self.smoothing_tau
+                    weight = (now - anchor) / SMOOTHING_TAU
                     if not weight > 0.0:
                         weight = 0.0
                     elif not weight < 1.0:
@@ -326,7 +293,7 @@ class GaitTracker:
             if freq is not None:
                 elapsed = now - anchor
                 if elapsed > 0.0:
-                    bound = partial_scale * (self.swing_fraction / elapsed)
+                    bound = partial_scale * (SWING_FRACTION / elapsed)
                     if bound < freq:
                         freq = bound
         if freq is None:
@@ -334,7 +301,7 @@ class GaitTracker:
         else:
             gap = now - self._last_footfall
             if gap > 0.0:
-                bound = self.partial_slack / gap
+                bound = PARTIAL_SLACK / gap
                 if bound < freq:
                     freq = bound
             if not freq > 0.0:
@@ -380,7 +347,7 @@ def _foot_frames(
     """Derive one foot's per-frame tracker state from its heights.
 
     idx holds the global indices of the foot's samples. Grounded means
-    h <= ground_epsilon, so the phase is GROUNDED exactly when the latest
+    h <= GROUND_EPSILON, so the phase is GROUNDED exactly when the latest
     sample is grounded; a swing is valid once the foot has been seen on the
     ground; swing_start is the last grounded sample time, and the running
     apex is the running max within each aerial run. entered holds the
@@ -425,11 +392,7 @@ def _foot_frames(
     )
 
 
-def estimate_frames(
-    samples: Sequence[FootSample],
-    config: GaitConfig | None,
-    events: list[StepEvent],
-) -> FrameEstimates:
+def estimate_frames(samples: Sequence[FootSample], events: list[StepEvent]) -> FrameEstimates:
     """Stream time-sorted samples through one tracker, then estimate every
     frame at once.
 
@@ -444,14 +407,13 @@ def estimate_frames(
     before it: staleness reads the latest grounding time, which is a running
     max only on sorted input.
     """
-    tracker = GaitTracker(config)
-    cfg = tracker.config
+    tracker = GaitTracker()
     n = len(samples)
     times, feet, heights = zip(*samples)
     t = np.array(times, dtype=float)
     h = np.array(heights, dtype=float)
     left = np.fromiter(map(operator.is_, feet, repeat(_LEFT)), bool, n)
-    aerial = h > cfg.ground_epsilon
+    aerial = h > GROUND_EPSILON
     per_foot = (np.flatnonzero(left), np.flatnonzero(~left))
 
     backwards = np.flatnonzero(t[1:] < t[:-1])
@@ -506,29 +468,28 @@ def estimate_frames(
     active_feet = np.array(active)[snap]
     footfall = footfall[snap]
 
-    slack = cfg.partial_slack
     freq = ema
     for foot in feet_f:
         elapsed = now - foot.anchor
         bound = foot.aerial & (elapsed > 0.0)
-        partial = np.divide(cfg.swing_fraction, elapsed, out=np.zeros(n_frames), where=bound)
-        freq = np.where(bound, np.minimum(freq, slack * active_feet * partial), freq)
+        partial = np.divide(SWING_FRACTION, elapsed, out=np.zeros(n_frames), where=bound)
+        freq = np.where(bound, np.minimum(freq, PARTIAL_SLACK * active_feet * partial), freq)
     gap = now - footfall
     bound = gap > 0.0
-    gap_bound = np.divide(slack, gap, out=np.zeros(n_frames), where=bound)
+    gap_bound = np.divide(PARTIAL_SLACK, gap, out=np.zeros(n_frames), where=bound)
     freq = np.where(bound, np.minimum(freq, gap_bound), freq)
 
     value = base
     for foot in feet_f:
         rising = foot.valid & (foot.running_apex > base)
-        weight = np.minimum(1.0, np.maximum(0.0, (now - foot.anchor) / cfg.smoothing_tau))
+        weight = np.minimum(1.0, np.maximum(0.0, (now - foot.anchor) / SMOOTHING_TAU))
         value = np.where(
             rising, np.maximum(value, base + weight * (foot.running_apex - base)), value
         )
 
     left_f, right_f = feet_f
     stale = ~(left_f.aerial | right_f.aerial) & (
-        now - np.maximum(left_f.grounded_since, right_f.grounded_since) >= cfg.stop_window
+        now - np.maximum(left_f.grounded_since, right_f.grounded_since) >= STOP_WINDOW
     )
     return FrameEstimates(
         now,

@@ -41,7 +41,7 @@ from .core import (
     WrongArity,
     require_finite,
 )
-from .gait import GaitConfig, GaitTracker, StepEvent, estimate_frames
+from .gait import GaitTracker, StepEvent, estimate_frames
 from .synth import MIN_SAMPLE_RATE, chase_policy
 
 REPLAN_INTERVAL = 0.5  # s, how often agents re-plan their gait
@@ -222,13 +222,7 @@ def _stage_bounds(scenario: ChaseScenario) -> tuple[float, float]:
     return scenario.prep_walk_time + scenario.prep_duration, scenario.chase_start
 
 
-def run_chase(
-    scenario: ChaseScenario,
-    agent,
-    params: WipParams,
-    *,
-    gait_config: GaitConfig | None = None,
-) -> tuple[MetricsReport, RunLog]:
+def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[MetricsReport, RunLog]:
     """Simulate one chasing-task run and compute its metrics.
 
     The agent must provide command(speed) and samples(now, dt). Each frame
@@ -243,7 +237,7 @@ def run_chase(
     countdown_start, chase_start = _stage_bounds(scenario)
     circle_lead, target_speed = scenario.circle_lead, scenario.target_speed
     log = RunLog(scenario=scenario)
-    tracker = GaitTracker(gait_config)
+    tracker = GaitTracker()
     advance, estimate, evaluate = tracker.advance, tracker.estimate, speed.law(params)
     command, emit = agent.command, agent.samples
     record, keep_samples, keep_row = log.events.append, log.samples.extend, log.rows.append
@@ -286,11 +280,7 @@ def run_chase(
 
 
 def replay_trace(
-    samples: Sequence[FootSample],
-    params: WipParams,
-    scenario: ChaseScenario | None = None,
-    *,
-    gait_config: GaitConfig | None = None,
+    samples: Sequence[FootSample], params: WipParams, scenario: ChaseScenario | None = None
 ) -> tuple[MetricsReport, RunLog]:
     """Replay time-sorted recorded samples, one frame per distinct sample time.
 
@@ -314,7 +304,7 @@ def replay_trace(
         raise EmptyWindow("trace holds no samples")
     log = RunLog(scenario=scenario)
     log.samples = list(samples)
-    frames = estimate_frames(log.samples, gait_config, log.events)
+    frames = estimate_frames(log.samples, log.events)
     t = frames.time
     n = t.size
     with np.errstate(over="ignore", invalid="ignore"):  # caught as divergence below
@@ -364,38 +354,7 @@ STAIRCASE_PRESETS = {
     SlopeKind.UPHILL: (0.07, 0.3, 1.0),
     SlopeKind.DOWNHILL: (0.15, 1.0, 2.5),
 }
-
-
-@dataclass(frozen=True)
-class AdjustmentProtocol:
-    """One staircase series: judge the gain, step, repeat."""
-
-    slope: SlopeKind
-    series: SeriesKind
-    initial_gain: float
-    interval: float
-    judge: Callable[[float], bool]
-    max_bouts: int = 100
-
-    @classmethod
-    def preset(
-        cls,
-        slope: SlopeKind,
-        series: SeriesKind,
-        judge: Callable[[float], bool],
-        **overrides,
-    ) -> "AdjustmentProtocol":
-        interval, asc_start, desc_start = STAIRCASE_PRESETS[slope]
-        initial = asc_start if series is SeriesKind.ASCENDING else desc_start
-        kwargs = dict(
-            slope=slope,
-            series=series,
-            initial_gain=initial,
-            interval=interval,
-            judge=judge,
-        )
-        kwargs.update(overrides)
-        return cls(**kwargs)
+MAX_BOUTS = 100  # judgments one series may take
 
 
 def make_reference_judge(reference: float, tolerance: float) -> Callable[[float], bool]:
@@ -407,24 +366,29 @@ def make_reference_judge(reference: float, tolerance: float) -> Callable[[float]
     return judge
 
 
-def run_adjustment(protocol: AdjustmentProtocol) -> float:
+def run_adjustment(slope: SlopeKind, series: SeriesKind, judge: Callable[[float], bool]) -> float:
     """Run one staircase series and return the accepted gain.
 
-    Every bout asks the judge about the current gain; gains step by the
-    protocol interval in the series direction. Raises NonTermination if the
-    judge stays unsatisfied for max_bouts bouts or the gain leaves the
-    positive domain.
+    The series starts at the slope's STAIRCASE_PRESETS start for its
+    direction. Every bout asks the judge about the current gain; gains step
+    by the slope's interval in the series direction. Raises NonTermination
+    if the judge stays unsatisfied for MAX_BOUTS bouts or the gain leaves
+    the positive domain.
     """
-    direction = 1.0 if protocol.series is SeriesKind.ASCENDING else -1.0
-    for k in range(protocol.max_bouts):
-        gain = protocol.initial_gain + direction * k * protocol.interval
+    interval, asc_start, desc_start = STAIRCASE_PRESETS[slope]
+    if series is SeriesKind.ASCENDING:
+        initial, direction = asc_start, 1.0
+    else:
+        initial, direction = desc_start, -1.0
+    for k in range(MAX_BOUTS):
+        gain = initial + direction * k * interval
         if gain <= 0.0:
             raise NonTermination(
                 f"staircase left the positive-gain domain after {k} bouts"
             )
-        if protocol.judge(gain):
+        if judge(gain):
             return gain
-    raise NonTermination(f"judge unsatisfied after {protocol.max_bouts} bouts")
+    raise NonTermination(f"judge unsatisfied after {MAX_BOUTS} bouts")
 
 
 def aggregate_adjustments(gains: Iterable[float]) -> float:

@@ -2,8 +2,8 @@
 
 Two variants share the same frequency core: the base law squares the
 height-normalized cadence, and the height-scaled law multiplies it by the
-step height relative to a 0.1 m reference. A separate gain stage applies
-the experiment gain and the natural visual gain.
+step height relative to REF_STEP_HEIGHT. A separate gain stage applies the
+experiment gain and the natural visual gain.
 
 law() is the one variant dispatch: it binds one WipParams into a function of
 (step frequency, step height) once per run. synth.program_speed() and the
@@ -17,13 +17,15 @@ from typing import Callable
 from .core import NonPositiveGain, NonPositiveHeight, Variant, WipParams
 
 
-def gud_speed(
-    step_frequency: float,
-    user_height: float,
-    *,
-    ref_frequency: float = 1.57,
-    ref_user_height: float = 1.72,
-) -> float:
+# The law's reference point (cadence law: Wendt, Whitton & Brooks, "GUD WIP",
+# IEEE VR 2010): stepping at REF_FREQUENCY with body height REF_USER_HEIGHT
+# (and, under shef, step height REF_STEP_HEIGHT) gives exactly 1 m/s.
+REF_FREQUENCY = 1.57    # Hz
+REF_USER_HEIGHT = 1.72  # m
+REF_STEP_HEIGHT = 0.1   # m
+
+
+def gud_speed(step_frequency: float, user_height: float) -> float:
     """Virtual speed from cadence and body height alone.
 
     Normalized so the reference cadence at the reference height gives
@@ -34,19 +36,11 @@ def gud_speed(
         raise NonPositiveHeight(f"user height {user_height} must be > 0")
     if step_frequency < 0.0:
         raise ValueError("step frequency must be >= 0")
-    scaled = (step_frequency / ref_frequency) * (user_height / ref_user_height)
+    scaled = (step_frequency / REF_FREQUENCY) * (user_height / REF_USER_HEIGHT)
     return scaled * scaled
 
 
-def shef_speed(
-    step_frequency: float,
-    user_height: float,
-    step_height: float,
-    *,
-    ref_frequency: float = 1.57,
-    ref_user_height: float = 1.72,
-    ref_step_height: float = 0.1,
-) -> float:
+def shef_speed(step_frequency: float, user_height: float, step_height: float) -> float:
     """Height-scaled variant: the base law times step height over reference.
 
     Identical to gud_speed when step_height equals the reference, which is
@@ -54,13 +48,7 @@ def shef_speed(
     """
     if step_height < 0.0:
         raise ValueError("step height must be >= 0")
-    base = gud_speed(
-        step_frequency,
-        user_height,
-        ref_frequency=ref_frequency,
-        ref_user_height=ref_user_height,
-    )
-    return base * (step_height / ref_step_height)
+    return gud_speed(step_frequency, user_height) * (step_height / REF_STEP_HEIGHT)
 
 
 def apply_gain(speed: float, gain: float, natural_visual_gain: float = 1.0) -> float:
@@ -80,24 +68,21 @@ def law(params: WipParams) -> Callable[[float, float], tuple[float, float]]:
     are left out because WipParams validated the constants and gait
     estimates are non-negative by construction.
     """
-    ref_frequency = params.ref_frequency
-    height_ratio = params.user_height / params.ref_user_height
+    height_ratio = params.user_height / REF_USER_HEIGHT
     gain, natural_gain = params.speed_gain, params.natural_visual_gain
 
     if params.variant is Variant.GUD:
 
         def gud(step_frequency: float, step_height: float) -> tuple[float, float]:
-            scaled = (step_frequency / ref_frequency) * height_ratio
+            scaled = (step_frequency / REF_FREQUENCY) * height_ratio
             raw = scaled * scaled
             return raw, raw * gain * natural_gain
 
         return gud
 
-    ref_step_height = params.ref_step_height
-
     def shef(step_frequency: float, step_height: float) -> tuple[float, float]:
-        scaled = (step_frequency / ref_frequency) * height_ratio
-        raw = scaled * scaled * (step_height / ref_step_height)
+        scaled = (step_frequency / REF_FREQUENCY) * height_ratio
+        raw = scaled * scaled * (step_height / REF_STEP_HEIGHT)
         return raw, raw * gain * natural_gain
 
     return shef

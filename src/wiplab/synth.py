@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Foot, FootSample, InvalidRate, Variant, WipParams, require_finite
 from .elastic import ElasticRig, PullDirection, rig_force
-from .speed import gud_speed, law
+from .speed import REF_FREQUENCY, REF_STEP_HEIGHT, REF_USER_HEIGHT, gud_speed, law
 
 FEET = (Foot.LEFT, Foot.RIGHT)  # order of per-foot agent state and of emitted samples
 _LEFT, _RIGHT = FEET
@@ -37,6 +37,22 @@ MAX_FREQUENCY = 2.2          # Hz
 MAX_STEP_HEIGHT = 0.3        # m
 COMFORT_BAND = (1.2, 2.2)    # Hz, preferred cadence range
 
+# Gait shape: the share of each per-foot cycle on the ground, and how far
+# into its cycle the right foot is when the left starts one.
+STANCE_FRACTION = 0.4
+PHASE_OFFSET = 0.5
+
+CHASE_GAIN = 0.5  # m/s of commanded speed per m of chase error
+
+# Largest noise SD an agent takes, chosen so its samples stay under
+# core.HEIGHT_CEILING (2.0 m). The highest planned apex is MAX_STEP_HEIGHT
+# (0.3 m). The largest upward-rig apex shift is elastic.MAX_BANDS (100) bands
+# at the full ANCHOR_DISTANCE extension: 100 x APEX_FORCE_RESPONSE x
+# (BAND_SLOPE x 39 cm + BAND_INTERCEPT) x KGF_TO_N = 1.009 m. The largest
+# strained SD is (1 + STRAIN_NOISE_GAIN) x MAX_NOISE_SD = 0.04 m, so an
+# 8-sigma draw adds 0.32 m: 0.3 + 1.009 + 0.32 = 1.63 m.
+MAX_NOISE_SD = 0.01  # m
+
 # Standard normals drawn from a generator per block. A Generator's block
 # draws equal the same number of scalar draws, so the stream is unchanged.
 NOISE_BLOCK = 512
@@ -48,16 +64,12 @@ class GaitProgram:
 
     step_frequency: float   # Hz, footfall cadence over both feet
     apex_height: float      # m
-    stance_fraction: float = 0.4   # share of the per-foot cycle on the ground
-    phase_offset_between_feet: float = 0.5
     noise_sd: float = 0.0   # m, additive Gaussian on every height sample
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.step_frequency < 0.0 or self.apex_height < 0.0 or self.noise_sd < 0.0:
             raise ValueError("gait program values must be >= 0")
-        if not 0.0 < self.stance_fraction < 1.0:
-            raise ValueError("stance_fraction must be in (0, 1)")
 
 
 def cycle_height(cycle_pos: float, stance_fraction: float, apex: float) -> float:
@@ -85,8 +97,8 @@ def synth_trace(program: GaitProgram, duration: float, sample_rate: float) -> li
     """Closed-form two-foot trace sampled on a regular grid.
 
     Deterministic for a given program (the seed fixes the noise stream).
-    Left starts at cycle position 0, right at the configured offset, so the
-    right foot typically enters mid-swing at t = 0.
+    Left starts at cycle position 0, right at PHASE_OFFSET, so the right
+    foot typically enters mid-swing at t = 0.
     """
     if sample_rate < MIN_SAMPLE_RATE:
         raise InvalidRate(f"sample rate {sample_rate} Hz below {MIN_SAMPLE_RATE} Hz")
@@ -95,13 +107,13 @@ def synth_trace(program: GaitProgram, duration: float, sample_rate: float) -> li
     samples: list[FootSample] = []
     for k in range(n):
         t = k / sample_rate
-        for foot, offset in ((Foot.LEFT, 0.0), (Foot.RIGHT, program.phase_offset_between_feet)):
+        for foot, offset in ((Foot.LEFT, 0.0), (Foot.RIGHT, PHASE_OFFSET)):
             if program.step_frequency <= 0.0:
                 h = 0.0
             else:
                 # per-foot cycle period is 2/f: two alternating feet share the cadence
                 cycle = (t * program.step_frequency / 2.0 + offset) % 1.0
-                h = cycle_height(cycle, program.stance_fraction, program.apex_height)
+                h = cycle_height(cycle, STANCE_FRACTION, program.apex_height)
             if program.noise_sd > 0.0:
                 h = max(0.0, h + program.noise_sd * next(noise))
             samples.append(FootSample(t, foot, h))
@@ -122,24 +134,15 @@ def plan_gait(target_speed: float, params: WipParams) -> GaitProgram:
         raise ValueError("target speed must be >= 0")
     if target_speed == 0.0:
         return GaitProgram(step_frequency=0.0, apex_height=0.0)
-    f_solo = (
-        params.ref_frequency
-        * math.sqrt(target_speed)
-        * (params.ref_user_height / params.user_height)
-    )
+    f_solo = REF_FREQUENCY * math.sqrt(target_speed) * (REF_USER_HEIGHT / params.user_height)
     if params.variant is Variant.GUD:
         f = min(f_solo, MAX_FREQUENCY)
-        apex = params.ref_step_height
+        apex = REF_STEP_HEIGHT
     else:
         lo, hi = COMFORT_BAND
         f = min(max(f_solo, lo), hi)
-        base = gud_speed(
-            f,
-            params.user_height,
-            ref_frequency=params.ref_frequency,
-            ref_user_height=params.ref_user_height,
-        )
-        apex = params.ref_step_height * target_speed / base
+        base = gud_speed(f, params.user_height)
+        apex = REF_STEP_HEIGHT * target_speed / base
         apex = min(max(apex, 0.0), MAX_STEP_HEIGHT)
     return GaitProgram(step_frequency=f, apex_height=apex)
 
@@ -150,13 +153,13 @@ def program_speed(program: GaitProgram, params: WipParams) -> float:
     return raw
 
 
-def chase_policy(distance_error: float, target_speed: float, *, gain: float = 0.5) -> float:
+def chase_policy(distance_error: float, target_speed: float) -> float:
     """Commanded speed while chasing: target plus a proportional correction.
 
     Positive error means the follower is behind. Never commands backwards
     walking; the floor is zero.
     """
-    return max(0.0, target_speed + gain * distance_error)
+    return max(0.0, target_speed + CHASE_GAIN * distance_error)
 
 
 def elastic_apex_shift(rig: ElasticRig | None, planned_apex: float) -> float:
@@ -191,18 +194,16 @@ class WalkerAgent:
         noise_sd: float = 0.0,
         seed: int = 0,
         rig: ElasticRig | None = None,
-        stance_fraction: float = 0.4,
     ):
         self.params = params
         self.noise_sd = noise_sd
         require_finite(self, ("noise_sd",))
-        if noise_sd < 0.0:
-            raise ValueError("noise_sd must be >= 0")
+        if not 0.0 <= noise_sd <= MAX_NOISE_SD:
+            raise ValueError(f"noise_sd must be in [0, {MAX_NOISE_SD}] m, got {noise_sd!r}")
         self.rig = rig
-        self.stance_fraction = stance_fraction
         self._noise = normal_stream(np.random.default_rng(seed))
         # per-foot state, indexed like FEET
-        self._cycle = [0.0, 0.5]
+        self._cycle = [0.0, PHASE_OFFSET]
         self._apex = [0.0, 0.0]
         self._in_stance = [True, True]
         self._pending_apex = 0.0
@@ -232,7 +233,7 @@ class WalkerAgent:
         The two feet are written out rather than looped over; noise is drawn
         for the left foot, then the right, as the per-foot loop drew it.
         """
-        frequency, sd, stance = self._frequency, self._effective_sd, self.stance_fraction
+        frequency, sd, stance = self._frequency, self._effective_sd, STANCE_FRACTION
         cycle, apex, was_in_stance = self._cycle, self._apex, self._in_stance
         left, right = cycle
         left_stance = frequency <= 0.0 or left < stance

@@ -149,6 +149,24 @@ class TestSimulate:
         assert out == ""
         assert "seed must be an integer >= 0, got -3" in err
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(["--rig", "up:1000"], "scenario.rig"), (["--noise", "5"], "noise_sd")],
+        ids=["rig", "noise"],
+    )
+    def test_rig_and_noise_past_their_bounds_are_bad_input_naming_them(
+        self, flags, name, capsys
+    ):
+        code, out, err = run(["simulate", "--target", "1", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: {name}" in err
+
+    def test_a_walker_at_the_rig_and_noise_bounds_stays_under_the_ceiling(self, capsys):
+        argv = ["simulate", "--target", "0.3", "--variant", "gud", "--rig", "up:100",
+                "--noise", "0.01"]
+        assert run(argv, capsys)[0] == 0
+
     def test_timestep_below_the_minimum_sample_rate_is_bad_input(self, capsys):
         code, out, err = run(["simulate", "--target", "1.5", "--timestep", "0.5"], capsys)
         assert code == 2
@@ -316,6 +334,23 @@ class TestCalibrateBands:
         assert out == ""  # no half-printed table before the error
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--direction", "down", "--height", "inf"],
+            ["--direction", "down", "--height", "nan"],
+            ["--direction", "up", "--targets", "inf"],
+            ["--direction", "down", "--targets", "1,nan"],
+        ],
+        ids=lambda flags: " ".join(flags[-2:]),
+    )
+    def test_non_finite_input_is_bad_input_naming_its_flag(self, flags, capsys):
+        code, out, err = run(["calibrate-bands", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: {flags[-2]} must be" in err
+
+
 class TestAcceptance:
     def test_single_check_passes(self, capsys):
         code, out, _ = run(["acceptance", "--only", "EQ1-ANCHOR"], capsys)
@@ -335,6 +370,26 @@ class TestAcceptance:
         code, out, _ = run(["acceptance", "--config", str(config)], capsys)
         assert code == 0
         assert "[PASS] EQ2-IDENTITY" in out
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"only": []}, "only: expected a non-empty list of check names, got []"),
+            ({"only": 5}, "only: expected a non-empty list of check names, got 5"),
+            ({"only": "EQ1-ANCHOR"}, 'only: expected a non-empty list of check names, got "EQ1'),
+            ({"only": ["EQ1-ANCHOR"], "skip": 1}, "unknown config keys: skip"),
+        ],
+        ids=["empty list", "number", "string", "extra key"],
+    )
+    def test_config_that_selects_no_valid_checks_is_bad_input(
+        self, tmp_path, capsys, config, message
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(["acceptance", "--config", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_missing_config_is_bad_input(self, tmp_path, capsys):
         code, out, err = run(

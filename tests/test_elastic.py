@@ -1,5 +1,7 @@
 """Elastic band model: force law anchors, rig geometry, band calibration."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from wiplab.core import NegativeExtension, ZeroExtension
 from wiplab.elastic import (
     KGF_TO_N,
+    MAX_BANDS,
     ElasticRig,
     PullDirection,
     band_force_kgf,
@@ -103,6 +106,11 @@ class TestRigValidation:
         with pytest.raises(ValueError):
             ElasticRig(direction=PullDirection.DOWNWARD, band_count=-1)
 
+    def test_band_count_above_the_bound_rejected(self):
+        ElasticRig(direction=PullDirection.UPWARD, band_count=MAX_BANDS)
+        with pytest.raises(ValueError, match=r"band_count must be in \[0, 100\], got 101"):
+            ElasticRig(direction=PullDirection.UPWARD, band_count=MAX_BANDS + 1)
+
 
 class TestBandsForTarget:
     def test_downward_calibration_counts(self):
@@ -120,6 +128,21 @@ class TestBandsForTarget:
     def test_rejects_non_positive_target(self):
         with pytest.raises(ValueError):
             bands_for_target(PullDirection.DOWNWARD, 0.0, 0.156)
+
+    @pytest.mark.parametrize(
+        "target, height, match",
+        [
+            (math.nan, 0.156, "target force must be a finite number"),
+            (math.inf, 0.156, "target force must be a finite number"),
+            (1.0, math.nan, "foot height must be finite"),
+            (1.0, math.inf, "foot height must be finite"),
+            (26.0, 0.156, "26.0 kgf needs more than MAX_BANDS = 100 bands"),
+            (1e308, 0.0, "needs more than MAX_BANDS"),
+        ],
+    )
+    def test_rejects_non_finite_input_and_unbuildable_targets(self, target, height, match):
+        with pytest.raises(ValueError, match=match):
+            bands_for_target(PullDirection.DOWNWARD, target, height)
 
     def test_no_direction_cannot_reach_any_target(self):
         with pytest.raises(ZeroExtension):

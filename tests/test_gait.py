@@ -13,11 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiplab.core import Foot, FootSample, GaitEstimate, NonMonotonicTime, OutOfRangeHeight
-from wiplab.gait import GaitConfig, GaitTracker, Phase, StepEvent
+from wiplab.gait import (
+    GROUND_EPSILON,
+    MIN_STEP_HEIGHT,
+    PARTIAL_SLACK,
+    SMOOTHING_TAU,
+    STOP_WINDOW,
+    SWING_FRACTION,
+    GaitTracker,
+    Phase,
+    StepEvent,
+)
 from wiplab.synth import GaitProgram, cycle_height, synth_trace
 
-EPS = GaitConfig().ground_epsilon
-MIN_APEX = GaitConfig().min_step_height
+EPS = GROUND_EPSILON
+MIN_APEX = MIN_STEP_HEIGHT
 
 # Transitions a foot's phase machine may take; anything else is a bug.
 LEGAL_TRANSITIONS = frozenset(
@@ -202,33 +212,6 @@ def test_phase_transitions_stay_legal(heights):
         assert a is b or (a, b) in LEGAL_TRANSITIONS
 
 
-@pytest.mark.parametrize(
-    "field, value, match",
-    [
-        ("smoothing_tau", 0.0, "smoothing_tau must be > 0"),
-        ("smoothing_tau", -1.0, "smoothing_tau must be > 0"),
-        ("stop_window", float("nan"), "stop_window must be finite"),
-        ("stop_window", 0.0, "stop_window must be > 0"),
-        ("resume_gap", -0.5, "resume_gap must be > 0"),
-        ("partial_slack", float("inf"), "partial_slack must be finite"),
-        ("partial_slack", 0.0, "partial_slack must be > 0"),
-        ("min_step_height", 0.0, "min_step_height must be > 0"),
-        ("ground_epsilon", float("nan"), "ground_epsilon must be finite"),
-        ("velocity_deadband", float("-inf"), "velocity_deadband must be finite"),
-        ("fraction_ascending", 1.0, "fraction_ascending must be in"),
-        ("fraction_descending", -0.3, "fraction_descending must be in"),
-    ],
-)
-def test_gait_config_rejects_bad_fields_where_they_enter(field, value, match):
-    with pytest.raises(ValueError, match=match):
-        GaitConfig(**{field: value})
-
-
-def test_gait_config_accepts_its_defaults_and_edge_values():
-    GaitConfig()
-    GaitConfig(ground_epsilon=0.0, velocity_deadband=0.0)
-
-
 # ---------------------------------------------------------------------------
 # estimation
 
@@ -279,7 +262,6 @@ def test_estimates_are_zero_before_any_steps():
 
 
 def test_stop_is_detected_within_the_window():
-    cfg = GaitConfig()
     trace = make_trace(2.0, 0.15, 4.0)
     tracker = GaitTracker()
     stream(tracker, trace)
@@ -291,10 +273,10 @@ def test_stop_is_detected_within_the_window():
         tracker.advance(FootSample(t, Foot.LEFT, 0.0))
         tracker.advance(FootSample(t, Foot.RIGHT, 0.0))
         est = tracker.estimate(t)
-        if t - last_t >= cfg.stop_window + 0.05:
+        if t - last_t >= STOP_WINDOW + 0.05:
             assert est.stale
             assert est.step_frequency == 0.0
-        elif t - last_t <= cfg.stop_window - 0.05:
+        elif t - last_t <= STOP_WINDOW - 0.05:
             assert not est.stale
 
 
@@ -357,7 +339,6 @@ def reference_frequency(tracker, now, events):
     footfall EMA, each swing's partial bound and the footfall-gap bound.
     The partial bound scales with the distinct feet among the last four of
     the step events the tracker has returned."""
-    cfg = tracker.config
     if tracker._freq_ema is None:
         return 0.0
     active_feet = len({e.foot for e in events[-4:]}) if events else 1
@@ -368,19 +349,18 @@ def reference_frequency(tracker, now, events):
         anchor = track.swing_start if track.swing_valid else track.entered_at
         elapsed = now - anchor
         if elapsed > 0.0:
-            partial = cfg.swing_fraction / elapsed
-            candidates.append(cfg.partial_slack * active_feet * partial)
+            partial = SWING_FRACTION / elapsed
+            candidates.append(PARTIAL_SLACK * active_feet * partial)
     if tracker._last_footfall is not None:
         gap = now - tracker._last_footfall
         if gap > 0.0:
-            candidates.append(cfg.partial_slack / gap)
+            candidates.append(PARTIAL_SLACK / gap)
     return max(0.0, min(candidates))
 
 
 def reference_step_height(tracker, now):
     """Step height as a separate pass over the tracks: the apex EMA, blended
     up toward the running apex of each observed swing in progress."""
-    cfg = tracker.config
     base = tracker._apex_ema if tracker._apex_ema is not None else 0.0
     value = base
     for track in (tracker._left, tracker._right):
@@ -388,14 +368,14 @@ def reference_step_height(tracker, now):
             continue
         if track.running_apex <= base:
             continue
-        weight = min(1.0, max(0.0, (now - track.swing_start) / cfg.smoothing_tau))
+        weight = min(1.0, max(0.0, (now - track.swing_start) / SMOOTHING_TAU))
         value = max(value, base + weight * (track.running_apex - base))
     return value
 
 
 def reference_estimate(tracker, now, events):
     """(step_frequency, step_height, as_of, stale), every float by hex."""
-    if reference_is_stale(tracker, now, tracker.config.stop_window):
+    if reference_is_stale(tracker, now, STOP_WINDOW):
         freq, height, stale = 0.0, 0.0, True
     else:
         freq = reference_frequency(tracker, now, events)
@@ -423,13 +403,12 @@ runs = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(runs=runs, offsets=st.lists(st.floats(0.0, 3.0), max_size=4))
 def test_estimate_equals_its_parts_and_the_staleness_definition(runs, offsets):
-    cfg = GaitConfig()
-    tracker = GaitTracker(cfg)
+    tracker = GaitTracker()
     events = []
 
     def check(now):
         stale = tracker.is_stale(now)
-        assert stale == reference_is_stale(tracker, now, cfg.stop_window)
+        assert stale == reference_is_stale(tracker, now, STOP_WINDOW)
         assert estimate_bits(tracker, now) == reference_estimate(tracker, now, events)
 
     check(0.0)
@@ -448,23 +427,11 @@ def test_estimate_equals_its_parts_and_the_staleness_definition(runs, offsets):
         check((k - 1) / 90.0 + offset)
 
 
-configs = st.builds(
-    GaitConfig,
-    ground_epsilon=st.floats(0.0, 0.04),
-    velocity_deadband=st.floats(0.0, 0.2),
-    min_step_height=st.floats(0.005, 0.1),
-    fraction_ascending=st.floats(0.1, 0.5),
-    fraction_descending=st.floats(0.1, 0.5),
-    smoothing_tau=st.floats(0.05, 1.5),
-    stop_window=st.floats(0.1, 2.0),
-    resume_gap=st.floats(0.5, 3.0),
-    partial_slack=st.floats(0.8, 2.0),
-)
 # a segment of a stream, sampled at 90 Hz:
 #   ("steps", cadence Hz, apex m, stance share, frames): half-sine swings,
 #       feet half a cycle apart, so the right foot starts mid-swing
 #   ("ramp", left from, left to, right from, right to, frames)
-#   ("pause", seconds): both feet grounded, up to past any resume_gap
+#   ("pause", seconds): both feet grounded, up to past RESUME_GAP
 segments = st.lists(
     st.one_of(
         st.tuples(st.just("steps"), st.floats(0.4, 3.5), st.floats(0.0, 0.3),
@@ -500,16 +467,15 @@ def segment_heights(segment):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    config=configs,
     segments=segments,
     feet=st.sampled_from(["both", "left", "right"]),
     offsets=st.lists(st.floats(0.0, 4.0), max_size=6),
 )
-def test_estimate_equals_the_two_pass_reference(config, segments, feet, offsets):
+def test_estimate_equals_the_two_pass_reference(segments, feet, offsets):
     """estimate(now) equals the separate frequency, step-height and
-    staleness passes bit for bit, under any config, on one- and two-foot
-    streams, across pauses, and queried inside and past the stop window."""
-    tracker = GaitTracker(config)
+    staleness passes bit for bit, on one- and two-foot streams, across
+    pauses, and queried inside and past the stop window."""
+    tracker = GaitTracker()
     events = []
 
     def check(now):

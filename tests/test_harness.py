@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,10 +18,10 @@ from wiplab.core import (
     WipParams,
     WrongArity,
 )
-from wiplab.gait import GaitConfig, GaitTracker, StepEvent
+from wiplab.gait import GaitTracker, StepEvent
 from wiplab.harness import (
+    MAX_BOUTS,
     STAIRCASE_PRESETS,
-    AdjustmentProtocol,
     ChaseScenario,
     FrameRow,
     MetricsReport,
@@ -36,7 +37,14 @@ from wiplab.harness import (
     run_adjustment,
     run_chase,
 )
-from wiplab.synth import MIN_SAMPLE_RATE, GaitProgram, WalkerAgent, synth_trace
+from wiplab.synth import (
+    MIN_SAMPLE_RATE,
+    GaitProgram,
+    WalkerAgent,
+    cycle_height,
+    normal_stream,
+    synth_trace,
+)
 
 SHEF = WipParams(variant=Variant.SHEF)
 
@@ -262,10 +270,10 @@ class TestReplay:
             replay_trace([FootSample(0.1, Foot.LEFT, 0.0), FootSample(0.0, Foot.RIGHT, 0.0)], SHEF)
 
 
-def frame_step(params, gait_config, events):
+def frame_step(params, events):
     """One frame of the live loop: advance a tracker through the frame's
     samples, estimate once, evaluate the law."""
-    tracker = GaitTracker(gait_config)
+    tracker = GaitTracker()
     evaluate = speed.law(params)
 
     def step(t, samples):
@@ -282,12 +290,12 @@ def frame_step(params, gait_config, events):
     return step
 
 
-def reference_replay(samples, params, scenario=None, gait_config=None):
+def reference_replay(samples, params, scenario=None):
     """replay_trace as a per-frame loop: one frame_step call per distinct
     sample time, with the kinematics integrated frame by frame."""
     log = RunLog(scenario=scenario)
     log.samples = list(samples)
-    step = frame_step(params, gait_config, log.events)
+    step = frame_step(params, log.events)
     ticks = []
     for s in samples:
         if ticks and ticks[-1][0] == s.time:
@@ -344,17 +352,34 @@ def hold_a_foot_up(trace, height, duration):
     ]
 
 
+def gait_trace(frequency, apex, stance, offset, noise_sd, seed, duration):
+    """synth_trace at 90 Hz for any stance share and phase offset between
+    the feet: half-sine swings, the right foot offset into its cycle."""
+    noise = normal_stream(np.random.default_rng(seed))
+    trace = []
+    for k in range(int(round(duration * 90.0))):
+        t = k / 90.0
+        for foot, start in ((Foot.LEFT, 0.0), (Foot.RIGHT, offset)):
+            h = 0.0
+            if frequency > 0.0:
+                h = cycle_height((t * frequency / 2.0 + start) % 1.0, stance, apex)
+            if noise_sd > 0.0:
+                h = max(0.0, h + noise_sd * next(noise))
+            trace.append(FootSample(t, foot, h))
+    return trace
+
+
 @st.composite
 def replay_cases(draw):
-    program = GaitProgram(
-        step_frequency=draw(st.sampled_from([0.0, 0.7, 1.6, 2.4, 3.2])),
-        apex_height=draw(st.floats(0.0, 0.35)),
-        stance_fraction=draw(st.floats(0.2, 0.7)),
-        phase_offset_between_feet=draw(st.floats(0.0, 1.0)),
+    trace = gait_trace(
+        frequency=draw(st.sampled_from([0.0, 0.7, 1.6, 2.4, 3.2])),
+        apex=draw(st.floats(0.0, 0.35)),
+        stance=draw(st.floats(0.2, 0.7)),
+        offset=draw(st.floats(0.0, 1.0)),
         noise_sd=draw(st.sampled_from([0.0, 0.002, 0.006])),
         seed=draw(st.integers(0, 1000)),
+        duration=draw(st.floats(0.3, 4.0)),
     )
-    trace = synth_trace(program, draw(st.floats(0.3, 4.0)), 90.0)
     shape = draw(st.sampled_from(
         ["whole", "one foot", "decimated", "late start", "pause", "hold"]
     ))
@@ -379,31 +404,22 @@ def replay_cases(draw):
         countdown=st.floats(0.2, 1.0),
         chase_duration=st.floats(0.5, 3.0),
     ))
-    config = draw(st.none() | st.builds(
-        GaitConfig,
-        ground_epsilon=st.floats(0.0, 0.04),
-        min_step_height=st.floats(0.0, 0.08, exclude_min=True),
-        smoothing_tau=st.floats(0.1, 1.0),
-        stop_window=st.floats(0.2, 1.5),
-        resume_gap=st.floats(0.8, 3.0),
-        partial_slack=st.floats(1.0, 1.5),
-    ))
-    return trace, params, scenario, config
+    return trace, params, scenario
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=replay_cases())
 def test_replay_equals_the_streaming_frame_step(case):
-    trace, params, scenario, config = case
+    trace, params, scenario = case
     if not trace:
         return
     try:
-        want = reference_replay(trace, params, scenario, config)
+        want = reference_replay(trace, params, scenario)
     except EmptyWindow:
         with pytest.raises(EmptyWindow):
-            replay_trace(trace, params, scenario, gait_config=config)
+            replay_trace(trace, params, scenario)
         return
-    report, log = replay_trace(trace, params, scenario, gait_config=config)
+    report, log = replay_trace(trace, params, scenario)
     want_report, want_log = want
     assert [repr(r) for r in log.rows] == [repr(r) for r in want_log.rows]
     assert [repr(e) for e in log.events] == [repr(e) for e in want_log.events]
@@ -426,24 +442,24 @@ class TestStaircase:
     def test_landing_points_with_reference_judges(self, slope, series, expected):
         reference = 0.71 if slope is SlopeKind.UPHILL else 1.43
         judge = make_reference_judge(reference, STAIRCASE_PRESETS[slope][0])
-        protocol = AdjustmentProtocol.preset(slope, series, judge)
-        gain = run_adjustment(protocol)
+        gain = run_adjustment(slope, series, judge)
         assert gain == pytest.approx(expected, abs=1e-12)
 
     def test_unsatisfiable_judge_raises(self):
-        protocol = AdjustmentProtocol.preset(
-            SlopeKind.UPHILL, SeriesKind.ASCENDING, lambda g: False, max_bouts=10
-        )
-        with pytest.raises(NonTermination):
-            run_adjustment(protocol)
+        asked = []
+
+        def judge(gain):
+            asked.append(gain)
+            return False
+
+        with pytest.raises(NonTermination, match=f"after {MAX_BOUTS} bouts"):
+            run_adjustment(SlopeKind.DOWNHILL, SeriesKind.ASCENDING, judge)
+        assert len(asked) == MAX_BOUTS
 
     def test_descending_into_zero_raises(self):
-        protocol = AdjustmentProtocol.preset(
-            SlopeKind.UPHILL, SeriesKind.DESCENDING, lambda g: False,
-            initial_gain=0.2,
-        )
-        with pytest.raises(NonTermination):
-            run_adjustment(protocol)
+        # uphill descends from 1.0 in 0.07 steps: 1.0 - 15 * 0.07 < 0
+        with pytest.raises(NonTermination, match="positive-gain domain after 15 bouts"):
+            run_adjustment(SlopeKind.UPHILL, SeriesKind.DESCENDING, lambda g: False)
 
     def test_judge_boundary_is_inclusive(self):
         judge = make_reference_judge(1.0, 0.25)

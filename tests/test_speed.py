@@ -82,14 +82,6 @@ def test_shef_rejects_negative_step_height():
         shef_speed(1.0, 1.72, -0.01)
 
 
-def test_custom_references_shift_the_anchor():
-    assert gud_speed(2.0, 1.60, ref_frequency=2.0, ref_user_height=1.60) == 1.0
-    assert (
-        shef_speed(2.0, 1.60, 0.25, ref_frequency=2.0, ref_user_height=1.60, ref_step_height=0.25)
-        == 1.0
-    )
-
-
 class TestApplyGain:
     def test_multiplies_both_gains(self):
         assert apply_gain(2.0, 0.5, 2.02) == pytest.approx(2.02)
@@ -127,10 +119,6 @@ class TestOutputSpeed:
         assert raw == 0.0
         assert out == 0.0
 
-    def test_params_references_are_honored(self):
-        raw, _ = law(WipParams(variant=Variant.GUD, ref_frequency=2.0))(2.0, 0.1)
-        assert raw == pytest.approx(1.0)
-
 
 def bits(*values):
     return tuple(float.hex(v) for v in values)
@@ -143,9 +131,6 @@ law_params = st.builds(
     variant=st.sampled_from(Variant),
     speed_gain=positive,
     natural_visual_gain=positive,
-    ref_frequency=positive,
-    ref_user_height=positive,
-    ref_step_height=positive,
 )
 
 
@@ -155,13 +140,10 @@ law_params = st.builds(
     sh=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
 )
 def test_law_equals_the_reference_laws_and_gain_stage_bit_for_bit(params, f, sh):
-    refs = dict(ref_frequency=params.ref_frequency, ref_user_height=params.ref_user_height)
     if params.variant is Variant.GUD:
-        raw = gud_speed(f, params.user_height, **refs)
+        raw = gud_speed(f, params.user_height)
     else:
-        raw = shef_speed(
-            f, params.user_height, sh, ref_step_height=params.ref_step_height, **refs
-        )
+        raw = shef_speed(f, params.user_height, sh)
     out = apply_gain(raw, params.speed_gain, params.natural_visual_gain)
     expected = bits(raw, out)
     assert bits(*law(params)(f, sh)) == expected

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiplab import synth
-from wiplab.core import Foot, FootSample, InvalidRate, Variant, WipParams
-from wiplab.elastic import ElasticRig, PullDirection
+from wiplab.core import HEIGHT_CEILING, Foot, FootSample, InvalidRate, Variant, WipParams
+from wiplab.elastic import MAX_BANDS, ElasticRig, PullDirection
 from wiplab.speed import gud_speed
 from wiplab.synth import (
     COMFORT_BAND,
@@ -77,8 +77,7 @@ class TestSynthTrace:
     @pytest.mark.parametrize(
         "kwargs", [dict(step_frequency=-1.0, apex_height=0.1),
                    dict(step_frequency=1.0, apex_height=-0.1),
-                   dict(step_frequency=1.0, apex_height=0.1, noise_sd=-0.01),
-                   dict(step_frequency=1.0, apex_height=0.1, stance_fraction=1.0)]
+                   dict(step_frequency=1.0, apex_height=0.1, noise_sd=-0.01)]
     )
     def test_program_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -149,9 +148,6 @@ class TestChasePolicy:
     def test_far_ahead_clamps_to_zero(self):
         assert chase_policy(-10.0, 1.5) == 0.0
 
-    def test_custom_gain(self):
-        assert chase_policy(1.0, 1.0, gain=0.25) == pytest.approx(1.25)
-
 
 class TestElasticApexShift:
     def test_no_rig_no_shift(self):
@@ -176,6 +172,19 @@ class TestWalkerAgent:
     def test_rejects_a_noise_sd_that_is_not_finite_and_non_negative(self, noise_sd):
         with pytest.raises(ValueError, match="noise_sd must be"):
             WalkerAgent(SHEF, noise_sd=noise_sd)
+
+    def test_rejects_a_noise_sd_above_the_bound(self):
+        WalkerAgent(SHEF, noise_sd=synth.MAX_NOISE_SD)
+        with pytest.raises(ValueError, match=r"noise_sd must be in \[0, 0.01\] m, got 0.0101"):
+            WalkerAgent(SHEF, noise_sd=0.0101)
+
+    def test_the_bounds_keep_samples_under_the_height_ceiling(self):
+        """The highest planned apex, the lift of the largest upward rig and
+        an 8-sigma draw of the largest strained noise SD stay under the
+        ceiling that sample validation enforces."""
+        lift = elastic_apex_shift(ElasticRig(PullDirection.UPWARD, MAX_BANDS), 0.0)
+        strained_sd = (1.0 + synth.STRAIN_NOISE_GAIN) * synth.MAX_NOISE_SD
+        assert MAX_STEP_HEIGHT + lift + 8.0 * strained_sd < HEIGHT_CEILING
 
     def test_streams_through_the_pipeline(self):
         agent = WalkerAgent(SHEF)
@@ -286,7 +295,7 @@ class PerFootAgent(WalkerAgent):
 
     def samples(self, now, dt):
         out = []
-        frequency, sd, stance = self._frequency, self._effective_sd, self.stance_fraction
+        frequency, sd, stance = self._frequency, self._effective_sd, synth.STANCE_FRACTION
         cycle, was_in_stance = self._cycle, self._in_stance
         for i, foot in enumerate(synth.FEET):
             cyc = cycle[i]
@@ -309,7 +318,6 @@ class PerFootAgent(WalkerAgent):
     noise_sd=st.sampled_from([0.0, 0.002, 0.004]),
     seed=st.integers(0, 2**16),
     rig=st.sampled_from([None, ElasticRig(direction=PullDirection.DOWNWARD, band_count=4)]),
-    stance=st.floats(0.2, 0.7),
     rate=st.sampled_from([60.0, 90.0, 120.0]),
     # (commanded speed, frames until the next command); 0 parks the feet
     plan=st.lists(
@@ -318,9 +326,9 @@ class PerFootAgent(WalkerAgent):
         min_size=1, max_size=8,
     ),
 )
-def test_samples_equal_the_per_foot_loop(variant, noise_sd, seed, rig, stance, rate, plan):
+def test_samples_equal_the_per_foot_loop(variant, noise_sd, seed, rig, rate, plan):
     params = WipParams(variant=variant)
-    kwargs = dict(noise_sd=noise_sd, seed=seed, rig=rig, stance_fraction=stance)
+    kwargs = dict(noise_sd=noise_sd, seed=seed, rig=rig)
     agent, reference = WalkerAgent(params, **kwargs), PerFootAgent(params, **kwargs)
     dt, k = 1.0 / rate, 0
     for speed, frames in plan:
