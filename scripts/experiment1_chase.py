@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 
 from wiplab.core import Variant, WipParams
-from wiplab.harness import ChaseScenario, run_chase
+from wiplab.harness import ChaseScenario, run_chase_lanes
 from wiplab.synth import WalkerAgent
 
 SPEEDS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
@@ -31,23 +31,27 @@ def main(argv=None):
     parser.add_argument("--out", metavar="FILE", help="also write results as JSON")
     args = parser.parse_args(argv)
 
+    variants = (Variant.GUD, Variant.SHEF)
+    params = [WipParams(variant=variant, user_height=args.user_height) for variant in variants]
+    # one lane batch per target speed: every variant's seeds side by side
+    lanes = [p for p in params for _ in range(args.seeds)]
+    reports = {}
+    for target in SPEEDS:
+        agents = [
+            WalkerAgent(p, noise_sd=args.noise, seed=i % args.seeds) for i, p in enumerate(lanes)
+        ]
+        batch = run_chase_lanes(ChaseScenario(target_speed=target), agents, lanes)
+        for i, variant in enumerate(variants):
+            reports[variant, target] = batch[i * args.seeds : (i + 1) * args.seeds]
+
     rows = []
     print(f"{'variant':8} {'target':>7} {'avg_speed':>10} {'speed_sd':>9} "
           f"{'distance':>9} {'cadence':>8}")
-    for variant in (Variant.GUD, Variant.SHEF):
-        params = WipParams(variant=variant, user_height=args.user_height)
+    for variant in variants:
         for target in SPEEDS:
-            scenario = ChaseScenario(target_speed=target)
-            reports = []
-            for seed in range(args.seeds):
-                agent = WalkerAgent(params, noise_sd=args.noise, seed=seed)
-                report, _ = run_chase(scenario, agent, params)
-                reports.append(report)
-            n = len(reports)
-            mean = {
-                key: sum(getattr(r, key) for r in reports) / n
-                for key in asdict(reports[0])
-            }
+            runs = reports[variant, target]
+            n = len(runs)
+            mean = {key: sum(getattr(r, key) for r in runs) / n for key in asdict(runs[0])}
             print(f"{variant.value:8} {target:7.2f} {mean['avg_speed']:10.3f} "
                   f"{mean['speed_sd']:9.3f} {mean['avg_target_distance']:9.3f} "
                   f"{mean['avg_step_frequency']:8.2f}")

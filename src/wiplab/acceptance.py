@@ -40,6 +40,7 @@ from .harness import (
     replay_trace,
     run_adjustment,
     run_chase,
+    run_chase_lanes,
 )
 from .synth import GaitProgram, WalkerAgent, plan_gait, synth_trace
 from .traceio import (
@@ -130,14 +131,13 @@ def check_ceiling() -> tuple[bool, str]:
 
 def check_stability() -> tuple[bool, str]:
     """At a 2.5 m/s chase with matched noise, shef speed varies no more than gud."""
+    variants = (Variant.GUD, Variant.SHEF)
+    params = [WipParams(variant=variant) for variant in variants for _ in range(20)]
+    agents = [WalkerAgent(p, noise_sd=0.004, seed=seed % 20) for seed, p in enumerate(params)]
+    reports = run_chase_lanes(ChaseScenario(target_speed=2.5), agents, params)
     mean_sd: dict[Variant, float] = {}
-    for variant in (Variant.GUD, Variant.SHEF):
-        params = WipParams(variant=variant)
-        values = []
-        for seed in range(20):
-            agent = WalkerAgent(params, noise_sd=0.004, seed=seed)
-            report, _ = run_chase(ChaseScenario(target_speed=2.5), agent, params)
-            values.append(report.speed_sd)
+    for i, variant in enumerate(variants):
+        values = [report.speed_sd for report in reports[20 * i : 20 * i + 20]]
         mean_sd[variant] = sum(values) / len(values)
     ok = mean_sd[Variant.SHEF] <= mean_sd[Variant.GUD]
     return ok, (

@@ -22,7 +22,7 @@ from dataclasses import asdict
 from typing import Any
 
 from . import acceptance as acceptance_mod
-from .core import Variant, WipError
+from .core import HEIGHT_CEILING, Variant, WipError
 from .elastic import ElasticRig, PullDirection, bands_for_target, rig_force
 from .harness import FrameRow, MetricsReport, RunLog, replay_trace, run_chase
 from .synth import WalkerAgent
@@ -163,8 +163,10 @@ def cmd_calibrate_bands(args: argparse.Namespace) -> int:
     height = args.height
     if height is None:
         height = 0.156 if direction is PullDirection.DOWNWARD else 0.0
-    if not math.isfinite(height):
-        raise ValueError(f"--height must be a finite number, got {height!r}")
+    if not 0.0 <= height <= HEIGHT_CEILING:
+        raise ValueError(
+            f"--height must be a finite number in [0, {HEIGHT_CEILING}] m, got {height!r}"
+        )
     try:
         targets = [float(part) for part in args.targets.split(",") if part.strip()]
     except ValueError as exc:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import NegativeExtension, ZeroExtension
+from .core import HEIGHT_CEILING, NegativeExtension, ZeroExtension
 
 KGF_TO_N = 9.81
 
@@ -93,7 +93,8 @@ def rig_force(rig: ElasticRig, foot_height: float) -> ForceReading:
 
 def bands_for_target(direction: PullDirection, target_kgf: float, at_foot_height: float) -> int:
     """Smallest band count whose stack meets target_kgf at the given height;
-    a count above MAX_BANDS raises ValueError.
+    a count above MAX_BANDS or a height above core.HEIGHT_CEILING raises
+    ValueError.
 
     Upward rigs have zero extension once the foot reaches the anchor, so no
     band count can produce force there; that raises ZeroExtension. A
@@ -102,8 +103,11 @@ def bands_for_target(direction: PullDirection, target_kgf: float, at_foot_height
     """
     if not 0.0 < target_kgf < math.inf:
         raise ValueError(f"target force must be a finite number > 0 kgf, got {target_kgf!r}")
-    if not math.isfinite(at_foot_height):
-        raise ValueError(f"foot height must be finite, got {at_foot_height!r}")
+    if not -math.inf < at_foot_height <= HEIGHT_CEILING:
+        raise ValueError(
+            f"foot height must be finite and <= HEIGHT_CEILING = {HEIGHT_CEILING} m, "
+            f"got {at_foot_height!r}"
+        )
     if at_foot_height < 0.0:
         raise NegativeExtension(f"foot height {at_foot_height} m is negative")
     if direction is PullDirection.NONE:

@@ -27,6 +27,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
+    HEIGHT_CEILING,
+    HEIGHT_FLOOR,
     Foot,
     FootSample,
     GaitEstimate,
@@ -45,6 +47,7 @@ class Phase(Enum):
 # the per-frame paths compare against these constants instead.
 _GROUNDED, _ASCENDING, _DESCENDING = Phase.GROUNDED, Phase.ASCENDING, Phase.DESCENDING
 _LEFT = Foot.LEFT
+_FEET = (Foot.LEFT, Foot.RIGHT)
 # estimate() builds its result directly: its values hold GaitEstimate's
 # invariants (non-negative, zero frequency when stale) by construction.
 _new_estimate = tuple.__new__
@@ -325,7 +328,8 @@ class FrameEstimates(NamedTuple):
 
 
 class _FootFrames(NamedTuple):
-    """One foot's tracker state after each frame's samples."""
+    """One foot's tracker state after each frame's samples; stacked, each
+    field is a (2, n) array, row 0 the left foot."""
 
     height: np.ndarray         # the frame's sample height, 0 without one
     aerial: np.ndarray         # phase is not GROUNDED
@@ -455,46 +459,195 @@ def estimate_frames(samples: Sequence[FootSample], events: list[StepEvent]) -> F
     now = t[starts]
     n_frames = now.size
     entered_at = np.array(entered)
-    feet_f = [_foot_frames(idx, t, h, aerial, frame, n_frames, entered_at) for idx in per_foot]
+    feet = _FootFrames(*map(np.array, zip(*(
+        _foot_frames(idx, t, h, aerial, frame, n_frames, entered_at) for idx in per_foot
+    ))))
 
     # EMA state after the last footfall at or before each frame; entry 0 is
     # the state before any footfall
     freq_ema, apex_ema, active = zip((None, None, 1), *snapshots)
     footfall = np.array([np.nan] + [ev.end for ev in found])  # NaN: no gap bound
     snap = np.searchsorted(np.searchsorted(now, footfall[1:]), np.arange(n_frames), side="right")
-    has_freq = np.array([f is not None for f in freq_ema])[snap]
-    ema = np.array([f if f is not None else np.inf for f in freq_ema])[snap]
-    base = np.array([a if a is not None else 0.0 for a in apex_ema])[snap]
-    active_feet = np.array(active)[snap]
-    footfall = footfall[snap]
+    step_frequency, step_height = _estimate_columns(
+        now,
+        feet,
+        np.array([f or 0.0 for f in freq_ema])[snap],
+        np.array([a if a is not None else 0.0 for a in apex_ema])[snap],
+        np.array(active)[snap],
+        footfall[snap],
+    )
+    return FrameEstimates(now, feet.height[0], feet.height[1], step_frequency, step_height)
 
-    freq = ema
-    for foot in feet_f:
-        elapsed = now - foot.anchor
-        bound = foot.aerial & (elapsed > 0.0)
-        partial = np.divide(SWING_FRACTION, elapsed, out=np.zeros(n_frames), where=bound)
-        freq = np.where(bound, np.minimum(freq, PARTIAL_SLACK * active_feet * partial), freq)
+
+def _estimate_columns(
+    now, feet: _FootFrames, ema: np.ndarray, base: np.ndarray, active_feet, footfall: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """What estimate(now) returns, for many queries at once.
+
+    feet holds (2, ...) arrays, row 0 the left foot (its height is not
+    read); now and the other arguments broadcast against one row: the
+    cadence EMA (0 before one exists, which bounds the frequency to 0 as
+    estimate() does, since a real EMA is > 0), the apex EMA (0 before one
+    exists), the active feet and the last footfall time (NaN before one).
+    The bounds and the apex blend are estimate()'s, with its comparisons;
+    the minima and maxima over the feet are exact, so their order does not
+    matter. Returns the step frequency and step height, bit for bit what
+    estimate() gives.
+    """
+    elapsed = now - feet.anchor
+    bound = feet.aerial & (elapsed > 0.0)
+    partial = np.divide(SWING_FRACTION, elapsed, out=np.zeros_like(elapsed), where=bound)
+    partial = np.where(bound, PARTIAL_SLACK * active_feet * partial, np.inf)
+    freq = np.minimum(ema, np.minimum(partial[0], partial[1]))
     gap = now - footfall
     bound = gap > 0.0
-    gap_bound = np.divide(PARTIAL_SLACK, gap, out=np.zeros(n_frames), where=bound)
+    gap_bound = np.divide(PARTIAL_SLACK, gap, out=np.zeros_like(gap), where=bound)
     freq = np.where(bound, np.minimum(freq, gap_bound), freq)
 
-    value = base
-    for foot in feet_f:
-        rising = foot.valid & (foot.running_apex > base)
-        weight = np.minimum(1.0, np.maximum(0.0, (now - foot.anchor) / SMOOTHING_TAU))
-        value = np.where(
-            rising, np.maximum(value, base + weight * (foot.running_apex - base)), value
+    rising = feet.valid & (feet.running_apex > base)
+    weight = np.minimum(1.0, np.maximum(0.0, elapsed / SMOOTHING_TAU))
+    blended = np.where(rising, base + weight * (feet.running_apex - base), -np.inf)
+    height = np.maximum(base, np.maximum(blended[0], blended[1]))
+
+    aerial, grounded_since = feet.aerial, feet.grounded_since
+    stale = ~(aerial[0] | aerial[1]) & (
+        now - np.maximum(grounded_since[0], grounded_since[1]) >= STOP_WINDOW
+    )
+    return np.where(stale, 0.0, np.maximum(0.0, freq)), np.where(stale, 0.0, height)
+
+
+# ----------------------------------------------------------------------
+# lanes of trackers stepped in lockstep
+
+
+class TrackerLanes:
+    """Independent GaitTrackers, one per lane, fed in lockstep: at every
+    tick each lane gets one left and one right sample at the tick's time.
+
+    Each foot's state is a (2, lanes) array, row 0 the left foot, and moves
+    through advance()'s state machine with its comparisons, so the lanes'
+    StepEvents are the streaming trackers'. The grounded test, the velocity
+    and its deadband tests, lift-offs, swing starts and phase entries need
+    only the heights and the descending flags, so they are computed for a
+    whole run of ticks at once; the running apex, the descending flags and
+    swing validity step tick by tick. A completed step is built as a
+    StepEvent and registered on its lane's own GaitTracker, so the cadence
+    and apex EMAs stay scalar. Every tick is validated: validate_sample
+    checks the tick's time and its first out-of-range height and raises its
+    exception.
+    """
+
+    def __init__(self, lanes: int):
+        self.trackers = [GaitTracker() for _ in range(lanes)]
+        self.events: list[list[StepEvent]] = [[] for _ in range(lanes)]
+        self._prev_time: float | None = None
+        shape = (2, lanes)
+        self._aerial = np.zeros(shape, bool)
+        self._descending = np.zeros(shape, bool)
+        self._valid = np.zeros(shape, bool)  # swing_valid
+        self._entered_at = np.zeros(shape)
+        self._prev_height = np.zeros(shape)
+        self._swing_start = np.zeros(shape)
+        self._running_apex = np.zeros(shape)
+        self._apex_time = np.zeros(shape)
+        # each lane's EMA state, refreshed from its tracker after a footfall;
+        # a cadence EMA is > 0, so 0 stands for none: it bounds to 0 alike
+        self._ema = np.zeros(lanes)
+        self._base = np.zeros(lanes)
+        self._active = np.ones(lanes)
+        self._footfall = np.full(lanes, np.nan)
+
+    def advance(self, times: list[float], heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ingest a run of ticks, heights[k] holding every lane's left and
+        right heights at times[k], and return every lane's estimate(times[k])
+        after each tick: step frequency and step height as (ticks, lanes)
+        arrays."""
+        lanes = heights.shape[2]
+        prev = self._prev_time
+        if prev is None:  # each foot's first sample starts its phase
+            self._aerial = heights[0] > GROUND_EPSILON
+            self._prev_height = heights[0]
+            self._entered_at = np.full(self._aerial.shape, times[0])
+        in_range = (HEIGHT_FLOOR <= heights) & (heights <= HEIGHT_CEILING)
+        first_bad = in_range.reshape(len(times), -1).argmin(axis=1).tolist()  # 0: none
+        tick_before = [prev, *times[:-1]]
+        now = np.array(times)[:, None, None]
+        before = np.array([-np.inf if prev is None else prev, *times[:-1]])[:, None, None]
+        airborne = heights > GROUND_EPSILON
+        was_aerial = np.concatenate(([self._aerial], airborne[:-1]))
+        lift = airborne > was_aerial
+        staying_up = airborne & was_aerial
+        with np.errstate(invalid="ignore"):  # a non-finite height fails validation below
+            velocity = np.diff(heights, axis=0, prepend=[self._prev_height]) / (now - before)
+        falling = velocity < -VELOCITY_DEADBAND
+        not_rising = ~(velocity > VELOCITY_DEADBAND)
+        # swing_start: the tick time before the latest lift-off
+        swing_start = np.maximum(self._swing_start, np.maximum.accumulate(
+            np.where(lift, before, -np.inf), axis=0
+        ))
+
+        descending = np.empty_like(airborne)
+        valid_at = np.empty_like(airborne)
+        apex_at = np.empty_like(heights)
+        ema_at, base_at, active_at, footfall_at = [], [], [], []
+        desc, valid, running_apex, apex_time = (
+            self._descending, self._valid, self._running_apex, self._apex_time
+        )
+        for k, (t, h, bad) in enumerate(zip(times, heights, first_bad)):
+            validate_sample(FootSample(t, _FEET[bad // lanes], h.item(bad)), tick_before[k])
+            # a valid swing is aerial, so a valid foot back on the ground landed
+            landed = valid & ~airborne[k] & (running_apex >= MIN_STEP_HEIGHT)
+            if np.count_nonzero(landed):
+                self._footfalls(landed, t, swing_start[k], apex_time, running_apex)
+            desc = staying_up[k] & np.where(desc, not_rising[k], falling[k])
+            peak = lift[k] | (airborne[k] & (h > running_apex))
+            running_apex = np.where(peak, h, running_apex)
+            apex_time = np.where(peak, t, apex_time)
+            valid = lift[k] | (valid & airborne[k])
+            descending[k], valid_at[k], apex_at[k] = desc, valid, running_apex
+            ema_at.append(self._ema)
+            base_at.append(self._base)
+            active_at.append(self._active)
+            footfall_at.append(self._footfall)
+
+        was_descending = np.concatenate(([self._descending], descending[:-1]))
+        changed = (airborne != was_aerial) | (descending != was_descending)
+        entered_at = np.maximum(self._entered_at, np.maximum.accumulate(
+            np.where(changed, now, -np.inf), axis=0
+        ))
+        self._prev_time, self._prev_height = times[-1], heights[-1]
+        self._aerial, self._descending, self._valid = airborne[-1], desc, valid
+        self._running_apex, self._apex_time = running_apex, apex_time
+        self._swing_start, self._entered_at = swing_start[-1], entered_at[-1]
+
+        # foot-major (2, ticks, lanes); entered_at stands in for
+        # grounded_since: staleness reads it only while both feet are
+        # grounded, and then the two are equal
+        anchor = np.where(valid_at, swing_start, entered_at)
+        feet = _FootFrames(*(a.swapaxes(0, 1) for a in (
+            heights, airborne, valid_at, anchor, apex_at, entered_at,
+        )))
+        return _estimate_columns(
+            now[:, :, 0], feet, np.array(ema_at), np.array(base_at), np.array(active_at),
+            np.array(footfall_at),
         )
 
-    left_f, right_f = feet_f
-    stale = ~(left_f.aerial | right_f.aerial) & (
-        now - np.maximum(left_f.grounded_since, right_f.grounded_since) >= STOP_WINDOW
-    )
-    return FrameEstimates(
-        now,
-        left_f.height,
-        right_f.height,
-        np.where(has_freq & ~stale, np.maximum(0.0, freq), 0.0),
-        np.where(stale, 0.0, value),
-    )
+    def _footfalls(self, landed, t, swing_start, apex_time, running_apex) -> None:
+        # flat order visits every left foot before any right one, so a lane
+        # whose feet both land on this tick registers the left step first;
+        # the EMA arrays are copied first, since earlier ticks refer to them
+        lanes = landed.shape[1]
+        self._ema, self._base = self._ema.copy(), self._base.copy()
+        self._active, self._footfall = self._active.copy(), self._footfall.copy()
+        for i in np.flatnonzero(landed).tolist():
+            foot, lane = divmod(i, lanes)
+            event = StepEvent(
+                _FEET[foot], swing_start.item(i), apex_time.item(i), t, running_apex.item(i)
+            )
+            tracker = self.trackers[lane]
+            tracker._register_footfall(event)
+            self.events[lane].append(event)
+            self._ema[lane] = tracker._freq_ema or 0.0
+            self._base[lane] = tracker._apex_ema
+            self._active[lane] = tracker._active_feet
+            self._footfall[lane] = t

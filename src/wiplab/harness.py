@@ -41,8 +41,8 @@ from .core import (
     WrongArity,
     require_finite,
 )
-from .gait import GaitTracker, StepEvent, estimate_frames
-from .synth import MIN_SAMPLE_RATE, chase_policy
+from .gait import GaitTracker, StepEvent, TrackerLanes, estimate_frames
+from .synth import MIN_SAMPLE_RATE, WalkerAgent, WalkerLanes, chase_policy
 
 REPLAN_INTERVAL = 0.5  # s, how often agents re-plan their gait
 DEFAULT_TIMESTEP = 1.0 / 90.0
@@ -188,14 +188,19 @@ def compute_metrics(log: RunLog) -> MetricsReport:
     """
     start, end = log.window
     rows = [r for r in log.rows if start <= r.time < end]
-    if not rows:
-        raise EmptyWindow("no frames inside the measurement window")
-    speeds = [r.output_speed for r in rows]
-    distances = [abs(r.error) for r in rows]
-
-    events = sorted(
-        (e for e in log.events if start <= e.end < end), key=lambda e: e.end
+    return _window_metrics(
+        [r.output_speed for r in rows], [r.error for r in rows], log.events, start, end
     )
+
+
+def _window_metrics(
+    speeds: list[float], errors: list[float], events: Iterable[StepEvent], start: float, end: float
+) -> MetricsReport:
+    """compute_metrics' arithmetic: the output speeds and chase errors of the
+    frames in the window [start, end), in frame order, and the run's events."""
+    if not speeds:
+        raise EmptyWindow("no frames inside the measurement window")
+    events = sorted((e for e in events if start <= e.end < end), key=lambda e: e.end)
     if events:
         avg_height = _mean([e.apex_height for e in events])
     else:
@@ -211,7 +216,7 @@ def compute_metrics(log: RunLog) -> MetricsReport:
     return MetricsReport(
         avg_step_height=avg_height,
         avg_step_frequency=avg_freq,
-        avg_target_distance=_mean(distances),
+        avg_target_distance=_mean([abs(e) for e in errors]),
         avg_speed=_mean(speeds),
         speed_sd=_population_sd(speeds),
     )
@@ -277,6 +282,79 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
             raise DivergedSimulation(f"non-finite state at t={t:.3f}")
 
     return compute_metrics(log), log
+
+
+def run_chase_lanes(
+    scenario: ChaseScenario, agents: Sequence[WalkerAgent], params: Sequence[WipParams]
+) -> list[MetricsReport]:
+    """run_chase for many walkers at once: one report per lane, each equal
+    to run_chase(scenario, agents[i], params[i])'s bit for bit.
+
+    The lanes share the scenario and run in lockstep. Each frame,
+    synth.WalkerLanes emits every lane's samples and gait.TrackerLanes
+    advances every lane's tracker. Nothing in a frame feeds the agents back
+    until the next re-plan, so each re-plan interval's estimates, law and
+    kinematics are computed at its end, as arrays over the interval's
+    frames and the lanes: speed.law runs once per distinct params on that
+    group's lanes, and position and sphere are sequential cumulative sums,
+    as replay_trace computes them. Every lane then re-plans through its own
+    agent, which must be a WalkerAgent that has not drawn noise yet. Only
+    the chase window's output speeds and errors and the step events are
+    kept; there is no RunLog. Invalid samples raise validate_sample's
+    exceptions and a non-finite state raises DivergedSimulation, for the
+    whole batch.
+    """
+    lanes = len(agents)
+    if lanes == 0 or len(params) != lanes:
+        raise ValueError(f"need one params per agent, got {len(params)} for {lanes} agents")
+    dt = scenario.timestep
+    n_frames = int(round(scenario.total_duration / dt))
+    replan_every = max(1, int(round(REPLAN_INTERVAL / dt)))
+    _, chase_start = _stage_bounds(scenario)
+    end = chase_start + scenario.chase_duration
+    circle_lead, target_speed = scenario.circle_lead, scenario.target_speed
+    walkers, trackers = WalkerLanes(agents, dt), TrackerLanes(lanes)
+    groups: dict[WipParams, list[int]] = {}
+    for lane, p in enumerate(params):
+        groups.setdefault(p, []).append(lane)
+    laws = [(speed.law(p), members) for p, members in groups.items()]
+    speeds: list[np.ndarray] = []
+    errors: list[np.ndarray] = []
+
+    position = np.zeros(lanes)
+    sphere = np.full(lanes, circle_lead)
+    for lane in range(lanes):
+        walkers.command(lane, chase_policy(0.0, target_speed))
+    for first in range(0, n_frames, replan_every):
+        for lane, e in enumerate((sphere - (position + circle_lead)).tolist()):
+            walkers.command(lane, chase_policy(e, target_speed))
+        times = [k * dt for k in range(first, min(first + replan_every, n_frames))]
+        f, sh = trackers.advance(times, walkers.samples(len(times)))
+        now = np.array(times)
+        out = np.empty_like(f)
+        with np.errstate(over="ignore", invalid="ignore"):  # caught as divergence below
+            for evaluate, members in laws:
+                out[:, members] = evaluate(f[:, members], sh[:, members])[1]
+            sphere_step = np.where((now >= chase_start)[:, None], target_speed * dt, out * dt)
+            position = np.cumsum(np.concatenate(([position], out * dt)), axis=0)
+            sphere = np.cumsum(np.concatenate(([sphere], sphere_step)), axis=0)
+            error = sphere[:-1] - (position[:-1] + circle_lead)
+        finite = np.isfinite(position[1:]) & np.isfinite(sphere[1:])
+        diverged = np.flatnonzero(~finite.all(axis=1))
+        if diverged.size:
+            raise DivergedSimulation(f"non-finite state at t={times[diverged[0]]:.3f}")
+        window = (chase_start <= now) & (now < end)
+        speeds.append(out[window])
+        errors.append(error[window])
+        position, sphere = position[-1], sphere[-1]
+
+    speed_cols, error_cols = np.concatenate(speeds), np.concatenate(errors)
+    return [
+        _window_metrics(
+            speed_cols[:, i].tolist(), error_cols[:, i].tolist(), events, chase_start, end
+        )
+        for i, events in enumerate(trackers.events)
+    ]
 
 
 def replay_trace(

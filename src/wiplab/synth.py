@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator
+from inspect import GEN_CREATED, getgeneratorstate
+from itertools import repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -68,6 +70,7 @@ class GaitProgram:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_finite(self, ("step_frequency", "apex_height", "noise_sd"))
         if self.step_frequency < 0.0 or self.apex_height < 0.0 or self.noise_sd < 0.0:
             raise ValueError("gait program values must be >= 0")
 
@@ -98,26 +101,28 @@ def synth_trace(program: GaitProgram, duration: float, sample_rate: float) -> li
 
     Deterministic for a given program (the seed fixes the noise stream).
     Left starts at cycle position 0, right at PHASE_OFFSET, so the right
-    foot typically enters mid-swing at t = 0.
+    foot typically enters mid-swing at t = 0. Every height is computed as
+    an array with cycle_height's operations; the noise is one draw of two
+    standard normals per tick, left then right.
     """
     if sample_rate < MIN_SAMPLE_RATE:
         raise InvalidRate(f"sample rate {sample_rate} Hz below {MIN_SAMPLE_RATE} Hz")
-    noise = normal_stream(np.random.default_rng(program.seed))
     n = int(round(duration * sample_rate))
-    samples: list[FootSample] = []
-    for k in range(n):
-        t = k / sample_rate
-        for foot, offset in ((Foot.LEFT, 0.0), (Foot.RIGHT, PHASE_OFFSET)):
-            if program.step_frequency <= 0.0:
-                h = 0.0
-            else:
-                # per-foot cycle period is 2/f: two alternating feet share the cadence
-                cycle = (t * program.step_frequency / 2.0 + offset) % 1.0
-                h = cycle_height(cycle, STANCE_FRACTION, program.apex_height)
-            if program.noise_sd > 0.0:
-                h = max(0.0, h + program.noise_sd * next(noise))
-            samples.append(FootSample(t, foot, h))
-    return samples
+    t = np.arange(n) / sample_rate
+    heights = np.zeros((n, 2))  # one row per tick: left, right
+    if program.step_frequency > 0.0:
+        # per-foot cycle period is 2/f: two alternating feet share the cadence
+        cycle = (t[:, None] * program.step_frequency / 2.0 + (0.0, PHASE_OFFSET)) % 1.0
+        u = (cycle - STANCE_FRACTION) / (1.0 - STANCE_FRACTION)
+        swing = program.apex_height * np.sin(np.pi * u)
+        heights = np.where(cycle < STANCE_FRACTION, 0.0, swing)
+    if program.noise_sd > 0.0:
+        noise = np.random.default_rng(program.seed).standard_normal(2 * n).reshape(n, 2)
+        heights = heights + program.noise_sd * noise
+        heights = np.where(heights > 0.0, heights, 0.0)  # max(0.0, h)
+    return list(map(_new_sample, repeat(FootSample), zip(
+        np.repeat(t, 2).tolist(), FEET * n, heights.ravel().tolist()
+    )))
 
 
 def plan_gait(target_speed: float, params: WipParams) -> GaitProgram:
@@ -201,7 +206,8 @@ class WalkerAgent:
         if not 0.0 <= noise_sd <= MAX_NOISE_SD:
             raise ValueError(f"noise_sd must be in [0, {MAX_NOISE_SD}] m, got {noise_sd!r}")
         self.rig = rig
-        self._noise = normal_stream(np.random.default_rng(seed))
+        self._rng = np.random.default_rng(seed)
+        self._noise = normal_stream(self._rng)
         # per-foot state, indexed like FEET
         self._cycle = [0.0, PHASE_OFFSET]
         self._apex = [0.0, 0.0]
@@ -264,3 +270,83 @@ class WalkerAgent:
             _new_sample(FootSample, (now, _LEFT, left_h)),
             _new_sample(FootSample, (now, _RIGHT, right_h)),
         ]
+
+
+class WalkerLanes:
+    """WalkerAgent.samples for lanes of agents stepped in lockstep.
+
+    Each agent's gait clock, latched apexes and stance flags become columns
+    of (2, lanes) arrays, row 0 the left foot. command() re-plans one lane
+    through its own agent; between re-plans nothing changes a lane's plan,
+    so samples() emits a whole run of ticks at once with samples()'s
+    operations: the gait clock advances tick by tick (x % 1.0 rounds at
+    every step), and a foot latches the current plan's apex at its first
+    lift-off. np.sin equals math.sin on the swing domain and np.mod(x, 1.0)
+    equals x % 1.0, which the tests pin. A lane draws its noise from its
+    agent's generator in NOISE_BLOCK blocks and consumes a left/right pair
+    per tick, only while the lane's SD is positive, so every lane sees the
+    draws its agent would. The agents must not have drawn noise yet; they
+    serve as plans and generators only, and their own gait state is not
+    advanced.
+    """
+
+    def __init__(self, agents: Sequence[WalkerAgent], dt: float):
+        if any(getgeneratorstate(a._noise) != GEN_CREATED for a in agents):
+            raise ValueError("WalkerLanes needs agents that have not drawn noise yet")
+        self.agents = agents
+        self._dt = dt
+        self._cycle = np.array([a._cycle for a in agents]).T
+        self._apex = np.array([a._apex for a in agents]).T
+        self._in_stance = np.array([a._in_stance for a in agents]).T
+        self._pending = np.array([a._pending_apex for a in agents])
+        self._phase_step = np.array([[dt * a._frequency / 2.0] * 2 for a in agents]).T
+        self._parked = np.array([[a._frequency <= 0.0] * 2 for a in agents]).T
+        self._sd = np.array([a._effective_sd for a in agents])
+        self._unused = [np.empty(0)] * len(agents)  # each lane's drawn, unused normals
+
+    def command(self, lane: int, speed: float) -> None:
+        """Re-plan one lane for a commanded speed, as WalkerAgent.command does."""
+        agent = self.agents[lane]
+        agent.command(speed)
+        frequency = agent._frequency
+        self._phase_step[:, lane] = self._dt * frequency / 2.0
+        self._parked[:, lane] = frequency <= 0.0
+        self._sd[lane] = agent._effective_sd
+        self._pending[lane] = agent._pending_apex
+        if frequency <= 0.0:
+            self._cycle[:, lane] = 0.0
+            self._in_stance[:, lane] = True
+
+    def samples(self, ticks: int) -> np.ndarray:
+        """Every lane's left and right heights for the next ticks ticks, a
+        (ticks, 2, lanes) array, advancing the gait clocks by dt a tick."""
+        cycles = np.empty((ticks, *self._cycle.shape))
+        cycle, phase_step = self._cycle, self._phase_step
+        for k in range(ticks):
+            cycles[k] = cycle
+            cycle = (cycle + phase_step) % 1.0
+        self._cycle = cycle
+        stance = self._parked | (cycles < STANCE_FRACTION)
+        was_in_stance = np.concatenate(([self._in_stance], stance[:-1]))
+        # from a foot's first lift-off on, its apex is the current plan's
+        lifted = np.logical_or.accumulate(was_in_stance > stance, axis=0)
+        apex = np.where(lifted, self._pending, self._apex)
+        self._apex, self._in_stance = apex[-1], stance[-1]
+        u = (cycles - STANCE_FRACTION) / (1.0 - STANCE_FRACTION)
+        heights = np.where(stance, 0.0, apex * np.sin(np.pi * u))
+        noisy = np.flatnonzero(self._sd > 0.0).tolist()
+        if noisy:
+            noise = np.zeros_like(heights)  # a lane with SD 0 adds 0.0 * 0.0
+            for lane in noisy:
+                noise[:, :, lane] = self._draw(lane, 2 * ticks).reshape(ticks, 2)
+            heights = heights + self._sd * noise
+            heights = np.where(heights > 0.0, heights, 0.0)  # max(0.0, h)
+        return heights
+
+    def _draw(self, lane: int, count: int) -> np.ndarray:
+        """The lane's next count standard normals."""
+        unused = self._unused[lane]
+        while unused.size < count:
+            unused = np.concatenate((unused, self.agents[lane]._rng.standard_normal(NOISE_BLOCK)))
+        self._unused[lane] = unused[count:]
+        return unused[:count]

@@ -350,6 +350,17 @@ class TestCalibrateBands:
         assert out == ""
         assert f"error: {flags[-2]} must be" in err
 
+    @pytest.mark.parametrize("height", ["1e300", "2.0001", "-0.1"])
+    def test_height_outside_the_sensor_range_is_bad_input_naming_its_flag(self, height, capsys):
+        # 1e300 used to print a 301-digit foot height and a band count
+        # extrapolated from the 25 cm law
+        code, out, err = run(
+            ["calibrate-bands", "--direction", "down", "--height", height], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: --height must be a finite number in [0, 2.0] m" in err
+
 
 class TestAcceptance:
     def test_single_check_passes(self, capsys):

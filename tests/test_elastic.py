@@ -136,6 +136,8 @@ class TestBandsForTarget:
             (math.inf, 0.156, "target force must be a finite number"),
             (1.0, math.nan, "foot height must be finite"),
             (1.0, math.inf, "foot height must be finite"),
+            (1.0, 1e300, "foot height must be finite and <= HEIGHT_CEILING"),
+            (1.0, 2.0001, "foot height must be finite and <= HEIGHT_CEILING"),
             (26.0, 0.156, "26.0 kgf needs more than MAX_BANDS = 100 bands"),
             (1e308, 0.0, "needs more than MAX_BANDS"),
         ],

@@ -8,6 +8,7 @@ those whose peak clears the step floor.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,8 @@ from wiplab.gait import (
     GaitTracker,
     Phase,
     StepEvent,
+    TrackerLanes,
+    estimate_frames,
 )
 from wiplab.synth import GaitProgram, cycle_height, synth_trace
 
@@ -495,3 +498,138 @@ def test_estimate_equals_the_two_pass_reference(segments, feet, offsets):
     last = max(k - 1, 0) / 90.0
     for offset in offsets:
         check(last + offset)
+
+
+# ---------------------------------------------------------------------------
+# lanes of trackers in lockstep
+
+
+def lane_heights(lanes):
+    """(ticks, 2, lanes) heights: each lane's segments, grounded once done."""
+    per_lane = [[h for segment in segments for h in segment_heights(segment)] for segments in lanes]
+    ticks = max(map(len, per_lane))
+    padded = [heights + [(0.0, 0.0)] * (ticks - len(heights)) for heights in per_lane]
+    return np.array(padded).reshape(len(lanes), ticks, 2).transpose(1, 2, 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lanes=st.lists(segments, min_size=1, max_size=4), runs=st.lists(st.integers(1, 60)))
+def test_tracker_lanes_equal_one_tracker_per_lane(lanes, runs):
+    """Each lane's step events and its estimate after every tick equal those
+    of a GaitTracker fed that lane's samples, bit for bit, however the ticks
+    are split into runs."""
+    heights = lane_heights(lanes)
+    if not heights.size:
+        return
+    times = [k / 90.0 for k in range(len(heights))]
+    trackers = [GaitTracker() for _ in lanes]
+    events = [[] for _ in lanes]
+    want = []
+    for t, tick in zip(times, heights):
+        row = []
+        for lane, tracker in enumerate(trackers):
+            for foot, h in zip(Foot, tick[:, lane].tolist()):
+                ev = tracker.advance(FootSample(t, foot, h))
+                if ev is not None:
+                    events[lane].append(ev)
+            est = tracker.estimate(t)
+            row.append((est.step_frequency.hex(), est.step_height.hex()))
+        want.append(row)
+    batch = TrackerLanes(len(lanes))
+    got = []
+    edges = [0, *np.cumsum(runs).tolist()]
+    for a, b in zip(edges, [*edges[1:], len(times)]):
+        if a < min(b, len(times)):
+            freq, height = batch.advance(times[a:b], heights[a:b])
+            got += [
+                [(f.hex(), h.hex()) for f, h in zip(f_row, h_row)]
+                for f_row, h_row in zip(freq.tolist(), height.tolist())
+            ]
+    assert got == want
+    assert [list(map(repr, e)) for e in batch.events] == [list(map(repr, e)) for e in events]
+
+
+@pytest.mark.parametrize(
+    "ticks, error",
+    [
+        ([(0.0, [[0.0], [2.5]])], OutOfRangeHeight),
+        ([(0.0, [[0.0], [0.0]]), (0.1, [[math.nan], [0.0]])], OutOfRangeHeight),
+        ([(0.0, [[0.0], [0.0]]), (0.2, [[math.inf], [0.0]]), (0.3, [[math.inf], [0.0]])],
+         OutOfRangeHeight),
+        ([(0.0, [[0.0], [0.0]]), (0.0, [[0.0], [0.0]])], NonMonotonicTime),
+        ([(math.nan, [[0.0], [0.0]])], NonMonotonicTime),
+    ],
+)
+@pytest.mark.parametrize("together", [True, False])
+def test_tracker_lanes_validate_every_tick(ticks, error, together):
+    batch = TrackerLanes(1)
+    times, heights = zip(*ticks)
+    with pytest.raises(error):
+        if together:
+            batch.advance(list(times), np.array(heights))
+        for t, h in ticks:
+            batch.advance([t], np.array([h]))
+
+
+# ---------------------------------------------------------------------------
+# estimator invariants
+
+
+@st.composite
+def estimated_traces(draw):
+    """A synth_trace program's samples, streamed through a tracker, and the
+    estimate_frames columns of the same samples."""
+    program = GaitProgram(
+        step_frequency=draw(st.sampled_from([0.0, 0.5, 2.0]) | st.floats(0.0, 4.0)),
+        apex_height=draw(st.floats(0.0, 0.35)),
+        noise_sd=draw(st.sampled_from([0.0, 0.003, 0.01])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    trace = synth_trace(program, draw(st.floats(0.1, 5.0)), draw(st.sampled_from([30.0, 90.0])))
+    if draw(st.booleans()):  # then both feet stand still past the stop window
+        end = trace[-1].time
+        trace += [FootSample(end + k / 30.0, foot, 0.0) for k in range(1, 40) for foot in Foot]
+    return trace, estimate_frames(trace, [])
+
+
+def frame_states(trace):
+    """The streaming tracker after each frame's samples: (time, tracker)."""
+    tracker = GaitTracker()
+    for i, s in enumerate(trace):
+        tracker.advance(s)
+        if i + 1 == len(trace) or trace[i + 1].time != s.time:
+            yield s.time, tracker
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=estimated_traces())
+def test_frequency_never_exceeds_an_active_partial_bound_or_the_gap_bound(case):
+    trace, frames = case
+    for (now, tracker), freq in zip(frame_states(trace), frames.step_frequency.tolist()):
+        for track in tracks(tracker):
+            anchor = track.swing_start if track.swing_valid else track.entered_at
+            if track.phase is not Phase.GROUNDED and now > anchor:
+                partial = SWING_FRACTION / (now - anchor)
+                assert freq <= PARTIAL_SLACK * tracker._active_feet * partial
+        if tracker._last_footfall is not None and now > tracker._last_footfall:
+            assert freq <= PARTIAL_SLACK / (now - tracker._last_footfall)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=estimated_traces())
+def test_a_stale_frame_has_zero_frequency_and_height(case):
+    trace, frames = case
+    for (now, tracker), freq, height in zip(
+        frame_states(trace), frames.step_frequency.tolist(), frames.step_height.tolist()
+    ):
+        if tracker.is_stale(now):
+            assert freq == 0.0 and height == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=estimated_traces())
+def test_step_height_stays_within_the_highest_apex_seen(case):
+    trace, frames = case
+    highest = np.maximum.accumulate(np.maximum(frames.height_left, frames.height_right))
+    assert (frames.step_height >= 0.0).all()
+    assert (frames.step_height <= highest).all()

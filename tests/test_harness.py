@@ -36,8 +36,11 @@ from wiplab.harness import (
     replay_trace,
     run_adjustment,
     run_chase,
+    run_chase_lanes,
 )
+from wiplab.elastic import ElasticRig, PullDirection
 from wiplab.synth import (
+    MAX_NOISE_SD,
     MIN_SAMPLE_RATE,
     GaitProgram,
     WalkerAgent,
@@ -424,6 +427,77 @@ def test_replay_equals_the_streaming_frame_step(case):
     assert [repr(r) for r in log.rows] == [repr(r) for r in want_log.rows]
     assert [repr(e) for e in log.events] == [repr(e) for e in want_log.events]
     assert repr(report) == repr(want_report)
+
+
+# ---------------------------------------------------------------------------
+# lanes of chases in lockstep
+
+RIGS = {
+    "none": None,
+    "down:4": ElasticRig(direction=PullDirection.DOWNWARD, band_count=4),
+    "up:6": ElasticRig(direction=PullDirection.UPWARD, band_count=6),
+}
+
+
+def lane_walker(variant, noise_sd, seed, rig, gain=1.0):
+    params = WipParams(variant=variant, speed_gain=gain)
+    return WalkerAgent(params, noise_sd=noise_sd, seed=seed, rig=RIGS[rig]), params
+
+
+def assert_lanes_equal_run_chase(scenario, lanes):
+    """run_chase_lanes' reports equal run_chase's, lane by lane, by repr."""
+    want = [repr(run_chase(scenario, *lane_walker(*lane))[0]) for lane in lanes]
+    agents, params = zip(*(lane_walker(*lane) for lane in lanes))
+    assert list(map(repr, run_chase_lanes(scenario, agents, params))) == want
+
+
+lane = st.tuples(
+    st.sampled_from(list(Variant)),
+    st.sampled_from([0.0, 0.002, MAX_NOISE_SD]),  # 0: a lane that never draws
+    st.integers(0, 2**16),
+    st.sampled_from(sorted(RIGS)),
+    st.sampled_from([1.0, 1.3]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scenario=st.builds(
+        ChaseScenario,
+        target_speed=st.sampled_from([0.0, 0.8, 2.5, 3.5]) | st.floats(0.3, 3.5),
+        prep_distance=st.floats(0.1, 1.5),
+        prep_duration=st.floats(0.1, 1.0),
+        countdown=st.floats(0.1, 0.8),
+        chase_duration=st.floats(0.1, 2.0),
+        timestep=st.sampled_from([1.0 / 90.0, 1.0 / 70.0, 1.0 / 45.0]),
+    ),
+    lanes=st.lists(lane, min_size=1, max_size=5),
+)
+def test_each_lane_equals_its_own_chase(scenario, lanes):
+    assert_lanes_equal_run_chase(scenario, lanes)
+
+
+@pytest.mark.parametrize("target", [0.0, 3.5])
+def test_a_mixed_batch_equals_its_chases(target):
+    """Both laws side by side, with and without noise, rigs pulling either
+    way, and gud strained past its cadence cap at 3.5 m/s."""
+    lanes = [
+        (Variant.GUD, 0.004, 3, "none"),
+        (Variant.SHEF, 0.004, 3, "none"),
+        (Variant.GUD, 0.0, 0, "down:4"),
+        (Variant.SHEF, 0.0, 0, "up:6"),
+        (Variant.SHEF, 0.002, 9, "down:4"),
+        (Variant.GUD, 0.003, 5, "up:6"),
+    ]
+    scenario = ChaseScenario(
+        target_speed=target, prep_duration=2.0, countdown=1.0, chase_duration=4.0
+    )
+    assert_lanes_equal_run_chase(scenario, lanes)
+
+
+def test_lanes_need_one_params_per_agent():
+    with pytest.raises(ValueError, match="one params per agent"):
+        run_chase_lanes(ChaseScenario(target_speed=1.0), [WalkerAgent(SHEF)], [SHEF, SHEF])
 
 
 class TestStaircase:

@@ -1,5 +1,7 @@
 """Synthetic gait generation, gait planning, and the simulated walker."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,14 @@ class TestSynthTrace:
     def test_program_validation(self, kwargs):
         with pytest.raises(ValueError):
             GaitProgram(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["step_frequency", "apex_height", "noise_sd"])
+    def test_program_rejects_non_finite_values(self, name, value):
+        # a NaN apex used to give a trace of NaN heights
+        kwargs = dict(step_frequency=1.0, apex_height=0.1, noise_sd=0.0)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GaitProgram(**{**kwargs, name: value})
 
 
 class TestPlanGait:
@@ -339,3 +349,59 @@ def test_samples_equal_the_per_foot_loop(variant, noise_sd, seed, rig, rate, pla
                 (s.time.hex(), s.foot, s.height.hex()) for s in want
             ]
             k += 1
+
+
+def loop_synth_trace(program, duration, sample_rate):
+    """synth_trace as one sample at a time: each foot's cycle position, its
+    cycle_height, then one scalar normal per noisy sample, left then right."""
+    noise = synth.normal_stream(np.random.default_rng(program.seed))
+    samples = []
+    for k in range(int(round(duration * sample_rate))):
+        t = k / sample_rate
+        for foot, offset in ((Foot.LEFT, 0.0), (Foot.RIGHT, synth.PHASE_OFFSET)):
+            if program.step_frequency <= 0.0:
+                h = 0.0
+            else:
+                cycle = (t * program.step_frequency / 2.0 + offset) % 1.0
+                h = cycle_height(cycle, synth.STANCE_FRACTION, program.apex_height)
+            if program.noise_sd > 0.0:
+                h = max(0.0, h + program.noise_sd * next(noise))
+            samples.append(FootSample(t, foot, h))
+    return samples
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    frequency=st.sampled_from([0.0, 0.6, 2.0]) | st.floats(0.0, 5.0),
+    apex=st.sampled_from([0.0, 0.3]) | st.floats(0.0, 0.4),
+    noise_sd=st.sampled_from([0.0, 0.002, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+    duration=st.sampled_from([0.0, 0.01]) | st.floats(0.0, 8.0),
+    rate=st.sampled_from([30.0, 90.0, 120.0]) | st.floats(30.0, 500.0),
+)
+def test_synth_trace_equals_the_sample_loop(frequency, apex, noise_sd, seed, duration, rate):
+    program = GaitProgram(frequency, apex, noise_sd, seed)
+    got = synth_trace(program, duration, rate)
+    assert all(type(s) is FootSample for s in got)
+    assert list(map(repr, got)) == list(map(repr, loop_synth_trace(program, duration, rate)))
+
+
+def test_numpy_sin_and_mod_equal_math_on_the_swing_domain():
+    """The array gait paths (synth_trace, synth.WalkerLanes) compute the
+    half-sine swing with np.sin and wrap the cycle with np.mod; the scalar
+    paths use math.sin and %. They agree bit for bit on this platform's
+    numpy for every argument the swing takes: pi * u with u in [0, 1)."""
+    rng = np.random.default_rng(20240607)
+    u = np.concatenate((np.linspace(0.0, 1.0, 100_001)[:-1], rng.random(200_000)))
+    angle = np.pi * u
+    assert np.sin(angle).tolist() == [math.sin(a) for a in angle.tolist()]
+    cycle = u + rng.random(u.size) / 20.0  # a cycle position plus one tick's phase step
+    assert np.mod(cycle, 1.0).tolist() == [c % 1.0 for c in cycle.tolist()]
+
+
+def test_walker_lanes_need_agents_that_have_not_drawn_noise():
+    agent = WalkerAgent(GUD, noise_sd=0.002, seed=1)
+    agent.command(1.0)
+    agent.samples(0.0, 1.0 / 90.0)
+    with pytest.raises(ValueError, match="have not drawn noise"):
+        synth.WalkerLanes([WalkerAgent(GUD), agent], 1.0 / 90.0)
