@@ -14,6 +14,9 @@ caught rather than a stale reference. The steady-state helper behind
 ROUND-TRIP and CEILING estimates every frame of its trace with
 ``gait.estimate_frames`` and evaluates ``speed.law``, looked up at call
 time, on those arrays, so a monkeypatched law is caught there too.
+STABILITY runs its 40 chases (20 seeds per law) as one batch of lanes with
+``harness.run_chase_lanes``, which looks ``speed.law`` up the same way and
+gives each chase the report ``run_chase`` would.
 """
 
 from __future__ import annotations

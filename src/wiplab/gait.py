@@ -482,17 +482,13 @@ def estimate_frames(samples: Sequence[FootSample], events: list[StepEvent]) -> F
 def _estimate_columns(
     now, feet: _FootFrames, ema: np.ndarray, base: np.ndarray, active_feet, footfall: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """What estimate(now) returns, for many queries at once.
+    """What estimate(now) returns, bit for bit, for many queries at once.
 
-    feet holds (2, ...) arrays, row 0 the left foot (its height is not
-    read); now and the other arguments broadcast against one row: the
-    cadence EMA (0 before one exists, which bounds the frequency to 0 as
-    estimate() does, since a real EMA is > 0), the apex EMA (0 before one
-    exists), the active feet and the last footfall time (NaN before one).
-    The bounds and the apex blend are estimate()'s, with its comparisons;
-    the minima and maxima over the feet are exact, so their order does not
-    matter. Returns the step frequency and step height, bit for bit what
-    estimate() gives.
+    feet holds (2, ...) arrays, row 0 the left foot (height unread); now
+    and the rest broadcast against one row: the cadence EMA (0 for none,
+    which bounds the cadence to 0 as a missing one does, since a real EMA
+    is > 0), the apex EMA (0 for none), the active feet and the last
+    footfall time (NaN for none). Minima and maxima over feet are exact.
     """
     elapsed = now - feet.anchor
     bound = feet.aerial & (elapsed > 0.0)
@@ -521,53 +517,37 @@ def _estimate_columns(
 
 
 class TrackerLanes:
-    """Independent GaitTrackers, one per lane, fed in lockstep: at every
-    tick each lane gets one left and one right sample at the tick's time.
+    """GaitTrackers for lanes fed in lockstep: at every tick each lane gets
+    one left and one right sample at the tick's time.
 
-    Each foot's state is a (2, lanes) array, row 0 the left foot, and moves
-    through advance()'s state machine with its comparisons, so the lanes'
-    StepEvents are the streaming trackers'. The grounded test, the velocity
-    and its deadband tests, lift-offs, swing starts and phase entries need
-    only the heights and the descending flags, so they are computed for a
-    whole run of ticks at once; the running apex, the descending flags and
-    swing validity step tick by tick. A completed step is built as a
-    StepEvent and registered on its lane's own GaitTracker, so the cadence
-    and apex EMAs stay scalar. Every tick is validated: validate_sample
-    checks the tick's time and its first out-of-range height and raises its
-    exception.
+    Each foot's state is a column of (2, lanes) arrays, row 0 the left
+    foot, and follows GaitTracker.advance's comparisons. What depends only
+    on the heights (grounding, velocity, lift-off, swing start) is computed
+    for a run of ticks at once, the running apex, the descending flags and
+    swing validity step tick by tick, and phase entries follow from both.
+    Each step is registered on its lane's own GaitTracker, so the EMAs stay
+    scalar. validate_sample checks every tick's time and first bad height.
     """
 
     def __init__(self, lanes: int):
-        self.trackers = [GaitTracker() for _ in range(lanes)]
+        self._trackers = [GaitTracker() for _ in range(lanes)]
         self.events: list[list[StepEvent]] = [[] for _ in range(lanes)]
         self._prev_time: float | None = None
-        shape = (2, lanes)
-        self._aerial = np.zeros(shape, bool)
-        self._descending = np.zeros(shape, bool)
-        self._valid = np.zeros(shape, bool)  # swing_valid
-        self._entered_at = np.zeros(shape)
-        self._prev_height = np.zeros(shape)
-        self._swing_start = np.zeros(shape)
-        self._running_apex = np.zeros(shape)
-        self._apex_time = np.zeros(shape)
-        # each lane's EMA state, refreshed from its tracker after a footfall;
-        # a cadence EMA is > 0, so 0 stands for none: it bounds to 0 alike
-        self._ema = np.zeros(lanes)
-        self._base = np.zeros(lanes)
-        self._active = np.ones(lanes)
-        self._footfall = np.full(lanes, np.nan)
+        # the state arrays are replaced, never written in place
+        self._aerial = self._descending = self._valid = np.zeros((2, lanes), bool)
+        self._entered_at = self._prev_height = self._swing_start = np.zeros((2, lanes))
+        self._running_apex = self._apex_time = self._swing_start
+        # each lane's _estimate_columns EMA arguments after its latest footfall
+        self._emas = np.array([[0.0], [0.0], [1.0], [np.nan]]).repeat(lanes, axis=1)
 
     def advance(self, times: list[float], heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ingest a run of ticks, heights[k] holding every lane's left and
-        right heights at times[k], and return every lane's estimate(times[k])
-        after each tick: step frequency and step height as (ticks, lanes)
-        arrays."""
-        lanes = heights.shape[2]
-        prev = self._prev_time
+        """Ingest ticks at times, heights[k] holding every lane's left and
+        right heights, and return each lane's estimate(times[k]) after each
+        tick: step frequency and step height as (ticks, lanes) arrays."""
+        lanes, prev = heights.shape[2], self._prev_time
         if prev is None:  # each foot's first sample starts its phase
-            self._aerial = heights[0] > GROUND_EPSILON
-            self._prev_height = heights[0]
-            self._entered_at = np.full(self._aerial.shape, times[0])
+            self._aerial, self._prev_height = heights[0] > GROUND_EPSILON, heights[0]
+            self._entered_at = np.full(heights[0].shape, times[0])
         in_range = (HEIGHT_FLOOR <= heights) & (heights <= HEIGHT_CEILING)
         first_bad = in_range.reshape(len(times), -1).argmin(axis=1).tolist()  # 0: none
         tick_before = [prev, *times[:-1]]
@@ -575,24 +555,19 @@ class TrackerLanes:
         before = np.array([-np.inf if prev is None else prev, *times[:-1]])[:, None, None]
         airborne = heights > GROUND_EPSILON
         was_aerial = np.concatenate(([self._aerial], airborne[:-1]))
-        lift = airborne > was_aerial
-        staying_up = airborne & was_aerial
+        lift, staying_up = airborne > was_aerial, airborne & was_aerial
         with np.errstate(invalid="ignore"):  # a non-finite height fails validation below
             velocity = np.diff(heights, axis=0, prepend=[self._prev_height]) / (now - before)
-        falling = velocity < -VELOCITY_DEADBAND
-        not_rising = ~(velocity > VELOCITY_DEADBAND)
-        # swing_start: the tick time before the latest lift-off
+        falling, not_rising = velocity < -VELOCITY_DEADBAND, ~(velocity > VELOCITY_DEADBAND)
+        # the sample time before each foot's latest lift-off
         swing_start = np.maximum(self._swing_start, np.maximum.accumulate(
             np.where(lift, before, -np.inf), axis=0
         ))
 
-        descending = np.empty_like(airborne)
-        valid_at = np.empty_like(airborne)
-        apex_at = np.empty_like(heights)
-        ema_at, base_at, active_at, footfall_at = [], [], [], []
         desc, valid, running_apex, apex_time = (
             self._descending, self._valid, self._running_apex, self._apex_time
         )
+        after = []
         for k, (t, h, bad) in enumerate(zip(times, heights, first_bad)):
             validate_sample(FootSample(t, _FEET[bad // lanes], h.item(bad)), tick_before[k])
             # a valid swing is aerial, so a valid foot back on the ground landed
@@ -604,11 +579,8 @@ class TrackerLanes:
             running_apex = np.where(peak, h, running_apex)
             apex_time = np.where(peak, t, apex_time)
             valid = lift[k] | (valid & airborne[k])
-            descending[k], valid_at[k], apex_at[k] = desc, valid, running_apex
-            ema_at.append(self._ema)
-            base_at.append(self._base)
-            active_at.append(self._active)
-            footfall_at.append(self._footfall)
+            after.append((desc, valid, running_apex, self._emas))
+        descending, valid_at, apex_at, emas = map(np.array, zip(*after))
 
         was_descending = np.concatenate(([self._descending], descending[:-1]))
         changed = (airborne != was_aerial) | (descending != was_descending)
@@ -620,34 +592,25 @@ class TrackerLanes:
         self._running_apex, self._apex_time = running_apex, apex_time
         self._swing_start, self._entered_at = swing_start[-1], entered_at[-1]
 
-        # foot-major (2, ticks, lanes); entered_at stands in for
-        # grounded_since: staleness reads it only while both feet are
-        # grounded, and then the two are equal
+        # entered_at stands in for grounded_since: staleness reads it only
+        # while both feet are grounded, and then the two are equal
         anchor = np.where(valid_at, swing_start, entered_at)
         feet = _FootFrames(*(a.swapaxes(0, 1) for a in (
             heights, airborne, valid_at, anchor, apex_at, entered_at,
         )))
-        return _estimate_columns(
-            now[:, :, 0], feet, np.array(ema_at), np.array(base_at), np.array(active_at),
-            np.array(footfall_at),
-        )
+        return _estimate_columns(now[:, :, 0], feet, *emas.swapaxes(0, 1))
 
     def _footfalls(self, landed, t, swing_start, apex_time, running_apex) -> None:
         # flat order visits every left foot before any right one, so a lane
         # whose feet both land on this tick registers the left step first;
-        # the EMA arrays are copied first, since earlier ticks refer to them
-        lanes = landed.shape[1]
-        self._ema, self._base = self._ema.copy(), self._base.copy()
-        self._active, self._footfall = self._active.copy(), self._footfall.copy()
+        # the EMA array is copied first, since earlier ticks refer to it
+        emas = self._emas = self._emas.copy()
         for i in np.flatnonzero(landed).tolist():
-            foot, lane = divmod(i, lanes)
+            foot, lane = divmod(i, landed.shape[1])
             event = StepEvent(
                 _FEET[foot], swing_start.item(i), apex_time.item(i), t, running_apex.item(i)
             )
-            tracker = self.trackers[lane]
+            tracker = self._trackers[lane]
             tracker._register_footfall(event)
             self.events[lane].append(event)
-            self._ema[lane] = tracker._freq_ema or 0.0
-            self._base[lane] = tracker._apex_ema
-            self._active[lane] = tracker._active_feet
-            self._footfall[lane] = t
+            emas[:, lane] = (tracker._freq_ema or 0.0, tracker._apex_ema, tracker._active_feet, t)

@@ -10,15 +10,27 @@ computed strictly from frames and step events inside the chase window.
 
 The live loop, run_chase, does each frame's work inline: advance the gait
 tracker through the frame's samples, estimate once, evaluate the law built
-once per run by speed.law, then integrate. A live frame feeds the next (the
-agent re-plans from the chase error), so the loop stays scalar; its
-per-frame cost is the agent's samples(), one advance() per sample, one
-estimate() and the loop body, and run_chase binds what its loop calls once
-per run. Replaying a time-sorted recorded trace advances the same streaming
-tracker sample by sample, then computes every frame's estimate, law and
-kinematics as arrays in the live loop's operation order, which is what
-keeps record/replay reports bit-identical; the DETERMINISM check, the
-replay goldens and a property test against a per-frame loop guard that.
+once per run by speed.law, then integrate. Its per-frame cost is the
+agent's samples(), one advance() per sample, one estimate() and the loop
+body, and run_chase binds what its loop calls once per run. It is the
+single-run path: simulate, record and the tests use it.
+
+Independent chases that share a scenario run in lockstep as lanes:
+run_chase_lanes keeps every lane's state in numpy arrays and returns the
+reports run_chase would, bit for bit. Its exactness rules: each array
+operation is the scalar one, elementwise and in the same order (the tests
+pin np.sin to math.sin and np.mod(x, 1.0) to x % 1.0); state that steps
+(gait clock, running apex, descending flags) steps tick by tick; the EMAs
+update per lane at footfalls with math.exp (np.exp differs); each lane
+draws its agent's noise only while its SD is positive; the only
+reductions are min, max and sequential cumulative sums, and the reports
+come from Python lists, as compute_metrics's do.
+
+Replaying a time-sorted recorded trace advances the same streaming tracker
+sample by sample, then computes every frame's estimate, law and kinematics
+as arrays in the live loop's operation order, which is what keeps
+record/replay reports bit-identical; the DETERMINISM check, the replay
+goldens and a property test against a per-frame loop guard that.
 """
 
 from __future__ import annotations
@@ -290,19 +302,13 @@ def run_chase_lanes(
     """run_chase for many walkers at once: one report per lane, each equal
     to run_chase(scenario, agents[i], params[i])'s bit for bit.
 
-    The lanes share the scenario and run in lockstep. Each frame,
-    synth.WalkerLanes emits every lane's samples and gait.TrackerLanes
-    advances every lane's tracker. Nothing in a frame feeds the agents back
-    until the next re-plan, so each re-plan interval's estimates, law and
-    kinematics are computed at its end, as arrays over the interval's
-    frames and the lanes: speed.law runs once per distinct params on that
-    group's lanes, and position and sphere are sequential cumulative sums,
-    as replay_trace computes them. Every lane then re-plans through its own
-    agent, which must be a WalkerAgent that has not drawn noise yet. Only
-    the chase window's output speeds and errors and the step events are
-    kept; there is no RunLog. Invalid samples raise validate_sample's
-    exceptions and a non-finite state raises DivergedSimulation, for the
-    whole batch.
+    The lanes run in lockstep, a re-plan interval at a time: each lane
+    re-plans through its own agent (a WalkerAgent), synth.WalkerLanes emits
+    the interval's samples and gait.TrackerLanes returns every frame's
+    estimates; then speed.law runs once per distinct params on its lanes
+    and position and sphere are cumulative sums, as in replay_trace. Only
+    the chase window's speeds and errors and the step events are kept.
+    Invalid samples and a diverged state raise for the whole batch.
     """
     lanes = len(agents)
     if lanes == 0 or len(params) != lanes:
@@ -314,17 +320,12 @@ def run_chase_lanes(
     end = chase_start + scenario.chase_duration
     circle_lead, target_speed = scenario.circle_lead, scenario.target_speed
     walkers, trackers = WalkerLanes(agents, dt), TrackerLanes(lanes)
-    groups: dict[WipParams, list[int]] = {}
-    for lane, p in enumerate(params):
-        groups.setdefault(p, []).append(lane)
-    laws = [(speed.law(p), members) for p, members in groups.items()]
-    speeds: list[np.ndarray] = []
-    errors: list[np.ndarray] = []
-
-    position = np.zeros(lanes)
-    sphere = np.full(lanes, circle_lead)
-    for lane in range(lanes):
-        walkers.command(lane, chase_policy(0.0, target_speed))
+    lanes_of = {p: [i for i, q in enumerate(params) if q == p] for p in params}
+    laws = [(speed.law(p), members) for p, members in lanes_of.items()]
+    speeds, errors = [np.empty((0, lanes))], [np.empty((0, lanes))]
+    position, sphere = np.zeros(lanes), np.full(lanes, circle_lead)
+    # run_chase's first command, before frame 0, repeats frame 0's: the
+    # error is 0 there, so the first re-plan below stands for both
     for first in range(0, n_frames, replan_every):
         for lane, e in enumerate((sphere - (position + circle_lead)).tolist()):
             walkers.command(lane, chase_policy(e, target_speed))
@@ -348,11 +349,9 @@ def run_chase_lanes(
         errors.append(error[window])
         position, sphere = position[-1], sphere[-1]
 
-    speed_cols, error_cols = np.concatenate(speeds), np.concatenate(errors)
+    speeds, errors = np.concatenate(speeds).T, np.concatenate(errors).T
     return [
-        _window_metrics(
-            speed_cols[:, i].tolist(), error_cols[:, i].tolist(), events, chase_start, end
-        )
+        _window_metrics(speeds[i].tolist(), errors[i].tolist(), events, chase_start, end)
         for i, events in enumerate(trackers.events)
     ]
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from inspect import GEN_CREATED, getgeneratorstate
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -206,8 +205,7 @@ class WalkerAgent:
         if not 0.0 <= noise_sd <= MAX_NOISE_SD:
             raise ValueError(f"noise_sd must be in [0, {MAX_NOISE_SD}] m, got {noise_sd!r}")
         self.rig = rig
-        self._rng = np.random.default_rng(seed)
-        self._noise = normal_stream(self._rng)
+        self._noise = normal_stream(np.random.default_rng(seed))
         # per-foot state, indexed like FEET
         self._cycle = [0.0, PHASE_OFFSET]
         self._apex = [0.0, 0.0]
@@ -275,56 +273,47 @@ class WalkerAgent:
 class WalkerLanes:
     """WalkerAgent.samples for lanes of agents stepped in lockstep.
 
-    Each agent's gait clock, latched apexes and stance flags become columns
-    of (2, lanes) arrays, row 0 the left foot. command() re-plans one lane
-    through its own agent; between re-plans nothing changes a lane's plan,
-    so samples() emits a whole run of ticks at once with samples()'s
-    operations: the gait clock advances tick by tick (x % 1.0 rounds at
-    every step), and a foot latches the current plan's apex at its first
-    lift-off. np.sin equals math.sin on the swing domain and np.mod(x, 1.0)
-    equals x % 1.0, which the tests pin. A lane draws its noise from its
-    agent's generator in NOISE_BLOCK blocks and consumes a left/right pair
-    per tick, only while the lane's SD is positive, so every lane sees the
-    draws its agent would. The agents must not have drawn noise yet; they
-    serve as plans and generators only, and their own gait state is not
-    advanced.
+    Each agent's per-foot state is a column of (2, lanes) arrays, row 0 the
+    left foot. command() re-plans one lane through its own agent; between
+    re-plans no plan changes, so samples() emits a run of ticks at once,
+    with samples()'s operations. Each lane takes its noise from its agent's
+    stream, a left/right pair per tick while its SD is positive.
     """
 
     def __init__(self, agents: Sequence[WalkerAgent], dt: float):
-        if any(getgeneratorstate(a._noise) != GEN_CREATED for a in agents):
-            raise ValueError("WalkerLanes needs agents that have not drawn noise yet")
-        self.agents = agents
-        self._dt = dt
-        self._cycle = np.array([a._cycle for a in agents]).T
-        self._apex = np.array([a._apex for a in agents]).T
-        self._in_stance = np.array([a._in_stance for a in agents]).T
-        self._pending = np.array([a._pending_apex for a in agents])
-        self._phase_step = np.array([[dt * a._frequency / 2.0] * 2 for a in agents]).T
-        self._parked = np.array([[a._frequency <= 0.0] * 2 for a in agents]).T
-        self._sd = np.array([a._effective_sd for a in agents])
-        self._unused = [np.empty(0)] * len(agents)  # each lane's drawn, unused normals
+        self._agents, self._dt = agents, dt
+        self._cycle, self._apex, self._in_stance = (
+            np.array([getattr(a, name) for a in agents]).T
+            for name in ("_cycle", "_apex", "_in_stance")
+        )
+        lanes = len(agents)
+        self._phase_step, self._parked = np.zeros((2, lanes)), np.zeros((2, lanes), bool)
+        self._pending, self._sd = np.zeros(lanes), np.zeros(lanes)
+        for lane in range(lanes):
+            self._adopt(lane)
 
     def command(self, lane: int, speed: float) -> None:
         """Re-plan one lane for a commanded speed, as WalkerAgent.command does."""
-        agent = self.agents[lane]
-        agent.command(speed)
-        frequency = agent._frequency
-        self._phase_step[:, lane] = self._dt * frequency / 2.0
-        self._parked[:, lane] = frequency <= 0.0
-        self._sd[lane] = agent._effective_sd
-        self._pending[lane] = agent._pending_apex
-        if frequency <= 0.0:
-            self._cycle[:, lane] = 0.0
-            self._in_stance[:, lane] = True
+        self._agents[lane].command(speed)
+        self._adopt(lane)
+        if self._parked[0, lane]:  # feet settle; park both cycles at stance start
+            self._cycle[:, lane], self._in_stance[:, lane] = 0.0, True
+
+    def _adopt(self, lane: int) -> None:
+        """Take up the plan of the lane's agent."""
+        agent = self._agents[lane]
+        self._phase_step[:, lane] = self._dt * agent._frequency / 2.0
+        self._parked[:, lane] = agent._frequency <= 0.0
+        self._pending[lane], self._sd[lane] = agent._pending_apex, agent._effective_sd
 
     def samples(self, ticks: int) -> np.ndarray:
         """Every lane's left and right heights for the next ticks ticks, a
         (ticks, 2, lanes) array, advancing the gait clocks by dt a tick."""
         cycles = np.empty((ticks, *self._cycle.shape))
-        cycle, phase_step = self._cycle, self._phase_step
-        for k in range(ticks):
+        cycle = self._cycle
+        for k in range(ticks):  # % 1.0 rounds at every step
             cycles[k] = cycle
-            cycle = (cycle + phase_step) % 1.0
+            cycle = (cycle + self._phase_step) % 1.0
         self._cycle = cycle
         stance = self._parked | (cycles < STANCE_FRACTION)
         was_in_stance = np.concatenate(([self._in_stance], stance[:-1]))
@@ -338,15 +327,8 @@ class WalkerLanes:
         if noisy:
             noise = np.zeros_like(heights)  # a lane with SD 0 adds 0.0 * 0.0
             for lane in noisy:
-                noise[:, :, lane] = self._draw(lane, 2 * ticks).reshape(ticks, 2)
+                draws = np.fromiter(islice(self._agents[lane]._noise, 2 * ticks), float)
+                noise[:, :, lane] = draws.reshape(ticks, 2)
             heights = heights + self._sd * noise
             heights = np.where(heights > 0.0, heights, 0.0)  # max(0.0, h)
         return heights
-
-    def _draw(self, lane: int, count: int) -> np.ndarray:
-        """The lane's next count standard normals."""
-        unused = self._unused[lane]
-        while unused.size < count:
-            unused = np.concatenate((unused, self.agents[lane]._rng.standard_normal(NOISE_BLOCK)))
-        self._unused[lane] = unused[count:]
-        return unused[:count]

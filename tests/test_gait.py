@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiplab.core import Foot, FootSample, GaitEstimate, NonMonotonicTime, OutOfRangeHeight
@@ -514,6 +514,9 @@ def lane_heights(lanes):
 
 @settings(max_examples=25, deadline=None)
 @given(lanes=st.lists(segments, min_size=1, max_size=4), runs=st.lists(st.integers(1, 60)))
+@example(  # a swing that plateaus at its apex: the apex time is the first
+    lanes=[[("pause", 0.1), ("ramp", 0.1, 0.1, 0.0, 0.0, 20), ("pause", 0.1)]], runs=[7]
+)
 def test_tracker_lanes_equal_one_tracker_per_lane(lanes, runs):
     """Each lane's step events and its estimate after every tick equal those
     of a GaitTracker fed that lane's samples, bit for bit, however the ticks

@@ -495,6 +495,16 @@ def test_a_mixed_batch_equals_its_chases(target):
     assert_lanes_equal_run_chase(scenario, lanes)
 
 
+def test_lanes_with_no_frame_in_the_window_raise_empty_window():
+    scenario = ChaseScenario(
+        target_speed=0.0, prep_duration=1e-3, countdown=1e-3, chase_duration=1e-3
+    )  # rounds to zero frames
+    with pytest.raises(EmptyWindow):
+        run_chase(scenario, WalkerAgent(SHEF), SHEF)
+    with pytest.raises(EmptyWindow):
+        run_chase_lanes(scenario, [WalkerAgent(SHEF)], [SHEF])
+
+
 def test_lanes_need_one_params_per_agent():
     with pytest.raises(ValueError, match="one params per agent"):
         run_chase_lanes(ChaseScenario(target_speed=1.0), [WalkerAgent(SHEF)], [SHEF, SHEF])

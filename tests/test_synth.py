@@ -395,13 +395,7 @@ def test_numpy_sin_and_mod_equal_math_on_the_swing_domain():
     u = np.concatenate((np.linspace(0.0, 1.0, 100_001)[:-1], rng.random(200_000)))
     angle = np.pi * u
     assert np.sin(angle).tolist() == [math.sin(a) for a in angle.tolist()]
-    cycle = u + rng.random(u.size) / 20.0  # a cycle position plus one tick's phase step
+    # a cycle position plus one tick's phase step, and synth_trace's t * f / 2
+    cycle = np.concatenate((u + rng.random(u.size) / 20.0, rng.random(100_000) * 1000.0))
     assert np.mod(cycle, 1.0).tolist() == [c % 1.0 for c in cycle.tolist()]
 
-
-def test_walker_lanes_need_agents_that_have_not_drawn_noise():
-    agent = WalkerAgent(GUD, noise_sd=0.002, seed=1)
-    agent.command(1.0)
-    agent.samples(0.0, 1.0 / 90.0)
-    with pytest.raises(ValueError, match="have not drawn noise"):
-        synth.WalkerLanes([WalkerAgent(GUD), agent], 1.0 / 90.0)
