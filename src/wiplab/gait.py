@@ -329,7 +329,7 @@ class FrameEstimates(NamedTuple):
 
 class _FootFrames(NamedTuple):
     """One foot's tracker state after each frame's samples; stacked, each
-    field is a (2, n) array, row 0 the left foot."""
+    field has a leading axis of 2, row 0 the left foot."""
 
     height: np.ndarray         # the frame's sample height, 0 without one
     aerial: np.ndarray         # phase is not GROUNDED
