@@ -322,7 +322,8 @@ def run_chase_lanes(
     walkers, trackers = WalkerLanes(agents, dt), TrackerLanes(lanes)
     lanes_of = {p: [i for i, q in enumerate(params) if q == p] for p in params}
     laws = [(speed.law(p), members) for p, members in lanes_of.items()]
-    speeds, errors = [np.empty((0, lanes))], [np.empty((0, lanes))]
+    n_window = sum(chase_start <= k * dt < end for k in range(n_frames))
+    speeds, errors, filled = np.empty((n_window, lanes)), np.empty((n_window, lanes)), 0
     position, sphere = np.zeros(lanes), np.full(lanes, circle_lead)
     # run_chase's first command, before frame 0, repeats frame 0's: the
     # error is 0 there, so the first re-plan below stands for both
@@ -345,11 +346,12 @@ def run_chase_lanes(
         if diverged.size:
             raise DivergedSimulation(f"non-finite state at t={times[diverged[0]]:.3f}")
         window = (chase_start <= now) & (now < end)
-        speeds.append(out[window])
-        errors.append(error[window])
+        taken = np.count_nonzero(window)
+        speeds[filled:filled + taken], errors[filled:filled + taken] = out[window], error[window]
+        filled += taken
         position, sphere = position[-1], sphere[-1]
 
-    speeds, errors = np.concatenate(speeds).T, np.concatenate(errors).T
+    speeds, errors = speeds.T, errors.T
     return [
         _window_metrics(speeds[i].tolist(), errors[i].tolist(), events, chase_start, end)
         for i, events in enumerate(trackers.events)
