@@ -21,9 +21,11 @@ gives each chase the report ``run_chase`` would.
 
 from __future__ import annotations
 
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -81,8 +83,8 @@ def _steady_mean_speed(variant: Variant, target: float) -> float:
     program = plan_gait(target, params)
     frames = estimate_frames(synth_trace(program, STEADY_DURATION, STEADY_RATE), [])
     _, out = speed.law(params)(frames.step_frequency, frames.step_height)
-    outputs = out[frames.time >= STEADY_SETTLE].tolist()
-    return sum(outputs) / len(outputs)
+    outputs = out[frames.time >= STEADY_SETTLE]
+    return float(np.cumsum(outputs)[-1]) / outputs.size  # in order, as harness._mean
 
 
 def check_eq1_anchor() -> tuple[bool, str]:
@@ -218,31 +220,40 @@ def offline_step_segments(samples: list[FootSample]) -> list[tuple[Foot, float, 
     Per foot: contiguous runs of samples above the ground threshold form a
     swing when they are preceded and followed by a grounded sample and their
     peak clears the minimum step height. Returns (foot, start, apex_time,
-    end, apex_height) tuples ordered by landing time.
+    end, apex_height) tuples ordered by landing time: start and end are the
+    grounded samples around the run, the apex its first highest sample.
+    The runs are found with array operations on the heights alone, without
+    the tracker.
     """
-    by_foot: dict[Foot, list[FootSample]] = {}
-    for s in samples:
-        by_foot.setdefault(s.foot, []).append(s)
-    segments: list[tuple[Foot, float, float, float, float]] = []
-    for foot, rows in by_foot.items():
-        prev_grounded: float | None = None
-        region: list[float] | None = None  # [start, apex_height, apex_time]
-        for s in rows:
-            if s.height > GROUND_EPSILON:
-                if region is None:
-                    region = [prev_grounded, s.height, s.time]  # type: ignore[list-item]
-                elif s.height > region[1]:
-                    region[1], region[2] = s.height, s.time
-            else:
-                if (
-                    region is not None
-                    and region[0] is not None
-                    and region[1] >= MIN_STEP_HEIGHT
-                ):
-                    segments.append((foot, region[0], region[2], s.time, region[1]))
-                region = None
-                prev_grounded = s.time
-    return sorted(segments, key=lambda seg: (seg[3], seg[0].value))
+    if not samples:
+        return []
+    times, feet, heights = zip(*samples)
+    n = len(samples)
+    left = np.fromiter(map(operator.is_, feet, repeat(Foot.LEFT)), bool, n)
+    # every left sample, then every right one, each foot in time order
+    order, n_left = np.argsort(~left, kind="stable"), np.count_nonzero(left)
+    t, h = np.fromiter(times, float, n)[order], np.fromiter(heights, float, n)[order]
+    edges = np.flatnonzero(np.diff(h > GROUND_EPSILON, prepend=False, append=False))
+    first, stop = edges[0::2], edges[1::2]  # runs [first, stop) above the threshold
+    # grounded samples of the run's own foot on both sides
+    closed = (first > 0) & (stop < n) & ((stop < n_left) | (first > n_left))
+    first, stop = first[closed], stop[closed]
+    if not first.size:
+        return []
+    bounds = np.column_stack((first, stop)).ravel()
+    peak = np.maximum.reduceat(h, bounds)[::2]
+    index = np.arange(n)
+    run = np.searchsorted(first, index, side="right") - 1  # the run a sample may be in
+    at_peak = (run >= 0) & (index < stop[run]) & (h == peak[run])
+    apex = np.minimum.reduceat(np.where(at_peak, index, n), bounds)[::2]
+    step = peak >= MIN_STEP_HEIGHT
+    right, columns = first[step] > n_left, (t[first - 1], t[apex], t[stop], peak)
+    start, apex_time, end, apex_height = (column[step] for column in columns)
+    by_landing = np.lexsort((right, end))  # ties: "L" < "R", by foot value
+    feet = [Foot.RIGHT if r else Foot.LEFT for r in right[by_landing].tolist()]
+    return list(zip(feet, *(
+        column[by_landing].tolist() for column in (start, apex_time, end, apex_height)
+    )))
 
 
 def check_gait_oracle() -> tuple[bool, str]:

@@ -22,7 +22,7 @@ from dataclasses import asdict
 from typing import Any
 
 from . import acceptance as acceptance_mod
-from .core import HEIGHT_CEILING, Variant, WipError
+from .core import HEIGHT_CEILING, EmptyWindow, Variant, WipError
 from .elastic import ElasticRig, PullDirection, bands_for_target, rig_force
 from .harness import FrameRow, MetricsReport, RunLog, replay_trace, run_chase
 from .synth import WalkerAgent
@@ -98,7 +98,13 @@ def _simulate(args: argparse.Namespace) -> tuple[MetricsReport, RunLog, dict[str
     rig = _from_echo(config, "rig", parse_rig_spec)
     noise_sd, seed = _from_echo(config, "noise_sd", float), config["seed"]
     agent = WalkerAgent(params, noise_sd=noise_sd, seed=seed, rig=rig)
-    report, log = run_chase(scenario, agent, params)
+    try:
+        report, log = run_chase(scenario, agent, params)
+    except EmptyWindow as exc:  # the scenario is too short, not the run at fault
+        raise ValueError(
+            f"chase_duration {scenario.chase_duration!r} s holds no frame at "
+            f"timestep {scenario.timestep!r} s"
+        ) from exc
     return report, log, scenario_echo(scenario, params, seed=seed, noise_sd=noise_sd, rig=rig)
 
 

@@ -16,6 +16,10 @@ HEIGHT_FLOOR = -0.005  # m
 HEIGHT_CEILING = 2.0   # m, no foot gets this high
 
 _INF = float("inf")
+# Largest speed_gain and natural_visual_gain. The experiments' gains lie in
+# 0.3-2.5 and the natural visual gain is 2.02; far past them a chase's speed
+# sums overflow.
+MAX_GAIN = 10.0
 
 
 class WipError(Exception):
@@ -165,8 +169,12 @@ class WipParams:
         require_finite(self, ("user_height", "speed_gain", "natural_visual_gain"))
         if not 1.0 <= self.user_height <= 2.5:
             raise ValueError(f"user_height {self.user_height} outside [1.0, 2.5] m")
-        if self.speed_gain <= 0.0 or self.natural_visual_gain <= 0.0:
-            raise NonPositiveGain("speed gains must be > 0")
+        for name in ("speed_gain", "natural_visual_gain"):
+            gain = getattr(self, name)
+            if gain <= 0.0:
+                raise NonPositiveGain(f"{name} must be > 0, got {gain!r}")
+            if gain > MAX_GAIN:
+                raise ValueError(f"{name} must be <= {MAX_GAIN:g}, got {gain!r}")
 
 
 # The per-frame records are NamedTuples: a frozen dataclass pays one

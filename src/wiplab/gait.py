@@ -46,8 +46,7 @@ class Phase(Enum):
 # Reading an enum member through its class costs ~0.1 us on CPython 3.11;
 # the per-frame paths compare against these constants instead.
 _GROUNDED, _ASCENDING, _DESCENDING = Phase.GROUNDED, Phase.ASCENDING, Phase.DESCENDING
-_LEFT = Foot.LEFT
-_FEET = (Foot.LEFT, Foot.RIGHT)
+_FEET = _LEFT, _RIGHT = Foot.LEFT, Foot.RIGHT
 # estimate() builds its result directly: its values hold GaitEstimate's
 # invariants (non-negative, zero frequency when stale) by construction.
 _new_estimate = tuple.__new__
@@ -209,8 +208,10 @@ class GaitTracker:
     def _register_footfall(self, event: StepEvent) -> None:
         prev_footfall = self._last_footfall
         self._last_footfall = event.end
-        self._recent_feet.append(event.foot)
-        self._active_feet = len(set(self._recent_feet))
+        recent = self._recent_feet
+        recent.append(event.foot)
+        # distinct feet among the last four events; Enum hashing runs in Python
+        self._active_feet = (_LEFT in recent) + (_RIGHT in recent)
 
         if prev_footfall is not None:
             delta = event.end - prev_footfall
@@ -516,17 +517,39 @@ def _estimate_columns(
 # lanes of trackers stepped in lockstep
 
 
+def _latest(events: np.ndarray, unset) -> np.ndarray:
+    """Down axis 0, the row of the latest event at or before each row, and
+    unset (a negative row, broadcast per column) before the first."""
+    rows = np.arange(len(events)).reshape(-1, *(1,) * (events.ndim - 1))
+    return np.maximum.accumulate(np.where(events, rows, unset), axis=0)
+
+
+def _epoch_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Running max down axis 0, restarted at each row where starts is set
+    (row 0 must be one): a doubling scan, exact because max only selects."""
+    out, open_ = values.copy(), ~starts
+    shift = 1
+    while shift < len(out):
+        np.copyto(out[shift:], np.maximum(out[shift:], out[:-shift]), where=open_[shift:])
+        open_[shift:] = open_[shift:] & open_[:-shift]
+        shift *= 2
+    return out
+
+
 class TrackerLanes:
     """GaitTrackers for lanes fed in lockstep: at every tick each lane gets
     one left and one right sample at the tick's time.
 
     Each foot's state is a column of (2, lanes) arrays, row 0 the left
-    foot, and follows GaitTracker.advance's comparisons. What depends only
-    on the heights (grounding, velocity, lift-off, swing start) is computed
-    for a run of ticks at once, the running apex, the descending flags and
-    swing validity step tick by tick, and phase entries follow from both.
-    Each step is registered on its lane's own GaitTracker, so the EMAs stay
-    scalar. validate_sample checks every tick's time and first bad height.
+    foot, and follows GaitTracker.advance's comparisons. advance() steps a
+    run of ticks with array scans down the tick axis, with no loop over
+    ticks: swing validity, the descending flags and the apex time are
+    forward fills of event rows, the carried-in state standing at row -1;
+    the running apex is a running max restarted at each lift-off. Each step
+    is registered on its lane's own GaitTracker, so the EMAs stay scalar
+    (math.exp), and forward-filled per lane. A run is checked with
+    validate_sample's predicates; its first failing tick raises from
+    validate_sample itself.
     """
 
     def __init__(self, lanes: int):
@@ -544,73 +567,95 @@ class TrackerLanes:
         """Ingest ticks at times, heights[k] holding every lane's left and
         right heights, and return each lane's estimate(times[k]) after each
         tick: step frequency and step height as (ticks, lanes) arrays."""
-        lanes, prev = heights.shape[2], self._prev_time
+        prev = self._prev_time
         if prev is None:  # each foot's first sample starts its phase
             self._aerial, self._prev_height = heights[0] > GROUND_EPSILON, heights[0]
             self._entered_at = np.full(heights[0].shape, times[0])
+        now = np.array(times)
+        before = np.concatenate(([-np.inf if prev is None else prev], now[:-1]))
+        # validate_sample's predicates for every tick; a stream's first time
+        # need only be >= 0. The first failing tick raises from validate_sample.
         in_range = (HEIGHT_FLOOR <= heights) & (heights <= HEIGHT_CEILING)
-        first_bad = in_range.reshape(len(times), -1).argmin(axis=1).tolist()  # 0: none
-        tick_before = [prev, *times[:-1]]
-        now = np.array(times)[:, None, None]
-        before = np.array([-np.inf if prev is None else prev, *times[:-1]])[:, None, None]
+        floor = np.concatenate(([times[0] if prev is None else prev], now[:-1]))
+        fine = (0.0 <= floor) & (before < now) & (now < np.inf)
+        fine &= in_range.reshape(len(times), -1).all(axis=1)
+        if not fine.all():
+            k = int(fine.argmin())
+            i = int(in_range[k].argmin())  # 0 when every height is in range
+            sample = FootSample(times[k], _FEET[i // heights.shape[2]], heights[k].item(i))
+            validate_sample(sample, prev if k == 0 else times[k - 1])
+        now3, before3 = now[:, None, None], before[:, None, None]
         airborne = heights > GROUND_EPSILON
         was_aerial = np.concatenate(([self._aerial], airborne[:-1]))
         lift, staying_up = airborne > was_aerial, airborne & was_aerial
-        with np.errstate(invalid="ignore"):  # a non-finite height fails validation below
-            velocity = np.diff(heights, axis=0, prepend=[self._prev_height]) / (now - before)
-        falling, not_rising = velocity < -VELOCITY_DEADBAND, ~(velocity > VELOCITY_DEADBAND)
+        velocity = np.diff(heights, axis=0, prepend=[self._prev_height]) / (now3 - before3)
         # the sample time before each foot's latest lift-off
         swing_start = np.maximum(self._swing_start, np.maximum.accumulate(
-            np.where(lift, before, -np.inf), axis=0
+            np.where(lift, before3, -np.inf), axis=0
         ))
-
-        desc, valid, running_apex, apex_time = (
-            self._descending, self._valid, self._running_apex, self._apex_time
+        # valid: lifted off since last grounded. descending: set by falling,
+        # reset by rising or by leaving a staying-aloft stretch.
+        valid = _latest(lift, np.where(self._valid, -1, -2)) > _latest(~airborne, -2)
+        descending = _latest(
+            staying_up & (velocity < -VELOCITY_DEADBAND), np.where(self._descending, -1, -2)
+        ) > _latest(~staying_up | (velocity > VELOCITY_DEADBAND), -2)
+        # row 0 is the carried-in running apex, row k + 1 the one after tick k
+        apex = _epoch_max(
+            np.concatenate(([self._running_apex], np.where(airborne, heights, -np.inf))),
+            np.concatenate((np.ones_like(lift[:1]), lift)),
         )
-        after = []
-        for k, (t, h, bad) in enumerate(zip(times, heights, first_bad)):
-            validate_sample(FootSample(t, _FEET[bad // lanes], h.item(bad)), tick_before[k])
-            # a valid swing is aerial, so a valid foot back on the ground landed
-            landed = valid & ~airborne[k] & (running_apex >= MIN_STEP_HEIGHT)
-            if np.count_nonzero(landed):
-                self._footfalls(landed, t, swing_start[k], apex_time, running_apex)
-            desc = staying_up[k] & np.where(desc, not_rising[k], falling[k])
-            peak = lift[k] | (airborne[k] & (h > running_apex))
-            running_apex = np.where(peak, h, running_apex)
-            apex_time = np.where(peak, t, apex_time)
-            valid = lift[k] | (valid & airborne[k])
-            after.append((desc, valid, running_apex, self._emas))
-        descending, valid_at, apex_at, emas = map(np.array, zip(*after))
+        apex_before, apex_at = apex[:-1], apex[1:]
+        last_peak = _latest(lift | (airborne & (heights > apex_before)), -1)
+        apex_time = np.where(last_peak >= 0, now[last_peak], self._apex_time)
+
+        # a valid swing is aerial, so a valid foot back on the ground landed
+        landed = (
+            np.concatenate(([self._valid], valid[:-1])) & ~airborne
+            & (apex_before >= MIN_STEP_HEIGHT)
+        )
+        apex_time_before = np.concatenate(([self._apex_time], apex_time[:-1]))
+        emas = self._footfalls(landed, times, swing_start, apex_time_before, apex_before)
 
         was_descending = np.concatenate(([self._descending], descending[:-1]))
         changed = (airborne != was_aerial) | (descending != was_descending)
         entered_at = np.maximum(self._entered_at, np.maximum.accumulate(
-            np.where(changed, now, -np.inf), axis=0
+            np.where(changed, now3, -np.inf), axis=0
         ))
         self._prev_time, self._prev_height = times[-1], heights[-1]
-        self._aerial, self._descending, self._valid = airborne[-1], desc, valid
-        self._running_apex, self._apex_time = running_apex, apex_time
+        self._aerial, self._descending, self._valid = airborne[-1], descending[-1], valid[-1]
+        self._running_apex, self._apex_time = apex[-1], apex_time[-1]
         self._swing_start, self._entered_at = swing_start[-1], entered_at[-1]
 
         # entered_at stands in for grounded_since: staleness reads it only
         # while both feet are grounded, and then the two are equal
-        anchor = np.where(valid_at, swing_start, entered_at)
+        anchor = np.where(valid, swing_start, entered_at)
         feet = _FootFrames(*(a.swapaxes(0, 1) for a in (
-            heights, airborne, valid_at, anchor, apex_at, entered_at,
+            heights, airborne, valid, anchor, apex_at, entered_at,
         )))
-        return _estimate_columns(now[:, :, 0], feet, *emas.swapaxes(0, 1))
+        return _estimate_columns(now[:, None], feet, *emas)
 
-    def _footfalls(self, landed, t, swing_start, apex_time, running_apex) -> None:
-        # flat order visits every left foot before any right one, so a lane
-        # whose feet both land on this tick registers the left step first;
-        # the EMA array is copied first, since earlier ticks refer to it
-        emas = self._emas = self._emas.copy()
-        for i in np.flatnonzero(landed).tolist():
-            foot, lane = divmod(i, landed.shape[1])
-            event = StepEvent(
-                _FEET[foot], swing_start.item(i), apex_time.item(i), t, running_apex.item(i)
-            )
+    def _footfalls(self, landed, times, swing_start, apex_time, apex) -> np.ndarray:
+        """Register a run's steps in (tick, foot, lane) order, so a lane whose
+        feet land on one tick registers the left step first, and return the
+        lanes' EMA arguments after each tick: (4, ticks or 1, lanes)."""
+        at = np.nonzero(landed)
+        if not at[0].size:
+            return self._emas[:, None]
+        rows = []
+        for k, foot, lane, start, top_time, top in zip(*(
+            a.tolist() for a in (*at, swing_start[at], apex_time[at], apex[at])
+        )):
+            t = times[k]
+            event = StepEvent(_FEET[foot], start, top_time, t, top)
             tracker = self._trackers[lane]
             tracker._register_footfall(event)
             self.events[lane].append(event)
-            emas[:, lane] = (tracker._freq_ema or 0.0, tracker._apex_ema, tracker._active_feet, t)
+            rows.append((tracker._freq_ema or 0.0, tracker._apex_ema, tracker._active_feet, t))
+        # rows of table: each lane's carried-in EMAs, then one per step
+        lanes = landed.shape[2]
+        table = np.concatenate((self._emas.T, rows))
+        latest = np.repeat(np.arange(lanes)[None], len(times), axis=0)
+        np.maximum.at(latest, (at[0], at[2]), np.arange(lanes, lanes + len(rows)))
+        emas = table[np.maximum.accumulate(latest, axis=0)]
+        self._emas = emas[-1].T
+        return emas.transpose(2, 0, 1)

@@ -20,11 +20,13 @@ run_chase_lanes keeps every lane's state in numpy arrays and returns the
 reports run_chase would, bit for bit. Its exactness rules: each array
 operation is the scalar one, elementwise and in the same order (the tests
 pin np.sin to math.sin and np.mod(x, 1.0) to x % 1.0); state that steps
-(gait clock, running apex, descending flags) steps tick by tick; the EMAs
+from tick to tick is scanned a re-plan interval at a time with sequential
+cumulative sums (the gait clock, restarted at each wrap), running maxima
+and forward fills (the running apex, swing and descending flags); the EMAs
 update per lane at footfalls with math.exp (np.exp differs); each lane
-draws its agent's noise only while its SD is positive; the only
+takes its agent's noise only while its SD is positive; the only
 reductions are min, max and sequential cumulative sums, and the reports
-come from Python lists, as compute_metrics's do.
+come from compute_metrics's own arithmetic, _window_metrics.
 
 Replaying a time-sorted recorded trace advances the same streaming tracker
 sample by sample, then computes every frame's estimate, law and kinematics
@@ -61,6 +63,11 @@ DEFAULT_TIMESTEP = 1.0 / 90.0
 # Frames one run may have. A run keeps every frame in memory; this is about
 # 3 h at 90 Hz, while the default protocol runs 3,000-4,000 frames.
 MAX_FRAMES = 1_000_000
+# Fastest target and sample rate a scenario may ask for: far past any walker
+# (MAX_STEP_HEIGHT at MAX_FREQUENCY gives ~12 m/s) and any foot tracker.
+# Beyond them sums of a chase's positions and speeds can overflow.
+MAX_TARGET_SPEED = 100.0  # m/s
+MAX_SAMPLE_RATE = 10_000.0  # Hz
 
 
 class Stage(Enum):
@@ -90,8 +97,8 @@ class ChaseScenario:
     def __post_init__(self) -> None:
         names = [f.name for f in fields(self)]
         require_finite(self, names)
-        if self.target_speed < 0.0:
-            raise ValueError("target_speed must be >= 0")
+        if not 0.0 <= self.target_speed <= MAX_TARGET_SPEED:
+            raise ValueError(f"target_speed must be in [0, {MAX_TARGET_SPEED:g}] m/s")
         for name in names[1:]:  # the lengths and durations after target_speed
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be > 0")
@@ -102,9 +109,12 @@ class ChaseScenario:
         frames = self.total_duration / self.timestep
         if frames > MAX_FRAMES:
             raise ValueError(
-                f"timestep {self.timestep!r} s over {self.total_duration!r} s gives "
+                f"timestep {self.timestep!r} s over {self.total_duration!r} s (prep_distance"
+                " / target_speed + prep_duration + countdown + chase_duration) gives "
                 f"{frames:.4g} frames, more than {MAX_FRAMES}"
             )
+        if self.timestep < 1.0 / MAX_SAMPLE_RATE:
+            raise ValueError(f"timestep must be >= 1/{MAX_SAMPLE_RATE:g} s, got {self.timestep!r}")
 
     @property
     def prep_walk_time(self) -> float:
@@ -183,12 +193,14 @@ class RunLog:
 
 
 def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
+    # np.cumsum adds in order on every Python; from 3.12 on, sum() of floats
+    # compensates, which would move a report's bits
+    return float(np.cumsum(values)[-1]) / len(values)
 
 
-def _population_sd(values: Sequence[float]) -> float:
+def _population_sd(values: np.ndarray) -> float:
     m = _mean(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
+    return math.sqrt(_mean([d ** 2 for d in (values - m).tolist()]))  # float ** is C pow
 
 
 def compute_metrics(log: RunLog) -> MetricsReport:
@@ -206,12 +218,14 @@ def compute_metrics(log: RunLog) -> MetricsReport:
 
 
 def _window_metrics(
-    speeds: list[float], errors: list[float], events: Iterable[StepEvent], start: float, end: float
+    speeds: Sequence[float], errors: Sequence[float], events: Iterable[StepEvent],
+    start: float, end: float,
 ) -> MetricsReport:
     """compute_metrics' arithmetic: the output speeds and chase errors of the
     frames in the window [start, end), in frame order, and the run's events."""
-    if not speeds:
+    if not len(speeds):
         raise EmptyWindow("no frames inside the measurement window")
+    speeds, errors = np.asarray(speeds, dtype=float), np.asarray(errors, dtype=float)
     events = sorted((e for e in events if start <= e.end < end), key=lambda e: e.end)
     if events:
         avg_height = _mean([e.apex_height for e in events])
@@ -228,7 +242,7 @@ def _window_metrics(
     return MetricsReport(
         avg_step_height=avg_height,
         avg_step_frequency=avg_freq,
-        avg_target_distance=_mean([abs(e) for e in errors]),
+        avg_target_distance=_mean(np.abs(errors)),
         avg_speed=_mean(speeds),
         speed_sd=_population_sd(speeds),
     )
@@ -302,13 +316,16 @@ def run_chase_lanes(
     """run_chase for many walkers at once: one report per lane, each equal
     to run_chase(scenario, agents[i], params[i])'s bit for bit.
 
-    The lanes run in lockstep, a re-plan interval at a time: each lane
-    re-plans through its own agent (a WalkerAgent), synth.WalkerLanes emits
-    the interval's samples and gait.TrackerLanes returns every frame's
-    estimates; then speed.law runs once per distinct params on its lanes
-    and position and sphere are cumulative sums, as in replay_trace. Only
-    the chase window's speeds and errors and the step events are kept.
-    Invalid samples and a diverged state raise for the whole batch.
+    The lanes run in lockstep, a re-plan interval at a time, with no Python
+    loop over frames: each lane re-plans through its own agent (a
+    WalkerAgent), synth.WalkerLanes emits the interval's samples and
+    gait.TrackerLanes returns every frame's estimates, each with array
+    scans over the interval; then speed.law runs once per distinct params
+    on its lanes and position and sphere are cumulative sums, as in
+    replay_trace. Python loops run only over lanes at a re-plan, over step
+    events and over gait-clock wraps. Only the chase window's speeds and
+    errors and the step events are kept. Invalid samples and a diverged
+    state raise for the whole batch.
     """
     lanes = len(agents)
     if lanes == 0 or len(params) != lanes:
@@ -320,7 +337,9 @@ def run_chase_lanes(
     end = chase_start + scenario.chase_duration
     circle_lead, target_speed = scenario.circle_lead, scenario.target_speed
     walkers, trackers = WalkerLanes(agents, dt), TrackerLanes(lanes)
-    lanes_of = {p: [i for i, q in enumerate(params) if q == p] for p in params}
+    lanes_of: dict[WipParams, list[int]] = {}
+    for lane, p in enumerate(params):
+        lanes_of.setdefault(p, []).append(lane)
     laws = [(speed.law(p), members) for p, members in lanes_of.items()]
     n_window = sum(chase_start <= k * dt < end for k in range(n_frames))
     speeds, errors, filled = np.empty((n_window, lanes)), np.empty((n_window, lanes)), 0
@@ -328,8 +347,9 @@ def run_chase_lanes(
     # run_chase's first command, before frame 0, repeats frame 0's: the
     # error is 0 there, so the first re-plan below stands for both
     for first in range(0, n_frames, replan_every):
-        for lane, e in enumerate((sphere - (position + circle_lead)).tolist()):
-            walkers.command(lane, chase_policy(e, target_speed))
+        walkers.command([
+            chase_policy(e, target_speed) for e in (sphere - (position + circle_lead)).tolist()
+        ])
         times = [k * dt for k in range(first, min(first + replan_every, n_frames))]
         f, sh = trackers.advance(times, walkers.samples(len(times)))
         now = np.array(times)
@@ -353,7 +373,7 @@ def run_chase_lanes(
 
     speeds, errors = speeds.T, errors.T
     return [
-        _window_metrics(speeds[i].tolist(), errors[i].tolist(), events, chase_start, end)
+        _window_metrics(speeds[i], errors[i], events, chase_start, end)
         for i, events in enumerate(trackers.events)
     ]
 

@@ -6,8 +6,8 @@ step height relative to REF_STEP_HEIGHT. A separate gain stage applies the
 experiment gain and the natural visual gain.
 
 law() is the one variant dispatch: it binds one WipParams into a function of
-(step frequency, step height) once per run. synth.program_speed() and the
-simulation loops evaluate the configured law only through it.
+(step frequency, step height) once per run or agent. The walker agents and
+the simulation loops evaluate the configured law only through it.
 """
 
 from __future__ import annotations

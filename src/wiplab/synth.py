@@ -11,8 +11,9 @@ which is what makes the frequency-only variant wobble at high targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from dataclasses import dataclass
+from itertools import repeat
+from operator import length_hint
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -69,8 +70,10 @@ class GaitProgram:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require_finite(self, ("step_frequency", "apex_height", "noise_sd"))
-        if self.step_frequency < 0.0 or self.apex_height < 0.0 or self.noise_sd < 0.0:
+        # one chained test first: WalkerAgent.command builds one per re-plan
+        f, apex, sd, inf = self.step_frequency, self.apex_height, self.noise_sd, math.inf
+        if not (0.0 <= f < inf and 0.0 <= apex < inf and 0.0 <= sd < inf):
+            require_finite(self, ("step_frequency", "apex_height", "noise_sd"))
             raise ValueError("gait program values must be >= 0")
 
 
@@ -86,13 +89,38 @@ def cycle_height(cycle_pos: float, stance_fraction: float, apex: float) -> float
     return apex * math.sin(math.pi * u)
 
 
-def normal_stream(rng: np.random.Generator) -> Iterator[float]:
-    """The generator's standard normals, in draw order, drawn in blocks.
+class NormalStream:
+    """The generator's standard normals in draw order, drawn in blocks and
+    only once taken: one at a time from the draws generator, which costs a
+    list iterator's next(), or n at a time as an array with take(n)."""
 
-    Nothing is drawn until the first value is taken.
-    """
-    while True:
-        yield from rng.standard_normal(NOISE_BLOCK).tolist()
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block = np.empty(0)
+        self._start = 0  # read position in _block while _rest is spent
+        self._rest = iter([])  # the draws generator's unread part of _block
+        self.draws = self._one_by_one()
+
+    def _one_by_one(self) -> Iterator[float]:
+        while True:
+            if self._start == self._block.size:
+                self._block, self._start = self._rng.standard_normal(NOISE_BLOCK), 0
+            self._rest = iter(self._block[self._start:].tolist())
+            self._start = self._block.size
+            yield from self._rest
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n draws, as an array."""
+        start = self._start - length_hint(self._rest)
+        self._rest.__setstate__(NOISE_BLOCK)  # spent: the next scalar draw starts at _start
+        block = self._block
+        if start + n > block.size:
+            blocks = -(-(start + n - block.size) // NOISE_BLOCK)
+            fresh = self._rng.standard_normal(blocks * NOISE_BLOCK)
+            block, start = np.concatenate((block[start:], fresh)), 0
+            self._block = fresh[-NOISE_BLOCK:]
+        self._start = self._block.size - (block.size - start - n)
+        return block[start:start + n]
 
 
 def synth_trace(program: GaitProgram, duration: float, sample_rate: float) -> list[FootSample]:
@@ -134,27 +162,23 @@ def plan_gait(target_speed: float, params: WipParams) -> GaitProgram:
     COMFORT_BAND and makes up the difference with step height, clamped at
     MAX_STEP_HEIGHT.
     """
+    return GaitProgram(*_cadence_and_apex(target_speed, params))
+
+
+def _cadence_and_apex(target_speed: float, params: WipParams) -> tuple[float, float]:
+    """plan_gait's step frequency and apex height."""
     if target_speed < 0.0:
         raise ValueError("target speed must be >= 0")
     if target_speed == 0.0:
-        return GaitProgram(step_frequency=0.0, apex_height=0.0)
+        return 0.0, 0.0
     f_solo = REF_FREQUENCY * math.sqrt(target_speed) * (REF_USER_HEIGHT / params.user_height)
     if params.variant is Variant.GUD:
-        f = min(f_solo, MAX_FREQUENCY)
-        apex = REF_STEP_HEIGHT
-    else:
-        lo, hi = COMFORT_BAND
-        f = min(max(f_solo, lo), hi)
-        base = gud_speed(f, params.user_height)
-        apex = REF_STEP_HEIGHT * target_speed / base
-        apex = min(max(apex, 0.0), MAX_STEP_HEIGHT)
-    return GaitProgram(step_frequency=f, apex_height=apex)
-
-
-def program_speed(program: GaitProgram, params: WipParams) -> float:
-    """Forward-evaluate the configured law on a program's gait parameters."""
-    raw, _ = law(params)(program.step_frequency, program.apex_height)
-    return raw
+        return min(f_solo, MAX_FREQUENCY), REF_STEP_HEIGHT
+    lo, hi = COMFORT_BAND
+    f = min(max(f_solo, lo), hi)
+    base = gud_speed(f, params.user_height)
+    apex = REF_STEP_HEIGHT * target_speed / base
+    return f, min(max(apex, 0.0), MAX_STEP_HEIGHT)
 
 
 def chase_policy(distance_error: float, target_speed: float) -> float:
@@ -205,7 +229,9 @@ class WalkerAgent:
         if not 0.0 <= noise_sd <= MAX_NOISE_SD:
             raise ValueError(f"noise_sd must be in [0, {MAX_NOISE_SD}] m, got {noise_sd!r}")
         self.rig = rig
-        self._noise = normal_stream(np.random.default_rng(seed))
+        self._law = law(params)
+        self._normals = NormalStream(np.random.default_rng(seed))
+        self._noise = self._normals.draws
         # per-foot state, indexed like FEET
         self._cycle = [0.0, PHASE_OFFSET]
         self._apex = [0.0, 0.0]
@@ -216,20 +242,18 @@ class WalkerAgent:
 
     def command(self, speed: float) -> GaitProgram:
         """Re-plan for a commanded speed; returns the adopted program."""
-        program = plan_gait(speed, self.params)
-        planned_v = program_speed(program, self.params)
+        frequency, apex = _cadence_and_apex(speed, self.params)
         strain = 0.0
         if speed > 0.0:
-            strain = max(0.0, speed - planned_v) / speed
+            strain = max(0.0, speed - self._law(frequency, apex)[0]) / speed
         self._effective_sd = self.noise_sd * (1.0 + STRAIN_NOISE_GAIN * strain)
-        self._frequency = program.step_frequency
-        shift = elastic_apex_shift(self.rig, program.apex_height)
-        self._pending_apex = max(0.0, program.apex_height + shift)
-        if self._frequency <= 0.0:
+        self._frequency = frequency
+        self._pending_apex = max(0.0, apex + elastic_apex_shift(self.rig, apex))
+        if frequency <= 0.0:
             # feet settle; park both cycles at stance start
             self._cycle = [0.0, 0.0]
             self._in_stance = [True, True]
-        return replace(program, apex_height=self._pending_apex)
+        return GaitProgram(frequency, self._pending_apex)
 
     def samples(self, now: float, dt: float) -> list[FootSample]:
         """Emit both feet at time `now`, then advance the gait clock by dt.
@@ -270,14 +294,32 @@ class WalkerAgent:
         ]
 
 
+def _gait_clock(cycle: np.ndarray, step: np.ndarray, ticks: int) -> np.ndarray:
+    """The gait clock cycle advanced ticks times by (c + step) % 1.0, as
+    (ticks + 1, ...) rows. Between wraps that is a sequential cumulative sum;
+    at a wrap c + step lies in [1, 2), where % 1.0 subtracts 1.0 exactly, so
+    each round restarts every column's sum at its first wrap."""
+    rows = np.arange(ticks + 1).reshape(-1, *(1,) * cycle.ndim)
+    clock = np.cumsum(np.concatenate(([cycle], np.broadcast_to(step, (ticks, *cycle.shape)))), axis=0)
+    while True:
+        over = clock >= 1.0
+        if not over.any():
+            return clock
+        wrap = np.where(over.any(axis=0), over.argmax(axis=0), ticks + 1)
+        restart = np.where(rows == wrap, clock - 1.0, np.where(rows > wrap, step, 0.0))
+        clock = np.where(rows < wrap, clock, np.cumsum(restart, axis=0))
+
+
 class WalkerLanes:
     """WalkerAgent.samples for lanes of agents stepped in lockstep.
 
     Each agent's per-foot state is a column of (2, lanes) arrays, row 0 the
-    left foot. command() re-plans one lane through its own agent; between
-    re-plans no plan changes, so samples() emits a run of ticks at once,
-    with samples()'s operations. Each lane takes its noise from its agent's
-    stream, a left/right pair per tick while its SD is positive.
+    left foot. command() re-plans every lane through its own agent; between
+    re-plans no plan changes, so samples() emits a run of ticks at once with
+    samples()'s operations and no loop over ticks: the gait clocks are
+    cumulative sums restarted at each wrap. Each lane takes its noise as one
+    block from its agent's stream, a left/right pair per tick, while its SD
+    is positive.
     """
 
     def __init__(self, agents: Sequence[WalkerAgent], dt: float):
@@ -286,35 +328,31 @@ class WalkerLanes:
             np.array([getattr(a, name) for a in agents]).T
             for name in ("_cycle", "_apex", "_in_stance")
         )
-        lanes = len(agents)
-        self._phase_step, self._parked = np.zeros((2, lanes)), np.zeros((2, lanes), bool)
-        self._pending, self._sd = np.zeros(lanes), np.zeros(lanes)
-        for lane in range(lanes):
-            self._adopt(lane)
+        self._adopt()
 
-    def command(self, lane: int, speed: float) -> None:
-        """Re-plan one lane for a commanded speed, as WalkerAgent.command does."""
-        self._agents[lane].command(speed)
-        self._adopt(lane)
-        if self._parked[0, lane]:  # feet settle; park both cycles at stance start
-            self._cycle[:, lane], self._in_stance[:, lane] = 0.0, True
+    def command(self, speeds: Sequence[float]) -> None:
+        """Re-plan every lane for its commanded speed, as WalkerAgent.command does."""
+        for agent, speed in zip(self._agents, speeds):
+            agent.command(speed)
+        self._adopt()
+        # feet settle; park both cycles at stance start
+        self._cycle = np.where(self._parked, 0.0, self._cycle)
+        self._in_stance = self._in_stance | self._parked
 
-    def _adopt(self, lane: int) -> None:
-        """Take up the plan of the lane's agent."""
-        agent = self._agents[lane]
-        self._phase_step[:, lane] = self._dt * agent._frequency / 2.0
-        self._parked[:, lane] = agent._frequency <= 0.0
-        self._pending[lane], self._sd[lane] = agent._pending_apex, agent._effective_sd
+    def _adopt(self) -> None:
+        """Take up the plans of the lanes' agents."""
+        agents = self._agents
+        frequency = np.array([a._frequency for a in agents])
+        self._phase_step = self._dt * frequency / 2.0
+        self._parked = frequency <= 0.0
+        self._pending = np.array([a._pending_apex for a in agents])
+        self._sd = np.array([a._effective_sd for a in agents])
 
     def samples(self, ticks: int) -> np.ndarray:
         """Every lane's left and right heights for the next ticks ticks, a
         (ticks, 2, lanes) array, advancing the gait clocks by dt a tick."""
-        cycles = np.empty((ticks, *self._cycle.shape))
-        cycle = self._cycle
-        for k in range(ticks):  # % 1.0 rounds at every step
-            cycles[k] = cycle
-            cycle = (cycle + self._phase_step) % 1.0
-        self._cycle = cycle
+        clock = _gait_clock(self._cycle, self._phase_step, ticks)
+        cycles, self._cycle = clock[:-1], clock[-1]
         stance = self._parked | (cycles < STANCE_FRACTION)
         was_in_stance = np.concatenate(([self._in_stance], stance[:-1]))
         # from a foot's first lift-off on, its apex is the current plan's
@@ -326,9 +364,8 @@ class WalkerLanes:
         noisy = np.flatnonzero(self._sd > 0.0).tolist()
         if noisy:
             noise = np.zeros_like(heights)  # a lane with SD 0 adds 0.0 * 0.0
-            for lane in noisy:
-                draws = np.fromiter(islice(self._agents[lane]._noise, 2 * ticks), float)
-                noise[:, :, lane] = draws.reshape(ticks, 2)
+            draws = [self._agents[lane]._normals.take(2 * ticks) for lane in noisy]
+            noise[:, :, noisy] = np.stack(draws, axis=1).reshape(ticks, 2, len(noisy))
             heights = heights + self._sd * noise
             heights = np.where(heights > 0.0, heights, 0.0)  # max(0.0, h)
         return heights

@@ -6,8 +6,13 @@ without pytest.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wiplab import acceptance, speed
+from wiplab.core import Foot, FootSample
+from wiplab.gait import GROUND_EPSILON, MIN_STEP_HEIGHT
+from wiplab.synth import GaitProgram, synth_trace
 
 
 # Each check's detail line from a passing gate. The gate prints these, so any
@@ -75,3 +80,79 @@ def test_gate_catches_a_broken_law_in_the_frame_step(monkeypatch):
     monkeypatch.setattr(speed, "law", broken_law)
     results = acceptance.run_all(only=["ROUND-TRIP"])
     assert not results[0].passed
+
+
+# ----------------------------------------------------------------------
+# GAIT-ORACLE's offline segmentation against a sample-by-sample loop
+
+
+def loop_offline_step_segments(samples):
+    """offline_step_segments one sample at a time: per foot, a run above the
+    ground threshold opens after a grounded sample, its apex moves only on a
+    strictly higher sample, and a grounded sample closes it."""
+    by_foot = {}
+    for s in samples:
+        by_foot.setdefault(s.foot, []).append(s)
+    segments = []
+    for foot, rows in by_foot.items():
+        prev_grounded = None
+        region = None  # [start, apex_height, apex_time]
+        for s in rows:
+            if s.height > GROUND_EPSILON:
+                if region is None:
+                    region = [prev_grounded, s.height, s.time]
+                elif s.height > region[1]:
+                    region[1], region[2] = s.height, s.time
+            else:
+                if region is not None and region[0] is not None and region[1] >= MIN_STEP_HEIGHT:
+                    segments.append((foot, region[0], region[2], s.time, region[1]))
+                region = None
+                prev_grounded = s.time
+    return sorted(segments, key=lambda seg: (seg[3], seg[0].value))
+
+
+def assert_segments_equal_the_loop(samples):
+    assert list(map(repr, acceptance.offline_step_segments(samples))) == list(
+        map(repr, loop_offline_step_segments(samples))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    frequency=st.sampled_from([0.0, 0.6, 2.2]) | st.floats(0.0, 4.0),
+    apex=st.sampled_from([MIN_STEP_HEIGHT, 0.1]) | st.floats(0.0, 0.4),
+    noise_sd=st.sampled_from([0.0, 0.002, 0.01]),
+    seed=st.integers(0, 2**16),
+    duration=st.floats(0.0, 6.0),
+    rate=st.sampled_from([30.0, 90.0]),
+)
+def test_offline_segments_of_synthetic_traces_equal_the_loop(
+    frequency, apex, noise_sd, seed, duration, rate
+):
+    program = GaitProgram(frequency, apex, noise_sd, seed)
+    assert_segments_equal_the_loop(synth_trace(program, duration, rate))
+
+
+heights = st.lists(
+    st.sampled_from([0.0, GROUND_EPSILON, 0.02, MIN_STEP_HEIGHT, 0.08]) | st.floats(0.0, 0.4),
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(left=heights, right=heights)
+@example(left=[0.05, 0.08, 0.0, 0.1, 0.0], right=[])  # a run open at the first sample
+@example(left=[0.0, 0.1, 0.0, 0.05, 0.08], right=[])  # a run open at the last sample
+@example(left=[0.0, 0.05, 0.08, 0.08, 0.04, 0.0], right=[])  # a plateau apex
+@example(left=[0.0, MIN_STEP_HEIGHT, 0.02, 0.0], right=[0.0, 0.02, 0.0])  # apex at the minimum
+@example(left=[0.0, GROUND_EPSILON, 0.05, GROUND_EPSILON, 0.0], right=[])  # height at the threshold
+@example(left=[0.0, 0.05, 0.0], right=[0.0, 0.05, 0.0])  # both feet land on one tick
+def test_offline_segments_of_height_sequences_equal_the_loop(left, right):
+    """Each foot's heights at 90 Hz, the feet interleaved while both last."""
+    samples = [
+        FootSample(k / 90.0, foot, series[k])
+        for k in range(max(len(left), len(right)))
+        for foot, series in ((Foot.LEFT, left), (Foot.RIGHT, right))
+        if k < len(series)
+    ]
+    assert_segments_equal_the_loop(samples)

@@ -95,6 +95,15 @@ class TestSimulate:
         assert out == ""
         assert "must be finite" in err
 
+    def test_a_chase_window_without_a_frame_is_bad_input(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "target_speed": 1.0, "prep_duration": 0.1, "countdown": 0.1, "chase_duration": 1e-3,
+        }))
+        code, out, err = run(["simulate", "--scenario", str(scenario)], capsys)
+        assert (code, out) == (2, "")
+        assert "chase_duration 0.001 s holds no frame at timestep" in err
+
     def test_bad_rig_spec(self, capsys):
         code, _, err = run(["simulate", "--target", "1.0", "--rig", "left:3"], capsys)
         assert code == 2

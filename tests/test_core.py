@@ -103,8 +103,15 @@ class TestWipParams:
             WipParams(speed_gain=gain)
 
     def test_natural_gain_must_be_positive(self):
-        with pytest.raises(NonPositiveGain):
+        with pytest.raises(NonPositiveGain, match="^natural_visual_gain must be > 0, got 0.0$"):
             WipParams(natural_visual_gain=0.0)
+
+    @pytest.mark.parametrize("name", ["speed_gain", "natural_visual_gain"])
+    def test_gains_are_at_most_ten(self, name):
+        # a 1e300 gain made the speed SD's squares overflow
+        WipParams(**{name: 10.0})
+        with pytest.raises(ValueError, match=f"^{name} must be <= 10, got 1e\\+300$"):
+            WipParams(**{name: 1e300})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["user_height", "speed_gain", "natural_visual_gain"])

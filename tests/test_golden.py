@@ -246,3 +246,26 @@ def test_a_scenario_file_with_sphere_radius_is_bad_input(tmp_path):
     code, err = run_cli(["simulate", "--scenario", schema_scenario(tmp_path, sphere_radius=0.25)])
     assert code == 2
     assert "unknown scenario keys: sphere_radius" in err
+
+
+# ----------------------------------------------------------------------
+# STABILITY's 40 chase reports (20 seeds per law), by sha256 over their
+# reprs in lane order. The check's detail line shows only 3 decimals of the
+# two mean SDs; this pins every field of every lane. Recorded before the
+# lanes were stepped a re-plan interval at a time.
+
+GOLDEN_STABILITY_REPORTS = "6d1006fe5b7b661eaca808734159d1bb21f9b1ef15bbeb2a645a2787e9e1bc11"
+
+
+def test_stability_lane_reports_match_golden(monkeypatch):
+    reports = []
+
+    def keep(*args):
+        reports.extend(harness.run_chase_lanes(*args))
+        return reports
+
+    monkeypatch.setattr(acceptance, "run_chase_lanes", keep)
+    passed, _ = acceptance.check_stability()
+    assert passed and len(reports) == 40
+    digest = hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest()
+    assert digest == GOLDEN_STABILITY_REPORTS

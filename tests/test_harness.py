@@ -43,9 +43,9 @@ from wiplab.synth import (
     MAX_NOISE_SD,
     MIN_SAMPLE_RATE,
     GaitProgram,
+    NormalStream,
     WalkerAgent,
     cycle_height,
-    normal_stream,
     synth_trace,
 )
 
@@ -107,6 +107,20 @@ class TestChaseScenario:
     def test_frame_count_has_a_ceiling(self, settings):
         # construction only: such a run must never start
         with pytest.raises(ValueError, match=r"^timestep .* frames, more than 1000000$"):
+            ChaseScenario(**settings)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"target_speed": 1e308}, r"^target_speed must be in \[0, 100\] m/s$"),
+            ({"target_speed": 1.0, "prep_duration": 0.1, "countdown": 0.1, "chase_duration": 0.1,
+              "timestep": 5e-5}, r"^timestep must be >= 1/10000 s, got 5e-05$"),
+        ],
+        ids=["target_speed", "timestep"],
+    )
+    def test_targets_and_rates_past_any_walker_are_rejected(self, settings, message):
+        # past them a chase's sums overflow: a 1e308 m/s target diverged
+        with pytest.raises(ValueError, match=message):
             ChaseScenario(**settings)
 
     def test_a_long_run_below_the_ceiling_is_accepted(self):
@@ -358,7 +372,7 @@ def hold_a_foot_up(trace, height, duration):
 def gait_trace(frequency, apex, stance, offset, noise_sd, seed, duration):
     """synth_trace at 90 Hz for any stance share and phase offset between
     the feet: half-sine swings, the right foot offset into its cycle."""
-    noise = normal_stream(np.random.default_rng(seed))
+    noise = NormalStream(np.random.default_rng(seed)).draws
     trace = []
     for k in range(int(round(duration * 90.0))):
         t = k / 90.0

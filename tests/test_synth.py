@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from wiplab import synth
 from wiplab.core import HEIGHT_CEILING, Foot, FootSample, InvalidRate, Variant, WipParams
 from wiplab.elastic import MAX_BANDS, ElasticRig, PullDirection
-from wiplab.speed import gud_speed
+from wiplab.speed import gud_speed, law
 from wiplab.synth import (
     COMFORT_BAND,
+    MAX_NOISE_SD,
     MAX_STEP_HEIGHT,
     GaitProgram,
     WalkerAgent,
@@ -20,12 +21,16 @@ from wiplab.synth import (
     cycle_height,
     elastic_apex_shift,
     plan_gait,
-    program_speed,
     synth_trace,
 )
 
 GUD = WipParams(variant=Variant.GUD)
 SHEF = WipParams(variant=Variant.SHEF)
+
+
+def program_speed(program, params):
+    """The configured law's raw speed at a program's gait parameters."""
+    return law(params)(program.step_frequency, program.apex_height)[0]
 
 
 def test_cycle_height_profile():
@@ -351,10 +356,66 @@ def test_samples_equal_the_per_foot_loop(variant, noise_sd, seed, rig, rate, pla
             k += 1
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    lanes=st.lists(
+        st.tuples(
+            st.sampled_from(list(Variant)),
+            st.sampled_from([0.0, 0.002, MAX_NOISE_SD]),  # 0: a lane that never draws
+            st.integers(0, 2**16),
+            st.sampled_from([None, ElasticRig(direction=PullDirection.UPWARD, band_count=6)]),
+        ),
+        min_size=1, max_size=4,
+    ),
+    rate=st.sampled_from([30.0, 90.0, 500.0]) | st.floats(30.0, 500.0),
+    # each run: every lane's commanded speed (0 parks its feet) and its ticks;
+    # 200 ticks at 30 Hz wrap a 2.2 Hz gait clock seven times
+    runs=st.lists(
+        st.tuples(st.lists(st.sampled_from([0.0, 1.0, 4.0]) | st.floats(0.0, 5.0),
+                           min_size=4, max_size=4),
+                  st.sampled_from([1, 200]) | st.integers(1, 200)),
+        min_size=1, max_size=4,
+    ),
+)
+def test_walker_lanes_equal_each_agents_samples(lanes, rate, runs):
+    """WalkerLanes steps a run of ticks at once; each lane's heights equal its
+    own WalkerAgent's, sample by sample and bit for bit, noise included."""
+    def agents():
+        return [
+            WalkerAgent(WipParams(variant=variant), noise_sd=sd, seed=seed, rig=rig)
+            for variant, sd, seed, rig in lanes
+        ]
+
+    dt, scalar = 1.0 / rate, agents()
+    batch = synth.WalkerLanes(agents(), dt)
+    for speeds, ticks in runs:
+        speeds = speeds[:len(lanes)]
+        batch.command(speeds)
+        got = batch.samples(ticks)
+        want = []
+        for agent, speed in zip(scalar, speeds):
+            agent.command(speed)
+            want.append([[s.height.hex() for s in agent.samples(k * dt, dt)] for k in range(ticks)])
+        assert got.shape == (ticks, 2, len(lanes))
+        assert [[list(map(float.hex, tick)) for tick in lane] for lane in got.transpose(2, 0, 1).tolist()] == want
+
+
+def test_normal_stream_draws_and_takes_in_one_order():
+    """Scalar draws and block takes, in any mix and across block boundaries,
+    read the generator's standard normals in draw order."""
+    want = np.random.default_rng(7).standard_normal(5 * synth.NOISE_BLOCK).tolist()
+    stream = synth.NormalStream(np.random.default_rng(7))
+    got = []
+    for n in (3, 0, 600, 1, 509, 2, 1024, 1):
+        got += stream.take(n).tolist()
+        got += [next(stream.draws) for _ in range(n % 5)]
+    assert got == want[:len(got)]
+
+
 def loop_synth_trace(program, duration, sample_rate):
     """synth_trace as one sample at a time: each foot's cycle position, its
     cycle_height, then one scalar normal per noisy sample, left then right."""
-    noise = synth.normal_stream(np.random.default_rng(program.seed))
+    noise = synth.NormalStream(np.random.default_rng(program.seed)).draws
     samples = []
     for k in range(int(round(duration * sample_rate))):
         t = k / sample_rate
