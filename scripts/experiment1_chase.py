@@ -30,17 +30,24 @@ def main(argv=None):
     parser.add_argument("--user-height", type=float, default=1.72)
     parser.add_argument("--out", metavar="FILE", help="also write results as JSON")
     args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
 
     variants = (Variant.GUD, Variant.SHEF)
-    params = [WipParams(variant=variant, user_height=args.user_height) for variant in variants]
-    # one lane batch per target speed: every variant's seeds side by side
-    lanes = [p for p in params for _ in range(args.seeds)]
+    try:
+        params = [WipParams(variant=variant, user_height=args.user_height) for variant in variants]
+        # one lane batch per target speed: every variant's seeds side by side
+        lanes = [p for p in params for _ in range(args.seeds)]
+        agents = {target: [
+            WalkerAgent(p, noise_sd=args.noise, seed=i % args.seeds) for i, p in enumerate(lanes)
+        ] for target in SPEEDS}
+        if args.out:
+            open(args.out, "w").close()  # fail now rather than after the runs
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
     reports = {}
     for target in SPEEDS:
-        agents = [
-            WalkerAgent(p, noise_sd=args.noise, seed=i % args.seeds) for i, p in enumerate(lanes)
-        ]
-        batch = run_chase_lanes(ChaseScenario(target_speed=target), agents, lanes)
+        batch = run_chase_lanes(ChaseScenario(target_speed=target), agents[target], lanes)
         for i, variant in enumerate(variants):
             reports[variant, target] = batch[i * args.seeds : (i + 1) * args.seeds]
 

@@ -39,16 +39,25 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", metavar="FILE", help="also write results as JSON")
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
 
     params = WipParams(variant=Variant.SHEF)
-    scenario = ChaseScenario(target_speed=args.target)
+    try:
+        scenario = ChaseScenario(target_speed=args.target)
+        agents = [
+            WalkerAgent(params, noise_sd=args.noise, seed=args.seed, rig=rig) for rig in CONDITIONS
+        ]
+        if args.out:
+            open(args.out, "w").close()  # fail now rather than after the runs
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
     probe_height = 0.15  # representative mid-swing foot height for the force column
 
     rows = []
     print(f"{'rig':8} {'force_N':>8} {'step_h':>7} {'cadence':>8} "
           f"{'avg_speed':>10} {'distance':>9}")
-    for rig in CONDITIONS:
-        agent = WalkerAgent(params, noise_sd=args.noise, seed=args.seed, rig=rig)
+    for rig, agent in zip(CONDITIONS, agents):
         report, _ = run_chase(scenario, agent, params)
         if rig is not None:
             reading = rig_force(rig, probe_height)

@@ -31,6 +31,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", metavar="FILE", help="also write results as JSON")
     args = parser.parse_args(argv)
+    if args.out:
+        try:
+            open(args.out, "w").close()  # fail now rather than after the runs
+        except OSError as exc:
+            parser.error(str(exc))
 
     results = {}
     print(f"{'slope':9} {'series':11} {'landing':>8}")

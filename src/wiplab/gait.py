@@ -10,8 +10,13 @@ within a fraction of a step when the user slows or stops.
 Grounded is defined purely by height against GROUND_EPSILON. That keeps
 streaming segmentation equivalent to brute-force offline segmentation of
 the same samples (contiguous above-threshold regions), which the test
-suite exploits as an oracle. It also lets estimate_frames derive each
-foot's swing state for a whole recorded stream from its heights alone.
+suite exploits as an oracle.
+
+GaitTracker.advance steps the per-foot machine one sample at a time.
+_swing_scan is its one array form: a segmented scan (forward fills and a
+running max restarted at each lift-off) that returns a foot's state after
+every sample at once. estimate_frames runs it over each foot of a recorded
+stream, and TrackerLanes over lanes stepped in lockstep.
 """
 
 from __future__ import annotations
@@ -328,193 +333,36 @@ class FrameEstimates(NamedTuple):
     step_height: np.ndarray
 
 
-class _FootFrames(NamedTuple):
-    """One foot's tracker state after each frame's samples; stacked, each
-    field has a leading axis of 2, row 0 the left foot."""
+class _Swing(NamedTuple):
+    """One foot's GaitTracker.advance state: its _FootTrack, with the phase
+    split into aerial (not GROUNDED) and descending. _swing_scan returns
+    the state after each row; a carried-in state has no row axis."""
 
-    height: np.ndarray         # the frame's sample height, 0 without one
-    aerial: np.ndarray         # phase is not GROUNDED
-    valid: np.ndarray          # aerial in a swing whose lift-off was seen
-    anchor: np.ndarray         # swing_start when valid, else entered_at
+    aerial: np.ndarray
+    descending: np.ndarray
+    valid: np.ndarray         # swing_valid: aerial in a swing whose lift-off was seen
+    height: np.ndarray        # prev_height
+    swing_start: np.ndarray
     running_apex: np.ndarray
-    grounded_since: np.ndarray  # entered_at while grounded, -inf otherwise
+    apex_time: np.ndarray
+    entered_at: np.ndarray
 
 
-def _foot_frames(
-    idx: np.ndarray,
-    t: np.ndarray,
-    h: np.ndarray,
-    aerial: np.ndarray,
-    frame: np.ndarray,
-    n_frames: int,
-    entered: np.ndarray,
-) -> _FootFrames:
-    """Derive one foot's per-frame tracker state from its heights.
-
-    idx holds the global indices of the foot's samples. Grounded means
-    h <= GROUND_EPSILON, so the phase is GROUNDED exactly when the latest
-    sample is grounded; a swing is valid once the foot has been seen on the
-    ground; swing_start is the last grounded sample time, and the running
-    apex is the running max within each aerial run. entered holds the
-    tracker's entered_at, read after each sample of a run the foot was first
-    seen in: its ascent/descent switches are the velocity machine's.
-    """
-    if idx.size == 0:
-        never = np.zeros(n_frames, bool)
-        zero = np.zeros(n_frames)
-        return _FootFrames(zero, never, never, zero, zero, np.full(n_frames, -np.inf))
-    tx, hx, ax = t[idx], h[idx], aerial[idx]
-    gx = ~ax
-    m = idx.size
-    entry = gx & np.concatenate(([True], ax[:-1]))  # a first sample enters a phase too
-    grounded_since = np.maximum.accumulate(np.where(entry, tx, -np.inf))
-    anchor = np.maximum.accumulate(np.where(gx, tx, -np.inf))  # swing_start
-    first_grounded = int(gx.argmax()) if gx.any() else m
-    valid = ax & (np.arange(m) > first_grounded)
-    anchor[:first_grounded] = entered[idx[:first_grounded]]
-
-    running_apex = hx.copy()
-    edges = np.flatnonzero(np.diff(ax, prepend=False, append=False))
-    for a, b in zip(edges[0::2].tolist(), edges[1::2].tolist()):
-        np.maximum.accumulate(hx[a:b], out=running_apex[a:b])
-
-    fx = frame[idx]
-    height = np.zeros(n_frames)
-    height[fx] = hx
-    latest = np.full(n_frames, -1)
-    latest[fx] = np.arange(m)  # one sample per foot per frame
-    latest = np.maximum.accumulate(latest)
-    seen = latest >= 0
-    j = np.maximum(latest, 0)
-    aerial_f = seen & ax[j]
-    return _FootFrames(
-        height,
-        aerial_f,
-        seen & valid[j],
-        anchor[j],
-        running_apex[j],
-        np.where(seen & ~aerial_f, grounded_since[j], -np.inf),
-    )
+def _first_swing(time, height) -> _Swing:
+    """The state to scan a foot's first sample (at time, of height) from.
+    The scan gives that sample -inf as its previous time, so its velocity
+    reads 0 and the scan leaves the state advance() starts a track with."""
+    aerial, no = height > GROUND_EPSILON, np.zeros_like(height, bool)
+    zero = np.zeros_like(height)
+    return _Swing(aerial, no, no, height, zero, zero, zero, np.full_like(zero, time))
 
 
-def estimate_frames(samples: Sequence[FootSample], events: list[StepEvent]) -> FrameEstimates:
-    """Stream time-sorted samples through one tracker, then estimate every
-    frame at once.
-
-    Every sample goes through GaitTracker.advance, in order, so validation,
-    segmentation and the StepEvents (appended to events) are the streaming
-    tracker's. The tracker's EMA state is snapshotted after each step event,
-    and each foot's swing state is derived from its heights; from both, the
-    frequency and step height that estimate(t) returns after each frame's
-    samples are computed with array operations, bit for bit.
-
-    Raises NonMonotonicTime at the first sample whose time precedes the one
-    before it: staleness reads the latest grounding time, which is a running
-    max only on sorted input.
-    """
-    tracker = GaitTracker()
-    n = len(samples)
-    times, feet, heights = zip(*samples)
-    t = np.array(times, dtype=float)
-    h = np.array(heights, dtype=float)
-    left = np.fromiter(map(operator.is_, feet, repeat(_LEFT)), bool, n)
-    aerial = h > GROUND_EPSILON
-    per_foot = (np.flatnonzero(left), np.flatnonzero(~left))
-
-    backwards = np.flatnonzero(t[1:] < t[:-1])
-    stop = int(backwards[0]) + 1 if backwards.size else n
-    # samples of a run a foot was first seen in, up to its first grounded one
-    first_run = 0
-    for idx in per_foot:
-        ax = aerial[idx]
-        if ax.size and ax[0]:
-            first_run = max(first_run, n if ax.all() else int(idx[ax.argmin()]))
-
-    advance, found = tracker.advance, []
-    snapshots: list[tuple[float | None, float | None, int]] = []
-    entered: list[float] = []
-    for s in islice(samples, min(first_run, stop)):
-        ev = advance(s)
-        if ev is not None:
-            found.append(ev)
-            snapshots.append((tracker._freq_ema, tracker._apex_ema, tracker._active_feet))
-        entered.append((tracker._left if s.foot is _LEFT else tracker._right).entered_at)
-    for s in islice(samples, len(entered), stop):
-        ev = advance(s)
-        if ev is not None:
-            found.append(ev)
-            snapshots.append((tracker._freq_ema, tracker._apex_ema, tracker._active_feet))
-    events.extend(found)
-    if stop < n:
-        s = samples[stop]
-        raise NonMonotonicTime(
-            f"foot {s.foot.value} sample at t={s.time!r} precedes the sample "
-            f"before it at t={samples[stop - 1].time!r}; replay needs "
-            "time-sorted samples"
-        )
-
-    starts = np.empty(n, bool)
-    starts[0] = True
-    np.not_equal(t[1:], t[:-1], out=starts[1:])
-    frame = np.cumsum(starts) - 1
-    now = t[starts]
-    n_frames = now.size
-    entered_at = np.array(entered)
-    feet = _FootFrames(*map(np.array, zip(*(
-        _foot_frames(idx, t, h, aerial, frame, n_frames, entered_at) for idx in per_foot
-    ))))
-
-    # EMA state after the last footfall at or before each frame; entry 0 is
-    # the state before any footfall
-    freq_ema, apex_ema, active = zip((None, None, 1), *snapshots)
-    footfall = np.array([np.nan] + [ev.end for ev in found])  # NaN: no gap bound
-    snap = np.searchsorted(np.searchsorted(now, footfall[1:]), np.arange(n_frames), side="right")
-    step_frequency, step_height = _estimate_columns(
-        now,
-        feet,
-        np.array([f or 0.0 for f in freq_ema])[snap],
-        np.array([a if a is not None else 0.0 for a in apex_ema])[snap],
-        np.array(active)[snap],
-        footfall[snap],
-    )
-    return FrameEstimates(now, feet.height[0], feet.height[1], step_frequency, step_height)
-
-
-def _estimate_columns(
-    now, feet: _FootFrames, ema: np.ndarray, base: np.ndarray, active_feet, footfall: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """What estimate(now) returns, bit for bit, for many queries at once.
-
-    feet holds (2, ...) arrays, row 0 the left foot (height unread); now
-    and the rest broadcast against one row: the cadence EMA (0 for none,
-    which bounds the cadence to 0 as a missing one does, since a real EMA
-    is > 0), the apex EMA (0 for none), the active feet and the last
-    footfall time (NaN for none). Minima and maxima over feet are exact.
-    """
-    elapsed = now - feet.anchor
-    bound = feet.aerial & (elapsed > 0.0)
-    partial = np.divide(SWING_FRACTION, elapsed, out=np.zeros_like(elapsed), where=bound)
-    partial = np.where(bound, PARTIAL_SLACK * active_feet * partial, np.inf)
-    freq = np.minimum(ema, np.minimum(partial[0], partial[1]))
-    gap = now - footfall
-    bound = gap > 0.0
-    gap_bound = np.divide(PARTIAL_SLACK, gap, out=np.zeros_like(gap), where=bound)
-    freq = np.where(bound, np.minimum(freq, gap_bound), freq)
-
-    rising = feet.valid & (feet.running_apex > base)
-    weight = np.minimum(1.0, np.maximum(0.0, elapsed / SMOOTHING_TAU))
-    blended = np.where(rising, base + weight * (feet.running_apex - base), -np.inf)
-    height = np.maximum(base, np.maximum(blended[0], blended[1]))
-
-    aerial, grounded_since = feet.aerial, feet.grounded_since
-    stale = ~(aerial[0] | aerial[1]) & (
-        now - np.maximum(grounded_since[0], grounded_since[1]) >= STOP_WINDOW
-    )
-    return np.where(stale, 0.0, np.maximum(0.0, freq)), np.where(stale, 0.0, height)
-
-
-# ----------------------------------------------------------------------
-# lanes of trackers stepped in lockstep
+# _estimate_columns' EMA arguments before any footfall: no cadence EMA, no
+# apex EMA, one active foot, no footfall to bound the gap
+_NO_FOOTFALL = (0.0, 0.0, 1, np.nan)
+# a foot with no sample yet: never aerial, grounded since -inf, so that
+# staleness reads the other foot's entry
+_UNSEEN = _Swing(False, False, False, 0.0, 0.0, 0.0, 0.0, -np.inf)
 
 
 def _latest(events: np.ndarray, unset) -> np.ndarray:
@@ -536,41 +384,192 @@ def _epoch_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _swing_scan(now: np.ndarray, before: np.ndarray, heights: np.ndarray, state: _Swing) -> _Swing:
+    """GaitTracker.advance's per-foot state after each row of heights, by
+    array scans down axis 0 with no loop over rows.
+
+    now holds each row's time and before the foot's previous sample time;
+    heights and state broadcast over any trailing axes, and state is the
+    one carried in, which stands at row -1. Swing validity, the descending
+    flip-flop and the apex time are forward fills of event rows; the
+    running apex is a running max restarted at each lift-off. Every value
+    is a comparison or a selected input, so the state is advance()'s, bit
+    for bit, on samples that pass validate_sample.
+    """
+    col = now.reshape(-1, *(1,) * (heights.ndim - 1))
+    before = before.reshape(col.shape)
+    airborne = heights > GROUND_EPSILON
+    was_aerial = np.concatenate(([state.aerial], airborne[:-1]))
+    lift, staying_up = airborne > was_aerial, airborne & was_aerial
+    velocity = np.diff(heights, axis=0, prepend=[state.height]) / (col - before)
+    # the sample time before the latest lift-off
+    swing_start = np.maximum(state.swing_start, np.maximum.accumulate(
+        np.where(lift, before, -np.inf), axis=0
+    ))
+    # valid: lifted off since last grounded. descending: set by falling,
+    # reset by rising or by leaving a staying-aloft stretch.
+    valid = _latest(lift, np.where(state.valid, -1, -2)) > _latest(~airborne, -2)
+    descending = _latest(
+        staying_up & (velocity < -VELOCITY_DEADBAND), np.where(state.descending, -1, -2)
+    ) > _latest(~staying_up | (velocity > VELOCITY_DEADBAND), -2)
+    # row 0 is the carried-in running apex, row k + 1 the one after row k
+    apex = _epoch_max(
+        np.concatenate(([state.running_apex], np.where(airborne, heights, -np.inf))),
+        np.concatenate(([np.ones_like(state.aerial)], lift)),
+    )
+    last_peak = _latest(lift | (airborne & (heights > apex[:-1])), -1)
+    apex_time = np.where(last_peak >= 0, now[last_peak], state.apex_time)
+    changed = (airborne != was_aerial) | (
+        descending != np.concatenate(([state.descending], descending[:-1]))
+    )
+    entered_at = np.maximum(state.entered_at, np.maximum.accumulate(
+        np.where(changed, col, -np.inf), axis=0
+    ))
+    return _Swing(
+        airborne, descending, valid, heights, swing_start, apex[1:], apex_time, entered_at
+    )
+
+
+def _frame_swings(t: np.ndarray, h: np.ndarray, frame: np.ndarray, n_frames: int) -> _Swing:
+    """One foot's state after each of n_frames frames: one _swing_scan over
+    its own samples (times t, heights h, frame indices frame), started from
+    its first sample, then gathered at its latest sample in each frame."""
+    first = _first_swing(t[0], h[0]) if t.size else _UNSEEN
+    swing = _swing_scan(t, np.concatenate(([-np.inf], t))[:-1], h, first)
+    latest = np.full(n_frames, -1)  # row -1: _UNSEEN, before the first sample
+    latest[frame] = np.arange(t.size)  # one sample per foot per frame
+    latest = np.maximum.accumulate(latest)
+    return _Swing(*(np.append(a, u)[latest] for a, u in zip(swing, _UNSEEN)))
+
+
+def estimate_frames(samples: Sequence[FootSample], events: list[StepEvent]) -> FrameEstimates:
+    """Stream time-sorted samples through one tracker, then estimate every
+    frame at once.
+
+    Every sample goes through GaitTracker.advance, in order, so validation,
+    segmentation and the StepEvents (appended to events) are the streaming
+    tracker's, and the EMA state is snapshotted after each step event. Each
+    foot's swing state comes from _swing_scan over that foot's own samples,
+    the scan TrackerLanes steps its lanes with. From both, the frequency
+    and step height that estimate(t) returns after each frame's samples are
+    computed with array operations, bit for bit.
+
+    Raises NonMonotonicTime at the first sample whose time precedes the one
+    before it: staleness reads the latest grounding time, which is a running
+    max only on sorted input.
+    """
+    tracker = GaitTracker()
+    n = len(samples)
+    times, feet, heights = zip(*samples)
+    t = np.array(times, dtype=float)
+    h = np.array(heights, dtype=float)
+    left = np.fromiter(map(operator.is_, feet, repeat(_LEFT)), bool, n)
+
+    backwards = np.flatnonzero(t[1:] < t[:-1])
+    stop = int(backwards[0]) + 1 if backwards.size else n
+    # _estimate_columns' EMA arguments after each footfall; row 0 is before any
+    advance, found, emas = tracker.advance, [], [_NO_FOOTFALL]
+    for s in islice(samples, stop):
+        ev = advance(s)
+        if ev is not None:
+            found.append(ev)
+            emas.append((tracker._freq_ema or 0.0, tracker._apex_ema, tracker._active_feet, ev.end))
+    events.extend(found)
+    if stop < n:
+        s = samples[stop]
+        raise NonMonotonicTime(
+            f"foot {s.foot.value} sample at t={s.time!r} precedes the sample "
+            f"before it at t={samples[stop - 1].time!r}; replay needs "
+            "time-sorted samples"
+        )
+
+    starts = np.empty(n, bool)
+    starts[0] = True
+    np.not_equal(t[1:], t[:-1], out=starts[1:])
+    frame = np.cumsum(starts) - 1
+    now = t[starts]
+    n_frames = now.size
+    foot_heights = np.zeros((2, n_frames))  # 0 where the foot has no sample
+    foot_heights[np.where(left, 0, 1), frame] = h
+    swing = _Swing(*map(np.stack, zip(*(
+        _frame_swings(t[idx], h[idx], frame[idx], n_frames)
+        for idx in (np.flatnonzero(left), np.flatnonzero(~left))
+    ))))
+
+    # the EMA row after the last footfall at or before each frame
+    emas = np.array(emas)
+    snap = np.searchsorted(np.searchsorted(now, emas[1:, 3]), np.arange(n_frames), side="right")
+    step_frequency, step_height = _estimate_columns(now, swing, *emas[snap].T)
+    return FrameEstimates(now, *foot_heights, step_frequency, step_height)
+
+
+def _estimate_columns(
+    now, feet: _Swing, ema: np.ndarray, base: np.ndarray, active_feet, footfall: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """What estimate(now) returns, bit for bit, for many queries at once.
+
+    feet holds (2, ...) arrays, row 0 the left foot; now and the rest
+    broadcast against one row: the cadence EMA (0 for none, which bounds
+    the cadence to 0 as a missing one does, since a real EMA is > 0), the
+    apex EMA (0 for none), the active feet and the last footfall time (NaN
+    for none). Minima and maxima over feet are exact. entered_at stands in
+    for the latest transition: staleness reads it only while both feet are
+    grounded, and then each foot's is its grounding time.
+    """
+    elapsed = now - np.where(feet.valid, feet.swing_start, feet.entered_at)
+    bound = feet.aerial & (elapsed > 0.0)
+    partial = np.divide(SWING_FRACTION, elapsed, out=np.zeros_like(elapsed), where=bound)
+    partial = np.where(bound, PARTIAL_SLACK * active_feet * partial, np.inf)
+    freq = np.minimum(ema, np.minimum(partial[0], partial[1]))
+    gap = now - footfall
+    bound = gap > 0.0
+    gap_bound = np.divide(PARTIAL_SLACK, gap, out=np.zeros_like(gap), where=bound)
+    freq = np.where(bound, np.minimum(freq, gap_bound), freq)
+
+    rising = feet.valid & (feet.running_apex > base)
+    weight = np.minimum(1.0, np.maximum(0.0, elapsed / SMOOTHING_TAU))
+    blended = np.where(rising, base + weight * (feet.running_apex - base), -np.inf)
+    height = np.maximum(base, np.maximum(blended[0], blended[1]))
+
+    aerial, entered_at = feet.aerial, feet.entered_at
+    stale = ~(aerial[0] | aerial[1]) & (
+        now - np.maximum(entered_at[0], entered_at[1]) >= STOP_WINDOW
+    )
+    return np.where(stale, 0.0, np.maximum(0.0, freq)), np.where(stale, 0.0, height)
+
+
+# ----------------------------------------------------------------------
+# lanes of trackers stepped in lockstep
+
+
 class TrackerLanes:
     """GaitTrackers for lanes fed in lockstep: at every tick each lane gets
     one left and one right sample at the tick's time.
 
     Each foot's state is a column of (2, lanes) arrays, row 0 the left
-    foot, and follows GaitTracker.advance's comparisons. advance() steps a
-    run of ticks with array scans down the tick axis, with no loop over
-    ticks: swing validity, the descending flags and the apex time are
-    forward fills of event rows, the carried-in state standing at row -1;
-    the running apex is a running max restarted at each lift-off. Each step
-    is registered on its lane's own GaitTracker, so the EMAs stay scalar
-    (math.exp), and forward-filled per lane. A run is checked with
-    validate_sample's predicates; its first failing tick raises from
-    validate_sample itself.
+    foot. advance() steps a run of ticks with _swing_scan down the tick
+    axis, the scan estimate_frames runs over each foot's samples, with no
+    loop over ticks. Each step is registered on its lane's own GaitTracker,
+    so the EMAs stay scalar (math.exp), and forward-filled per lane. A run
+    is checked with validate_sample's predicates; its first failing tick
+    raises from validate_sample itself.
     """
 
     def __init__(self, lanes: int):
         self._trackers = [GaitTracker() for _ in range(lanes)]
         self.events: list[list[StepEvent]] = [[] for _ in range(lanes)]
         self._prev_time: float | None = None
-        # the state arrays are replaced, never written in place
-        self._aerial = self._descending = self._valid = np.zeros((2, lanes), bool)
-        self._entered_at = self._prev_height = self._swing_start = np.zeros((2, lanes))
-        self._running_apex = self._apex_time = self._swing_start
+        self._state: _Swing | None = None
         # each lane's _estimate_columns EMA arguments after its latest footfall
-        self._emas = np.array([[0.0], [0.0], [1.0], [np.nan]]).repeat(lanes, axis=1)
+        self._emas = np.array([_NO_FOOTFALL] * lanes)
 
     def advance(self, times: list[float], heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ingest ticks at times, heights[k] holding every lane's left and
         right heights, and return each lane's estimate(times[k]) after each
         tick: step frequency and step height as (ticks, lanes) arrays."""
         prev = self._prev_time
-        if prev is None:  # each foot's first sample starts its phase
-            self._aerial, self._prev_height = heights[0] > GROUND_EPSILON, heights[0]
-            self._entered_at = np.full(heights[0].shape, times[0])
+        if prev is None:  # each foot's first sample starts its track
+            self._state = _first_swing(times[0], heights[0])
         now = np.array(times)
         before = np.concatenate(([-np.inf if prev is None else prev], now[:-1]))
         # validate_sample's predicates for every tick; a stream's first time
@@ -584,67 +583,29 @@ class TrackerLanes:
             i = int(in_range[k].argmin())  # 0 when every height is in range
             sample = FootSample(times[k], _FEET[i // heights.shape[2]], heights[k].item(i))
             validate_sample(sample, prev if k == 0 else times[k - 1])
-        now3, before3 = now[:, None, None], before[:, None, None]
-        airborne = heights > GROUND_EPSILON
-        was_aerial = np.concatenate(([self._aerial], airborne[:-1]))
-        lift, staying_up = airborne > was_aerial, airborne & was_aerial
-        velocity = np.diff(heights, axis=0, prepend=[self._prev_height]) / (now3 - before3)
-        # the sample time before each foot's latest lift-off
-        swing_start = np.maximum(self._swing_start, np.maximum.accumulate(
-            np.where(lift, before3, -np.inf), axis=0
-        ))
-        # valid: lifted off since last grounded. descending: set by falling,
-        # reset by rising or by leaving a staying-aloft stretch.
-        valid = _latest(lift, np.where(self._valid, -1, -2)) > _latest(~airborne, -2)
-        descending = _latest(
-            staying_up & (velocity < -VELOCITY_DEADBAND), np.where(self._descending, -1, -2)
-        ) > _latest(~staying_up | (velocity > VELOCITY_DEADBAND), -2)
-        # row 0 is the carried-in running apex, row k + 1 the one after tick k
-        apex = _epoch_max(
-            np.concatenate(([self._running_apex], np.where(airborne, heights, -np.inf))),
-            np.concatenate((np.ones_like(lift[:1]), lift)),
-        )
-        apex_before, apex_at = apex[:-1], apex[1:]
-        last_peak = _latest(lift | (airborne & (heights > apex_before)), -1)
-        apex_time = np.where(last_peak >= 0, now[last_peak], self._apex_time)
-
-        # a valid swing is aerial, so a valid foot back on the ground landed
+        swing = _swing_scan(now, before, heights, self._state)
+        # a valid swing is aerial, so a valid foot back on the ground landed;
+        # landing moves neither its swing start nor its apex
         landed = (
-            np.concatenate(([self._valid], valid[:-1])) & ~airborne
-            & (apex_before >= MIN_STEP_HEIGHT)
+            np.concatenate(([self._state.valid], swing.valid[:-1])) & ~swing.aerial
+            & (swing.running_apex >= MIN_STEP_HEIGHT)
         )
-        apex_time_before = np.concatenate(([self._apex_time], apex_time[:-1]))
-        emas = self._footfalls(landed, times, swing_start, apex_time_before, apex_before)
-
-        was_descending = np.concatenate(([self._descending], descending[:-1]))
-        changed = (airborne != was_aerial) | (descending != was_descending)
-        entered_at = np.maximum(self._entered_at, np.maximum.accumulate(
-            np.where(changed, now3, -np.inf), axis=0
-        ))
-        self._prev_time, self._prev_height = times[-1], heights[-1]
-        self._aerial, self._descending, self._valid = airborne[-1], descending[-1], valid[-1]
-        self._running_apex, self._apex_time = apex[-1], apex_time[-1]
-        self._swing_start, self._entered_at = swing_start[-1], entered_at[-1]
-
-        # entered_at stands in for grounded_since: staleness reads it only
-        # while both feet are grounded, and then the two are equal
-        anchor = np.where(valid, swing_start, entered_at)
-        feet = _FootFrames(*(a.swapaxes(0, 1) for a in (
-            heights, airborne, valid, anchor, apex_at, entered_at,
-        )))
+        emas = self._footfalls(landed, times, swing)
+        self._prev_time = times[-1]
+        self._state = _Swing(*(a[-1] for a in swing))
+        feet = _Swing(*(a.swapaxes(0, 1) for a in swing))
         return _estimate_columns(now[:, None], feet, *emas)
 
-    def _footfalls(self, landed, times, swing_start, apex_time, apex) -> np.ndarray:
+    def _footfalls(self, landed, times, swing: _Swing) -> np.ndarray:
         """Register a run's steps in (tick, foot, lane) order, so a lane whose
         feet land on one tick registers the left step first, and return the
         lanes' EMA arguments after each tick: (4, ticks or 1, lanes)."""
         at = np.nonzero(landed)
         if not at[0].size:
-            return self._emas[:, None]
+            return self._emas.T[:, None]
         rows = []
-        for k, foot, lane, start, top_time, top in zip(*(
-            a.tolist() for a in (*at, swing_start[at], apex_time[at], apex[at])
-        )):
+        steps = (*at, swing.swing_start[at], swing.apex_time[at], swing.running_apex[at])
+        for k, foot, lane, start, top_time, top in zip(*(a.tolist() for a in steps)):
             t = times[k]
             event = StepEvent(_FEET[foot], start, top_time, t, top)
             tracker = self._trackers[lane]
@@ -653,9 +614,9 @@ class TrackerLanes:
             rows.append((tracker._freq_ema or 0.0, tracker._apex_ema, tracker._active_feet, t))
         # rows of table: each lane's carried-in EMAs, then one per step
         lanes = landed.shape[2]
-        table = np.concatenate((self._emas.T, rows))
+        table = np.concatenate((self._emas, rows))
         latest = np.repeat(np.arange(lanes)[None], len(times), axis=0)
         np.maximum.at(latest, (at[0], at[2]), np.arange(lanes, lanes + len(rows)))
         emas = table[np.maximum.accumulate(latest, axis=0)]
-        self._emas = emas[-1].T
+        self._emas = emas[-1]
         return emas.transpose(2, 0, 1)

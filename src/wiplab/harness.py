@@ -29,10 +29,12 @@ reductions are min, max and sequential cumulative sums, and the reports
 come from compute_metrics's own arithmetic, _window_metrics.
 
 Replaying a time-sorted recorded trace advances the same streaming tracker
-sample by sample, then computes every frame's estimate, law and kinematics
-as arrays in the live loop's operation order, which is what keeps
-record/replay reports bit-identical; the DETERMINISM check, the replay
-goldens and a property test against a per-frame loop guard that.
+sample by sample for its validation, step events and EMAs, and reads each
+foot's swing state from gait's swing scan, the one run_chase_lanes'
+trackers step with. It then computes every frame's estimate, law and
+kinematics as arrays in the live loop's operation order, which is what
+keeps record/replay reports bit-identical; the DETERMINISM check, the
+replay goldens and a property test against a per-frame loop guard that.
 """
 
 from __future__ import annotations
@@ -187,7 +189,8 @@ class RunLog:
         if self.scenario is None:
             if not self.rows:
                 return (0.0, 0.0)
-            return (self.rows[0].time, self.rows[-1].time + 1e-9)
+            # the next float: a fixed epsilon vanishes into large times
+            return (self.rows[0].time, math.nextafter(self.rows[-1].time, math.inf))
         start = self.scenario.chase_start
         return (start, start + self.scenario.chase_duration)
 

@@ -293,6 +293,15 @@ class TestRecordReplay:
         assert out == ""
         assert "speed_gain must be finite" in err
 
+    def test_one_frame_trace_at_a_large_time_replays(self, tmp_path, capsys):
+        """The scenario-less window ends just past the last frame, even
+        where adding a small epsilon to its time changes nothing."""
+        trace = tmp_path / "late.csv"
+        save_trace(str(trace), [core.FootSample(1e8, core.Foot.LEFT, 0.0)])
+        code, out, err = run(["replay", str(trace)], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["metrics"]["avg_speed"] == 0.0
+
     def test_empty_trace_is_a_runtime_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         save_trace(str(empty), [])

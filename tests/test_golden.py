@@ -269,3 +269,29 @@ def test_stability_lane_reports_match_golden(monkeypatch):
     assert passed and len(reports) == 40
     digest = hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest()
     assert digest == GOLDEN_STABILITY_REPORTS
+
+
+# ----------------------------------------------------------------------
+# The acceptance gate's whole stdout: ten check lines and the summary. The
+# detail lines print each check's numbers, so a change to any of them shows
+# here. Recorded before replay's per-foot state came from the shared swing
+# scan.
+
+GOLDEN_GATE_OUTPUT = """\
+[PASS] EQ1-ANCHOR: gud(1.57 Hz, 1.72 m) = 1.0 m/s, |err| = 0.00e+00
+[PASS] EQ2-IDENTITY: identity max |err| = 0.00e+00 over 1000 draws
+[PASS] ROUND-TRIP: 0.5->0.500 (0.0%); 1.0->1.000 (0.0%); 1.5->1.500 (0.0%); 2.5->2.496 (0.2%); 3.0->2.996 (0.1%)
+[PASS] CEILING: gud@3.5 = 1.966 (<= 2.1), shef@3.5 = 3.502 (>= 3.0), saturated ceiling ratio = 3.00 (>= 1.8)
+[PASS] STABILITY: mean speed SD over 20 seeds: shef = 0.069 <= gud = 1.106
+[PASS] ELASTIC-ANCHORS: band(0 cm) = 0.085 kgf, band(25 cm) = 0.36 kgf; upward non-increasing: True, downward non-decreasing: True
+[PASS] BAND-CALIBRATION: downward 1/2/3 kgf -> [4, 8, 12] bands; upward 1/3/5 kgf -> [2, 6, 10] bands
+[PASS] STAIRCASE: uphill: landings [0.65, 0.72], mean 0.685 (ref 0.71 +/- 0.07); downhill: landings [1.3, 1.45], mean 1.375 (ref 1.43 +/- 0.25)
+[PASS] GAIT-ORACLE: 100 traces: step counts equal, apex |err| max = 0.0000 m
+[PASS] DETERMINISM: replayed metrics == recorded (avg speed 1.5065589356264706 vs 1.5065589356264706)
+10/10 checks passed
+"""
+
+
+def test_acceptance_output_matches_golden(capsys):
+    assert cli.main(["acceptance"]) == 0
+    assert capsys.readouterr().out == GOLDEN_GATE_OUTPUT

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiplab import speed
@@ -173,6 +173,14 @@ class TestComputeMetrics:
         report = compute_metrics(log)
         assert report.avg_step_frequency == 0.0
         assert report.avg_step_height == pytest.approx(0.1)
+
+    def test_scenario_less_window_keeps_its_last_frame_at_large_times(self):
+        """At t ~ 1e8 one ulp is ~1.5e-8 s, so a fixed 1e-9 s added to the
+        last frame's time would end the window on that frame and drop it."""
+        log = RunLog(scenario=None)
+        for k, v in enumerate((1.0, 2.0, 6.0)):
+            log.rows.append(frame(1e8 + k / 90.0, v))
+        assert compute_metrics(log).avg_speed == 3.0
 
     def test_empty_window_raises(self):
         log = RunLog(scenario=ChaseScenario(target_speed=1.0))
@@ -424,8 +432,25 @@ def replay_cases(draw):
     return trace, params, scenario
 
 
+def hovering_foot_trace():
+    """The left foot walks on the 90 Hz ticks. The right foot, sampled half
+    a tick later, is first seen aloft and sways up, down and up again, past
+    VELOCITY_DEADBAND, for 4 s before it first grounds; then it walks
+    too. Its first aerial run has no lift-off, so its partial bound is
+    anchored at its ascent/descent switches."""
+    walk = gait_trace(2.4, 0.12, 0.4, 0.5, 0.0, 0, 6.0)
+    return [
+        s if s.foot is Foot.LEFT else FootSample(
+            s.time + 1 / 180, s.foot,
+            0.06 + 0.04 * math.sin(math.pi * s.time) if s.time < 4.0 else s.height,
+        )
+        for s in walk
+    ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=replay_cases())
+@example(case=(hovering_foot_trace(), SHEF, None))
 def test_replay_equals_the_streaming_frame_step(case):
     trace, params, scenario = case
     if not trace:

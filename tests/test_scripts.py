@@ -12,12 +12,16 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, args, out):
+def load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def run_script(name, args, out):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert module.main([*args, "--out", str(out)]) == 0
+        assert load_script(name).main([*args, "--out", str(out)]) == 0
     return json.loads(out.read_text())
 
 
@@ -67,3 +71,28 @@ def test_experiment3_gains(tmp_path):
         assert len(result["landings"]) == 4
         assert result["reference"] == reference
         assert result["mean"] == pytest.approx(sum(result["landings"]) / 4)
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("experiment1_chase", ["--seeds", "0"], "--seeds must be at least 1, got 0"),
+    ("experiment1_chase", ["--seeds", "-2"], "--seeds must be at least 1, got -2"),
+    ("experiment1_chase", ["--noise", "0.5"], "noise_sd must be in [0, 0.01] m, got 0.5"),
+    ("experiment1_chase", ["--noise", "nan"], "noise_sd must be finite, got nan"),
+    ("experiment1_chase", ["--user-height", "9"], "user_height 9.0 outside [1.0, 2.5] m"),
+    ("experiment2_elastic", ["--noise", "0.5"], "noise_sd must be in [0, 0.01] m, got 0.5"),
+    ("experiment2_elastic", ["--target", "-1"], "target_speed must be in [0, 100] m/s"),
+    ("experiment2_elastic", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    ("experiment3_gains", ["--out", "no-such-dir/gains.json"], "No such file or directory"),
+])
+def test_bad_flags_are_usage_errors(name, args, message, tmp_path, monkeypatch):
+    """A bad flag exits 2 with one error line, before any run, and writes
+    no results."""
+    monkeypatch.chdir(tmp_path)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_:
+            load_script(name).main(args)
+    assert exit_.value.code == 2
+    assert out.getvalue() == ""
+    assert message in err.getvalue().splitlines()[-1]
+    assert list(tmp_path.iterdir()) == []
