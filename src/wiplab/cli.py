@@ -251,18 +251,20 @@ def cmd_acceptance(args: argparse.Namespace) -> int:
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scenario", metavar="FILE", help="JSON scenario file")
+def _add_law_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--variant", choices=[v.value for v in Variant])
-    parser.add_argument("--target", dest="target_speed", type=float, metavar="TARGET",
-                        help="chase target speed, m/s")
     parser.add_argument("--user-height", dest="user_height", type=float, metavar="M")
     parser.add_argument("--gain", dest="speed_gain", type=float, metavar="GAIN",
                         help="speed gain applied to raw speed")
-    parser.add_argument(
-        "--natural-gain", dest="natural_visual_gain", type=float, metavar="G",
-        help="natural visual gain multiplier",
-    )
+    parser.add_argument("--natural-gain", dest="natural_visual_gain", type=float, metavar="G",
+                        help="natural visual gain multiplier")
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scenario", metavar="FILE", help="JSON scenario file")
+    _add_law_flags(parser)
+    parser.add_argument("--target", dest="target_speed", type=float, metavar="TARGET",
+                        help="chase target speed, m/s")
     parser.add_argument("--noise", dest="noise_sd", type=float, metavar="SD",
                         help="height noise SD, m")
     parser.add_argument("--seed", type=int)
@@ -289,10 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="re-run a saved trace through the pipeline")
     p.add_argument("trace", help="trace file written by record")
-    p.add_argument("--variant", choices=[v.value for v in Variant])
-    p.add_argument("--user-height", dest="user_height", type=float, metavar="M")
-    p.add_argument("--gain", dest="speed_gain", type=float, metavar="GAIN")
-    p.add_argument("--natural-gain", dest="natural_visual_gain", type=float, metavar="G")
+    _add_law_flags(p)
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--frames-out", dest="frames_out", metavar="FILE",
                    help="also write per-frame rows as CSV")

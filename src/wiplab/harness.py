@@ -24,9 +24,10 @@ from tick to tick is scanned a re-plan interval at a time with sequential
 cumulative sums (the gait clock, restarted at each wrap), running maxima
 and forward fills (the running apex, swing and descending flags); the EMAs
 update per lane at footfalls with math.exp (np.exp differs); each lane
-takes its agent's noise only while its SD is positive; the only
-reductions are min, max and sequential cumulative sums, and the reports
-come from compute_metrics's own arithmetic, _window_metrics.
+draws its agent's noise only while its SD is positive; the only
+reductions are min, max and sequential cumulative sums (replay shares
+the kinematics, _integrate), and the reports come from compute_metrics's
+own arithmetic, _window_metrics.
 
 Replaying a time-sorted recorded trace advances the same streaming tracker
 sample by sample for its validation, step events and EMAs, and reads each
@@ -256,14 +257,31 @@ def _stage_bounds(scenario: ChaseScenario) -> tuple[float, float]:
     return scenario.prep_walk_time + scenario.prep_duration, scenario.chase_start
 
 
+def _integrate(scenario: ChaseScenario, now, out, position, sphere) -> tuple[np.ndarray, ...]:
+    """run_chase's position and sphere sums down axis 0 for the frames at times
+    now, a row per frame start and one after the last, and each frame's error.
+    Raises DivergedSimulation at the first frame left non-finite."""
+    dt, circle_lead = scenario.timestep, scenario.circle_lead
+    chasing = np.reshape(now >= scenario.chase_start, (-1,) + (1,) * (out.ndim - 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # caught as divergence below
+        sphere_step = np.where(chasing, scenario.target_speed * dt, out * dt)
+        position = np.cumsum(np.concatenate(([position], out * dt)), axis=0)
+        sphere = np.cumsum(np.concatenate(([sphere], sphere_step)), axis=0)
+        error = sphere[:-1] - (position[:-1] + circle_lead)
+    finite = (np.isfinite(position[1:]) & np.isfinite(sphere[1:])).reshape(now.size, -1).all(axis=1)
+    if not finite.all():
+        raise DivergedSimulation(f"non-finite state at t={now[finite.argmin()]:.3f}")
+    return position, sphere, error
+
+
 def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[MetricsReport, RunLog]:
     """Simulate one chasing-task run and compute its metrics.
 
-    The agent must provide command(speed) and samples(now, dt). Each frame
-    advances a fresh gait tracker through the frame's samples, appending
-    every completed StepEvent to the log, calls estimate(t) once, and feeds
-    the estimate to the law speed.law builds for this run; a foot without a
-    sample in the frame reads height 0.
+    The agent provides command(speed), called once per re-plan from frame 0
+    on, and samples(now, dt); a WalkerAgent's noise comes straight from its
+    generator. Each frame advances the run's gait tracker through its samples,
+    logging each StepEvent, calls estimate(t) once and feeds it to the law
+    speed.law builds; a foot with no sample in the frame reads height 0.
     """
     dt = scenario.timestep
     n_frames = int(round(scenario.total_duration / dt))
@@ -280,7 +298,6 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
     position = 0.0
     sphere = circle_lead  # starts at the catch-circle center
 
-    command(chase_policy(0.0, target_speed))
     for k in range(n_frames):
         t = k * dt
         error = sphere - (position + circle_lead)
@@ -328,7 +345,9 @@ def run_chase_lanes(
     replay_trace. Python loops run only over lanes at a re-plan, over step
     events and over gait-clock wraps. Only the chase window's speeds and
     errors and the step events are kept. Invalid samples and a diverged
-    state raise for the whole batch.
+    state raise for the whole batch. Lanes draw noise in blocks straight
+    from their agents' generators, so an agent passed twice, or one that
+    drew noise sample by sample (in run_chase), raises ValueError.
     """
     lanes = len(agents)
     if lanes == 0 or len(params) != lanes:
@@ -340,15 +359,11 @@ def run_chase_lanes(
     end = chase_start + scenario.chase_duration
     circle_lead, target_speed = scenario.circle_lead, scenario.target_speed
     walkers, trackers = WalkerLanes(agents, dt), TrackerLanes(lanes)
-    lanes_of: dict[WipParams, list[int]] = {}
-    for lane, p in enumerate(params):
-        lanes_of.setdefault(p, []).append(lane)
-    laws = [(speed.law(p), members) for p, members in lanes_of.items()]
-    n_window = sum(chase_start <= k * dt < end for k in range(n_frames))
-    speeds, errors, filled = np.empty((n_window, lanes)), np.empty((n_window, lanes)), 0
+    laws = [  # one law per distinct params, with its lanes
+        (speed.law(p), [i for i, q in enumerate(params) if q == p]) for p in dict.fromkeys(params)
+    ]
+    kept = [(np.empty((0, lanes)),) * 2]  # the chase window's speeds and errors, by interval
     position, sphere = np.zeros(lanes), np.full(lanes, circle_lead)
-    # run_chase's first command, before frame 0, repeats frame 0's: the
-    # error is 0 there, so the first re-plan below stands for both
     for first in range(0, n_frames, replan_every):
         walkers.command([
             chase_policy(e, target_speed) for e in (sphere - (position + circle_lead)).tolist()
@@ -360,21 +375,12 @@ def run_chase_lanes(
         with np.errstate(over="ignore", invalid="ignore"):  # caught as divergence below
             for evaluate, members in laws:
                 out[:, members] = evaluate(f[:, members], sh[:, members])[1]
-            sphere_step = np.where((now >= chase_start)[:, None], target_speed * dt, out * dt)
-            position = np.cumsum(np.concatenate(([position], out * dt)), axis=0)
-            sphere = np.cumsum(np.concatenate(([sphere], sphere_step)), axis=0)
-            error = sphere[:-1] - (position[:-1] + circle_lead)
-        finite = np.isfinite(position[1:]) & np.isfinite(sphere[1:])
-        diverged = np.flatnonzero(~finite.all(axis=1))
-        if diverged.size:
-            raise DivergedSimulation(f"non-finite state at t={times[diverged[0]]:.3f}")
+        position, sphere, error = _integrate(scenario, now, out, position, sphere)
         window = (chase_start <= now) & (now < end)
-        taken = np.count_nonzero(window)
-        speeds[filled:filled + taken], errors[filled:filled + taken] = out[window], error[window]
-        filled += taken
+        kept.append((out[window], error[window]))
         position, sphere = position[-1], sphere[-1]
 
-    speeds, errors = speeds.T, errors.T
+    speeds, errors = (np.concatenate(columns).T for columns in zip(*kept))
     return [
         _window_metrics(speeds[i], errors[i], events, chase_start, end)
         for i, events in enumerate(trackers.events)
@@ -404,35 +410,28 @@ def replay_trace(
     """
     if not samples:
         raise EmptyWindow("trace holds no samples")
-    log = RunLog(scenario=scenario)
-    log.samples = list(samples)
+    log = RunLog(scenario, samples=list(samples))
     frames = estimate_frames(log.samples, log.events)
     t = frames.time
     n = t.size
     with np.errstate(over="ignore", invalid="ignore"):  # caught as divergence below
         raw, out = speed.law(params)(frames.step_frequency, frames.step_height)
         if scenario is not None:
-            dt, circle_lead = scenario.timestep, scenario.circle_lead
-            countdown_start, chase_start = _stage_bounds(scenario)
-            position = np.cumsum(np.concatenate(([0.0], out * dt)))
-            sphere_step = np.where(t >= chase_start, scenario.target_speed, out) * dt
-            sphere = np.cumsum(np.concatenate(([circle_lead], sphere_step[:-1])))
-            error = (sphere - (position[:-1] + circle_lead)).tolist()
-            sphere = sphere.tolist()
-            prep, countdown = np.searchsorted(t, (countdown_start, chase_start)).tolist()
+            position, sphere, error = _integrate(scenario, t, out, 0.0, scenario.circle_lead)
+            prep, countdown = np.searchsorted(t, _stage_bounds(scenario)).tolist()
             stages = [_PREP] * prep + [_COUNTDOWN] * (countdown - prep) + [_CHASE] * (n - countdown)
         else:
             position = np.cumsum(np.concatenate(([0.0], out * np.diff(t, append=t[-1]))))
-            sphere = error = [0.0] * n
+            sphere, error = np.zeros(n + 1), np.zeros(n)
             stages = [_CHASE] * n
-    diverged = np.flatnonzero(~np.isfinite(position[1:]))
-    if diverged.size:
-        raise DivergedSimulation(f"non-finite state at t={t[diverged[0]]:.3f}")
+            diverged = np.flatnonzero(~np.isfinite(position[1:]))
+            if diverged.size:
+                raise DivergedSimulation(f"non-finite state at t={t[diverged[0]]:.3f}")
 
     log.rows = list(map(FrameRow._make, zip(
         t.tolist(), stages, frames.height_left.tolist(), frames.height_right.tolist(),
         frames.step_frequency.tolist(), frames.step_height.tolist(), raw.tolist(),
-        out.tolist(), position[:-1].tolist(), sphere, error,
+        out.tolist(), position[:-1].tolist(), sphere[:-1].tolist(), error.tolist(),
     )))
     return compute_metrics(log), log
 

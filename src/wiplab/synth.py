@@ -2,18 +2,19 @@
 
 Foot trajectories are half-sine swings over a stance/swing cycle, feet half
 a cycle apart. Agents invert the speed laws to pick a cadence and apex for
-a commanded speed, re-plan while chasing, and degrade their execution when
-asked for more than the walker's caps (MAX_FREQUENCY, MAX_STEP_HEIGHT)
-can deliver: stepping at the limit is sloppier than stepping comfortably,
-which is what makes the frequency-only variant wobble at high targets.
+a commanded speed, re-plan at each command while chasing, and degrade
+their execution when asked for more than the walker's caps (MAX_FREQUENCY,
+MAX_STEP_HEIGHT) can deliver: stepping at the limit is sloppier than
+stepping comfortably, which is what makes the frequency-only variant
+wobble at high targets. Noise comes straight from each agent's generator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from inspect import GEN_CREATED, getgeneratorstate
 from itertools import repeat
-from operator import length_hint
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -55,8 +56,7 @@ CHASE_GAIN = 0.5  # m/s of commanded speed per m of chase error
 # 8-sigma draw adds 0.32 m: 0.3 + 1.009 + 0.32 = 1.63 m.
 MAX_NOISE_SD = 0.01  # m
 
-# Standard normals drawn from a generator per block. A Generator's block
-# draws equal the same number of scalar draws, so the stream is unchanged.
+# Standard normals a WalkerAgent draws from its generator per block.
 NOISE_BLOCK = 512
 
 
@@ -70,10 +70,8 @@ class GaitProgram:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # one chained test first: WalkerAgent.command builds one per re-plan
-        f, apex, sd, inf = self.step_frequency, self.apex_height, self.noise_sd, math.inf
-        if not (0.0 <= f < inf and 0.0 <= apex < inf and 0.0 <= sd < inf):
-            require_finite(self, ("step_frequency", "apex_height", "noise_sd"))
+        require_finite(self, ("step_frequency", "apex_height", "noise_sd"))
+        if self.step_frequency < 0.0 or self.apex_height < 0.0 or self.noise_sd < 0.0:
             raise ValueError("gait program values must be >= 0")
 
 
@@ -87,40 +85,6 @@ def cycle_height(cycle_pos: float, stance_fraction: float, apex: float) -> float
         return 0.0
     u = (cycle_pos - stance_fraction) / (1.0 - stance_fraction)
     return apex * math.sin(math.pi * u)
-
-
-class NormalStream:
-    """The generator's standard normals in draw order, drawn in blocks and
-    only once taken: one at a time from the draws generator, which costs a
-    list iterator's next(), or n at a time as an array with take(n)."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._block = np.empty(0)
-        self._start = 0  # read position in _block while _rest is spent
-        self._rest = iter([])  # the draws generator's unread part of _block
-        self.draws = self._one_by_one()
-
-    def _one_by_one(self) -> Iterator[float]:
-        while True:
-            if self._start == self._block.size:
-                self._block, self._start = self._rng.standard_normal(NOISE_BLOCK), 0
-            self._rest = iter(self._block[self._start:].tolist())
-            self._start = self._block.size
-            yield from self._rest
-
-    def take(self, n: int) -> np.ndarray:
-        """The next n draws, as an array."""
-        start = self._start - length_hint(self._rest)
-        self._rest.__setstate__(NOISE_BLOCK)  # spent: the next scalar draw starts at _start
-        block = self._block
-        if start + n > block.size:
-            blocks = -(-(start + n - block.size) // NOISE_BLOCK)
-            fresh = self._rng.standard_normal(blocks * NOISE_BLOCK)
-            block, start = np.concatenate((block[start:], fresh)), 0
-            self._block = fresh[-NOISE_BLOCK:]
-        self._start = self._block.size - (block.size - start - n)
-        return block[start:start + n]
 
 
 def synth_trace(program: GaitProgram, duration: float, sample_rate: float) -> list[FootSample]:
@@ -209,10 +173,10 @@ class WalkerAgent:
     scales the execution noise up (strain): a walker forced against its
     caps steps raggedly, while one inside its comfort zone does not.
 
-    Noise is drawn from the agent's generator in blocks and consumed in
-    order, and only while the effective SD is positive, so the sequence of
-    draws equals one scalar standard_normal() per noisy sample. That
-    equality keeps recorded runs and their goldens exact.
+    Noise is read in order from blocks of the agent's generator, and only
+    while the effective SD is positive, so the sequence of draws equals one
+    scalar standard_normal() per noisy sample. That equality keeps recorded
+    runs and their goldens exact.
     """
 
     def __init__(
@@ -230,8 +194,8 @@ class WalkerAgent:
             raise ValueError(f"noise_sd must be in [0, {MAX_NOISE_SD}] m, got {noise_sd!r}")
         self.rig = rig
         self._law = law(params)
-        self._normals = NormalStream(np.random.default_rng(seed))
-        self._noise = self._normals.draws
+        self._rng = np.random.default_rng(seed)
+        self._noise = self._draws()
         # per-foot state, indexed like FEET
         self._cycle = [0.0, PHASE_OFFSET]
         self._apex = [0.0, 0.0]
@@ -240,8 +204,13 @@ class WalkerAgent:
         self._frequency = 0.0
         self._effective_sd = noise_sd
 
-    def command(self, speed: float) -> GaitProgram:
-        """Re-plan for a commanded speed; returns the adopted program."""
+    def _draws(self) -> Iterator[float]:
+        """The generator's standard normals one at a time, drawn in blocks."""
+        while True:
+            yield from self._rng.standard_normal(NOISE_BLOCK).tolist()
+
+    def command(self, speed: float) -> None:
+        """Re-plan for a commanded speed."""
         frequency, apex = _cadence_and_apex(speed, self.params)
         strain = 0.0
         if speed > 0.0:
@@ -253,7 +222,6 @@ class WalkerAgent:
             # feet settle; park both cycles at stance start
             self._cycle = [0.0, 0.0]
             self._in_stance = [True, True]
-        return GaitProgram(frequency, self._pending_apex)
 
     def samples(self, now: float, dt: float) -> list[FootSample]:
         """Emit both feet at time `now`, then advance the gait clock by dt.
@@ -317,12 +285,16 @@ class WalkerLanes:
     left foot. command() re-plans every lane through its own agent; between
     re-plans no plan changes, so samples() emits a run of ticks at once with
     samples()'s operations and no loop over ticks: the gait clocks are
-    cumulative sums restarted at each wrap. Each lane takes its noise as one
-    block from its agent's stream, a left/right pair per tick, while its SD
-    is positive.
+    cumulative sums restarted at each wrap. Each lane draws its noise as one
+    block straight from its agent's generator, a left/right pair per tick,
+    while its SD is positive, so an agent may neither serve two lanes nor
+    have drawn noise sample by sample: either raises ValueError.
     """
 
     def __init__(self, agents: Sequence[WalkerAgent], dt: float):
+        for lane, agent in enumerate(agents):
+            if agent in agents[:lane] or getgeneratorstate(agent._noise) != GEN_CREATED:
+                raise ValueError(f"lane {lane}: agent is an earlier lane's or already drew noise")
         self._agents, self._dt = agents, dt
         self._cycle, self._apex, self._in_stance = (
             np.array([getattr(a, name) for a in agents]).T
@@ -364,7 +336,7 @@ class WalkerLanes:
         noisy = np.flatnonzero(self._sd > 0.0).tolist()
         if noisy:
             noise = np.zeros_like(heights)  # a lane with SD 0 adds 0.0 * 0.0
-            draws = [self._agents[lane]._normals.take(2 * ticks) for lane in noisy]
+            draws = [self._agents[lane]._rng.standard_normal(2 * ticks) for lane in noisy]
             noise[:, :, noisy] = np.stack(draws, axis=1).reshape(ticks, 2, len(noisy))
             heights = heights + self._sd * noise
             heights = np.where(heights > 0.0, heights, 0.0)  # max(0.0, h)

@@ -43,7 +43,6 @@ from wiplab.synth import (
     MAX_NOISE_SD,
     MIN_SAMPLE_RATE,
     GaitProgram,
-    NormalStream,
     WalkerAgent,
     cycle_height,
     synth_trace,
@@ -380,7 +379,7 @@ def hold_a_foot_up(trace, height, duration):
 def gait_trace(frequency, apex, stance, offset, noise_sd, seed, duration):
     """synth_trace at 90 Hz for any stance share and phase offset between
     the feet: half-sine swings, the right foot offset into its cycle."""
-    noise = NormalStream(np.random.default_rng(seed)).draws
+    rng = np.random.default_rng(seed)
     trace = []
     for k in range(int(round(duration * 90.0))):
         t = k / 90.0
@@ -389,7 +388,7 @@ def gait_trace(frequency, apex, stance, offset, noise_sd, seed, duration):
             if frequency > 0.0:
                 h = cycle_height((t * frequency / 2.0 + start) % 1.0, stance, apex)
             if noise_sd > 0.0:
-                h = max(0.0, h + noise_sd * next(noise))
+                h = max(0.0, h + noise_sd * rng.standard_normal())
             trace.append(FootSample(t, foot, h))
     return trace
 
@@ -547,6 +546,30 @@ def test_lanes_with_no_frame_in_the_window_raise_empty_window():
 def test_lanes_need_one_params_per_agent():
     with pytest.raises(ValueError, match="one params per agent"):
         run_chase_lanes(ChaseScenario(target_speed=1.0), [WalkerAgent(SHEF)], [SHEF, SHEF])
+
+
+def test_lanes_reject_an_agent_passed_twice():
+    """Two lanes of one agent would draw two blocks from one generator, so
+    the second lane's noise would not be its chase's."""
+    scenario = ChaseScenario(target_speed=1.0, prep_duration=0.5, chase_duration=0.5)
+    agent = WalkerAgent(SHEF, noise_sd=0.004, seed=1)
+    with pytest.raises(ValueError, match="lane 1: "):
+        run_chase_lanes(scenario, [agent, agent], [SHEF] * 2)
+    with pytest.raises(ValueError, match="lane 2: "):
+        run_chase_lanes(scenario, [agent, WalkerAgent(SHEF), agent], [SHEF] * 3)
+
+
+def test_lanes_reject_an_agent_that_drew_noise_sample_by_sample():
+    """run_chase leaves part of a drawn block unread in the agent, which the
+    lane's block draws would skip."""
+    scenario = ChaseScenario(target_speed=1.0, prep_duration=0.5, chase_duration=0.5)
+    used = WalkerAgent(SHEF, noise_sd=0.004, seed=1)
+    run_chase(scenario, used, SHEF)
+    with pytest.raises(ValueError, match="lane 1: "):
+        run_chase_lanes(scenario, [WalkerAgent(SHEF), used], [SHEF] * 2)
+    quiet = WalkerAgent(SHEF, seed=1)  # stepped without noise, it drew nothing
+    run_chase(scenario, quiet, SHEF)
+    run_chase_lanes(scenario, [quiet], [SHEF])
 
 
 class TestStaircase:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiplab import synth
@@ -346,8 +346,14 @@ def test_samples_equal_the_per_foot_loop(variant, noise_sd, seed, rig, rate, pla
     kwargs = dict(noise_sd=noise_sd, seed=seed, rig=rig)
     agent, reference = WalkerAgent(params, **kwargs), PerFootAgent(params, **kwargs)
     dt, k = 1.0 / rate, 0
+
+    def adopted(walker):
+        return walker._frequency, walker._pending_apex, walker._effective_sd
+
     for speed, frames in plan:
-        assert agent.command(speed) == reference.command(speed)
+        agent.command(speed)
+        reference.command(speed)
+        assert adopted(agent) == adopted(reference)
         for _ in range(frames):
             got, want = agent.samples(k * dt, dt), reference.samples(k * dt, dt)
             assert [(s.time.hex(), s.foot, s.height.hex()) for s in got] == [
@@ -377,6 +383,11 @@ def test_samples_equal_the_per_foot_loop(variant, noise_sd, seed, rig, rate, pla
         min_size=1, max_size=4,
     ),
 )
+@example(  # a lane draws a run's 602 normals at once; its agent reads them from two blocks
+    lanes=[(Variant.SHEF, MAX_NOISE_SD, 3, None), (Variant.GUD, MAX_NOISE_SD, 4, None)],
+    rate=90.0,
+    runs=[([2.0, 3.5, 0.0, 0.0], synth.NOISE_BLOCK // 2 + 45), ([1.0, 1.0, 0.0, 0.0], 200)],
+)
 def test_walker_lanes_equal_each_agents_samples(lanes, rate, runs):
     """WalkerLanes steps a run of ticks at once; each lane's heights equal its
     own WalkerAgent's, sample by sample and bit for bit, noise included."""
@@ -400,22 +411,10 @@ def test_walker_lanes_equal_each_agents_samples(lanes, rate, runs):
         assert [[list(map(float.hex, tick)) for tick in lane] for lane in got.transpose(2, 0, 1).tolist()] == want
 
 
-def test_normal_stream_draws_and_takes_in_one_order():
-    """Scalar draws and block takes, in any mix and across block boundaries,
-    read the generator's standard normals in draw order."""
-    want = np.random.default_rng(7).standard_normal(5 * synth.NOISE_BLOCK).tolist()
-    stream = synth.NormalStream(np.random.default_rng(7))
-    got = []
-    for n in (3, 0, 600, 1, 509, 2, 1024, 1):
-        got += stream.take(n).tolist()
-        got += [next(stream.draws) for _ in range(n % 5)]
-    assert got == want[:len(got)]
-
-
 def loop_synth_trace(program, duration, sample_rate):
     """synth_trace as one sample at a time: each foot's cycle position, its
     cycle_height, then one scalar normal per noisy sample, left then right."""
-    noise = synth.NormalStream(np.random.default_rng(program.seed)).draws
+    rng = np.random.default_rng(program.seed)
     samples = []
     for k in range(int(round(duration * sample_rate))):
         t = k / sample_rate
@@ -426,7 +425,7 @@ def loop_synth_trace(program, duration, sample_rate):
                 cycle = (t * program.step_frequency / 2.0 + offset) % 1.0
                 h = cycle_height(cycle, synth.STANCE_FRACTION, program.apex_height)
             if program.noise_sd > 0.0:
-                h = max(0.0, h + program.noise_sd * next(noise))
+                h = max(0.0, h + program.noise_sd * rng.standard_normal())
             samples.append(FootSample(t, foot, h))
     return samples
 
