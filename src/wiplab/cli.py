@@ -17,9 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
-from typing import Any
+from itertools import islice
+from operator import attrgetter
+from typing import Any, Iterable, TextIO
+
+import numpy as np
 
 from . import acceptance as acceptance_mod
 from .core import HEIGHT_CEILING, EmptyWindow, Variant, WipError
@@ -116,16 +121,33 @@ def _emit_report(out: str | None, document: dict[str, Any]) -> None:
         print(f"wrote {out}", file=sys.stderr)
 
 
-def _write_frames(path: str, rows: list[FrameRow]) -> None:
-    lines = [",".join(FrameRow._fields)]
-    for r in rows:
-        lines.append(
-            f"{r.time!r},{r.stage.value},{r.height_left!r},{r.height_right!r},"
-            f"{r.est_frequency!r},{r.est_step_height!r},{r.raw_speed!r},"
-            f"{r.output_speed!r},{r.position!r},{r.sphere!r},{r.error!r}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+# --frames-out columns that repeat values: estimates hold between footfalls,
+# the speeds follow them, and the error holds while the sphere mirrors the
+# walker
+_REPEATING = ("est_frequency", "est_step_height", "raw_speed", "output_speed", "error")
+_LINES_PER_WRITE = 512
+
+
+def _column_text(name: str, column: tuple) -> Iterable[str]:
+    """One frame column as text: floats by repr, a stage by its value. A
+    repeating column is repr'd once per distinct value, keyed by its bits
+    so that 0.0 and -0.0 stay apart."""
+    if name == "stage":
+        return map(attrgetter("_value_"), column)  # .value is a Python-level property
+    if name not in _REPEATING:
+        return map(repr, column)
+    distinct, at = np.unique(np.array(column).view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return text[at].tolist()
+
+
+def _write_frames(fh: TextIO, rows: list[FrameRow]) -> None:
+    """Write rows as CSV to fh: each column is formatted on its own, and the
+    lines are joined and written a few hundred at a time."""
+    fh.write(",".join(FrameRow._fields) + "\n")
+    lines = map(",".join, zip(*map(_column_text, FrameRow._fields, zip(*rows))))
+    while chunk := list(islice(lines, _LINES_PER_WRITE)):
+        fh.write("\n".join(chunk) + "\n")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -149,17 +171,39 @@ def cmd_record(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _open_outputs(*paths: str | None) -> list[TextIO | None]:
+    """Open each given path for writing, None for None, before anything is
+    written: when one fails to open, the ones opened before it are removed
+    again and the error propagates."""
+    opened: list[TextIO | None] = []
+    try:
+        for path in paths:
+            opened.append(None if path is None else open(path, "w", encoding="utf-8"))
+    except OSError:
+        for fh in filter(None, opened):
+            fh.close()
+            os.remove(fh.name)
+        raise
+    return opened
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
     header, samples = load_trace(args.trace)
     overrides = {key: value for key in PARAMS_KEYS if (value := getattr(args, key)) is not None}
     params = params_from_echo(header.scenario | overrides)
     scenario = scenario_from_echo(header.scenario)
     report, log = replay_trace(samples, params, scenario)
-    _emit_report(
-        args.out, report_document("replay", dict(header.scenario), asdict(report))
-    )
-    if args.frames_out is not None:
-        _write_frames(args.frames_out, log.rows)
+    text = save_report(None, report_document("replay", dict(header.scenario), asdict(report)))
+    report_file, frames_file = _open_outputs(args.out, args.frames_out)
+    if report_file is None:
+        print(text)
+    else:
+        with report_file:
+            report_file.write(text + "\n")
+        print(f"wrote {args.out}", file=sys.stderr)
+    if frames_file is not None:
+        with frames_file:
+            _write_frames(frames_file, log.rows)
         print(f"wrote {args.frames_out}", file=sys.stderr)
     return EXIT_OK
 

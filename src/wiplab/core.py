@@ -6,9 +6,13 @@ than a frame index, so every consumer stays sample-rate independent.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from itertools import repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 # Trackers may report slightly negative heights while a foot rests on the
 # floor; anything below this is a sensor fault, not noise.
@@ -108,6 +112,49 @@ class FootSample(NamedTuple):
     time: float    # s
     foot: Foot
     height: float  # m
+
+
+_new_sample = tuple.__new__  # a FootSample without its Python-level __new__
+_FOOT_OF = (Foot.RIGHT, Foot.LEFT)  # by is-left
+
+
+class Samples:
+    """Foot samples held as equal-length columns: time (s), left (True
+    for a left-foot sample) and height (m), numpy arrays in stream order.
+
+    It is a sequence of FootSamples: len() and indexing work, and iteration
+    builds each FootSample on demand, so streaming callers read it as they
+    read a list. The array paths (replay and its frame estimates) read the
+    columns directly. Samples.of is the one conversion from any other
+    sequence of FootSamples.
+    """
+
+    __slots__ = ("time", "left", "height")
+
+    def __init__(self, time: np.ndarray, left: np.ndarray, height: np.ndarray):
+        self.time, self.left, self.height = time, left, height
+
+    @classmethod
+    def of(cls, samples: Sequence[FootSample]) -> Samples:
+        """samples itself when it is a Samples, else its columns."""
+        if isinstance(samples, cls):
+            return samples
+        times, feet, heights = tuple(zip(*samples)) or ((), (), ())
+        left = np.fromiter(map(operator.is_, feet, repeat(Foot.LEFT)), bool, len(feet))
+        return cls(np.array(times, dtype=float), left, np.array(heights, dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __iter__(self) -> Iterator[FootSample]:
+        rows = zip(self.time.tolist(), map(_FOOT_OF.__getitem__, self.left.tolist()),
+                   self.height.tolist())
+        return map(_new_sample, repeat(FootSample), rows)
+
+    def __getitem__(self, index: int) -> FootSample:
+        return _new_sample(FootSample, (
+            self.time[index].item(), _FOOT_OF[self.left[index].item()], self.height[index].item()
+        ))
 
 
 def validate_sample(sample: FootSample, previous_time_for_foot: float | None) -> FootSample:

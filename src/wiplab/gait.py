@@ -15,18 +15,18 @@ suite exploits as an oracle.
 GaitTracker.advance steps the per-foot machine one sample at a time.
 _swing_scan is its one array form: a segmented scan (forward fills and a
 running max restarted at each lift-off) that returns a foot's state after
-every sample at once. estimate_frames runs it over each foot of a recorded
-stream, and TrackerLanes over lanes stepped in lockstep.
+every sample at once. estimate_frames reads a recorded stream as columns
+(core.Samples) and runs it over each foot's samples, and TrackerLanes over
+lanes stepped in lockstep.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, repeat
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,6 +38,7 @@ from .core import (
     FootSample,
     GaitEstimate,
     NonMonotonicTime,
+    Samples,
     validate_sample,
 )
 
@@ -446,6 +447,7 @@ def estimate_frames(samples: Sequence[FootSample], events: list[StepEvent]) -> F
     """Stream time-sorted samples through one tracker, then estimate every
     frame at once.
 
+    samples is read as columns (Samples.of; a Samples passes as it is).
     Every sample goes through GaitTracker.advance, in order, so validation,
     segmentation and the StepEvents (appended to events) are the streaming
     tracker's, and the EMA state is snapshotted after each step event. Each
@@ -458,12 +460,10 @@ def estimate_frames(samples: Sequence[FootSample], events: list[StepEvent]) -> F
     before it: staleness reads the latest grounding time, which is a running
     max only on sorted input.
     """
+    samples = Samples.of(samples)
     tracker = GaitTracker()
-    n = len(samples)
-    times, feet, heights = zip(*samples)
-    t = np.array(times, dtype=float)
-    h = np.array(heights, dtype=float)
-    left = np.fromiter(map(operator.is_, feet, repeat(_LEFT)), bool, n)
+    t, left, h = samples.time, samples.left, samples.height
+    n = t.size
 
     backwards = np.flatnonzero(t[1:] < t[:-1])
     stop = int(backwards[0]) + 1 if backwards.size else n

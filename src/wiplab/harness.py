@@ -29,13 +29,15 @@ reductions are min, max and sequential cumulative sums (replay shares
 the kinematics, _integrate), and the reports come from compute_metrics's
 own arithmetic, _window_metrics.
 
-Replaying a time-sorted recorded trace advances the same streaming tracker
+Replay reads a time-sorted recorded trace as columns (core.Samples, as
+traceio.load_trace returns it). It advances the same streaming tracker
 sample by sample for its validation, step events and EMAs, and reads each
 foot's swing state from gait's swing scan, the one run_chase_lanes'
 trackers step with. It then computes every frame's estimate, law and
-kinematics as arrays in the live loop's operation order, which is what
-keeps record/replay reports bit-identical; the DETERMINISM check, the
-replay goldens and a property test against a per-frame loop guard that.
+kinematics as arrays in the live loop's operation order, and its metrics
+from those arrays, which is what keeps record/replay reports
+bit-identical; the DETERMINISM check, the replay goldens and a property
+test against a per-frame loop guard that.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -54,6 +57,7 @@ from .core import (
     Foot,
     FootSample,
     NonTermination,
+    Samples,
     WipParams,
     WrongArity,
     require_finite,
@@ -183,7 +187,7 @@ class RunLog:
     scenario: ChaseScenario | None
     rows: list[FrameRow] = field(default_factory=list)
     events: list[StepEvent] = field(default_factory=list)
-    samples: list[FootSample] = field(default_factory=list)
+    samples: Sequence[FootSample] = field(default_factory=list)  # replay: a Samples
 
     @property
     def window(self) -> tuple[float, float]:
@@ -362,27 +366,31 @@ def run_chase_lanes(
     laws = [  # one law per distinct params, with its lanes
         (speed.law(p), [i for i, q in enumerate(params) if q == p]) for p in dict.fromkeys(params)
     ]
-    kept = [(np.empty((0, lanes)),) * 2]  # the chase window's speeds and errors, by interval
+    frame_times = np.arange(n_frames) * dt  # k * dt, as run_chase's loop computes it
+    in_window = (chase_start <= frame_times) & (frame_times < end)
+    # the chase window's speeds and errors, filled an interval at a time
+    speeds, errors = np.empty((2, np.count_nonzero(in_window), lanes))
+    kept = 0
     position, sphere = np.zeros(lanes), np.full(lanes, circle_lead)
     for first in range(0, n_frames, replan_every):
         walkers.command([
             chase_policy(e, target_speed) for e in (sphere - (position + circle_lead)).tolist()
         ])
-        times = [k * dt for k in range(first, min(first + replan_every, n_frames))]
-        f, sh = trackers.advance(times, walkers.samples(len(times)))
-        now = np.array(times)
+        now = frame_times[first:first + replan_every]
+        f, sh = trackers.advance(now.tolist(), walkers.samples(now.size))
         out = np.empty_like(f)
         with np.errstate(over="ignore", invalid="ignore"):  # caught as divergence below
             for evaluate, members in laws:
                 out[:, members] = evaluate(f[:, members], sh[:, members])[1]
         position, sphere, error = _integrate(scenario, now, out, position, sphere)
-        window = (chase_start <= now) & (now < end)
-        kept.append((out[window], error[window]))
+        window = in_window[first:first + replan_every]
+        done = kept + np.count_nonzero(window)
+        speeds[kept:done], errors[kept:done] = out[window], error[window]
+        kept = done
         position, sphere = position[-1], sphere[-1]
 
-    speeds, errors = (np.concatenate(columns).T for columns in zip(*kept))
     return [
-        _window_metrics(speeds[i], errors[i], events, chase_start, end)
+        _window_metrics(speeds[:, i], errors[:, i], events, chase_start, end)
         for i, events in enumerate(trackers.events)
     ]
 
@@ -392,11 +400,14 @@ def replay_trace(
 ) -> tuple[MetricsReport, RunLog]:
     """Replay time-sorted recorded samples, one frame per distinct sample time.
 
+    samples is read as columns: a Samples as it is, any other sequence of
+    FootSamples converted once by Samples.of, and the Samples is the log's.
     Every sample goes through the streaming tracker in file order, so step
     events are the live run's; gait.estimate_frames then gives every frame's
     estimate at once, and the law, stages and kinematics are evaluated on
     those arrays with the scalar loop's operation order (the position and
-    sphere sums are sequential cumulative sums). Rows, events and reports
+    sphere sums are sequential cumulative sums), as are the metrics of the
+    frames in compute_metrics' window. Rows, events and reports
     are bit-identical to running the frames one by one as run_chase does;
     the DETERMINISM check, the replay goldens and a property test against a
     per-frame loop guard that. Samples out of time order raise
@@ -408,10 +419,11 @@ def replay_trace(
     measurement window, each frame lasts until the next sample time, and the
     target distance is zero.
     """
-    if not samples:
+    samples = Samples.of(samples)
+    if not len(samples):
         raise EmptyWindow("trace holds no samples")
-    log = RunLog(scenario, samples=list(samples))
-    frames = estimate_frames(log.samples, log.events)
+    log = RunLog(scenario, samples=samples)
+    frames = estimate_frames(samples, log.events)
     t = frames.time
     n = t.size
     with np.errstate(over="ignore", invalid="ignore"):  # caught as divergence below
@@ -428,12 +440,14 @@ def replay_trace(
             if diverged.size:
                 raise DivergedSimulation(f"non-finite state at t={t[diverged[0]]:.3f}")
 
-    log.rows = list(map(FrameRow._make, zip(
+    log.rows = list(map(_new_row, repeat(FrameRow), zip(
         t.tolist(), stages, frames.height_left.tolist(), frames.height_right.tolist(),
         frames.step_frequency.tolist(), frames.step_height.tolist(), raw.tolist(),
         out.tolist(), position[:-1].tolist(), sphere[:-1].tolist(), error.tolist(),
     )))
-    return compute_metrics(log), log
+    start, end = log.window
+    window = (start <= t) & (t < end)  # compute_metrics' window, on the arrays
+    return _window_metrics(out[window], error[window], log.events, start, end), log
 
 
 # ----------------------------------------------------------------------

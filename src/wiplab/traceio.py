@@ -2,18 +2,18 @@
 
 Traces are line-oriented text: '#'-prefixed header lines carrying key:value
 metadata, a column line, then one row per sample. Floats are written with
-repr() so a load/save cycle is lossless. Reports are JSON documents with a
-schema_version field.
+repr() so a load/save cycle is lossless, and load_trace returns the samples
+as columns (core.Samples), parsed a column at a time. Reports are JSON
+documents with a schema_version field.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field, fields
 from itertools import repeat
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .core import (
     DivergedSimulation,
     Foot,
     FootSample,
+    Samples,
     Variant,
     WipError,
     WipParams,
@@ -54,7 +55,7 @@ class TraceHeader:
 
 def save_trace(
     path: str,
-    samples: list[FootSample],
+    samples: Sequence[FootSample],
     *,
     sample_rate_hint: float | None = None,
     user_height: float | None = None,
@@ -90,8 +91,7 @@ def _parse_scalar(text: str):
 
 
 _COLUMNS = "time,foot,height"
-_FEET = {foot.value: foot for foot in Foot}
-_LEFT = Foot.LEFT
+_IS_LEFT = {Foot.LEFT.value: True, Foot.RIGHT.value: False}
 
 
 def _header_line(header: TraceHeader, line: str, lineno: int) -> bool:
@@ -122,13 +122,14 @@ def _header_line(header: TraceHeader, line: str, lineno: int) -> bool:
     return False
 
 
-def load_trace(path: str) -> tuple[TraceHeader, list[FootSample]]:
+def load_trace(path: str) -> tuple[TraceHeader, Samples]:
     """Read a trace; raises TraceParseError with a line number on bad input.
 
-    The rows after the column line are parsed by column when that parse
-    accepts them as clean; anything else (a wrong field count, a failed
-    conversion or check, blank or '#' lines among the rows) is left to the
-    line walk, which checks every line in file order and names the
+    The samples come back as columns, a Samples, which iterates as
+    FootSamples. The rows after the column line are parsed by column when
+    that parse accepts them as clean; anything else (a wrong field count, a
+    failed conversion or check, blank or '#' lines among the rows) is left
+    to the line walk, which checks every line in file order and names the
     offending one.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -178,30 +179,28 @@ def load_trace(path: str) -> tuple[TraceHeader, list[FootSample]]:
         samples.append(sample)
     if not saw_magic:
         raise TraceParseError("missing trace format line", 1)
-    return header, samples
+    return header, Samples.of(samples)
 
 
-def _parse_columns(rows: list[str]) -> list[FootSample] | None:
+def _parse_columns(rows: list[str]) -> Samples | None:
     """The samples of the data rows, parsed one column at a time, or None
     unless every row is a clean sample the line walk would accept."""
     if rows and not rows[-1]:
         rows.pop()  # the newline that ends the file
     if not rows:
-        return []
+        return Samples.of(())
     if set(map(str.count, rows, repeat(","))) != {2}:
         return None
     tokens = ",".join(rows).split(",")
+    n = len(rows)
     try:
-        times = list(map(float, tokens[0::3]))
-        feet = list(map(_FEET.__getitem__, tokens[1::3]))
-        heights = list(map(float, tokens[2::3]))
+        t = np.fromiter(map(float, tokens[0::3]), float, n)
+        left = np.fromiter(map(_IS_LEFT.__getitem__, tokens[1::3]), bool, n)
+        h = np.fromiter(map(float, tokens[2::3]), float, n)
     except (ValueError, KeyError):
         return None
     del tokens
 
-    t = np.array(times)
-    h = np.array(heights)
-    left = np.fromiter(map(operator.is_, feet, repeat(_LEFT)), bool, len(feet))
     t_left, t_right = t[left], t[~left]
     clean = (
         0.0 <= t[0]
@@ -211,9 +210,7 @@ def _parse_columns(rows: list[str]) -> list[FootSample] | None:
         and (t_right[1:] > t_right[:-1]).all()
         and ((HEIGHT_FLOOR <= h) & (h <= HEIGHT_CEILING)).all()
     )
-    if not clean:
-        return None
-    return list(map(FootSample._make, zip(times, feet, heights)))
+    return Samples(t, left, h) if clean else None
 
 
 def _check_finite(obj: Any, path: str = "$") -> None:

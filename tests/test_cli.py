@@ -220,6 +220,26 @@ class TestRecordReplay:
         assert lines[0].startswith("time,")
         assert len(lines) > 100
 
+    def test_bad_frames_out_path_writes_no_report(self, tmp_path, capsys):
+        trace, report = tmp_path / "run.csv", tmp_path / "r.json"
+        run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)
+        code, out, err = run(
+            ["replay", str(trace), "--out", str(report), "--frames-out", str(tmp_path)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "error:" in err and "wrote" not in err
+        assert not report.exists()
+
+    def test_bad_out_path_writes_no_frames(self, tmp_path, capsys):
+        trace, frames = tmp_path / "run.csv", tmp_path / "frames.csv"
+        run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)
+        code, out, err = run(
+            ["replay", str(trace), "--out", str(tmp_path), "--frames-out", str(frames)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "error:" in err and "wrote" not in err
+        assert not frames.exists()
+
     def test_missing_trace_file(self, capsys):
         code, _, err = run(["replay", "/nonexistent/trace.csv"], capsys)
         assert code == 2

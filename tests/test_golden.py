@@ -228,6 +228,39 @@ def test_record_and_simulate_outputs_match_golden(tmp_path):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_SIMULATE_REPORT
 
 
+# Two recorded runs and their replay's --frames-out CSV, by sha256: a noisy
+# gud run and a shef run on a down:4 rig, each replayed under its own law.
+# Recorded before replay carried its samples as columns.
+
+RECORD_REPLAY_RUNS = {
+    "gud-noisy": (
+        {"target_speed": 1.8, "variant": "gud", "noise_sd": 0.004, "seed": 21},
+        "401494d2d21b2e0b1ad6e75524b8f69db41e190a325bcb949ee02976a0fefff4",
+        "360e3d49bb454adbf89a996afc10e90c7059ff3dff1c3c2d705ca403f71c6aae",
+    ),
+    "shef-down4": (
+        {"target_speed": 1.5, "variant": "shef", "noise_sd": 0.003, "seed": 9, "rig": "down:4"},
+        "04e80d2375a8d78d846e8c2dcdf2e3da67387c2b12518ff31d4231d36ff46c55",
+        "34543a11b3a9b453a3d0175809596537aa35f5186308b0beda74c15b710191fc",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_REPLAY_RUNS))
+def test_record_trace_and_frames_csv_match_golden(tmp_path, name):
+    config, trace_digest, frames_digest = RECORD_REPLAY_RUNS[name]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        **config, "prep_duration": 2.0, "countdown": 1.0, "chase_duration": 4.0,
+    }))
+    trace, frames = tmp_path / "run.trace", tmp_path / "frames.csv"
+    assert run_cli(["record", "--scenario", str(scenario), "--trace-out", str(trace)])[0] == 0
+    assert run_cli(["replay", str(trace), "--out", str(tmp_path / "report.json"),
+                    "--frames-out", str(frames)])[0] == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
+    assert hashlib.sha256(frames.read_bytes()).hexdigest() == frames_digest
+
+
 def test_a_trace_with_the_retired_sphere_radius_still_replays(tmp_path):
     trace, recorded = tmp_path / "run.trace", tmp_path / "recorded.json"
     replayed = tmp_path / "replayed.json"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiplab import traceio
-from wiplab.core import DivergedSimulation, Foot, FootSample, Variant, WipParams
+from wiplab.core import DivergedSimulation, Foot, FootSample, Samples, Variant, WipParams
 from wiplab.elastic import ElasticRig, PullDirection
 from wiplab.harness import ChaseScenario
 from wiplab.synth import GaitProgram, synth_trace
@@ -42,7 +42,7 @@ class TestTraceRoundTrip:
         path = str(tmp_path / "walk.csv")
         save_trace(path, trace, sample_rate_hint=90.0, user_height=1.68)
         header, loaded = load_trace(path)
-        assert loaded == trace  # repr() serialization is lossless
+        assert list(loaded) == trace  # repr() serialization is lossless
         assert header.sample_rate_hint == 90.0
         assert header.user_height == 1.68
         assert header.scenario == {}
@@ -261,6 +261,37 @@ def test_column_parse_agrees_with_the_line_walk(tmp_path_factory, n_rows, defect
     if all(kind == "none" for kind, _, _ in defects):
         rows = path.read_text(encoding="utf-8").split("\n")[3:]
         assert traceio._parse_columns(rows) is not None
+
+
+def walked_foot_samples(path):
+    """The FootSample list the line walk builds, before it becomes columns."""
+    built, to_columns = [], Samples.of
+
+    def keep(samples):
+        built.append(list(samples))
+        return to_columns(samples)
+
+    with mock.patch.object(traceio, "_parse_columns", return_value=None), \
+            mock.patch.object(Samples, "of", keep):
+        load_trace(path)
+    return built[-1]
+
+
+@pytest.mark.parametrize("lines", [
+    trace_text(1), trace_text(2), trace_text(40),
+    trace_text(0)[:3] + [f"{5.0 + k / 90!r},R,{0.02 * k!r}" for k in range(9)],  # one foot, late
+], ids=["one row", "two rows", "40 rows", "one foot late"])
+def test_samples_agree_with_the_line_walks_foot_samples(tmp_path, lines):
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    _, samples = load_trace(path)
+    walked = walked_foot_samples(path)
+    assert isinstance(samples, Samples) and len(samples) == len(walked)
+    assert list(samples) == walked
+    assert [repr(s) for s in samples] == [repr(s) for s in walked]  # floats, not numpy scalars
+    assert [samples[i] for i in range(-len(walked), len(walked))] == walked + walked
+    assert [repr(samples[i]) for i in range(len(walked))] == [repr(s) for s in walked]
+    assert Samples.of(samples) is samples
+    assert list(Samples.of(walked)) == walked
 
 
 class TestScalarParsing:
