@@ -21,17 +21,16 @@ gives each chase the report ``run_chase`` would.
 
 from __future__ import annotations
 
-import operator
 import os
 import tempfile
 from dataclasses import dataclass
-from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
 from . import elastic
 from . import speed
-from .core import Foot, FootSample, Variant, WipParams
+from .core import Foot, FootSample, Samples, Variant, WipParams
 from .elastic import ElasticRig, PullDirection
 from .gait import GROUND_EPSILON, MIN_STEP_HEIGHT, GaitTracker, estimate_frames
 from .harness import (
@@ -214,7 +213,9 @@ def check_staircase() -> tuple[bool, str]:
     return ok, "; ".join(parts)
 
 
-def offline_step_segments(samples: list[FootSample]) -> list[tuple[Foot, float, float, float, float]]:
+def offline_step_segments(
+    samples: Sequence[FootSample],
+) -> list[tuple[Foot, float, float, float, float]]:
     """Brute-force offline segmentation over a complete trace.
 
     Per foot: contiguous runs of samples above the ground threshold form a
@@ -222,17 +223,16 @@ def offline_step_segments(samples: list[FootSample]) -> list[tuple[Foot, float, 
     peak clears the minimum step height. Returns (foot, start, apex_time,
     end, apex_height) tuples ordered by landing time: start and end are the
     grounded samples around the run, the apex its first highest sample.
-    The runs are found with array operations on the heights alone, without
-    the tracker.
+    The runs are found with array operations on the Samples.of columns
+    alone, without the tracker.
     """
-    if not samples:
+    samples = Samples.of(samples)
+    n, left = len(samples), samples.left
+    if not n:
         return []
-    times, feet, heights = zip(*samples)
-    n = len(samples)
-    left = np.fromiter(map(operator.is_, feet, repeat(Foot.LEFT)), bool, n)
     # every left sample, then every right one, each foot in time order
     order, n_left = np.argsort(~left, kind="stable"), np.count_nonzero(left)
-    t, h = np.fromiter(times, float, n)[order], np.fromiter(heights, float, n)[order]
+    t, h = samples.time[order], samples.height[order]
     edges = np.flatnonzero(np.diff(h > GROUND_EPSILON, prepend=False, append=False))
     first, stop = edges[0::2], edges[1::2]  # runs [first, stop) above the threshold
     # grounded samples of the run's own foot on both sides
@@ -292,13 +292,7 @@ def check_determinism() -> tuple[bool, str]:
     echo = scenario_echo(scenario, params, seed=11, noise_sd=0.003)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.trace")
-        save_trace(
-            path,
-            log.samples,
-            sample_rate_hint=1.0 / scenario.timestep,
-            user_height=params.user_height,
-            scenario=echo,
-        )
+        save_trace(path, log.samples, scenario=echo)
         header, samples = load_trace(path)
         second, _ = replay_trace(
             samples, params_from_echo(header.scenario), scenario_from_echo(header.scenario)

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from functools import cache
 from itertools import islice
 from operator import attrgetter
 from typing import Any, Iterable, TextIO
@@ -158,13 +159,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_record(args: argparse.Namespace) -> int:
     report, log, echo = _simulate(args)
-    save_trace(
-        args.trace_out,
-        log.samples,
-        sample_rate_hint=1.0 / echo["timestep"],
-        user_height=echo["user_height"],
-        scenario=echo,
-    )
+    save_trace(args.trace_out, log.samples, scenario=echo)
     print(f"wrote {args.trace_out}", file=sys.stderr)
     if args.out is not None:
         _emit_report(args.out, report_document("chase", echo, asdict(report)))
@@ -317,7 +312,10 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="FILE", help="write the JSON report here")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process; each subcommand
+    runs the cmd_ function of its name."""
     parser = argparse.ArgumentParser(
         prog="wiplab",
         description="Walking-in-place locomotion laws and simulation harness.",
@@ -326,12 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one chasing-task simulation")
     _add_run_flags(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("record", help="simulate and save the foot-sample trace")
     _add_run_flags(p)
     p.add_argument("--trace-out", dest="trace_out", required=True, metavar="FILE")
-    p.set_defaults(func=cmd_record)
 
     p = sub.add_parser("replay", help="re-run a saved trace through the pipeline")
     p.add_argument("trace", help="trace file written by record")
@@ -339,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE")
     p.add_argument("--frames-out", dest="frames_out", metavar="FILE",
                    help="also write per-frame rows as CSV")
-    p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("calibrate-bands", help="band counts for force targets")
     p.add_argument("--direction", required=True, choices=["up", "down"])
@@ -348,22 +343,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=float, metavar="M",
                    help="foot height to calibrate at (default 0.156 down, 0.0 up)")
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_calibrate_bands)
 
     p = sub.add_parser("acceptance", help="run the acceptance checks")
     p.add_argument("--config", metavar="FILE",
                    help='optional JSON config, e.g. {"only": ["EQ1-ANCHOR"]}')
     p.add_argument("--only", action="append", choices=acceptance_mod.CHECK_NAMES,
                    help="run only this check (repeatable)")
-    p.set_defaults(func=cmd_acceptance)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]  # looked up per call
     try:
-        return args.func(args)
+        return handler(args)
     except (WipError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_BAD_INPUT)

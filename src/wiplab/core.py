@@ -122,11 +122,13 @@ class Samples:
     """Foot samples held as equal-length columns: time (s), left (True
     for a left-foot sample) and height (m), numpy arrays in stream order.
 
-    It is a sequence of FootSamples: len() and indexing work, and iteration
-    builds each FootSample on demand, so streaming callers read it as they
-    read a list. The array paths (replay and its frame estimates) read the
-    columns directly. Samples.of is the one conversion from any other
-    sequence of FootSamples.
+    It is every recorded stream: synth_trace's, load_trace's and each
+    RunLog's. It is a sequence of FootSamples: len() and indexing work, and
+    iteration builds each FootSample on demand, so streaming callers read it
+    as they read a list. The array paths (replay, its frame estimates, the
+    offline step oracle and save_trace) read the columns directly.
+    Samples.of is the one conversion from any other sequence of FootSamples.
+    There is no list equality: compare list(samples).
     """
 
     __slots__ = ("time", "left", "height")

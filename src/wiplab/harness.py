@@ -8,12 +8,14 @@ mirroring (so the chase starts with zero error), and the timed chase moves
 the sphere at constant speed while every metric is collected. Metrics are
 computed strictly from frames and step events inside the chase window.
 
-The live loop, run_chase, does each frame's work inline: advance the gait
-tracker through the frame's samples, estimate once, evaluate the law built
-once per run by speed.law, then integrate. Its per-frame cost is the
-agent's samples(), one advance() per sample, one estimate() and the loop
-body, and run_chase binds what its loop calls once per run. It is the
-single-run path: simulate, record and the tests use it.
+The live loop, run_chase, does each frame's work inline: take the agent's
+left and right heights, advance the gait tracker through a left then a
+right FootSample, estimate once, evaluate the law built once per run by
+speed.law, then integrate. Its per-frame cost is the agent's samples(),
+two advance() calls, one estimate() and the loop body, and run_chase binds
+what its loop calls once per run. Its RunLog's samples are a core.Samples
+built once from the rows' times and heights. It is the single-run path:
+simulate, record and the tests use it.
 
 Independent chases that share a scenario run in lockstep as lanes:
 run_chase_lanes keeps every lane's state in numpy arrays and returns the
@@ -43,9 +45,10 @@ test against a per-frame loop guard that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -86,7 +89,8 @@ class Stage(Enum):
 # Reading an enum member through its class costs ~0.1 us on CPython 3.11;
 # the frame loops use these constants instead.
 _PREP, _COUNTDOWN, _CHASE = Stage.PREP, Stage.COUNTDOWN, Stage.CHASE
-_LEFT = Foot.LEFT
+_LEFT, _RIGHT = Foot.LEFT, Foot.RIGHT
+_new_sample = tuple.__new__  # a FootSample without its Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -185,9 +189,9 @@ class RunLog:
     """Everything a run produced: per-frame rows, step events, raw samples."""
 
     scenario: ChaseScenario | None
-    rows: list[FrameRow] = field(default_factory=list)
-    events: list[StepEvent] = field(default_factory=list)
-    samples: Sequence[FootSample] = field(default_factory=list)  # replay: a Samples
+    rows: list[FrameRow]
+    events: list[StepEvent]
+    samples: Samples
 
     @property
     def window(self) -> tuple[float, float]:
@@ -282,21 +286,24 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
     """Simulate one chasing-task run and compute its metrics.
 
     The agent provides command(speed), called once per re-plan from frame 0
-    on, and samples(now, dt); a WalkerAgent's noise comes straight from its
-    generator. Each frame advances the run's gait tracker through its samples,
+    on, and samples(now, dt), the left and right heights at time now; a
+    WalkerAgent's noise comes straight from its generator. Each frame
+    advances the run's gait tracker through a left then a right FootSample,
     logging each StepEvent, calls estimate(t) once and feeds it to the law
-    speed.law builds; a foot with no sample in the frame reads height 0.
+    speed.law builds. The log's samples are the rows' (time, L, height_left)
+    and (time, R, height_right), built once after the loop.
     """
     dt = scenario.timestep
     n_frames = int(round(scenario.total_duration / dt))
     replan_every = max(1, int(round(REPLAN_INTERVAL / dt)))
     countdown_start, chase_start = _stage_bounds(scenario)
     circle_lead, target_speed = scenario.circle_lead, scenario.target_speed
-    log = RunLog(scenario=scenario)
+    rows: list[FrameRow] = []
+    events: list[StepEvent] = []
     tracker = GaitTracker()
     advance, estimate, evaluate = tracker.advance, tracker.estimate, speed.law(params)
     command, emit = agent.command, agent.samples
-    record, keep_samples, keep_row = log.events.append, log.samples.extend, log.rows.append
+    record, keep_row = events.append, rows.append
     isfinite = math.isfinite
 
     position = 0.0
@@ -308,19 +315,15 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
         if k % replan_every == 0:
             command(chase_policy(error, target_speed))
 
-        frame_samples = emit(t, dt)
-        height_left = height_right = 0.0
-        for s in frame_samples:
-            ev = advance(s)
-            if ev is not None:
-                record(ev)
-            if s.foot is _LEFT:
-                height_left = s.height
-            else:
-                height_right = s.height
+        height_left, height_right = emit(t, dt)
+        ev = advance(_new_sample(FootSample, (t, _LEFT, height_left)))
+        if ev is not None:
+            record(ev)
+        ev = advance(_new_sample(FootSample, (t, _RIGHT, height_right)))
+        if ev is not None:
+            record(ev)
         f, sh, _, _ = estimate(t)
         raw, out = evaluate(f, sh)
-        keep_samples(frame_samples)
         stage = _PREP if t < countdown_start else _COUNTDOWN if t < chase_start else _CHASE
         keep_row(_new_row(FrameRow, (
             t, stage, height_left, height_right, f, sh, raw, out, position, sphere, error,
@@ -331,6 +334,10 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
         if not (isfinite(position) and isfinite(sphere)):
             raise DivergedSimulation(f"non-finite state at t={t:.3f}")
 
+    times = np.fromiter(map(itemgetter(0), rows), float, n_frames)
+    heights = np.fromiter(chain.from_iterable(map(itemgetter(2, 3), rows)), float, 2 * n_frames)
+    samples = Samples(np.repeat(times, 2), np.tile((True, False), n_frames), heights)
+    log = RunLog(scenario, rows, events, samples)
     return compute_metrics(log), log
 
 
@@ -422,8 +429,8 @@ def replay_trace(
     samples = Samples.of(samples)
     if not len(samples):
         raise EmptyWindow("trace holds no samples")
-    log = RunLog(scenario, samples=samples)
-    frames = estimate_frames(samples, log.events)
+    events: list[StepEvent] = []
+    frames = estimate_frames(samples, events)
     t = frames.time
     n = t.size
     with np.errstate(over="ignore", invalid="ignore"):  # caught as divergence below
@@ -440,14 +447,15 @@ def replay_trace(
             if diverged.size:
                 raise DivergedSimulation(f"non-finite state at t={t[diverged[0]]:.3f}")
 
-    log.rows = list(map(_new_row, repeat(FrameRow), zip(
+    rows = list(map(_new_row, repeat(FrameRow), zip(
         t.tolist(), stages, frames.height_left.tolist(), frames.height_right.tolist(),
         frames.step_frequency.tolist(), frames.step_height.tolist(), raw.tolist(),
         out.tolist(), position[:-1].tolist(), sphere[:-1].tolist(), error.tolist(),
     )))
+    log = RunLog(scenario, rows, events, samples)
     start, end = log.window
     window = (start <= t) & (t < end)  # compute_metrics' window, on the arrays
-    return _window_metrics(out[window], error[window], log.events, start, end), log
+    return _window_metrics(out[window], error[window], events, start, end), log
 
 
 # ----------------------------------------------------------------------

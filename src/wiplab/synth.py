@@ -7,6 +7,10 @@ their execution when asked for more than the walker's caps (MAX_FREQUENCY,
 MAX_STEP_HEIGHT) can deliver: stepping at the limit is sloppier than
 stepping comfortably, which is what makes the frequency-only variant
 wobble at high targets. Noise comes straight from each agent's generator.
+
+Walkers emit heights: an agent's samples() gives its left and right
+heights at one time, and WalkerLanes.samples every lane's for a run of
+ticks. A recorded stream, such as synth_trace's, is a core.Samples.
 """
 
 from __future__ import annotations
@@ -14,18 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from inspect import GEN_CREATED, getgeneratorstate
-from itertools import repeat
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import Foot, FootSample, InvalidRate, Variant, WipParams, require_finite
+from .core import Foot, InvalidRate, Samples, Variant, WipParams, require_finite
 from .elastic import ElasticRig, PullDirection, rig_force
 from .speed import REF_FREQUENCY, REF_STEP_HEIGHT, REF_USER_HEIGHT, gud_speed, law
 
-FEET = (Foot.LEFT, Foot.RIGHT)  # order of per-foot agent state and of emitted samples
-_LEFT, _RIGHT = FEET
-_new_sample = tuple.__new__  # FootSample without its Python-level __new__
+FEET = (Foot.LEFT, Foot.RIGHT)  # order of per-foot agent state and of emitted heights
 MIN_SAMPLE_RATE = 30.0  # Hz, below this swing segmentation falls apart
 
 # Coupling of rig force into realized step apex, meters per newton of net
@@ -87,8 +88,9 @@ def cycle_height(cycle_pos: float, stance_fraction: float, apex: float) -> float
     return apex * math.sin(math.pi * u)
 
 
-def synth_trace(program: GaitProgram, duration: float, sample_rate: float) -> list[FootSample]:
-    """Closed-form two-foot trace sampled on a regular grid.
+def synth_trace(program: GaitProgram, duration: float, sample_rate: float) -> Samples:
+    """Closed-form two-foot trace sampled on a regular grid: a Samples with
+    a left then a right sample per tick.
 
     Deterministic for a given program (the seed fixes the noise stream).
     Left starts at cycle position 0, right at PHASE_OFFSET, so the right
@@ -111,9 +113,7 @@ def synth_trace(program: GaitProgram, duration: float, sample_rate: float) -> li
         noise = np.random.default_rng(program.seed).standard_normal(2 * n).reshape(n, 2)
         heights = heights + program.noise_sd * noise
         heights = np.where(heights > 0.0, heights, 0.0)  # max(0.0, h)
-    return list(map(_new_sample, repeat(FootSample), zip(
-        np.repeat(t, 2).tolist(), FEET * n, heights.ravel().tolist()
-    )))
+    return Samples(np.repeat(t, 2), np.tile((True, False), n), heights.ravel())
 
 
 def plan_gait(target_speed: float, params: WipParams) -> GaitProgram:
@@ -223,8 +223,9 @@ class WalkerAgent:
             self._cycle = [0.0, 0.0]
             self._in_stance = [True, True]
 
-    def samples(self, now: float, dt: float) -> list[FootSample]:
-        """Emit both feet at time `now`, then advance the gait clock by dt.
+    def samples(self, now: float, dt: float) -> tuple[float, float]:
+        """The left and right heights at time `now`; then advance the gait
+        clock by dt.
 
         The two feet are written out rather than looped over; noise is drawn
         for the left foot, then the right, as the per-foot loop drew it.
@@ -256,10 +257,7 @@ class WalkerAgent:
             phase_step = dt * frequency / 2.0
             cycle[0] = (left + phase_step) % 1.0
             cycle[1] = (right + phase_step) % 1.0
-        return [
-            _new_sample(FootSample, (now, _LEFT, left_h)),
-            _new_sample(FootSample, (now, _RIGHT, right_h)),
-        ]
+        return left_h, right_h
 
 
 def _gait_clock(cycle: np.ndarray, step: np.ndarray, ticks: int) -> np.ndarray:

@@ -53,25 +53,32 @@ class TraceHeader:
     scenario: dict[str, Any] = field(default_factory=dict)  # flat echo, may be empty
 
 
+_COLUMNS = "time,foot,height"
+_IS_LEFT = {Foot.LEFT.value: True, Foot.RIGHT.value: False}
+_FOOT_VALUE = (Foot.RIGHT.value, Foot.LEFT.value)  # by is-left
+
+
 def save_trace(
-    path: str,
-    samples: Sequence[FootSample],
-    *,
-    sample_rate_hint: float | None = None,
-    user_height: float | None = None,
-    scenario: dict[str, Any] | None = None,
+    path: str, samples: Sequence[FootSample], *, scenario: dict[str, Any] | None = None
 ) -> None:
-    """Write samples with a commented header. Rows must be sorted by time."""
+    """Write samples with a commented header. Rows must be sorted by time.
+
+    The header's sample_rate_hint (1 / timestep) and user_height lines come
+    from the scenario echo's timestep and user_height, when it has them.
+    """
+    scenario = scenario or {}
     lines = [f"# {TRACE_MAGIC}"]
-    if sample_rate_hint is not None:
-        lines.append(f"# sample_rate_hint: {sample_rate_hint!r}")
-    if user_height is not None:
-        lines.append(f"# user_height: {user_height!r}")
-    for key, value in (scenario or {}).items():
+    if "timestep" in scenario:
+        lines.append(f"# sample_rate_hint: {1.0 / scenario['timestep']!r}")
+    if "user_height" in scenario:
+        lines.append(f"# user_height: {scenario['user_height']!r}")
+    for key, value in scenario.items():
         lines.append(f"# scenario.{key}: {value!r}")
-    lines.append("time,foot,height")
-    for s in samples:
-        lines.append(f"{s.time!r},{s.foot.value},{s.height!r}")
+    lines.append(_COLUMNS)
+    samples = Samples.of(samples)
+    feet = map(_FOOT_VALUE.__getitem__, samples.left.tolist())
+    rows = zip(samples.time.tolist(), feet, samples.height.tolist())
+    lines += [f"{t!r},{foot},{h!r}" for t, foot, h in rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -88,10 +95,6 @@ def _parse_scalar(text: str):
         return float(text)
     except ValueError:
         return text
-
-
-_COLUMNS = "time,foot,height"
-_IS_LEFT = {Foot.LEFT.value: True, Foot.RIGHT.value: False}
 
 
 def _header_line(header: TraceHeader, line: str, lineno: int) -> bool:
@@ -214,9 +217,7 @@ def _parse_columns(rows: list[str]) -> Samples | None:
 
 
 def _check_finite(obj: Any, path: str = "$") -> None:
-    if isinstance(obj, bool):
-        return
-    if isinstance(obj, (int, float)):
+    if isinstance(obj, float):  # an int, of any size, is finite
         if not math.isfinite(obj):
             raise DivergedSimulation(f"non-finite value at {path}")
         return

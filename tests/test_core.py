@@ -172,9 +172,6 @@ SETTABLE_VALUES = {
     "harness.ChaseScenario.prep_distance",
     "harness.ChaseScenario.prep_duration",
     "harness.ChaseScenario.timestep",
-    "harness.RunLog.events",
-    "harness.RunLog.rows",
-    "harness.RunLog.samples",
     "harness.replay_trace.scenario",
     "speed.apply_gain.natural_visual_gain",
     "synth.GaitProgram.noise_sd",
@@ -187,9 +184,7 @@ SETTABLE_VALUES = {
     "traceio.TraceHeader.user_height",
     "traceio._check_finite.path",
     "traceio.report_document.rows",
-    "traceio.save_trace.sample_rate_hint",
     "traceio.save_trace.scenario",
-    "traceio.save_trace.user_height",
     "traceio.scenario_echo.noise_sd",
     "traceio.scenario_echo.rig",
     "traceio.scenario_echo.seed",

@@ -13,7 +13,7 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from wiplab import cli
@@ -98,6 +98,11 @@ fuzz = settings(
 @given(
     scenario=scenarios(),
     flags=st.dictionaries(st.sampled_from(sorted(FLAGS)), flag_text, max_size=3),
+)
+@example(  # a seed too large for a float: the report once failed to convert it
+    scenario={"target_speed": 1.0, "prep_distance": 1.0, "prep_duration": 0.5, "countdown": 0.5,
+              "chase_duration": 1.0, "seed": 10**400},
+    flags={},
 )
 def test_simulate_ends_in_a_finite_report_or_names_its_bad_input(tmp_path, scenario, flags):
     path = tmp_path / "scenario.json"

@@ -295,7 +295,7 @@ def test_resume_after_pause_recovers_quickly():
         FootSample(s.time + 7.0, s.foot, s.height) for s in make_trace(2.0, 0.15, 5.0)
     ]
     tracker = GaitTracker()
-    events = stream(tracker, first + pause + resumed)
+    events = stream(tracker, list(first) + pause + resumed)
     resumed_events = [ev for ev in events if ev.end >= 7.0]
     assert len(resumed_events) >= 4
     # the third footfall after the pause arrives quickly and by the end of
@@ -591,7 +591,9 @@ def estimated_traces(draw):
     trace = synth_trace(program, draw(st.floats(0.1, 5.0)), draw(st.sampled_from([30.0, 90.0])))
     if draw(st.booleans()):  # then both feet stand still past the stop window
         end = trace[-1].time
-        trace += [FootSample(end + k / 30.0, foot, 0.0) for k in range(1, 40) for foot in Foot]
+        trace = list(trace) + [
+            FootSample(end + k / 30.0, foot, 0.0) for k in range(1, 40) for foot in Foot
+        ]
     return trace, estimate_frames(trace, [])
 
 

@@ -14,6 +14,7 @@ from wiplab.core import (
     FootSample,
     NonMonotonicTime,
     NonTermination,
+    Samples,
     Variant,
     WipParams,
     WrongArity,
@@ -135,67 +136,62 @@ def frame(t, speed, error=0.0, stage=Stage.CHASE):
     )
 
 
+NO_SAMPLES = Samples.of(())
+
+
+def metrics_of(scenario, rows, events=()):
+    return compute_metrics(RunLog(scenario, rows, list(events), NO_SAMPLES))
+
+
 class TestComputeMetrics:
     def test_speed_statistics_match_hand_computation(self):
-        log = RunLog(scenario=None)
-        for t, v in [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]:
-            log.rows.append(frame(t, v, error=0.5))
-        report = compute_metrics(log)
+        rows = [frame(t, v, error=0.5) for t, v in [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]]
+        report = metrics_of(None, rows)
         assert report.avg_speed == pytest.approx(2.0)
         # population SD of {1, 2, 3} is sqrt(2/3)
         assert report.speed_sd == pytest.approx(0.816496580927726, rel=1e-12)
         assert report.avg_target_distance == pytest.approx(0.5)
 
     def test_step_statistics_from_events(self):
-        log = RunLog(scenario=None)
-        for t in (0.0, 1.0, 2.0, 3.0):
-            log.rows.append(frame(t, 1.0))
+        rows = [frame(t, 1.0) for t in (0.0, 1.0, 2.0, 3.0)]
         ends = [0.8, 1.3, 2.1]
         apexes = [0.10, 0.14, 0.12]
-        for end, apex in zip(ends, apexes):
-            log.events.append(
-                StepEvent(foot=Foot.LEFT, start=end - 0.5, apex_time=end - 0.25,
-                          end=end, apex_height=apex)
-            )
-        report = compute_metrics(log)
+        events = [
+            StepEvent(foot=Foot.LEFT, start=end - 0.5, apex_time=end - 0.25,
+                      end=end, apex_height=apex)
+            for end, apex in zip(ends, apexes)
+        ]
+        report = metrics_of(None, rows, events)
         assert report.avg_step_height == pytest.approx(0.12)
         expected = (1.0 / 0.5 + 1.0 / 0.8) / 2.0
         assert report.avg_step_frequency == pytest.approx(expected)
 
     def test_fewer_than_two_events_means_zero_cadence(self):
-        log = RunLog(scenario=None)
-        log.rows.append(frame(0.0, 1.0))
-        log.rows.append(frame(1.0, 1.0))
-        log.events.append(
-            StepEvent(foot=Foot.LEFT, start=0.1, apex_time=0.2, end=0.3, apex_height=0.1)
+        report = metrics_of(
+            None, [frame(0.0, 1.0), frame(1.0, 1.0)],
+            [StepEvent(foot=Foot.LEFT, start=0.1, apex_time=0.2, end=0.3, apex_height=0.1)],
         )
-        report = compute_metrics(log)
         assert report.avg_step_frequency == 0.0
         assert report.avg_step_height == pytest.approx(0.1)
 
     def test_scenario_less_window_keeps_its_last_frame_at_large_times(self):
         """At t ~ 1e8 one ulp is ~1.5e-8 s, so a fixed 1e-9 s added to the
         last frame's time would end the window on that frame and drop it."""
-        log = RunLog(scenario=None)
-        for k, v in enumerate((1.0, 2.0, 6.0)):
-            log.rows.append(frame(1e8 + k / 90.0, v))
-        assert compute_metrics(log).avg_speed == 3.0
+        rows = [frame(1e8 + k / 90.0, v) for k, v in enumerate((1.0, 2.0, 6.0))]
+        assert metrics_of(None, rows).avg_speed == 3.0
 
     def test_empty_window_raises(self):
-        log = RunLog(scenario=ChaseScenario(target_speed=1.0))
-        log.rows.append(frame(0.0, 1.0, stage=Stage.PREP))  # before the chase window
+        # the one frame is before the chase window
         with pytest.raises(EmptyWindow):
-            compute_metrics(log)
+            metrics_of(ChaseScenario(target_speed=1.0), [frame(0.0, 1.0, stage=Stage.PREP)])
 
     def test_events_outside_the_window_are_ignored(self):
         sc = ChaseScenario(target_speed=1.0)
-        log = RunLog(scenario=sc)
         t0 = sc.chase_start
-        log.rows.append(frame(t0 + 1.0, 1.0))
-        log.events.append(  # ends before the chase starts
+        report = metrics_of(sc, [frame(t0 + 1.0, 1.0)], [  # the step ends before the chase starts
             StepEvent(foot=Foot.LEFT, start=1.0, apex_time=1.2, end=1.4, apex_height=0.5)
-        )
-        assert compute_metrics(log).avg_step_height == 0.0
+        ])
+        assert report.avg_step_height == 0.0
 
     def test_report_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -206,7 +202,8 @@ class TestComputeMetrics:
 
 
 class PinnedAgent:
-    """An agent with no feet that remembers the speed it was last commanded."""
+    """An agent whose feet stay on the ground and that remembers the speed it
+    was last commanded."""
 
     def __init__(self):
         self.pinned_speed = 0.0
@@ -215,7 +212,7 @@ class PinnedAgent:
         self.pinned_speed = speed
 
     def samples(self, now, dt):
-        return []
+        return 0.0, 0.0
 
 
 @pytest.fixture
@@ -236,7 +233,7 @@ class TestRunChase:
         assert report.avg_speed == pytest.approx(1.5, abs=1e-12)
         assert report.speed_sd <= 1e-9
         assert report.avg_target_distance <= 1e-9
-        assert report.avg_step_height == 0.0  # no feet, no steps
+        assert report.avg_step_height == 0.0  # grounded feet, no steps
         assert log.rows[-1].position > 0.0
 
     def test_walker_holds_an_achievable_target(self):
@@ -258,6 +255,18 @@ class TestRunChase:
         assert report.avg_speed == pytest.approx(sum(speeds) / len(speeds), rel=1e-12)
         assert any(r.time < start for r in log.rows), "log keeps the whole run"
 
+    def test_samples_are_the_rows_heights_as_columns(self):
+        sc = ChaseScenario(target_speed=1.5, timestep=1.0 / 60.0)
+        _, log = run_chase(sc, WalkerAgent(SHEF, noise_sd=0.003, seed=3), SHEF)
+        assert isinstance(log.samples, Samples)
+        want = [
+            sample for r in log.rows for sample in (
+                FootSample(r.time, Foot.LEFT, r.height_left),
+                FootSample(r.time, Foot.RIGHT, r.height_right),
+            )
+        ]
+        assert list(map(repr, log.samples)) == list(map(repr, want))
+
     def test_stage_labels_progress(self, pinned):
         sc = ChaseScenario(target_speed=1.0)
         _, log = run_chase(sc, pinned, SHEF)
@@ -271,6 +280,7 @@ class TestReplay:
     def test_replay_without_scenario_covers_the_whole_trace(self):
         trace = synth_trace(GaitProgram(2.0, 0.15), 6.0, 90.0)
         report, log = replay_trace(trace, SHEF)
+        assert log.samples is trace  # a Samples is the log's as it is
         assert report.avg_target_distance == 0.0
         assert report.avg_speed > 0.5
         assert len(log.rows) == 540
@@ -289,7 +299,7 @@ class TestReplay:
         trace = synth_trace(GaitProgram(2.0, 0.15), 1.0, 90.0)
         late = FootSample(0.5, Foot.RIGHT, 0.0)
         with pytest.raises(NonMonotonicTime, match=r"t=0\.5 precedes .* t=0\.9888"):
-            replay_trace(trace + [late], SHEF)
+            replay_trace(list(trace) + [late], SHEF)
         with pytest.raises(NonMonotonicTime):
             replay_trace([FootSample(0.1, Foot.LEFT, 0.0), FootSample(0.0, Foot.RIGHT, 0.0)], SHEF)
 
@@ -317,9 +327,8 @@ def frame_step(params, events):
 def reference_replay(samples, params, scenario=None):
     """replay_trace as a per-frame loop: one frame_step call per distinct
     sample time, with the kinematics integrated frame by frame."""
-    log = RunLog(scenario=scenario)
-    log.samples = list(samples)
-    step = frame_step(params, log.events)
+    rows, events = [], []
+    step = frame_step(params, events)
     ticks = []
     for s in samples:
         if ticks and ticks[-1][0] == s.time:
@@ -343,12 +352,13 @@ def reference_replay(samples, params, scenario=None):
             dt = ticks[i + 1][0] - t if i + 1 < len(ticks) else 0.0
             error, stage = 0.0, Stage.CHASE
         height_left, height_right, f, sh, raw, out = step(t, frame_samples)
-        log.rows.append(FrameRow(
+        rows.append(FrameRow(
             t, stage, height_left, height_right, f, sh, raw, out, position, sphere, error,
         ))
         position += out * dt
         if scenario is not None:
             sphere += (scenario.target_speed if t >= chase_start else out) * dt
+    log = RunLog(scenario, rows, events, Samples.of(samples))
     return compute_metrics(log), log
 
 
@@ -361,7 +371,7 @@ def pause_and_resume(trace, gap):
         for foot in (Foot.LEFT, Foot.RIGHT)
     ]
     resume = end + gap + 1.0 / 90.0
-    return trace + pause + [FootSample(resume + s.time, s.foot, s.height) for s in trace]
+    return list(trace) + pause + [FootSample(resume + s.time, s.foot, s.height) for s in trace]
 
 
 def hold_a_foot_up(trace, height, duration):
@@ -369,7 +379,7 @@ def hold_a_foot_up(trace, height, duration):
     while the right stays grounded; then both stand for a second."""
     end = trace[-1].time
     n = int(duration * 90.0)
-    return trace + [
+    return list(trace) + [
         FootSample(end + k / 90.0, foot, height if k <= n and foot is Foot.LEFT else 0.0)
         for k in range(1, n + 90)
         for foot in (Foot.LEFT, Foot.RIGHT)

@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiplab import synth
-from wiplab.core import HEIGHT_CEILING, Foot, FootSample, InvalidRate, Variant, WipParams
+from wiplab.core import (
+    HEIGHT_CEILING, Foot, FootSample, InvalidRate, Samples, Variant, WipParams,
+)
 from wiplab.elastic import MAX_BANDS, ElasticRig, PullDirection
 from wiplab.speed import gud_speed, law
 from wiplab.synth import (
@@ -44,12 +46,17 @@ def test_cycle_height_profile():
 class TestSynthTrace:
     def test_deterministic_per_seed(self):
         program = GaitProgram(step_frequency=2.0, apex_height=0.15, noise_sd=0.003, seed=7)
-        assert synth_trace(program, 2.0, 90.0) == synth_trace(program, 2.0, 90.0)
+        assert list(synth_trace(program, 2.0, 90.0)) == list(synth_trace(program, 2.0, 90.0))
 
     def test_seed_changes_noise(self):
         a = GaitProgram(step_frequency=2.0, apex_height=0.15, noise_sd=0.003, seed=1)
         b = GaitProgram(step_frequency=2.0, apex_height=0.15, noise_sd=0.003, seed=2)
-        assert synth_trace(a, 1.0, 90.0) != synth_trace(b, 1.0, 90.0)
+        assert list(synth_trace(a, 1.0, 90.0)) != list(synth_trace(b, 1.0, 90.0))
+
+    def test_returns_samples_columns(self):
+        trace = synth_trace(GaitProgram(2.0, 0.15, noise_sd=0.003), 1.0, 90.0)
+        assert isinstance(trace, Samples)
+        assert trace.time.dtype == trace.height.dtype == float and trace.left.dtype == bool
 
     def test_grid_and_interleaving(self):
         trace = synth_trace(GaitProgram(2.0, 0.15), 1.0, 90.0)
@@ -207,8 +214,7 @@ class TestWalkerAgent:
         dt = 1.0 / 90.0
         heights = []
         for k in range(270):
-            for s in agent.samples(k * dt, dt):
-                heights.append(s.height)
+            heights.extend(agent.samples(k * dt, dt))
         assert max(heights) > 0.05  # it actually walks
 
     def test_command_zero_parks_the_feet(self):
@@ -218,7 +224,7 @@ class TestWalkerAgent:
         for k in range(90):
             agent.samples(k * dt, dt)
         agent.command(0.0)
-        flat = [s.height for k in range(90, 180) for s in agent.samples(k * dt, dt)]
+        flat = [h for k in range(90, 180) for h in agent.samples(k * dt, dt)]
         assert all(h == 0.0 for h in flat)
 
     def test_deterministic_for_seed(self):
@@ -226,7 +232,7 @@ class TestWalkerAgent:
             agent = WalkerAgent(SHEF, noise_sd=0.004, seed=seed)
             agent.command(2.0)
             dt = 1.0 / 90.0
-            return [s for k in range(180) for s in agent.samples(k * dt, dt)]
+            return [agent.samples(k * dt, dt) for k in range(180)]
 
         assert run(5) == run(5)
         assert run(5) != run(6)
@@ -246,16 +252,15 @@ class TestWalkerAgent:
     def test_replanning_keeps_heights_continuous(self):
         agent = WalkerAgent(SHEF)
         dt = 1.0 / 90.0
-        prev = {}
+        prev = None
         worst = 0.0
         for k in range(540):
-            t = k * dt
             if k % 45 == 0:  # replan twice a second, alternating demands
                 agent.command(1.0 if (k // 45) % 2 == 0 else 3.5)
-            for s in agent.samples(t, dt):
-                if s.foot in prev:
-                    worst = max(worst, abs(s.height - prev[s.foot]))
-                prev[s.foot] = s.height
+            heights = agent.samples(k * dt, dt)
+            if prev is not None:
+                worst = max(worst, *(abs(h - p) for h, p in zip(heights, prev)))
+            prev = heights
         # a latched apex changes only at lift-off, so no sample-to-sample jump
         # ever approaches the apex scale
         assert worst < 0.05
@@ -265,9 +270,7 @@ class TestWalkerAgent:
             agent = WalkerAgent(SHEF, rig=rig)
             agent.command(1.5)
             dt = 1.0 / 90.0
-            return max(
-                s.height for k in range(360) for s in agent.samples(k * dt, dt)
-            )
+            return max(h for k in range(360) for h in agent.samples(k * dt, dt))
 
         free = apex_with(None)
         weighted = apex_with(ElasticRig(direction=PullDirection.DOWNWARD, band_count=12))
@@ -294,12 +297,11 @@ def test_block_drawn_noise_equals_scalar_draws():
         sd = agent._effective_sd
         for _ in range(200):
             got = agent.samples(k * dt, dt)
-            for noisy, base in zip(got, clean.samples(k * dt, dt)):
-                expected = base.height
+            for noisy, expected in zip(got, clean.samples(k * dt, dt)):
                 if sd > 0.0:
                     expected = max(0.0, expected + sd * rng.standard_normal())
                     draws += 1
-                assert noisy == FootSample(base.time, base.foot, expected)
+                assert noisy == expected
             k += 1
     assert draws > 2 * synth.NOISE_BLOCK  # the stream crossed block boundaries
 
@@ -312,7 +314,7 @@ class PerFootAgent(WalkerAgent):
         out = []
         frequency, sd, stance = self._frequency, self._effective_sd, synth.STANCE_FRACTION
         cycle, was_in_stance = self._cycle, self._in_stance
-        for i, foot in enumerate(synth.FEET):
+        for i in range(len(synth.FEET)):
             cyc = cycle[i]
             in_stance = frequency <= 0.0 or cyc < stance
             if not in_stance and was_in_stance[i]:
@@ -321,10 +323,10 @@ class PerFootAgent(WalkerAgent):
             h = 0.0 if in_stance else cycle_height(cyc, stance, self._apex[i])
             if sd > 0.0:
                 h = max(0.0, h + sd * next(self._noise))
-            out.append(FootSample(now, foot, h))
+            out.append(h)
             if frequency > 0.0:
                 cycle[i] = (cyc + dt * frequency / 2.0) % 1.0
-        return out
+        return tuple(out)
 
 
 @settings(max_examples=80, deadline=None)
@@ -356,9 +358,8 @@ def test_samples_equal_the_per_foot_loop(variant, noise_sd, seed, rig, rate, pla
         assert adopted(agent) == adopted(reference)
         for _ in range(frames):
             got, want = agent.samples(k * dt, dt), reference.samples(k * dt, dt)
-            assert [(s.time.hex(), s.foot, s.height.hex()) for s in got] == [
-                (s.time.hex(), s.foot, s.height.hex()) for s in want
-            ]
+            assert type(got) is tuple and list(map(type, got)) == [float, float]
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
             k += 1
 
 
@@ -406,7 +407,7 @@ def test_walker_lanes_equal_each_agents_samples(lanes, rate, runs):
         want = []
         for agent, speed in zip(scalar, speeds):
             agent.command(speed)
-            want.append([[s.height.hex() for s in agent.samples(k * dt, dt)] for k in range(ticks)])
+            want.append([list(map(float.hex, agent.samples(k * dt, dt))) for k in range(ticks)])
         assert got.shape == (ticks, 2, len(lanes))
         assert [[list(map(float.hex, tick)) for tick in lane] for lane in got.transpose(2, 0, 1).tolist()] == want
 
