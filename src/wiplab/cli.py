@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from functools import cache
 from itertools import islice
 from operator import attrgetter
@@ -30,7 +30,7 @@ import numpy as np
 from . import acceptance as acceptance_mod
 from .core import HEIGHT_CEILING, EmptyWindow, Variant, WipError
 from .elastic import ElasticRig, PullDirection, bands_for_target, rig_force
-from .harness import FrameRow, MetricsReport, RunLog, replay_trace, run_chase
+from .harness import Frames, MetricsReport, RunLog, replay_trace, run_chase
 from .synth import WalkerAgent
 from .traceio import (
     PARAMS_KEYS,
@@ -129,7 +129,7 @@ _REPEATING = ("est_frequency", "est_step_height", "raw_speed", "output_speed", "
 _LINES_PER_WRITE = 512
 
 
-def _column_text(name: str, column: tuple) -> Iterable[str]:
+def _column_text(name: str, column: list) -> Iterable[str]:
     """One frame column as text: floats by repr, a stage by its value. A
     repeating column is repr'd once per distinct value, keyed by its bits
     so that 0.0 and -0.0 stay apart."""
@@ -142,11 +142,13 @@ def _column_text(name: str, column: tuple) -> Iterable[str]:
     return text[at].tolist()
 
 
-def _write_frames(fh: TextIO, rows: list[FrameRow]) -> None:
-    """Write rows as CSV to fh: each column is formatted on its own, and the
-    lines are joined and written a few hundred at a time."""
-    fh.write(",".join(FrameRow._fields) + "\n")
-    lines = map(",".join, zip(*map(_column_text, FrameRow._fields, zip(*rows))))
+def _write_frames(fh: TextIO, frames: Frames) -> None:
+    """Write frames as CSV to fh, a line per frame: each column is formatted
+    on its own, and the lines are joined and written a few hundred at a time."""
+    names = [f.name for f in fields(Frames)]
+    fh.write(",".join(names) + "\n")
+    columns = (getattr(frames, name).tolist() for name in names)  # repr(np.float64(x)) != repr(x)
+    lines = map(",".join, zip(*map(_column_text, names, columns)))
     while chunk := list(islice(lines, _LINES_PER_WRITE)):
         fh.write("\n".join(chunk) + "\n")
 
@@ -353,10 +355,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The file arguments of each command that reads and writes several, by dest
+# and flag: no two of one call may name the same file.
+_FILE_ARGS = {
+    "simulate": (("scenario", "--scenario"), ("out", "--out")),
+    "record": (("scenario", "--scenario"), ("trace_out", "--trace-out"), ("out", "--out")),
+    "replay": (("trace", "trace"), ("out", "--out"), ("frames_out", "--frames-out")),
+}
+
+
+def _check_distinct_files(args: argparse.Namespace) -> None:
+    """Raise ValueError naming both flags when two of the command's file
+    arguments resolve to one path: one output would overwrite the other,
+    or the input."""
+    seen: dict[str, str] = {}
+    for dest, flag in _FILE_ARGS.get(args.command, ()):
+        path = getattr(args, dest)
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{seen[real]} and {flag} name the same file: {path}")
+        seen[real] = flag
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handler = globals()["cmd_" + args.command.replace("-", "_")]  # looked up per call
     try:
+        _check_distinct_files(args)
         return handler(args)
     except (WipError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

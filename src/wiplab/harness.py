@@ -13,9 +13,9 @@ left and right heights, advance the gait tracker through a left then a
 right FootSample, estimate once, evaluate the law built once per run by
 speed.law, then integrate. Its per-frame cost is the agent's samples(),
 two advance() calls, one estimate() and the loop body, and run_chase binds
-what its loop calls once per run. Its RunLog's samples are a core.Samples
-built once from the rows' times and heights. It is the single-run path:
-simulate, record and the tests use it.
+what its loop calls once per run. Its RunLog's Frames and Samples come
+from one np.fromiter over a float tuple per frame. It is the single-run
+path: simulate, record and the tests use it.
 
 Independent chases that share a scenario run in lockstep as lanes:
 run_chase_lanes keeps every lane's state in numpy arrays and returns the
@@ -36,10 +36,10 @@ traceio.load_trace returns it). It advances the same streaming tracker
 sample by sample for its validation, step events and EMAs, and reads each
 foot's swing state from gait's swing scan, the one run_chase_lanes'
 trackers step with. It then computes every frame's estimate, law and
-kinematics as arrays in the live loop's operation order, and its metrics
-from those arrays, which is what keeps record/replay reports
-bit-identical; the DETERMINISM check, the replay goldens and a property
-test against a per-frame loop guard that.
+kinematics as arrays in the live loop's operation order: they are its
+log's Frames, and compute_metrics of that log is its report, which is what
+keeps record/replay reports bit-identical; the DETERMINISM check, the
+replay goldens and a property test against a per-frame loop guard that.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import chain, repeat
-from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -87,10 +86,10 @@ class Stage(Enum):
 
 
 # Reading an enum member through its class costs ~0.1 us on CPython 3.11;
-# the frame loops use these constants instead.
-_PREP, _COUNTDOWN, _CHASE = Stage.PREP, Stage.COUNTDOWN, Stage.CHASE
+# the frame loop uses these constants instead.
 _LEFT, _RIGHT = Foot.LEFT, Foot.RIGHT
 _new_sample = tuple.__new__  # a FootSample without its Python-level __new__
+_STAGES = np.array(list(Stage), dtype=object)  # _stages' labels, in stage order
 
 
 @dataclass(frozen=True)
@@ -167,39 +166,42 @@ class MetricsReport:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
 
-class FrameRow(NamedTuple):
-    time: float
-    stage: Stage
-    height_left: float
-    height_right: float
-    est_frequency: float
-    est_step_height: float
-    raw_speed: float
-    output_speed: float
-    position: float
-    sphere: float
-    error: float  # sphere minus catch-circle center; positive means behind
+@dataclass(slots=True)
+class Frames:
+    """A run's frames as numpy columns, an entry per frame; stage holds Stages."""
 
+    time: np.ndarray
+    stage: np.ndarray
+    height_left: np.ndarray
+    height_right: np.ndarray
+    est_frequency: np.ndarray
+    est_step_height: np.ndarray
+    raw_speed: np.ndarray
+    output_speed: np.ndarray
+    position: np.ndarray
+    sphere: np.ndarray
+    error: np.ndarray  # sphere minus catch-circle center; positive means behind
 
-_new_row = tuple.__new__  # a FrameRow without its Python-level __new__
+    def __len__(self) -> int:
+        return self.time.size
 
 
 @dataclass
 class RunLog:
-    """Everything a run produced: per-frame rows, step events, raw samples."""
+    """Everything a run produced: its frames, step events, raw samples."""
 
     scenario: ChaseScenario | None
-    rows: list[FrameRow]
+    rows: Frames
     events: list[StepEvent]
     samples: Samples
 
     @property
     def window(self) -> tuple[float, float]:
         if self.scenario is None:
-            if not self.rows:
+            if not len(self.rows):
                 return (0.0, 0.0)
             # the next float: a fixed epsilon vanishes into large times
-            return (self.rows[0].time, math.nextafter(self.rows[-1].time, math.inf))
+            return (float(self.rows.time[0]), math.nextafter(float(self.rows.time[-1]), math.inf))
         start = self.scenario.chase_start
         return (start, start + self.scenario.chase_duration)
 
@@ -218,26 +220,24 @@ def _population_sd(values: np.ndarray) -> float:
 def compute_metrics(log: RunLog) -> MetricsReport:
     """Metrics over the chase window only.
 
-    Speed statistics come from per-frame output speeds; step statistics
+    Speed statistics come from the frames' output_speed column; step statistics
     come from StepEvents whose re-grounding time falls inside the window.
     Raises EmptyWindow when no frame is in the window.
     """
     start, end = log.window
-    rows = [r for r in log.rows if start <= r.time < end]
-    return _window_metrics(
-        [r.output_speed for r in rows], [r.error for r in rows], log.events, start, end
-    )
+    frames = log.rows
+    window = (start <= frames.time) & (frames.time < end)
+    speeds, errors = frames.output_speed[window], frames.error[window]
+    return _window_metrics(speeds, errors, log.events, start, end)
 
 
 def _window_metrics(
-    speeds: Sequence[float], errors: Sequence[float], events: Iterable[StepEvent],
-    start: float, end: float,
+    speeds: np.ndarray, errors: np.ndarray, events: Iterable[StepEvent], start: float, end: float,
 ) -> MetricsReport:
     """compute_metrics' arithmetic: the output speeds and chase errors of the
     frames in the window [start, end), in frame order, and the run's events."""
     if not len(speeds):
         raise EmptyWindow("no frames inside the measurement window")
-    speeds, errors = np.asarray(speeds, dtype=float), np.asarray(errors, dtype=float)
     events = sorted((e for e in events if start <= e.end < end), key=lambda e: e.end)
     if events:
         avg_height = _mean([e.apex_height for e in events])
@@ -260,9 +260,13 @@ def _window_metrics(
     )
 
 
-def _stage_bounds(scenario: ChaseScenario) -> tuple[float, float]:
-    """Start times of the countdown and of the chase, computed once per run."""
-    return scenario.prep_walk_time + scenario.prep_duration, scenario.chase_start
+def _stages(scenario: ChaseScenario | None, t: np.ndarray) -> np.ndarray:
+    """The Stage of each frame time: PREP before the countdown, COUNTDOWN
+    before the chase, then CHASE; all CHASE without a scenario."""
+    if scenario is None:
+        return np.full(t.size, Stage.CHASE, dtype=object)
+    bounds = scenario.prep_walk_time + scenario.prep_duration, scenario.chase_start
+    return _STAGES[np.searchsorted(bounds, t, side="right")]
 
 
 def _integrate(scenario: ChaseScenario, now, out, position, sphere) -> tuple[np.ndarray, ...]:
@@ -290,15 +294,15 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
     WalkerAgent's noise comes straight from its generator. Each frame
     advances the run's gait tracker through a left then a right FootSample,
     logging each StepEvent, calls estimate(t) once and feeds it to the law
-    speed.law builds. The log's samples are the rows' (time, L, height_left)
-    and (time, R, height_right), built once after the loop.
+    speed.law builds. The log's Frames and its samples, each frame's (time,
+    L, height_left) and (time, R, height_right), come from one np.fromiter.
     """
     dt = scenario.timestep
     n_frames = int(round(scenario.total_duration / dt))
     replan_every = max(1, int(round(REPLAN_INTERVAL / dt)))
-    countdown_start, chase_start = _stage_bounds(scenario)
+    chase_start = scenario.chase_start
     circle_lead, target_speed = scenario.circle_lead, scenario.target_speed
-    rows: list[FrameRow] = []
+    rows: list[tuple[float, ...]] = []  # a frame's Frames fields but stage
     events: list[StepEvent] = []
     tracker = GaitTracker()
     advance, estimate, evaluate = tracker.advance, tracker.estimate, speed.law(params)
@@ -324,20 +328,17 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
             record(ev)
         f, sh, _, _ = estimate(t)
         raw, out = evaluate(f, sh)
-        stage = _PREP if t < countdown_start else _COUNTDOWN if t < chase_start else _CHASE
-        keep_row(_new_row(FrameRow, (
-            t, stage, height_left, height_right, f, sh, raw, out, position, sphere, error,
-        )))
+        keep_row((t, height_left, height_right, f, sh, raw, out, position, sphere, error))
 
         position += out * dt
         sphere += (target_speed if t >= chase_start else out) * dt
         if not (isfinite(position) and isfinite(sphere)):
             raise DivergedSimulation(f"non-finite state at t={t:.3f}")
 
-    times = np.fromiter(map(itemgetter(0), rows), float, n_frames)
-    heights = np.fromiter(chain.from_iterable(map(itemgetter(2, 3), rows)), float, 2 * n_frames)
-    samples = Samples(np.repeat(times, 2), np.tile((True, False), n_frames), heights)
-    log = RunLog(scenario, rows, events, samples)
+    table = np.fromiter(chain.from_iterable(rows), float, 10 * n_frames).reshape(n_frames, 10)
+    time, *columns = table.T
+    samples = Samples(np.repeat(time, 2), np.tile((True, False), n_frames), table[:, 1:3].ravel())
+    log = RunLog(scenario, Frames(time, _stages(scenario, time), *columns), events, samples)
     return compute_metrics(log), log
 
 
@@ -366,7 +367,7 @@ def run_chase_lanes(
     dt = scenario.timestep
     n_frames = int(round(scenario.total_duration / dt))
     replan_every = max(1, int(round(REPLAN_INTERVAL / dt)))
-    _, chase_start = _stage_bounds(scenario)
+    chase_start = scenario.chase_start
     end = chase_start + scenario.chase_duration
     circle_lead, target_speed = scenario.circle_lead, scenario.target_speed
     walkers, trackers = WalkerLanes(agents, dt), TrackerLanes(lanes)
@@ -413,9 +414,9 @@ def replay_trace(
     events are the live run's; gait.estimate_frames then gives every frame's
     estimate at once, and the law, stages and kinematics are evaluated on
     those arrays with the scalar loop's operation order (the position and
-    sphere sums are sequential cumulative sums), as are the metrics of the
-    frames in compute_metrics' window. Rows, events and reports
-    are bit-identical to running the frames one by one as run_chase does;
+    sphere sums are sequential cumulative sums) into the log's Frames; the
+    report is compute_metrics of the log. Frames, events and reports are
+    bit-identical to running the frames one by one as run_chase does;
     the DETERMINISM check, the replay goldens and a property test against a
     per-frame loop guard that. Samples out of time order raise
     NonMonotonicTime.
@@ -430,32 +431,23 @@ def replay_trace(
     if not len(samples):
         raise EmptyWindow("trace holds no samples")
     events: list[StepEvent] = []
-    frames = estimate_frames(samples, events)
-    t = frames.time
-    n = t.size
+    est = estimate_frames(samples, events)
+    t = est.time
     with np.errstate(over="ignore", invalid="ignore"):  # caught as divergence below
-        raw, out = speed.law(params)(frames.step_frequency, frames.step_height)
+        raw, out = speed.law(params)(est.step_frequency, est.step_height)
         if scenario is not None:
             position, sphere, error = _integrate(scenario, t, out, 0.0, scenario.circle_lead)
-            prep, countdown = np.searchsorted(t, _stage_bounds(scenario)).tolist()
-            stages = [_PREP] * prep + [_COUNTDOWN] * (countdown - prep) + [_CHASE] * (n - countdown)
         else:
             position = np.cumsum(np.concatenate(([0.0], out * np.diff(t, append=t[-1]))))
-            sphere, error = np.zeros(n + 1), np.zeros(n)
-            stages = [_CHASE] * n
+            sphere, error = np.zeros(t.size + 1), np.zeros(t.size)
             diverged = np.flatnonzero(~np.isfinite(position[1:]))
             if diverged.size:
                 raise DivergedSimulation(f"non-finite state at t={t[diverged[0]]:.3f}")
 
-    rows = list(map(_new_row, repeat(FrameRow), zip(
-        t.tolist(), stages, frames.height_left.tolist(), frames.height_right.tolist(),
-        frames.step_frequency.tolist(), frames.step_height.tolist(), raw.tolist(),
-        out.tolist(), position[:-1].tolist(), sphere[:-1].tolist(), error.tolist(),
-    )))
-    log = RunLog(scenario, rows, events, samples)
-    start, end = log.window
-    window = (start <= t) & (t < end)  # compute_metrics' window, on the arrays
-    return _window_metrics(out[window], error[window], events, start, end), log
+    frames = Frames(t, _stages(scenario, t), est.height_left, est.height_right, est.step_frequency,
+                    est.step_height, raw, out, position[:-1], sphere[:-1], error)
+    log = RunLog(scenario, frames, events, samples)
+    return compute_metrics(log), log
 
 
 # ----------------------------------------------------------------------

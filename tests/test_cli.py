@@ -488,6 +488,52 @@ def test_errors_map_to_their_exit_codes(error, code, capsys, monkeypatch):
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+class TestOneFilePerArgument:
+    """Two file arguments of one call that resolve to the same path are bad
+    input, refused before any file is opened: the files already there keep
+    their bytes."""
+
+    def refused(self, args, files, flags, capsys):
+        before = {path: path.read_bytes() for path in files}
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert f"error: {flags[0]} and {flags[1]} name the same file" in err
+        assert "wrote" not in err
+        assert {path: path.read_bytes() for path in files} == before
+
+    def test_simulate_scenario_and_out(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"target_speed": 1.0}))
+        args = ["simulate", "--scenario", str(scenario), "--out", str(scenario)]
+        self.refused(args, [scenario], ("--scenario", "--out"), capsys)
+
+    def test_record_trace_out_and_out(self, tmp_path, capsys):
+        trace = tmp_path / "r.csv"
+        assert run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)[0] == 0
+        (tmp_path / "sub").mkdir()
+        same = str(tmp_path / "sub" / ".." / "r.csv")  # another spelling of the path
+        args = ["record", "--target", "1.5", "--seed", "8", "--trace-out", str(trace),
+                "--out", same]
+        self.refused(args, [trace], ("--trace-out", "--out"), capsys)
+        assert run(["replay", str(trace)], capsys)[0] == 0  # the trace still loads
+
+    @pytest.mark.parametrize("out, frames_out, flags", [
+        ("same.txt", "same.txt", ("--out", "--frames-out")),
+        ("run.csv", None, ("trace", "--out")),
+        (None, "run.csv", ("trace", "--frames-out")),
+    ])
+    def test_replay_trace_out_and_frames_out(self, tmp_path, capsys, out, frames_out, flags):
+        trace, same = tmp_path / "run.csv", tmp_path / "same.txt"
+        assert run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)[0] == 0
+        same.write_text("kept\n")
+        args = ["replay", str(trace)]
+        if out is not None:
+            args += ["--out", str(tmp_path / out)]
+        if frames_out is not None:
+            args += ["--frames-out", str(tmp_path / frames_out)]
+        self.refused(args, [trace, same], flags, capsys)
+
+
 class TestEntryPoint:
     def test_module_is_executable(self):
         import subprocess

@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiplab import cli
-from wiplab.harness import FrameRow, replay_trace
+from wiplab.harness import replay_trace
 from wiplab.traceio import load_trace, params_from_echo, scenario_from_echo
+
+from frame_rows import FrameRow, rows_of
 
 
 def reference_frames_csv(rows):
@@ -78,7 +80,7 @@ def test_column_writer_equals_the_row_writer(tmp_path_factory, text):
     )
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["replay", str(trace), "--frames-out", str(frames)]) == 0
-    assert frames.read_bytes() == reference_frames_csv(log.rows).encode()
+    assert frames.read_bytes() == reference_frames_csv(rows_of(log.rows)).encode()
 
 
 def test_repeating_column_keeps_the_sign_of_zero():

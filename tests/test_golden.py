@@ -17,9 +17,11 @@ import pytest
 from wiplab import acceptance, cli, harness, synth
 from wiplab.acceptance import _steady_mean_speed
 from wiplab.core import Variant, WipParams
-from wiplab.harness import ChaseScenario, replay_trace, run_chase
+from wiplab.harness import ChaseScenario, compute_metrics, replay_trace, run_chase
 from wiplab.synth import GaitProgram, WalkerAgent, synth_trace
 from wiplab.traceio import parse_rig_spec
+
+from frame_rows import rows_of
 
 SHORT = dict(prep_duration=2.0, countdown=1.0, chase_duration=6.0)
 
@@ -82,6 +84,15 @@ GOLDEN = {
         23, 1110,
     ),
 }
+# name: sha256 of the run's frames (rows_digest over FRAME_FIELDS). Recorded
+# while run_chase still built one row tuple per frame.
+GOLDEN_CHASE_FRAMES = {
+    "gud-clean": "70b258ab9b78668a63e94a9a8855b0bf7ef7e33be11477338c40e5e1e71e42b4",
+    "gud-noisy-past-cap": "458d2082692922cc8b0e63af54b41a499846307d33399e684f89be1ce39b0a21",
+    "shef-clean": "63e6cf560b1fa85dddb69b9de2655a3094d0d7d3cd8602e6f761645d363b7433",
+    "shef-noisy": "1abf4f01806da76260bd83faad967151a92cb16905ca60d95af26785557089ad",
+    "shef-noisy-down4": "638bef99fb5a7ca860d3bf8a408be83da8c0b20f7ca5e8f43e62f0d46d836cd7",
+}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -92,6 +103,8 @@ def test_chase_report_matches_golden(name):
     report, log = run_chase(ChaseScenario(target_speed=target, **SHORT), agent, params)
     assert {k: repr(v) for k, v in asdict(report).items()} == fields
     assert (len(log.events), len(log.rows)) == (events, frames)
+    assert rows_digest(rows_of(log.rows), FRAME_FIELDS) == GOLDEN_CHASE_FRAMES[name]
+    assert compute_metrics(log) == report
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +143,7 @@ def scenario_less_replay():
     params = WipParams(variant=Variant.GUD, speed_gain=1.3)
     report, log = replay_trace(trace, params)
     fields = {k: repr(v) for k, v in asdict(report).items()}
-    return fields, rows_digest(log.rows, FRAME_FIELDS), len(log.rows)
+    return fields, rows_digest(rows_of(log.rows), FRAME_FIELDS), len(log.rows)
 
 
 def replay_frames_csv(tmp_path):

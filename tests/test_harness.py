@@ -24,13 +24,11 @@ from wiplab.harness import (
     MAX_BOUTS,
     STAIRCASE_PRESETS,
     ChaseScenario,
-    FrameRow,
     MetricsReport,
     RunLog,
     SeriesKind,
     SlopeKind,
     Stage,
-    _stage_bounds,
     aggregate_adjustments,
     compute_metrics,
     make_reference_judge,
@@ -48,6 +46,8 @@ from wiplab.synth import (
     cycle_height,
     synth_trace,
 )
+
+from frame_rows import FrameRow, frames_of, rows_of
 
 SHEF = WipParams(variant=Variant.SHEF)
 
@@ -140,7 +140,7 @@ NO_SAMPLES = Samples.of(())
 
 
 def metrics_of(scenario, rows, events=()):
-    return compute_metrics(RunLog(scenario, rows, list(events), NO_SAMPLES))
+    return compute_metrics(RunLog(scenario, frames_of(rows), list(events), NO_SAMPLES))
 
 
 class TestComputeMetrics:
@@ -234,7 +234,7 @@ class TestRunChase:
         assert report.speed_sd <= 1e-9
         assert report.avg_target_distance <= 1e-9
         assert report.avg_step_height == 0.0  # grounded feet, no steps
-        assert log.rows[-1].position > 0.0
+        assert log.rows.position[-1] > 0.0
 
     def test_walker_holds_an_achievable_target(self):
         report, _ = run_chase(ChaseScenario(target_speed=1.5), WalkerAgent(SHEF), SHEF)
@@ -251,16 +251,17 @@ class TestRunChase:
         sc = ChaseScenario(target_speed=1.5)
         report, log = run_chase(sc, WalkerAgent(SHEF, noise_sd=0.002, seed=4), SHEF)
         start, end = log.window
-        speeds = [r.output_speed for r in log.rows if start <= r.time < end]
+        rows = rows_of(log.rows)
+        speeds = [r.output_speed for r in rows if start <= r.time < end]
         assert report.avg_speed == pytest.approx(sum(speeds) / len(speeds), rel=1e-12)
-        assert any(r.time < start for r in log.rows), "log keeps the whole run"
+        assert any(r.time < start for r in rows), "log keeps the whole run"
 
     def test_samples_are_the_rows_heights_as_columns(self):
         sc = ChaseScenario(target_speed=1.5, timestep=1.0 / 60.0)
         _, log = run_chase(sc, WalkerAgent(SHEF, noise_sd=0.003, seed=3), SHEF)
         assert isinstance(log.samples, Samples)
         want = [
-            sample for r in log.rows for sample in (
+            sample for r in rows_of(log.rows) for sample in (
                 FootSample(r.time, Foot.LEFT, r.height_left),
                 FootSample(r.time, Foot.RIGHT, r.height_right),
             )
@@ -270,7 +271,7 @@ class TestRunChase:
     def test_stage_labels_progress(self, pinned):
         sc = ChaseScenario(target_speed=1.0)
         _, log = run_chase(sc, pinned, SHEF)
-        stages = [r.stage for r in log.rows]
+        stages = log.rows.stage.tolist()
         assert stages[0] is Stage.PREP
         assert stages[-1] is Stage.CHASE
         assert Stage.COUNTDOWN in stages
@@ -338,7 +339,8 @@ def reference_replay(samples, params, scenario=None):
     position = sphere = 0.0
     if scenario is not None:
         dt, circle_lead = scenario.timestep, scenario.circle_lead
-        countdown_start, chase_start = _stage_bounds(scenario)
+        countdown_start = scenario.prep_walk_time + scenario.prep_duration
+        chase_start = scenario.chase_start
         sphere = circle_lead
     for i, (t, frame_samples) in enumerate(ticks):
         if scenario is not None:
@@ -358,7 +360,7 @@ def reference_replay(samples, params, scenario=None):
         position += out * dt
         if scenario is not None:
             sphere += (scenario.target_speed if t >= chase_start else out) * dt
-    log = RunLog(scenario, rows, events, Samples.of(samples))
+    log = RunLog(scenario, frames_of(rows), events, Samples.of(samples))
     return compute_metrics(log), log
 
 
@@ -472,9 +474,10 @@ def test_replay_equals_the_streaming_frame_step(case):
         return
     report, log = replay_trace(trace, params, scenario)
     want_report, want_log = want
-    assert [repr(r) for r in log.rows] == [repr(r) for r in want_log.rows]
+    assert [repr(r) for r in rows_of(log.rows)] == [repr(r) for r in rows_of(want_log.rows)]
     assert [repr(e) for e in log.events] == [repr(e) for e in want_log.events]
     assert repr(report) == repr(want_report)
+    assert compute_metrics(log) == report
 
 
 # ---------------------------------------------------------------------------
