@@ -39,6 +39,7 @@ from .harness import (
     ChaseScenario,
     SeriesKind,
     SlopeKind,
+    _mean,
     aggregate_adjustments,
     make_reference_judge,
     replay_trace,
@@ -82,8 +83,7 @@ def _steady_mean_speed(variant: Variant, target: float) -> float:
     program = plan_gait(target, params)
     frames = estimate_frames(synth_trace(program, STEADY_DURATION, STEADY_RATE), [])
     _, out = speed.law(params)(frames.step_frequency, frames.step_height)
-    outputs = out[frames.time >= STEADY_SETTLE]
-    return float(np.cumsum(outputs)[-1]) / outputs.size  # in order, as harness._mean
+    return _mean(out[frames.time >= STEADY_SETTLE])
 
 
 def check_eq1_anchor() -> tuple[bool, str]:
@@ -141,8 +141,7 @@ def check_stability() -> tuple[bool, str]:
     reports = run_chase_lanes(ChaseScenario(target_speed=2.5), agents, params)
     mean_sd: dict[Variant, float] = {}
     for i, variant in enumerate(variants):
-        values = [report.speed_sd for report in reports[20 * i : 20 * i + 20]]
-        mean_sd[variant] = sum(values) / len(values)
+        mean_sd[variant] = _mean([report.speed_sd for report in reports[20 * i : 20 * i + 20]])
     ok = mean_sd[Variant.SHEF] <= mean_sd[Variant.GUD]
     return ok, (
         f"mean speed SD over 20 seeds: shef = {mean_sd[Variant.SHEF]:.3f}"

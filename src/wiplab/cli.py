@@ -56,17 +56,25 @@ EXIT_BAD_INPUT = 2  # WipError subclasses carry their own exit_code
 RUN_DEFAULTS: dict[str, Any] = {"seed": 0, "noise_sd": 0.0, "rig": "none"}
 
 
-def _load_scenario_file(path: str) -> dict[str, Any]:
+def _load_json_object(path: str, what: str, kind: str, keys: Iterable[str]) -> dict[str, Any]:
+    """The JSON object in the file at path, which may hold only the given
+    keys. Errors name the path, a decode error its line; their text calls
+    the file what and its keys kind keys."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: scenario file must be a JSON object")
-    unknown = sorted(set(data) - set(RUN_KEYS))
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    unknown = sorted(set(data) - set(keys))
     if unknown:
-        raise ValueError(f"{path}: unknown scenario keys: {', '.join(unknown)}")
+        raise ValueError(f"{path}: unknown {kind} keys: {', '.join(unknown)}")
+    return data
+
+
+def _load_scenario_file(path: str) -> dict[str, Any]:
+    data = _load_json_object(path, "scenario file", "scenario", RUN_KEYS)
     for key, value in data.items():
         # seed is checked as an integer >= 0, from the file or the flag, on merge
         kind = str if key in ("variant", "rig") else (int, float)
@@ -170,17 +178,29 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 def _open_outputs(*paths: str | None) -> list[TextIO | None]:
     """Open each given path for writing, None for None, before anything is
-    written: when one fails to open, the ones opened before it are removed
-    again and the error propagates."""
+    written. No file is truncated until every path is open: when one fails
+    to open, the ones opened before it are closed, those this call created
+    are removed again, and the error propagates."""
     opened: list[TextIO | None] = []
+    created: list[str] = []
     try:
         for path in paths:
-            opened.append(None if path is None else open(path, "w", encoding="utf-8"))
+            if path is None:
+                opened.append(None)
+                continue
+            try:
+                opened.append(open(path, "x", encoding="utf-8"))
+                created.append(path)
+            except FileExistsError:
+                opened.append(open(path, "a", encoding="utf-8"))  # truncated below
     except OSError:
         for fh in filter(None, opened):
             fh.close()
-            os.remove(fh.name)
+        for path in created:
+            os.remove(path)
         raise
+    for fh in filter(None, opened):
+        fh.truncate(0)
     return opened
 
 
@@ -252,16 +272,7 @@ def cmd_calibrate_bands(args: argparse.Namespace) -> int:
 
 def _load_acceptance_config(path: str) -> list[str] | None:
     """The check names an acceptance config file selects, None for all."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(config) - {"only"})
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    config = _load_json_object(path, "config", "config", ("only",))
     if "only" not in config:
         return None
     only = config["only"]
@@ -287,7 +298,7 @@ def cmd_acceptance(args: argparse.Namespace) -> int:
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"[{status}] {result.name}: {result.detail}")
-    failed = sum(1 for r in results if not r.passed)
+    failed = [r.passed for r in results].count(False)
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 

@@ -29,7 +29,7 @@ update per lane at footfalls with math.exp (np.exp differs); each lane
 draws its agent's noise only while its SD is positive; the only
 reductions are min, max and sequential cumulative sums (replay shares
 the kinematics, _integrate), and the reports come from compute_metrics's
-own arithmetic, _window_metrics.
+own arithmetic, _window_metrics, where every statistic is _mean of an array.
 
 Replay reads a time-sorted recorded trace as columns (core.Samples, as
 traceio.load_trace returns it). It advances the same streaming tracker
@@ -154,16 +154,10 @@ class MetricsReport:
     speed_sd: float             # m/s, population SD of per-frame output speed
 
     def __post_init__(self) -> None:
-        for name in (
-            "avg_step_height",
-            "avg_step_frequency",
-            "avg_target_distance",
-            "avg_speed",
-            "speed_sd",
-        ):
-            v = getattr(self, name)
+        for field in fields(self):
+            v = getattr(self, field.name)
             if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+                raise ValueError(f"{field.name} must be finite and >= 0, got {v}")
 
 
 @dataclass(slots=True)
@@ -207,14 +201,15 @@ class RunLog:
 
 
 def _mean(values: Sequence[float]) -> float:
-    # np.cumsum adds in order on every Python; from 3.12 on, sum() of floats
-    # compensates, which would move a report's bits
+    """The mean of a non-empty sequence, added in order by np.cumsum on every
+    Python (sum() of floats compensates from 3.12 on): the one averaging
+    rule of the reports, the staircase and the gate's statistics."""
     return float(np.cumsum(values)[-1]) / len(values)
 
 
 def _population_sd(values: np.ndarray) -> float:
-    m = _mean(values)
-    return math.sqrt(_mean([d ** 2 for d in (values - m).tolist()]))  # float ** is C pow
+    d = values - _mean(values)
+    return math.sqrt(_mean(d * d))  # d * d rounds correctly; libm pow(d, 2) need not
 
 
 def compute_metrics(log: RunLog) -> MetricsReport:
@@ -222,6 +217,7 @@ def compute_metrics(log: RunLog) -> MetricsReport:
 
     Speed statistics come from the frames' output_speed column; step statistics
     come from StepEvents whose re-grounding time falls inside the window.
+    Each is _mean over an array (_window_metrics).
     Raises EmptyWindow when no frame is in the window.
     """
     start, end = log.window
@@ -239,21 +235,11 @@ def _window_metrics(
     if not len(speeds):
         raise EmptyWindow("no frames inside the measurement window")
     events = sorted((e for e in events if start <= e.end < end), key=lambda e: e.end)
-    if events:
-        avg_height = _mean([e.apex_height for e in events])
-    else:
-        avg_height = 0.0
-    if len(events) >= 2:
-        cadences = [
-            1.0 / (b.end - a.end) for a, b in zip(events, events[1:]) if b.end > a.end
-        ]
-        avg_freq = _mean(cadences) if cadences else 0.0
-    else:
-        avg_freq = 0.0
-
+    gaps = np.diff([e.end for e in events])
+    cadences = 1.0 / gaps[gaps > 0.0]  # one per footfall interval of non-zero length
     return MetricsReport(
-        avg_step_height=avg_height,
-        avg_step_frequency=avg_freq,
+        avg_step_height=_mean([e.apex_height for e in events]) if events else 0.0,
+        avg_step_frequency=_mean(cadences) if cadences.size else 0.0,
         avg_target_distance=_mean(np.abs(errors)),
         avg_speed=_mean(speeds),
         speed_sd=_population_sd(speeds),
@@ -511,4 +497,4 @@ def aggregate_adjustments(gains: Iterable[float]) -> float:
     values = list(gains)
     if len(values) != 4:
         raise WrongArity(f"expected 4 adjustment results, got {len(values)}")
-    return sum(values) / 4.0
+    return _mean(values)

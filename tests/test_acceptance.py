@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from wiplab import acceptance, speed
 from wiplab.core import Foot, FootSample
-from wiplab.gait import GROUND_EPSILON, MIN_STEP_HEIGHT
+from wiplab.gait import GROUND_EPSILON, MIN_STEP_HEIGHT, GaitTracker
 from wiplab.synth import GaitProgram, synth_trace
+
+from boundary_gaits import BOUNDARY_GAITS, as_feet
 
 
 # Each check's detail line from a passing gate. The gate prints these, so any
@@ -112,9 +114,18 @@ def loop_offline_step_segments(samples):
 
 
 def assert_segments_equal_the_loop(samples):
-    assert list(map(repr, acceptance.offline_step_segments(samples))) == list(
-        map(repr, loop_offline_step_segments(samples))
+    """The offline segments equal the loop's, and the streaming tracker's
+    step events, as GAIT-ORACLE compares them, equal both."""
+    offline = list(map(repr, acceptance.offline_step_segments(samples)))
+    assert offline == list(map(repr, loop_offline_step_segments(samples)))
+    tracker = GaitTracker()
+    streamed = sorted(
+        (ev for s in samples if (ev := tracker.advance(s)) is not None),
+        key=lambda e: (e.end, e.foot.value),
     )
+    assert offline == [
+        repr((e.foot, e.start, e.apex_time, e.end, e.apex_height)) for e in streamed
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,6 +158,11 @@ heights = st.lists(
 @example(left=[0.0, MIN_STEP_HEIGHT, 0.02, 0.0], right=[0.0, 0.02, 0.0])  # apex at the minimum
 @example(left=[0.0, GROUND_EPSILON, 0.05, GROUND_EPSILON, 0.0], right=[])  # height at the threshold
 @example(left=[0.0, 0.05, 0.0], right=[0.0, 0.05, 0.0])  # both feet land on one tick
+@example(**as_feet(BOUNDARY_GAITS["height at GROUND_EPSILON"]))
+@example(**as_feet(BOUNDARY_GAITS["apex at MIN_STEP_HEIGHT"]))
+@example(**as_feet(BOUNDARY_GAITS["velocity at +-VELOCITY_DEADBAND"]))
+@example(**as_feet(BOUNDARY_GAITS["footfall gap of RESUME_GAP"]))
+@example(**as_feet(BOUNDARY_GAITS["grounded for STOP_WINDOW"]))
 def test_offline_segments_of_height_sequences_equal_the_loop(left, right):
     """Each foot's heights at 90 Hz, the feet interleaved while both last."""
     samples = [

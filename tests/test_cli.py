@@ -240,6 +240,29 @@ class TestRecordReplay:
         assert "error:" in err and "wrote" not in err
         assert not frames.exists()
 
+    def test_bad_frames_out_path_keeps_an_existing_report_file(self, tmp_path, capsys):
+        trace, report = tmp_path / "run.csv", tmp_path / "old.json"
+        run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)
+        report.write_bytes(b'{"kept": true}\n')
+        code, out, err = run(
+            ["replay", str(trace), "--out", str(report),
+             "--frames-out", str(tmp_path / "no" / "such" / "f.csv")], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "error:" in err and "wrote" not in err
+        assert report.read_bytes() == b'{"kept": true}\n'
+
+    def test_outputs_that_exist_are_overwritten(self, tmp_path, capsys):
+        trace, report, frames = tmp_path / "run.csv", tmp_path / "r.json", tmp_path / "f.csv"
+        run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)
+        args = ["replay", str(trace), "--out", str(report), "--frames-out", str(frames)]
+        assert run(args, capsys)[0] == 0
+        want = report.read_bytes(), frames.read_bytes()
+        report.write_bytes(b"x" * (len(want[0]) + 100))
+        frames.write_bytes(b"y" * (len(want[1]) + 100))
+        assert run(args, capsys)[0] == 0
+        assert (report.read_bytes(), frames.read_bytes()) == want
+
     def test_missing_trace_file(self, capsys):
         code, _, err = run(["replay", "/nonexistent/trace.csv"], capsys)
         assert code == 2

@@ -18,6 +18,7 @@ from wiplab.gait import (
     GROUND_EPSILON,
     MIN_STEP_HEIGHT,
     PARTIAL_SLACK,
+    RESUME_GAP,
     SMOOTHING_TAU,
     STOP_WINDOW,
     SWING_FRACTION,
@@ -28,6 +29,8 @@ from wiplab.gait import (
     estimate_frames,
 )
 from wiplab.synth import GaitProgram, cycle_height, synth_trace
+
+from boundary_gaits import BOUNDARY_GAITS, as_samples, as_segments
 
 EPS = GROUND_EPSILON
 MIN_APEX = MIN_STEP_HEIGHT
@@ -304,6 +307,19 @@ def test_resume_after_pause_recovers_quickly():
     assert tracker.estimate(resumed[-1].time).step_frequency == pytest.approx(2.0, rel=0.05)
 
 
+@pytest.mark.parametrize("pause, kept", [(0, True), (1, False)])
+def test_only_a_footfall_gap_past_resume_gap_restarts_the_cadence(pause, kept):
+    """Footfalls at ticks 20, 40 and 265: the last gap is exactly RESUME_GAP,
+    a 0.4 Hz cadence sample. One grounded tick more makes it a restart."""
+    ticks = BOUNDARY_GAITS["footfall gap of RESUME_GAP"]
+    ticks = ticks[:250] + [(0.0, 0.0)] * pause + ticks[250:]
+    tracker = GaitTracker()
+    *_, last = stream(tracker, as_samples(ticks))
+    assert (last.end - 40 / 90.0 == RESUME_GAP) is kept
+    frequency = tracker.estimate(last.end).step_frequency
+    assert frequency == (pytest.approx(0.4, abs=0.05) if kept else 0.0)
+
+
 def test_growing_apex_is_seen_before_the_step_completes():
     tracker = GaitTracker()
     # two normal steps, then a much higher swing in progress
@@ -514,6 +530,9 @@ def lane_heights(lanes):
 
 @settings(max_examples=25, deadline=None)
 @given(lanes=st.lists(segments, min_size=1, max_size=4), runs=st.lists(st.integers(1, 60)))
+@example(  # every threshold met exactly, with runs that split at the deadband switches
+    lanes=[as_segments(ticks) for ticks in BOUNDARY_GAITS.values()], runs=[76, 13]
+)
 @example(  # a swing that plateaus at its apex: the apex time is the first
     lanes=[[("pause", 0.1), ("ramp", 0.1, 0.1, 0.0, 0.0, 20), ("pause", 0.1)]], runs=[7]
 )

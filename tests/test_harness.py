@@ -47,6 +47,7 @@ from wiplab.synth import (
     synth_trace,
 )
 
+from boundary_gaits import BOUNDARY_GAITS, as_samples
 from frame_rows import FrameRow, frames_of, rows_of
 
 SHEF = WipParams(variant=Variant.SHEF)
@@ -151,6 +152,21 @@ class TestComputeMetrics:
         # population SD of {1, 2, 3} is sqrt(2/3)
         assert report.speed_sd == pytest.approx(0.816496580927726, rel=1e-12)
         assert report.avg_target_distance == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "speeds", [[1.646, 1.481, 1.762], [1.283, 1.474, 1.315], [1.523, 1.632, 1.518]]
+    )
+    def test_speed_sd_squares_each_deviation_by_multiplying(self, speeds):
+        """Each set holds a deviation d for which glibc's pow(d, 2) is one ulp
+        off d * d: the SD is the in-order mean of the products, bit for bit."""
+        mean = squares = 0.0
+        for v in speeds:
+            mean += v
+        mean /= len(speeds)
+        for v in speeds:
+            squares += (v - mean) * (v - mean)
+        report = metrics_of(None, [frame(float(t), v) for t, v in enumerate(speeds)])
+        assert report.speed_sd.hex() == math.sqrt(squares / len(speeds)).hex()
 
     def test_step_statistics_from_events(self):
         rows = [frame(t, 1.0) for t in (0.0, 1.0, 2.0, 3.0)]
@@ -462,6 +478,11 @@ def hovering_foot_trace():
 @settings(max_examples=150, deadline=None)
 @given(case=replay_cases())
 @example(case=(hovering_foot_trace(), SHEF, None))
+@example(case=(as_samples(BOUNDARY_GAITS["height at GROUND_EPSILON"]), SHEF, None))
+@example(case=(as_samples(BOUNDARY_GAITS["apex at MIN_STEP_HEIGHT"]), SHEF, None))
+@example(case=(as_samples(BOUNDARY_GAITS["velocity at +-VELOCITY_DEADBAND"]), SHEF, None))
+@example(case=(as_samples(BOUNDARY_GAITS["footfall gap of RESUME_GAP"]), SHEF, None))
+@example(case=(as_samples(BOUNDARY_GAITS["grounded for STOP_WINDOW"]), SHEF, None))
 def test_replay_equals_the_streaming_frame_step(case):
     trace, params, scenario = case
     if not trace:
