@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import asdict, fields
 from functools import cache
@@ -178,9 +179,10 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 def _open_outputs(*paths: str | None) -> list[TextIO | None]:
     """Open each given path for writing, None for None, before anything is
-    written. No file is truncated until every path is open: when one fails
-    to open, the ones opened before it are closed, those this call created
-    are removed again, and the error propagates."""
+    written. No file is truncated until every path is open, and only
+    regular files are (a device such as /dev/null cannot be): when a step
+    fails, the files opened are closed, those this call created are
+    removed again, and the error propagates."""
     opened: list[TextIO | None] = []
     created: list[str] = []
     try:
@@ -193,14 +195,15 @@ def _open_outputs(*paths: str | None) -> list[TextIO | None]:
                 created.append(path)
             except FileExistsError:
                 opened.append(open(path, "a", encoding="utf-8"))  # truncated below
+        for fh in filter(None, opened):
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
     except OSError:
         for fh in filter(None, opened):
             fh.close()
         for path in created:
             os.remove(path)
         raise
-    for fh in filter(None, opened):
-        fh.truncate(0)
     return opened
 
 
@@ -298,7 +301,7 @@ def cmd_acceptance(args: argparse.Namespace) -> int:
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"[{status}] {result.name}: {result.detail}")
-    failed = [r.passed for r in results].count(False)
+    failed = sum(1 for r in results if not r.passed)
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 

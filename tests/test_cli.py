@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import json
+import os
 
 import pytest
 
@@ -262,6 +263,16 @@ class TestRecordReplay:
         frames.write_bytes(b"y" * (len(want[1]) + 100))
         assert run(args, capsys)[0] == 0
         assert (report.read_bytes(), frames.read_bytes()) == want
+
+    def test_outputs_may_be_devices(self, tmp_path, capsys):
+        trace, report = tmp_path / "run.csv", tmp_path / "r.json"
+        run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)
+        report.write_bytes(b"x" * 100_000)
+        code, _, err = run(
+            ["replay", str(trace), "--out", str(report), "--frames-out", os.devnull], capsys
+        )
+        assert code == 0 and "error:" not in err
+        assert json.loads(report.read_text())["kind"] == "replay"
 
     def test_missing_trace_file(self, capsys):
         code, _, err = run(["replay", "/nonexistent/trace.csv"], capsys)

@@ -99,9 +99,9 @@ def test_bad_flags_are_usage_errors(name, args, message, tmp_path, monkeypatch):
 
 
 def test_every_mutant_edit_applies_to_the_sources():
-    """scripts/mutants.py --list exits 0 only when each mutant's text occurs
-    exactly once in its module; running the mutants is left to CI."""
+    """Each of scripts/mutants.py's edits occurs exactly once in its module
+    (mutated_source raises otherwise); running the mutants is left to CI."""
     mutants = load_script("mutants")
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert mutants.main(["--list"]) == 0
-    assert len(out.getvalue().splitlines()) == len(mutants.MUTANTS) >= 15
+    for m in mutants.MUTANTS:
+        mutants.mutated_source(m)
+    assert len(mutants.MUTANTS) >= 15

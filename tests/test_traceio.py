@@ -46,6 +46,16 @@ class TestTraceRoundTrip:
         assert list(loaded) == list(trace)  # repr() serialization is lossless
         assert header == TraceHeader()
 
+    def test_a_recorded_trace_is_parsed_by_columns(self, tmp_path):
+        """Both feet share each sample time; the column parse takes such rows,
+        and the line walk is left for traces it refuses."""
+        trace = synth_trace(GaitProgram(1.8, 0.14, seed=5), 1.0, 90.0)
+        path = tmp_path / "walk.csv"
+        save_trace(str(path), trace)
+        rows = path.read_text(encoding="utf-8").split("\n")
+        parsed = traceio._parse_columns(rows[rows.index("time,foot,height") + 1:])
+        assert parsed is not None and list(parsed) == list(trace)
+
     def test_scenario_header_round_trips(self, tmp_path):
         sc = ChaseScenario(target_speed=1.5)
         params = WipParams(variant=Variant.GUD, user_height=1.80, speed_gain=1.2)
