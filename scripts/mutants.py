@@ -59,6 +59,16 @@ class Mutant:
 MUTANTS = [
     Mutant("gait.advance.grounded", "gait.py",
            "grounded = h <= GROUND_EPSILON", "grounded = h < GROUND_EPSILON", GAIT_TESTS),
+    Mutant("gait.start-track.aerial", "gait.py",
+           "if h > GROUND_EPSILON:", "if h >= GROUND_EPSILON:", GAIT_TESTS),
+    Mutant("gait.advance.time-advances", "gait.py",
+           "0.0 <= prev < t < _INF", "0.0 <= prev <= t < _INF", GAIT_TESTS),
+    Mutant("gait.advance.height-floor", "gait.py",
+           "HEIGHT_FLOOR <= h <= HEIGHT_CEILING", "HEIGHT_FLOOR < h <= HEIGHT_CEILING",
+           GAIT_TESTS),
+    Mutant("gait.advance.height-ceiling", "gait.py",
+           "HEIGHT_FLOOR <= h <= HEIGHT_CEILING", "HEIGHT_FLOOR <= h < HEIGHT_CEILING",
+           GAIT_TESTS),
     Mutant("gait.scan.airborne", "gait.py",
            "airborne = heights > GROUND_EPSILON", "airborne = heights >= GROUND_EPSILON",
            GAIT_TESTS),

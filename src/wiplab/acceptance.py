@@ -267,7 +267,7 @@ def check_gait_oracle() -> tuple[bool, str]:
         )
         trace = synth_trace(program, 6.0, 90.0)
         tracker = GaitTracker()
-        streamed = [ev for s in trace if (ev := tracker.advance(s)) is not None]
+        streamed = [ev for s in trace.tuples() if (ev := tracker.advance(s)) is not None]
         offline = offline_step_segments(trace)
         if len(streamed) != len(offline):
             return False, (

@@ -125,8 +125,9 @@ class Samples:
     It is every recorded stream: synth_trace's, load_trace's and each
     RunLog's. It is a sequence of FootSamples: len() and indexing work, and
     iteration builds each FootSample on demand, so streaming callers read it
-    as they read a list. The array paths (replay, its frame estimates, the
-    offline step oracle and save_trace) read the columns directly.
+    as they read a list; tuples() gives the same rows as plain tuples, which
+    the tracker's hot loops stream. The array paths (replay, its frame
+    estimates, the offline step oracle and save_trace) read the columns.
     Samples.of is the one conversion from any other sequence of FootSamples.
     There is no list equality: compare list(samples).
     """
@@ -148,10 +149,13 @@ class Samples:
     def __len__(self) -> int:
         return len(self.time)
 
-    def __iter__(self) -> Iterator[FootSample]:
-        rows = zip(self.time.tolist(), map(_FOOT_OF.__getitem__, self.left.tolist()),
+    def tuples(self) -> Iterator[tuple[float, Foot, float]]:
+        """The rows as plain (time, foot, height) tuples, in stream order."""
+        return zip(self.time.tolist(), map(_FOOT_OF.__getitem__, self.left.tolist()),
                    self.height.tolist())
-        return map(_new_sample, repeat(FootSample), rows)
+
+    def __iter__(self) -> Iterator[FootSample]:
+        return map(_new_sample, repeat(FootSample), self.tuples())
 
     def __getitem__(self, index: int) -> FootSample:
         return _new_sample(FootSample, (

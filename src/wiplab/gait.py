@@ -12,12 +12,13 @@ streaming segmentation equivalent to brute-force offline segmentation of
 the same samples (contiguous above-threshold regions), which the test
 suite exploits as an oracle.
 
-GaitTracker.advance steps the per-foot machine one sample at a time.
-_swing_scan is its one array form: a segmented scan (forward fills and a
-running max restarted at each lift-off) that returns a foot's state after
-every sample at once. estimate_frames reads a recorded stream as columns
-(core.Samples) and runs it over each foot's samples, and TrackerLanes over
-lanes stepped in lockstep.
+GaitTracker.advance steps the per-foot machine one (time, foot, height)
+sample at a time, checking validate_sample's predicates inline. _swing_scan
+is its one array form: a segmented scan (forward fills and a running max
+restarted at each lift-off) that returns a foot's state after every sample
+at once. estimate_frames streams a recorded stream's rows
+(core.Samples.tuples) through advance and runs the scan over each foot's
+samples, and TrackerLanes over lanes stepped in lockstep.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ class Phase(Enum):
 # the per-frame paths compare against these constants instead.
 _GROUNDED, _ASCENDING, _DESCENDING = Phase.GROUNDED, Phase.ASCENDING, Phase.DESCENDING
 _FEET = _LEFT, _RIGHT = Foot.LEFT, Foot.RIGHT
+_INF = math.inf
 # estimate() builds its result directly: its values hold GaitEstimate's
 # invariants (non-negative, zero frequency when stale) by construction.
 _new_estimate = tuple.__new__
@@ -90,7 +92,7 @@ RESUME_GAP = 2.5          # s, footfall gaps past this are a restart
 PARTIAL_SLACK = 1.15
 
 
-@dataclass
+@dataclass(slots=True)
 class _FootTrack:
     phase: Phase
     entered_at: float
@@ -132,36 +134,20 @@ class GaitTracker:
     # ------------------------------------------------------------------
     # ingestion
 
-    def advance(self, sample: FootSample) -> StepEvent | None:
-        """Ingest one sample; returns a StepEvent when a step completes."""
+    def advance(self, sample: tuple[float, Foot, float]) -> StepEvent | None:
+        """Ingest one (time, foot, height) sample, a FootSample or a plain
+        tuple; returns a StepEvent when a step completes. A sample that
+        fails validate_sample's predicates raises from validate_sample."""
         t, foot, h = sample
         left = foot is _LEFT
         track = self._left if left else self._right
-        validate_sample(sample, track.prev_time if track is not None else None)
-        grounded = h <= GROUND_EPSILON
-
         if track is None:
-            # A foot first seen in the air has no known lift-off; its current
-            # swing is discarded rather than guessed at.
-            phase = _GROUNDED if grounded else _ASCENDING
-            track = _FootTrack(
-                phase=phase,
-                entered_at=t,
-                prev_time=t,
-                prev_height=h,
-            )
-            if not grounded:
-                track.running_apex = h
-                track.apex_time = t
-                self._airborne += 1
-            if left:
-                self._left = track
-            else:
-                self._right = track
-            self._last_transition = t if self._last_transition is None else max(
-                self._last_transition, t
-            )
+            self._start_track(sample, left)
             return None
+        prev = track.prev_time
+        if not (0.0 <= prev < t < _INF and HEIGHT_FLOOR <= h <= HEIGHT_CEILING):
+            validate_sample(FootSample._make(sample), prev)
+        grounded = h <= GROUND_EPSILON
 
         event: StepEvent | None = None
         if track.phase is _GROUNDED:
@@ -171,7 +157,7 @@ class GaitTracker:
                 track.prev_height = h
                 return None
             track.phase = _ASCENDING
-            track.swing_start = track.prev_time
+            track.swing_start = prev
             track.swing_valid = True
             track.running_apex = h
             track.apex_time = t
@@ -193,7 +179,7 @@ class GaitTracker:
             if h > track.running_apex:
                 track.running_apex = h
                 track.apex_time = t
-            velocity = (h - track.prev_height) / (t - track.prev_time)
+            velocity = (h - track.prev_height) / (t - prev)
             old = track.phase
             if old is _ASCENDING and velocity < -VELOCITY_DEADBAND:
                 track.phase = _DESCENDING
@@ -210,6 +196,21 @@ class GaitTracker:
         track.prev_time = t
         track.prev_height = h
         return event
+
+    def _start_track(self, sample: tuple[float, Foot, float], left: bool) -> None:
+        """Validate a foot's first sample and start its track. A foot first
+        seen in the air has no known lift-off; its swing is discarded."""
+        t, _, h = validate_sample(FootSample._make(sample), None)
+        track = _FootTrack(_GROUNDED, entered_at=t, prev_time=t, prev_height=h)
+        if h > GROUND_EPSILON:
+            track.phase, track.running_apex, track.apex_time = _ASCENDING, h, t
+            self._airborne += 1
+        if left:
+            self._left = track
+        else:
+            self._right = track
+        last = self._last_transition
+        self._last_transition = t if last is None else max(last, t)
 
     def _register_footfall(self, event: StepEvent) -> None:
         prev_footfall = self._last_footfall
@@ -448,7 +449,8 @@ def estimate_frames(samples: Sequence[FootSample], events: list[StepEvent]) -> F
     frame at once.
 
     samples is read as columns (Samples.of; a Samples passes as it is).
-    Every sample goes through GaitTracker.advance, in order, so validation,
+    Every sample goes through GaitTracker.advance, in order, as a plain
+    (time, foot, height) tuple from Samples.tuples, so validation,
     segmentation and the StepEvents (appended to events) are the streaming
     tracker's, and the EMA state is snapshotted after each step event. Each
     foot's swing state comes from _swing_scan over that foot's own samples,
@@ -469,7 +471,7 @@ def estimate_frames(samples: Sequence[FootSample], events: list[StepEvent]) -> F
     stop = int(backwards[0]) + 1 if backwards.size else n
     # _estimate_columns' EMA arguments after each footfall; row 0 is before any
     advance, found, emas = tracker.advance, [], [_NO_FOOTFALL]
-    for s in islice(samples, stop):
+    for s in islice(samples.tuples(), stop):
         ev = advance(s)
         if ev is not None:
             found.append(ev)
@@ -484,7 +486,7 @@ def estimate_frames(samples: Sequence[FootSample], events: list[StepEvent]) -> F
         )
 
     starts = np.empty(n, bool)
-    starts[0] = True
+    starts[:1] = True  # an empty stream has no frame
     np.not_equal(t[1:], t[:-1], out=starts[1:])
     frame = np.cumsum(starts) - 1
     now = t[starts]

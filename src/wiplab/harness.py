@@ -10,12 +10,12 @@ computed strictly from frames and step events inside the chase window.
 
 The live loop, run_chase, does each frame's work inline: take the agent's
 left and right heights, advance the gait tracker through a left then a
-right FootSample, estimate once, evaluate the law built once per run by
-speed.law, then integrate. Its per-frame cost is the agent's samples(),
-two advance() calls, one estimate() and the loop body, and run_chase binds
-what its loop calls once per run. Its RunLog's Frames and Samples come
-from one np.fromiter over a float tuple per frame. It is the single-run
-path: simulate, record and the tests use it.
+right (time, foot, height) tuple, estimate once, evaluate the law built
+once per run by speed.law, then integrate. Its per-frame cost is the
+agent's samples(), two advance() calls, one estimate() and the loop body,
+and run_chase binds what its loop calls once per run. Its RunLog's Frames
+and Samples come from one np.fromiter over a float tuple per frame. It is
+the single-run path: simulate, record and the tests use it.
 
 Independent chases that share a scenario run in lockstep as lanes:
 run_chase_lanes keeps every lane's state in numpy arrays and returns the
@@ -32,14 +32,14 @@ the kinematics, _integrate), and the reports come from compute_metrics's
 own arithmetic, _window_metrics, where every statistic is _mean of an array.
 
 Replay reads a time-sorted recorded trace as columns (core.Samples, as
-traceio.load_trace returns it). It advances the same streaming tracker
-sample by sample for its validation, step events and EMAs, and reads each
-foot's swing state from gait's swing scan, the one run_chase_lanes'
+traceio.load_trace returns it). It advances the same streaming tracker a
+plain tuple per sample for its validation, step events and EMAs, and reads
+each foot's swing state from gait's swing scan, the one run_chase_lanes'
 trackers step with. It then computes every frame's estimate, law and
-kinematics as arrays in the live loop's operation order: they are its
-log's Frames, and compute_metrics of that log is its report, which is what
-keeps record/replay reports bit-identical; the DETERMINISM check, the
-replay goldens and a property test against a per-frame loop guard that.
+kinematics as arrays in the live loop's operation order: they are its log's
+Frames, and compute_metrics of that log is its report, which is what keeps
+record/replay reports bit-identical; the DETERMINISM check, the replay
+goldens and a property test against a per-frame loop guard that.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ class Stage(Enum):
 # Reading an enum member through its class costs ~0.1 us on CPython 3.11;
 # the frame loop uses these constants instead.
 _LEFT, _RIGHT = Foot.LEFT, Foot.RIGHT
-_new_sample = tuple.__new__  # a FootSample without its Python-level __new__
 _STAGES = np.array(list(Stage), dtype=object)  # _stages' labels, in stage order
 
 
@@ -278,7 +277,7 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
     The agent provides command(speed), called once per re-plan from frame 0
     on, and samples(now, dt), the left and right heights at time now; a
     WalkerAgent's noise comes straight from its generator. Each frame
-    advances the run's gait tracker through a left then a right FootSample,
+    advances the run's gait tracker through a left then a right plain tuple,
     logging each StepEvent, calls estimate(t) once and feeds it to the law
     speed.law builds. The log's Frames and its samples, each frame's (time,
     L, height_left) and (time, R, height_right), come from one np.fromiter.
@@ -306,10 +305,10 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
             command(chase_policy(error, target_speed))
 
         height_left, height_right = emit(t, dt)
-        ev = advance(_new_sample(FootSample, (t, _LEFT, height_left)))
+        ev = advance((t, _LEFT, height_left))
         if ev is not None:
             record(ev)
-        ev = advance(_new_sample(FootSample, (t, _RIGHT, height_right)))
+        ev = advance((t, _RIGHT, height_right))
         if ev is not None:
             record(ev)
         f, sh, _, _ = estimate(t)

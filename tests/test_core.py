@@ -20,6 +20,7 @@ from wiplab.core import (
     NonMonotonicTime,
     NonPositiveGain,
     OutOfRangeHeight,
+    Samples,
     Variant,
     WipParams,
     validate_sample,
@@ -84,6 +85,21 @@ def test_validate_sample_boundary_heights_ok():
 )
 def test_validate_sample_accepts_all_in_range(t, h):
     validate_sample(FootSample(time=t, foot=Foot.RIGHT, height=h), None)
+
+
+def test_samples_tuples_are_the_rows_as_plain_tuples():
+    rows = [
+        FootSample(0.0, Foot.LEFT, 0.0), FootSample(0.0, Foot.RIGHT, 0.125),
+        FootSample(1 / 90, Foot.LEFT, HEIGHT_FLOOR), FootSample(2 / 90, Foot.RIGHT, 0.3),
+    ]
+    samples = Samples.of(rows)
+    plain = list(samples.tuples())
+    assert plain == list(samples) == rows
+    assert [type(row) for row in plain] == [tuple] * len(rows)
+    assert [repr(x) for row in plain for x in row] == [repr(x) for row in rows for x in row]
+    named = list(samples)
+    assert [type(s) for s in named] == [FootSample] * len(rows)
+    assert [(s.time, s.foot, s.height) for s in named] == plain
 
 
 class TestWipParams:

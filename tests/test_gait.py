@@ -13,7 +13,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wiplab.core import Foot, FootSample, GaitEstimate, NonMonotonicTime, OutOfRangeHeight
+from wiplab import gait
+from wiplab.core import (
+    HEIGHT_CEILING,
+    HEIGHT_FLOOR,
+    Foot,
+    FootSample,
+    GaitEstimate,
+    NonMonotonicTime,
+    OutOfRangeHeight,
+    Samples,
+    WipError,
+    validate_sample,
+)
 from wiplab.gait import (
     GROUND_EPSILON,
     MIN_STEP_HEIGHT,
@@ -202,6 +214,61 @@ def test_advance_validates_its_stream():
         tracker.advance(FootSample(0.0, Foot.LEFT, 0.1))
     with pytest.raises(OutOfRangeHeight):
         tracker.advance(FootSample(1.0, Foot.LEFT, 3.0))
+
+
+def test_advance_accepts_heights_at_the_ends_of_the_range(monkeypatch):
+    """After a foot's first sample, heights of exactly HEIGHT_FLOOR and
+    HEIGHT_CEILING pass advance's inline check, validate_sample's closed
+    range, with no call to validate_sample. (An inline check stricter than
+    validate_sample would still accept them, but only by calling it.)"""
+    tracker = GaitTracker()
+    tracker.advance((0.0, Foot.LEFT, 0.0))
+    calls = []
+    monkeypatch.setattr(gait, "validate_sample", lambda *args: calls.append(args))
+    for k, h in enumerate((HEIGHT_FLOOR, HEIGHT_CEILING, HEIGHT_FLOOR), start=1):
+        tracker.advance((0.1 * k, Foot.LEFT, h))
+        assert tracker._left.prev_height == h
+    assert calls == []
+
+
+def test_a_foot_first_seen_at_ground_epsilon_starts_grounded():
+    tracker = GaitTracker()
+    tracker.advance((0.0, Foot.LEFT, GROUND_EPSILON))
+    assert tracker._left.phase is Phase.GROUNDED and tracker._airborne == 0
+
+
+# (time of the left foot's accepted sample or None, the row fed next)
+BAD_ROWS = {
+    "equal time": (1.0, (1.0, Foot.LEFT, 0.1)),
+    "earlier time": (1.0, (0.5, Foot.LEFT, 0.1)),
+    "NaN time": (1.0, (math.nan, Foot.LEFT, 0.1)),
+    "+inf time": (1.0, (math.inf, Foot.LEFT, 0.1)),
+    "-inf time": (1.0, (-math.inf, Foot.LEFT, 0.1)),
+    "NaN height": (1.0, (2.0, Foot.LEFT, math.nan)),
+    "height over the ceiling": (1.0, (2.0, Foot.LEFT, 2.5)),
+    "height under the floor": (1.0, (2.0, Foot.LEFT, -0.01)),
+    "first sample, negative time": (None, (-0.5, Foot.LEFT, 0.0)),
+    "first sample, NaN height": (None, (0.0, Foot.LEFT, math.nan)),
+    "other foot's first sample, inf time": (1.0, (math.inf, Foot.RIGHT, 0.0)),
+}
+
+
+@pytest.mark.parametrize("accepted, row", BAD_ROWS.values(), ids=BAD_ROWS)
+@pytest.mark.parametrize("make", [tuple, FootSample._make], ids=["tuple", "FootSample"])
+def test_advance_raises_what_validate_sample_raises(accepted, row, make):
+    """A bad row, as a plain tuple or a FootSample, raises validate_sample's
+    exception type and message for it."""
+    tracker = GaitTracker()
+    prev = None
+    if accepted is not None:
+        tracker.advance((accepted, Foot.LEFT, 0.0))
+        prev = accepted if row[1] is Foot.LEFT else None
+    with pytest.raises(WipError) as want:
+        validate_sample(FootSample(*row), prev)
+    with pytest.raises(WipError) as got:
+        tracker.advance(make(row))
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 @settings(max_examples=50, deadline=None)
@@ -516,6 +583,28 @@ def test_estimate_equals_the_two_pass_reference(segments, feet, offsets):
         check(last + offset)
 
 
+@settings(max_examples=40, deadline=None)
+@given(segments=segments, feet=st.sampled_from(["both", "left", "right"]))
+@example(
+    segments=as_segments(BOUNDARY_GAITS["velocity at +-VELOCITY_DEADBAND"]), feet="both"
+)
+def test_plain_tuples_track_as_foot_samples(segments, feet):
+    """A stream fed as FootSamples and the same stream fed as
+    Samples.tuples() give equal step events and equal estimates."""
+    emit = [foot for foot in Foot if feet in ("both", foot.name.lower())]
+    samples = Samples.of([
+        FootSample(k / 90.0, foot, left if foot is Foot.LEFT else right)
+        for k, (left, right) in enumerate(
+            pair for segment in segments for pair in segment_heights(segment)
+        )
+        for foot in emit
+    ])
+    named, plain = GaitTracker(), GaitTracker()
+    for s, row in zip(samples, samples.tuples()):
+        assert repr(named.advance(s)) == repr(plain.advance(row))
+        assert estimate_bits(named, s.time) == estimate_bits(plain, row[0])
+
+
 # ---------------------------------------------------------------------------
 # lanes of trackers in lockstep
 
@@ -614,6 +703,14 @@ def estimated_traces(draw):
             FootSample(end + k / 30.0, foot, 0.0) for k in range(1, 40) for foot in Foot
         ]
     return trace, estimate_frames(trace, [])
+
+
+@pytest.mark.parametrize("samples", [Samples.of(()), []], ids=["Samples", "list"])
+def test_estimate_frames_of_an_empty_stream_has_no_frames(samples):
+    events = []
+    frames = estimate_frames(samples, events)
+    assert events == []
+    assert [column.shape for column in frames] == [(0,)] * len(frames)
 
 
 def frame_states(trace):
