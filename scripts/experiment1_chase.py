@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict
 
 from wiplab.core import Variant, WipParams
-from wiplab.harness import ChaseScenario, run_chase_lanes
+from wiplab.harness import ChaseScenario, _mean, run_chase_lanes
 from wiplab.synth import WalkerAgent
 
 SPEEDS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
@@ -57,8 +57,7 @@ def main(argv=None):
     for variant in variants:
         for target in SPEEDS:
             runs = reports[variant, target]
-            n = len(runs)
-            mean = {key: sum(getattr(r, key) for r in runs) / n for key in asdict(runs[0])}
+            mean = {key: _mean([getattr(r, key) for r in runs]) for key in asdict(runs[0])}
             print(f"{variant.value:8} {target:7.2f} {mean['avg_speed']:10.3f} "
                   f"{mean['speed_sd']:9.3f} {mean['avg_target_distance']:9.3f} "
                   f"{mean['avg_step_frequency']:8.2f}")

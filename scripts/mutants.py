@@ -86,11 +86,11 @@ MUTANTS = [
            "(swing.running_apex >= MIN_STEP_HEIGHT)", "(swing.running_apex > MIN_STEP_HEIGHT)",
            GAIT_TESTS),
     Mutant("gait.advance.deadband-fall", "gait.py",
-           "old is _ASCENDING and velocity < -VELOCITY_DEADBAND",
-           "old is _ASCENDING and velocity <= -VELOCITY_DEADBAND", GAIT_TESTS),
+           "else velocity < -VELOCITY_DEADBAND", "else velocity <= -VELOCITY_DEADBAND",
+           GAIT_TESTS),
     Mutant("gait.advance.deadband-rise", "gait.py",
-           "old is _DESCENDING and velocity > VELOCITY_DEADBAND",
-           "old is _DESCENDING and velocity >= VELOCITY_DEADBAND", GAIT_TESTS),
+           "velocity > VELOCITY_DEADBAND if track.descending",
+           "velocity >= VELOCITY_DEADBAND if track.descending", GAIT_TESTS),
     Mutant("gait.scan.deadband-fall", "gait.py",
            "staying_up & (velocity < -VELOCITY_DEADBAND)",
            "staying_up & (velocity <= -VELOCITY_DEADBAND)", GAIT_TESTS),
@@ -100,8 +100,8 @@ MUTANTS = [
     Mutant("gait.resume-gap", "gait.py",
            "if delta > RESUME_GAP:", "if delta >= RESUME_GAP:", GAIT_TESTS),
     Mutant("gait.advance.stop-window", "gait.py",
-           "return now - self._last_transition >= STOP_WINDOW",
-           "return now - self._last_transition > STOP_WINDOW", GAIT_TESTS),
+           "now - max(left.entered_at, right.entered_at) >= STOP_WINDOW",
+           "now - max(left.entered_at, right.entered_at) > STOP_WINDOW", GAIT_TESTS),
     Mutant("gait.columns.stop-window", "gait.py",
            "now - np.maximum(entered_at[0], entered_at[1]) >= STOP_WINDOW",
            "now - np.maximum(entered_at[0], entered_at[1]) > STOP_WINDOW", GAIT_TESTS),

@@ -42,9 +42,9 @@ from .traceio import (
     parse_rig_spec,
     report_document,
     save_report,
-    save_trace,
     scenario_echo,
     scenario_from_echo,
+    trace_text,
 )
 
 EXIT_OK = 0
@@ -170,10 +170,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_record(args: argparse.Namespace) -> int:
     report, log, echo = _simulate(args)
-    save_trace(args.trace_out, log.samples, scenario=echo)
+    trace = trace_text(log.samples, echo)
+    document = report_document("chase", echo, asdict(report))
+    text = None if args.out is None else save_report(None, document)
+    trace_file, report_file = _open_outputs(args.trace_out, args.out)
+    with trace_file:
+        trace_file.write(trace)
     print(f"wrote {args.trace_out}", file=sys.stderr)
-    if args.out is not None:
-        _emit_report(args.out, report_document("chase", echo, asdict(report)))
+    if report_file is not None:
+        with report_file:
+            report_file.write(text + "\n")
+        print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -139,11 +139,15 @@ class Samples:
 
     @classmethod
     def of(cls, samples: Sequence[FootSample]) -> Samples:
-        """samples itself when it is a Samples, else its columns."""
+        """samples itself when it is a Samples, else its columns. A foot
+        that is neither Foot.LEFT nor Foot.RIGHT raises ValueError."""
         if isinstance(samples, cls):
             return samples
         times, feet, heights = tuple(zip(*samples)) or ((), (), ())
         left = np.fromiter(map(operator.is_, feet, repeat(Foot.LEFT)), bool, len(feet))
+        right = np.fromiter(map(operator.is_, feet, repeat(Foot.RIGHT)), bool, len(feet))
+        if not (left | right).all():
+            raise _not_a_foot(feet[(left | right).argmin()])
         return cls(np.array(times, dtype=float), left, np.array(heights, dtype=float))
 
     def __len__(self) -> int:
@@ -170,9 +174,12 @@ def validate_sample(sample: FootSample, previous_time_for_foot: float | None) ->
     the same foot, or None at stream start. Raises NonMonotonicTime when the
     time is negative or not finite, when the previous time is not a finite
     time >= 0, or when the time does not advance past it; raises
-    OutOfRangeHeight on a bad height.
+    OutOfRangeHeight on a bad height, and ValueError on a foot that is
+    neither Foot.LEFT nor Foot.RIGHT.
     """
     t, prev = sample.time, previous_time_for_foot
+    if sample.foot is not Foot.LEFT and sample.foot is not Foot.RIGHT:
+        raise _not_a_foot(sample.foot)
     # one chained comparison per sample; NaN fails every comparison
     if not (0.0 <= t < _INF if prev is None else 0.0 <= prev < t < _INF):
         raise NonMonotonicTime(_time_fault(sample, prev))
@@ -181,6 +188,10 @@ def validate_sample(sample: FootSample, previous_time_for_foot: float | None) ->
             f"height {sample.height!r} m outside [{HEIGHT_FLOOR}, {HEIGHT_CEILING}]"
         )
     return sample
+
+
+def _not_a_foot(foot: object) -> ValueError:
+    return ValueError(f"foot {foot!r} is neither Foot.LEFT nor Foot.RIGHT")
 
 
 def _time_fault(sample: FootSample, prev: float | None) -> str:

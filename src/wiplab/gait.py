@@ -2,21 +2,22 @@
 estimation from foot-height streams.
 
 Each foot runs a three-state machine (grounded / ascending / descending)
-keyed on a ground threshold plus a vertical-velocity deadband. Completed
-steps become StepEvents; cadence is smoothed from footfall intervals and,
-between footfalls, bounded by partial-phase evidence so the estimate decays
-within a fraction of a step when the user slows or stops.
+held as two flags: aerial, keyed on a ground threshold, and descending,
+flipped by a vertical-velocity deadband. Completed steps become
+StepEvents; cadence is smoothed from footfall intervals and, between
+footfalls, bounded by partial-phase evidence so the estimate decays within
+a fraction of a step when the user slows or stops.
 
 Grounded is defined purely by height against GROUND_EPSILON. That keeps
 streaming segmentation equivalent to brute-force offline segmentation of
 the same samples (contiguous above-threshold regions), which the test
 suite exploits as an oracle.
 
-GaitTracker.advance steps the per-foot machine one (time, foot, height)
-sample at a time, checking validate_sample's predicates inline. _swing_scan
-is its one array form: a segmented scan (forward fills and a running max
-restarted at each lift-off) that returns a foot's state after every sample
-at once. estimate_frames streams a recorded stream's rows
+GaitTracker.advance steps a foot's state one (time, foot, height) sample at
+a time, checking validate_sample's predicates inline. _swing_scan is its
+one array form: a segmented scan (forward fills and a running max restarted
+at each lift-off) that returns the same fields, a _Swing, after every
+sample at once. estimate_frames streams a recorded stream's rows
 (core.Samples.tuples) through advance and runs the scan over each foot's
 samples, and TrackerLanes over lanes stepped in lockstep.
 """
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from itertools import islice
 from typing import NamedTuple, Sequence
 
@@ -40,19 +40,12 @@ from .core import (
     GaitEstimate,
     NonMonotonicTime,
     Samples,
+    _not_a_foot,
     validate_sample,
 )
 
-
-class Phase(Enum):
-    GROUNDED = "grounded"
-    ASCENDING = "ascending"
-    DESCENDING = "descending"
-
-
 # Reading an enum member through its class costs ~0.1 us on CPython 3.11;
 # the per-frame paths compare against these constants instead.
-_GROUNDED, _ASCENDING, _DESCENDING = Phase.GROUNDED, Phase.ASCENDING, Phase.DESCENDING
 _FEET = _LEFT, _RIGHT = Foot.LEFT, Foot.RIGHT
 _INF = math.inf
 # estimate() builds its result directly: its values hold GaitEstimate's
@@ -92,18 +85,44 @@ RESUME_GAP = 2.5          # s, footfall gaps past this are a restart
 PARTIAL_SLACK = 1.15
 
 
+class _Swing(NamedTuple):
+    """One foot's GaitTracker.advance state, a _FootTrack without its
+    prev_time. The phase is split into aerial (not grounded) and descending.
+    _swing_scan returns the state after each row as arrays; a carried-in
+    state has no row axis."""
+
+    aerial: np.ndarray
+    descending: np.ndarray    # only while aerial
+    valid: np.ndarray         # aerial in a swing whose lift-off was seen
+    height: np.ndarray        # of the latest sample
+    swing_start: np.ndarray   # the last grounded sample's time before lift-off
+    running_apex: np.ndarray
+    apex_time: np.ndarray
+    entered_at: np.ndarray    # time of the latest phase change
+
+
+# a foot with no sample yet: never aerial, grounded since -inf, so that
+# staleness reads the other foot's entry
+_UNSEEN = _Swing(False, False, False, 0.0, 0.0, 0.0, 0.0, -_INF)
+# _estimate_columns' EMA arguments before any footfall: no cadence EMA, no
+# apex EMA, one active foot, no footfall to bound the gap
+_NO_FOOTFALL = (0.0, 0.0, 1, np.nan)
+
+
 @dataclass(slots=True)
 class _FootTrack:
-    phase: Phase
+    """_Swing's fields as scalars, and the time of the foot's latest sample:
+    -inf before its first, when the rest are _UNSEEN's."""
+
+    aerial: bool
+    descending: bool
+    valid: bool
+    height: float
+    swing_start: float
+    running_apex: float
+    apex_time: float
     entered_at: float
     prev_time: float
-    prev_height: float
-    # swing bookkeeping; swing_start is the last grounded sample time and is
-    # only valid when we actually observed the foot on the ground first
-    swing_start: float = 0.0
-    swing_valid: bool = False
-    running_apex: float = 0.0
-    apex_time: float = 0.0
 
 
 class GaitTracker:
@@ -113,23 +132,24 @@ class GaitTracker:
     query estimate() at any time at or after the newest sample. The
     thresholds and smoothing constants are this module's constants.
 
-    Staleness is tracked incrementally: a count of feet off the ground is
-    kept up to date on every phase transition, so is_stale() is O(1).
-    estimate() checks it once per query, then derives frequency and step
-    height in one pass over the two feet.
+    Each foot's state is a _FootTrack: the flags and times _swing_scan
+    gives, one sample at a time. is_stale() reads the two of them, so the
+    order across feet does not affect it. estimate() checks it once per
+    query, then derives frequency and step height in one pass over the two
+    feet.
     """
 
     def __init__(self):
-        self._left: _FootTrack | None = None
-        self._right: _FootTrack | None = None
-        self._airborne = 0  # tracks whose phase is not GROUNDED
+        self._left = _FootTrack(*_UNSEEN, -_INF)
+        self._right = _FootTrack(*_UNSEEN, -_INF)
         self._recent_feet: deque[Foot] = deque(maxlen=4)  # feet of the last four events
         self._active_feet = 1  # distinct feet among them
-        self._last_transition: float | None = None
         self._last_footfall: float | None = None
         self._freq_ema: float | None = None
         self._apex_ema: float | None = None
         self._apex_ema_at: float = 0.0
+        # _estimate_columns' EMA arguments after the latest footfall
+        self._ema_row = _NO_FOOTFALL
 
     # ------------------------------------------------------------------
     # ingestion
@@ -137,34 +157,44 @@ class GaitTracker:
     def advance(self, sample: tuple[float, Foot, float]) -> StepEvent | None:
         """Ingest one (time, foot, height) sample, a FootSample or a plain
         tuple; returns a StepEvent when a step completes. A sample that
-        fails validate_sample's predicates raises from validate_sample."""
+        fails validate_sample's predicates raises from validate_sample, and
+        a foot that is neither Foot.LEFT nor Foot.RIGHT raises ValueError."""
         t, foot, h = sample
-        left = foot is _LEFT
-        track = self._left if left else self._right
-        if track is None:
-            self._start_track(sample, left)
-            return None
+        if foot is _LEFT:
+            track = self._left
+        elif foot is _RIGHT:
+            track = self._right
+        else:
+            raise _not_a_foot(foot)
         prev = track.prev_time
         if not (0.0 <= prev < t < _INF and HEIGHT_FLOOR <= h <= HEIGHT_CEILING):
-            validate_sample(FootSample._make(sample), prev)
+            first = prev < 0.0  # an unseen foot's prev_time is -inf
+            validate_sample(FootSample._make(sample), None if first else prev)
+            if first:
+                # a foot first seen in the air has no known lift-off; its
+                # swing is discarded
+                track.entered_at = track.prev_time = t
+                track.height = h
+                if h > GROUND_EPSILON:
+                    track.aerial, track.running_apex, track.apex_time = True, h, t
+                return None
         grounded = h <= GROUND_EPSILON
 
         event: StepEvent | None = None
-        if track.phase is _GROUNDED:
+        if not track.aerial:
             if grounded:
                 # the common case: a standing foot stays standing
                 track.prev_time = t
-                track.prev_height = h
+                track.height = h
                 return None
-            track.phase = _ASCENDING
+            track.aerial = True
             track.swing_start = prev
-            track.swing_valid = True
+            track.valid = True
             track.running_apex = h
             track.apex_time = t
-            self._airborne += 1
         elif grounded:
-            track.phase = _GROUNDED
-            if track.swing_valid and track.running_apex >= MIN_STEP_HEIGHT:
+            track.aerial = track.descending = False
+            if track.valid and track.running_apex >= MIN_STEP_HEIGHT:
                 event = StepEvent(
                     foot=foot,
                     start=track.swing_start,
@@ -173,44 +203,23 @@ class GaitTracker:
                     apex_height=track.running_apex,
                 )
                 self._register_footfall(event)
-            track.swing_valid = False
-            self._airborne -= 1
+            track.valid = False
         else:
             if h > track.running_apex:
                 track.running_apex = h
                 track.apex_time = t
-            velocity = (h - track.prev_height) / (t - prev)
-            old = track.phase
-            if old is _ASCENDING and velocity < -VELOCITY_DEADBAND:
-                track.phase = _DESCENDING
-            elif old is _DESCENDING and velocity > VELOCITY_DEADBAND:
-                track.phase = _ASCENDING
-            else:
+            velocity = (h - track.height) / (t - prev)
+            if not (velocity > VELOCITY_DEADBAND if track.descending else velocity < -VELOCITY_DEADBAND):
                 track.prev_time = t
-                track.prev_height = h
+                track.height = h
                 return None
+            track.descending = not track.descending
 
         # the phase changed
         track.entered_at = t
-        self._last_transition = t
         track.prev_time = t
-        track.prev_height = h
+        track.height = h
         return event
-
-    def _start_track(self, sample: tuple[float, Foot, float], left: bool) -> None:
-        """Validate a foot's first sample and start its track. A foot first
-        seen in the air has no known lift-off; its swing is discarded."""
-        t, _, h = validate_sample(FootSample._make(sample), None)
-        track = _FootTrack(_GROUNDED, entered_at=t, prev_time=t, prev_height=h)
-        if h > GROUND_EPSILON:
-            track.phase, track.running_apex, track.apex_time = _ASCENDING, h, t
-            self._airborne += 1
-        if left:
-            self._left = track
-        else:
-            self._right = track
-        last = self._last_transition
-        self._last_transition = t if last is None else max(last, t)
 
     def _register_footfall(self, event: StepEvent) -> None:
         prev_footfall = self._last_footfall
@@ -246,17 +255,18 @@ class GaitTracker:
             alpha = 1.0 - math.exp(-dt / SMOOTHING_TAU)
             self._apex_ema += alpha * (event.apex_height - self._apex_ema)
         self._apex_ema_at = event.end
+        self._ema_row = (self._freq_ema or 0.0, self._apex_ema, self._active_feet, event.end)
 
     # ------------------------------------------------------------------
     # queries
 
     def is_stale(self, now: float) -> bool:
-        """Stopped: every foot grounded and no phase activity in the window."""
-        if self._last_transition is None:
-            return True
-        if self._airborne:
+        """Stopped: both feet grounded, each for STOP_WINDOW or more (an
+        unseen foot since -inf): _estimate_columns' rule."""
+        left, right = self._left, self._right
+        if left.aerial or right.aerial:
             return False
-        return now - self._last_transition >= STOP_WINDOW
+        return now - max(left.entered_at, right.entered_at) >= STOP_WINDOW
 
     def estimate(self, now: float) -> GaitEstimate:
         """Cadence and step height at `now`, the structure the speed laws
@@ -282,9 +292,9 @@ class GaitTracker:
         base = height = apex_ema if apex_ema is not None else 0.0
         partial_scale = PARTIAL_SLACK * self._active_feet
         for track in (self._left, self._right):
-            if track is None or track.phase is _GROUNDED:
+            if not track.aerial:
                 continue
-            if track.swing_valid:
+            if track.valid:
                 # anchor at lift-off when it was observed; the whole-swing
                 # budget keeps the bound independent of where the deadband
                 # happens to split ascent from descent
@@ -335,21 +345,6 @@ class FrameEstimates(NamedTuple):
     step_height: np.ndarray
 
 
-class _Swing(NamedTuple):
-    """One foot's GaitTracker.advance state: its _FootTrack, with the phase
-    split into aerial (not GROUNDED) and descending. _swing_scan returns
-    the state after each row; a carried-in state has no row axis."""
-
-    aerial: np.ndarray
-    descending: np.ndarray
-    valid: np.ndarray         # swing_valid: aerial in a swing whose lift-off was seen
-    height: np.ndarray        # prev_height
-    swing_start: np.ndarray
-    running_apex: np.ndarray
-    apex_time: np.ndarray
-    entered_at: np.ndarray
-
-
 def _first_swing(time, height) -> _Swing:
     """The state to scan a foot's first sample (at time, of height) from.
     The scan gives that sample -inf as its previous time, so its velocity
@@ -357,14 +352,6 @@ def _first_swing(time, height) -> _Swing:
     aerial, no = height > GROUND_EPSILON, np.zeros_like(height, bool)
     zero = np.zeros_like(height)
     return _Swing(aerial, no, no, height, zero, zero, zero, np.full_like(zero, time))
-
-
-# _estimate_columns' EMA arguments before any footfall: no cadence EMA, no
-# apex EMA, one active foot, no footfall to bound the gap
-_NO_FOOTFALL = (0.0, 0.0, 1, np.nan)
-# a foot with no sample yet: never aerial, grounded since -inf, so that
-# staleness reads the other foot's entry
-_UNSEEN = _Swing(False, False, False, 0.0, 0.0, 0.0, 0.0, -np.inf)
 
 
 def _latest(events: np.ndarray, unset) -> np.ndarray:
@@ -475,7 +462,7 @@ def estimate_frames(samples: Sequence[FootSample], events: list[StepEvent]) -> F
         ev = advance(s)
         if ev is not None:
             found.append(ev)
-            emas.append((tracker._freq_ema or 0.0, tracker._apex_ema, tracker._active_feet, ev.end))
+            emas.append(tracker._ema_row)
     events.extend(found)
     if stop < n:
         s = samples[stop]
@@ -613,7 +600,7 @@ class TrackerLanes:
             tracker = self._trackers[lane]
             tracker._register_footfall(event)
             self.events[lane].append(event)
-            rows.append((tracker._freq_ema or 0.0, tracker._apex_ema, tracker._active_feet, t))
+            rows.append(tracker._ema_row)
         # rows of table: each lane's carried-in EMAs, then one per step
         lanes = landed.shape[2]
         table = np.concatenate((self._emas, rows))

@@ -61,12 +61,19 @@ _FOOT_VALUE = (Foot.RIGHT.value, Foot.LEFT.value)  # by is-left
 def save_trace(
     path: str, samples: Sequence[FootSample], *, scenario: dict[str, Any] | None = None
 ) -> None:
-    """Write samples with a commented header. Rows must be sorted by time.
+    """Write samples with a commented header (trace_text). Rows must be
+    sorted by time."""
+    text = trace_text(samples, scenario or {})
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def trace_text(samples: Sequence[FootSample], scenario: dict[str, Any]) -> str:
+    """The trace file's text: the commented header, then a row per sample.
 
     The header's sample_rate_hint (1 / timestep) and user_height lines come
     from the scenario echo's timestep and user_height, when it has them.
     """
-    scenario = scenario or {}
     lines = [f"# {TRACE_MAGIC}"]
     if "timestep" in scenario:
         lines.append(f"# sample_rate_hint: {1.0 / scenario['timestep']!r}")
@@ -79,8 +86,7 @@ def save_trace(
     feet = map(_FOOT_VALUE.__getitem__, samples.left.tolist())
     rows = zip(samples.time.tolist(), feet, samples.height.tolist())
     lines += [f"{t!r},{foot},{h!r}" for t, foot, h in rows]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _parse_scalar(text: str):

@@ -253,6 +253,27 @@ class TestRecordReplay:
         assert "error:" in err and "wrote" not in err
         assert report.read_bytes() == b'{"kept": true}\n'
 
+    def test_record_with_a_bad_out_path_writes_no_trace(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        code, out, err = run(
+            ["record", "--target", "1", "--trace-out", str(trace),
+             "--out", str(tmp_path / "no" / "such" / "r.json")], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "error:" in err and "wrote" not in err
+        assert not trace.exists()
+
+    def test_record_with_a_bad_out_path_keeps_an_existing_trace_file(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_bytes(b"kept\n")
+        code, out, err = run(
+            ["record", "--target", "1", "--trace-out", str(trace),
+             "--out", str(tmp_path / "no" / "such" / "r.json")], capsys
+        )
+        assert (code, out) == (2, "")
+        assert "error:" in err and "wrote" not in err
+        assert trace.read_bytes() == b"kept\n"
+
     def test_outputs_that_exist_are_overwritten(self, tmp_path, capsys):
         trace, report, frames = tmp_path / "run.csv", tmp_path / "r.json", tmp_path / "f.csv"
         run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)

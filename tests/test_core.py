@@ -6,6 +6,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import re
 
 import pytest
 from hypothesis import given
@@ -85,6 +86,27 @@ def test_validate_sample_boundary_heights_ok():
 )
 def test_validate_sample_accepts_all_in_range(t, h):
     validate_sample(FootSample(time=t, foot=Foot.RIGHT, height=h), None)
+
+
+# values that are not Foot members, among them the members' own values
+NOT_FEET = ["L", "R", None, 0]
+
+
+@pytest.mark.parametrize("foot", NOT_FEET)
+def test_validate_sample_rejects_a_foot_that_is_not_a_foot_member(foot):
+    message = re.escape(f"foot {foot!r} is neither Foot.LEFT nor Foot.RIGHT")
+    with pytest.raises(ValueError, match=message):
+        validate_sample(FootSample(0.5, foot, 0.0), 0.4)
+    with pytest.raises(ValueError, match=message):
+        validate_sample(FootSample(math.nan, foot, 0.0), None)  # the foot is checked first
+
+
+@pytest.mark.parametrize("foot", NOT_FEET)
+def test_samples_of_rejects_a_foot_that_is_not_a_foot_member(foot):
+    rows = [FootSample(0.0, Foot.LEFT, 0.0), FootSample(0.0, foot, 0.0),
+            FootSample(0.0, Foot.RIGHT, 0.0)]
+    with pytest.raises(ValueError, match=re.escape(f"foot {foot!r} is neither")):
+        Samples.of(rows)
 
 
 def test_samples_tuples_are_the_rows_as_plain_tuples():
@@ -178,10 +200,6 @@ SETTABLE_VALUES = {
     "elastic.ElasticRig.band_count",
     "elastic.ElasticRig.direction",
     "elastic.ForceReading.extrapolated",
-    "gait._FootTrack.apex_time",
-    "gait._FootTrack.running_apex",
-    "gait._FootTrack.swing_start",
-    "gait._FootTrack.swing_valid",
     "harness.ChaseScenario.chase_duration",
     "harness.ChaseScenario.circle_lead",
     "harness.ChaseScenario.countdown",

@@ -35,7 +35,6 @@ from wiplab.gait import (
     STOP_WINDOW,
     SWING_FRACTION,
     GaitTracker,
-    Phase,
     StepEvent,
     TrackerLanes,
     estimate_frames,
@@ -47,21 +46,32 @@ from boundary_gaits import BOUNDARY_GAITS, as_samples, as_segments
 EPS = GROUND_EPSILON
 MIN_APEX = MIN_STEP_HEIGHT
 
+GROUNDED, ASCENDING, DESCENDING = "grounded", "ascending", "descending"
+
 # Transitions a foot's phase machine may take; anything else is a bug.
 LEGAL_TRANSITIONS = frozenset(
     {
-        (Phase.GROUNDED, Phase.ASCENDING),
-        (Phase.ASCENDING, Phase.DESCENDING),
-        (Phase.DESCENDING, Phase.GROUNDED),
-        (Phase.DESCENDING, Phase.ASCENDING),  # re-lift mid-descent
-        (Phase.ASCENDING, Phase.GROUNDED),    # aborted micro-step
+        (GROUNDED, ASCENDING),
+        (ASCENDING, DESCENDING),
+        (DESCENDING, GROUNDED),
+        (DESCENDING, ASCENDING),  # re-lift mid-descent
+        (ASCENDING, GROUNDED),    # aborted micro-step
     }
 )
 
 
+def phase(track):
+    """A track's phase, read from its aerial and descending flags; a
+    descending track is always aerial."""
+    assert track.aerial or not track.descending
+    if not track.aerial:
+        return GROUNDED
+    return DESCENDING if track.descending else ASCENDING
+
+
 def tracks(tracker):
     """The tracker's per-foot tracks, for the feet it has seen."""
-    return [track for track in (tracker._left, tracker._right) if track is not None]
+    return [track for track in (tracker._left, tracker._right) if track.prev_time > -math.inf]
 
 
 def brute_force_steps(samples, eps=EPS, min_apex=MIN_APEX):
@@ -204,7 +214,7 @@ def test_velocity_deadband_keeps_phase_through_jitter():
     tracker = GaitTracker()
     for k, h in enumerate([0.0, 0.1, 0.1005, 0.1, 0.1005]):
         tracker.advance(FootSample(0.1 * k, Foot.LEFT, h))
-    assert tracker._left.phase is Phase.ASCENDING
+    assert phase(tracker._left) == ASCENDING
 
 
 def test_advance_validates_its_stream():
@@ -227,14 +237,14 @@ def test_advance_accepts_heights_at_the_ends_of_the_range(monkeypatch):
     monkeypatch.setattr(gait, "validate_sample", lambda *args: calls.append(args))
     for k, h in enumerate((HEIGHT_FLOOR, HEIGHT_CEILING, HEIGHT_FLOOR), start=1):
         tracker.advance((0.1 * k, Foot.LEFT, h))
-        assert tracker._left.prev_height == h
+        assert tracker._left.height == h
     assert calls == []
 
 
 def test_a_foot_first_seen_at_ground_epsilon_starts_grounded():
     tracker = GaitTracker()
     tracker.advance((0.0, Foot.LEFT, GROUND_EPSILON))
-    assert tracker._left.phase is Phase.GROUNDED and tracker._airborne == 0
+    assert phase(tracker._left) == GROUNDED and phase(tracker._right) == GROUNDED
 
 
 # (time of the left foot's accepted sample or None, the row fed next)
@@ -250,6 +260,9 @@ BAD_ROWS = {
     "first sample, negative time": (None, (-0.5, Foot.LEFT, 0.0)),
     "first sample, NaN height": (None, (0.0, Foot.LEFT, math.nan)),
     "other foot's first sample, inf time": (1.0, (math.inf, Foot.RIGHT, 0.0)),
+    "first sample, foot 'L'": (None, (0.0, "L", 0.1)),
+    "foot 'R'": (1.0, (2.0, "R", 0.1)),
+    "foot None": (1.0, (2.0, None, 0.1)),
 }
 
 
@@ -257,18 +270,19 @@ BAD_ROWS = {
 @pytest.mark.parametrize("make", [tuple, FootSample._make], ids=["tuple", "FootSample"])
 def test_advance_raises_what_validate_sample_raises(accepted, row, make):
     """A bad row, as a plain tuple or a FootSample, raises validate_sample's
-    exception type and message for it."""
+    exception type and message for it, and changes no track."""
     tracker = GaitTracker()
     prev = None
     if accepted is not None:
         tracker.advance((accepted, Foot.LEFT, 0.0))
         prev = accepted if row[1] is Foot.LEFT else None
-    with pytest.raises(WipError) as want:
+    with pytest.raises((WipError, ValueError)) as want:
         validate_sample(FootSample(*row), prev)
-    with pytest.raises(WipError) as got:
+    with pytest.raises((WipError, ValueError)) as got:
         tracker.advance(make(row))
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
+    assert [track.prev_time for track in tracks(tracker)] == [accepted] * (accepted is not None)
 
 
 @settings(max_examples=50, deadline=None)
@@ -280,7 +294,7 @@ def test_phase_transitions_stay_legal(heights):
     seen = []
     for k, h in enumerate(heights):
         tracker.advance(FootSample(k / 90.0, Foot.LEFT, h))
-        seen.append(tracker._left.phase)
+        seen.append(phase(tracker._left))
     for a, b in zip(seen, seen[1:]):
         assert a is b or (a, b) in LEGAL_TRANSITIONS
 
@@ -353,6 +367,27 @@ def test_stop_is_detected_within_the_window():
             assert not est.stale
 
 
+@pytest.mark.parametrize("order", ["left block first", "time order"])
+def test_staleness_does_not_depend_on_the_order_across_feet(order):
+    """The left foot lands at 0.5 s and 1.0 s, the right at 0.7 s. Fed
+    either way, 0.65 s after the last landing the stream is not stale."""
+    left = {k: 0.0 for k in range(21)} | {7: 0.05, 8: 0.1, 9: 0.05, 17: 0.05, 18: 0.1, 19: 0.05}
+    right = {k: 0.0 for k in range(10, 17)} | {11: 0.05, 12: 0.1, 13: 0.05}
+    samples = [  # at 20 Hz, the left foot's block first
+        FootSample(k / 20.0, foot, ticks[k])
+        for foot, ticks in ((Foot.LEFT, left), (Foot.RIGHT, right)) for k in sorted(ticks)
+    ]
+    if order == "time order":
+        samples.sort(key=lambda s: s.time)
+    tracker = GaitTracker()
+    events = stream(tracker, samples)
+    assert sorted(ev.end for ev in events) == [0.5, 0.7, 1.0]
+    assert not tracker.is_stale(1.65)
+    estimate = tracker.estimate(1.65)
+    assert not estimate.stale and estimate.step_frequency > 0.0
+    assert tracker.is_stale(1.8)
+
+
 def test_resume_after_pause_recovers_quickly():
     rate = 90.0
     first = make_trace(2.0, 0.15, 4.0)
@@ -415,7 +450,7 @@ def reference_is_stale(tracker, now, stop_window):
     seen = tracks(tracker)
     if not seen:
         return True
-    if any(track.phase is not Phase.GROUNDED for track in seen):
+    if any(phase(track) != GROUNDED for track in seen):
         return False
     return now - max(track.entered_at for track in seen) >= stop_window
 
@@ -429,10 +464,10 @@ def reference_frequency(tracker, now, events):
         return 0.0
     active_feet = len({e.foot for e in events[-4:]}) if events else 1
     candidates = [tracker._freq_ema]
-    for track in (tracker._left, tracker._right):
-        if track is None or track.phase is Phase.GROUNDED:
+    for track in tracks(tracker):
+        if phase(track) == GROUNDED:
             continue
-        anchor = track.swing_start if track.swing_valid else track.entered_at
+        anchor = track.swing_start if track.valid else track.entered_at
         elapsed = now - anchor
         if elapsed > 0.0:
             partial = SWING_FRACTION / elapsed
@@ -449,8 +484,8 @@ def reference_step_height(tracker, now):
     up toward the running apex of each observed swing in progress."""
     base = tracker._apex_ema if tracker._apex_ema is not None else 0.0
     value = base
-    for track in (tracker._left, tracker._right):
-        if track is None or track.phase is Phase.GROUNDED or not track.swing_valid:
+    for track in tracks(tracker):
+        if phase(track) == GROUNDED or not track.valid:
             continue
         if track.running_apex <= base:
             continue
@@ -487,8 +522,11 @@ runs = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(runs=runs, offsets=st.lists(st.floats(0.0, 3.0), max_size=4))
-def test_estimate_equals_its_parts_and_the_staleness_definition(runs, offsets):
+@given(runs=runs, offsets=st.lists(st.floats(0.0, 3.0), max_size=4), blocks=st.booleans())
+def test_estimate_equals_its_parts_and_the_staleness_definition(runs, offsets, blocks):
+    """Checked after every sample, at the newest time fed. With blocks, all
+    the left foot's samples go in before the right foot's first: feet may
+    interleave in any order."""
     tracker = GaitTracker()
     events = []
 
@@ -497,20 +535,27 @@ def test_estimate_equals_its_parts_and_the_staleness_definition(runs, offsets):
         assert stale == reference_is_stale(tracker, now, STOP_WINDOW)
         assert estimate_bits(tracker, now) == reference_estimate(tracker, now, events)
 
-    check(0.0)
+    samples = []
     k = 0
     for left_a, left_b, right_a, right_b, n in runs:
         for i in range(n):
             u = i / n
             t = k / 90.0
-            events += stream(tracker, [
+            samples += [
                 FootSample(t, Foot.LEFT, left_a + u * (left_b - left_a)),
                 FootSample(t, Foot.RIGHT, right_a + u * (right_b - right_a)),
-            ])
-            check(t)
+            ]
             k += 1
+    if blocks:
+        samples.sort(key=lambda s: s.foot is Foot.RIGHT)
+    check(0.0)
+    newest = 0.0
+    for s in samples:
+        events += stream(tracker, [s])
+        newest = max(newest, s.time)
+        check(newest)
     for offset in offsets:
-        check((k - 1) / 90.0 + offset)
+        check(newest + offset)
 
 
 # a segment of a stream, sampled at 90 Hz:
@@ -728,8 +773,8 @@ def test_frequency_never_exceeds_an_active_partial_bound_or_the_gap_bound(case):
     trace, frames = case
     for (now, tracker), freq in zip(frame_states(trace), frames.step_frequency.tolist()):
         for track in tracks(tracker):
-            anchor = track.swing_start if track.swing_valid else track.entered_at
-            if track.phase is not Phase.GROUNDED and now > anchor:
+            anchor = track.swing_start if track.valid else track.entered_at
+            if phase(track) != GROUNDED and now > anchor:
                 partial = SWING_FRACTION / (now - anchor)
                 assert freq <= PARTIAL_SLACK * tracker._active_feet * partial
         if tracker._last_footfall is not None and now > tracker._last_footfall:

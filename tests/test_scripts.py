@@ -44,13 +44,37 @@ EXPERIMENT1_ONE_SEED = [
 ]
 
 
-def test_experiment1_chase(tmp_path):
-    doc = run_script("experiment1_chase", ["--seeds", "1"], tmp_path / "chase.json")
-    assert doc["seeds"] == 1
+# The same with --seeds 2: each value is harness._mean over the two runs.
+EXPERIMENT1_TWO_SEEDS = [
+    ("gud", 0.5, 0.10283134105725246, 1.1096423485905114, 0.004775580853754777, 0.4995014048885944, 0.009326378216687331),
+    ("gud", 1.0, 0.10242350260281961, 1.5700982305399545, 0.007825741980682213, 0.9999241464139449, 0.019465204447107483),
+    ("gud", 1.5, 0.10231412023083042, 1.922514501087582, 0.00874681863400642, 1.4996900639589414, 0.025001573915768793),
+    ("gud", 2.0, 0.10283122409799295, 2.2001382812994885, 0.3568946156234074, 1.9645321374500917, 0.03222142139854807),
+    ("gud", 2.5, 0.10706074876776173, 2.2029772476735445, 5.349634914099597, 1.9653981581481026, 0.05391391415523088),
+    ("gud", 3.0, 0.10826568112306831, 2.2020905237575628, 10.335595795080737, 1.9651759566611524, 0.05783251073959984),
+    ("shef", 0.5, 0.08538777929749444, 1.2001755601407647, 0.037179411708150326, 0.5018558736231211, 0.01375988440890611),
+    ("shef", 1.0, 0.10222228919909973, 1.551108978612516, 0.050496716941953845, 1.0024510896349426, 0.02213062616472151),
+    ("shef", 1.5, 0.10237723177951459, 1.8983631999440775, 0.07703426677838107, 1.5044041591948258, 0.03221532504299031),
+    ("shef", 2.0, 0.10210409931846096, 2.1955473624503687, 0.08252772730265909, 2.0043786575557476, 0.03743790513621955),
+    ("shef", 2.5, 0.12724301857493212, 2.200500364638197, 0.0795559053426901, 2.505151676424705, 0.03891701459441904),
+    ("shef", 3.0, 0.15267577388942472, 2.200378818572238, 0.07910948339245044, 3.0044078108795986, 0.039541953553131046),
+]
+
+
+def experiment1_rows(tmp_path, seeds):
+    doc = run_script("experiment1_chase", ["--seeds", str(seeds)], tmp_path / "chase.json")
+    assert doc["seeds"] == seeds
     keys = ("avg_step_height", "avg_step_frequency", "avg_target_distance", "avg_speed", "speed_sd")
     assert [list(r) for r in doc["rows"]] == [["variant", "target_speed", *keys]] * 12
-    got = [(r["variant"], r["target_speed"], *(r[k] for k in keys)) for r in doc["rows"]]
-    assert got == EXPERIMENT1_ONE_SEED
+    return [(r["variant"], r["target_speed"], *(r[k] for k in keys)) for r in doc["rows"]]
+
+
+def test_experiment1_chase(tmp_path):
+    assert experiment1_rows(tmp_path, 1) == EXPERIMENT1_ONE_SEED
+
+
+def test_experiment1_chase_averages_seeds_with_the_report_mean(tmp_path):
+    assert experiment1_rows(tmp_path, 2) == EXPERIMENT1_TWO_SEEDS
 
 
 def test_experiment2_elastic(tmp_path):
