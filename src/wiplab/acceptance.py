@@ -10,13 +10,16 @@ suite asserts them one by one.
 
 Checks deliberately reach functions through their modules (e.g.
 ``speed.gud_speed`` at call time) so a monkeypatched implementation is
-caught rather than a stale reference. The steady-state helper behind
-ROUND-TRIP and CEILING estimates every frame of its trace with
-``gait.estimate_frames`` and evaluates ``speed.law``, looked up at call
-time, on those arrays, so a monkeypatched law is caught there too.
+caught rather than a stale reference. The synthetic walks run as batches
+of lanes, with no loop over samples. The steady-state helper behind
+ROUND-TRIP and CEILING tracks a check's traces with one
+``gait.TrackerLanes.advance`` and evaluates ``speed.law``, looked up at
+call time, on each lane's estimates, so a monkeypatched law is caught
+there too. GAIT-ORACLE tracks its 100 traces as lanes of one TrackerLanes.
 STABILITY runs its 40 chases (20 seeds per law) as one batch of lanes with
 ``harness.run_chase_lanes``, which looks ``speed.law`` up the same way and
-gives each chase the report ``run_chase`` would.
+gives each chase the report ``run_chase`` would. DETERMINISM is the gate's
+path through the streaming ``GaitTracker``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from . import elastic
 from . import speed
 from .core import Foot, FootSample, Samples, Variant, WipParams
 from .elastic import ElasticRig, PullDirection
-from .gait import GROUND_EPSILON, MIN_STEP_HEIGHT, GaitTracker, estimate_frames
+from .gait import GROUND_EPSILON, MIN_STEP_HEIGHT, TrackerLanes
 from .harness import (
     MAX_BOUTS,
     STAIRCASE_PRESETS,
@@ -71,19 +74,24 @@ class CheckResult:
     detail: str
 
 
-def _steady_mean_speed(variant: Variant, target: float) -> float:
-    """Mean pipeline output while walking a planned gait at steady state.
+def _steady_mean_speeds(cases: Sequence[tuple[Variant, float]]) -> list[float]:
+    """Mean pipeline output of each (variant, target) case at steady state.
 
-    Synthesizes the noise-free gait a capped agent would plan for `target`,
-    estimates every frame of it with a fresh tracker, evaluates the law of
-    `variant` on those estimates, and averages, in frame order, the output
-    speed of the frames at or after the settling time.
+    Synthesizes the noise-free gait a capped agent would plan for each
+    target, tracks the traces as lanes of one TrackerLanes.advance, evaluates
+    each variant's law on its lane's estimates, and averages, in frame order,
+    the output speed of the frames at or after the settling time.
     """
-    params = WipParams(variant=variant)
-    program = plan_gait(target, params)
-    frames = estimate_frames(synth_trace(program, STEADY_DURATION, STEADY_RATE), [])
-    _, out = speed.law(params)(frames.step_frequency, frames.step_height)
-    return _mean(out[frames.time >= STEADY_SETTLE])
+    params = [WipParams(variant=variant) for variant, _ in cases]
+    traces = [
+        synth_trace(plan_gait(target, p), STEADY_DURATION, STEADY_RATE)
+        for (_, target), p in zip(cases, params)
+    ]
+    time = traces[0].time[::2]  # a left then a right sample per tick
+    heights = np.stack([trace.height.reshape(-1, 2) for trace in traces], axis=2)
+    f, sh = TrackerLanes(len(cases)).advance(time.tolist(), heights)
+    settled = time >= STEADY_SETTLE
+    return [_mean(speed.law(p)(f[:, i], sh[:, i])[1][settled]) for i, p in enumerate(params)]
 
 
 def check_eq1_anchor() -> tuple[bool, str]:
@@ -111,8 +119,9 @@ def check_round_trip() -> tuple[bool, str]:
     """Plan a gait for a speed, walk it, re-estimate: within 10 % at steady state."""
     parts: list[str] = []
     ok = True
-    for target in (0.5, 1.0, 1.5, 2.5, 3.0):
-        mean = _steady_mean_speed(Variant.SHEF, target)
+    targets = (0.5, 1.0, 1.5, 2.5, 3.0)
+    means = _steady_mean_speeds([(Variant.SHEF, target) for target in targets])
+    for target, mean in zip(targets, means):
         rel = abs(mean - target) / target
         ok = ok and rel <= 0.10
         parts.append(f"{target:.1f}->{mean:.3f} ({100.0 * rel:.1f}%)")
@@ -121,10 +130,9 @@ def check_round_trip() -> tuple[bool, str]:
 
 def check_ceiling() -> tuple[bool, str]:
     """With cadence capped at 2.2 Hz, only the height-scaled law reaches 3.5 m/s."""
-    gud_at = _steady_mean_speed(Variant.GUD, 3.5)
-    shef_at = _steady_mean_speed(Variant.SHEF, 3.5)
-    gud_sat = _steady_mean_speed(Variant.GUD, 6.0)
-    shef_sat = _steady_mean_speed(Variant.SHEF, 6.0)
+    gud_at, shef_at, gud_sat, shef_sat = _steady_mean_speeds([
+        (Variant.GUD, 3.5), (Variant.SHEF, 3.5), (Variant.GUD, 6.0), (Variant.SHEF, 6.0)
+    ])
     ratio = shef_sat / gud_sat
     ok = gud_at <= 2.1 and shef_at >= 3.0 and ratio >= 1.8
     return ok, (
@@ -256,8 +264,9 @@ def offline_step_segments(
 
 
 def check_gait_oracle() -> tuple[bool, str]:
-    """Streaming segmentation agrees with the offline oracle on 100 traces."""
-    worst_apex = 0.0
+    """Streaming segmentation agrees with the offline oracle on 100 traces,
+    tracked as lanes of one TrackerLanes, 0.5 s of ticks per advance."""
+    heights, offline = np.empty((540, 2, 100)), []
     for i in range(100):
         program = GaitProgram(
             step_frequency=0.6 + (i % 10) * 0.27,
@@ -266,15 +275,19 @@ def check_gait_oracle() -> tuple[bool, str]:
             seed=1000 + i,
         )
         trace = synth_trace(program, 6.0, 90.0)
-        tracker = GaitTracker()
-        streamed = [ev for s in trace.tuples() if (ev := tracker.advance(s)) is not None]
-        offline = offline_step_segments(trace)
-        if len(streamed) != len(offline):
+        heights[:, :, i] = trace.height.reshape(-1, 2)
+        offline.append(offline_step_segments(trace))
+    times, lanes = trace.time[::2].tolist(), TrackerLanes(100)
+    for first in range(0, len(times), 45):
+        lanes.advance(times[first:first + 45], heights[first:first + 45])
+    worst_apex = 0.0
+    for i, (streamed, segments) in enumerate(zip(lanes.events, offline)):
+        if len(streamed) != len(segments):
             return False, (
-                f"trace {i}: {len(streamed)} streamed vs {len(offline)} offline steps"
+                f"trace {i}: {len(streamed)} streamed vs {len(segments)} offline steps"
             )
         streamed.sort(key=lambda e: (e.end, e.foot.value))
-        for ev, seg in zip(streamed, offline):
+        for ev, seg in zip(streamed, segments):
             worst_apex = max(worst_apex, abs(ev.apex_height - seg[4]))
     return worst_apex <= 0.005, (
         f"100 traces: step counts equal, apex |err| max = {worst_apex:.4f} m"

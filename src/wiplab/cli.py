@@ -172,12 +172,14 @@ def cmd_record(args: argparse.Namespace) -> int:
     report, log, echo = _simulate(args)
     trace = trace_text(log.samples, echo)
     document = report_document("chase", echo, asdict(report))
-    text = None if args.out is None else save_report(None, document)
+    text = save_report(None, document)
     trace_file, report_file = _open_outputs(args.trace_out, args.out)
     with trace_file:
         trace_file.write(trace)
     print(f"wrote {args.trace_out}", file=sys.stderr)
-    if report_file is not None:
+    if report_file is None:
+        print(text)
+    else:
         with report_file:
             report_file.write(text + "\n")
         print(f"wrote {args.out}", file=sys.stderr)

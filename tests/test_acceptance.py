@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wiplab import acceptance, speed
+from wiplab import acceptance, gait, speed, synth
 from wiplab.core import Foot, FootSample
-from wiplab.gait import GROUND_EPSILON, MIN_STEP_HEIGHT, GaitTracker
+from wiplab.gait import GROUND_EPSILON, MIN_STEP_HEIGHT, GaitTracker, estimate_frames
 from wiplab.synth import GaitProgram, synth_trace
 
 from boundary_gaits import BOUNDARY_GAITS, as_feet
@@ -172,3 +172,85 @@ def test_offline_segments_of_height_sequences_equal_the_loop(left, right):
         if k < len(series)
     ]
     assert_segments_equal_the_loop(samples)
+
+
+# ----------------------------------------------------------------------
+# GAIT-ORACLE and the steady-state walks, tracked as batches of lanes
+
+
+def no_streaming(monkeypatch):
+    """Make any GaitTracker.advance call raise: the batches make none."""
+    def advance(self, sample):
+        raise AssertionError("a lane batch streamed a sample through GaitTracker.advance")
+
+    monkeypatch.setattr(GaitTracker, "advance", advance)
+
+
+def test_gait_oracle_lanes_equal_one_tracker_per_trace(monkeypatch):
+    """Each lane's step events are its trace's, streamed through its own
+    GaitTracker, for every one of GAIT-ORACLE's 100 programs."""
+    traces, batches = [], []
+
+    def keep_trace(*args):
+        traces.append(synth_trace(*args))
+        return traces[-1]
+
+    class KeptLanes(gait.TrackerLanes):
+        def __init__(self, lanes):
+            super().__init__(lanes)
+            batches.append(self)
+
+    monkeypatch.setattr(acceptance, "synth_trace", keep_trace)
+    monkeypatch.setattr(acceptance, "TrackerLanes", KeptLanes)
+    no_streaming(monkeypatch)
+    assert acceptance.check_gait_oracle() == (True, GOLDEN_DETAIL["GAIT-ORACLE"])
+    monkeypatch.undo()
+    [lanes] = batches
+    assert len(traces) == len(lanes.events) == 100
+    for trace, events in zip(traces, lanes.events):
+        tracker = GaitTracker()
+        streamed = [ev for s in trace.tuples() if (ev := tracker.advance(s)) is not None]
+        assert streamed and list(map(repr, events)) == list(map(repr, streamed))
+
+
+def test_steady_lane_columns_equal_estimate_frames(monkeypatch):
+    """The frequency and step-height columns the law gets from the batch, for
+    each of ROUND-TRIP's and CEILING's 9 cases, are estimate_frames' of that
+    case's trace, bit for bit."""
+    true_law, programs, columns = speed.law, [], []
+
+    def keep_plan(target, params):
+        programs.append(synth.plan_gait(target, params))
+        return programs[-1]
+
+    def keep_law(params):
+        evaluate = true_law(params)
+        return lambda f, sh: columns.append((f, sh)) or evaluate(f, sh)
+
+    monkeypatch.setattr(acceptance, "plan_gait", keep_plan)
+    monkeypatch.setattr(speed, "law", keep_law)
+    no_streaming(monkeypatch)
+    assert acceptance.check_round_trip()[0] and acceptance.check_ceiling()[0]
+    monkeypatch.undo()
+    assert len(programs) == len(columns) == 9
+    for program, lane in zip(programs, columns):
+        trace = synth_trace(program, acceptance.STEADY_DURATION, acceptance.STEADY_RATE)
+        frames = estimate_frames(trace, [])
+        for got, want in zip(lane, (frames.step_frequency, frames.step_height)):
+            assert list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist()))
+
+
+def test_gait_oracle_catches_a_lane_that_loses_a_step(monkeypatch):
+    """One step event dropped from one lane fails GAIT-ORACLE, naming its trace."""
+    true_advance, dropped = gait.TrackerLanes.advance, []
+
+    def lossy(self, times, heights):
+        estimates = true_advance(self, times, heights)
+        if self.events[37] and not dropped:
+            dropped.append(self.events[37].pop())
+        return estimates
+
+    monkeypatch.setattr(gait.TrackerLanes, "advance", lossy)
+    [result] = acceptance.run_all(only=["GAIT-ORACLE"])
+    assert dropped and not result.passed
+    assert result.detail.startswith("trace 37: ")

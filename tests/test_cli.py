@@ -199,6 +199,15 @@ class TestRecordReplay:
         recorded = json.loads(report.read_text())
         assert json.loads(replayed)["metrics"] == recorded["metrics"]
 
+    def test_record_prints_its_report_unless_out_is_given(self, tmp_path, capsys):
+        trace, report = tmp_path / "run.csv", tmp_path / "recorded.json"
+        args = ["record", "--target", "1.5", "--seed", "8", "--trace-out", str(trace)]
+        code, printed, _ = run(args, capsys)
+        assert code == 0
+        assert run([*args, "--out", str(report)], capsys)[:2] == (0, "")
+        assert printed == report.read_text()
+        assert json.loads(printed)["kind"] == "chase"
+
     def test_variant_override_changes_the_outcome(self, tmp_path, capsys):
         trace = tmp_path / "run.csv"
         run(["record", "--target", "1.5", "--trace-out", str(trace)], capsys)

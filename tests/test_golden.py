@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from wiplab import acceptance, cli, harness, synth
-from wiplab.acceptance import _steady_mean_speed
+from wiplab.acceptance import _steady_mean_speeds
 from wiplab.core import Variant, WipParams
 from wiplab.harness import ChaseScenario, compute_metrics, replay_trace, run_chase
 from wiplab.synth import GaitProgram, WalkerAgent, synth_trace
@@ -134,7 +134,8 @@ def steady_mean_speeds(monkeypatch):
         return replace(synth.plan_gait(target, params), noise_sd=0.003, seed=1)
 
     monkeypatch.setattr(acceptance, "plan_gait", noisy_plan)
-    return {v.value: repr(_steady_mean_speed(v, 2.5)) for v in (Variant.GUD, Variant.SHEF)}
+    means = _steady_mean_speeds([(Variant.GUD, 2.5), (Variant.SHEF, 2.5)])
+    return {v.value: repr(mean) for v, mean in zip((Variant.GUD, Variant.SHEF), means)}
 
 
 def scenario_less_replay():
