@@ -99,6 +99,8 @@ MUTANTS = [
            "~staying_up | (velocity >= VELOCITY_DEADBAND)", GAIT_TESTS),
     Mutant("gait.resume-gap", "gait.py",
            "if delta > RESUME_GAP:", "if delta >= RESUME_GAP:", GAIT_TESTS),
+    Mutant("gait.footfall.zero-gap", "gait.py",
+           "elif delta > 0.0:", "elif delta >= 0.0:", GAIT_TESTS),
     Mutant("gait.advance.stop-window", "gait.py",
            "now - max(left.entered_at, right.entered_at) >= STOP_WINDOW",
            "now - max(left.entered_at, right.entered_at) > STOP_WINDOW", GAIT_TESTS),

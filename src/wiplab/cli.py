@@ -24,7 +24,7 @@ from dataclasses import asdict, fields
 from functools import cache
 from itertools import islice
 from operator import attrgetter
-from typing import Any, Iterable, TextIO
+from typing import Any, Callable, Iterable, TextIO
 
 import numpy as np
 
@@ -123,14 +123,6 @@ def _simulate(args: argparse.Namespace) -> tuple[MetricsReport, RunLog, dict[str
     return report, log, scenario_echo(scenario, params, seed=seed, noise_sd=noise_sd, rig=rig)
 
 
-def _emit_report(out: str | None, document: dict[str, Any]) -> None:
-    text = save_report(out, document)
-    if out is None:
-        print(text)
-    else:
-        print(f"wrote {out}", file=sys.stderr)
-
-
 # --frames-out columns that repeat values: estimates hold between footfalls,
 # the speeds follow them, and the error holds while the sphere mirrors the
 # walker
@@ -162,27 +154,36 @@ def _write_frames(fh: TextIO, frames: Frames) -> None:
         fh.write("\n".join(chunk) + "\n")
 
 
+def _report_text(kind: str, scenario: dict[str, Any], metrics: dict[str, Any], **extra) -> str:
+    return save_report(None, report_document(kind, scenario, metrics, **extra)) + "\n"
+
+
+def _write_outputs(*outputs: tuple[str | None, str | Callable[[TextIO], None]]) -> None:
+    """Write each (path, content) in order, content a text or a function
+    that writes to the file it is given. Every path is opened by
+    _open_outputs before any is written. A text without a path goes to
+    stdout; a function without one is skipped."""
+    files = _open_outputs(*(path for path, _ in outputs))
+    for fh, (path, content) in zip(files, outputs):
+        if fh is None:
+            if isinstance(content, str):
+                sys.stdout.write(content)
+            continue
+        with fh:
+            fh.write(content) if isinstance(content, str) else content(fh)
+        print(f"wrote {path}", file=sys.stderr)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     report, _log, echo = _simulate(args)
-    _emit_report(args.out, report_document("chase", echo, asdict(report)))
+    _write_outputs((args.out, _report_text("chase", echo, asdict(report))))
     return EXIT_OK
 
 
 def cmd_record(args: argparse.Namespace) -> int:
     report, log, echo = _simulate(args)
     trace = trace_text(log.samples, echo)
-    document = report_document("chase", echo, asdict(report))
-    text = save_report(None, document)
-    trace_file, report_file = _open_outputs(args.trace_out, args.out)
-    with trace_file:
-        trace_file.write(trace)
-    print(f"wrote {args.trace_out}", file=sys.stderr)
-    if report_file is None:
-        print(text)
-    else:
-        with report_file:
-            report_file.write(text + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
+    _write_outputs((args.trace_out, trace), (args.out, _report_text("chase", echo, asdict(report))))
     return EXIT_OK
 
 
@@ -222,18 +223,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     params = params_from_echo(header.scenario | overrides)
     scenario = scenario_from_echo(header.scenario)
     report, log = replay_trace(samples, params, scenario)
-    text = save_report(None, report_document("replay", dict(header.scenario), asdict(report)))
-    report_file, frames_file = _open_outputs(args.out, args.frames_out)
-    if report_file is None:
-        print(text)
-    else:
-        with report_file:
-            report_file.write(text + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    if frames_file is not None:
-        with frames_file:
-            _write_frames(frames_file, log.rows)
-        print(f"wrote {args.frames_out}", file=sys.stderr)
+    _write_outputs(
+        (args.out, _report_text("replay", dict(header.scenario), asdict(report))),
+        (args.frames_out, lambda fh: _write_frames(fh, log.rows)),
+    )
     return EXIT_OK
 
 
@@ -278,7 +271,7 @@ def cmd_calibrate_bands(args: argparse.Namespace) -> int:
         )
     if args.out is not None:
         scenario = {"direction": direction.value, "foot_height_m": height}
-        _emit_report(args.out, report_document("calibration", scenario, {}, rows=rows))
+        _write_outputs((args.out, _report_text("calibration", scenario, {}, rows=rows)))
     return EXIT_OK
 
 

@@ -6,7 +6,9 @@ held as two flags: aerial, keyed on a ground threshold, and descending,
 flipped by a vertical-velocity deadband. Completed steps become
 StepEvents; cadence is smoothed from footfall intervals and, between
 footfalls, bounded by partial-phase evidence so the estimate decays within
-a fraction of a step when the user slows or stops.
+a fraction of a step when the user slows or stops. The footfall state, the
+cadence and apex EMAs, the active feet and the latest footfall time, is one
+row that _footfall registers each StepEvent into.
 
 Grounded is defined purely by height against GROUND_EPSILON. That keeps
 streaming segmentation equivalent to brute-force offline segmentation of
@@ -19,7 +21,8 @@ one array form: a segmented scan (forward fills and a running max restarted
 at each lift-off) that returns the same fields, a _Swing, after every
 sample at once. estimate_frames streams a recorded stream's rows
 (core.Samples.tuples) through advance and runs the scan over each foot's
-samples, and TrackerLanes over lanes stepped in lockstep.
+samples, and TrackerLanes over lanes stepped in lockstep, registering each
+lane's steps with _footfall.
 """
 
 from __future__ import annotations
@@ -104,9 +107,35 @@ class _Swing(NamedTuple):
 # a foot with no sample yet: never aerial, grounded since -inf, so that
 # staleness reads the other foot's entry
 _UNSEEN = _Swing(False, False, False, 0.0, 0.0, 0.0, 0.0, -_INF)
-# _estimate_columns' EMA arguments before any footfall: no cadence EMA, no
-# apex EMA, one active foot, no footfall to bound the gap
+# the EMA row before any footfall: no cadence EMA, no apex EMA, one active
+# foot, no footfall to bound the gap
 _NO_FOOTFALL = (0.0, 0.0, 1, np.nan)
+
+
+def _footfall(row: tuple, recent: deque, event: StepEvent) -> tuple[float, float, int, float]:
+    """The EMA row (cadence EMA, apex EMA, active feet, footfall time) after
+    event, from the row before it; event's foot joins recent, the feet of
+    the last four events. 0.0 is no EMA yet and NaN no footfall yet: a real
+    EMA is > 0, and a NaN gap fails every comparison."""
+    freq, apex, _, before = row
+    recent.append(event.foot)
+    delta = event.end - before
+    if delta > RESUME_GAP:
+        # gait restarted after a pause; the spanning interval is not a
+        # cadence sample, so re-seed on the next real one. (Deliberately
+        # longer than STOP_WINDOW: slow but continuous gait has footfall
+        # gaps well past the stop threshold, and staleness is judged on
+        # phase activity.)
+        freq = 0.0
+    elif delta > 0.0:  # 0 when noise grounds both feet on one tick: no cadence
+        alpha = 1.0 - math.exp(-delta / SMOOTHING_TAU)
+        freq = 1.0 / delta if freq == 0.0 else freq + alpha * (1.0 / delta - freq)
+    if apex == 0.0:
+        apex = event.apex_height
+    else:
+        apex += (1.0 - math.exp(-max(0.0, delta) / SMOOTHING_TAU)) * (event.apex_height - apex)
+    # distinct feet among the last four events; Enum hashing runs in Python
+    return freq, apex, (_LEFT in recent) + (_RIGHT in recent), event.end
 
 
 @dataclass(slots=True)
@@ -134,22 +163,17 @@ class GaitTracker:
 
     Each foot's state is a _FootTrack: the flags and times _swing_scan
     gives, one sample at a time. is_stale() reads the two of them, so the
-    order across feet does not affect it. estimate() checks it once per
-    query, then derives frequency and step height in one pass over the two
-    feet.
+    order across feet does not affect it. The footfall state is the EMA
+    row, which _footfall replaces at each step event. estimate() checks
+    staleness once per query, then derives frequency and step height from
+    the row in one pass over the two feet.
     """
 
     def __init__(self):
         self._left = _FootTrack(*_UNSEEN, -_INF)
         self._right = _FootTrack(*_UNSEEN, -_INF)
         self._recent_feet: deque[Foot] = deque(maxlen=4)  # feet of the last four events
-        self._active_feet = 1  # distinct feet among them
-        self._last_footfall: float | None = None
-        self._freq_ema: float | None = None
-        self._apex_ema: float | None = None
-        self._apex_ema_at: float = 0.0
-        # _estimate_columns' EMA arguments after the latest footfall
-        self._ema_row = _NO_FOOTFALL
+        self._ema_row = _NO_FOOTFALL  # after the latest footfall
 
     # ------------------------------------------------------------------
     # ingestion
@@ -202,7 +226,7 @@ class GaitTracker:
                     end=t,
                     apex_height=track.running_apex,
                 )
-                self._register_footfall(event)
+                self._ema_row = _footfall(self._ema_row, self._recent_feet, event)
             track.valid = False
         else:
             if h > track.running_apex:
@@ -220,42 +244,6 @@ class GaitTracker:
         track.prev_time = t
         track.height = h
         return event
-
-    def _register_footfall(self, event: StepEvent) -> None:
-        prev_footfall = self._last_footfall
-        self._last_footfall = event.end
-        recent = self._recent_feet
-        recent.append(event.foot)
-        # distinct feet among the last four events; Enum hashing runs in Python
-        self._active_feet = (_LEFT in recent) + (_RIGHT in recent)
-
-        if prev_footfall is not None:
-            delta = event.end - prev_footfall
-            if delta > RESUME_GAP:
-                # gait restarted after a pause; the spanning interval is not
-                # a cadence sample, so re-seed on the next real one. (Note
-                # this is deliberately longer than STOP_WINDOW: slow but
-                # continuous gait has footfall gaps well past the stop
-                # threshold, and staleness is judged on phase activity.)
-                self._freq_ema = None
-            elif delta > 0.0:
-                # delta == 0 happens when noise grounds both feet on one
-                # sample tick; a zero-length interval carries no cadence
-                freq = 1.0 / delta
-                if self._freq_ema is None:
-                    self._freq_ema = freq
-                else:
-                    alpha = 1.0 - math.exp(-delta / SMOOTHING_TAU)
-                    self._freq_ema += alpha * (freq - self._freq_ema)
-
-        if self._apex_ema is None:
-            self._apex_ema = event.apex_height
-        else:
-            dt = max(0.0, event.end - self._apex_ema_at)
-            alpha = 1.0 - math.exp(-dt / SMOOTHING_TAU)
-            self._apex_ema += alpha * (event.apex_height - self._apex_ema)
-        self._apex_ema_at = event.end
-        self._ema_row = (self._freq_ema or 0.0, self._apex_ema, self._active_feet, event.end)
 
     # ------------------------------------------------------------------
     # queries
@@ -277,7 +265,8 @@ class GaitTracker:
         SWING_FRACTION / elapsed (scaled to cadence by the number of active
         feet), and the gap since the last footfall bounds likewise, so
         slowing decays the estimate before the next footfall confirms it.
-        The smallest of these wins; 0 before two footfalls have been seen.
+        The smallest of these wins; 0 before two footfalls have been seen
+        (the row's cadence EMA is 0.0 until then, and no bound is lower).
 
         Step height: an EMA over completed step apexes, blended upward with
         the running apex of any observed swing in progress, so a user
@@ -287,10 +276,9 @@ class GaitTracker:
         """
         if self.is_stale(now):
             return _new_estimate(GaitEstimate, (0.0, 0.0, now, True))
-        freq = self._freq_ema
-        apex_ema = self._apex_ema
-        base = height = apex_ema if apex_ema is not None else 0.0
-        partial_scale = PARTIAL_SLACK * self._active_feet
+        freq, base, active_feet, footfall = self._ema_row
+        height = base
+        partial_scale = PARTIAL_SLACK * active_feet
         for track in (self._left, self._right):
             if not track.aerial:
                 continue
@@ -311,22 +299,19 @@ class GaitTracker:
                         height = blended
             else:
                 anchor = track.entered_at
-            if freq is not None:
-                elapsed = now - anchor
-                if elapsed > 0.0:
-                    bound = partial_scale * (SWING_FRACTION / elapsed)
-                    if bound < freq:
-                        freq = bound
-        if freq is None:
-            freq = 0.0
-        else:
-            gap = now - self._last_footfall
-            if gap > 0.0:
-                bound = PARTIAL_SLACK / gap
+            # with no cadence EMA (0.0) no positive bound is lower
+            elapsed = now - anchor
+            if elapsed > 0.0:
+                bound = partial_scale * (SWING_FRACTION / elapsed)
                 if bound < freq:
                     freq = bound
-            if not freq > 0.0:
-                freq = 0.0
+        gap = now - footfall  # NaN before any footfall
+        if gap > 0.0:
+            bound = PARTIAL_SLACK / gap
+            if bound < freq:
+                freq = bound
+        if not freq > 0.0:
+            freq = 0.0
         return _new_estimate(GaitEstimate, (freq, height, now, False))
 
 
@@ -538,18 +523,20 @@ class TrackerLanes:
     Each foot's state is a column of (2, lanes) arrays, row 0 the left
     foot. advance() steps a run of ticks with _swing_scan down the tick
     axis, the scan estimate_frames runs over each foot's samples, with no
-    loop over ticks. Each step is registered on its lane's own GaitTracker,
-    so the EMAs stay scalar (math.exp), and forward-filled per lane. A run
-    is checked with validate_sample's predicates; its first failing tick
-    raises from validate_sample itself.
+    loop over ticks. Each step is registered into its lane's EMA row by
+    _footfall, GaitTracker's own registration, so the EMAs stay scalar
+    (math.exp), and the rows are forward-filled per lane. A run is checked
+    with validate_sample's predicates; its first failing tick raises from
+    validate_sample itself. The state carried between runs is copied out
+    of the run's arrays, so it does not keep them alive.
     """
 
     def __init__(self, lanes: int):
-        self._trackers = [GaitTracker() for _ in range(lanes)]
+        self._recent_feet = [deque(maxlen=4) for _ in range(lanes)]
         self.events: list[list[StepEvent]] = [[] for _ in range(lanes)]
         self._prev_time: float | None = None
         self._state: _Swing | None = None
-        # each lane's _estimate_columns EMA arguments after its latest footfall
+        # each lane's EMA row after its latest footfall
         self._emas = np.array([_NO_FOOTFALL] * lanes)
 
     def advance(self, times: list[float], heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -581,7 +568,7 @@ class TrackerLanes:
         )
         emas = self._footfalls(landed, times, swing)
         self._prev_time = times[-1]
-        self._state = _Swing(*(a[-1] for a in swing))
+        self._state = _Swing(*(a[-1].copy() for a in swing))
         feet = _Swing(*(a.swapaxes(0, 1) for a in swing))
         return _estimate_columns(now[:, None], feet, *emas)
 
@@ -592,20 +579,18 @@ class TrackerLanes:
         at = np.nonzero(landed)
         if not at[0].size:
             return self._emas.T[:, None]
-        rows = []
+        rows, current = [], self._emas.tolist()
         steps = (*at, swing.swing_start[at], swing.apex_time[at], swing.running_apex[at])
         for k, foot, lane, start, top_time, top in zip(*(a.tolist() for a in steps)):
-            t = times[k]
-            event = StepEvent(_FEET[foot], start, top_time, t, top)
-            tracker = self._trackers[lane]
-            tracker._register_footfall(event)
+            event = StepEvent(_FEET[foot], start, top_time, times[k], top)
+            current[lane] = row = _footfall(current[lane], self._recent_feet[lane], event)
             self.events[lane].append(event)
-            rows.append(tracker._ema_row)
+            rows.append(row)
         # rows of table: each lane's carried-in EMAs, then one per step
         lanes = landed.shape[2]
         table = np.concatenate((self._emas, rows))
         latest = np.repeat(np.arange(lanes)[None], len(times), axis=0)
         np.maximum.at(latest, (at[0], at[2]), np.arange(lanes, lanes + len(rows)))
         emas = table[np.maximum.accumulate(latest, axis=0)]
-        self._emas = emas[-1]
+        self._emas = emas[-1].copy()
         return emas.transpose(2, 0, 1)

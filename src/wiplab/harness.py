@@ -25,7 +25,8 @@ pin np.sin to math.sin and np.mod(x, 1.0) to x % 1.0); state that steps
 from tick to tick is scanned a re-plan interval at a time with sequential
 cumulative sums (the gait clock, restarted at each wrap), running maxima
 and forward fills (the running apex, swing and descending flags); the EMAs
-update per lane at footfalls with math.exp (np.exp differs); each lane
+update per lane at footfalls through the streaming tracker's own
+registration, gait._footfall, with math.exp (np.exp differs); each lane
 draws its agent's noise only while its SD is positive; the only
 reductions are min, max and sequential cumulative sums (replay shares
 the kinematics, _integrate), and the reports come from compute_metrics's
@@ -380,7 +381,7 @@ def run_chase_lanes(
         done = kept + np.count_nonzero(window)
         speeds[kept:done], errors[kept:done] = out[window], error[window]
         kept = done
-        position, sphere = position[-1], sphere[-1]
+        position, sphere = position[-1].copy(), sphere[-1].copy()  # a view keeps the interval
 
     return [
         _window_metrics(speeds[:, i], errors[:, i], events, chase_start, end)

@@ -17,9 +17,9 @@ FALL_TO = 0.049444444444444444
 RISE_TO = 0.030555555555555558
 
 
-def _right_steps(k, landings):
-    """The right foot's height at tick k: 10-tick swings of 0.1 m, each
-    ending in one of the landing ticks."""
+def _steps(k, landings):
+    """A foot's height at tick k: 10-tick swings of 0.1 m, each ending in
+    one of the landing ticks."""
     return 0.1 if any(end - 10 <= k < end for end in landings) else 0.0
 
 
@@ -47,13 +47,20 @@ BOUNDARY_GAITS = {
     # bound is anchored at its phase changes, while the right foot's
     # footfalls every 20 ticks keep a cadence
     "velocity at +-VELOCITY_DEADBAND": [
-        (_hovering_left(k), _right_steps(k, range(20, 121, 20))) for k in range(130)
+        (_hovering_left(k), _steps(k, range(20, 121, 20))) for k in range(130)
     ],
     # footfalls at ticks 40 and 265: 265/90 - 40/90 is exactly RESUME_GAP
-    "footfall gap of RESUME_GAP": [(0.0, _right_steps(k, (20, 40, 265))) for k in range(275)],
+    "footfall gap of RESUME_GAP": [(0.0, _steps(k, (20, 40, 265))) for k in range(275)],
     # both feet grounded from the footfall at tick 40; 112/90 - 40/90 is
     # exactly STOP_WINDOW
-    "grounded for STOP_WINDOW": [(0.0, _right_steps(k, (20, 40))) for k in range(120)],
+    "grounded for STOP_WINDOW": [(0.0, _steps(k, (20, 40))) for k in range(120)],
+    # right footfalls at ticks 20 and 40, then both feet land at tick 300,
+    # past RESUME_GAP: the left footfall re-seeds the cadence and the
+    # right one, on the same tick, is a zero-length first interval; the
+    # right footfall at tick 320 gives the first cadence sample
+    "restart past RESUME_GAP, then both feet land on one tick": [
+        (_steps(k, (300,)), _steps(k, (20, 40, 300, 320))) for k in range(330)
+    ],
 }
 
 

@@ -163,6 +163,7 @@ heights = st.lists(
 @example(**as_feet(BOUNDARY_GAITS["velocity at +-VELOCITY_DEADBAND"]))
 @example(**as_feet(BOUNDARY_GAITS["footfall gap of RESUME_GAP"]))
 @example(**as_feet(BOUNDARY_GAITS["grounded for STOP_WINDOW"]))
+@example(**as_feet(BOUNDARY_GAITS["restart past RESUME_GAP, then both feet land on one tick"]))
 def test_offline_segments_of_height_sequences_equal_the_loop(left, right):
     """Each foot's heights at 90 Hz, the feet interleaved while both last."""
     samples = [

@@ -184,6 +184,39 @@ class TestSimulate:
         assert "timestep must be <= 1/30 s" in err
 
 
+# commands whose only output file is --out; it is written as record's and
+# replay's outputs are
+REPORT_COMMANDS = {
+    "simulate": ["simulate", "--target", "1.0", "--seed", "2"],
+    "calibrate-bands": ["calibrate-bands", "--direction", "down"],
+}
+
+
+class TestReportOut:
+    @pytest.mark.parametrize("command", REPORT_COMMANDS.values(), ids=REPORT_COMMANDS)
+    def test_an_existing_out_file_is_overwritten(self, tmp_path, capsys, command):
+        report = tmp_path / "r.json"
+        args = [*command, "--out", str(report)]
+        assert run(args, capsys)[0] == 0
+        want = report.read_bytes()
+        report.write_bytes(b"x" * (len(want) + 100))
+        assert run(args, capsys)[0] == 0
+        assert report.read_bytes() == want
+
+    @pytest.mark.parametrize("command", REPORT_COMMANDS.values(), ids=REPORT_COMMANDS)
+    def test_out_may_be_a_device(self, capsys, command):
+        code, out, err = run([*command, "--out", os.devnull], capsys)
+        assert code == 0 and "error:" not in err and f"wrote {os.devnull}" in err
+        assert "{" not in out  # the report went to the device
+
+    @pytest.mark.parametrize("command", REPORT_COMMANDS.values(), ids=REPORT_COMMANDS)
+    def test_an_out_path_that_cannot_be_opened_is_bad_input(self, tmp_path, capsys, command):
+        code, out, err = run([*command, "--out", str(tmp_path / "no" / "such" / "r.json")], capsys)
+        assert code == 2
+        assert "error:" in err and "wrote" not in err and "{" not in out
+        assert not (tmp_path / "no").exists()
+
+
 class TestRecordReplay:
     def test_round_trip_is_bit_identical(self, tmp_path, capsys):
         trace = tmp_path / "run.csv"

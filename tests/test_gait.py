@@ -7,6 +7,7 @@ those whose peak clears the step floor.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from boundary_gaits import BOUNDARY_GAITS, as_samples, as_segments
 
 EPS = GROUND_EPSILON
 MIN_APEX = MIN_STEP_HEIGHT
+RESTART = "restart past RESUME_GAP, then both feet land on one tick"
 
 GROUNDED, ASCENDING, DESCENDING = "grounded", "ascending", "descending"
 
@@ -72,6 +74,25 @@ def phase(track):
 def tracks(tracker):
     """The tracker's per-foot tracks, for the feet it has seen."""
     return [track for track in (tracker._left, tracker._right) if track.prev_time > -math.inf]
+
+
+class FootfallState(NamedTuple):
+    freq_ema: float | None
+    apex_ema: float | None
+    active_feet: int
+    last_footfall: float | None
+
+
+def footfall_state(tracker):
+    """The tracker's EMA row with None for none yet: the row's 0.0 for no
+    cadence or apex EMA and its NaN for no footfall."""
+    freq, apex, active_feet, footfall = tracker._ema_row
+    return FootfallState(
+        None if freq == 0.0 else freq,
+        None if apex == 0.0 else apex,
+        active_feet,
+        None if math.isnan(footfall) else footfall,
+    )
 
 
 def brute_force_steps(samples, eps=EPS, min_apex=MIN_APEX):
@@ -460,10 +481,11 @@ def reference_frequency(tracker, now, events):
     footfall EMA, each swing's partial bound and the footfall-gap bound.
     The partial bound scales with the distinct feet among the last four of
     the step events the tracker has returned."""
-    if tracker._freq_ema is None:
+    state = footfall_state(tracker)
+    if state.freq_ema is None:
         return 0.0
     active_feet = len({e.foot for e in events[-4:]}) if events else 1
-    candidates = [tracker._freq_ema]
+    candidates = [state.freq_ema]
     for track in tracks(tracker):
         if phase(track) == GROUNDED:
             continue
@@ -472,8 +494,8 @@ def reference_frequency(tracker, now, events):
         if elapsed > 0.0:
             partial = SWING_FRACTION / elapsed
             candidates.append(PARTIAL_SLACK * active_feet * partial)
-    if tracker._last_footfall is not None:
-        gap = now - tracker._last_footfall
+    if state.last_footfall is not None:
+        gap = now - state.last_footfall
         if gap > 0.0:
             candidates.append(PARTIAL_SLACK / gap)
     return max(0.0, min(candidates))
@@ -482,7 +504,8 @@ def reference_frequency(tracker, now, events):
 def reference_step_height(tracker, now):
     """Step height as a separate pass over the tracks: the apex EMA, blended
     up toward the running apex of each observed swing in progress."""
-    base = tracker._apex_ema if tracker._apex_ema is not None else 0.0
+    apex_ema = footfall_state(tracker).apex_ema
+    base = apex_ema if apex_ema is not None else 0.0
     value = base
     for track in tracks(tracker):
         if phase(track) == GROUNDED or not track.valid:
@@ -633,6 +656,7 @@ def test_estimate_equals_the_two_pass_reference(segments, feet, offsets):
 @example(
     segments=as_segments(BOUNDARY_GAITS["velocity at +-VELOCITY_DEADBAND"]), feet="both"
 )
+@example(segments=as_segments(BOUNDARY_GAITS[RESTART]), feet="both")
 def test_plain_tuples_track_as_foot_samples(segments, feet):
     """A stream fed as FootSamples and the same stream fed as
     Samples.tuples() give equal step events and equal estimates."""
@@ -648,6 +672,65 @@ def test_plain_tuples_track_as_foot_samples(segments, feet):
     for s, row in zip(samples, samples.tuples()):
         assert repr(named.advance(s)) == repr(plain.advance(row))
         assert estimate_bits(named, s.time) == estimate_bits(plain, row[0])
+
+
+def reference_emas(events):
+    """The EMA row after events, recomputed from the StepEvents alone with
+    None for none yet: the cadence EMA over footfall intervals (None again
+    after a gap past RESUME_GAP; a zero-length interval is no sample), the
+    apex EMA, the distinct feet among the last four events and the last
+    footfall. Returned as a row: 0.0 for no EMA, NaN for no footfall."""
+    freq_ema = apex_ema = last_footfall = None
+    for event in events:
+        if last_footfall is not None:
+            delta = event.end - last_footfall
+            if delta > RESUME_GAP:
+                freq_ema = None
+            elif delta > 0.0:
+                freq = 1.0 / delta
+                if freq_ema is None:
+                    freq_ema = freq
+                else:
+                    freq_ema += (1.0 - math.exp(-delta / SMOOTHING_TAU)) * (freq - freq_ema)
+        if apex_ema is None:
+            apex_ema = event.apex_height
+        else:
+            dt = max(0.0, event.end - last_footfall)
+            alpha = 1.0 - math.exp(-dt / SMOOTHING_TAU)
+            apex_ema += alpha * (event.apex_height - apex_ema)
+        last_footfall = event.end
+    active_feet = len({e.foot for e in events[-4:]}) if events else 1
+    return (
+        0.0 if freq_ema is None else freq_ema,
+        0.0 if apex_ema is None else apex_ema,
+        active_feet,
+        math.nan if last_footfall is None else last_footfall,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(segments=segments, blocks=st.booleans())
+@example(segments=as_segments(BOUNDARY_GAITS[RESTART]), blocks=False)
+@example(segments=as_segments(BOUNDARY_GAITS["footfall gap of RESUME_GAP"]), blocks=False)
+def test_the_ema_row_equals_a_reference_over_the_step_events(segments, blocks):
+    """After every step event, the tracker's EMA row equals reference_emas
+    of the events it has returned, every value by repr. With blocks, all
+    the left foot's samples go in before the right foot's first, so
+    footfall times may go backwards."""
+    samples = [
+        FootSample(k / 90.0, foot, h)
+        for k, pair in enumerate(p for segment in segments for p in segment_heights(segment))
+        for foot, h in zip(Foot, pair)
+    ]
+    if blocks:
+        samples.sort(key=lambda s: s.foot is Foot.RIGHT)
+    tracker, events = GaitTracker(), []
+    assert list(map(repr, tracker._ema_row)) == list(map(repr, reference_emas(events)))
+    for s in samples:
+        event = tracker.advance(s)
+        if event is not None:
+            events.append(event)
+            assert list(map(repr, tracker._ema_row)) == list(map(repr, reference_emas(events)))
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +786,17 @@ def test_tracker_lanes_equal_one_tracker_per_lane(lanes, runs):
             ]
     assert got == want
     assert [list(map(repr, e)) for e in batch.events] == [list(map(repr, e)) for e in events]
+
+
+def test_tracker_lanes_carry_no_view_of_a_run():
+    """The swing state and EMA rows carried to the next advance are copied
+    out of the run's (ticks, 2, lanes) and (ticks, lanes, 4) arrays, so
+    they keep neither alive."""
+    ticks = BOUNDARY_GAITS["grounded for STOP_WINDOW"]  # footfalls at ticks 20 and 40
+    batch = TrackerLanes(3)
+    batch.advance([k / 90.0 for k in range(len(ticks))], np.repeat(np.array(ticks)[..., None], 3, 2))
+    assert [len(events) for events in batch.events] == [2, 2, 2]
+    assert [a.base is None for a in (*batch._state, batch._emas)] == [True] * 9
 
 
 @pytest.mark.parametrize(
@@ -772,13 +866,14 @@ def frame_states(trace):
 def test_frequency_never_exceeds_an_active_partial_bound_or_the_gap_bound(case):
     trace, frames = case
     for (now, tracker), freq in zip(frame_states(trace), frames.step_frequency.tolist()):
+        state = footfall_state(tracker)
         for track in tracks(tracker):
             anchor = track.swing_start if track.valid else track.entered_at
             if phase(track) != GROUNDED and now > anchor:
                 partial = SWING_FRACTION / (now - anchor)
-                assert freq <= PARTIAL_SLACK * tracker._active_feet * partial
-        if tracker._last_footfall is not None and now > tracker._last_footfall:
-            assert freq <= PARTIAL_SLACK / (now - tracker._last_footfall)
+                assert freq <= PARTIAL_SLACK * state.active_feet * partial
+        if state.last_footfall is not None and now > state.last_footfall:
+            assert freq <= PARTIAL_SLACK / (now - state.last_footfall)
 
 
 @settings(max_examples=40, deadline=None)

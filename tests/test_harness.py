@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wiplab import speed
+from wiplab import harness, speed
 from wiplab.core import (
     EmptyWindow,
     Foot,
@@ -483,6 +483,10 @@ def hovering_foot_trace():
 @example(case=(as_samples(BOUNDARY_GAITS["velocity at +-VELOCITY_DEADBAND"]), SHEF, None))
 @example(case=(as_samples(BOUNDARY_GAITS["footfall gap of RESUME_GAP"]), SHEF, None))
 @example(case=(as_samples(BOUNDARY_GAITS["grounded for STOP_WINDOW"]), SHEF, None))
+@example(case=(
+    as_samples(BOUNDARY_GAITS["restart past RESUME_GAP, then both feet land on one tick"]),
+    SHEF, None,
+))
 def test_replay_equals_the_streaming_frame_step(case):
     trace, params, scenario = case
     if not trace:
@@ -604,6 +608,24 @@ def test_lanes_reject_an_agent_that_drew_noise_sample_by_sample():
     quiet = WalkerAgent(SHEF, seed=1)  # stepped without noise, it drew nothing
     run_chase(scenario, quiet, SHEF)
     run_chase_lanes(scenario, [quiet], [SHEF])
+
+
+def test_lanes_carry_no_view_of_an_interval(monkeypatch):
+    """The position and sphere run_chase_lanes carries from one re-plan
+    interval to the next are copied out of the interval's arrays, so they
+    keep none of them alive."""
+    carried = []
+    integrate = harness._integrate
+
+    def spy(scenario, now, out, position, sphere):
+        carried.extend((position, sphere))
+        return integrate(scenario, now, out, position, sphere)
+
+    monkeypatch.setattr(harness, "_integrate", spy)
+    scenario = ChaseScenario(target_speed=1.5, prep_duration=1.0, chase_duration=1.0)
+    run_chase_lanes(scenario, [WalkerAgent(SHEF), WalkerAgent(SHEF, seed=1)], [SHEF] * 2)
+    assert len(carried) > 2
+    assert [a.base is None for a in carried] == [True] * len(carried)
 
 
 class TestStaircase:
