@@ -9,7 +9,7 @@ Subcommands:
 
 Configuration precedence is flags > scenario file > built-in defaults.
 Exit codes: 0 success, 1 failed acceptance check, 2 bad input, 3 runtime
-failure (diverged/non-terminating/empty-window runs).
+failure (diverged/non-terminating/empty-window runs, failed writes).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import os
-import stat
 import sys
 from dataclasses import asdict, fields
 from functools import cache
@@ -37,6 +36,7 @@ from .traceio import (
     PARAMS_KEYS,
     RUN_KEYS,
     _from_echo,
+    _write_files,
     load_trace,
     params_from_echo,
     parse_rig_spec,
@@ -159,19 +159,14 @@ def _report_text(kind: str, scenario: dict[str, Any], metrics: dict[str, Any], *
 
 
 def _write_outputs(*outputs: tuple[str | None, str | Callable[[TextIO], None]]) -> None:
-    """Write each (path, content) in order, content a text or a function
-    that writes to the file it is given. Every path is opened by
-    _open_outputs before any is written. A text without a path goes to
-    stdout; a function without one is skipped."""
-    files = _open_outputs(*(path for path, _ in outputs))
-    for fh, (path, content) in zip(files, outputs):
-        if fh is None:
-            if isinstance(content, str):
-                sys.stdout.write(content)
-            continue
-        with fh:
-            fh.write(content) if isinstance(content, str) else content(fh)
-        print(f"wrote {path}", file=sys.stderr)
+    """Write each (path, content) with traceio's writer; after it, a text
+    without a path goes to stdout and a function without one is skipped."""
+    _write_files([output for output in outputs if output[0] is not None])
+    for path, content in outputs:
+        if path is not None:
+            print(f"wrote {path}", file=sys.stderr)
+        elif isinstance(content, str):
+            sys.stdout.write(content)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -185,36 +180,6 @@ def cmd_record(args: argparse.Namespace) -> int:
     trace = trace_text(log.samples, echo)
     _write_outputs((args.trace_out, trace), (args.out, _report_text("chase", echo, asdict(report))))
     return EXIT_OK
-
-
-def _open_outputs(*paths: str | None) -> list[TextIO | None]:
-    """Open each given path for writing, None for None, before anything is
-    written. No file is truncated until every path is open, and only
-    regular files are (a device such as /dev/null cannot be): when a step
-    fails, the files opened are closed, those this call created are
-    removed again, and the error propagates."""
-    opened: list[TextIO | None] = []
-    created: list[str] = []
-    try:
-        for path in paths:
-            if path is None:
-                opened.append(None)
-                continue
-            try:
-                opened.append(open(path, "x", encoding="utf-8"))
-                created.append(path)
-            except FileExistsError:
-                opened.append(open(path, "a", encoding="utf-8"))  # truncated below
-        for fh in filter(None, opened):
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate(0)
-    except OSError:
-        for fh in filter(None, opened):
-            fh.close()
-        for path in created:
-            os.remove(path)
-        raise
-    return opened
 
 
 def cmd_replay(args: argparse.Namespace) -> int:

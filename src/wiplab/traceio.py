@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from itertools import repeat
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -63,9 +64,7 @@ def save_trace(
 ) -> None:
     """Write samples with a commented header (trace_text). Rows must be
     sorted by time."""
-    text = trace_text(samples, scenario or {})
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_files([(path, trace_text(samples, scenario or {}))])
 
 
 def trace_text(samples: Sequence[FootSample], scenario: dict[str, Any]) -> str:
@@ -255,9 +254,45 @@ def save_report(path: str | None, document: dict[str, Any]) -> str:
     _check_finite(document)
     text = json.dumps(document, indent=2, sort_keys=True)
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_files([(path, text + "\n")])
     return text
+
+
+def _write_files(outputs: Sequence[tuple[str, str | Callable[[TextIO], None]]]) -> None:
+    """Write each (path, content), content a text or a function that writes
+    to the file it is given. Every path is opened before any is written: a
+    device in place, any other as a temporary beside its real path, which
+    replaces it, keeping its mode bits, once every content is written. A
+    failed open raises OSError; a failed write or rename raises WipError."""
+    staged: list[tuple[TextIO, str | None, str]] = []  # file, temporary, real path
+    try:
+        for path, _ in outputs:
+            real = os.path.realpath(path)
+            if os.path.exists(path) and not os.path.isfile(path):
+                staged.append((open(path, "w", encoding="utf-8"), None, real))
+                continue
+            temp = f"{real}.{os.urandom(4).hex()}.tmp"
+            staged.append((open(temp, "x", encoding="utf-8"), temp, real))
+            if os.path.exists(real):  # a read-only file fails here, as with open(path, "w")
+                open(real, "ab").close()
+                os.chmod(temp, os.stat(real).st_mode & 0o7777)
+        try:
+            for (fh, _, _), (path, content) in zip(staged, outputs):
+                with fh:
+                    fh.write(content) if isinstance(content, str) else content(fh)
+            for (_, temp, real), (path, _) in zip(staged, outputs):
+                if temp is not None:
+                    os.replace(temp, real)
+        except OSError as exc:
+            raise WipError(f"{path}: {exc.strerror or exc}") from exc
+    except OSError as exc:  # a failed open names its output, not a temporary
+        exc.filename = path
+        raise
+    finally:  # no temporary is left
+        for fh, temp, _ in staged:
+            fh.close()
+            if temp is not None and os.path.exists(temp):
+                os.remove(temp)
 
 
 def load_report(path: str) -> dict[str, Any]:

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
+import errno
 import json
 import os
+import stat
 
 import pytest
 
-from wiplab import cli, core
+from wiplab import cli, core, traceio
 from wiplab.traceio import TraceParseError, save_trace
 
 
@@ -424,6 +426,112 @@ class TestRecordReplay:
         save_trace(str(empty), [])
         code, _, err = run(["replay", str(empty)], capsys)
         assert code == 3
+
+
+class _FullDisk:
+    """An open file whose every write fails as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+def _full_disk_open(file, *args, **kwargs):
+    """open, but a file whose name holds "full.out" fails every write."""
+    fh = open(file, *args, **kwargs)
+    return _FullDisk(fh) if "full.out" in os.fspath(file) else fh
+
+
+class TestFailedWrite:
+    """A write that fails is a runtime failure, whichever output it hits:
+    every output that existed keeps its bytes, and no file is left behind."""
+
+    @pytest.mark.parametrize("disk", ["file", "device"])
+    @pytest.mark.parametrize("failing", [0, 1], ids=["first", "second"])
+    @pytest.mark.parametrize("command", ["replay", "record"])
+    def test_a_failed_write_changes_no_file(self, tmp_path, capsys, monkeypatch, command,
+                                            failing, disk):
+        trace, kept = tmp_path / "run.csv", tmp_path / "kept.out"
+        assert run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)[0] == 0
+        kept.write_bytes(b"kept\n")
+        if disk == "device":
+            if not os.access("/dev/full", os.W_OK):
+                pytest.skip("no writable /dev/full")
+            full = "/dev/full"
+        else:
+            full = str(tmp_path / "full.out")
+            (tmp_path / "full.out").write_bytes(b"full\n")
+            monkeypatch.setattr(traceio, "open", _full_disk_open, raising=False)
+        outputs = [full, str(kept)] if failing == 0 else [str(kept), full]
+        if command == "replay":
+            args = ["replay", str(trace), "--out", outputs[0], "--frames-out", outputs[1]]
+        else:
+            args = ["record", "--target", "1.5", "--trace-out", outputs[0], "--out", outputs[1]]
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        code, out, err = run(args, capsys)
+        assert (code, out) == (3, "")
+        assert f"error: {full}: {os.strerror(errno.ENOSPC)}" in err and "wrote" not in err
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+class TestStagedOutputs:
+    """Outputs are written to temporaries that are renamed into place."""
+
+    def test_a_run_leaves_only_its_outputs(self, tmp_path, capsys):
+        trace, report, frames = tmp_path / "run.csv", tmp_path / "r.json", tmp_path / "f.csv"
+        record = ["record", "--target", "1.0", "--trace-out", str(trace), "--out", str(report)]
+        replay = ["replay", str(trace), "--out", str(report), "--frames-out", str(frames)]
+        for args in (record, replay, replay):  # the second replay replaces both outputs
+            assert run(args, capsys)[0] == 0
+        assert sorted(os.listdir(tmp_path)) == ["f.csv", "r.json", "run.csv"]
+
+    def test_a_symlinked_out_stays_a_symlink(self, tmp_path, capsys):
+        target, link = tmp_path / "reports" / "r.json", tmp_path / "r.json"
+        target.parent.mkdir()
+        target.write_bytes(b"old\n")
+        link.symlink_to(target)
+        code, out, err = run(["simulate", "--target", "1.0", "--out", str(link)], capsys)
+        assert (code, out, err) == (0, "", f"wrote {link}\n")
+        assert link.is_symlink() and json.loads(target.read_text())["kind"] == "chase"
+        assert os.listdir(target.parent) == ["r.json"]
+
+    @pytest.mark.parametrize("mode", [0o600, 0o664])
+    def test_a_replaced_file_keeps_its_mode_bits(self, tmp_path, capsys, mode):
+        report = tmp_path / "r.json"
+        report.write_bytes(b"old\n")
+        report.chmod(mode)
+        assert run(["simulate", "--target", "1.0", "--out", str(report)], capsys)[0] == 0
+        assert stat.S_IMODE(report.stat().st_mode) == mode
+
+    def test_a_new_file_gets_the_mode_bits_of_open(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        umask = os.umask(0o027)
+        try:
+            assert run(["simulate", "--target", "1.0", "--out", str(report)], capsys)[0] == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(report.stat().st_mode) == 0o666 & ~0o027
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                        reason="needs file permissions that apply")
+    def test_a_read_only_out_file_is_bad_input(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        report.write_bytes(b"kept\n")
+        report.chmod(0o444)
+        code, out, err = run(["simulate", "--target", "1.0", "--out", str(report)], capsys)
+        assert (code, out) == (2, "") and "error:" in err
+        assert report.read_bytes() == b"kept\n" and os.listdir(tmp_path) == ["r.json"]
 
 
 class TestCalibrateBands:

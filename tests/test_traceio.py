@@ -1,6 +1,7 @@
 """Trace file round trips, parse errors, and report serialization."""
 
 import math
+import os
 from unittest import mock
 
 import pytest
@@ -352,6 +353,14 @@ class TestReports:
         text = save_report(path, doc)
         assert load_report(path) == doc
         assert '"avg_speed": 1.48' in text
+
+    def test_save_replaces_a_longer_file_and_leaves_no_temporary(self, tmp_path):
+        doc = report_document("chase", {}, {"avg_speed": 1.48})
+        path = tmp_path / "report.json"
+        path.write_bytes(b"x" * 10_000)
+        assert save_report(str(path), doc) + "\n" == path.read_text()
+        save_trace(str(tmp_path / "walk.csv"), [FootSample(0.0, Foot.LEFT, 0.0)])
+        assert sorted(os.listdir(tmp_path)) == ["report.json", "walk.csv"]
 
     def test_save_without_path_only_returns_text(self):
         text = save_report(None, report_document("bands", {}, {"force": 0.085}))
