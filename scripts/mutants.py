@@ -35,6 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GAIT_TESTS = ("tests/test_gait.py", "tests/test_harness.py", "tests/test_acceptance.py")
 HARNESS_TESTS = ("tests/test_harness.py", "tests/test_golden.py")
 TRACEIO_TESTS = ("tests/test_traceio.py", "tests/test_cli.py")
+SYNTH_TESTS = ("tests/test_synth.py", "tests/test_harness.py")
+ORACLE_TESTS = ("tests/test_acceptance.py",)
 
 # Loaded by the copy's conftest.py before any test module is imported, so
 # every @settings inherits it.
@@ -105,8 +107,23 @@ MUTANTS = [
            "now - max(left.entered_at, right.entered_at) >= STOP_WINDOW",
            "now - max(left.entered_at, right.entered_at) > STOP_WINDOW", GAIT_TESTS),
     Mutant("gait.columns.stop-window", "gait.py",
-           "now - np.maximum(entered_at[0], entered_at[1]) >= STOP_WINDOW",
-           "now - np.maximum(entered_at[0], entered_at[1]) > STOP_WINDOW", GAIT_TESTS),
+           "now - np.maximum(left.entered_at, right.entered_at) >= STOP_WINDOW",
+           "now - np.maximum(left.entered_at, right.entered_at) > STOP_WINDOW", GAIT_TESTS),
+    Mutant("gait.scan.valid-carried", "gait.py",
+           "state.valid | ~state.aerial |", "state.valid & ~state.aerial |", GAIT_TESTS),
+    Mutant("gait.columns.partial-bound", "gait.py",
+           "where=longest > 0.0", "where=longest >= 0.0", GAIT_TESTS),
+    Mutant("synth.lanes.refill", "synth.py",
+           "if len(self._normals) < ticks:", "if len(self._normals) <= ticks:", SYNTH_TESTS,
+           equivalent="a lane whose blocks hold exactly one run's normals draws its next "
+           "block one run early and appends it, so it reads the same stream"),
+    Mutant("harness.lanes.adjacent-law", "harness.py",
+           "adjacent = members[-1] - members[0] == len(members) - 1",
+           "adjacent = members[-1] - members[0] >= len(members) - 1", HARNESS_TESTS),
+    Mutant("acceptance.oracle.column-start", "acceptance.py",
+           "(first > starts[column])", "(first >= starts[column])", ORACLE_TESTS),
+    Mutant("acceptance.oracle.column-end", "acceptance.py",
+           "(stop < starts[column + 1])", "(stop <= starts[column + 1])", ORACLE_TESTS),
     Mutant("harness.cadence.zero-gap", "harness.py",
            "gaps[gaps > 0.0]", "gaps[gaps >= 0.0]", HARNESS_TESTS),
     Mutant("harness.window.start", "harness.py",

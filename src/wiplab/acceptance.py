@@ -15,7 +15,8 @@ of lanes, with no loop over samples. The steady-state helper behind
 ROUND-TRIP and CEILING tracks a check's traces with one
 ``gait.TrackerLanes.advance`` and evaluates ``speed.law``, looked up at
 call time, on each lane's estimates, so a monkeypatched law is caught
-there too. GAIT-ORACLE tracks its 100 traces as lanes of one TrackerLanes.
+there too. GAIT-ORACLE tracks its 100 traces as lanes of one TrackerLanes
+and runs the offline oracle once over all of them.
 STABILITY runs its 40 chases (20 seeds per law) as one batch of lanes with
 ``harness.run_chase_lanes``, which looks ``speed.law`` up the same way and
 gives each chase the report ``run_chase`` would. DETERMINISM is the gate's
@@ -223,50 +224,60 @@ def check_staircase() -> tuple[bool, str]:
 def offline_step_segments(
     samples: Sequence[FootSample],
 ) -> list[tuple[Foot, float, float, float, float]]:
-    """Brute-force offline segmentation over a complete trace.
-
-    Per foot: contiguous runs of samples above the ground threshold form a
-    swing when they are preceded and followed by a grounded sample and their
-    peak clears the minimum step height. Returns (foot, start, apex_time,
-    end, apex_height) tuples ordered by landing time: start and end are the
-    grounded samples around the run, the apex its first highest sample.
-    The runs are found with array operations on the Samples.of columns
-    alone, without the tracker.
-    """
+    """Brute-force offline segmentation over a complete trace, without the
+    tracker: one lane of _offline_segments, the Samples.of columns."""
     samples = Samples.of(samples)
-    n, left = len(samples), samples.left
-    if not n:
-        return []
-    # every left sample, then every right one, each foot in time order
-    order, n_left = np.argsort(~left, kind="stable"), np.count_nonzero(left)
-    t, h = samples.time[order], samples.height[order]
-    edges = np.flatnonzero(np.diff(h > GROUND_EPSILON, prepend=False, append=False))
+    order = np.argsort(~samples.left, kind="stable")  # left samples, then right ones
+    starts = np.array([0, np.count_nonzero(samples.left), len(samples)])
+    return _offline_segments(samples.time[order], samples.height[order], starts)[0]
+
+
+def _offline_segments(
+    t: np.ndarray, h: np.ndarray, starts: np.ndarray
+) -> list[list[tuple[Foot, float, float, float, float]]]:
+    """The offline segmentation of columns of samples laid end to end, a
+    lane's left then right foot, lane after lane: t and h hold the times
+    and heights in that order when read in C order (t may be a broadcast
+    view, read through .flat), column c from starts[c] to starts[c + 1],
+    each in time order.
+
+    Per column: contiguous runs of samples above the ground threshold form
+    a swing when a grounded sample of the same column precedes and follows
+    them and their peak clears the minimum step height. Returns each lane's
+    (foot, start, apex_time, end, apex_height) tuples ordered by landing
+    time, left first on a tie: start and end are the grounded samples
+    around the run, the apex its first highest sample.
+    """
+    airborne = (h > GROUND_EPSILON).ravel()
+    edges = np.flatnonzero(np.diff(airborne, prepend=False, append=False))
     first, stop = edges[0::2], edges[1::2]  # runs [first, stop) above the threshold
-    # grounded samples of the run's own foot on both sides
-    closed = (first > 0) & (stop < n) & ((stop < n_left) | (first > n_left))
-    first, stop = first[closed], stop[closed]
-    if not first.size:
-        return []
-    bounds = np.column_stack((first, stop)).ravel()
-    peak = np.maximum.reduceat(h, bounds)[::2]
-    index = np.arange(n)
-    run = np.searchsorted(first, index, side="right") - 1  # the run a sample may be in
-    at_peak = (run >= 0) & (index < stop[run]) & (h == peak[run])
-    apex = np.minimum.reduceat(np.where(at_peak, index, n), bounds)[::2]
-    step = peak >= MIN_STEP_HEIGHT
-    right, columns = first[step] > n_left, (t[first - 1], t[apex], t[stop], peak)
-    start, apex_time, end, apex_height = (column[step] for column in columns)
-    by_landing = np.lexsort((right, end))  # ties: "L" < "R", by foot value
+    # a run that starts its column or reaches its end, or spans two, is open
+    column = np.searchsorted(starts, first, side="right") - 1
+    closed = (first > starts[column]) & (stop < starts[column + 1])
+    if not closed.any():
+        return [[] for _ in range(len(starts) // 2)]
+    # the runs' samples, run after run, and where each run begins among them
+    length = stop - first
+    begins = np.cumsum(length) - length
+    up = h[airborne.reshape(h.shape)]
+    peak = np.maximum.reduceat(up, begins)
+    at_peak = np.flatnonzero(up == np.repeat(peak, length))
+    apex = first + at_peak[np.searchsorted(at_peak, begins)] - begins  # the first at its peak
+    step = closed & (peak >= MIN_STEP_HEIGHT)
+    lane, right = np.divmod(column[step], 2)
+    end = t.flat[stop[step]]
+    by_landing = np.lexsort((right, end, lane))  # ties: "L" < "R", by foot value
     feet = [Foot.RIGHT if r else Foot.LEFT for r in right[by_landing].tolist()]
-    return list(zip(feet, *(
-        column[by_landing].tolist() for column in (start, apex_time, end, apex_height)
-    )))
+    values = (t.flat[first[step] - 1], t.flat[apex[step]], end, peak[step])
+    rows = list(zip(feet, *(value[by_landing].tolist() for value in values)))
+    cuts = np.cumsum(np.bincount(lane, minlength=len(starts) // 2)).tolist()
+    return [rows[a:b] for a, b in zip([0, *cuts], cuts)]
 
 
 def check_gait_oracle() -> tuple[bool, str]:
     """Streaming segmentation agrees with the offline oracle on 100 traces,
     tracked as lanes of one TrackerLanes, 0.5 s of ticks per advance."""
-    heights, offline = np.empty((540, 2, 100)), []
+    heights = np.empty((540, 2, 100))
     for i in range(100):
         program = GaitProgram(
             step_frequency=0.6 + (i % 10) * 0.27,
@@ -276,9 +287,12 @@ def check_gait_oracle() -> tuple[bool, str]:
         )
         trace = synth_trace(program, 6.0, 90.0)
         heights[:, :, i] = trace.height.reshape(-1, 2)
-        offline.append(offline_step_segments(trace))
-    times, lanes = trace.time[::2].tolist(), TrackerLanes(100)
-    for first in range(0, len(times), 45):
+    times, lanes = trace.time[::2], TrackerLanes(100)
+    offline = _offline_segments(  # each lane's left, then right heights
+        np.broadcast_to(times, (100, 2, 540)), heights.T, np.arange(0, 201 * 540, 540)
+    )
+    times = times.tolist()
+    for first in range(0, 540, 45):
         lanes.advance(times[first:first + 45], heights[first:first + 45])
     worst_apex = 0.0
     for i, (streamed, segments) in enumerate(zip(lanes.events, offline)):

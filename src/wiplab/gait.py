@@ -17,19 +17,19 @@ suite exploits as an oracle.
 
 GaitTracker.advance steps a foot's state one (time, foot, height) sample at
 a time, checking validate_sample's predicates inline. _swing_scan is its
-one array form: a segmented scan (forward fills and a running max restarted
-at each lift-off) that returns the same fields, a _Swing, after every
-sample at once. estimate_frames streams a recorded stream's rows
-(core.Samples.tuples) through advance and runs the scan over each foot's
-samples, and TrackerLanes over lanes stepped in lockstep, registering each
-lane's steps with _footfall.
+one array form: running maxima and a logical_or scan down the rows that
+return the same fields, a _Swing, after every sample at once.
+estimate_frames streams a recorded stream's rows (core.Samples.tuples)
+through advance and runs the scan over each foot's samples, and
+TrackerLanes over lanes stepped in lockstep, registering each lane's steps
+with _footfall.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 from typing import NamedTuple, Sequence
 
@@ -71,6 +71,26 @@ class StepEvent:
             raise ValueError("step event must satisfy start < apex_time < end")
         if self.apex_height <= 0.0:
             raise ValueError("step apex must be positive")
+
+
+# the slot descriptors' setters, in field order
+_SET_FOOT, _SET_START, _SET_APEX_TIME, _SET_END, _SET_APEX_HEIGHT = (
+    getattr(StepEvent, field.name).__set__ for field in fields(StepEvent)
+)
+
+
+def _step_event(
+    foot: Foot, start: float, apex_time: float, end: float, apex_height: float
+) -> StepEvent:
+    """StepEvent(...) for a completed swing, whose values hold its checks by
+    construction, built through the slot descriptors at half the cost."""
+    event = object.__new__(StepEvent)
+    _SET_FOOT(event, foot)
+    _SET_START(event, start)
+    _SET_APEX_TIME(event, apex_time)
+    _SET_END(event, end)
+    _SET_APEX_HEIGHT(event, apex_height)
+    return event
 
 
 # Tracker thresholds and smoothing constants. SWING_FRACTION is the nominal
@@ -219,13 +239,7 @@ class GaitTracker:
         elif grounded:
             track.aerial = track.descending = False
             if track.valid and track.running_apex >= MIN_STEP_HEIGHT:
-                event = StepEvent(
-                    foot=foot,
-                    start=track.swing_start,
-                    apex_time=track.apex_time,
-                    end=t,
-                    apex_height=track.running_apex,
-                )
+                event = _step_event(foot, track.swing_start, track.apex_time, t, track.running_apex)
                 self._ema_row = _footfall(self._ema_row, self._recent_feet, event)
             track.valid = False
         else:
@@ -339,23 +353,9 @@ def _first_swing(time, height) -> _Swing:
     return _Swing(aerial, no, no, height, zero, zero, zero, np.full_like(zero, time))
 
 
-def _latest(events: np.ndarray, unset) -> np.ndarray:
-    """Down axis 0, the row of the latest event at or before each row, and
-    unset (a negative row, broadcast per column) before the first."""
-    rows = np.arange(len(events)).reshape(-1, *(1,) * (events.ndim - 1))
-    return np.maximum.accumulate(np.where(events, rows, unset), axis=0)
-
-
-def _epoch_max(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Running max down axis 0, restarted at each row where starts is set
-    (row 0 must be one): a doubling scan, exact because max only selects."""
-    out, open_ = values.copy(), ~starts
-    shift = 1
-    while shift < len(out):
-        np.copyto(out[shift:], np.maximum(out[shift:], out[:-shift]), where=open_[shift:])
-        open_[shift:] = open_[shift:] & open_[:-shift]
-        shift *= 2
-    return out
+def _running_max(first, values: np.ndarray) -> np.ndarray:
+    """first, then the running max of first and values down axis 0."""
+    return np.maximum.accumulate(np.concatenate(([first], values)), axis=0)
 
 
 def _swing_scan(now: np.ndarray, before: np.ndarray, heights: np.ndarray, state: _Swing) -> _Swing:
@@ -364,11 +364,13 @@ def _swing_scan(now: np.ndarray, before: np.ndarray, heights: np.ndarray, state:
 
     now holds each row's time and before the foot's previous sample time;
     heights and state broadcast over any trailing axes, and state is the
-    one carried in, which stands at row -1. Swing validity, the descending
-    flip-flop and the apex time are forward fills of event rows; the
-    running apex is a running max restarted at each lift-off. Every value
-    is a comparison or a selected input, so the state is advance()'s, bit
-    for bit, on samples that pass validate_sample.
+    one carried in, which stands at row -1. Times are running maxima of
+    event times, the descending flip-flop a running max of coded set and
+    reset rows, and the running apex, restarted at each lift-off, a running
+    numpy complex maximum of (swing start, height): lexicographic, and the
+    swing start grows at each lift-off. Every value is a comparison or a
+    selected input, so the state is advance()'s, bit for bit, on samples
+    that pass validate_sample.
     """
     col = now.reshape(-1, *(1,) * (heights.ndim - 1))
     before = before.reshape(col.shape)
@@ -376,31 +378,32 @@ def _swing_scan(now: np.ndarray, before: np.ndarray, heights: np.ndarray, state:
     was_aerial = np.concatenate(([state.aerial], airborne[:-1]))
     lift, staying_up = airborne > was_aerial, airborne & was_aerial
     velocity = np.diff(heights, axis=0, prepend=[state.height]) / (col - before)
-    # the sample time before the latest lift-off
-    swing_start = np.maximum(state.swing_start, np.maximum.accumulate(
-        np.where(lift, before, -np.inf), axis=0
+    # row 0 of the running maxima is the carried-in value, row k + 1 the one after row k
+    swing_start = _running_max(state.swing_start, np.where(lift, before, -np.inf))
+    # valid: lifted off since last grounded, or still in a carried-in valid swing
+    valid = airborne & (state.valid | ~state.aerial | np.logical_or.accumulate(~airborne, axis=0))
+    # descending: set by falling, reset by rising or by leaving a staying-aloft
+    # stretch; the latest wins, a fall at row r coded 2r + 1 and a reset 2r
+    rows = 2 * np.arange(len(heights)).reshape(col.shape)
+    code = np.where(staying_up & (velocity < -VELOCITY_DEADBAND), rows + 1, np.where(
+        ~staying_up | (velocity > VELOCITY_DEADBAND), rows, np.where(state.descending, -1, -2)
     ))
-    # valid: lifted off since last grounded. descending: set by falling,
-    # reset by rising or by leaving a staying-aloft stretch.
-    valid = _latest(lift, np.where(state.valid, -1, -2)) > _latest(~airborne, -2)
-    descending = _latest(
-        staying_up & (velocity < -VELOCITY_DEADBAND), np.where(state.descending, -1, -2)
-    ) > _latest(~staying_up | (velocity > VELOCITY_DEADBAND), -2)
-    # row 0 is the carried-in running apex, row k + 1 the one after row k
-    apex = _epoch_max(
-        np.concatenate(([state.running_apex], np.where(airborne, heights, -np.inf))),
-        np.concatenate(([np.ones_like(state.aerial)], lift)),
+    descending = (np.maximum.accumulate(code, axis=0) & 1).astype(bool)
+    key = np.empty(swing_start.shape, complex)
+    key.real, key.imag = swing_start, np.concatenate(
+        ([state.running_apex], np.where(airborne, heights, -np.inf))
     )
-    last_peak = _latest(lift | (airborne & (heights > apex[:-1])), -1)
-    apex_time = np.where(last_peak >= 0, now[last_peak], state.apex_time)
+    apex = np.maximum.accumulate(key, axis=0).imag
+    apex_time = _running_max(
+        state.apex_time, np.where(lift | (airborne & (heights > apex[:-1])), col, -np.inf)
+    )
     changed = (airborne != was_aerial) | (
         descending != np.concatenate(([state.descending], descending[:-1]))
     )
-    entered_at = np.maximum(state.entered_at, np.maximum.accumulate(
-        np.where(changed, col, -np.inf), axis=0
-    ))
+    entered_at = _running_max(state.entered_at, np.where(changed, col, -np.inf))
     return _Swing(
-        airborne, descending, valid, heights, swing_start, apex[1:], apex_time, entered_at
+        airborne, descending, valid, heights, swing_start[1:], apex[1:], apex_time[1:],
+        entered_at[1:],
     )
 
 
@@ -465,51 +468,56 @@ def estimate_frames(samples: Sequence[FootSample], events: list[StepEvent]) -> F
     n_frames = now.size
     foot_heights = np.zeros((2, n_frames))  # 0 where the foot has no sample
     foot_heights[np.where(left, 0, 1), frame] = h
-    swing = _Swing(*map(np.stack, zip(*(
+    feet = [
         _frame_swings(t[idx], h[idx], frame[idx], n_frames)
         for idx in (np.flatnonzero(left), np.flatnonzero(~left))
-    ))))
+    ]
 
     # the EMA row after the last footfall at or before each frame
-    emas = np.array(emas)
-    snap = np.searchsorted(np.searchsorted(now, emas[1:, 3]), np.arange(n_frames), side="right")
-    step_frequency, step_height = _estimate_columns(now, swing, *emas[snap].T)
+    emas = np.array(emas).T
+    snap = np.searchsorted(np.searchsorted(now, emas[3, 1:]), np.arange(n_frames), side="right")
+    step_frequency, step_height = _estimate_columns(now, feet, *np.take(emas, snap, axis=1))
     return FrameEstimates(now, *foot_heights, step_frequency, step_height)
 
 
 def _estimate_columns(
-    now, feet: _Swing, ema: np.ndarray, base: np.ndarray, active_feet, footfall: np.ndarray
+    now, feet: list[_Swing], ema: np.ndarray, base: np.ndarray, active_feet, footfall: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """What estimate(now) returns, bit for bit, for many queries at once.
 
-    feet holds (2, ...) arrays, row 0 the left foot; now and the rest
-    broadcast against one row: the cadence EMA (0 for none, which bounds
-    the cadence to 0 as a missing one does, since a real EMA is > 0), the
-    apex EMA (0 for none), the active feet and the last footfall time (NaN
-    for none). Minima and maxima over feet are exact. entered_at stands in
-    for the latest transition: staleness reads it only while both feet are
-    grounded, and then each foot's is its grounding time.
+    feet holds the left and the right foot's _Swing; now and the rest
+    broadcast against their arrays: the cadence EMA (0 for none, which
+    bounds the cadence to 0 as a missing one does, since a real EMA is > 0),
+    the apex EMA (0 for none), the active feet and the last footfall time
+    (NaN for none). The smaller partial bound is the longer elapsed time's,
+    as rounding keeps monotone order. entered_at stands in for the latest
+    transition: staleness reads it only while both feet are grounded, and
+    then each foot's is its grounding time.
     """
-    elapsed = now - np.where(feet.valid, feet.swing_start, feet.entered_at)
-    bound = feet.aerial & (elapsed > 0.0)
-    partial = np.divide(SWING_FRACTION, elapsed, out=np.zeros_like(elapsed), where=bound)
-    partial = np.where(bound, PARTIAL_SLACK * active_feet * partial, np.inf)
-    freq = np.minimum(ema, np.minimum(partial[0], partial[1]))
-    gap = now - footfall
-    bound = gap > 0.0
-    gap_bound = np.divide(PARTIAL_SLACK, gap, out=np.zeros_like(gap), where=bound)
-    freq = np.where(bound, np.minimum(freq, gap_bound), freq)
-
-    rising = feet.valid & (feet.running_apex > base)
-    weight = np.minimum(1.0, np.maximum(0.0, elapsed / SMOOTHING_TAU))
-    blended = np.where(rising, base + weight * (feet.running_apex - base), -np.inf)
-    height = np.maximum(base, np.maximum(blended[0], blended[1]))
-
-    aerial, entered_at = feet.aerial, feet.entered_at
-    stale = ~(aerial[0] | aerial[1]) & (
-        now - np.maximum(entered_at[0], entered_at[1]) >= STOP_WINDOW
+    # an aerial foot's time since its anchor, >= 0; 0, no bound, when grounded
+    elapsed = [
+        np.where(foot.aerial, now - np.where(foot.valid, foot.swing_start, foot.entered_at), 0.0)
+        for foot in feet
+    ]
+    longest = np.maximum(*elapsed)
+    partial = np.divide(
+        SWING_FRACTION, longest, out=np.full_like(longest, np.inf), where=longest > 0.0
     )
-    return np.where(stale, 0.0, np.maximum(0.0, freq)), np.where(stale, 0.0, height)
+    gap = now - footfall
+    gap_bound = np.divide(PARTIAL_SLACK, gap, out=np.full_like(gap, np.inf), where=gap > 0.0)
+    freq = np.minimum(np.minimum(ema, PARTIAL_SLACK * active_feet * partial), gap_bound)
+
+    height = base  # a rising foot's blend is >= base
+    for foot, since in zip(feet, elapsed):
+        rising = foot.valid & (foot.running_apex > base)  # valid feet are aerial
+        blended = base + np.minimum(1.0, since / SMOOTHING_TAU) * (foot.running_apex - base)
+        height = np.maximum(height, np.where(rising, blended, base))
+
+    left, right = feet
+    stale = ~(left.aerial | right.aerial) & (
+        now - np.maximum(left.entered_at, right.entered_at) >= STOP_WINDOW
+    )
+    return np.where(stale, 0.0, freq), np.where(stale, 0.0, height)
 
 
 # ----------------------------------------------------------------------
@@ -536,13 +544,19 @@ class TrackerLanes:
         self.events: list[list[StepEvent]] = [[] for _ in range(lanes)]
         self._prev_time: float | None = None
         self._state: _Swing | None = None
-        # each lane's EMA row after its latest footfall
-        self._emas = np.array([_NO_FOOTFALL] * lanes)
+        # each lane's EMA row after its latest footfall, a column
+        self._emas = np.repeat(np.array(_NO_FOOTFALL)[:, None], lanes, axis=1)
 
     def advance(self, times: list[float], heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ingest ticks at times, heights[k] holding every lane's left and
         right heights, and return each lane's estimate(times[k]) after each
-        tick: step frequency and step height as (ticks, lanes) arrays."""
+        tick: step frequency and step height as (ticks, lanes) arrays.
+        heights must have shape (len(times), 2, lanes), or ValueError."""
+        lanes = len(self.events)
+        if heights.shape != (len(times), 2, lanes):
+            raise ValueError(f"heights have shape {heights.shape}, not {(len(times), 2, lanes)}")
+        if not len(times):
+            return np.empty((0, lanes)), np.empty((0, lanes))
         prev = self._prev_time
         if prev is None:  # each foot's first sample starts its track
             self._state = _first_swing(times[0], heights[0])
@@ -557,7 +571,7 @@ class TrackerLanes:
         if not fine.all():
             k = int(fine.argmin())
             i = int(in_range[k].argmin())  # 0 when every height is in range
-            sample = FootSample(times[k], _FEET[i // heights.shape[2]], heights[k].item(i))
+            sample = FootSample(times[k], _FEET[i // lanes], heights[k].item(i))
             validate_sample(sample, prev if k == 0 else times[k - 1])
         swing = _swing_scan(now, before, heights, self._state)
         # a valid swing is aerial, so a valid foot back on the ground landed;
@@ -569,7 +583,7 @@ class TrackerLanes:
         emas = self._footfalls(landed, times, swing)
         self._prev_time = times[-1]
         self._state = _Swing(*(a[-1].copy() for a in swing))
-        feet = _Swing(*(a.swapaxes(0, 1) for a in swing))
+        feet = [_Swing(*(a[:, foot] for a in swing)) for foot in (0, 1)]
         return _estimate_columns(now[:, None], feet, *emas)
 
     def _footfalls(self, landed, times, swing: _Swing) -> np.ndarray:
@@ -578,19 +592,19 @@ class TrackerLanes:
         lanes' EMA arguments after each tick: (4, ticks or 1, lanes)."""
         at = np.nonzero(landed)
         if not at[0].size:
-            return self._emas.T[:, None]
-        rows, current = [], self._emas.tolist()
+            return self._emas[:, None]
+        rows, current, recent, events = [], self._emas.T.tolist(), self._recent_feet, self.events
         steps = (*at, swing.swing_start[at], swing.apex_time[at], swing.running_apex[at])
         for k, foot, lane, start, top_time, top in zip(*(a.tolist() for a in steps)):
-            event = StepEvent(_FEET[foot], start, top_time, times[k], top)
-            current[lane] = row = _footfall(current[lane], self._recent_feet[lane], event)
-            self.events[lane].append(event)
+            event = _step_event(_FEET[foot], start, top_time, times[k], top)
+            current[lane] = row = _footfall(current[lane], recent[lane], event)
+            events[lane].append(event)
             rows.append(row)
-        # rows of table: each lane's carried-in EMAs, then one per step
+        # columns of table: each lane's carried-in EMAs, then one per step
         lanes = landed.shape[2]
-        table = np.concatenate((self._emas, rows))
+        table = np.concatenate((self._emas, np.array(rows).T), axis=1)
         latest = np.repeat(np.arange(lanes)[None], len(times), axis=0)
         np.maximum.at(latest, (at[0], at[2]), np.arange(lanes, lanes + len(rows)))
-        emas = table[np.maximum.accumulate(latest, axis=0)]
-        self._emas = emas[-1].copy()
-        return emas.transpose(2, 0, 1)
+        emas = np.take(table, np.maximum.accumulate(latest, axis=0), axis=1)
+        self._emas = emas[:, -1].copy()
+        return emas

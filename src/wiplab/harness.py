@@ -21,13 +21,12 @@ Independent chases that share a scenario run in lockstep as lanes:
 run_chase_lanes keeps every lane's state in numpy arrays and returns the
 reports run_chase would, bit for bit. Its exactness rules: each array
 operation is the scalar one, elementwise and in the same order (the tests
-pin np.sin to math.sin and np.mod(x, 1.0) to x % 1.0); state that steps
-from tick to tick is scanned a re-plan interval at a time with sequential
-cumulative sums (the gait clock, restarted at each wrap), running maxima
-and forward fills (the running apex, swing and descending flags); the EMAs
-update per lane at footfalls through the streaming tracker's own
+pin np.sin to math.sin); state that steps from tick to tick is scanned a
+re-plan interval at a time with sequential cumulative sums (the gait
+clock, restarted at each wrap) and running maxima, which only select; the
+EMAs update per lane at footfalls through the streaming tracker's own
 registration, gait._footfall, with math.exp (np.exp differs); each lane
-draws its agent's noise only while its SD is positive; the only
+draws its agent's noise in blocks, in the agent's order; the only
 reductions are min, max and sequential cumulative sums (replay shares
 the kinematics, _integrate), and the reports come from compute_metrics's
 own arithmetic, _window_metrics, where every statistic is _mean of an array.
@@ -344,8 +343,9 @@ def run_chase_lanes(
     events and over gait-clock wraps. Only the chase window's speeds and
     errors and the step events are kept. Invalid samples and a diverged
     state raise for the whole batch. Lanes draw noise in blocks straight
-    from their agents' generators, so an agent passed twice, or one that
-    drew noise sample by sample (in run_chase), raises ValueError.
+    from their agents' generators, so the batch consumes its agents: an
+    agent passed twice, one that drew noise sample by sample (in
+    run_chase) or one consumed raises ValueError, in run_chase too.
     """
     lanes = len(agents)
     if lanes == 0 or len(params) != lanes:
@@ -357,31 +357,33 @@ def run_chase_lanes(
     end = chase_start + scenario.chase_duration
     circle_lead, target_speed = scenario.circle_lead, scenario.target_speed
     walkers, trackers = WalkerLanes(agents, dt), TrackerLanes(lanes)
-    laws = [  # one law per distinct params, with its lanes
-        (speed.law(p), [i for i, q in enumerate(params) if q == p]) for p in dict.fromkeys(params)
-    ]
+    laws = []  # one law per distinct params, with its lanes: a slice when adjacent
+    for p in dict.fromkeys(params):
+        members = [i for i, q in enumerate(params) if q == p]
+        adjacent = members[-1] - members[0] == len(members) - 1
+        laws.append((speed.law(p), slice(members[0], members[-1] + 1) if adjacent else members))
     frame_times = np.arange(n_frames) * dt  # k * dt, as run_chase's loop computes it
     in_window = (chase_start <= frame_times) & (frame_times < end)
     # the chase window's speeds and errors, filled an interval at a time
     speeds, errors = np.empty((2, np.count_nonzero(in_window), lanes))
     kept = 0
     position, sphere = np.zeros(lanes), np.full(lanes, circle_lead)
-    for first in range(0, n_frames, replan_every):
-        walkers.command([
-            chase_policy(e, target_speed) for e in (sphere - (position + circle_lead)).tolist()
-        ])
-        now = frame_times[first:first + replan_every]
-        f, sh = trackers.advance(now.tolist(), walkers.samples(now.size))
-        out = np.empty_like(f)
-        with np.errstate(over="ignore", invalid="ignore"):  # caught as divergence below
+    with np.errstate(over="ignore", invalid="ignore"):  # the laws' overflow is caught as divergence
+        for first in range(0, n_frames, replan_every):
+            walkers.command([
+                chase_policy(e, target_speed) for e in (sphere - (position + circle_lead)).tolist()
+            ])
+            now = frame_times[first:first + replan_every]
+            f, sh = trackers.advance(now.tolist(), walkers.samples(now.size))
+            out = np.empty_like(f)
             for evaluate, members in laws:
                 out[:, members] = evaluate(f[:, members], sh[:, members])[1]
-        position, sphere, error = _integrate(scenario, now, out, position, sphere)
-        window = in_window[first:first + replan_every]
-        done = kept + np.count_nonzero(window)
-        speeds[kept:done], errors[kept:done] = out[window], error[window]
-        kept = done
-        position, sphere = position[-1].copy(), sphere[-1].copy()  # a view keeps the interval
+            position, sphere, error = _integrate(scenario, now, out, position, sphere)
+            window = in_window[first:first + replan_every]
+            done = kept + np.count_nonzero(window)
+            speeds[kept:done], errors[kept:done] = out[window], error[window]
+            kept = done
+            position, sphere = position[-1].copy(), sphere[-1].copy()  # a view keeps the interval
 
     return [
         _window_metrics(speeds[:, i], errors[:, i], events, chase_start, end)

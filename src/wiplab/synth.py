@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from inspect import GEN_CREATED, getgeneratorstate
+from inspect import GEN_CLOSED, GEN_CREATED, getgeneratorstate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -57,7 +57,7 @@ CHASE_GAIN = 0.5  # m/s of commanded speed per m of chase error
 # 8-sigma draw adds 0.32 m: 0.3 + 1.009 + 0.32 = 1.63 m.
 MAX_NOISE_SD = 0.01  # m
 
-# Standard normals a WalkerAgent draws from its generator per block.
+# Standard normals a WalkerAgent, or at least a WalkerLanes lane, draws per block.
 NOISE_BLOCK = 512
 
 
@@ -105,7 +105,8 @@ def synth_trace(program: GaitProgram, duration: float, sample_rate: float) -> Sa
     heights = np.zeros((n, 2))  # one row per tick: left, right
     if program.step_frequency > 0.0:
         # per-foot cycle period is 2/f: two alternating feet share the cadence
-        cycle = (t[:, None] * program.step_frequency / 2.0 + (0.0, PHASE_OFFSET)) % 1.0
+        cycle = t[:, None] * program.step_frequency / 2.0 + (0.0, PHASE_OFFSET)
+        cycle -= np.floor(cycle)  # % 1.0's bits for cycle >= 0, at a fraction of its cost
         u = (cycle - STANCE_FRACTION) / (1.0 - STANCE_FRACTION)
         swing = program.apex_height * np.sin(np.pi * u)
         heights = np.where(cycle < STANCE_FRACTION, 0.0, swing)
@@ -176,7 +177,8 @@ class WalkerAgent:
     Noise is read in order from blocks of the agent's generator, and only
     while the effective SD is positive, so the sequence of draws equals one
     scalar standard_normal() per noisy sample. That equality keeps recorded
-    runs and their goldens exact.
+    runs and their goldens exact. A WalkerLanes batch closes its agents'
+    noise streams: it consumes them.
     """
 
     def __init__(
@@ -210,7 +212,13 @@ class WalkerAgent:
             yield from self._rng.standard_normal(NOISE_BLOCK).tolist()
 
     def command(self, speed: float) -> None:
-        """Re-plan for a commanded speed."""
+        """Re-plan for a commanded speed; ValueError once a batch consumed the agent."""
+        if getgeneratorstate(self._noise) == GEN_CLOSED:
+            raise ValueError("agent was consumed by a batch of lanes")
+        self._replan(speed)
+
+    def _replan(self, speed: float) -> None:
+        """command() without its check: WalkerLanes re-plans its lanes through it."""
         frequency, apex = _cadence_and_apex(speed, self.params)
         strain = 0.0
         if speed > 0.0:
@@ -283,27 +291,33 @@ class WalkerLanes:
     left foot. command() re-plans every lane through its own agent; between
     re-plans no plan changes, so samples() emits a run of ticks at once with
     samples()'s operations and no loop over ticks: the gait clocks are
-    cumulative sums restarted at each wrap. Each lane draws its noise as one
-    block straight from its agent's generator, a left/right pair per tick,
-    while its SD is positive, so an agent may neither serve two lanes nor
-    have drawn noise sample by sample: either raises ValueError.
+    cumulative sums restarted at each wrap. A lane whose agent's noise_sd
+    is positive (strain only scales it up) draws its noise straight from
+    the agent's generator, a left/right pair per tick, in blocks of at
+    least NOISE_BLOCK normals. So the batch consumes its agents, and one
+    that served two lanes, drew noise sample by sample or was consumed
+    raises ValueError.
     """
 
     def __init__(self, agents: Sequence[WalkerAgent], dt: float):
         for lane, agent in enumerate(agents):
             if agent in agents[:lane] or getgeneratorstate(agent._noise) != GEN_CREATED:
-                raise ValueError(f"lane {lane}: agent is an earlier lane's or already drew noise")
+                raise ValueError(f"lane {lane}: agent served two lanes, drew noise or was consumed")
+        for agent in agents:
+            agent._noise.close()
         self._agents, self._dt = agents, dt
         self._cycle, self._apex, self._in_stance = (
             np.array([getattr(a, name) for a in agents]).T
             for name in ("_cycle", "_apex", "_in_stance")
         )
+        self._noisy = [lane for lane, a in enumerate(agents) if a.noise_sd > 0.0]
+        self._normals = np.empty((0, 2, len(agents)))  # drawn and not yet read
         self._adopt()
 
     def command(self, speeds: Sequence[float]) -> None:
         """Re-plan every lane for its commanded speed, as WalkerAgent.command does."""
         for agent, speed in zip(self._agents, speeds):
-            agent.command(speed)
+            agent._replan(speed)
         self._adopt()
         # feet settle; park both cycles at stance start
         self._cycle = np.where(self._parked, 0.0, self._cycle)
@@ -331,11 +345,14 @@ class WalkerLanes:
         self._apex, self._in_stance = apex[-1], stance[-1]
         u = (cycles - STANCE_FRACTION) / (1.0 - STANCE_FRACTION)
         heights = np.where(stance, 0.0, apex * np.sin(np.pi * u))
-        noisy = np.flatnonzero(self._sd > 0.0).tolist()
-        if noisy:
-            noise = np.zeros_like(heights)  # a lane with SD 0 adds 0.0 * 0.0
-            draws = [self._agents[lane]._rng.standard_normal(2 * ticks) for lane in noisy]
-            noise[:, :, noisy] = np.stack(draws, axis=1).reshape(ticks, 2, len(noisy))
+        if self._noisy:
+            if len(self._normals) < ticks:
+                fresh = max(NOISE_BLOCK // 2, ticks - len(self._normals))
+                drawn = np.zeros((2 * fresh, len(self._agents)))  # a lane with SD 0 adds 0.0 * 0.0
+                for lane in self._noisy:
+                    drawn[:, lane] = self._agents[lane]._rng.standard_normal(2 * fresh)
+                self._normals = np.concatenate((self._normals, drawn.reshape(fresh, 2, -1)))
+            noise, self._normals = self._normals[:ticks], self._normals[ticks:]
             heights = heights + self._sd * noise
             heights = np.where(heights > 0.0, heights, 0.0)  # max(0.0, h)
         return heights

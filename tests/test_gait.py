@@ -745,8 +745,25 @@ def lane_heights(lanes):
     return np.array(padded).reshape(len(lanes), ticks, 2).transpose(1, 2, 0)
 
 
+def flicker(k, phase):
+    """A height that flickers across GROUND_EPSILON in swings that stay
+    below MIN_STEP_HEIGHT."""
+    return max(0.0, GROUND_EPSILON + 0.019 * math.sin(2.1 * k + phase))
+
+
+# a jittery lane: flickers, a stretch of real steps, and flickers again
+JITTERY = [
+    *as_segments([(flicker(k, 0.0), flicker(k, 1.0)) for k in range(150)]),
+    ("steps", 1.8, 0.08, 0.4, 100),
+    *as_segments([(flicker(k, 2.0), flicker(k, 0.5)) for k in range(150)]),
+]
+
+
 @settings(max_examples=25, deadline=None)
 @given(lanes=st.lists(segments, min_size=1, max_size=4), runs=st.lists(st.integers(1, 60)))
+@example(  # many lift-offs and landings per run, in runs of uneven lengths
+    lanes=[JITTERY, [("steps", 2.0, 0.12, 0.4, 400)]], runs=[1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+)
 @example(  # every threshold met exactly, with runs that split at the deadband switches
     lanes=[as_segments(ticks) for ticks in BOUNDARY_GAITS.values()], runs=[76, 13]
 )
@@ -797,6 +814,64 @@ def test_tracker_lanes_carry_no_view_of_a_run():
     batch.advance([k / 90.0 for k in range(len(ticks))], np.repeat(np.array(ticks)[..., None], 3, 2))
     assert [len(events) for events in batch.events] == [2, 2, 2]
     assert [a.base is None for a in (*batch._state, batch._emas)] == [True] * 9
+
+
+@pytest.mark.parametrize(
+    "lanes, ticks, shape",
+    [
+        (2, 2, (1, 2, 2)),  # fewer ticks of heights than times
+        (3, 1, (1, 2, 1)),  # one lane of heights broadcast to three
+        (1, 1, (1, 1, 1)),  # one foot
+        (2, 1, (1, 2, 2, 1)),
+        (1, 0, (1, 2, 1)),  # heights for no times
+    ],
+)
+def test_tracker_lanes_reject_heights_of_another_shape(lanes, ticks, shape):
+    batch = TrackerLanes(lanes)
+    want = (ticks, 2, lanes)
+    with pytest.raises(ValueError) as raised:
+        batch.advance([k / 90.0 for k in range(ticks)], np.zeros(shape))
+    assert str(raised.value) == f"heights have shape {shape}, not {want}"
+    assert batch._prev_time is None and batch._state is None
+
+
+def test_a_tracker_lanes_run_of_no_ticks_changes_nothing():
+    """An empty run returns (0, lanes) columns, before and after real ones,
+    and the runs around it give what they give without it."""
+    ticks = BOUNDARY_GAITS["grounded for STOP_WINDOW"]
+    heights = np.repeat(np.array(ticks)[..., None], 3, 2)
+    times = [k / 90.0 for k in range(len(ticks))]
+    batch, plain = TrackerLanes(3), TrackerLanes(3)
+    got = []
+    for part in (slice(0, 0), slice(0, 25), slice(25, 25), slice(25, None), slice(0, 0)):
+        columns = batch.advance(times[part], heights[part])
+        assert [c.shape for c in columns] == [(len(times[part]), 3)] * 2
+        got.append(columns)
+    want = [plain.advance(times[:25], heights[:25]), plain.advance(times[25:], heights[25:])]
+    for columns, expected in zip((got[1], got[3]), want):
+        assert [c.tobytes() for c in columns] == [c.tobytes() for c in expected]
+    assert [list(map(repr, e)) for e in batch.events] == [list(map(repr, e)) for e in plain.events]
+
+
+def test_numpy_complex_maximum_is_lexicographic():
+    """_swing_scan's running apex is a running np.maximum of complex (swing
+    start, height) pairs: it must order them by real part, then by
+    imaginary part, and return one of its arguments unchanged."""
+    rng = np.random.default_rng(20260607)
+    real = rng.integers(0, 4, (2, 20_000)) / 90.0
+    imag = np.where(rng.random((2, 20_000)) < 0.2, -np.inf, rng.integers(0, 6, (2, 20_000)) / 50.0)
+    pairs = np.empty((2, 20_000), complex)
+    pairs.real, pairs.imag = real, imag  # 1j * -inf would have a NaN real part
+    a, b = pairs
+    got = np.maximum(a, b)
+    first = (a.real > b.real) | ((a.real == b.real) & (a.imag >= b.imag))
+    assert got.tobytes() == np.where(first, a, b).tobytes()
+    best, want = None, []
+    for z in a[:500].tolist():
+        if best is None or (z.real, z.imag) > (best.real, best.imag):
+            best = z
+        want.append(best)
+    assert np.maximum.accumulate(a[:500]).tolist() == want
 
 
 @pytest.mark.parametrize(

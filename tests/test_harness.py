@@ -549,6 +549,17 @@ lane = st.tuples(
     ),
     lanes=st.lists(lane, min_size=1, max_size=5),
 )
+@example(  # 999 frames: 22 re-plans and 9 frames, 3 noise blocks and 231 frames
+    scenario=ChaseScenario(
+        target_speed=1.0, prep_distance=1.0, prep_duration=2.0, countdown=1.0, chase_duration=7.1
+    ),
+    lanes=[
+        (Variant.SHEF, MAX_NOISE_SD, 3, "none", 1.0),
+        (Variant.GUD, 0.002, 5, "down:4", 1.3),
+        (Variant.SHEF, 0.0, 0, "up:6", 1.0),
+        (Variant.GUD, 0.004, 7, "none", 1.0),
+    ],
+)
 def test_each_lane_equals_its_own_chase(scenario, lanes):
     assert_lanes_equal_run_chase(scenario, lanes)
 
@@ -608,6 +619,19 @@ def test_lanes_reject_an_agent_that_drew_noise_sample_by_sample():
     quiet = WalkerAgent(SHEF, seed=1)  # stepped without noise, it drew nothing
     run_chase(scenario, quiet, SHEF)
     run_chase_lanes(scenario, [quiet], [SHEF])
+
+
+def test_a_batch_consumes_its_agents():
+    """After a batch, noisy or quiet, an agent can serve neither a later
+    batch nor run_chase: its generator was read in blocks, past the run."""
+    scenario = ChaseScenario(target_speed=1.0, prep_duration=0.5, chase_duration=0.5)
+    agents = [WalkerAgent(SHEF, noise_sd=0.004, seed=1), WalkerAgent(SHEF, seed=2)]
+    run_chase_lanes(scenario, agents, [SHEF] * 2)
+    for agent in agents:
+        with pytest.raises(ValueError, match="lane 1: "):
+            run_chase_lanes(scenario, [WalkerAgent(SHEF), agent], [SHEF] * 2)
+        with pytest.raises(ValueError, match="consumed"):
+            run_chase(scenario, agent, SHEF)
 
 
 def test_lanes_carry_no_view_of_an_interval(monkeypatch):

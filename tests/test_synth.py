@@ -447,11 +447,22 @@ def test_synth_trace_equals_the_sample_loop(frequency, apex, noise_sd, seed, dur
     assert list(map(repr, got)) == list(map(repr, loop_synth_trace(program, duration, rate)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(c=st.floats(min_value=0.0, allow_infinity=False) | st.integers(0, 2**60).map(lambda k: k / 8.0))
+def test_floor_fraction_equals_mod_one(c):
+    """synth_trace wraps its cycle positions, all >= 0, as c - np.floor(c);
+    the scalar paths wrap them with % 1.0. For finite c >= 0 both are c's
+    exact fractional part."""
+    array = np.array([c])
+    assert [x.hex() for x in (array - np.floor(array)).tolist()] == [(c % 1.0).hex()]
+
+
 def test_numpy_sin_and_mod_equal_math_on_the_swing_domain():
     """The array gait paths (synth_trace, synth.WalkerLanes) compute the
-    half-sine swing with np.sin and wrap the cycle with np.mod; the scalar
-    paths use math.sin and %. They agree bit for bit on this platform's
-    numpy for every argument the swing takes: pi * u with u in [0, 1)."""
+    half-sine swing with np.sin; the scalar paths use math.sin and wrap the
+    cycle with %. np.sin agrees bit for bit with math.sin on this
+    platform's numpy for every argument the swing takes: pi * u with u in
+    [0, 1), and np.mod(x, 1.0) with x % 1.0 on cycle positions."""
     rng = np.random.default_rng(20240607)
     u = np.concatenate((np.linspace(0.0, 1.0, 100_001)[:-1], rng.random(200_000)))
     angle = np.pi * u
