@@ -114,7 +114,6 @@ class FootSample(NamedTuple):
     height: float  # m
 
 
-_new_sample = tuple.__new__  # a FootSample without its Python-level __new__
 _FOOT_OF = (Foot.RIGHT, Foot.LEFT)  # by is-left
 
 
@@ -122,14 +121,13 @@ class Samples:
     """Foot samples held as equal-length columns: time (s), left (True
     for a left-foot sample) and height (m), numpy arrays in stream order.
 
-    It is every recorded stream: synth_trace's, load_trace's and each
-    RunLog's. It is a sequence of FootSamples: len() and indexing work, and
-    iteration builds each FootSample on demand, so streaming callers read it
-    as they read a list; tuples() gives the same rows as plain tuples, which
-    the tracker's hot loops stream. The array paths (replay, its frame
-    estimates, the offline step oracle and save_trace) read the columns.
-    Samples.of is the one conversion from any other sequence of FootSamples.
-    There is no list equality: compare list(samples).
+    It is the one form of a stream: synth_trace's, load_trace's and each
+    RunLog's, and what replay_trace, estimate_frames, save_trace,
+    trace_text and offline_step_segments take. The array paths read the
+    columns; tuples() is the one row view, plain (time, foot, height)
+    tuples, which GaitTracker.advance streams. of() is the one conversion
+    from FootSample rows. There is no list equality: compare
+    list(samples.tuples()).
     """
 
     __slots__ = ("time", "left", "height")
@@ -139,10 +137,8 @@ class Samples:
 
     @classmethod
     def of(cls, samples: Sequence[FootSample]) -> Samples:
-        """samples itself when it is a Samples, else its columns. A foot
-        that is neither Foot.LEFT nor Foot.RIGHT raises ValueError."""
-        if isinstance(samples, cls):
-            return samples
+        """The columns of FootSample rows. A foot that is neither Foot.LEFT
+        nor Foot.RIGHT raises ValueError."""
         times, feet, heights = tuple(zip(*samples)) or ((), (), ())
         left = np.fromiter(map(operator.is_, feet, repeat(Foot.LEFT)), bool, len(feet))
         right = np.fromiter(map(operator.is_, feet, repeat(Foot.RIGHT)), bool, len(feet))
@@ -157,14 +153,6 @@ class Samples:
         """The rows as plain (time, foot, height) tuples, in stream order."""
         return zip(self.time.tolist(), map(_FOOT_OF.__getitem__, self.left.tolist()),
                    self.height.tolist())
-
-    def __iter__(self) -> Iterator[FootSample]:
-        return map(_new_sample, repeat(FootSample), self.tuples())
-
-    def __getitem__(self, index: int) -> FootSample:
-        return _new_sample(FootSample, (
-            self.time[index].item(), _FOOT_OF[self.left[index].item()], self.height[index].item()
-        ))
 
 
 def validate_sample(sample: FootSample, previous_time_for_foot: float | None) -> FootSample:

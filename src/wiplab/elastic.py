@@ -50,7 +50,7 @@ class ElasticRig:
 class ForceReading:
     magnitude: float       # N, always >= 0
     direction_sign: int    # +1 pulling up, -1 pulling down, 0 for no rig
-    extrapolated: bool = False  # extension beyond the measured law range
+    extrapolated: bool     # extension beyond the measured law range
 
 
 def band_force_kgf(extension: float) -> float:

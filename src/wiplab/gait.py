@@ -19,10 +19,10 @@ GaitTracker.advance steps a foot's state one (time, foot, height) sample at
 a time, checking validate_sample's predicates inline. _swing_scan is its
 one array form: running maxima and a logical_or scan down the rows that
 return the same fields, a _Swing, after every sample at once.
-estimate_frames streams a recorded stream's rows (core.Samples.tuples)
-through advance and runs the scan over each foot's samples, and
-TrackerLanes over lanes stepped in lockstep, registering each lane's steps
-with _footfall.
+estimate_frames takes a recorded stream as a core.Samples, streams its one
+row view, Samples.tuples, through advance and runs the scan over each
+foot's columns, and TrackerLanes runs it over lanes stepped in lockstep,
+registering each lane's steps with _footfall.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, fields
 from itertools import islice
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -419,13 +419,12 @@ def _frame_swings(t: np.ndarray, h: np.ndarray, frame: np.ndarray, n_frames: int
     return _Swing(*(np.append(a, u)[latest] for a, u in zip(swing, _UNSEEN)))
 
 
-def estimate_frames(samples: Sequence[FootSample], events: list[StepEvent]) -> FrameEstimates:
+def estimate_frames(samples: Samples, events: list[StepEvent]) -> FrameEstimates:
     """Stream time-sorted samples through one tracker, then estimate every
     frame at once.
 
-    samples is read as columns (Samples.of; a Samples passes as it is).
     Every sample goes through GaitTracker.advance, in order, as a plain
-    (time, foot, height) tuple from Samples.tuples, so validation,
+    (time, foot, height) tuple from samples.tuples(), so validation,
     segmentation and the StepEvents (appended to events) are the streaming
     tracker's, and the EMA state is snapshotted after each step event. Each
     foot's swing state comes from _swing_scan over that foot's own samples,
@@ -437,7 +436,6 @@ def estimate_frames(samples: Sequence[FootSample], events: list[StepEvent]) -> F
     before it: staleness reads the latest grounding time, which is a running
     max only on sorted input.
     """
-    samples = Samples.of(samples)
     tracker = GaitTracker()
     t, left, h = samples.time, samples.left, samples.height
     n = t.size
@@ -453,10 +451,9 @@ def estimate_frames(samples: Sequence[FootSample], events: list[StepEvent]) -> F
             emas.append(tracker._ema_row)
     events.extend(found)
     if stop < n:
-        s = samples[stop]
         raise NonMonotonicTime(
-            f"foot {s.foot.value} sample at t={s.time!r} precedes the sample "
-            f"before it at t={samples[stop - 1].time!r}; replay needs "
+            f"foot {_FEET[not left[stop]].value} sample at t={t[stop].item()!r} precedes "
+            f"the sample before it at t={t[stop - 1].item()!r}; replay needs "
             "time-sorted samples"
         )
 
@@ -551,8 +548,11 @@ class TrackerLanes:
         """Ingest ticks at times, heights[k] holding every lane's left and
         right heights, and return each lane's estimate(times[k]) after each
         tick: step frequency and step height as (ticks, lanes) arrays.
-        heights must have shape (len(times), 2, lanes), or ValueError."""
+        heights must be an ndarray of shape (len(times), 2, lanes), or
+        ValueError."""
         lanes = len(self.events)
+        if not isinstance(heights, np.ndarray):
+            raise ValueError(f"heights must be an ndarray, got {type(heights).__name__}")
         if heights.shape != (len(times), 2, lanes):
             raise ValueError(f"heights have shape {heights.shape}, not {(len(times), 2, lanes)}")
         if not len(times):

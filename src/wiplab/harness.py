@@ -31,15 +31,16 @@ reductions are min, max and sequential cumulative sums (replay shares
 the kinematics, _integrate), and the reports come from compute_metrics's
 own arithmetic, _window_metrics, where every statistic is _mean of an array.
 
-Replay reads a time-sorted recorded trace as columns (core.Samples, as
-traceio.load_trace returns it). It advances the same streaming tracker a
-plain tuple per sample for its validation, step events and EMAs, and reads
-each foot's swing state from gait's swing scan, the one run_chase_lanes'
-trackers step with. It then computes every frame's estimate, law and
-kinematics as arrays in the live loop's operation order: they are its log's
-Frames, and compute_metrics of that log is its report, which is what keeps
-record/replay reports bit-identical; the DETERMINISM check, the replay
-goldens and a property test against a per-frame loop guard that.
+Replay takes a time-sorted recorded trace as a core.Samples, as
+traceio.load_trace returns it, and reads its columns. It advances the same
+streaming tracker a plain tuple per sample for its validation, step events
+and EMAs, and reads each foot's swing state from gait's swing scan, the one
+run_chase_lanes' trackers step with. It then computes every frame's
+estimate, law and kinematics as arrays in the live loop's operation order:
+they are its log's Frames, and compute_metrics of that log is its report,
+which is what keeps record/replay reports bit-identical; the DETERMINISM
+check, the replay goldens and a property test against a per-frame loop
+guard that.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .core import (
     DivergedSimulation,
     EmptyWindow,
     Foot,
-    FootSample,
     NonTermination,
     Samples,
     WipParams,
@@ -392,22 +392,20 @@ def run_chase_lanes(
 
 
 def replay_trace(
-    samples: Sequence[FootSample], params: WipParams, scenario: ChaseScenario | None = None
+    samples: Samples, params: WipParams, scenario: ChaseScenario | None = None
 ) -> tuple[MetricsReport, RunLog]:
     """Replay time-sorted recorded samples, one frame per distinct sample time.
 
-    samples is read as columns: a Samples as it is, any other sequence of
-    FootSamples converted once by Samples.of, and the Samples is the log's.
-    Every sample goes through the streaming tracker in file order, so step
-    events are the live run's; gait.estimate_frames then gives every frame's
-    estimate at once, and the law, stages and kinematics are evaluated on
-    those arrays with the scalar loop's operation order (the position and
-    sphere sums are sequential cumulative sums) into the log's Frames; the
-    report is compute_metrics of the log. Frames, events and reports are
-    bit-identical to running the frames one by one as run_chase does;
-    the DETERMINISM check, the replay goldens and a property test against a
-    per-frame loop guard that. Samples out of time order raise
-    NonMonotonicTime.
+    samples is read as columns and is the log's. Every sample goes through
+    the streaming tracker in file order, so step events are the live run's;
+    gait.estimate_frames then gives every frame's estimate at once, and the
+    law, stages and kinematics are evaluated on those arrays with the scalar
+    loop's operation order (the position and sphere sums are sequential
+    cumulative sums) into the log's Frames; the report is compute_metrics of
+    the log. Frames, events and reports are bit-identical to running the
+    frames one by one as run_chase does; the DETERMINISM check, the replay
+    goldens and a property test against a per-frame loop guard that.
+    Samples out of time order raise NonMonotonicTime.
 
     With a scenario the chase kinematics are reconstructed exactly as
     run_chase integrates them, so the resulting MetricsReport is
@@ -415,7 +413,6 @@ def replay_trace(
     measurement window, each frame lasts until the next sample time, and the
     target distance is zero.
     """
-    samples = Samples.of(samples)
     if not len(samples):
         raise EmptyWindow("trace holds no samples")
     events: list[StepEvent] = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from inspect import GEN_CLOSED, GEN_CREATED, getgeneratorstate
+from inspect import GEN_CREATED, getgeneratorstate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -178,7 +178,8 @@ class WalkerAgent:
     while the effective SD is positive, so the sequence of draws equals one
     scalar standard_normal() per noisy sample. That equality keeps recorded
     runs and their goldens exact. A WalkerLanes batch closes its agents'
-    noise streams: it consumes them.
+    noise streams: it consumes them, and their command() and samples()
+    then raise ValueError.
     """
 
     def __init__(
@@ -212,13 +213,7 @@ class WalkerAgent:
             yield from self._rng.standard_normal(NOISE_BLOCK).tolist()
 
     def command(self, speed: float) -> None:
-        """Re-plan for a commanded speed; ValueError once a batch consumed the agent."""
-        if getgeneratorstate(self._noise) == GEN_CLOSED:
-            raise ValueError("agent was consumed by a batch of lanes")
-        self._replan(speed)
-
-    def _replan(self, speed: float) -> None:
-        """command() without its check: WalkerLanes re-plans its lanes through it."""
+        """Re-plan for a commanded speed."""
         frequency, apex = _cadence_and_apex(speed, self.params)
         strain = 0.0
         if speed > 0.0:
@@ -230,6 +225,8 @@ class WalkerAgent:
             # feet settle; park both cycles at stance start
             self._cycle = [0.0, 0.0]
             self._in_stance = [True, True]
+
+    _replan = command  # WalkerLanes re-plans through it: a consumed agent's command() raises
 
     def samples(self, now: float, dt: float) -> tuple[float, float]:
         """The left and right heights at time `now`; then advance the gait
@@ -284,6 +281,11 @@ def _gait_clock(cycle: np.ndarray, step: np.ndarray, ticks: int) -> np.ndarray:
         clock = np.where(rows < wrap, clock, np.cumsum(restart, axis=0))
 
 
+def _consumed(*_) -> None:
+    """command and samples of an agent that a WalkerLanes batch consumed."""
+    raise ValueError("agent was consumed by a batch of lanes")
+
+
 class WalkerLanes:
     """WalkerAgent.samples for lanes of agents stepped in lockstep.
 
@@ -305,6 +307,7 @@ class WalkerLanes:
                 raise ValueError(f"lane {lane}: agent served two lanes, drew noise or was consumed")
         for agent in agents:
             agent._noise.close()
+            agent.command = agent.samples = _consumed
         self._agents, self._dt = agents, dt
         self._cycle, self._apex, self._in_stance = (
             np.array([getattr(a, name) for a in agents]).T

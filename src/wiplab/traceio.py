@@ -59,15 +59,13 @@ _IS_LEFT = {Foot.LEFT.value: True, Foot.RIGHT.value: False}
 _FOOT_VALUE = (Foot.RIGHT.value, Foot.LEFT.value)  # by is-left
 
 
-def save_trace(
-    path: str, samples: Sequence[FootSample], *, scenario: dict[str, Any] | None = None
-) -> None:
+def save_trace(path: str, samples: Samples, *, scenario: dict[str, Any] | None = None) -> None:
     """Write samples with a commented header (trace_text). Rows must be
     sorted by time."""
     _write_files([(path, trace_text(samples, scenario or {}))])
 
 
-def trace_text(samples: Sequence[FootSample], scenario: dict[str, Any]) -> str:
+def trace_text(samples: Samples, scenario: dict[str, Any]) -> str:
     """The trace file's text: the commented header, then a row per sample.
 
     The header's sample_rate_hint (1 / timestep) and user_height lines come
@@ -81,7 +79,6 @@ def trace_text(samples: Sequence[FootSample], scenario: dict[str, Any]) -> str:
     for key, value in scenario.items():
         lines.append(f"# scenario.{key}: {value!r}")
     lines.append(_COLUMNS)
-    samples = Samples.of(samples)
     feet = map(_FOOT_VALUE.__getitem__, samples.left.tolist())
     rows = zip(samples.time.tolist(), feet, samples.height.tolist())
     lines += [f"{t!r},{foot},{h!r}" for t, foot, h in rows]
@@ -133,12 +130,13 @@ def _header_line(header: TraceHeader, line: str, lineno: int) -> bool:
 def load_trace(path: str) -> tuple[TraceHeader, Samples]:
     """Read a trace; raises TraceParseError with a line number on bad input.
 
-    The samples come back as columns, a Samples, which iterates as
-    FootSamples. The rows after the column line are parsed by column when
-    that parse accepts them as clean; anything else (a wrong field count, a
-    failed conversion or check, blank or '#' lines among the rows) is left
-    to the line walk, which checks every line in file order and names the
-    offending one.
+    The samples come back as a Samples, the one form of a stream: its
+    columns, and tuples() as its row view. The rows after the column line
+    are parsed by column when that parse accepts them as clean; anything
+    else (a wrong field count, a failed conversion or check, blank or '#'
+    lines among the rows) is left to the line walk, which checks every line
+    in file order, names the offending one and converts its FootSamples
+    once with Samples.of.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")

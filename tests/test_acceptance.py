@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiplab import acceptance, gait, speed, synth
-from wiplab.core import Foot, FootSample
+from wiplab.core import Foot, FootSample, Samples
 from wiplab.gait import GROUND_EPSILON, MIN_STEP_HEIGHT, GaitTracker, estimate_frames
 from wiplab.synth import GaitProgram, synth_trace
 
@@ -114,13 +114,15 @@ def loop_offline_step_segments(samples):
 
 
 def assert_segments_equal_the_loop(samples):
-    """The offline segments equal the loop's, and the streaming tracker's
-    step events, as GAIT-ORACLE compares them, equal both."""
+    """The offline segments of a Samples equal the loop's over its rows, and
+    the streaming tracker's step events, as GAIT-ORACLE compares them, equal
+    both."""
     offline = list(map(repr, acceptance.offline_step_segments(samples)))
-    assert offline == list(map(repr, loop_offline_step_segments(samples)))
+    rows = list(map(FootSample._make, samples.tuples()))
+    assert offline == list(map(repr, loop_offline_step_segments(rows)))
     tracker = GaitTracker()
     streamed = sorted(
-        (ev for s in samples if (ev := tracker.advance(s)) is not None),
+        (ev for s in rows if (ev := tracker.advance(s)) is not None),
         key=lambda e: (e.end, e.foot.value),
     )
     assert offline == [
@@ -172,7 +174,7 @@ def test_offline_segments_of_height_sequences_equal_the_loop(left, right):
         for foot, series in ((Foot.LEFT, left), (Foot.RIGHT, right))
         if k < len(series)
     ]
-    assert_segments_equal_the_loop(samples)
+    assert_segments_equal_the_loop(Samples.of(samples))
 
 
 # ----------------------------------------------------------------------

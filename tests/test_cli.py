@@ -416,14 +416,14 @@ class TestRecordReplay:
         """The scenario-less window ends just past the last frame, even
         where adding a small epsilon to its time changes nothing."""
         trace = tmp_path / "late.csv"
-        save_trace(str(trace), [core.FootSample(1e8, core.Foot.LEFT, 0.0)])
+        save_trace(str(trace), core.Samples.of([core.FootSample(1e8, core.Foot.LEFT, 0.0)]))
         code, out, err = run(["replay", str(trace)], capsys)
         assert (code, err) == (0, "")
         assert json.loads(out)["metrics"]["avg_speed"] == 0.0
 
     def test_empty_trace_is_a_runtime_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
-        save_trace(str(empty), [])
+        save_trace(str(empty), core.Samples.of([]))
         code, _, err = run(["replay", str(empty)], capsys)
         assert code == 3
 

@@ -130,11 +130,13 @@ def stream(tracker, samples):
 
 
 def make_trace(freq, apex, duration, *, noise=0.0, seed=0, rate=90.0):
-    return synth_trace(
+    """A synth_trace's rows as FootSamples."""
+    trace = synth_trace(
         GaitProgram(step_frequency=freq, apex_height=apex, noise_sd=noise, seed=seed),
         duration,
         rate,
     )
+    return list(map(FootSample._make, trace.tuples()))
 
 
 # ---------------------------------------------------------------------------
@@ -661,15 +663,15 @@ def test_plain_tuples_track_as_foot_samples(segments, feet):
     """A stream fed as FootSamples and the same stream fed as
     Samples.tuples() give equal step events and equal estimates."""
     emit = [foot for foot in Foot if feet in ("both", foot.name.lower())]
-    samples = Samples.of([
+    named_rows = [
         FootSample(k / 90.0, foot, left if foot is Foot.LEFT else right)
         for k, (left, right) in enumerate(
             pair for segment in segments for pair in segment_heights(segment)
         )
         for foot in emit
-    ])
+    ]
     named, plain = GaitTracker(), GaitTracker()
-    for s, row in zip(samples, samples.tuples()):
+    for s, row in zip(named_rows, Samples.of(named_rows).tuples()):
         assert repr(named.advance(s)) == repr(plain.advance(row))
         assert estimate_bits(named, s.time) == estimate_bits(plain, row[0])
 
@@ -824,14 +826,19 @@ def test_tracker_lanes_carry_no_view_of_a_run():
         (1, 1, (1, 1, 1)),  # one foot
         (2, 1, (1, 2, 2, 1)),
         (1, 0, (1, 2, 1)),  # heights for no times
+        (1, 1, list),  # the right shape as nested lists, not an array
     ],
 )
 def test_tracker_lanes_reject_heights_of_another_shape(lanes, ticks, shape):
     batch = TrackerLanes(lanes)
     want = (ticks, 2, lanes)
+    if shape is list:
+        heights, message = np.zeros(want).tolist(), "heights must be an ndarray, got list"
+    else:
+        heights, message = np.zeros(shape), f"heights have shape {shape}, not {want}"
     with pytest.raises(ValueError) as raised:
-        batch.advance([k / 90.0 for k in range(ticks)], np.zeros(shape))
-    assert str(raised.value) == f"heights have shape {shape}, not {want}"
+        batch.advance([k / 90.0 for k in range(ticks)], heights)
+    assert str(raised.value) == message
     assert batch._prev_time is None and batch._state is None
 
 
@@ -912,14 +919,18 @@ def estimated_traces(draw):
     )
     trace = synth_trace(program, draw(st.floats(0.1, 5.0)), draw(st.sampled_from([30.0, 90.0])))
     if draw(st.booleans()):  # then both feet stand still past the stop window
-        end = trace[-1].time
-        trace = list(trace) + [
+        end = trace.time[-1].item()
+        trace = Samples.of([*map(FootSample._make, trace.tuples())] + [
             FootSample(end + k / 30.0, foot, 0.0) for k in range(1, 40) for foot in Foot
-        ]
+        ])
     return trace, estimate_frames(trace, [])
 
 
-@pytest.mark.parametrize("samples", [Samples.of(()), []], ids=["Samples", "list"])
+@pytest.mark.parametrize(
+    "samples",
+    [Samples(np.empty(0), np.empty(0, bool), np.empty(0)), Samples.of([])],
+    ids=["Samples", "list"],  # empty columns, and the columns of an empty list of rows
+)
 def test_estimate_frames_of_an_empty_stream_has_no_frames(samples):
     events = []
     frames = estimate_frames(samples, events)
@@ -929,11 +940,12 @@ def test_estimate_frames_of_an_empty_stream_has_no_frames(samples):
 
 def frame_states(trace):
     """The streaming tracker after each frame's samples: (time, tracker)."""
+    rows = list(trace.tuples())
     tracker = GaitTracker()
-    for i, s in enumerate(trace):
-        tracker.advance(s)
-        if i + 1 == len(trace) or trace[i + 1].time != s.time:
-            yield s.time, tracker
+    for i, row in enumerate(rows):
+        tracker.advance(row)
+        if i + 1 == len(rows) or rows[i + 1][0] != row[0]:
+            yield row[0], tracker
 
 
 @settings(max_examples=40, deadline=None)

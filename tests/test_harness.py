@@ -282,7 +282,7 @@ class TestRunChase:
                 FootSample(r.time, Foot.RIGHT, r.height_right),
             )
         ]
-        assert list(map(repr, log.samples)) == list(map(repr, want))
+        assert list(map(repr, map(FootSample._make, log.samples.tuples()))) == list(map(repr, want))
 
     def test_stage_labels_progress(self, pinned):
         sc = ChaseScenario(target_speed=1.0)
@@ -316,9 +316,11 @@ class TestReplay:
         trace = synth_trace(GaitProgram(2.0, 0.15), 1.0, 90.0)
         late = FootSample(0.5, Foot.RIGHT, 0.0)
         with pytest.raises(NonMonotonicTime, match=r"t=0\.5 precedes .* t=0\.9888"):
-            replay_trace(list(trace) + [late], SHEF)
+            replay_trace(Samples.of(list(trace.tuples()) + [late]), SHEF)
         with pytest.raises(NonMonotonicTime):
-            replay_trace([FootSample(0.1, Foot.LEFT, 0.0), FootSample(0.0, Foot.RIGHT, 0.0)], SHEF)
+            replay_trace(Samples.of(
+                [FootSample(0.1, Foot.LEFT, 0.0), FootSample(0.0, Foot.RIGHT, 0.0)]
+            ), SHEF)
 
 
 def frame_step(params, events):
@@ -495,9 +497,9 @@ def test_replay_equals_the_streaming_frame_step(case):
         want = reference_replay(trace, params, scenario)
     except EmptyWindow:
         with pytest.raises(EmptyWindow):
-            replay_trace(trace, params, scenario)
+            replay_trace(Samples.of(trace), params, scenario)
         return
-    report, log = replay_trace(trace, params, scenario)
+    report, log = replay_trace(Samples.of(trace), params, scenario)
     want_report, want_log = want
     assert [repr(r) for r in rows_of(log.rows)] == [repr(r) for r in rows_of(want_log.rows)]
     assert [repr(e) for e in log.events] == [repr(e) for e in want_log.events]
@@ -623,7 +625,8 @@ def test_lanes_reject_an_agent_that_drew_noise_sample_by_sample():
 
 def test_a_batch_consumes_its_agents():
     """After a batch, noisy or quiet, an agent can serve neither a later
-    batch nor run_chase: its generator was read in blocks, past the run."""
+    batch nor run_chase, and its own command() and samples() raise: its
+    generator was read in blocks, past the run."""
     scenario = ChaseScenario(target_speed=1.0, prep_duration=0.5, chase_duration=0.5)
     agents = [WalkerAgent(SHEF, noise_sd=0.004, seed=1), WalkerAgent(SHEF, seed=2)]
     run_chase_lanes(scenario, agents, [SHEF] * 2)
@@ -632,6 +635,10 @@ def test_a_batch_consumes_its_agents():
             run_chase_lanes(scenario, [WalkerAgent(SHEF), agent], [SHEF] * 2)
         with pytest.raises(ValueError, match="consumed"):
             run_chase(scenario, agent, SHEF)
+        with pytest.raises(ValueError, match="^agent was consumed by a batch of lanes$"):
+            agent.samples(0.0, 1 / 90)
+        with pytest.raises(ValueError, match="^agent was consumed by a batch of lanes$"):
+            agent.command(1.0)
 
 
 def test_lanes_carry_no_view_of_an_interval(monkeypatch):

