@@ -36,18 +36,18 @@ def main(argv=None):
     variants = (Variant.GUD, Variant.SHEF)
     try:
         params = [WipParams(variant=variant, user_height=args.user_height) for variant in variants]
-        # one lane batch per target speed: every variant's seeds side by side
+        # every variant's seeds side by side, one batch of them per target speed
         lanes = [p for p in params for _ in range(args.seeds)]
-        agents = {target: [
+        agents = [
             WalkerAgent(p, noise_sd=args.noise, seed=i % args.seeds) for i, p in enumerate(lanes)
-        ] for target in SPEEDS}
+        ]
         if args.out:
             open(args.out, "w").close()  # fail now rather than after the runs
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
     reports = {}
     for target in SPEEDS:
-        batch = run_chase_lanes(ChaseScenario(target_speed=target), agents[target], lanes)
+        batch = run_chase_lanes(ChaseScenario(target_speed=target), agents, lanes)
         for i, variant in enumerate(variants):
             reports[variant, target] = batch[i * args.seeds : (i + 1) * args.seeds]
 

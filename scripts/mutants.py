@@ -117,6 +117,8 @@ MUTANTS = [
            "if len(self._normals) < ticks:", "if len(self._normals) <= ticks:", SYNTH_TESTS,
            equivalent="a lane whose blocks hold exactly one run's normals draws its next "
            "block one run early and appends it, so it reads the same stream"),
+    Mutant("synth.agent.seed-floor", "synth.py",
+           "or seed < 0:", "or seed <= 0:", SYNTH_TESTS),
     Mutant("harness.lanes.adjacent-law", "harness.py",
            "adjacent = members[-1] - members[0] == len(members) - 1",
            "adjacent = members[-1] - members[0] >= len(members) - 1", HARNESS_TESTS),

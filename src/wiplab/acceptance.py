@@ -34,7 +34,7 @@ import numpy as np
 
 from . import elastic
 from . import speed
-from .core import Foot, Samples, Variant, WipParams
+from .core import Foot, Variant, WipParams
 from .elastic import ElasticRig, PullDirection
 from .gait import GROUND_EPSILON, MIN_STEP_HEIGHT, TrackerLanes
 from .harness import (
@@ -219,14 +219,6 @@ def check_staircase() -> tuple[bool, str]:
             f" (ref {reference} +/- {half_band})"
         )
     return ok, "; ".join(parts)
-
-
-def offline_step_segments(samples: Samples) -> list[tuple[Foot, float, float, float, float]]:
-    """Brute-force offline segmentation over a complete trace, without the
-    tracker: one lane of _offline_segments, read from the Samples' columns."""
-    order = np.argsort(~samples.left, kind="stable")  # left samples, then right ones
-    starts = np.array([0, np.count_nonzero(samples.left), len(samples)])
-    return _offline_segments(samples.time[order], samples.height[order], starts)[0]
 
 
 def _offline_segments(

@@ -77,7 +77,7 @@ def _load_json_object(path: str, what: str, kind: str, keys: Iterable[str]) -> d
 def _load_scenario_file(path: str) -> dict[str, Any]:
     data = _load_json_object(path, "scenario file", "scenario", RUN_KEYS)
     for key, value in data.items():
-        # seed is checked as an integer >= 0, from the file or the flag, on merge
+        # seed is checked as an integer >= 0, from the file or the flag, by WalkerAgent
         kind = str if key in ("variant", "rig") else (int, float)
         if key != "seed" and (isinstance(value, bool) or not isinstance(value, kind)):
             raise ValueError(
@@ -98,9 +98,6 @@ def _merge_run_config(args: argparse.Namespace) -> dict[str, Any]:
         raise ValueError(
             "no target speed: pass --target or a scenario file with target_speed"
         )
-    seed = config["seed"]
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     return config
 
 

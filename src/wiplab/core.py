@@ -122,17 +122,24 @@ class Samples:
     for a left-foot sample) and height (m), numpy arrays in stream order.
 
     It is the one form of a stream: synth_trace's, load_trace's and each
-    RunLog's, and what replay_trace, estimate_frames, save_trace,
-    trace_text and offline_step_segments take. The array paths read the
+    RunLog's, and what replay_trace, estimate_frames, save_trace and
+    trace_text take. The array paths read the
     columns; tuples() is the one row view, plain (time, foot, height)
     tuples, which GaitTracker.advance streams. of() is the one conversion
     from FootSample rows. There is no list equality: compare
-    list(samples.tuples()).
+    list(samples.tuples()). Columns that are not 1-D ndarrays of one length,
+    time and height float64 and left bool, raise ValueError.
     """
 
     __slots__ = ("time", "left", "height")
 
     def __init__(self, time: np.ndarray, left: np.ndarray, height: np.ndarray):
+        for name, column, dtype in zip(self.__slots__, (time, left, height), (float, bool, float)):
+            if not (isinstance(column, np.ndarray) and column.ndim == 1
+                    and column.shape == time.shape and column.dtype == dtype):
+                kind = getattr(column, "dtype", type(column).__name__)
+                raise ValueError(f"Samples.{name} must be a 1-D {np.dtype(dtype)} ndarray as long "
+                                 f"as time, got {kind} of shape {np.shape(column)}")
         self.time, self.left, self.height = time, left, height
 
     @classmethod
@@ -239,7 +246,7 @@ class _GaitEstimateFields(NamedTuple):
 
 
 class GaitEstimate(_GaitEstimateFields):
-    """Instantaneous gait state consumed by the speed laws.
+    """Instantaneous gait state: the (frequency, height) a speed law takes.
 
     A stale estimate means no gait activity inside the tracker's stop
     window; staleness forces the frequency to zero so downstream speed is

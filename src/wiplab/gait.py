@@ -271,8 +271,8 @@ class GaitTracker:
         return now - max(left.entered_at, right.entered_at) >= STOP_WINDOW
 
     def estimate(self, now: float) -> GaitEstimate:
-        """Cadence and step height at `now`, the structure the speed laws
-        consume; both are 0 when stale.
+        """Cadence and step height at `now`, the two arguments of a speed
+        law; both are 0 when stale.
 
         Cadence: the committed value is an EMA over completed footfall
         intervals. A phase in progress contributes a partial bound

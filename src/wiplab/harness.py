@@ -26,7 +26,7 @@ re-plan interval at a time with sequential cumulative sums (the gait
 clock, restarted at each wrap) and running maxima, which only select; the
 EMAs update per lane at footfalls through the streaming tracker's own
 registration, gait._footfall, with math.exp (np.exp differs); each lane
-draws its agent's noise in blocks, in the agent's order; the only
+draws a fresh agent's noise in blocks, in the agent's order; the only
 reductions are min, max and sequential cumulative sums (replay shares
 the kinematics, _integrate), and the reports come from compute_metrics's
 own arithmetic, _window_metrics, where every statistic is _mean of an array.
@@ -276,7 +276,7 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
 
     The agent provides command(speed), called once per re-plan from frame 0
     on, and samples(now, dt), the left and right heights at time now; a
-    WalkerAgent's noise comes straight from its generator. Each frame
+    WalkerAgent's noise comes from a generator of its seed. Each frame
     advances the run's gait tracker through a left then a right plain tuple,
     logging each StepEvent, calls estimate(t) once and feeds it to the law
     speed.law builds. The log's Frames and its samples, each frame's (time,
@@ -334,7 +334,7 @@ def run_chase_lanes(
     to run_chase(scenario, agents[i], params[i])'s bit for bit.
 
     The lanes run in lockstep, a re-plan interval at a time, with no Python
-    loop over frames: each lane re-plans through its own agent (a
+    loop over frames: each lane re-plans with its own agent's plan (a
     WalkerAgent), synth.WalkerLanes emits the interval's samples and
     gait.TrackerLanes returns every frame's estimates, each with array
     scans over the interval; then speed.law runs once per distinct params
@@ -342,10 +342,9 @@ def run_chase_lanes(
     replay_trace. Python loops run only over lanes at a re-plan, over step
     events and over gait-clock wraps. Only the chase window's speeds and
     errors and the step events are kept. Invalid samples and a diverged
-    state raise for the whole batch. Lanes draw noise in blocks straight
-    from their agents' generators, so the batch consumes its agents: an
-    agent passed twice, one that drew noise sample by sample (in
-    run_chase) or one consumed raises ValueError, in run_chase too.
+    state raise for the whole batch. Each lane starts from its agent's
+    settings, not its state, and the batch changes no agent: run_chase of
+    one afterwards gives that lane's RunLog.
     """
     lanes = len(agents)
     if lanes == 0 or len(params) != lanes:

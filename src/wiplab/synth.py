@@ -6,7 +6,7 @@ a commanded speed, re-plan at each command while chasing, and degrade
 their execution when asked for more than the walker's caps (MAX_FREQUENCY,
 MAX_STEP_HEIGHT) can deliver: stepping at the limit is sloppier than
 stepping comfortably, which is what makes the frequency-only variant
-wobble at high targets. Noise comes straight from each agent's generator.
+wobble at high targets. Noise comes from a generator of the agent's seed.
 
 Walkers emit heights: an agent's samples() gives its left and right
 heights at one time, and WalkerLanes.samples every lane's for a run of
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from inspect import GEN_CREATED, getgeneratorstate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -174,12 +173,12 @@ class WalkerAgent:
     scales the execution noise up (strain): a walker forced against its
     caps steps raggedly, while one inside its comfort zone does not.
 
-    Noise is read in order from blocks of the agent's generator, and only
-    while the effective SD is positive, so the sequence of draws equals one
-    scalar standard_normal() per noisy sample. That equality keeps recorded
-    runs and their goldens exact. A WalkerLanes batch closes its agents'
-    noise streams: it consumes them, and their command() and samples()
-    then raise ValueError.
+    Noise is read in order from blocks of a generator of seed (an int >= 0),
+    made at the first draw and read only while the effective SD is
+    positive, so the draws equal one scalar standard_normal() per noisy
+    sample. That equality keeps recorded runs and their goldens exact. A
+    WalkerLanes lane starts from the agent's settings (params, noise_sd,
+    seed, rig), not from its state, and leaves the agent as it was.
     """
 
     def __init__(
@@ -195,9 +194,11 @@ class WalkerAgent:
         require_finite(self, ("noise_sd",))
         if not 0.0 <= noise_sd <= MAX_NOISE_SD:
             raise ValueError(f"noise_sd must be in [0, {MAX_NOISE_SD}] m, got {noise_sd!r}")
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        self.seed = seed
         self.rig = rig
         self._law = law(params)
-        self._rng = np.random.default_rng(seed)
         self._noise = self._draws()
         # per-foot state, indexed like FEET
         self._cycle = [0.0, PHASE_OFFSET]
@@ -208,25 +209,27 @@ class WalkerAgent:
         self._effective_sd = noise_sd
 
     def _draws(self) -> Iterator[float]:
-        """The generator's standard normals one at a time, drawn in blocks."""
+        """Standard normals one at a time, in blocks of a generator of seed."""
+        rng = np.random.default_rng(self.seed)
         while True:
-            yield from self._rng.standard_normal(NOISE_BLOCK).tolist()
+            yield from rng.standard_normal(NOISE_BLOCK).tolist()
 
-    def command(self, speed: float) -> None:
-        """Re-plan for a commanded speed."""
+    def _plan(self, speed: float) -> tuple[float, float, float]:
+        """command's plan: frequency, the next lift-off's apex, effective noise SD."""
         frequency, apex = _cadence_and_apex(speed, self.params)
         strain = 0.0
         if speed > 0.0:
             strain = max(0.0, speed - self._law(frequency, apex)[0]) / speed
-        self._effective_sd = self.noise_sd * (1.0 + STRAIN_NOISE_GAIN * strain)
-        self._frequency = frequency
-        self._pending_apex = max(0.0, apex + elastic_apex_shift(self.rig, apex))
-        if frequency <= 0.0:
+        sd = self.noise_sd * (1.0 + STRAIN_NOISE_GAIN * strain)
+        return frequency, max(0.0, apex + elastic_apex_shift(self.rig, apex)), sd
+
+    def command(self, speed: float) -> None:
+        """Re-plan for a commanded speed."""
+        self._frequency, self._pending_apex, self._effective_sd = self._plan(speed)
+        if self._frequency <= 0.0:
             # feet settle; park both cycles at stance start
             self._cycle = [0.0, 0.0]
             self._in_stance = [True, True]
-
-    _replan = command  # WalkerLanes re-plans through it: a consumed agent's command() raises
 
     def samples(self, now: float, dt: float) -> tuple[float, float]:
         """The left and right heights at time `now`; then advance the gait
@@ -281,59 +284,42 @@ def _gait_clock(cycle: np.ndarray, step: np.ndarray, ticks: int) -> np.ndarray:
         clock = np.where(rows < wrap, clock, np.cumsum(restart, axis=0))
 
 
-def _consumed(*_) -> None:
-    """command and samples of an agent that a WalkerLanes batch consumed."""
-    raise ValueError("agent was consumed by a batch of lanes")
-
-
 class WalkerLanes:
     """WalkerAgent.samples for lanes of agents stepped in lockstep.
 
-    Each agent's per-foot state is a column of (2, lanes) arrays, row 0 the
-    left foot. command() re-plans every lane through its own agent; between
-    re-plans no plan changes, so samples() emits a run of ticks at once with
-    samples()'s operations and no loop over ticks: the gait clocks are
-    cumulative sums restarted at each wrap. A lane whose agent's noise_sd
-    is positive (strain only scales it up) draws its noise straight from
-    the agent's generator, a left/right pair per tick, in blocks of at
-    least NOISE_BLOCK normals. So the batch consumes its agents, and one
-    that served two lanes, drew noise sample by sample or was consumed
-    raises ValueError.
+    Each lane starts from its agent's settings, as a fresh WalkerAgent of
+    them does, and re-plans with the agent's _plan; the batch changes no
+    agent. Each lane's per-foot state is a column of (2, lanes) arrays, row
+    0 the left foot. Between re-plans no plan changes, so samples() emits a
+    run of ticks at once with samples()'s operations and no loop over
+    ticks: the gait clocks are cumulative sums restarted at each wrap. A
+    lane whose agent's noise_sd is positive (strain only scales it up)
+    draws its noise from its own generator of the agent's seed, a
+    left/right pair per tick, in blocks of at least NOISE_BLOCK normals.
     """
 
     def __init__(self, agents: Sequence[WalkerAgent], dt: float):
-        for lane, agent in enumerate(agents):
-            if agent in agents[:lane] or getgeneratorstate(agent._noise) != GEN_CREATED:
-                raise ValueError(f"lane {lane}: agent served two lanes, drew noise or was consumed")
-        for agent in agents:
-            agent._noise.close()
-            agent.command = agent.samples = _consumed
+        lanes = len(agents)
         self._agents, self._dt = agents, dt
-        self._cycle, self._apex, self._in_stance = (
-            np.array([getattr(a, name) for a in agents]).T
-            for name in ("_cycle", "_apex", "_in_stance")
-        )
-        self._noisy = [lane for lane, a in enumerate(agents) if a.noise_sd > 0.0]
-        self._normals = np.empty((0, 2, len(agents)))  # drawn and not yet read
-        self._adopt()
+        self._cycle = np.repeat([[0.0], [PHASE_OFFSET]], lanes, axis=1)
+        self._apex = np.zeros((2, lanes))
+        self._in_stance = np.ones((2, lanes), bool)
+        self._rngs = {i: np.random.default_rng(a.seed) for i, a in enumerate(agents) if a.noise_sd > 0}
+        self._normals = np.empty((0, 2, lanes))  # drawn and not yet read
+        self._adopt([(0.0, 0.0, a.noise_sd) for a in agents])
 
     def command(self, speeds: Sequence[float]) -> None:
-        """Re-plan every lane for its commanded speed, as WalkerAgent.command does."""
-        for agent, speed in zip(self._agents, speeds):
-            agent._replan(speed)
-        self._adopt()
+        """Re-plan every lane for its commanded speed (one per lane), as WalkerAgent.command does."""
+        self._adopt([agent._plan(speed) for agent, speed in zip(self._agents, speeds, strict=True)])
         # feet settle; park both cycles at stance start
         self._cycle = np.where(self._parked, 0.0, self._cycle)
         self._in_stance = self._in_stance | self._parked
 
-    def _adopt(self) -> None:
-        """Take up the plans of the lanes' agents."""
-        agents = self._agents
-        frequency = np.array([a._frequency for a in agents])
+    def _adopt(self, plans: Sequence[tuple[float, float, float]]) -> None:
+        """Take up every lane's (frequency, pending apex, effective SD) plan."""
+        frequency, self._pending, self._sd = np.array(plans).reshape(-1, 3).T
         self._phase_step = self._dt * frequency / 2.0
         self._parked = frequency <= 0.0
-        self._pending = np.array([a._pending_apex for a in agents])
-        self._sd = np.array([a._effective_sd for a in agents])
 
     def samples(self, ticks: int) -> np.ndarray:
         """Every lane's left and right heights for the next ticks ticks, a
@@ -348,12 +334,12 @@ class WalkerLanes:
         self._apex, self._in_stance = apex[-1], stance[-1]
         u = (cycles - STANCE_FRACTION) / (1.0 - STANCE_FRACTION)
         heights = np.where(stance, 0.0, apex * np.sin(np.pi * u))
-        if self._noisy:
+        if self._rngs:
             if len(self._normals) < ticks:
                 fresh = max(NOISE_BLOCK // 2, ticks - len(self._normals))
                 drawn = np.zeros((2 * fresh, len(self._agents)))  # a lane with SD 0 adds 0.0 * 0.0
-                for lane in self._noisy:
-                    drawn[:, lane] = self._agents[lane]._rng.standard_normal(2 * fresh)
+                for lane, rng in self._rngs.items():
+                    drawn[:, lane] = rng.standard_normal(2 * fresh)
                 self._normals = np.concatenate((self._normals, drawn.reshape(fresh, 2, -1)))
             noise, self._normals = self._normals[:ticks], self._normals[ticks:]
             heights = heights + self._sd * noise

@@ -5,6 +5,7 @@ pass/fail lines, or ``python3 -m wiplab acceptance`` for the same table
 without pytest.
 """
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -88,6 +89,14 @@ def test_gate_catches_a_broken_law_in_the_frame_step(monkeypatch):
 # GAIT-ORACLE's offline segmentation against a sample-by-sample loop
 
 
+def offline_step_segments(samples):
+    """The offline segmentation of one trace: one lane of GAIT-ORACLE's
+    _offline_segments, read from the Samples' columns, left samples first."""
+    order = np.argsort(~samples.left, kind="stable")
+    starts = np.array([0, np.count_nonzero(samples.left), len(samples)])
+    return acceptance._offline_segments(samples.time[order], samples.height[order], starts)[0]
+
+
 def loop_offline_step_segments(samples):
     """offline_step_segments one sample at a time: per foot, a run above the
     ground threshold opens after a grounded sample, its apex moves only on a
@@ -117,7 +126,7 @@ def assert_segments_equal_the_loop(samples):
     """The offline segments of a Samples equal the loop's over its rows, and
     the streaming tracker's step events, as GAIT-ORACLE compares them, equal
     both."""
-    offline = list(map(repr, acceptance.offline_step_segments(samples)))
+    offline = list(map(repr, offline_step_segments(samples)))
     rows = list(map(FootSample._make, samples.tuples()))
     assert offline == list(map(repr, loop_offline_step_segments(rows)))
     tracker = GaitTracker()

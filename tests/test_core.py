@@ -8,6 +8,7 @@ import math
 import pkgutil
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -121,6 +122,38 @@ def test_samples_tuples_are_the_rows_as_plain_tuples():
     assert [repr(x) for row in plain for x in row] == [repr(x) for row in rows for x in row]
     # tuples() is the one row view: a Samples neither iterates nor indexes
     assert not hasattr(samples, "__iter__") and not hasattr(samples, "__getitem__")
+
+
+THREE_TIMES = np.array([0.0, 1 / 90, 2 / 90])
+
+
+@pytest.mark.parametrize("columns,fault", [
+    ((THREE_TIMES, np.array([True, False]), np.zeros(3)), "left must be a 1-D bool ndarray as "
+     "long as time, got bool of shape (2,)"),
+    ((THREE_TIMES, np.ones(3, bool), np.zeros(4)), "height must be a 1-D float64 ndarray as "
+     "long as time, got float64 of shape (4,)"),
+    (([0.0], [True], [0.0]), "time must be a 1-D float64 ndarray as long as time, got list "
+     "of shape (1,)"),
+    ((THREE_TIMES, np.ones(3, bool), [0.0] * 3), "height must be a 1-D float64 ndarray as "
+     "long as time, got list of shape (3,)"),
+    ((THREE_TIMES[:, None], np.ones(3, bool), np.zeros(3)), "time must be a 1-D float64 "
+     "ndarray as long as time, got float64 of shape (3, 1)"),
+    ((np.arange(3), np.ones(3, bool), np.zeros(3)), "time must be a 1-D float64 ndarray as "
+     "long as time, got int64 of shape (3,)"),
+    ((THREE_TIMES, np.array([1, 0, 1]), np.zeros(3)), "left must be a 1-D bool ndarray as long "
+     "as time, got int64 of shape (3,)"),
+    ((THREE_TIMES, np.ones(3, bool), np.zeros(3, np.float32)), "height must be a 1-D float64 "
+     "ndarray as long as time, got float32 of shape (3,)"),
+], ids=["short-left", "long-height", "lists", "list-height", "2-d-time", "int-time",
+        "int-left", "float32-height"])
+def test_samples_reject_columns_that_are_not_1d_arrays_of_one_length(columns, fault):
+    """A short column would be cut by save_trace's zip and break
+    replay_trace's indexing, so the constructor refuses it."""
+    with pytest.raises(ValueError, match=f"^Samples.{re.escape(fault)}$"):
+        Samples(*columns)
+    left = np.array([True, False, True])
+    samples = Samples(THREE_TIMES, left, np.zeros(3))
+    assert samples.time is THREE_TIMES and samples.left is left
 
 
 class TestWipParams:

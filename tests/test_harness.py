@@ -1,6 +1,7 @@
 """Simulation harness: chase runs, metrics, replay, staircases."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -599,46 +600,53 @@ def test_lanes_need_one_params_per_agent():
         run_chase_lanes(ChaseScenario(target_speed=1.0), [WalkerAgent(SHEF)], [SHEF, SHEF])
 
 
-def test_lanes_reject_an_agent_passed_twice():
-    """Two lanes of one agent would draw two blocks from one generator, so
-    the second lane's noise would not be its chase's."""
-    scenario = ChaseScenario(target_speed=1.0, prep_duration=0.5, chase_duration=0.5)
+SHORT_CHASE = ChaseScenario(target_speed=1.0, prep_duration=0.5, chase_duration=0.5)
+
+
+def fresh_chase(noise_sd, seed):
+    """run_chase of a fresh SHEF agent of these settings: its report and
+    its samples' heights."""
+    report, log = run_chase(SHORT_CHASE, WalkerAgent(SHEF, noise_sd=noise_sd, seed=seed), SHEF)
+    return repr(report), log.samples.height.tobytes()
+
+
+def test_an_agent_passed_twice_runs_two_fresh_chases():
+    """Each lane seeds its own generator from its agent's seed, so two lanes
+    of one agent each run a fresh agent's chase."""
     agent = WalkerAgent(SHEF, noise_sd=0.004, seed=1)
-    with pytest.raises(ValueError, match="lane 1: "):
-        run_chase_lanes(scenario, [agent, agent], [SHEF] * 2)
-    with pytest.raises(ValueError, match="lane 2: "):
-        run_chase_lanes(scenario, [agent, WalkerAgent(SHEF), agent], [SHEF] * 3)
+    reports = run_chase_lanes(SHORT_CHASE, [agent, agent], [SHEF] * 2)
+    assert list(map(repr, reports)) == [fresh_chase(0.004, 1)[0]] * 2
 
 
-def test_lanes_reject_an_agent_that_drew_noise_sample_by_sample():
-    """run_chase leaves part of a drawn block unread in the agent, which the
-    lane's block draws would skip."""
-    scenario = ChaseScenario(target_speed=1.0, prep_duration=0.5, chase_duration=0.5)
+def test_an_agent_that_ran_a_noisy_chase_starts_its_lane_fresh():
+    """A lane starts from its agent's settings, not from the gait state and
+    the half-read noise block a run_chase left in it."""
     used = WalkerAgent(SHEF, noise_sd=0.004, seed=1)
-    run_chase(scenario, used, SHEF)
-    with pytest.raises(ValueError, match="lane 1: "):
-        run_chase_lanes(scenario, [WalkerAgent(SHEF), used], [SHEF] * 2)
-    quiet = WalkerAgent(SHEF, seed=1)  # stepped without noise, it drew nothing
-    run_chase(scenario, quiet, SHEF)
-    run_chase_lanes(scenario, [quiet], [SHEF])
+    run_chase(SHORT_CHASE, used, SHEF)
+    reports = run_chase_lanes(SHORT_CHASE, [WalkerAgent(SHEF), used], [SHEF] * 2)
+    assert repr(reports[1]) == fresh_chase(0.004, 1)[0]
 
 
-def test_a_batch_consumes_its_agents():
-    """After a batch, noisy or quiet, an agent can serve neither a later
-    batch nor run_chase, and its own command() and samples() raise: its
-    generator was read in blocks, past the run."""
-    scenario = ChaseScenario(target_speed=1.0, prep_duration=0.5, chase_duration=0.5)
-    agents = [WalkerAgent(SHEF, noise_sd=0.004, seed=1), WalkerAgent(SHEF, seed=2)]
-    run_chase_lanes(scenario, agents, [SHEF] * 2)
-    for agent in agents:
-        with pytest.raises(ValueError, match="lane 1: "):
-            run_chase_lanes(scenario, [WalkerAgent(SHEF), agent], [SHEF] * 2)
-        with pytest.raises(ValueError, match="consumed"):
-            run_chase(scenario, agent, SHEF)
-        with pytest.raises(ValueError, match="^agent was consumed by a batch of lanes$"):
-            agent.samples(0.0, 1 / 90)
-        with pytest.raises(ValueError, match="^agent was consumed by a batch of lanes$"):
-            agent.command(1.0)
+@pytest.mark.parametrize("noise_sd,seed", [(0.004, 1), (0.0, 2)], ids=["noisy", "quiet"])
+def test_a_batch_leaves_its_agents_as_they_were(noise_sd, seed):
+    """After a batch an agent's own run_chase is a fresh agent's: the batch
+    reads the agent's settings and changes nothing in it."""
+    agents = [WalkerAgent(SHEF, noise_sd=noise_sd, seed=seed), WalkerAgent(SHEF, seed=3)]
+    run_chase_lanes(SHORT_CHASE, agents, [SHEF] * 2)
+    report, log = run_chase(SHORT_CHASE, agents[0], SHEF)
+    assert (repr(report), log.samples.height.tobytes()) == fresh_chase(noise_sd, seed)
+
+
+@pytest.mark.parametrize(
+    "seed", [-1, 1.5, None, True, np.random.default_rng(0)],
+    ids=["-1", "1.5", "None", "True", "Generator"],
+)
+def test_an_agent_seed_must_be_an_integer_of_at_least_zero(seed):
+    """A lane re-seeds from its agent's seed: a Generator would be shared
+    between lanes and None would draw fresh entropy."""
+    message = f"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        WalkerAgent(SHEF, seed=seed)
 
 
 def test_lanes_carry_no_view_of_an_interval(monkeypatch):

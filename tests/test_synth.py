@@ -364,6 +364,14 @@ def test_samples_equal_the_per_foot_loop(variant, noise_sd, seed, rig, rate, pla
             k += 1
 
 
+@pytest.mark.parametrize("speeds", [[2.0], [2.0, 1.0], [2.0, 1.0, 0.0, 1.0]], ids=["1", "2", "4"])
+def test_walker_lanes_take_one_speed_per_lane(speeds):
+    """A short list would re-plan some lanes only, or broadcast lane 0's plan."""
+    batch = synth.WalkerLanes([WalkerAgent(SHEF) for _ in range(3)], 1.0 / 90.0)
+    with pytest.raises(ValueError, match="zip"):
+        batch.command(speeds)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     lanes=st.lists(
