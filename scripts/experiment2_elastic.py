@@ -39,8 +39,6 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", metavar="FILE", help="also write results as JSON")
     args = parser.parse_args(argv)
-    if args.seed < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
 
     params = WipParams(variant=Variant.SHEF)
     try:

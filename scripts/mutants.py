@@ -103,7 +103,7 @@ MUTANTS = [
            "if delta > RESUME_GAP:", "if delta >= RESUME_GAP:", GAIT_TESTS),
     Mutant("gait.footfall.zero-gap", "gait.py",
            "elif delta > 0.0:", "elif delta >= 0.0:", GAIT_TESTS),
-    Mutant("gait.advance.stop-window", "gait.py",
+    Mutant("gait.estimate.stop-window", "gait.py",
            "now - max(left.entered_at, right.entered_at) >= STOP_WINDOW",
            "now - max(left.entered_at, right.entered_at) > STOP_WINDOW", GAIT_TESTS),
     Mutant("gait.columns.stop-window", "gait.py",
@@ -119,6 +119,10 @@ MUTANTS = [
            "block one run early and appends it, so it reads the same stream"),
     Mutant("synth.agent.seed-floor", "synth.py",
            "or seed < 0:", "or seed <= 0:", SYNTH_TESTS),
+    Mutant("synth.agent.left-stance", "synth.py",
+           "or left < STANCE_FRACTION:", "or left <= STANCE_FRACTION:", SYNTH_TESTS),
+    Mutant("synth.agent.right-stance", "synth.py",
+           "or right < STANCE_FRACTION:", "or right <= STANCE_FRACTION:", SYNTH_TESTS),
     Mutant("harness.lanes.adjacent-law", "harness.py",
            "adjacent = members[-1] - members[0] == len(members) - 1",
            "adjacent = members[-1] - members[0] >= len(members) - 1", HARNESS_TESTS),

@@ -182,11 +182,11 @@ class GaitTracker:
     thresholds and smoothing constants are this module's constants.
 
     Each foot's state is a _FootTrack: the flags and times _swing_scan
-    gives, one sample at a time. is_stale() reads the two of them, so the
-    order across feet does not affect it. The footfall state is the EMA
-    row, which _footfall replaces at each step event. estimate() checks
-    staleness once per query, then derives frequency and step height from
-    the row in one pass over the two feet.
+    gives, one sample at a time. The footfall state is the EMA row, which
+    _footfall replaces at each step event. estimate() checks staleness
+    once per query from the two tracks, so the order across feet does not
+    affect it, then derives frequency and step height from the row in one
+    pass over the two feet; is_stale() is its stale flag.
     """
 
     def __init__(self):
@@ -263,16 +263,13 @@ class GaitTracker:
     # queries
 
     def is_stale(self, now: float) -> bool:
-        """Stopped: both feet grounded, each for STOP_WINDOW or more (an
-        unseen foot since -inf): _estimate_columns' rule."""
-        left, right = self._left, self._right
-        if left.aerial or right.aerial:
-            return False
-        return now - max(left.entered_at, right.entered_at) >= STOP_WINDOW
+        """Stopped: estimate(now)'s stale flag."""
+        return self.estimate(now).stale
 
     def estimate(self, now: float) -> GaitEstimate:
         """Cadence and step height at `now`, the two arguments of a speed
-        law; both are 0 when stale.
+        law; both are 0 when stale: both feet grounded, each for STOP_WINDOW
+        or more (an unseen foot since -inf), _estimate_columns' rule.
 
         Cadence: the committed value is an EMA over completed footfall
         intervals. A phase in progress contributes a partial bound
@@ -288,12 +285,14 @@ class GaitTracker:
 
         One pass over the two feet gathers both bounds.
         """
-        if self.is_stale(now):
+        left, right = self._left, self._right
+        grounded = not (left.aerial or right.aerial)
+        if grounded and now - max(left.entered_at, right.entered_at) >= STOP_WINDOW:
             return _new_estimate(GaitEstimate, (0.0, 0.0, now, True))
         freq, base, active_feet, footfall = self._ema_row
         height = base
         partial_scale = PARTIAL_SLACK * active_feet
-        for track in (self._left, self._right):
+        for track in (left, right):
             if not track.aerial:
                 continue
             if track.valid:

@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -265,7 +264,7 @@ def _integrate(scenario: ChaseScenario, now, out, position, sphere) -> tuple[np.
         position = np.cumsum(np.concatenate(([position], out * dt)), axis=0)
         sphere = np.cumsum(np.concatenate(([sphere], sphere_step)), axis=0)
         error = sphere[:-1] - (position[:-1] + circle_lead)
-    finite = (np.isfinite(position[1:]) & np.isfinite(sphere[1:])).reshape(now.size, -1).all(axis=1)
+    finite = (np.isfinite(position[1:]) & np.isfinite(sphere[1:])).all(axis=tuple(range(1, out.ndim)))
     if not finite.all():
         raise DivergedSimulation(f"non-finite state at t={now[finite.argmin()]:.3f}")
     return position, sphere, error
@@ -274,56 +273,61 @@ def _integrate(scenario: ChaseScenario, now, out, position, sphere) -> tuple[np.
 def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[MetricsReport, RunLog]:
     """Simulate one chasing-task run and compute its metrics.
 
-    The agent provides command(speed), called once per re-plan from frame 0
-    on, and samples(now, dt), the left and right heights at time now; a
-    WalkerAgent's noise comes from a generator of its seed. Each frame
+    The agent provides command(speed), called at the start of each re-plan
+    interval, and samples(now, dt), the left and right heights at time now;
+    a WalkerAgent's noise comes from a generator of its seed. Each frame
     advances the run's gait tracker through a left then a right plain tuple,
     logging each StepEvent, calls estimate(t) once and feeds it to the law
-    speed.law builds. The log's Frames and its samples, each frame's (time,
-    L, height_left) and (time, R, height_right), come from one np.fromiter.
+    speed.law builds. The log's Frames and samples come from one np.fromiter
+    and position, sphere and error from _integrate, whose sums the loop
+    repeats to command each interval and to check it for divergence.
     """
     dt = scenario.timestep
     n_frames = int(round(scenario.total_duration / dt))
     replan_every = max(1, int(round(REPLAN_INTERVAL / dt)))
     chase_start = scenario.chase_start
     circle_lead, target_speed = scenario.circle_lead, scenario.target_speed
-    rows: list[tuple[float, ...]] = []  # a frame's Frames fields but stage
+    rows: list[float] = []  # each frame's heights, estimate and law output, flat
     events: list[StepEvent] = []
     tracker = GaitTracker()
     advance, estimate, evaluate = tracker.advance, tracker.estimate, speed.law(params)
     command, emit = agent.command, agent.samples
-    record, keep_row = events.append, rows.append
+    record, keep_row = events.append, rows.extend
     isfinite = math.isfinite
+
+    def integrate() -> tuple[np.ndarray, ...]:
+        """The logged frames' times, columns and sums; _integrate raises on divergence."""
+        table = np.fromiter(rows, float, len(rows)).reshape(-1, 6)
+        time = np.arange(len(table)) * dt  # k * dt, as the loop computes it
+        return time, table, *_integrate(scenario, time, table[:, 5], 0.0, circle_lead)
 
     position = 0.0
     sphere = circle_lead  # starts at the catch-circle center
+    for first in range(0, n_frames, replan_every):
+        command(chase_policy(sphere - (position + circle_lead), target_speed))
+        try:
+            for k in range(first, min(first + replan_every, n_frames)):
+                t = k * dt
+                height_left, height_right = emit(t, dt)
+                ev = advance((t, _LEFT, height_left))
+                if ev is not None:
+                    record(ev)
+                ev = advance((t, _RIGHT, height_right))
+                if ev is not None:
+                    record(ev)
+                f, sh, _, _ = estimate(t)
+                raw, out = evaluate(f, sh)
+                keep_row((height_left, height_right, f, sh, raw, out))
+                position += out * dt
+                sphere += (target_speed if t >= chase_start else out) * dt
+        finally:  # a non-finite state stays so: it is reported over any later frame's error
+            if not (isfinite(position) and isfinite(sphere)):
+                integrate()
 
-    for k in range(n_frames):
-        t = k * dt
-        error = sphere - (position + circle_lead)
-        if k % replan_every == 0:
-            command(chase_policy(error, target_speed))
-
-        height_left, height_right = emit(t, dt)
-        ev = advance((t, _LEFT, height_left))
-        if ev is not None:
-            record(ev)
-        ev = advance((t, _RIGHT, height_right))
-        if ev is not None:
-            record(ev)
-        f, sh, _, _ = estimate(t)
-        raw, out = evaluate(f, sh)
-        keep_row((t, height_left, height_right, f, sh, raw, out, position, sphere, error))
-
-        position += out * dt
-        sphere += (target_speed if t >= chase_start else out) * dt
-        if not (isfinite(position) and isfinite(sphere)):
-            raise DivergedSimulation(f"non-finite state at t={t:.3f}")
-
-    table = np.fromiter(chain.from_iterable(rows), float, 10 * n_frames).reshape(n_frames, 10)
-    time, *columns = table.T
-    samples = Samples(np.repeat(time, 2), np.tile((True, False), n_frames), table[:, 1:3].ravel())
-    log = RunLog(scenario, Frames(time, _stages(scenario, time), *columns), events, samples)
+    time, table, position, sphere, error = integrate()
+    samples = Samples(np.repeat(time, 2), np.tile((True, False), n_frames), table[:, :2].ravel())
+    frames = Frames(time, _stages(scenario, time), *table.T, position[:-1], sphere[:-1], error)
+    log = RunLog(scenario, frames, events, samples)
     return compute_metrics(log), log
 
 

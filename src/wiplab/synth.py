@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +57,8 @@ CHASE_GAIN = 0.5  # m/s of commanded speed per m of chase error
 # 8-sigma draw adds 0.32 m: 0.3 + 1.009 + 0.32 = 1.63 m.
 MAX_NOISE_SD = 0.01  # m
 
-# Standard normals a WalkerAgent, or at least a WalkerLanes lane, draws per block.
+# Standard normals a WalkerAgent, or at least a WalkerLanes lane, draws per block;
+# even, so that each of an agent's left/right pairs comes from one block.
 NOISE_BLOCK = 512
 
 
@@ -75,18 +77,6 @@ class GaitProgram:
             raise ValueError("gait program values must be >= 0")
 
 
-def cycle_height(cycle_pos: float, stance_fraction: float, apex: float) -> float:
-    """Foot height at a normalized cycle position in [0, 1).
-
-    Zero through stance, then a half sine over the swing: lifts off at the
-    stance boundary, peaks mid-swing, lands at the wrap.
-    """
-    if cycle_pos < stance_fraction:
-        return 0.0
-    u = (cycle_pos - stance_fraction) / (1.0 - stance_fraction)
-    return apex * math.sin(math.pi * u)
-
-
 def synth_trace(program: GaitProgram, duration: float, sample_rate: float) -> Samples:
     """Closed-form two-foot trace sampled on a regular grid: a Samples with
     a left then a right sample per tick.
@@ -94,8 +84,8 @@ def synth_trace(program: GaitProgram, duration: float, sample_rate: float) -> Sa
     Deterministic for a given program (the seed fixes the noise stream).
     Left starts at cycle position 0, right at PHASE_OFFSET, so the right
     foot typically enters mid-swing at t = 0. Every height is computed as
-    an array with cycle_height's operations; the noise is one draw of two
-    standard normals per tick, left then right.
+    an array with WalkerAgent.samples' operations; the noise is one draw of
+    two standard normals per tick, left then right.
     """
     if sample_rate < MIN_SAMPLE_RATE:
         raise InvalidRate(f"sample rate {sample_rate} Hz below {MIN_SAMPLE_RATE} Hz")
@@ -173,12 +163,13 @@ class WalkerAgent:
     scales the execution noise up (strain): a walker forced against its
     caps steps raggedly, while one inside its comfort zone does not.
 
-    Noise is read in order from blocks of a generator of seed (an int >= 0),
-    made at the first draw and read only while the effective SD is
-    positive, so the draws equal one scalar standard_normal() per noisy
-    sample. That equality keeps recorded runs and their goldens exact. A
-    WalkerLanes lane starts from the agent's settings (params, noise_sd,
-    seed, rig), not from its state, and leaves the agent as it was.
+    Noise comes from a generator of seed (an int >= 0), made at the first
+    noisy draw. samples() pops its normals in order off a reversed list of
+    NOISE_BLOCK of them, only while the effective SD is positive, so the
+    draws equal one scalar standard_normal() per noisy sample; that keeps
+    recorded runs and their goldens exact. A WalkerLanes lane starts from
+    the agent's settings (params, noise_sd, seed, rig), not from its state,
+    and leaves the agent as it was.
     """
 
     def __init__(
@@ -199,7 +190,7 @@ class WalkerAgent:
         self.seed = seed
         self.rig = rig
         self._law = law(params)
-        self._noise = self._draws()
+        self._unread: list[float] = []  # the current block's unread normals, next one last
         # per-foot state, indexed like FEET
         self._cycle = [0.0, PHASE_OFFSET]
         self._apex = [0.0, 0.0]
@@ -208,11 +199,10 @@ class WalkerAgent:
         self._frequency = 0.0
         self._effective_sd = noise_sd
 
-    def _draws(self) -> Iterator[float]:
-        """Standard normals one at a time, in blocks of a generator of seed."""
-        rng = np.random.default_rng(self.seed)
-        while True:
-            yield from rng.standard_normal(NOISE_BLOCK).tolist()
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        """The noise generator, made from seed at the first noisy draw."""
+        return np.random.default_rng(self.seed)
 
     def _plan(self, speed: float) -> tuple[float, float, float]:
         """command's plan: frequency, the next lift-off's apex, effective noise SD."""
@@ -235,32 +225,39 @@ class WalkerAgent:
         """The left and right heights at time `now`; then advance the gait
         clock by dt.
 
-        The two feet are written out rather than looped over; noise is drawn
-        for the left foot, then the right, as the per-foot loop drew it.
+        The two feet are written out rather than looped over. A swing
+        height is apex * sin(pi * u), u the share of the swing gone; noise
+        is read for the left foot, then the right, as a per-foot loop would.
         """
-        frequency, sd, stance = self._frequency, self._effective_sd, STANCE_FRACTION
-        cycle, apex, was_in_stance = self._cycle, self._apex, self._in_stance
+        frequency = self._frequency  # apart: four names at once build and unpack a tuple
+        cycle, apex, in_stance = self._cycle, self._apex, self._in_stance
         left, right = cycle
-        left_stance = frequency <= 0.0 or left < stance
-        right_stance = frequency <= 0.0 or right < stance
-        if left_stance:
+        if frequency <= 0.0 or left < STANCE_FRACTION:
             left_h = 0.0
+            in_stance[0] = True
         else:
-            if was_in_stance[0]:
+            if in_stance[0]:
                 # lift-off: adopt whatever plan is current
                 apex[0] = self._pending_apex
-            left_h = cycle_height(left, stance, apex[0])
-        if right_stance:
+                in_stance[0] = False
+            left_h = apex[0] * math.sin(math.pi * ((left - STANCE_FRACTION) / (1.0 - STANCE_FRACTION)))
+        if frequency <= 0.0 or right < STANCE_FRACTION:
             right_h = 0.0
+            in_stance[1] = True
         else:
-            if was_in_stance[1]:
+            if in_stance[1]:
                 apex[1] = self._pending_apex
-            right_h = cycle_height(right, stance, apex[1])
-        was_in_stance[0], was_in_stance[1] = left_stance, right_stance
+                in_stance[1] = False
+            right_h = apex[1] * math.sin(math.pi * ((right - STANCE_FRACTION) / (1.0 - STANCE_FRACTION)))
+        sd = self._effective_sd
         if sd > 0.0:
-            noise = self._noise
-            left_h = max(0.0, left_h + sd * next(noise))
-            right_h = max(0.0, right_h + sd * next(noise))
+            unread = self._unread
+            if not unread:  # at a pair's first normal, as NOISE_BLOCK is even
+                unread = self._unread = self._rng.standard_normal(NOISE_BLOCK).tolist()[::-1]
+            left_h += sd * unread.pop()
+            right_h += sd * unread.pop()
+            left_h = left_h if left_h > 0.0 else 0.0  # max(0.0, h), also for -0.0 and NaN
+            right_h = right_h if right_h > 0.0 else 0.0
         if frequency > 0.0:
             phase_step = dt * frequency / 2.0
             cycle[0] = (left + phase_step) % 1.0

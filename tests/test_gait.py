@@ -40,9 +40,10 @@ from wiplab.gait import (
     TrackerLanes,
     estimate_frames,
 )
-from wiplab.synth import GaitProgram, cycle_height, synth_trace
+from wiplab.synth import GaitProgram, synth_trace
 
 from boundary_gaits import BOUNDARY_GAITS, as_samples, as_segments
+from half_sine import cycle_height
 
 EPS = GROUND_EPSILON
 MIN_APEX = MIN_STEP_HEIGHT

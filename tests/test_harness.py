@@ -2,6 +2,7 @@
 
 import math
 import re
+from itertools import count
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from wiplab import harness, speed
 from wiplab.core import (
+    DivergedSimulation,
     EmptyWindow,
     Foot,
     FootSample,
@@ -44,12 +46,12 @@ from wiplab.synth import (
     MIN_SAMPLE_RATE,
     GaitProgram,
     WalkerAgent,
-    cycle_height,
     synth_trace,
 )
 
 from boundary_gaits import BOUNDARY_GAITS, as_samples
 from frame_rows import FrameRow, frames_of, rows_of
+from half_sine import cycle_height
 
 SHEF = WipParams(variant=Variant.SHEF)
 
@@ -292,6 +294,32 @@ class TestRunChase:
         assert stages[0] is Stage.PREP
         assert stages[-1] is Stage.CHASE
         assert Stage.COUNTDOWN in stages
+
+    @pytest.mark.parametrize(
+        "frame, at", [(100, "1.111"), (320, "3.556")], ids=["mid-interval", "final-interval"]
+    )
+    def test_divergence_names_the_first_non_finite_frame(self, monkeypatch, frame, at):
+        """The law's output turns infinite from one frame on: frame 100 lies
+        inside the re-plan interval of frames 90-134, frame 320 inside the
+        run's final, partial interval of frames 315-323."""
+        law = speed.law
+
+        def diverging_law(params):
+            evaluate, frames = law(params), count()
+
+            def diverging(f, sh):
+                raw, out = evaluate(f, sh)
+                return raw, (math.inf if next(frames) >= frame else out)
+
+            return diverging
+
+        monkeypatch.setattr(speed, "law", diverging_law)
+        sc = ChaseScenario(
+            target_speed=1.0, prep_distance=1.0, prep_duration=1.0, countdown=0.5, chase_duration=1.1
+        )
+        assert round(sc.total_duration / sc.timestep) == 324
+        with pytest.raises(DivergedSimulation, match=f"^non-finite state at t={at}$"):
+            run_chase(sc, WalkerAgent(SHEF, noise_sd=0.004, seed=3), SHEF)
 
 
 class TestReplay:

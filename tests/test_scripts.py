@@ -105,7 +105,7 @@ def test_experiment3_gains(tmp_path):
     ("experiment1_chase", ["--user-height", "9"], "user_height 9.0 outside [1.0, 2.5] m"),
     ("experiment2_elastic", ["--noise", "0.5"], "noise_sd must be in [0, 0.01] m, got 0.5"),
     ("experiment2_elastic", ["--target", "-1"], "target_speed must be in [0, 100] m/s"),
-    ("experiment2_elastic", ["--seed", "-1"], "--seed must be >= 0, got -1"),
+    ("experiment2_elastic", ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
     ("experiment3_gains", ["--out", "no-such-dir/gains.json"], "No such file or directory"),
 ])
 def test_bad_flags_are_usage_errors(name, args, message, tmp_path, monkeypatch):

@@ -20,11 +20,12 @@ from wiplab.synth import (
     GaitProgram,
     WalkerAgent,
     chase_policy,
-    cycle_height,
     elastic_apex_shift,
     plan_gait,
     synth_trace,
 )
+
+from half_sine import cycle_height
 
 GUD = WipParams(variant=Variant.GUD)
 SHEF = WipParams(variant=Variant.SHEF)
@@ -309,7 +310,12 @@ def test_block_drawn_noise_equals_scalar_draws():
 
 class PerFootAgent(WalkerAgent):
     """Reference emission: the agent's gait clock run as one loop over the
-    feet, each foot's state indexed like FEET."""
+    feet, each foot's state indexed like FEET, with cycle_height's swing and
+    one scalar normal per noisy sample from its own generator of the seed."""
+
+    def __init__(self, params, **kwargs):
+        super().__init__(params, **kwargs)
+        self._scalar_rng = np.random.default_rng(self.seed)
 
     def samples(self, now, dt):
         out = []
@@ -323,7 +329,7 @@ class PerFootAgent(WalkerAgent):
             was_in_stance[i] = in_stance
             h = 0.0 if in_stance else cycle_height(cyc, stance, self._apex[i])
             if sd > 0.0:
-                h = max(0.0, h + sd * next(self._noise))
+                h = max(0.0, h + sd * self._scalar_rng.standard_normal())
             out.append(h)
             if frequency > 0.0:
                 cycle[i] = (cyc + dt * frequency / 2.0) % 1.0
@@ -343,6 +349,12 @@ class PerFootAgent(WalkerAgent):
                   st.integers(1, 120)),
         min_size=1, max_size=8,
     ),
+)
+# parked, then 26 ticks of 2.2 Hz at 71.5 Hz put both feet exactly on the stance boundary; the
+# next command's apex shows whether they lifted off there
+@example(
+    variant=Variant.SHEF, noise_sd=0.0, seed=0, rig=None, rate=71.5,
+    plan=[(0.0, 1), (4.0, 27), (2.5, 3)],
 )
 def test_samples_equal_the_per_foot_loop(variant, noise_sd, seed, rig, rate, plan):
     params = WipParams(variant=variant)
