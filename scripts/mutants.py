@@ -117,6 +117,8 @@ MUTANTS = [
            "if len(self._normals) < ticks:", "if len(self._normals) <= ticks:", SYNTH_TESTS,
            equivalent="a lane whose blocks hold exactly one run's normals draws its next "
            "block one run early and appends it, so it reads the same stream"),
+    Mutant("synth.plan.finite-speed", "synth.py",
+           "0.0 <= target_speed < math.inf", "0.0 <= target_speed <= math.inf", SYNTH_TESTS),
     Mutant("synth.agent.seed-floor", "synth.py",
            "or seed < 0:", "or seed <= 0:", SYNTH_TESTS),
     Mutant("synth.agent.left-stance", "synth.py",

@@ -9,7 +9,7 @@ executes them in order; the CLI prints one line per check, and the test
 suite asserts them one by one.
 
 Checks deliberately reach functions through their modules (e.g.
-``speed.gud_speed`` at call time) so a monkeypatched implementation is
+``speed.law`` at call time) so a monkeypatched implementation is
 caught rather than a stale reference. The synthetic walks run as batches
 of lanes, with no loop over samples. The steady-state helper behind
 ROUND-TRIP and CEILING tracks a check's traces with one
@@ -97,21 +97,20 @@ def _steady_mean_speeds(cases: Sequence[tuple[Variant, float]]) -> list[float]:
 
 def check_eq1_anchor() -> tuple[bool, str]:
     """Reference cadence and body height produce exactly 1 m/s."""
-    value = speed.gud_speed(1.57, 1.72)
+    value = speed.law(WipParams(user_height=1.72, variant=Variant.GUD))(1.57, 0.1)[0]
     err = abs(value - 1.0)
     return err <= 1e-9, f"gud(1.57 Hz, 1.72 m) = {value!r} m/s, |err| = {err:.2e}"
 
 
 def check_eq2_identity() -> tuple[bool, str]:
     """Height-scaled law collapses to the frequency law at the 0.1 m reference."""
-    rng = np.random.default_rng(2024)
+    draws = np.random.default_rng(2024).uniform([0.1, 1.0] * 1000, [4.0, 2.5] * 1000).tolist()
     worst = 0.0
-    for _ in range(1000):
-        f = float(rng.uniform(0.1, 4.0))
-        height = float(rng.uniform(1.0, 2.5))
-        base = speed.gud_speed(f, height)
-        worst = max(worst, abs(speed.shef_speed(f, height, 0.1) - base))
-        if speed.shef_speed(f, height, 0.2) != 2.0 * base:
+    for f, height in zip(draws[0::2], draws[1::2]):
+        base = speed.law(WipParams(user_height=height, variant=Variant.GUD))(f, 0.1)[0]
+        shef = speed.law(WipParams(user_height=height, variant=Variant.SHEF))
+        worst = max(worst, abs(shef(f, 0.1)[0] - base))
+        if shef(f, 0.2)[0] != 2.0 * base:
             return False, f"doubling 0.1->0.2 m not exact at f={f:.3f}, H={height:.3f}"
     return worst <= 1e-12, f"identity max |err| = {worst:.2e} over 1000 draws"
 

@@ -48,12 +48,6 @@ class OutOfRangeHeight(WipError):
     exit_code = 2
 
 
-class NonPositiveHeight(WipError):
-    """User height must be strictly positive."""
-
-    exit_code = 2
-
-
 class NonPositiveGain(WipError):
     """Speed gains must be strictly positive."""
 
@@ -215,7 +209,7 @@ def require_finite(owner: object, names: Iterable[str]) -> None:
 
 @dataclass(frozen=True)
 class WipParams:
-    """User constants of the speed laws plus the output gain stage. The
+    """User constants of the speed laws plus the two output gains. The
     law's reference point is fixed: speed.REF_FREQUENCY, REF_USER_HEIGHT and
     REF_STEP_HEIGHT."""
 

@@ -14,8 +14,8 @@ right (time, foot, height) tuple, estimate once, evaluate the law built
 once per run by speed.law, then integrate. Its per-frame cost is the
 agent's samples(), two advance() calls, one estimate() and the loop body,
 and run_chase binds what its loop calls once per run. Its RunLog's Frames
-and Samples come from one np.fromiter over a float tuple per frame. It is
-the single-run path: simulate, record and the tests use it.
+and Samples come from a flat list of six floats per frame, read by one
+np.fromiter. It is the single-run path: simulate, record and the tests use it.
 
 Independent chases that share a scenario run in lockstep as lanes:
 run_chase_lanes keeps every lane's state in numpy arrays and returns the

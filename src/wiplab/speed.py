@@ -1,20 +1,21 @@
 """Control laws mapping gait estimates to virtual locomotion speed.
 
-Two variants share the same frequency core: the base law squares the
-height-normalized cadence, and the height-scaled law multiplies it by the
-step height relative to REF_STEP_HEIGHT. A separate gain stage applies the
-experiment gain and the natural visual gain.
+Two variants share the same frequency core: the base law (gud) squares the
+height-normalized cadence, and the height-scaled law (shef) multiplies it by
+the step height relative to REF_STEP_HEIGHT. Either law's output speed is
+its raw speed times the experiment gain and the natural visual gain.
 
-law() is the one variant dispatch: it binds one WipParams into a function of
-(step frequency, step height) once per run or agent. The walker agents and
-the simulation loops evaluate the configured law only through it.
+law() is the one place either formula is written and the one variant
+dispatch: it binds one WipParams into a function of (step frequency, step
+height) once per run or agent. The walker agents, the simulation loops and
+the acceptance gate's law checks evaluate the laws only through it.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .core import NonPositiveGain, NonPositiveHeight, Variant, WipParams
+from .core import Variant, WipParams
 
 
 # The law's reference point (cadence law: Wendt, Whitton & Brooks, "GUD WIP",
@@ -25,48 +26,17 @@ REF_USER_HEIGHT = 1.72  # m
 REF_STEP_HEIGHT = 0.1   # m
 
 
-def gud_speed(step_frequency: float, user_height: float) -> float:
-    """Virtual speed from cadence and body height alone.
-
-    Normalized so the reference cadence at the reference height gives
-    exactly 1 m/s. Quadratic in both factors, so doubling the cadence
-    quadruples the speed.
-    """
-    if user_height <= 0.0:
-        raise NonPositiveHeight(f"user height {user_height} must be > 0")
-    if step_frequency < 0.0:
-        raise ValueError("step frequency must be >= 0")
-    scaled = (step_frequency / REF_FREQUENCY) * (user_height / REF_USER_HEIGHT)
-    return scaled * scaled
-
-
-def shef_speed(step_frequency: float, user_height: float, step_height: float) -> float:
-    """Height-scaled variant: the base law times step height over reference.
-
-    Identical to gud_speed when step_height equals the reference, which is
-    what makes the two variants comparable at the same gait.
-    """
-    if step_height < 0.0:
-        raise ValueError("step height must be >= 0")
-    return gud_speed(step_frequency, user_height) * (step_height / REF_STEP_HEIGHT)
-
-
-def apply_gain(speed: float, gain: float, natural_visual_gain: float = 1.0) -> float:
-    """Output stage: speed times the experiment gain times the natural gain."""
-    if gain <= 0.0 or natural_visual_gain <= 0.0:
-        raise NonPositiveGain("gains must be > 0")
-    return speed * gain * natural_visual_gain
-
-
 def law(params: WipParams) -> Callable[[float, float], tuple[float, float]]:
-    """The configured law and gain stage as one function, built once per run.
+    """The configured law and its gains as one function, built once per run.
 
     The returned function maps a step frequency and a step height, both
-    >= 0, to (raw speed, output speed). It performs exactly the operations
-    of gud_speed or shef_speed followed by apply_gain, in the same order, so
-    every result is bit-identical to theirs; the per-call argument checks
-    are left out because WipParams validated the constants and gait
-    estimates are non-negative by construction.
+    >= 0, to (raw speed, output speed). gud's raw speed is the square of
+    (step frequency / REF_FREQUENCY) * (user height / REF_USER_HEIGHT), so
+    it is quadratic in both and ignores the step height; shef's is that
+    times step height / REF_STEP_HEIGHT, so the two agree at the reference
+    step height. The output speed is the raw speed times speed_gain times
+    natural_visual_gain. The arguments are not checked: WipParams validated
+    the constants, and gait estimates are non-negative by construction.
     """
     height_ratio = params.user_height / REF_USER_HEIGHT
     gain, natural_gain = params.speed_gain, params.natural_visual_gain

@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import Foot, InvalidRate, Samples, Variant, WipParams, require_finite
 from .elastic import ElasticRig, PullDirection, rig_force
-from .speed import REF_FREQUENCY, REF_STEP_HEIGHT, REF_USER_HEIGHT, gud_speed, law
+from .speed import REF_FREQUENCY, REF_STEP_HEIGHT, REF_USER_HEIGHT, law
 
 FEET = (Foot.LEFT, Foot.RIGHT)  # order of per-foot agent state and of emitted heights
 MIN_SAMPLE_RATE = 30.0  # Hz, below this swing segmentation falls apart
@@ -116,13 +116,20 @@ def plan_gait(target_speed: float, params: WipParams) -> GaitProgram:
     COMFORT_BAND and makes up the difference with step height, clamped at
     MAX_STEP_HEIGHT.
     """
-    return GaitProgram(*_cadence_and_apex(target_speed, params))
+    return GaitProgram(*_cadence_and_apex(target_speed, params, law(params)))
 
 
-def _cadence_and_apex(target_speed: float, params: WipParams) -> tuple[float, float]:
-    """plan_gait's step frequency and apex height."""
-    if target_speed < 0.0:
-        raise ValueError("target speed must be >= 0")
+def _cadence_and_apex(
+    target_speed: float, params: WipParams, evaluate: Callable[[float, float], tuple[float, float]]
+) -> tuple[float, float]:
+    """plan_gait's step frequency and apex height; evaluate is law(params).
+
+    A commanded speed enters here, and must be finite and >= 0. The
+    height-scaled plan's base speed is its own law's at REF_STEP_HEIGHT,
+    where shef equals the frequency law.
+    """
+    if not 0.0 <= target_speed < math.inf:
+        raise ValueError(f"target speed must be finite and >= 0, got {target_speed!r}")
     if target_speed == 0.0:
         return 0.0, 0.0
     f_solo = REF_FREQUENCY * math.sqrt(target_speed) * (REF_USER_HEIGHT / params.user_height)
@@ -130,7 +137,7 @@ def _cadence_and_apex(target_speed: float, params: WipParams) -> tuple[float, fl
         return min(f_solo, MAX_FREQUENCY), REF_STEP_HEIGHT
     lo, hi = COMFORT_BAND
     f = min(max(f_solo, lo), hi)
-    base = gud_speed(f, params.user_height)
+    base = evaluate(f, REF_STEP_HEIGHT)[0]
     apex = REF_STEP_HEIGHT * target_speed / base
     return f, min(max(apex, 0.0), MAX_STEP_HEIGHT)
 
@@ -206,7 +213,7 @@ class WalkerAgent:
 
     def _plan(self, speed: float) -> tuple[float, float, float]:
         """command's plan: frequency, the next lift-off's apex, effective noise SD."""
-        frequency, apex = _cadence_and_apex(speed, self.params)
+        frequency, apex = _cadence_and_apex(speed, self.params, self._law)
         strain = 0.0
         if speed > 0.0:
             strain = max(0.0, speed - self._law(frequency, apex)[0]) / speed

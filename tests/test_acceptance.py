@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wiplab import acceptance, gait, speed, synth
-from wiplab.core import Foot, FootSample, Samples
+from wiplab import acceptance, cli, gait, speed, synth
+from wiplab.core import Foot, FootSample, Samples, Variant
 from wiplab.gait import GROUND_EPSILON, MIN_STEP_HEIGHT, GaitTracker, estimate_frames
 from wiplab.synth import GaitProgram, synth_trace
 
@@ -61,14 +61,36 @@ def test_criterion(name):
     assert result.detail == GOLDEN_DETAIL[name]
 
 
+def scaled_law(variants, factor):
+    """speed.law, with the raw and output speeds of the laws of variants
+    scaled by factor."""
+    true_law = speed.law
+
+    def broken_law(params):
+        evaluate = true_law(params)
+        if params.variant not in variants:
+            return evaluate
+        return lambda f, sh: tuple(factor * v for v in evaluate(f, sh))
+
+    return broken_law
+
+
 def test_gate_catches_a_broken_speed_law(monkeypatch):
     """The checks must actually exercise the law, not a frozen copy of it."""
-    true_gud = speed.gud_speed
-    monkeypatch.setattr(
-        speed, "gud_speed", lambda *a, **kw: true_gud(*a, **kw) * 1.001
-    )
+    monkeypatch.setattr(speed, "law", scaled_law(set(Variant), 1.001))
     results = acceptance.run_all(only=["EQ1-ANCHOR"])
     assert not results[0].passed
+
+
+@pytest.mark.parametrize(
+    "variants", [{Variant.GUD}, {Variant.SHEF}, set(Variant)], ids=["gud", "shef", "both"]
+)
+def test_the_law_checks_fail_on_a_broken_law_closure(variants, monkeypatch, capsys):
+    """EQ1-ANCHOR and EQ2-IDENTITY evaluate speed.law, the closures every
+    frame loop runs, so 5 % off in either law's closure fails the gate."""
+    monkeypatch.setattr(speed, "law", scaled_law(variants, 1.05))
+    assert cli.main(["acceptance", "--only", "EQ1-ANCHOR", "--only", "EQ2-IDENTITY"]) == 1
+    assert "[FAIL]" in capsys.readouterr().out
 
 
 def test_gate_catches_a_broken_law_in_the_frame_step(monkeypatch):

@@ -658,10 +658,13 @@ class TestAcceptance:
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         from wiplab import acceptance, speed
 
-        true_gud = speed.gud_speed
-        monkeypatch.setattr(
-            speed, "gud_speed", lambda *a, **kw: true_gud(*a, **kw) * 1.001
-        )
+        true_law = speed.law
+
+        def broken_law(params):
+            evaluate = true_law(params)
+            return lambda f, sh: tuple(1.001 * v for v in evaluate(f, sh))
+
+        monkeypatch.setattr(speed, "law", broken_law)
         code, out, _ = run(["acceptance", "--only", "EQ1-ANCHOR"], capsys)
         assert code == 1
         assert "[FAIL] EQ1-ANCHOR" in out
@@ -673,7 +676,7 @@ class TestAcceptance:
     [
         (TraceParseError("bad", 3), 2),
         *[(getattr(core, name)("bad"), 2) for name in (
-            "NonMonotonicTime", "OutOfRangeHeight", "NonPositiveGain", "NonPositiveHeight",
+            "NonMonotonicTime", "OutOfRangeHeight", "NonPositiveGain",
             "NegativeExtension", "ZeroExtension", "InvalidRate",
         )],
         *[(getattr(core, name)("bad"), 3) for name in (

@@ -238,7 +238,6 @@ SETTABLE_VALUES = {
     "harness.ChaseScenario.prep_duration",
     "harness.ChaseScenario.timestep",
     "harness.replay_trace.scenario",
-    "speed.apply_gain.natural_visual_gain",
     "synth.GaitProgram.noise_sd",
     "synth.GaitProgram.seed",
     "synth.WalkerAgent.__init__.noise_sd",

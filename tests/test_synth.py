@@ -12,7 +12,7 @@ from wiplab.core import (
     HEIGHT_CEILING, Foot, FootSample, InvalidRate, Samples, Variant, WipParams,
 )
 from wiplab.elastic import MAX_BANDS, ElasticRig, PullDirection
-from wiplab.speed import gud_speed, law
+from wiplab.speed import law
 from wiplab.synth import (
     COMFORT_BAND,
     MAX_NOISE_SD,
@@ -26,6 +26,7 @@ from wiplab.synth import (
 )
 
 from half_sine import cycle_height
+from reference_laws import gud_speed
 
 GUD = WipParams(variant=Variant.GUD)
 SHEF = WipParams(variant=Variant.SHEF)
@@ -117,6 +118,20 @@ class TestPlanGait:
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
             plan_gait(-0.1, SHEF)
+
+    @pytest.mark.parametrize("speed", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("params", [GUD, SHEF], ids=["gud", "shef"])
+    def test_a_speed_that_is_not_finite_is_rejected_where_it_enters(self, params, speed):
+        """A NaN command used to freeze an agent's gait clock, an infinite one
+        to stop its noise and plan_gait(inf) to plan a 2.2 Hz gait."""
+        message = "target speed must be finite and >= 0"
+        with pytest.raises(ValueError, match=message):
+            plan_gait(speed, params)
+        with pytest.raises(ValueError, match=message):
+            WalkerAgent(params, noise_sd=0.004).command(speed)
+        lanes = synth.WalkerLanes([WalkerAgent(params), WalkerAgent(params)], 1.0 / 90.0)
+        with pytest.raises(ValueError, match=message):
+            lanes.command([1.0, speed])
 
     def test_gud_plans_reference_gait_for_unit_speed(self):
         program = plan_gait(1.0, GUD)
