@@ -132,6 +132,10 @@ MUTANTS = [
            "(first > starts[column])", "(first >= starts[column])", ORACLE_TESTS),
     Mutant("acceptance.oracle.column-end", "acceptance.py",
            "(stop < starts[column + 1])", "(stop <= starts[column + 1])", ORACLE_TESTS),
+    Mutant("harness.chase.short-interval", "harness.py",
+           "if len(heights) != 2 * ticks:", "if len(heights) > 2 * ticks:", HARNESS_TESTS),
+    Mutant("harness.chase.long-interval", "harness.py",
+           "if len(heights) != 2 * ticks:", "if len(heights) < 2 * ticks:", HARNESS_TESTS),
     Mutant("harness.cadence.zero-gap", "harness.py",
            "gaps[gaps > 0.0]", "gaps[gaps >= 0.0]", HARNESS_TESTS),
     Mutant("harness.window.start", "harness.py",

@@ -8,14 +8,15 @@ mirroring (so the chase starts with zero error), and the timed chase moves
 the sphere at constant speed while every metric is collected. Metrics are
 computed strictly from frames and step events inside the chase window.
 
-The live loop, run_chase, does each frame's work inline: take the agent's
-left and right heights, advance the gait tracker through a left then a
-right (time, foot, height) tuple, estimate once, evaluate the law built
-once per run by speed.law, then integrate. Its per-frame cost is the
-agent's samples(), two advance() calls, one estimate() and the loop body,
-and run_chase binds what its loop calls once per run. Its RunLog's Frames
-and Samples come from a flat list of six floats per frame, read by one
-np.fromiter. It is the single-run path: simulate, record and the tests use it.
+The live loop, run_chase, takes a re-plan interval's heights from one
+agent samples() call after each command, then does each frame's work
+inline: advance the gait tracker through a left then a right (time, foot,
+height) tuple, estimate once, evaluate the law built once per run by
+speed.law, then integrate. Its per-frame cost is two advance() calls, one
+estimate() and the loop body, and run_chase binds what its loop calls
+once per run. Its RunLog's Frames and Samples come from a flat list of six
+floats per frame, read by one np.fromiter. It is the single-run path:
+simulate, record and the tests use it.
 
 Independent chases that share a scenario run in lockstep as lanes:
 run_chase_lanes keeps every lane's state in numpy arrays and returns the
@@ -274,13 +275,16 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
     """Simulate one chasing-task run and compute its metrics.
 
     The agent provides command(speed), called at the start of each re-plan
-    interval, and samples(now, dt), the left and right heights at time now;
-    a WalkerAgent's noise comes from a generator of its seed. Each frame
-    advances the run's gait tracker through a left then a right plain tuple,
-    logging each StepEvent, calls estimate(t) once and feeds it to the law
-    speed.law builds. The log's Frames and samples come from one np.fromiter
-    and position, sphere and error from _integrate, whose sums the loop
-    repeats to command each interval and to check it for divergence.
+    interval, and samples(ticks, dt), the heights of the interval's ticks
+    ticks, a left then a right per tick, called once after each command; a
+    WalkerAgent's noise comes from a generator of its seed. An agent that
+    returns other than 2 * ticks heights raises ValueError. Each frame
+    advances the run's gait tracker through a left then a right plain
+    tuple, logging each StepEvent, calls estimate(t) once and feeds it to
+    the law speed.law builds. The log's Frames and samples come from one
+    np.fromiter and position, sphere and error from _integrate, whose sums
+    the loop repeats to command each interval and to check it for
+    divergence.
     """
     dt = scenario.timestep
     n_frames = int(round(scenario.total_duration / dt))
@@ -294,21 +298,27 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
     command, emit = agent.command, agent.samples
     record, keep_row = events.append, rows.extend
     isfinite = math.isfinite
+    time = np.arange(n_frames) * dt  # each bit equals the scalar k * dt
 
     def integrate() -> tuple[np.ndarray, ...]:
-        """The logged frames' times, columns and sums; _integrate raises on divergence."""
+        """The logged frames' columns and sums; _integrate raises on divergence."""
         table = np.fromiter(rows, float, len(rows)).reshape(-1, 6)
-        time = np.arange(len(table)) * dt  # k * dt, as the loop computes it
-        return time, table, *_integrate(scenario, time, table[:, 5], 0.0, circle_lead)
+        return table, *_integrate(scenario, time[:len(table)], table[:, 5], 0.0, circle_lead)
 
     position = 0.0
     sphere = circle_lead  # starts at the catch-circle center
     for first in range(0, n_frames, replan_every):
         command(chase_policy(sphere - (position + circle_lead), target_speed))
+        ticks = min(replan_every, n_frames - first)
+        heights = emit(ticks, dt)
+        if len(heights) != 2 * ticks:
+            raise ValueError(
+                f"agent gave {len(heights)} heights for {ticks} ticks, not {2 * ticks}"
+            )
         try:
-            for k in range(first, min(first + replan_every, n_frames)):
-                t = k * dt
-                height_left, height_right = emit(t, dt)
+            for t, height_left, height_right in zip(
+                time[first:first + ticks].tolist(), heights[0::2], heights[1::2]
+            ):
                 ev = advance((t, _LEFT, height_left))
                 if ev is not None:
                     record(ev)
@@ -324,7 +334,7 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
             if not (isfinite(position) and isfinite(sphere)):
                 integrate()
 
-    time, table, position, sphere, error = integrate()
+    table, position, sphere, error = integrate()
     samples = Samples(np.repeat(time, 2), np.tile((True, False), n_frames), table[:, :2].ravel())
     frames = Frames(time, _stages(scenario, time), *table.T, position[:-1], sphere[:-1], error)
     log = RunLog(scenario, frames, events, samples)

@@ -8,9 +8,11 @@ MAX_STEP_HEIGHT) can deliver: stepping at the limit is sloppier than
 stepping comfortably, which is what makes the frequency-only variant
 wobble at high targets. Noise comes from a generator of the agent's seed.
 
-Walkers emit heights: an agent's samples() gives its left and right
-heights at one time, and WalkerLanes.samples every lane's for a run of
-ticks. A recorded stream, such as synth_trace's, is a core.Samples.
+Walkers emit heights a run of ticks at a time, a left then a right per
+tick: an agent's samples() as one flat list, WalkerLanes.samples every
+lane's as one array. Between re-plans nothing reaches a walker, so
+run_chase takes a whole re-plan interval per call. A recorded stream,
+such as synth_trace's, is a core.Samples.
 """
 
 from __future__ import annotations
@@ -162,7 +164,9 @@ def elastic_apex_shift(rig: ElasticRig | None, planned_apex: float) -> float:
 
 
 class WalkerAgent:
-    """Phase-continuous stepping generator driven by commanded speed.
+    """Phase-continuous stepping generator driven by commanded speed: the
+    agent protocol run_chase calls, command(speed) at each re-plan and
+    samples(ticks, dt) for the heights up to the next.
 
     Re-planning changes cadence immediately but latches a new apex only at
     each foot's next lift-off, so emitted heights stay continuous within a
@@ -228,48 +232,58 @@ class WalkerAgent:
             self._cycle = [0.0, 0.0]
             self._in_stance = [True, True]
 
-    def samples(self, now: float, dt: float) -> tuple[float, float]:
-        """The left and right heights at time `now`; then advance the gait
-        clock by dt.
+    def samples(self, ticks: int, dt: float) -> list[float]:
+        """The heights of the next ticks ticks, a left then a right per
+        tick, advancing the gait clock by dt a tick.
 
-        The two feet are written out rather than looped over. A swing
-        height is apex * sin(pi * u), u the share of the swing gone; noise
-        is read for the left foot, then the right, as a per-foot loop would.
+        The gait state lives in locals for the call and is written back
+        once, and the two feet are written out rather than looped over. A
+        swing height is apex * sin(pi * u), u the share of the swing gone;
+        noise is read for the left foot, then the right, as a per-foot loop
+        would. Raises ValueError unless ticks is an int >= 0.
         """
-        frequency = self._frequency  # apart: four names at once build and unpack a tuple
-        cycle, apex, in_stance = self._cycle, self._apex, self._in_stance
-        left, right = cycle
-        if frequency <= 0.0 or left < STANCE_FRACTION:
-            left_h = 0.0
-            in_stance[0] = True
-        else:
-            if in_stance[0]:
-                # lift-off: adopt whatever plan is current
-                apex[0] = self._pending_apex
-                in_stance[0] = False
-            left_h = apex[0] * math.sin(math.pi * ((left - STANCE_FRACTION) / (1.0 - STANCE_FRACTION)))
-        if frequency <= 0.0 or right < STANCE_FRACTION:
-            right_h = 0.0
-            in_stance[1] = True
-        else:
-            if in_stance[1]:
-                apex[1] = self._pending_apex
-                in_stance[1] = False
-            right_h = apex[1] * math.sin(math.pi * ((right - STANCE_FRACTION) / (1.0 - STANCE_FRACTION)))
-        sd = self._effective_sd
-        if sd > 0.0:
-            unread = self._unread
-            if not unread:  # at a pair's first normal, as NOISE_BLOCK is even
-                unread = self._unread = self._rng.standard_normal(NOISE_BLOCK).tolist()[::-1]
-            left_h += sd * unread.pop()
-            right_h += sd * unread.pop()
-            left_h = left_h if left_h > 0.0 else 0.0  # max(0.0, h), also for -0.0 and NaN
-            right_h = right_h if right_h > 0.0 else 0.0
-        if frequency > 0.0:
-            phase_step = dt * frequency / 2.0
-            cycle[0] = (left + phase_step) % 1.0
-            cycle[1] = (right + phase_step) % 1.0
-        return left_h, right_h
+        if isinstance(ticks, bool) or not isinstance(ticks, int) or ticks < 0:
+            raise ValueError(f"ticks must be an integer >= 0, got {ticks!r}")
+        frequency, pending, sd = self._frequency, self._pending_apex, self._effective_sd
+        phase_step = dt * frequency / 2.0
+        (left, right), (left_apex, right_apex) = self._cycle, self._apex
+        left_in_stance, right_in_stance = self._in_stance
+        unread = self._unread
+        heights: list[float] = []
+        emit, sin, pi, swing = heights.append, math.sin, math.pi, 1.0 - STANCE_FRACTION
+        for _ in range(ticks):
+            if frequency <= 0.0 or left < STANCE_FRACTION:
+                left_h = 0.0
+                left_in_stance = True
+            else:
+                if left_in_stance:
+                    # lift-off: adopt whatever plan is current
+                    left_apex = pending
+                    left_in_stance = False
+                left_h = left_apex * sin(pi * ((left - STANCE_FRACTION) / swing))
+            if frequency <= 0.0 or right < STANCE_FRACTION:
+                right_h = 0.0
+                right_in_stance = True
+            else:
+                if right_in_stance:
+                    right_apex = pending
+                    right_in_stance = False
+                right_h = right_apex * sin(pi * ((right - STANCE_FRACTION) / swing))
+            if sd > 0.0:
+                if not unread:  # at a pair's first normal, as NOISE_BLOCK is even
+                    unread = self._unread = self._rng.standard_normal(NOISE_BLOCK).tolist()[::-1]
+                left_h += sd * unread.pop()
+                right_h += sd * unread.pop()
+                left_h = left_h if left_h > 0.0 else 0.0  # max(0.0, h), also for -0.0 and NaN
+                right_h = right_h if right_h > 0.0 else 0.0
+            if frequency > 0.0:
+                left = (left + phase_step) % 1.0
+                right = (right + phase_step) % 1.0
+            emit(left_h)
+            emit(right_h)
+        self._cycle, self._apex = [left, right], [left_apex, right_apex]
+        self._in_stance = [left_in_stance, right_in_stance]
+        return heights
 
 
 def _gait_clock(cycle: np.ndarray, step: np.ndarray, ticks: int) -> np.ndarray:
@@ -295,11 +309,12 @@ class WalkerLanes:
     them does, and re-plans with the agent's _plan; the batch changes no
     agent. Each lane's per-foot state is a column of (2, lanes) arrays, row
     0 the left foot. Between re-plans no plan changes, so samples() emits a
-    run of ticks at once with samples()'s operations and no loop over
-    ticks: the gait clocks are cumulative sums restarted at each wrap. A
-    lane whose agent's noise_sd is positive (strain only scales it up)
-    draws its noise from its own generator of the agent's seed, a
-    left/right pair per tick, in blocks of at least NOISE_BLOCK normals.
+    run of ticks at once with the agent's operations as array operations
+    and no loop over ticks: the gait clocks are cumulative sums restarted
+    at each wrap. A lane whose agent's noise_sd is positive (strain only
+    scales it up) draws its noise from its own generator of the agent's
+    seed, a left/right pair per tick, in blocks of at least NOISE_BLOCK
+    normals.
     """
 
     def __init__(self, agents: Sequence[WalkerAgent], dt: float):

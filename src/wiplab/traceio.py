@@ -261,6 +261,8 @@ def _write_files(outputs: Sequence[tuple[str, str | Callable[[TextIO], None]]]) 
     to the file it is given. Every path is opened before any is written: a
     device in place, any other as a temporary beside its real path, which
     replaces it, keeping its mode bits, once every content is written. A
+    failed rename undoes those that landed: a replaced file gets back its
+    old content, kept beside it until then, and a new one is removed. A
     failed open raises OSError; a failed write or rename raises WipError."""
     staged: list[tuple[TextIO, str | None, str]] = []  # file, temporary, real path
     try:
@@ -278,19 +280,41 @@ def _write_files(outputs: Sequence[tuple[str, str | Callable[[TextIO], None]]]) 
             for (fh, _, _), (path, content) in zip(staged, outputs):
                 with fh:
                     fh.write(content) if isinstance(content, str) else content(fh)
-            for (_, temp, real), (path, _) in zip(staged, outputs):
-                if temp is not None:
-                    os.replace(temp, real)
+            renaming: list[tuple[str, str]] = []  # temporary, real path
+            try:
+                for (_, temp, real), (path, _) in zip(staged, outputs):
+                    if temp is not None:
+                        renaming.append((temp, real))
+                        if os.path.exists(real):
+                            _keep_content(real, f"{temp}.old")
+                        os.replace(temp, real)
+            except OSError:
+                for temp, real in reversed(renaming):
+                    if os.path.exists(f"{temp}.old"):
+                        os.replace(f"{temp}.old", real)
+                    elif not os.path.exists(temp):  # it landed on no file
+                        os.remove(real)
+                raise
         except OSError as exc:
             raise WipError(f"{path}: {exc.strerror or exc}") from exc
     except OSError as exc:  # a failed open names its output, not a temporary
         exc.filename = path
         raise
-    finally:  # no temporary is left
+    finally:  # no temporary or kept content is left
         for fh, temp, _ in staged:
             fh.close()
-            if temp is not None and os.path.exists(temp):
-                os.remove(temp)
+            for leftover in (temp, f"{temp}.old") if temp is not None else ():
+                if os.path.exists(leftover):
+                    os.remove(leftover)
+
+
+def _keep_content(real: str, kept: str) -> None:
+    """Keep real's content at kept until its replacement has landed: a hard
+    link, or where the file system has none, real itself moved aside."""
+    try:
+        os.link(real, kept)
+    except OSError:
+        os.replace(real, kept)
 
 
 def load_report(path: str) -> dict[str, Any]:

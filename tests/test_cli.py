@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import stat
+from itertools import count
 
 import pytest
 
@@ -482,6 +483,44 @@ class TestFailedWrite:
         code, out, err = run(args, capsys)
         assert (code, out) == (3, "")
         assert f"error: {full}: {os.strerror(errno.ENOSPC)}" in err and "wrote" not in err
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+class TestFailedRename:
+    """A rename that fails undoes those that landed before it."""
+
+    @pytest.mark.parametrize("links", [True, False], ids=["linked", "moved aside"])
+    @pytest.mark.parametrize("frames_existed", [True, False], ids=["replaced", "new"])
+    def test_a_failed_rename_restores_every_output(self, tmp_path, capsys, monkeypatch,
+                                                   frames_existed, links):
+        """The second rename fails, the frames' or, where the file system
+        has no hard links and the old report is moved aside, the report's:
+        the report gets its old bytes back, a new frames file is removed,
+        and the run exits 3."""
+        trace, report, frames = tmp_path / "run.csv", tmp_path / "r.json", tmp_path / "f.csv"
+        assert run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)[0] == 0
+        report.write_bytes(b"old report\n")
+        if frames_existed:
+            frames.write_bytes(b"old frames\n")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        replace, calls = os.replace, count(1)
+
+        def second_replace_fails(src, dst):
+            if next(calls) == 2:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            replace(src, dst)
+
+        def no_hard_links(src, dst):
+            raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+
+        monkeypatch.setattr(os, "replace", second_replace_fails)
+        if not links:
+            monkeypatch.setattr(os, "link", no_hard_links)
+        args = ["replay", str(trace), "--out", str(report), "--frames-out", str(frames)]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (3, "")
+        assert f"error: {frames if links else report}: {os.strerror(errno.EIO)}" in err
+        assert "wrote" not in err
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 

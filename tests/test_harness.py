@@ -230,8 +230,8 @@ class PinnedAgent:
     def command(self, speed):
         self.pinned_speed = speed
 
-    def samples(self, now, dt):
-        return 0.0, 0.0
+    def samples(self, ticks, dt):
+        return [0.0] * (2 * ticks)
 
 
 @pytest.fixture
@@ -320,6 +320,18 @@ class TestRunChase:
         assert round(sc.total_duration / sc.timestep) == 324
         with pytest.raises(DivergedSimulation, match=f"^non-finite state at t={at}$"):
             run_chase(sc, WalkerAgent(SHEF, noise_sd=0.004, seed=3), SHEF)
+
+
+    @pytest.mark.parametrize(
+        "spare", [-2, -1, 1, -90], ids=["a tick short", "a height short", "a height over", "empty"]
+    )
+    def test_an_interval_of_the_wrong_length_is_rejected(self, pinned, monkeypatch, spare):
+        """zip would silently shorten a run fed too few heights, and drop a
+        surplus; run_chase names both counts instead."""
+        monkeypatch.setattr(pinned, "samples", lambda ticks, dt: [0.0] * (2 * ticks + spare))
+        message = f"^agent gave {90 + spare} heights for 45 ticks, not 90$"
+        with pytest.raises(ValueError, match=message):
+            run_chase(ChaseScenario(target_speed=1.0), pinned, SHEF)
 
 
 class TestReplay:

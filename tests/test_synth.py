@@ -1,5 +1,6 @@
 """Synthetic gait generation, gait planning, and the simulated walker."""
 
+import copy
 import math
 
 import numpy as np
@@ -229,27 +230,43 @@ class TestWalkerAgent:
         agent = WalkerAgent(SHEF)
         agent.command(1.5)
         dt = 1.0 / 90.0
-        heights = []
-        for k in range(270):
-            heights.extend(agent.samples(k * dt, dt))
-        assert max(heights) > 0.05  # it actually walks
+        heights = agent.samples(270, dt)
+        assert len(heights) == 540 and max(heights) > 0.05  # it actually walks
+
+    @pytest.mark.parametrize("ticks", [-1, 1.0, 2.5, True, False, "3", None])
+    def test_rejects_ticks_that_are_not_an_int_of_at_least_zero(self, ticks):
+        agent = WalkerAgent(SHEF)
+        agent.command(1.5)
+        with pytest.raises(ValueError, match=f"ticks must be an integer >= 0, got {ticks!r}"):
+            agent.samples(ticks, 1.0 / 90.0)
+
+    def test_zero_ticks_emit_nothing_and_change_no_state(self):
+        dt = 1.0 / 90.0
+        agent, twin = (WalkerAgent(GUD, noise_sd=0.004, seed=2) for _ in range(2))
+        for walker in (agent, twin):
+            walker.command(4.0)  # strained: a noisy, swinging gait
+            walker.samples(50, dt)
+        before = copy.deepcopy(vars(agent))
+        assert agent.samples(0, dt) == []
+        after = dict(vars(agent))
+        assert after.pop("_rng").bit_generator.state == before.pop("_rng").bit_generator.state
+        assert after == before
+        assert agent.samples(200, dt) == twin.samples(200, dt)
 
     def test_command_zero_parks_the_feet(self):
         agent = WalkerAgent(SHEF)
         agent.command(1.5)
         dt = 1.0 / 90.0
-        for k in range(90):
-            agent.samples(k * dt, dt)
+        agent.samples(90, dt)
         agent.command(0.0)
-        flat = [h for k in range(90, 180) for h in agent.samples(k * dt, dt)]
-        assert all(h == 0.0 for h in flat)
+        assert agent.samples(90, dt) == [0.0] * 180
 
     def test_deterministic_for_seed(self):
         def run(seed):
             agent = WalkerAgent(SHEF, noise_sd=0.004, seed=seed)
             agent.command(2.0)
             dt = 1.0 / 90.0
-            return [agent.samples(k * dt, dt) for k in range(180)]
+            return agent.samples(180, dt)
 
         assert run(5) == run(5)
         assert run(5) != run(6)
@@ -269,25 +286,20 @@ class TestWalkerAgent:
     def test_replanning_keeps_heights_continuous(self):
         agent = WalkerAgent(SHEF)
         dt = 1.0 / 90.0
-        prev = None
-        worst = 0.0
-        for k in range(540):
-            if k % 45 == 0:  # replan twice a second, alternating demands
-                agent.command(1.0 if (k // 45) % 2 == 0 else 3.5)
-            heights = agent.samples(k * dt, dt)
-            if prev is not None:
-                worst = max(worst, *(abs(h - p) for h, p in zip(heights, prev)))
-            prev = heights
+        heights = []
+        for k in range(12):  # replan twice a second, alternating demands
+            agent.command(1.0 if k % 2 == 0 else 3.5)
+            heights += agent.samples(45, dt)
         # a latched apex changes only at lift-off, so no sample-to-sample jump
         # ever approaches the apex scale
-        assert worst < 0.05
+        assert np.abs(np.diff(np.reshape(heights, (-1, 2)), axis=0)).max() < 0.05
 
     def test_downward_rig_flattens_steps(self):
         def apex_with(rig):
             agent = WalkerAgent(SHEF, rig=rig)
             agent.command(1.5)
             dt = 1.0 / 90.0
-            return max(h for k in range(360) for h in agent.samples(k * dt, dt))
+            return max(agent.samples(360, dt))
 
         free = apex_with(None)
         weighted = apex_with(ElasticRig(direction=PullDirection.DOWNWARD, band_count=12))
@@ -306,33 +318,34 @@ def test_block_drawn_noise_equals_scalar_draws():
     # (commanded speed, noise SD): the strained command past the cap, the
     # zero command, and two noise-free stretches all change the draws
     plan = [(1.2, 0.004), (1.5, 0.0), (4.0, 0.004), (0.0, 0.003), (2.0, 0.0), (1.0, 0.0035)]
-    k = draws = 0
+    draws = 0
     for speed, noise_sd in plan:
         agent.noise_sd = noise_sd
         agent.command(speed)
         clean.command(speed)
         sd = agent._effective_sd
-        for _ in range(200):
-            got = agent.samples(k * dt, dt)
-            for noisy, expected in zip(got, clean.samples(k * dt, dt)):
-                if sd > 0.0:
-                    expected = max(0.0, expected + sd * rng.standard_normal())
-                    draws += 1
-                assert noisy == expected
-            k += 1
+        for noisy, expected in zip(agent.samples(200, dt), clean.samples(200, dt), strict=True):
+            if sd > 0.0:
+                expected = max(0.0, expected + sd * rng.standard_normal())
+                draws += 1
+            assert noisy == expected
     assert draws > 2 * synth.NOISE_BLOCK  # the stream crossed block boundaries
 
 
 class PerFootAgent(WalkerAgent):
-    """Reference emission: the agent's gait clock run as one loop over the
-    feet, each foot's state indexed like FEET, with cycle_height's swing and
-    one scalar normal per noisy sample from its own generator of the seed."""
+    """Reference emission: the agent's gait clock run a tick at a time, each
+    tick one loop over the feet, each foot's state indexed like FEET, with
+    cycle_height's swing and one scalar normal per noisy sample from its own
+    generator of the seed."""
 
     def __init__(self, params, **kwargs):
         super().__init__(params, **kwargs)
         self._scalar_rng = np.random.default_rng(self.seed)
 
-    def samples(self, now, dt):
+    def samples(self, ticks, dt):
+        return [h for _ in range(ticks) for h in self._tick(dt)]
+
+    def _tick(self, dt):
         out = []
         frequency, sd, stance = self._frequency, self._effective_sd, synth.STANCE_FRACTION
         cycle, was_in_stance = self._cycle, self._in_stance
@@ -348,7 +361,11 @@ class PerFootAgent(WalkerAgent):
             out.append(h)
             if frequency > 0.0:
                 cycle[i] = (cyc + dt * frequency / 2.0) % 1.0
-        return tuple(out)
+        return out
+
+
+def hexes(heights):
+    return list(map(float.hex, heights))
 
 
 @settings(max_examples=80, deadline=None)
@@ -358,10 +375,12 @@ class PerFootAgent(WalkerAgent):
     seed=st.integers(0, 2**16),
     rig=st.sampled_from([None, ElasticRig(direction=PullDirection.DOWNWARD, band_count=4)]),
     rate=st.sampled_from([60.0, 90.0, 120.0]),
-    # (commanded speed, frames until the next command); 0 parks the feet
+    # (commanded speed, ticks until the next command, where to split them);
+    # 0 parks the feet, and a run past NOISE_BLOCK // 2 ticks refills the noise
     plan=st.lists(
         st.tuples(st.sampled_from([0.0, 0.3, 1.0, 1.7, 2.5, 4.0]) | st.floats(0.0, 5.0),
-                  st.integers(1, 120)),
+                  st.integers(0, 120) | st.integers(synth.NOISE_BLOCK // 2, 2 * synth.NOISE_BLOCK),
+                  st.integers(0, 2 * synth.NOISE_BLOCK)),
         min_size=1, max_size=8,
     ),
 )
@@ -369,26 +388,35 @@ class PerFootAgent(WalkerAgent):
 # next command's apex shows whether they lifted off there
 @example(
     variant=Variant.SHEF, noise_sd=0.0, seed=0, rig=None, rate=71.5,
-    plan=[(0.0, 1), (4.0, 27), (2.5, 3)],
+    plan=[(0.0, 1, 0), (4.0, 27, 26), (2.5, 3, 1)],
+)
+# the runs and their splits cross refills of the noise block, a split one tick after one
+@example(
+    variant=Variant.GUD, noise_sd=0.004, seed=5, rig=None, rate=90.0,
+    plan=[(1.5, synth.NOISE_BLOCK // 2 + 45, synth.NOISE_BLOCK // 2 + 1), (3.0, 600, 100)],
 )
 def test_samples_equal_the_per_foot_loop(variant, noise_sd, seed, rig, rate, plan):
+    """An agent's samples for a run of ticks equal the per-foot loop's, tick
+    by tick, and emission is split-invariant: samples(a) + samples(b) equals
+    samples(a + b) bit for bit."""
     params = WipParams(variant=variant)
     kwargs = dict(noise_sd=noise_sd, seed=seed, rig=rig)
-    agent, reference = WalkerAgent(params, **kwargs), PerFootAgent(params, **kwargs)
-    dt, k = 1.0 / rate, 0
+    agent, split = WalkerAgent(params, **kwargs), WalkerAgent(params, **kwargs)
+    reference = PerFootAgent(params, **kwargs)
+    dt = 1.0 / rate
 
     def adopted(walker):
         return walker._frequency, walker._pending_apex, walker._effective_sd
 
-    for speed, frames in plan:
-        agent.command(speed)
-        reference.command(speed)
+    for speed, ticks, at in plan:
+        at %= ticks + 1
+        for walker in (agent, split, reference):
+            walker.command(speed)
         assert adopted(agent) == adopted(reference)
-        for _ in range(frames):
-            got, want = agent.samples(k * dt, dt), reference.samples(k * dt, dt)
-            assert type(got) is tuple and list(map(type, got)) == [float, float]
-            assert list(map(float.hex, got)) == list(map(float.hex, want))
-            k += 1
+        got = agent.samples(ticks, dt)
+        assert type(got) is list and set(map(type, got)) <= {float}
+        assert hexes(got) == hexes(reference.samples(ticks, dt))
+        assert hexes(split.samples(at, dt) + split.samples(ticks - at, dt)) == hexes(got)
 
 
 @pytest.mark.parametrize("speeds", [[2.0], [2.0, 1.0], [2.0, 1.0, 0.0, 1.0]], ids=["1", "2", "4"])
@@ -440,12 +468,10 @@ def test_walker_lanes_equal_each_agents_samples(lanes, rate, runs):
         speeds = speeds[:len(lanes)]
         batch.command(speeds)
         got = batch.samples(ticks)
-        want = []
-        for agent, speed in zip(scalar, speeds):
-            agent.command(speed)
-            want.append([list(map(float.hex, agent.samples(k * dt, dt))) for k in range(ticks)])
         assert got.shape == (ticks, 2, len(lanes))
-        assert [[list(map(float.hex, tick)) for tick in lane] for lane in got.transpose(2, 0, 1).tolist()] == want
+        for lane, agent, speed in zip(got.transpose(2, 0, 1), scalar, speeds):
+            agent.command(speed)
+            assert hexes(lane.ravel().tolist()) == hexes(agent.samples(ticks, dt))
 
 
 def loop_synth_trace(program, duration, sample_rate):
