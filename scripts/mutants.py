@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Threshold mutants: each flips one comparison against a gait, harness or
-traceio threshold, and the focused tests must fail on it.
+"""Threshold mutants: each flips one comparison against a gait, harness,
+traceio, synth or stream-contract threshold, and the focused tests must
+fail on it.
 
 Every mutant is one exact edit of the source, such as ``<`` to ``<=``. It
 is applied to a temporary copy of src/ and tests/, where pytest runs the
@@ -35,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GAIT_TESTS = ("tests/test_gait.py", "tests/test_harness.py", "tests/test_acceptance.py")
 HARNESS_TESTS = ("tests/test_harness.py", "tests/test_golden.py")
 TRACEIO_TESTS = ("tests/test_traceio.py", "tests/test_cli.py")
+STREAM_TESTS = (*TRACEIO_TESTS, "tests/test_core.py")
 SYNTH_TESTS = ("tests/test_synth.py", "tests/test_harness.py")
 ORACLE_TESTS = ("tests/test_acceptance.py",)
 
@@ -121,6 +123,8 @@ MUTANTS = [
            "0.0 <= target_speed < math.inf", "0.0 <= target_speed <= math.inf", SYNTH_TESTS),
     Mutant("synth.agent.seed-floor", "synth.py",
            "or seed < 0:", "or seed <= 0:", SYNTH_TESTS),
+    Mutant("synth.agent.positive-dt", "synth.py",
+           "if not 0.0 < dt < math.inf:", "if not 0.0 <= dt < math.inf:", SYNTH_TESTS),
     Mutant("synth.agent.left-stance", "synth.py",
            "or left < STANCE_FRACTION:", "or left <= STANCE_FRACTION:", SYNTH_TESTS),
     Mutant("synth.agent.right-stance", "synth.py",
@@ -143,14 +147,16 @@ MUTANTS = [
     Mutant("traceio.header.positive", "traceio.py",
            "if not 0.0 < number < math.inf:", "if not 0.0 <= number < math.inf:",
            TRACEIO_TESTS),
-    Mutant("traceio.walk.sorted", "traceio.py",
-           "last_time is not None and t < last_time",
-           "last_time is not None and t <= last_time", TRACEIO_TESTS),
-    Mutant("traceio.columns.sorted", "traceio.py",
-           "(t[1:] >= t[:-1]).all()", "(t[1:] > t[:-1]).all()", TRACEIO_TESTS),
-    Mutant("traceio.columns.foot-sorted", "traceio.py",
-           "(t_left[1:] > t_left[:-1]).all()", "(t_left[1:] >= t_left[:-1]).all()",
-           TRACEIO_TESTS),
+    Mutant("core.stream.sorted", "core.py",
+           "unsorted = time[1:] < time[:-1]", "unsorted = time[1:] <= time[:-1]", STREAM_TESTS),
+    Mutant("core.stream.foot-sorted", "core.py",
+           "ok = (before < time)", "ok = (before <= time)", STREAM_TESTS),
+    Mutant("core.stream.first-time", "core.py",
+           "ok[0] &= 0.0 <= time[0]", "ok[0] &= 0.0 < time[0]", STREAM_TESTS),
+    Mutant("core.stream.height-floor", "core.py",
+           "(HEIGHT_FLOOR <= height)", "(HEIGHT_FLOOR < height)", STREAM_TESTS),
+    Mutant("core.stream.height-ceiling", "core.py",
+           "(height <= HEIGHT_CEILING)", "(height < HEIGHT_CEILING)", STREAM_TESTS),
 ]
 
 

@@ -117,12 +117,12 @@ class Samples:
 
     It is the one form of a stream: synth_trace's, load_trace's and each
     RunLog's, and what replay_trace, estimate_frames, save_trace and
-    trace_text take. The array paths read the
-    columns; tuples() is the one row view, plain (time, foot, height)
-    tuples, which GaitTracker.advance streams. of() is the one conversion
-    from FootSample rows. There is no list equality: compare
-    list(samples.tuples()). Columns that are not 1-D ndarrays of one length,
-    time and height float64 and left bool, raise ValueError.
+    trace_text take. The array paths read the columns, which fault() checks;
+    tuples() is the one row view, plain (time, foot, height) tuples, which
+    GaitTracker.advance streams; of() is the one conversion from FootSample
+    rows. There is no list equality: compare list(samples.tuples()). Columns
+    not 1-D ndarrays of one length, time and height float64 and left bool,
+    raise ValueError.
     """
 
     __slots__ = ("time", "left", "height")
@@ -155,6 +155,41 @@ class Samples:
         return zip(self.time.tolist(), map(_FOOT_OF.__getitem__, self.left.tolist()),
                    self.height.tolist())
 
+    def fault(self) -> tuple[int, bool, WipError | None] | None:
+        """stream_fault of the samples, a row each."""
+        before = np.full(len(self), -_INF)
+        for at in map(np.flatnonzero, (self.left, ~self.left)):
+            before[at[1:]] = self.time[at[:-1]]
+        return stream_fault(self.time, before, self.left, self.height)
+
+
+def stream_fault(time: np.ndarray, before: np.ndarray, left: np.ndarray,
+                 height: np.ndarray) -> tuple[int, bool, WipError | None] | None:
+    """The first sample that breaks the stream contract, or None: its flat
+    index into height, whether its row's time precedes the row before, and
+    what validate_sample raises for it, if anything. Row k is the samples
+    height[k] at time[k], left broadcast against height, whose feet's last
+    samples were at before[k] (-inf for none). The fault in a row is its
+    first height out of range, else its first sample."""
+    if not len(time):
+        return None
+    in_range = ((HEIGHT_FLOOR <= height) & (height <= HEIGHT_CEILING)).reshape(len(time), -1)
+    unsorted = time[1:] < time[:-1]
+    ok = (before < time) & (time < _INF) & in_range.all(axis=1)
+    ok[1:] &= ~unsorted
+    ok[0] &= 0.0 <= time[0]  # a later row is at or past it, or unsorted
+    if ok.all():
+        return None
+    k = int(ok.argmin())
+    i = k * in_range.shape[1] + int(in_range[k].argmin())
+    foot = _FOOT_OF[bool(np.broadcast_to(left, height.shape).flat[i])]
+    previous = None if before[k] == -_INF else before[k].item()
+    try:
+        validate_sample(FootSample(time[k].item(), foot, height.flat[i].item()), previous)
+    except WipError as exc:
+        return i, k > 0 and bool(unsorted[k - 1]), exc
+    return i, True, None
+
 
 def validate_sample(sample: FootSample, previous_time_for_foot: float | None) -> FootSample:
     """Check one sample against the stream invariants and return it unchanged.
@@ -173,9 +208,8 @@ def validate_sample(sample: FootSample, previous_time_for_foot: float | None) ->
     if not (0.0 <= t < _INF if prev is None else 0.0 <= prev < t < _INF):
         raise NonMonotonicTime(_time_fault(sample, prev))
     if not (HEIGHT_FLOOR <= sample.height <= HEIGHT_CEILING):
-        raise OutOfRangeHeight(
-            f"height {sample.height!r} m outside [{HEIGHT_FLOOR}, {HEIGHT_CEILING}]"
-        )
+        raise OutOfRangeHeight(f"height {sample.height!r} m outside "
+                               f"[{HEIGHT_FLOOR}, {HEIGHT_CEILING}]")
     return sample
 
 
@@ -192,10 +226,7 @@ def _time_fault(sample: FootSample, prev: float | None) -> str:
         return f"sample time {t!r} precedes stream start"
     if prev is not None and not 0.0 <= prev < _INF:
         return f"previous sample time {prev!r} is not a finite time >= 0"
-    return (
-        f"foot {sample.foot.value} sample at t={t!r} does not advance "
-        f"past t={prev!r}"
-    )
+    return f"foot {sample.foot.value} sample at t={t!r} does not advance past t={prev!r}"
 
 
 def require_finite(owner: object, names: Iterable[str]) -> None:

@@ -15,14 +15,11 @@ streaming segmentation equivalent to brute-force offline segmentation of
 the same samples (contiguous above-threshold regions), which the test
 suite exploits as an oracle.
 
-GaitTracker.advance steps a foot's state one (time, foot, height) sample at
-a time, checking validate_sample's predicates inline. _swing_scan is its
-one array form: running maxima and a logical_or scan down the rows that
-return the same fields, a _Swing, after every sample at once.
-estimate_frames takes a recorded stream as a core.Samples, streams its one
-row view, Samples.tuples, through advance and runs the scan over each
-foot's columns, and TrackerLanes runs it over lanes stepped in lockstep,
-registering each lane's steps with _footfall.
+GaitTracker.advance, the live path, steps a foot one (time, foot, height)
+sample at a time with validate_sample's predicates inline; _swing_scan, its
+array form, gives the same _Swing after every sample at once. The array
+paths, estimate_frames over a recorded core.Samples and TrackerLanes over
+lanes stepped in lockstep, check their stream first with core.stream_fault.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -44,12 +40,14 @@ from .core import (
     NonMonotonicTime,
     Samples,
     _not_a_foot,
+    stream_fault,
     validate_sample,
 )
 
 # Reading an enum member through its class costs ~0.1 us on CPython 3.11;
 # the per-frame paths compare against these constants instead.
 _FEET = _LEFT, _RIGHT = Foot.LEFT, Foot.RIGHT
+_LEFT_ROW = np.array([[True], [False]])  # TrackerLanes' feet, broadcast over lanes
 _INF = math.inf
 # estimate() builds its result directly: its values hold GaitEstimate's
 # invariants (non-negative, zero frequency when stale) by construction.
@@ -200,9 +198,9 @@ class GaitTracker:
 
     def advance(self, sample: tuple[float, Foot, float]) -> StepEvent | None:
         """Ingest one (time, foot, height) sample, a FootSample or a plain
-        tuple; returns a StepEvent when a step completes. A sample that
-        fails validate_sample's predicates raises from validate_sample, and
-        a foot that is neither Foot.LEFT nor Foot.RIGHT raises ValueError."""
+        tuple; returns a StepEvent when a step completes. A sample failing
+        validate_sample's predicates, checked inline, raises from
+        validate_sample, and a foot that is not a Foot member ValueError."""
         t, foot, h = sample
         if foot is _LEFT:
             track = self._left
@@ -368,8 +366,8 @@ def _swing_scan(now: np.ndarray, before: np.ndarray, heights: np.ndarray, state:
     reset rows, and the running apex, restarted at each lift-off, a running
     numpy complex maximum of (swing start, height): lexicographic, and the
     swing start grows at each lift-off. Every value is a comparison or a
-    selected input, so the state is advance()'s, bit for bit, on samples
-    that pass validate_sample.
+    selected input, so the state is advance()'s, bit for bit, on a stream
+    core.stream_fault accepts; the callers check that first.
     """
     col = now.reshape(-1, *(1,) * (heights.ndim - 1))
     before = before.reshape(col.shape)
@@ -419,44 +417,34 @@ def _frame_swings(t: np.ndarray, h: np.ndarray, frame: np.ndarray, n_frames: int
 
 
 def estimate_frames(samples: Samples, events: list[StepEvent]) -> FrameEstimates:
-    """Stream time-sorted samples through one tracker, then estimate every
-    frame at once.
+    """Check time-sorted samples, stream them through one tracker, then
+    estimate every frame at once, bit for bit as arrays.
 
-    Every sample goes through GaitTracker.advance, in order, as a plain
-    (time, foot, height) tuple from samples.tuples(), so validation,
-    segmentation and the StepEvents (appended to events) are the streaming
-    tracker's, and the EMA state is snapshotted after each step event. Each
-    foot's swing state comes from _swing_scan over that foot's own samples,
-    the scan TrackerLanes steps its lanes with. From both, the frequency
-    and step height that estimate(t) returns after each frame's samples are
-    computed with array operations, bit for bit.
-
-    Raises NonMonotonicTime at the first sample whose time precedes the one
-    before it: staleness reads the latest grounding time, which is a running
-    max only on sorted input.
+    Of the faults Samples.fault finds, a sample out of time order raises
+    NonMonotonicTime (staleness reads the latest grounding time, a running
+    max only on sorted input), any other what validate_sample raises. Then
+    every sample goes through GaitTracker.advance, a plain tuple, for the
+    StepEvents (appended to events) and the EMA row after each; each foot's
+    swing state comes from _swing_scan over its own samples.
     """
-    tracker = GaitTracker()
     t, left, h = samples.time, samples.left, samples.height
-    n = t.size
+    fault = samples.fault()
+    if fault is not None:
+        i, unsorted, error = fault
+        raise error if not unsorted else NonMonotonicTime(
+            f"foot {_FEET[not left[i]].value} sample at t={t[i].item()!r} precedes the sample "
+            f"before it at t={t[i - 1].item()!r}; replay needs time-sorted samples")
 
-    backwards = np.flatnonzero(t[1:] < t[:-1])
-    stop = int(backwards[0]) + 1 if backwards.size else n
     # _estimate_columns' EMA arguments after each footfall; row 0 is before any
-    advance, found, emas = tracker.advance, [], [_NO_FOOTFALL]
-    for s in islice(samples.tuples(), stop):
+    tracker = GaitTracker()
+    advance, emas = tracker.advance, [_NO_FOOTFALL]
+    for s in samples.tuples():
         ev = advance(s)
         if ev is not None:
-            found.append(ev)
+            events.append(ev)
             emas.append(tracker._ema_row)
-    events.extend(found)
-    if stop < n:
-        raise NonMonotonicTime(
-            f"foot {_FEET[not left[stop]].value} sample at t={t[stop].item()!r} precedes "
-            f"the sample before it at t={t[stop - 1].item()!r}; replay needs "
-            "time-sorted samples"
-        )
 
-    starts = np.empty(n, bool)
+    starts = np.empty(t.size, bool)
     starts[:1] = True  # an empty stream has no frame
     np.not_equal(t[1:], t[:-1], out=starts[1:])
     frame = np.cumsum(starts) - 1
@@ -530,9 +518,8 @@ class TrackerLanes:
     loop over ticks. Each step is registered into its lane's EMA row by
     _footfall, GaitTracker's own registration, so the EMAs stay scalar
     (math.exp), and the rows are forward-filled per lane. A run is checked
-    with validate_sample's predicates; its first failing tick raises from
-    validate_sample itself. The state carried between runs is copied out
-    of the run's arrays, so it does not keep them alive.
+    with core.stream_fault first, a tick a row. The state carried between
+    runs is copied out of the run's arrays, so it does not keep them alive.
     """
 
     def __init__(self, lanes: int):
@@ -557,21 +544,13 @@ class TrackerLanes:
         if not len(times):
             return np.empty((0, lanes)), np.empty((0, lanes))
         prev = self._prev_time
-        if prev is None:  # each foot's first sample starts its track
-            self._state = _first_swing(times[0], heights[0])
         now = np.array(times)
         before = np.concatenate(([-np.inf if prev is None else prev], now[:-1]))
-        # validate_sample's predicates for every tick; a stream's first time
-        # need only be >= 0. The first failing tick raises from validate_sample.
-        in_range = (HEIGHT_FLOOR <= heights) & (heights <= HEIGHT_CEILING)
-        floor = np.concatenate(([times[0] if prev is None else prev], now[:-1]))
-        fine = (0.0 <= floor) & (before < now) & (now < np.inf)
-        fine &= in_range.reshape(len(times), -1).all(axis=1)
-        if not fine.all():
-            k = int(fine.argmin())
-            i = int(in_range[k].argmin())  # 0 when every height is in range
-            sample = FootSample(times[k], _FEET[i // lanes], heights[k].item(i))
-            validate_sample(sample, prev if k == 0 else times[k - 1])
+        fault = stream_fault(now, before, _LEFT_ROW, heights)
+        if fault is not None:
+            raise fault[2]  # an unsorted tick fails validate_sample too
+        if prev is None:  # each foot's first sample starts its track
+            self._state = _first_swing(times[0], heights[0])
         swing = _swing_scan(now, before, heights, self._state)
         # a valid swing is aerial, so a valid foot back on the ground landed;
         # landing moves neither its swing start nor its apex

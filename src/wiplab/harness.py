@@ -33,10 +33,10 @@ the kinematics, _integrate), and the reports come from compute_metrics's
 own arithmetic, _window_metrics, where every statistic is _mean of an array.
 
 Replay takes a time-sorted recorded trace as a core.Samples, as
-traceio.load_trace returns it, and reads its columns. It advances the same
-streaming tracker a plain tuple per sample for its validation, step events
-and EMAs, and reads each foot's swing state from gait's swing scan, the one
-run_chase_lanes' trackers step with. It then computes every frame's
+traceio.load_trace returns it, and reads its columns. It checks the stream
+once, advances the same streaming tracker a plain tuple per sample for its
+step events and EMAs, and reads each foot's swing state from gait's swing
+scan, the one run_chase_lanes' trackers step with. It then computes every frame's
 estimate, law and kinematics as arrays in the live loop's operation order:
 they are its log's Frames, and compute_metrics of that log is its report,
 which is what keeps record/replay reports bit-identical; the DETERMINISM

@@ -240,12 +240,12 @@ class WalkerAgent:
         once, and the two feet are written out rather than looped over. A
         swing height is apex * sin(pi * u), u the share of the swing gone;
         noise is read for the left foot, then the right, as a per-foot loop
-        would. Raises ValueError unless ticks is an int >= 0.
+        would. Raises ValueError unless ticks is an int >= 0 and dt > 0.
         """
         if isinstance(ticks, bool) or not isinstance(ticks, int) or ticks < 0:
             raise ValueError(f"ticks must be an integer >= 0, got {ticks!r}")
         frequency, pending, sd = self._frequency, self._pending_apex, self._effective_sd
-        phase_step = dt * frequency / 2.0
+        phase_step = _tick(dt) * frequency / 2.0
         (left, right), (left_apex, right_apex) = self._cycle, self._apex
         left_in_stance, right_in_stance = self._in_stance
         unread = self._unread
@@ -286,6 +286,13 @@ class WalkerAgent:
         return heights
 
 
+def _tick(dt: float) -> float:
+    """dt, a tick's length; ValueError unless it is finite and > 0."""
+    if not 0.0 < dt < math.inf:  # NaN fails every comparison
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    return dt
+
+
 def _gait_clock(cycle: np.ndarray, step: np.ndarray, ticks: int) -> np.ndarray:
     """The gait clock cycle advanced ticks times by (c + step) % 1.0, as
     (ticks + 1, ...) rows. Between wraps that is a sequential cumulative sum;
@@ -319,7 +326,7 @@ class WalkerLanes:
 
     def __init__(self, agents: Sequence[WalkerAgent], dt: float):
         lanes = len(agents)
-        self._agents, self._dt = agents, dt
+        self._agents, self._dt = agents, _tick(dt)
         self._cycle = np.repeat([[0.0], [PHASE_OFFSET]], lanes, axis=1)
         self._apex = np.zeros((2, lanes))
         self._in_stance = np.ones((2, lanes), bool)

@@ -19,8 +19,6 @@ from typing import Any, Callable, Sequence, TextIO
 import numpy as np
 
 from .core import (
-    HEIGHT_CEILING,
-    HEIGHT_FLOOR,
     DivergedSimulation,
     Foot,
     FootSample,
@@ -28,7 +26,6 @@ from .core import (
     Variant,
     WipError,
     WipParams,
-    validate_sample,
 )
 from .elastic import ElasticRig, PullDirection
 from .harness import ChaseScenario
@@ -128,73 +125,69 @@ def _header_line(header: TraceHeader, line: str, lineno: int) -> bool:
 
 
 def load_trace(path: str) -> tuple[TraceHeader, Samples]:
-    """Read a trace; raises TraceParseError with a line number on bad input.
+    """Read a trace as a Samples; raises TraceParseError with a line number.
 
-    The samples come back as a Samples, the one form of a stream: its
-    columns, and tuples() as its row view. The rows after the column line
-    are parsed by column when that parse accepts them as clean; anything
-    else (a wrong field count, a failed conversion or check, blank or '#'
-    lines among the rows) is left to the line walk, which checks every line
-    in file order, names the offending one and converts its FootSamples
-    once with Samples.of.
+    The rows after the column line are parsed by column if each is a data
+    row that converts, else by the line walk, in file order up to the first
+    line it cannot read, with one Samples.of of its FootSamples. Then
+    Samples.fault checks the stream; its fault comes before that line's.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    header = TraceHeader()
-    samples: list[FootSample] = []
-    saw_magic = False
-    saw_columns = False
-    last_time: float | None = None
-    last_time_per_foot: dict[Foot, float] = {}
+    header, saw_magic = TraceHeader(), False
+    start = len(lines)  # past the column line, if there is one
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
         if line.startswith("#"):
             saw_magic = _header_line(header, line, lineno) or saw_magic
-            continue
-        if not saw_magic:
-            raise TraceParseError("missing trace format line", lineno)
-        if not saw_columns:
+        elif line.strip():
+            if not saw_magic:
+                raise TraceParseError("missing trace format line", lineno)
             if line.strip() != _COLUMNS:
                 raise TraceParseError(f"unexpected column line {line!r}", lineno)
-            saw_columns = True
-            parsed = _parse_columns(lines[lineno:])
-            if parsed is not None:
-                return header, parsed
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise TraceParseError(f"expected 3 fields, got {len(parts)}", lineno)
-        try:
-            t = float(parts[0])
-            foot = Foot(parts[1].strip())
-            h = float(parts[2])
-        except (ValueError, KeyError) as exc:
-            raise TraceParseError(str(exc), lineno) from exc
-        if last_time is not None and t < last_time:
-            raise TraceParseError(
-                f"rows not sorted by time ({t!r} after {last_time!r})", lineno
-            )
-        last_time = t
-        sample = FootSample(time=t, foot=foot, height=h)
-        try:
-            validate_sample(sample, last_time_per_foot.get(foot))
-        except WipError as exc:
-            raise TraceParseError(str(exc), lineno) from exc
-        last_time_per_foot[foot] = t
-        samples.append(sample)
+            start = lineno
+            break
     if not saw_magic:
         raise TraceParseError("missing trace format line", 1)
-    return header, Samples.of(samples)
+    samples = _parse_columns(lines[start:])
+    row_lines: Sequence[int] = range(start + 1, len(lines) + 1)
+    unread = None
+    if samples is None:  # the line walk
+        rows, row_lines = [], []
+        try:
+            for lineno, line in enumerate(lines[start:], start=start + 1):
+                if line.startswith("#"):
+                    _header_line(header, line, lineno)
+                elif line.strip():
+                    rows.append(_row_sample(line))
+                    row_lines.append(lineno)
+        except (TraceParseError, ValueError) as exc:  # a header, field count or conversion
+            unread = exc if isinstance(exc, TraceParseError) else TraceParseError(str(exc), lineno)
+        samples = Samples.of(rows)
+    fault = samples.fault()
+    if fault is not None:
+        i, unsorted, error = fault
+        t = samples.time
+        message = (f"rows not sorted by time ({t[i].item()!r} after {t[i - 1].item()!r})"
+                   if unsorted else str(error))
+        raise TraceParseError(message, row_lines[i]) from error
+    if unread is not None:
+        raise unread
+    return header, samples
+
+
+def _row_sample(line: str) -> FootSample:
+    """The sample of one data row of the line walk, or ValueError."""
+    parts = line.split(",")
+    if len(parts) != 3:
+        raise ValueError(f"expected 3 fields, got {len(parts)}")
+    return FootSample(float(parts[0]), Foot(parts[1].strip()), float(parts[2]))
 
 
 def _parse_columns(rows: list[str]) -> Samples | None:
     """The samples of the data rows, parsed one column at a time, or None
-    unless every row is a clean sample the line walk would accept."""
+    unless there are rows and each is a data row whose three fields convert."""
     if rows and not rows[-1]:
         rows.pop()  # the newline that ends the file
-    if not rows:
-        return Samples.of(())
     if set(map(str.count, rows, repeat(","))) != {2}:
         return None
     tokens = ",".join(rows).split(",")
@@ -205,18 +198,7 @@ def _parse_columns(rows: list[str]) -> Samples | None:
         h = np.fromiter(map(float, tokens[2::3]), float, n)
     except (ValueError, KeyError):
         return None
-    del tokens
-
-    t_left, t_right = t[left], t[~left]
-    clean = (
-        0.0 <= t[0]
-        and t[-1] < math.inf
-        and (t[1:] >= t[:-1]).all()
-        and (t_left[1:] > t_left[:-1]).all()
-        and (t_right[1:] > t_right[:-1]).all()
-        and ((HEIGHT_FLOOR <= h) & (h <= HEIGHT_CEILING)).all()
-    )
-    return Samples(t, left, h) if clean else None
+    return Samples(t, left, h)
 
 
 def _check_finite(obj: Any, path: str = "$") -> None:

@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiplab.core import (
@@ -24,9 +24,12 @@ from wiplab.core import (
     OutOfRangeHeight,
     Samples,
     Variant,
+    WipError,
     WipParams,
+    stream_fault,
     validate_sample,
 )
+from wiplab.synth import GaitProgram, synth_trace
 
 
 def test_validate_sample_accepts_and_returns():
@@ -155,6 +158,106 @@ def test_samples_reject_columns_that_are_not_1d_arrays_of_one_length(columns, fa
     samples = Samples(THREE_TIMES, left, np.zeros(3))
     assert samples.time is THREE_TIMES and samples.left is left
 
+
+# ---------------------------------------------------------------------------
+# stream_fault, the array copy of the stream contract
+
+L, R = Foot.LEFT, Foot.RIGHT
+NAN, INF = math.nan, math.inf
+BELOW_FLOOR = math.nextafter(HEIGHT_FLOOR, -INF)
+ABOVE_CEILING = math.nextafter(HEIGHT_CEILING, INF)
+
+
+def walked_fault(rows):
+    """stream_fault's scalar reference: the first row a walk rejects, overall
+    time order first, then validate_sample given its foot's previous time,
+    as (index, out of order, what validate_sample raised), or None."""
+    previous = {}
+    for i, (t, foot, h) in enumerate(rows):
+        unsorted = i > 0 and t < rows[i - 1][0]
+        try:
+            validate_sample(FootSample(t, foot, h), previous.get(foot))
+        except WipError as exc:
+            return i, unsorted, exc
+        if unsorted:
+            return i, True, None
+        previous[foot] = t
+    return None
+
+
+def described(fault):
+    if fault is None:
+        return None
+    i, unsorted, error = fault
+    return i, unsorted, type(error), str(error)
+
+
+@st.composite
+def streams(draw):
+    """Rows whose times may be NaN, infinite, negative, equal or decreasing,
+    and whose heights may sit at or one ulp past the height bounds; sorted
+    half the time, so that the later rules are reached."""
+    times = st.sampled_from([0.0, -0.0, 0.5, 1.0, -0.25, NAN, INF, -INF]) | st.floats(0.0, 2.0)
+    heights = st.sampled_from(
+        [0.0, 0.1, HEIGHT_FLOOR, HEIGHT_CEILING, BELOW_FLOOR, ABOVE_CEILING, NAN, INF, -INF]
+    ) | st.floats(-0.01, 0.3)
+    rows = draw(st.lists(st.tuples(times, st.sampled_from([L, R]), heights), max_size=12))
+    if draw(st.booleans()):
+        rows.sort(key=lambda row: INF if math.isnan(row[0]) else row[0])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=streams())
+@example(rows=[(0.0, L, HEIGHT_FLOOR), (0.0, R, HEIGHT_CEILING), (0.5, L, 0.1), (0.5, R, 0.0)])
+@example(rows=[(0.0, L, 0.0), (-0.0, R, 0.0)])  # -0.0 is a time >= 0, and not before 0.0
+@example(rows=[(-0.25, L, 0.0)])  # the first time is below zero
+@example(rows=[(0.0, L, 0.0), (NAN, R, 0.0)])  # not finite
+@example(rows=[(0.0, L, 0.0), (INF, R, 0.0)])
+@example(rows=[(0.0, L, 0.0), (0.0, R, 0.0), (0.0, L, 0.0)])  # a foot's time does not advance
+@example(rows=[(0.5, L, 0.0), (0.25, R, 0.0)])  # out of order across the feet
+@example(rows=[(0.5, L, 0.0), (0.25, R, 5.0)])  # out of order, with a bad height too
+@example(rows=[(0.0, L, 0.0), (0.5, R, BELOW_FLOOR)])  # one ulp under the floor
+@example(rows=[(0.0, L, ABOVE_CEILING)])  # one ulp over the ceiling
+@example(rows=[(0.0, R, NAN)])
+def test_stream_fault_is_the_first_row_a_scalar_walk_rejects(rows):
+    samples = Samples.of([FootSample(*row) for row in rows])
+    assert described(samples.fault()) == described(walked_fault(rows))
+
+
+@pytest.mark.parametrize("program", [
+    GaitProgram(1.8, 0.14), GaitProgram(2.5, 0.3, noise_sd=0.01, seed=3), GaitProgram(0.0, 0.0),
+])
+@pytest.mark.parametrize("rate", [30.0, 90.0])
+def test_stream_fault_accepts_synth_trace_streams(program, rate):
+    assert synth_trace(program, 4.0, rate).fault() is None
+
+
+def tick_rows(times, heights, before):
+    """stream_fault of ticks as TrackerLanes checks them: a row per tick, a
+    left and a right height per lane."""
+    times = np.array(times)
+    before = np.concatenate(([before], times[:-1]))
+    return described(stream_fault(times, before, np.array([[True], [False]]), np.array(heights)))
+
+
+@pytest.mark.parametrize("times, right, before, want", [
+    ([0.0, 0.1], 0.0, -INF, None),
+    ([0.2, 0.3], 0.0, 0.1, None),
+    ([0.0, 0.1], 2.5, -INF, (7, False, OutOfRangeHeight, "height 2.5 m outside [-0.005, 2.0]")),
+    ([0.1, 0.2], 0.0, 0.1, (0, False, NonMonotonicTime,
+                            "foot L sample at t=0.1 does not advance past t=0.1")),
+    # a tick whose time does not advance names its first bad height's sample
+    ([0.0, 0.0], 2.5, -INF, (7, False, NonMonotonicTime,
+                             "foot R sample at t=0.0 does not advance past t=0.0")),
+    ([0.1, 0.0], 2.5, -INF, (7, True, NonMonotonicTime,
+                             "foot R sample at t=0.0 does not advance past t=0.1")),
+])
+def test_tick_rows_fault_at_a_ticks_first_bad_height_else_its_first_sample(times, right, before,
+                                                                            want):
+    heights = np.zeros((len(times), 2, 2))  # two lanes
+    heights[-1, 1, 1] = right  # the last tick's right foot in lane 1
+    assert tick_rows(times, heights, before) == want
 
 class TestWipParams:
     def test_defaults_are_valid(self):

@@ -240,6 +240,26 @@ class TestWalkerAgent:
         with pytest.raises(ValueError, match=f"ticks must be an integer >= 0, got {ticks!r}"):
             agent.samples(ticks, 1.0 / 90.0)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    def test_rejects_a_dt_that_is_not_finite_and_positive_and_changes_no_state(self, dt):
+        agent = WalkerAgent(SHEF, noise_sd=0.004, seed=2)
+        agent.command(1.5)
+        agent.samples(40, 1.0 / 90.0)
+        before = copy.deepcopy(vars(agent))
+        for ticks in (0, 3):
+            with pytest.raises(ValueError, match=rf"^dt must be finite and > 0, got {dt!r}$"):
+                agent.samples(ticks, dt)
+        after = dict(vars(agent))
+        assert after.pop("_rng").bit_generator.state == before.pop("_rng").bit_generator.state
+        assert after == before
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    def test_lanes_reject_a_dt_that_is_not_finite_and_positive(self, dt):
+        """At construction, before any gait clock steps by it (an infinite
+        step would never wrap below 1.0)."""
+        with pytest.raises(ValueError, match=rf"^dt must be finite and > 0, got {dt!r}$"):
+            synth.WalkerLanes([WalkerAgent(SHEF)], dt)
+
     def test_zero_ticks_emit_nothing_and_change_no_state(self):
         dt = 1.0 / 90.0
         agent, twin = (WalkerAgent(GUD, noise_sd=0.004, seed=2) for _ in range(2))
