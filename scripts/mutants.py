@@ -74,15 +74,12 @@ MUTANTS = [
            "HEIGHT_FLOOR <= h <= HEIGHT_CEILING", "HEIGHT_FLOOR <= h < HEIGHT_CEILING",
            GAIT_TESTS),
     Mutant("gait.scan.airborne", "gait.py",
-           "airborne = heights > GROUND_EPSILON", "airborne = heights >= GROUND_EPSILON",
-           GAIT_TESTS),
+           "airborne = flat > GROUND_EPSILON", "airborne = flat >= GROUND_EPSILON", GAIT_TESTS),
     Mutant("gait.first-swing.aerial", "gait.py",
            "aerial, no = height > GROUND_EPSILON", "aerial, no = height >= GROUND_EPSILON",
            GAIT_TESTS,
-           equivalent="the first sample's state only feeds row 0 of _swing_scan as was_aerial; "
-           "at a height of GROUND_EPSILON row 0 reads grounded, so a wrongly aerial start "
-           "lands at once, with no valid swing, no descent and entered_at the sample's own "
-           "time, which is the state a grounded start gives"),
+           equivalent="_swing_scan reads a carried-in state's aerial flag from its height, "
+           "as it reads every sample's, so the first sample's flag is never read"),
     Mutant("gait.advance.min-apex", "gait.py",
            "track.running_apex >= MIN_STEP_HEIGHT", "track.running_apex > MIN_STEP_HEIGHT",
            GAIT_TESTS),
@@ -96,11 +93,11 @@ MUTANTS = [
            "velocity > VELOCITY_DEADBAND if track.descending",
            "velocity >= VELOCITY_DEADBAND if track.descending", GAIT_TESTS),
     Mutant("gait.scan.deadband-fall", "gait.py",
-           "staying_up & (velocity < -VELOCITY_DEADBAND)",
-           "staying_up & (velocity <= -VELOCITY_DEADBAND)", GAIT_TESTS),
+           "velocity < -VELOCITY_DEADBAND, out=falls", "velocity <= -VELOCITY_DEADBAND, out=falls",
+           GAIT_TESTS),
     Mutant("gait.scan.deadband-rise", "gait.py",
-           "~staying_up | (velocity > VELOCITY_DEADBAND)",
-           "~staying_up | (velocity >= VELOCITY_DEADBAND)", GAIT_TESTS),
+           "rise = staying_up & (velocity > VELOCITY_DEADBAND)",
+           "rise = staying_up & (velocity >= VELOCITY_DEADBAND)", GAIT_TESTS),
     Mutant("gait.resume-gap", "gait.py",
            "if delta > RESUME_GAP:", "if delta >= RESUME_GAP:", GAIT_TESTS),
     Mutant("gait.footfall.zero-gap", "gait.py",
@@ -109,14 +106,15 @@ MUTANTS = [
            "now - max(left.entered_at, right.entered_at) >= STOP_WINDOW",
            "now - max(left.entered_at, right.entered_at) > STOP_WINDOW", GAIT_TESTS),
     Mutant("gait.columns.stop-window", "gait.py",
-           "now - np.maximum(left.entered_at, right.entered_at) >= STOP_WINDOW",
-           "now - np.maximum(left.entered_at, right.entered_at) > STOP_WINDOW", GAIT_TESTS),
+           "now - np.maximum(entered_at[0], entered_at[1]) >= STOP_WINDOW",
+           "now - np.maximum(entered_at[0], entered_at[1]) > STOP_WINDOW", GAIT_TESTS),
     Mutant("gait.scan.valid-carried", "gait.py",
-           "state.valid | ~state.aerial |", "state.valid & ~state.aerial |", GAIT_TESTS),
+           "bool), state.valid)", "bool), state.valid & ~state.aerial)", GAIT_TESTS),
     Mutant("gait.columns.partial-bound", "gait.py",
            "where=longest > 0.0", "where=longest >= 0.0", GAIT_TESTS),
     Mutant("synth.lanes.refill", "synth.py",
-           "if len(self._normals) < ticks:", "if len(self._normals) <= ticks:", SYNTH_TESTS,
+           "if self._normals.shape[-1] < ticks:", "if self._normals.shape[-1] <= ticks:",
+           SYNTH_TESTS,
            equivalent="a lane whose blocks hold exactly one run's normals draws its next "
            "block one run early and appends it, so it reads the same stream"),
     Mutant("synth.plan.finite-speed", "synth.py",

@@ -163,6 +163,12 @@ class Samples:
         return stream_fault(self.time, before, self.left, self.height)
 
 
+def _in_range(height):
+    """Whether a height, or each of an array of them, lies in [HEIGHT_FLOOR,
+    HEIGHT_CEILING]; NaN does not."""
+    return (HEIGHT_FLOOR <= height) & (height <= HEIGHT_CEILING)
+
+
 def stream_fault(time: np.ndarray, before: np.ndarray, left: np.ndarray,
                  height: np.ndarray) -> tuple[int, bool, WipError | None] | None:
     """The first sample that breaks the stream contract, or None: its flat
@@ -173,13 +179,15 @@ def stream_fault(time: np.ndarray, before: np.ndarray, left: np.ndarray,
     first height out of range, else its first sample."""
     if not len(time):
         return None
-    in_range = ((HEIGHT_FLOOR <= height) & (height <= HEIGHT_CEILING)).reshape(len(time), -1)
     unsorted = time[1:] < time[:-1]
-    ok = (before < time) & (time < _INF) & in_range.all(axis=1)
+    ok = (before < time) & (time < _INF)
     ok[1:] &= ~unsorted
     ok[0] &= 0.0 <= time[0]  # a later row is at or past it, or unsorted
-    if ok.all():
+    # every height is in range if the lowest and the highest are; a NaN is neither
+    if ok.all() and (not height.size or _in_range(height.min()) & _in_range(height.max())):
         return None
+    in_range = _in_range(height).reshape(len(time), -1)
+    ok &= in_range.all(axis=1)
     k = int(ok.argmin())
     i = k * in_range.shape[1] + int(in_range[k].argmin())
     foot = _FOOT_OF[bool(np.broadcast_to(left, height.shape).flat[i])]

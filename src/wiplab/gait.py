@@ -8,7 +8,7 @@ StepEvents; cadence is smoothed from footfall intervals and, between
 footfalls, bounded by partial-phase evidence so the estimate decays within
 a fraction of a step when the user slows or stops. The footfall state, the
 cadence and apex EMAs, the active feet and the latest footfall time, is one
-row that _footfall registers each StepEvent into.
+row that _footfall registers each step into.
 
 Grounded is defined purely by height against GROUND_EPSILON. That keeps
 streaming segmentation equivalent to brute-force offline segmentation of
@@ -109,8 +109,9 @@ PARTIAL_SLACK = 1.15
 class _Swing(NamedTuple):
     """One foot's GaitTracker.advance state, a _FootTrack without its
     prev_time. The phase is split into aerial (not grounded) and descending.
-    _swing_scan returns the state after each row as arrays; a carried-in
-    state has no row axis."""
+    _swing_scan returns the carried-in state and the state after each
+    sample as arrays along a last axis; a carried-in state has no such
+    axis."""
 
     aerial: np.ndarray
     descending: np.ndarray    # only while aerial
@@ -130,14 +131,18 @@ _UNSEEN = _Swing(False, False, False, 0.0, 0.0, 0.0, 0.0, -_INF)
 _NO_FOOTFALL = (0.0, 0.0, 1, np.nan)
 
 
-def _footfall(row: tuple, recent: deque, event: StepEvent) -> tuple[float, float, int, float]:
+def _footfall(row: tuple, recent: deque, foot: Foot, end: float, apex_height: float
+              ) -> tuple[float, float, int, float]:
     """The EMA row (cadence EMA, apex EMA, active feet, footfall time) after
-    event, from the row before it; event's foot joins recent, the feet of
-    the last four events. 0.0 is no EMA yet and NaN no footfall yet: a real
-    EMA is > 0, and a NaN gap fails every comparison."""
+    a step of foot that landed at end with apex_height, from the row before
+    it; foot joins recent, the feet of the last four steps. 0.0 is no EMA
+    yet and NaN no footfall yet: a real EMA is > 0, and a NaN gap fails
+    every comparison."""
     freq, apex, _, before = row
-    recent.append(event.foot)
-    delta = event.end - before
+    recent.append(foot)
+    delta = end - before
+    # the EMAs' decay over the gap, exp(-max(0, delta) / SMOOTHING_TAU)
+    decay = math.exp(-delta / SMOOTHING_TAU) if delta > 0.0 else 1.0
     if delta > RESUME_GAP:
         # gait restarted after a pause; the spanning interval is not a
         # cadence sample, so re-seed on the next real one. (Deliberately
@@ -146,14 +151,10 @@ def _footfall(row: tuple, recent: deque, event: StepEvent) -> tuple[float, float
         # phase activity.)
         freq = 0.0
     elif delta > 0.0:  # 0 when noise grounds both feet on one tick: no cadence
-        alpha = 1.0 - math.exp(-delta / SMOOTHING_TAU)
-        freq = 1.0 / delta if freq == 0.0 else freq + alpha * (1.0 / delta - freq)
-    if apex == 0.0:
-        apex = event.apex_height
-    else:
-        apex += (1.0 - math.exp(-max(0.0, delta) / SMOOTHING_TAU)) * (event.apex_height - apex)
-    # distinct feet among the last four events; Enum hashing runs in Python
-    return freq, apex, (_LEFT in recent) + (_RIGHT in recent), event.end
+        freq = 1.0 / delta if freq == 0.0 else freq + (1.0 - decay) * (1.0 / delta - freq)
+    apex = apex_height if apex == 0.0 else apex + (1.0 - decay) * (apex_height - apex)
+    # distinct feet among the last four steps; Enum hashing runs in Python
+    return freq, apex, (_LEFT in recent) + (_RIGHT in recent), end
 
 
 @dataclass(slots=True)
@@ -238,7 +239,7 @@ class GaitTracker:
             track.aerial = track.descending = False
             if track.valid and track.running_apex >= MIN_STEP_HEIGHT:
                 event = _step_event(foot, track.swing_start, track.apex_time, t, track.running_apex)
-                self._ema_row = _footfall(self._ema_row, self._recent_feet, event)
+                self._ema_row = _footfall(self._ema_row, self._recent_feet, foot, t, track.running_apex)
             track.valid = False
         else:
             if h > track.running_apex:
@@ -350,70 +351,117 @@ def _first_swing(time, height) -> _Swing:
     return _Swing(aerial, no, no, height, zero, zero, zero, np.full_like(zero, time))
 
 
-def _running_max(first, values: np.ndarray) -> np.ndarray:
-    """first, then the running max of first and values down axis 0."""
-    return np.maximum.accumulate(np.concatenate(([first], values)), axis=0)
+def _ext(first, rest, shape: tuple) -> np.ndarray:
+    """A float array of shape with one more entry along its last axis:
+    first at [..., 0], then rest, both broadcast."""
+    out = np.empty((*shape[:-1], shape[-1] + 1))
+    out[..., 0] = first
+    out[..., 1:] = rest
+    return out
 
 
-def _swing_scan(now: np.ndarray, before: np.ndarray, heights: np.ndarray, state: _Swing) -> _Swing:
-    """GaitTracker.advance's per-foot state after each row of heights, by
-    array scans down axis 0 with no loop over rows.
+def _runs(marks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs a forward fill over flat columns repeats: the flat index of
+    every column's entry 0, at starts, and of every later entry where marks,
+    which starts at entry 1, holds; the length of each run up to the next;
+    and the index of each column's first run."""
+    marked = np.empty(marks.size + 1, bool)
+    marked[1:] = marks
+    marked[starts] = True
+    at = marked.nonzero()[0]
+    lengths = np.empty_like(at)
+    np.subtract(at[1:], at[:-1], out=lengths[:-1])
+    lengths[-1] = marked.size - at[-1]
+    return at, lengths, at.searchsorted(starts)
 
-    now holds each row's time and before the foot's previous sample time;
-    heights and state broadcast over any trailing axes, and state is the
-    one carried in, which stands at row -1. Times are running maxima of
-    event times, the descending flip-flop a running max of coded set and
-    reset rows, and the running apex, restarted at each lift-off, a running
-    numpy complex maximum of (swing start, height): lexicographic, and the
-    swing start grows at each lift-off. Every value is a comparison or a
-    selected input, so the state is advance()'s, bit for bit, on a stream
-    core.stream_fault accepts; the callers check that first.
+
+def _fill(runs: tuple[np.ndarray, np.ndarray, np.ndarray], values: np.ndarray, first) -> np.ndarray:
+    """values, one per run of runs, repeated over the run's entries, with
+    first's values for each column's first run."""
+    _, lengths, firsts = runs
+    values[firsts] = np.ravel(first)
+    return values.repeat(lengths)
+
+
+def _swing_scan(now: np.ndarray, prev: float, heights: np.ndarray, state: _Swing) -> _Swing:
+    """GaitTracker.advance's per-foot state after each sample of heights,
+    with no loop over samples.
+
+    heights holds each foot's samples along its last axis, any leading axes
+    being other feet; now holds each sample's time and prev the time of the
+    sample before the first (-inf for none). state, the carried-in state,
+    broadcasts over the leading axes. Each returned field has one more
+    entry along the last axis: [..., 0] is state, [..., k + 1] the state
+    after sample k.
+
+    The work runs over the fields' flat entries, so that comparing an entry
+    with the one before it is one contiguous pass; each column's entry 0,
+    where that comparison spans two columns, takes state's value instead.
+    Every field but the running apex is a forward fill, a repeat of the
+    values at the entries that move it over the runs of entries up to the
+    next: the descending flip-flop's at a landing and at the first of each
+    stretch of falls or of rises, and each time's. The running apex,
+    restarted at each lift-off, is the one scan: a running numpy complex
+    maximum of (the flat index of the swing's lift-off or entry 0, height),
+    lexicographic, so it also restarts at each column. Every value is a
+    comparison or a selected input, so the state is advance()'s, bit for
+    bit, on a stream core.stream_fault accepts; the callers check that
+    first.
     """
-    col = now.reshape(-1, *(1,) * (heights.ndim - 1))
-    before = before.reshape(col.shape)
-    airborne = heights > GROUND_EPSILON
-    was_aerial = np.concatenate(([state.aerial], airborne[:-1]))
-    lift, staying_up = airborne > was_aerial, airborne & was_aerial
-    velocity = np.diff(heights, axis=0, prepend=[state.height]) / (col - before)
-    # row 0 of the running maxima is the carried-in value, row k + 1 the one after row k
-    swing_start = _running_max(state.swing_start, np.where(lift, before, -np.inf))
-    # valid: lifted off since last grounded, or still in a carried-in valid swing
-    valid = airborne & (state.valid | ~state.aerial | np.logical_or.accumulate(~airborne, axis=0))
-    # descending: set by falling, reset by rising or by leaving a staying-aloft
-    # stretch; the latest wins, a fall at row r coded 2r + 1 and a reset 2r
-    rows = 2 * np.arange(len(heights)).reshape(col.shape)
-    code = np.where(staying_up & (velocity < -VELOCITY_DEADBAND), rows + 1, np.where(
-        ~staying_up | (velocity > VELOCITY_DEADBAND), rows, np.where(state.descending, -1, -2)
-    ))
-    descending = (np.maximum.accumulate(code, axis=0) & 1).astype(bool)
-    key = np.empty(swing_start.shape, complex)
-    key.real, key.imag = swing_start, np.concatenate(
-        ([state.running_apex], np.where(airborne, heights, -np.inf))
-    )
-    apex = np.maximum.accumulate(key, axis=0).imag
-    apex_time = _running_max(
-        state.apex_time, np.where(lift | (airborne & (heights > apex[:-1])), col, -np.inf)
-    )
-    changed = (airborne != was_aerial) | (
-        descending != np.concatenate(([state.descending], descending[:-1]))
-    )
-    entered_at = _running_max(state.entered_at, np.where(changed, col, -np.inf))
-    return _Swing(
-        airborne, descending, valid, heights, swing_start[1:], apex[1:], apex_time[1:],
-        entered_at[1:],
-    )
+    n = heights.shape[-1]
+    heights = _ext(state.height, heights, heights.shape)
+    flat = heights.reshape(-1)
+    airborne = flat > GROUND_EPSILON  # entry 0 is state.aerial, its height's
+    was_aerial, aerial = airborne[:-1], airborne[1:]
+    lift, staying_up = aerial > was_aerial, aerial & was_aerial
+    # each entry's time, prev at an entry 0: an entry's foot's sample before
+    # it is the entry before, and the one time that spans two columns is
+    # not read
+    now_at = _ext(prev, now, (*heights.shape[:-1], n)).reshape(-1)
+    velocity = (flat[1:] - flat[:-1]) / (now_at[1:] - now_at[:-1])
+    # descending: set by falling, reset by rising or landing (a grounded foot
+    # stays reset); only the first of a stretch of falls or of rises can flip it
+    falls = np.zeros(flat.size, bool)  # by entry, like flat
+    fall = np.logical_and(staying_up, velocity < -VELOCITY_DEADBAND, out=falls[1:])
+    rise = staying_up & (velocity > VELOCITY_DEADBAND)
+    fall[n::n + 1] = rise[n::n + 1] = False  # each later entry 0
+    flip = was_aerial > aerial
+    flip[1:] |= (fall[1:] > fall[:-1]) | (rise[1:] > rise[:-1])
+    flip[0] |= fall[0] | rise[0]
+    starts = np.arange(0, flat.size, n + 1)  # each column's entry 0
+    flips = _runs(flip, starts)
+    descending = _fill(flips, falls[flips[0]], state.descending)
+    changes = _runs((aerial != was_aerial) | (descending[1:] != descending[:-1]), starts)
+    entered_at = _fill(changes, now_at[changes[0]], state.entered_at)
+    # valid: lifted off in the run, or still in a carried-in valid swing
+    swing = _runs(lift, starts)
+    swing_start = _fill(swing, now_at[swing[0] - 1], state.swing_start)
+    valid = airborne & _fill(swing, np.ones(swing[0].size, bool), state.valid)
+    key = np.empty(flat.size, complex)
+    key.real = swing[0].repeat(swing[1])
+    key.imag = np.where(airborne, flat, -np.inf)
+    key.imag[::n + 1] = np.ravel(state.running_apex)
+    apex = np.maximum.accumulate(key).imag.copy()
+    # the apex moves at a lift-off and at each new high of its swing
+    moves = _runs(lift | (aerial & (flat[1:] > apex[:-1])), starts)
+    apex_time = _fill(moves, now_at[moves[0]], state.apex_time)
+    return _Swing(*(a.reshape(heights.shape) for a in (
+        airborne, descending, valid, flat, swing_start, apex, apex_time, entered_at)))
 
 
 def _frame_swings(t: np.ndarray, h: np.ndarray, frame: np.ndarray, n_frames: int) -> _Swing:
     """One foot's state after each of n_frames frames: one _swing_scan over
     its own samples (times t, heights h, frame indices frame), started from
     its first sample, then gathered at its latest sample in each frame."""
-    first = _first_swing(t[0], h[0]) if t.size else _UNSEEN
-    swing = _swing_scan(t, np.concatenate(([-np.inf], t))[:-1], h, first)
-    latest = np.full(n_frames, -1)  # row -1: _UNSEEN, before the first sample
-    latest[frame] = np.arange(t.size)  # one sample per foot per frame
+    if not t.size:
+        return _Swing(*(np.full(n_frames, u) for u in _UNSEEN))
+    swing = _swing_scan(t, -np.inf, h, _first_swing(t[0], h[0]))
+    for a, unseen in zip(swing, _UNSEEN):
+        a[0] = unseen  # entry 0 stands before the first sample
+    latest = np.zeros(n_frames, int)
+    latest[frame] = np.arange(1, t.size + 1)  # one sample per foot per frame
     latest = np.maximum.accumulate(latest)
-    return _Swing(*(np.append(a, u)[latest] for a, u in zip(swing, _UNSEEN)))
+    return _Swing(*(a[latest] for a in swing))
 
 
 def estimate_frames(samples: Samples, events: list[StepEvent]) -> FrameEstimates:
@@ -452,10 +500,10 @@ def estimate_frames(samples: Samples, events: list[StepEvent]) -> FrameEstimates
     n_frames = now.size
     foot_heights = np.zeros((2, n_frames))  # 0 where the foot has no sample
     foot_heights[np.where(left, 0, 1), frame] = h
-    feet = [
+    feet = _Swing(*map(np.stack, zip(*(
         _frame_swings(t[idx], h[idx], frame[idx], n_frames)
         for idx in (np.flatnonzero(left), np.flatnonzero(~left))
-    ]
+    ))))
 
     # the EMA row after the last footfall at or before each frame
     emas = np.array(emas).T
@@ -465,25 +513,23 @@ def estimate_frames(samples: Samples, events: list[StepEvent]) -> FrameEstimates
 
 
 def _estimate_columns(
-    now, feet: list[_Swing], ema: np.ndarray, base: np.ndarray, active_feet, footfall: np.ndarray
+    now, feet: _Swing, ema: np.ndarray, base: np.ndarray, active_feet, footfall: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """What estimate(now) returns, bit for bit, for many queries at once.
 
-    feet holds the left and the right foot's _Swing; now and the rest
-    broadcast against their arrays: the cadence EMA (0 for none, which
-    bounds the cadence to 0 as a missing one does, since a real EMA is > 0),
-    the apex EMA (0 for none), the active feet and the last footfall time
-    (NaN for none). The smaller partial bound is the longer elapsed time's,
-    as rounding keeps monotone order. entered_at stands in for the latest
-    transition: staleness reads it only while both feet are grounded, and
-    then each foot's is its grounding time.
+    feet's fields stack the left and the right foot's along axis 0; now and
+    the rest broadcast against each foot's: the cadence EMA (0 for none,
+    which bounds the cadence to 0 as a missing one does, since a real EMA
+    is > 0), the apex EMA (0 for none), the active feet and the last
+    footfall time (NaN for none). Both feet are one computation up to the
+    smaller partial bound, the longer elapsed time's, as rounding keeps
+    monotone order, and the higher blend. entered_at stands in for the
+    latest transition: staleness reads it only while both feet are
+    grounded, and then each foot's is its grounding time.
     """
     # an aerial foot's time since its anchor, >= 0; 0, no bound, when grounded
-    elapsed = [
-        np.where(foot.aerial, now - np.where(foot.valid, foot.swing_start, foot.entered_at), 0.0)
-        for foot in feet
-    ]
-    longest = np.maximum(*elapsed)
+    elapsed = np.where(feet.aerial, now - np.where(feet.valid, feet.swing_start, feet.entered_at), 0.0)
+    longest = np.maximum(elapsed[0], elapsed[1])
     partial = np.divide(
         SWING_FRACTION, longest, out=np.full_like(longest, np.inf), where=longest > 0.0
     )
@@ -491,16 +537,14 @@ def _estimate_columns(
     gap_bound = np.divide(PARTIAL_SLACK, gap, out=np.full_like(gap, np.inf), where=gap > 0.0)
     freq = np.minimum(np.minimum(ema, PARTIAL_SLACK * active_feet * partial), gap_bound)
 
-    height = base  # a rising foot's blend is >= base
-    for foot, since in zip(feet, elapsed):
-        rising = foot.valid & (foot.running_apex > base)  # valid feet are aerial
-        blended = base + np.minimum(1.0, since / SMOOTHING_TAU) * (foot.running_apex - base)
-        height = np.maximum(height, np.where(rising, blended, base))
+    # a rising foot's blend is >= base, so the higher foot's value is the height
+    rising = feet.valid & (feet.running_apex > base)  # valid feet are aerial
+    blended = base + np.minimum(1.0, elapsed / SMOOTHING_TAU) * (feet.running_apex - base)
+    height = np.where(rising, blended, base)
+    height = np.maximum(height[0], height[1])
 
-    left, right = feet
-    stale = ~(left.aerial | right.aerial) & (
-        now - np.maximum(left.entered_at, right.entered_at) >= STOP_WINDOW
-    )
+    (left, right), entered_at = feet.aerial, feet.entered_at
+    stale = ~(left | right) & (now - np.maximum(entered_at[0], entered_at[1]) >= STOP_WINDOW)
     return np.where(stale, 0.0, freq), np.where(stale, 0.0, height)
 
 
@@ -513,13 +557,14 @@ class TrackerLanes:
     one left and one right sample at the tick's time.
 
     Each foot's state is a column of (2, lanes) arrays, row 0 the left
-    foot. advance() steps a run of ticks with _swing_scan down the tick
-    axis, the scan estimate_frames runs over each foot's samples, with no
-    loop over ticks. Each step is registered into its lane's EMA row by
-    _footfall, GaitTracker's own registration, so the EMAs stay scalar
-    (math.exp), and the rows are forward-filled per lane. A run is checked
-    with core.stream_fault first, a tick a row. The state carried between
-    runs is copied out of the run's arrays, so it does not keep them alive.
+    foot. advance() steps a run of ticks with _swing_scan along the tick
+    axis, last in its (2, lanes, ticks) arrays, the scan estimate_frames
+    runs over each foot's samples, with no loop over ticks. Each step is
+    registered into its lane's EMA row by _footfall, GaitTracker's own
+    registration, so the EMAs stay scalar (math.exp), and the rows are
+    forward-filled per lane. A run is checked with core.stream_fault first,
+    a tick a row. The state carried between runs is copied out of the run's
+    arrays, so it does not keep them alive.
     """
 
     def __init__(self, lanes: int):
@@ -530,12 +575,12 @@ class TrackerLanes:
         # each lane's EMA row after its latest footfall, a column
         self._emas = np.repeat(np.array(_NO_FOOTFALL)[:, None], lanes, axis=1)
 
-    def advance(self, times: list[float], heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ingest ticks at times, heights[k] holding every lane's left and
-        right heights, and return each lane's estimate(times[k]) after each
-        tick: step frequency and step height as (ticks, lanes) arrays.
-        heights must be an ndarray of shape (len(times), 2, lanes), or
-        ValueError."""
+    def advance(self, times, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ingest ticks at times, a sequence or array of floats, heights[k]
+        holding every lane's left and right heights, and return each lane's
+        estimate(times[k]) after each tick: step frequency and step height
+        as (ticks, lanes) arrays. heights must be an ndarray of shape
+        (len(times), 2, lanes), or ValueError."""
         lanes = len(self.events)
         if not isinstance(heights, np.ndarray):
             raise ValueError(f"heights must be an ndarray, got {type(heights).__name__}")
@@ -544,45 +589,59 @@ class TrackerLanes:
         if not len(times):
             return np.empty((0, lanes)), np.empty((0, lanes))
         prev = self._prev_time
-        now = np.array(times)
+        now = np.array(times, float)
+        times = now.tolist()  # the events' and the carried times are floats
         before = np.concatenate(([-np.inf if prev is None else prev], now[:-1]))
         fault = stream_fault(now, before, _LEFT_ROW, heights)
         if fault is not None:
             raise fault[2]  # an unsorted tick fails validate_sample too
         if prev is None:  # each foot's first sample starts its track
             self._state = _first_swing(times[0], heights[0])
-        swing = _swing_scan(now, before, heights, self._state)
-        # a valid swing is aerial, so a valid foot back on the ground landed;
-        # landing moves neither its swing start nor its apex
-        landed = (
-            np.concatenate(([self._state.valid], swing.valid[:-1])) & ~swing.aerial
-            & (swing.running_apex >= MIN_STEP_HEIGHT)
-        )
-        emas = self._footfalls(landed, times, swing)
+        swing = _swing_scan(now, before[0], heights.transpose(1, 2, 0), self._state)
+        emas = self._footfalls(swing, times)
         self._prev_time = times[-1]
-        self._state = _Swing(*(a[-1].copy() for a in swing))
-        feet = [_Swing(*(a[:, foot] for a in swing)) for foot in (0, 1)]
-        return _estimate_columns(now[:, None], feet, *emas)
+        self._state = _Swing(*(a[..., -1].copy() for a in swing))
+        # entry 0, the carried-in state, is estimated at the first tick and dropped
+        freq, height = _estimate_columns(_ext(now[0], now, (lanes, len(now))), swing, *emas)
+        return freq[:, 1:].T, height[:, 1:].T
 
-    def _footfalls(self, landed, times, swing: _Swing) -> np.ndarray:
+    def _footfalls(self, swing: _Swing, times: list[float]) -> np.ndarray:
         """Register a run's steps in (tick, foot, lane) order, so a lane whose
         feet land on one tick registers the left step first, and return the
-        lanes' EMA arguments after each tick: (4, ticks or 1, lanes)."""
-        at = np.nonzero(landed)
-        if not at[0].size:
-            return self._emas[:, None]
+        lanes' EMA arguments after each of swing's entries: (4, lanes, ticks
+        + 1 or 1)."""
+        n, lanes = len(times), len(self.events)
+        valid, aerial = swing.valid.reshape(-1), swing.aerial.reshape(-1)
+        # a valid swing is aerial, so a valid foot back on the ground landed;
+        # landing moves neither its swing start nor its apex
+        landed = np.empty(valid.size, bool)
+        landed[1:] = valid[:-1] & ~aerial[1:] & (swing.running_apex >= MIN_STEP_HEIGHT).reshape(-1)[1:]
+        landed[::n + 1] = False  # entry 0 is carried in
+        at = np.flatnonzero(landed.reshape(-1, n + 1).T)  # in (tick, foot, lane) order
+        if not at.size:
+            return self._emas[..., None]
+        entry, column = np.divmod(at, 2 * lanes)
+        foot, lane = np.divmod(column, lanes)
         rows, current, recent, events = [], self._emas.T.tolist(), self._recent_feet, self.events
-        steps = (*at, swing.swing_start[at], swing.apex_time[at], swing.running_apex[at])
-        for k, foot, lane, start, top_time, top in zip(*(a.tolist() for a in steps)):
-            event = _step_event(_FEET[foot], start, top_time, times[k], top)
-            current[lane] = row = _footfall(current[lane], recent[lane], event)
-            events[lane].append(event)
-            rows.append(row)
+        at = column * (n + 1) + entry
+        steps = (entry - 1, foot, lane, *(a.reshape(-1)[at] for a in swing[4:7]))
+        for k, side, i, start, top, top_time in zip(*(a.tolist() for a in steps)):
+            side, end = _FEET[side], times[k]
+            events[i].append(_step_event(side, start, top_time, end, top))
+            current[i] = row = _footfall(current[i], recent[i], side, end, top)
+            rows += row
         # columns of table: each lane's carried-in EMAs, then one per step
-        lanes = landed.shape[2]
-        table = np.concatenate((self._emas, np.array(rows).T), axis=1)
-        latest = np.repeat(np.arange(lanes)[None], len(times), axis=0)
-        np.maximum.at(latest, (at[0], at[2]), np.arange(lanes, lanes + len(rows)))
-        emas = np.take(table, np.maximum.accumulate(latest, axis=0), axis=1)
-        self._emas = emas[:, -1].copy()
+        table = np.concatenate((self._emas, np.fromiter(rows, float, len(rows)).reshape(-1, 4).T), 1)
+        # forward-fill each lane's columns over its entries, a run per step
+        # from its entry on; the left step of a tick both feet land on runs
+        # for no entry
+        at = np.concatenate((np.arange(lanes), lane)) * (n + 1)
+        at[lanes:] += entry
+        order = (2 * at + np.concatenate((np.zeros(lanes, int), foot))).argsort()
+        at = at[order]
+        lengths = np.empty_like(at)
+        lengths[:-1] = at[1:]
+        lengths[-1] = lanes * (n + 1)
+        emas = np.take(table, order, 1).repeat(lengths - at, 1).reshape(4, lanes, n + 1)
+        self._emas = emas[..., -1].copy()
         return emas

@@ -24,7 +24,8 @@ reports run_chase would, bit for bit. Its exactness rules: each array
 operation is the scalar one, elementwise and in the same order (the tests
 pin np.sin to math.sin); state that steps from tick to tick is scanned a
 re-plan interval at a time with sequential cumulative sums (the gait
-clock, restarted at each wrap) and running maxima, which only select; the
+clock, restarted at each wrap), forward fills that repeat the values
+where a state moves, and a running maximum, which only select; the
 EMAs update per lane at footfalls through the streaming tracker's own
 registration, gait._footfall, with math.exp (np.exp differs); each lane
 draws a fresh agent's noise in blocks, in the agent's order; the only
@@ -206,8 +207,9 @@ def _mean(values: Sequence[float]) -> float:
     return float(np.cumsum(values)[-1]) / len(values)
 
 
-def _population_sd(values: np.ndarray) -> float:
-    d = values - _mean(values)
+def _population_sd(values: np.ndarray, mean: float) -> float:
+    """The population SD of values about mean, their _mean."""
+    d = values - mean
     return math.sqrt(_mean(d * d))  # d * d rounds correctly; libm pow(d, 2) need not
 
 
@@ -236,12 +238,13 @@ def _window_metrics(
     events = sorted((e for e in events if start <= e.end < end), key=lambda e: e.end)
     gaps = np.diff([e.end for e in events])
     cadences = 1.0 / gaps[gaps > 0.0]  # one per footfall interval of non-zero length
+    avg_speed = _mean(speeds)
     return MetricsReport(
         avg_step_height=_mean([e.apex_height for e in events]) if events else 0.0,
         avg_step_frequency=_mean(cadences) if cadences.size else 0.0,
         avg_target_distance=_mean(np.abs(errors)),
-        avg_speed=_mean(speeds),
-        speed_sd=_population_sd(speeds),
+        avg_speed=avg_speed,
+        speed_sd=_population_sd(speeds, avg_speed),
     )
 
 
@@ -257,16 +260,19 @@ def _stages(scenario: ChaseScenario | None, t: np.ndarray) -> np.ndarray:
 def _integrate(scenario: ChaseScenario, now, out, position, sphere) -> tuple[np.ndarray, ...]:
     """run_chase's position and sphere sums down axis 0 for the frames at times
     now, a row per frame start and one after the last, and each frame's error.
-    Raises DivergedSimulation at the first frame left non-finite."""
+    Raises DivergedSimulation at the first frame left non-finite; a sum that
+    is not finite stays so, so the last row tells whether any is."""
     dt, circle_lead = scenario.timestep, scenario.circle_lead
     chasing = np.reshape(now >= scenario.chase_start, (-1,) + (1,) * (out.ndim - 1))
+    sums = np.empty((2, len(out) + 1, *out.shape[1:]))  # position, then sphere
     with np.errstate(over="ignore", invalid="ignore"):  # caught as divergence below
-        sphere_step = np.where(chasing, scenario.target_speed * dt, out * dt)
-        position = np.cumsum(np.concatenate(([position], out * dt)), axis=0)
-        sphere = np.cumsum(np.concatenate(([sphere], sphere_step)), axis=0)
+        sums[:, 0] = position, sphere
+        np.multiply(out, dt, out=sums[0, 1:])
+        sums[1, 1:] = np.where(chasing, scenario.target_speed * dt, sums[0, 1:])
+        position, sphere = np.cumsum(sums, axis=1, out=sums)
         error = sphere[:-1] - (position[:-1] + circle_lead)
-    finite = (np.isfinite(position[1:]) & np.isfinite(sphere[1:])).all(axis=tuple(range(1, out.ndim)))
-    if not finite.all():
+    if not (np.isfinite(position[-1]) & np.isfinite(sphere[-1])).all():
+        finite = (np.isfinite(position[1:]) & np.isfinite(sphere[1:])).all(axis=tuple(range(1, out.ndim)))
         raise DivergedSimulation(f"non-finite state at t={now[finite.argmin()]:.3f}")
     return position, sphere, error
 
@@ -378,7 +384,7 @@ def run_chase_lanes(
     frame_times = np.arange(n_frames) * dt  # k * dt, as run_chase's loop computes it
     in_window = (chase_start <= frame_times) & (frame_times < end)
     # the chase window's speeds and errors, filled an interval at a time
-    speeds, errors = np.empty((2, np.count_nonzero(in_window), lanes))
+    speeds, errors = np.empty((2, lanes, np.count_nonzero(in_window)))  # a lane's in a row
     kept = 0
     position, sphere = np.zeros(lanes), np.full(lanes, circle_lead)
     with np.errstate(over="ignore", invalid="ignore"):  # the laws' overflow is caught as divergence
@@ -387,19 +393,19 @@ def run_chase_lanes(
                 chase_policy(e, target_speed) for e in (sphere - (position + circle_lead)).tolist()
             ])
             now = frame_times[first:first + replan_every]
-            f, sh = trackers.advance(now.tolist(), walkers.samples(now.size))
+            f, sh = trackers.advance(now, walkers.samples(now.size))
             out = np.empty_like(f)
             for evaluate, members in laws:
                 out[:, members] = evaluate(f[:, members], sh[:, members])[1]
             position, sphere, error = _integrate(scenario, now, out, position, sphere)
             window = in_window[first:first + replan_every]
             done = kept + np.count_nonzero(window)
-            speeds[kept:done], errors[kept:done] = out[window], error[window]
+            speeds[:, kept:done], errors[:, kept:done] = out[window].T, error[window].T
             kept = done
             position, sphere = position[-1].copy(), sphere[-1].copy()  # a view keeps the interval
 
     return [
-        _window_metrics(speeds[:, i], errors[:, i], events, chase_start, end)
+        _window_metrics(speeds[i], errors[i], events, chase_start, end)
         for i, events in enumerate(trackers.events)
     ]
 

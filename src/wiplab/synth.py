@@ -242,8 +242,7 @@ class WalkerAgent:
         noise is read for the left foot, then the right, as a per-foot loop
         would. Raises ValueError unless ticks is an int >= 0 and dt > 0.
         """
-        if isinstance(ticks, bool) or not isinstance(ticks, int) or ticks < 0:
-            raise ValueError(f"ticks must be an integer >= 0, got {ticks!r}")
+        ticks = _ticks(ticks)
         frequency, pending, sd = self._frequency, self._pending_apex, self._effective_sd
         phase_step = _tick(dt) * frequency / 2.0
         (left, right), (left_apex, right_apex) = self._cycle, self._apex
@@ -293,35 +292,53 @@ def _tick(dt: float) -> float:
     return dt
 
 
+def _ticks(ticks: int) -> int:
+    """ticks, a run's length; ValueError unless it is an int >= 0."""
+    if isinstance(ticks, bool) or not isinstance(ticks, int) or ticks < 0:
+        raise ValueError(f"ticks must be an integer >= 0, got {ticks!r}")
+    return ticks
+
+
 def _gait_clock(cycle: np.ndarray, step: np.ndarray, ticks: int) -> np.ndarray:
     """The gait clock cycle advanced ticks times by (c + step) % 1.0, as
-    (ticks + 1, ...) rows. Between wraps that is a sequential cumulative sum;
-    at a wrap c + step lies in [1, 2), where % 1.0 subtracts 1.0 exactly, so
-    each round restarts every column's sum at its first wrap."""
-    rows = np.arange(ticks + 1).reshape(-1, *(1,) * cycle.ndim)
-    clock = np.cumsum(np.concatenate(([cycle], np.broadcast_to(step, (ticks, *cycle.shape)))), axis=0)
+    ticks + 1 entries along a new last axis; step broadcasts against cycle.
+    Between wraps that is a sequential cumulative sum; at a wrap c + step
+    lies in [1, 2), where % 1.0 subtracts 1.0 exactly, so each round
+    restarts the sum of each column that wraps at its first wrap."""
+    clock = np.empty((*cycle.shape, ticks + 1))
+    clock[..., 0] = cycle
+    clock[..., 1:] = step[..., None]
+    clock = clock.reshape(-1, ticks + 1)
+    step = clock[:, 1:2].copy()  # each column's
+    np.cumsum(clock, axis=1, out=clock)
+    entry = np.arange(ticks + 1)
     while True:
         over = clock >= 1.0
         if not over.any():
-            return clock
-        wrap = np.where(over.any(axis=0), over.argmax(axis=0), ticks + 1)
-        restart = np.where(rows == wrap, clock - 1.0, np.where(rows > wrap, step, 0.0))
-        clock = np.where(rows < wrap, clock, np.cumsum(restart, axis=0))
+            return clock.reshape(*cycle.shape, ticks + 1)
+        wrap = over.argmax(axis=1)
+        wrapped = wrap.nonzero()[0]  # an entry 0 is a cycle < 1
+        wrap = wrap[wrapped]
+        after = entry >= wrap[:, None]
+        restart = np.where(after, step[wrapped], 0.0)
+        restart[np.arange(wrapped.size), wrap] = clock[wrapped, wrap] - 1.0
+        clock[wrapped] = np.where(after, np.cumsum(restart, axis=1, out=restart), clock[wrapped])
 
 
 class WalkerLanes:
     """WalkerAgent.samples for lanes of agents stepped in lockstep.
 
-    Each lane starts from its agent's settings, as a fresh WalkerAgent of
-    them does, and re-plans with the agent's _plan; the batch changes no
-    agent. Each lane's per-foot state is a column of (2, lanes) arrays, row
-    0 the left foot. Between re-plans no plan changes, so samples() emits a
-    run of ticks at once with the agent's operations as array operations
-    and no loop over ticks: the gait clocks are cumulative sums restarted
-    at each wrap. A lane whose agent's noise_sd is positive (strain only
-    scales it up) draws its noise from its own generator of the agent's
-    seed, a left/right pair per tick, in blocks of at least NOISE_BLOCK
-    normals.
+    Each lane starts from its agent's settings, as a fresh WalkerAgent
+    of them does, and re-plans with the agent's _plan; the batch changes
+    no agent. Each lane's per-foot state is a column of (2, lanes)
+    arrays, row 0 the left foot. Between re-plans no plan changes, so
+    samples() emits a run of ticks at once with the agent's operations
+    as array operations and no loop over ticks: the gait clocks are
+    cumulative sums restarted at each wrap, and each foot's apex is a
+    run of its old one up to its first lift-off, then one of the plan's.
+    A lane whose agent's noise_sd is positive (strain only scales it up)
+    draws its noise from its own generator of the agent's seed, a
+    left/right pair per tick, in blocks of at least NOISE_BLOCK normals.
     """
 
     def __init__(self, agents: Sequence[WalkerAgent], dt: float):
@@ -331,7 +348,7 @@ class WalkerLanes:
         self._apex = np.zeros((2, lanes))
         self._in_stance = np.ones((2, lanes), bool)
         self._rngs = {i: np.random.default_rng(a.seed) for i, a in enumerate(agents) if a.noise_sd > 0}
-        self._normals = np.empty((0, 2, lanes))  # drawn and not yet read
+        self._normals = np.empty((2, lanes, 0))  # drawn and not yet read, a tick an entry
         self._adopt([(0.0, 0.0, a.noise_sd) for a in agents])
 
     def command(self, speeds: Sequence[float]) -> None:
@@ -349,25 +366,40 @@ class WalkerLanes:
 
     def samples(self, ticks: int) -> np.ndarray:
         """Every lane's left and right heights for the next ticks ticks, a
-        (ticks, 2, lanes) array, advancing the gait clocks by dt a tick."""
+        (ticks, 2, lanes) array, advancing the gait clocks by dt a tick.
+        Raises ValueError unless ticks is an int >= 0.
+
+        The run's arrays hold each foot's ticks along their last axis, and
+        one entry more: the clock after the last tick, whose height is not
+        returned."""
+        if not _ticks(ticks):
+            return np.empty((0, *self._apex.shape))
         clock = _gait_clock(self._cycle, self._phase_step, ticks)
-        cycles, self._cycle = clock[:-1], clock[-1]
-        stance = self._parked | (cycles < STANCE_FRACTION)
-        was_in_stance = np.concatenate(([self._in_stance], stance[:-1]))
-        # from a foot's first lift-off on, its apex is the current plan's
-        lifted = np.logical_or.accumulate(was_in_stance > stance, axis=0)
-        apex = np.where(lifted, self._pending, self._apex)
-        self._apex, self._in_stance = apex[-1], stance[-1]
-        u = (cycles - STANCE_FRACTION) / (1.0 - STANCE_FRACTION)
-        heights = np.where(stance, 0.0, apex * np.sin(np.pi * u))
+        self._cycle = clock[..., -1].copy()
+        stance = self._parked[:, None] | (clock < STANCE_FRACTION)
+        # from a foot's first lift-off on, its apex is the current plan's: a
+        # run of its old apex, then one of the plan's
+        flat = stance.reshape(-1)
+        lift = np.empty_like(flat)
+        np.greater(flat[:-1], flat[1:], out=lift[1:])
+        lift[::ticks + 1] = self._in_stance.reshape(-1) > flat[::ticks + 1]
+        lift = lift.reshape(-1, ticks + 1)
+        first = np.where(lift.any(axis=1), lift.argmax(axis=1), ticks + 1)
+        runs, lengths = np.empty((first.size, 2)), np.empty((first.size, 2), int)
+        runs[:, 0], lengths[:, 0] = self._apex.reshape(-1), first
+        runs.reshape(2, -1, 2)[..., 1], lengths[:, 1] = self._pending, ticks + 1 - first
+        apex = runs.reshape(-1).repeat(lengths.reshape(-1)).reshape(clock.shape)
+        self._apex, self._in_stance = apex[..., -2].copy(), stance[..., -2].copy()
+        u = (clock - STANCE_FRACTION) / (1.0 - STANCE_FRACTION)
+        heights = np.where(stance, 0.0, apex * np.sin(np.pi * u))[..., :-1]
         if self._rngs:
-            if len(self._normals) < ticks:
-                fresh = max(NOISE_BLOCK // 2, ticks - len(self._normals))
-                drawn = np.zeros((2 * fresh, len(self._agents)))  # a lane with SD 0 adds 0.0 * 0.0
+            if self._normals.shape[-1] < ticks:
+                fresh = max(NOISE_BLOCK // 2, ticks - self._normals.shape[-1])
+                drawn = np.zeros((len(self._agents), fresh, 2))  # a lane with SD 0 adds 0.0 * 0.0
                 for lane, rng in self._rngs.items():
-                    drawn[:, lane] = rng.standard_normal(2 * fresh)
-                self._normals = np.concatenate((self._normals, drawn.reshape(fresh, 2, -1)))
-            noise, self._normals = self._normals[:ticks], self._normals[ticks:]
-            heights = heights + self._sd * noise
+                    drawn[lane] = rng.standard_normal(2 * fresh).reshape(fresh, 2)
+                self._normals = np.concatenate((self._normals, drawn.transpose(2, 0, 1)), axis=-1)
+            noise, self._normals = self._normals[..., :ticks], self._normals[..., ticks:]
+            heights = heights + self._sd[:, None] * noise
             heights = np.where(heights > 0.0, heights, 0.0)  # max(0.0, h)
-        return heights
+        return heights.transpose(2, 0, 1)

@@ -76,9 +76,14 @@ def trace_text(samples: Samples, scenario: dict[str, Any]) -> str:
     for key, value in scenario.items():
         lines.append(f"# scenario.{key}: {value!r}")
     lines.append(_COLUMNS)
+    # a tick's samples share their time: repr each run of bit-equal times once
+    time = samples.time
+    new = np.empty(time.size, bool)
+    new[:1] = True
+    np.not_equal(time[1:].view(np.int64), time[:-1].view(np.int64), out=new[1:])
+    times = np.array([repr(t) for t in time[new].tolist()], object)[new.cumsum() - 1]
     feet = map(_FOOT_VALUE.__getitem__, samples.left.tolist())
-    rows = zip(samples.time.tolist(), feet, samples.height.tolist())
-    lines += [f"{t!r},{foot},{h!r}" for t, foot, h in rows]
+    lines += [f"{t},{foot},{h!r}" for t, foot, h in zip(times.tolist(), feet, samples.height.tolist())]
     return "\n".join(lines) + "\n"
 
 

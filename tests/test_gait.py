@@ -776,36 +776,80 @@ JITTERY = [
 def test_tracker_lanes_equal_one_tracker_per_lane(lanes, runs):
     """Each lane's step events and its estimate after every tick equal those
     of a GaitTracker fed that lane's samples, bit for bit, however the ticks
-    are split into runs."""
+    are split into runs; so does the state each run carries to the next."""
     heights = lane_heights(lanes)
     if not heights.size:
         return
     times = [k / 90.0 for k in range(len(heights))]
     trackers = [GaitTracker() for _ in lanes]
     events = [[] for _ in lanes]
-    want = []
-    for t, tick in zip(times, heights):
-        row = []
-        for lane, tracker in enumerate(trackers):
-            for foot, h in zip(Foot, tick[:, lane].tolist()):
-                ev = tracker.advance(FootSample(t, foot, h))
-                if ev is not None:
-                    events[lane].append(ev)
-            est = tracker.estimate(t)
-            row.append((est.step_frequency.hex(), est.step_height.hex()))
-        want.append(row)
     batch = TrackerLanes(len(lanes))
-    got = []
+    want, got = [], []
     edges = [0, *np.cumsum(runs).tolist()]
     for a, b in zip(edges, [*edges[1:], len(times)]):
-        if a < min(b, len(times)):
-            freq, height = batch.advance(times[a:b], heights[a:b])
-            got += [
-                [(f.hex(), h.hex()) for f, h in zip(f_row, h_row)]
-                for f_row, h_row in zip(freq.tolist(), height.tolist())
-            ]
+        if a >= min(b, len(times)):
+            continue
+        for t, tick in zip(times[a:b], heights[a:b]):
+            row = []
+            for lane, tracker in enumerate(trackers):
+                for foot, h in zip(Foot, tick[:, lane].tolist()):
+                    ev = tracker.advance(FootSample(t, foot, h))
+                    if ev is not None:
+                        events[lane].append(ev)
+                est = tracker.estimate(t)
+                row.append((est.step_frequency.hex(), est.step_height.hex()))
+            want.append(row)
+        freq, height = batch.advance(times[a:b], heights[a:b])
+        got += [
+            [(f.hex(), h.hex()) for f, h in zip(f_row, h_row)]
+            for f_row, h_row in zip(freq.tolist(), height.tolist())
+        ]
+        assert carried_states(batch) == [tracker_state(tracker) for tracker in trackers]
     assert got == want
     assert [list(map(repr, e)) for e in batch.events] == [list(map(repr, e)) for e in events]
+
+
+def carried(value):
+    """A carried value as a tracker holds it: a flag, or a number's hex."""
+    return value if isinstance(value, bool) else float(value).hex()
+
+
+def tracker_state(tracker):
+    """What a GaitTracker carries to its next sample: each foot's track but
+    its time (TrackerLanes keeps one for both feet), the EMA row and the
+    recent feet."""
+    tracks = [[carried(getattr(track, name)) for name in gait._Swing._fields]
+              for track in (tracker._left, tracker._right)]
+    return [*tracks, [carried(x) for x in tracker._ema_row], list(tracker._recent_feet)]
+
+
+def carried_states(batch):
+    """tracker_state of each of batch's lanes, read from its (2, lanes)
+    state columns and its EMA rows."""
+    return [
+        [
+            *([carried(getattr(batch._state, name)[foot, lane].item()) for name in gait._Swing._fields]
+              for foot in (0, 1)),
+            [carried(x) for x in batch._emas[:, lane].tolist()],
+            list(batch._recent_feet[lane]),
+        ]
+        for lane in range(len(batch.events))
+    ]
+
+
+def test_tracker_lanes_take_times_as_an_array_or_a_list():
+    """An ndarray of times gives the events and carried times a list of
+    them gives: floats, not numpy scalars."""
+    ticks = BOUNDARY_GAITS["grounded for STOP_WINDOW"]  # footfalls at ticks 20 and 40
+    heights = np.repeat(np.array(ticks)[..., None], 2, 2)
+    times = np.arange(len(ticks)) / 90.0
+    batches = TrackerLanes(2), TrackerLanes(2)
+    for batch, run in zip(batches, (times, times.tolist())):
+        batch.advance(run[:30], heights[:30])
+        batch.advance(run[30:], heights[30:])
+    as_array, as_list = ([list(map(repr, e)) for e in batch.events] for batch in batches)
+    assert as_array == as_list and len(as_array[0]) == 2
+    assert [repr(batch._prev_time) for batch in batches] == [repr(times[-1].item())] * 2
 
 
 def test_tracker_lanes_carry_no_view_of_a_run():

@@ -1,5 +1,6 @@
-"""The experiment scripts run end to end with their smallest arguments and
-write their JSON results."""
+"""The scripts run end to end with their smallest arguments: the
+experiments write their JSON results, and the gate profile prints its
+table."""
 
 import contextlib
 import importlib.util
@@ -107,6 +108,7 @@ def test_experiment3_gains(tmp_path):
     ("experiment2_elastic", ["--target", "-1"], "target_speed must be in [0, 100] m/s"),
     ("experiment2_elastic", ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
     ("experiment3_gains", ["--out", "no-such-dir/gains.json"], "No such file or directory"),
+    ("gate_profile", ["--rounds", "0"], "--rounds must be at least 1, got 0"),
 ])
 def test_bad_flags_are_usage_errors(name, args, message, tmp_path, monkeypatch):
     """A bad flag exits 2 with one error line, before any run, and writes
@@ -129,3 +131,18 @@ def test_every_mutant_edit_applies_to_the_sources():
     for m in mutants.MUTANTS:
         mutants.mutated_source(m)
     assert len(mutants.MUTANTS) >= 15
+
+
+def test_gate_profile_prints_each_check_and_the_stability_layers():
+    """scripts/gate_profile.py --rounds 1: the machine line, a time per
+    acceptance check, and one per lane layer, none absent; exit 0."""
+    script, out = load_script("gate_profile"), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert script.main(["--rounds", "1"]) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("# python ") and " numpy " in lines[0] and " nproc " in lines[0]
+    names = [name for name, _ in script.acceptance.CHECKS]
+    assert [line.split()[0] for line in lines[1:1 + len(names)]] == names
+    layers = [line.split()[0] for line in lines if line.startswith("  ")]
+    assert layers == [f"{m}.{a}" for m, a in script.LAYERS]
+    assert not any(line.endswith("absent") for line in lines)

@@ -253,6 +253,21 @@ class TestWalkerAgent:
         assert after.pop("_rng").bit_generator.state == before.pop("_rng").bit_generator.state
         assert after == before
 
+    @pytest.mark.parametrize("ticks", [-1, 1.0, 2.5, True, False, "3", None])
+    def test_lanes_reject_ticks_that_are_not_an_int_of_at_least_zero(self, ticks):
+        """The agent's check, before any state changes."""
+        lanes = synth.WalkerLanes([WalkerAgent(SHEF, noise_sd=0.004, seed=2)], 1.0 / 90.0)
+        lanes.command([1.5])
+        lanes.samples(40)
+        before = copy.deepcopy(vars(lanes))
+        with pytest.raises(ValueError, match=f"ticks must be an integer >= 0, got {ticks!r}"):
+            lanes.samples(ticks)
+        after = dict(vars(lanes))
+        assert [rng.bit_generator.state for rng in after.pop("_rngs").values()] == [
+            rng.bit_generator.state for rng in before.pop("_rngs").values()]
+        assert after.keys() == before.keys()
+        assert all(np.array_equal(after[k], before[k]) for k in after if k != "_agents")
+
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 0.0, -0.1])
     def test_lanes_reject_a_dt_that_is_not_finite_and_positive(self, dt):
         """At construction, before any gait clock steps by it (an infinite
@@ -464,7 +479,7 @@ def test_walker_lanes_take_one_speed_per_lane(speeds):
     runs=st.lists(
         st.tuples(st.lists(st.sampled_from([0.0, 1.0, 4.0]) | st.floats(0.0, 5.0),
                            min_size=4, max_size=4),
-                  st.sampled_from([1, 200]) | st.integers(1, 200)),
+                  st.sampled_from([0, 1, 200]) | st.integers(0, 200)),
         min_size=1, max_size=4,
     ),
 )

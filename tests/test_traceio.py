@@ -4,6 +4,7 @@ import math
 import os
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -303,6 +304,27 @@ def test_samples_agree_with_the_line_walks_foot_samples(tmp_path, lines):
     assert rows == walked
     assert [repr(s) for s in rows] == [repr(s) for s in walked]  # floats, not numpy scalars
     assert list(Samples.of(walked).tuples()) == walked
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.lists(
+    st.tuples(
+        st.sampled_from([0.0, -0.0, 1.0 / 90.0, 0.5]) | st.floats(),
+        st.lists(st.tuples(st.booleans(), st.floats(-0.005, 2.0)), min_size=1, max_size=3),
+    ),
+    max_size=12,
+))
+def test_trace_rows_equal_a_row_at_a_time_repr(runs):
+    """trace_text writes each run of bit-equal times once as repr and
+    repeats it, so a row reads as f"{time!r},{foot},{height!r}" would,
+    with -0.0 and 0.0 apart and equal times in runs of any length."""
+    rows = [(t, left, h) for t, samples in runs for left, h in samples]
+    time, left, height = (np.array(column, dtype) for column, dtype in
+                          zip(tuple(zip(*rows)) or ((), (), ()), (float, bool, float)))
+    text = traceio.trace_text(Samples(time, left, height), {})
+    want = [f"{t!r},{'L' if is_left else 'R'},{h!r}" for t, is_left, h in rows]
+    assert text.split("\n")[2:-1] == want
 
 
 class TestScalarParsing:
