@@ -180,7 +180,7 @@ def check_elastic_anchors() -> tuple[bool, str]:
 def check_band_calibration() -> tuple[bool, str]:
     """Band counts needed for the calibrated force targets at both anchor heights."""
     down = [
-        elastic.bands_for_target(PullDirection.DOWNWARD, kgf, 0.156)
+        elastic.bands_for_target(PullDirection.DOWNWARD, kgf, elastic.DOWNWARD_CALIBRATION_HEIGHT)
         for kgf in (1.0, 2.0, 3.0)
     ]
     up = [
@@ -303,7 +303,7 @@ def check_determinism() -> tuple[bool, str]:
     agent = WalkerAgent(params, noise_sd=0.003, seed=11)
     first, log = run_chase(scenario, agent, params)
 
-    echo = scenario_echo(scenario, params, seed=11, noise_sd=0.003)
+    echo = scenario_echo(scenario, params, seed=11, noise_sd=0.003, rig=None)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.trace")
         save_trace(path, log.samples, scenario=echo)

@@ -29,7 +29,14 @@ import numpy as np
 
 from . import acceptance as acceptance_mod
 from .core import HEIGHT_CEILING, EmptyWindow, Variant, WipError
-from .elastic import ElasticRig, PullDirection, bands_for_target, rig_force
+from .elastic import (
+    DOWNWARD_CALIBRATION_HEIGHT,
+    KGF_TO_N,
+    ElasticRig,
+    PullDirection,
+    bands_for_target,
+    rig_force,
+)
 from .harness import Frames, MetricsReport, RunLog, replay_trace, run_chase
 from .synth import WalkerAgent
 from .traceio import (
@@ -50,11 +57,6 @@ from .traceio import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2  # WipError subclasses carry their own exit_code
-
-# A JSON scenario file may set any of RUN_KEYS, and every run flag's dest is
-# its key. WipParams and ChaseScenario default their own keys; target_speed
-# has no default: it must come from the file or from --target.
-RUN_DEFAULTS: dict[str, Any] = {"seed": 0, "noise_sd": 0.0, "rig": "none"}
 
 
 def _load_json_object(path: str, what: str, kind: str, keys: Iterable[str]) -> dict[str, Any]:
@@ -88,9 +90,11 @@ def _load_scenario_file(path: str) -> dict[str, Any]:
 
 
 def _merge_run_config(args: argparse.Namespace) -> dict[str, Any]:
-    config = dict(RUN_DEFAULTS)
-    if args.scenario:
-        config.update(_load_scenario_file(args.scenario))
+    """The run keys the scenario file and the flags set, the flags winning.
+    A file may set any of RUN_KEYS, and every run flag's dest is its key.
+    WipParams, ChaseScenario and WalkerAgent default the keys neither sets;
+    target_speed has no default: it must come from the file or --target."""
+    config = _load_scenario_file(args.scenario) if args.scenario else {}
     config.update(
         (key, value) for key in RUN_KEYS if (value := getattr(args, key, None)) is not None
     )
@@ -107,9 +111,11 @@ def _simulate(args: argparse.Namespace) -> tuple[MetricsReport, RunLog, dict[str
     config = _merge_run_config(args)
     params = params_from_echo(config)
     scenario = scenario_from_echo(config)
-    rig = _from_echo(config, "rig", parse_rig_spec)
-    noise_sd, seed = _from_echo(config, "noise_sd", float), config["seed"]
-    agent = WalkerAgent(params, noise_sd=noise_sd, seed=seed, rig=rig)
+    # only the walker settings the config holds; WalkerAgent defaults the rest
+    converters = (("rig", parse_rig_spec), ("noise_sd", float), ("seed", lambda seed: seed))
+    agent = WalkerAgent(params, **{
+        key: _from_echo(config, key, convert) for key, convert in converters if key in config
+    })
     try:
         report, log = run_chase(scenario, agent, params)
     except EmptyWindow as exc:  # the scenario is too short, not the run at fault
@@ -117,7 +123,8 @@ def _simulate(args: argparse.Namespace) -> tuple[MetricsReport, RunLog, dict[str
             f"chase_duration {scenario.chase_duration!r} s holds no frame at "
             f"timestep {scenario.timestep!r} s"
         ) from exc
-    return report, log, scenario_echo(scenario, params, seed=seed, noise_sd=noise_sd, rig=rig)
+    echo = scenario_echo(scenario, params, seed=agent.seed, noise_sd=agent.noise_sd, rig=agent.rig)
+    return report, log, echo
 
 
 # --frames-out columns that repeat values: estimates hold between footfalls,
@@ -196,7 +203,7 @@ def cmd_calibrate_bands(args: argparse.Namespace) -> int:
     direction = PullDirection(args.direction)
     height = args.height
     if height is None:
-        height = 0.156 if direction is PullDirection.DOWNWARD else 0.0
+        height = DOWNWARD_CALIBRATION_HEIGHT if direction is PullDirection.DOWNWARD else 0.0
     if not 0.0 <= height <= HEIGHT_CEILING:
         raise ValueError(
             f"--height must be a finite number in [0, {HEIGHT_CEILING}] m, got {height!r}"
@@ -214,7 +221,7 @@ def cmd_calibrate_bands(args: argparse.Namespace) -> int:
     for target_kgf in targets:
         count = bands_for_target(direction, target_kgf, height)
         reading = rig_force(ElasticRig(direction=direction, band_count=count), height)
-        achieved_kgf = reading.magnitude / 9.81
+        achieved_kgf = reading.magnitude / KGF_TO_N
         rows.append(
             {
                 "direction": direction.value,
@@ -320,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", required=True, choices=["up", "down"])
     p.add_argument("--targets", default="1,2,3", metavar="KGF[,KGF...]",
                    help="comma-separated force targets in kgf (default 1,2,3)")
-    p.add_argument("--height", type=float, metavar="M",
-                   help="foot height to calibrate at (default 0.156 down, 0.0 up)")
+    p.add_argument("--height", type=float, metavar="M", help=(
+        f"foot height to calibrate at (default {DOWNWARD_CALIBRATION_HEIGHT} down, 0.0 up)"))
     p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("acceptance", help="run the acceptance checks")

@@ -269,34 +269,15 @@ class WipParams:
                 raise ValueError(f"{name} must be <= {MAX_GAIN:g}, got {gain!r}")
 
 
-# The per-frame records are NamedTuples: a frozen dataclass pays one
-# object.__setattr__ per field, a positional NamedTuple one tuple build.
-class _GaitEstimateFields(NamedTuple):
+# A plain NamedTuple, as is gait.StepEvent: the tracker builds one per frame
+# with a single tuple.__new__ call, and the type checks nothing.
+class GaitEstimate(NamedTuple):
+    """Instantaneous gait state at as_of: the (frequency, height) a speed
+    law takes, both >= 0. Stale means no gait activity inside the tracker's
+    stop window; GaitTracker.estimate then gives both as 0.0, so downstream
+    speed is zero regardless of history."""
+
     step_frequency: float  # Hz, footfalls per second over both feet
     step_height: float     # m, smoothed apex height
     as_of: float           # s, query time
-    stale: bool = False
-
-
-class GaitEstimate(_GaitEstimateFields):
-    """Instantaneous gait state: the (frequency, height) a speed law takes.
-
-    A stale estimate means no gait activity inside the tracker's stop
-    window; staleness forces the frequency to zero so downstream speed is
-    zero regardless of history.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        step_frequency: float,
-        step_height: float,
-        as_of: float,
-        stale: bool = False,
-    ) -> "GaitEstimate":
-        if step_frequency < 0.0 or step_height < 0.0:
-            raise ValueError("gait estimates are non-negative")
-        if stale and step_frequency != 0.0:
-            step_frequency = 0.0
-        return tuple.__new__(cls, (step_frequency, step_height, as_of, stale))
+    stale: bool

@@ -21,6 +21,7 @@ BAND_SLOPE = 0.011      # kgf / cm
 BAND_INTERCEPT = 0.085  # kgf
 VALID_EXTENSION_MAX = 25.0  # cm, measured range of the force law
 ANCHOR_DISTANCE = 39.0      # cm, upward anchor above the strap at rest
+DOWNWARD_CALIBRATION_HEIGHT = 0.156  # m, foot height downward rigs are calibrated at
 # Most bands one rig holds; bounds how high an upward rig lifts a simulated
 # step (see synth.MAX_NOISE_SD for the height budget).
 MAX_BANDS = 100

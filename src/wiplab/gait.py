@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,46 +49,21 @@ from .core import (
 _FEET = _LEFT, _RIGHT = Foot.LEFT, Foot.RIGHT
 _LEFT_ROW = np.array([[True], [False]])  # TrackerLanes' feet, broadcast over lanes
 _INF = math.inf
-# estimate() builds its result directly: its values hold GaitEstimate's
-# invariants (non-negative, zero frequency when stale) by construction.
-_new_estimate = tuple.__new__
+# The one construction path of GaitEstimates and StepEvents: _new(cls, values),
+# one C call; the values hold each record's invariants by construction.
+_new = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class StepEvent:
-    """One completed step: lift-off, apex, and re-grounding."""
+class StepEvent(NamedTuple):
+    """One completed step: lift-off, apex, and re-grounding. The tracker
+    gives one only for a swing with start < apex_time < end and an apex of
+    at least MIN_STEP_HEIGHT."""
 
     foot: Foot
     start: float        # s, last grounded sample before lift-off
     apex_time: float    # s
     end: float          # s, first re-grounded sample
     apex_height: float  # m
-
-    def __post_init__(self) -> None:
-        if not (self.start < self.apex_time < self.end):
-            raise ValueError("step event must satisfy start < apex_time < end")
-        if self.apex_height <= 0.0:
-            raise ValueError("step apex must be positive")
-
-
-# the slot descriptors' setters, in field order
-_SET_FOOT, _SET_START, _SET_APEX_TIME, _SET_END, _SET_APEX_HEIGHT = (
-    getattr(StepEvent, field.name).__set__ for field in fields(StepEvent)
-)
-
-
-def _step_event(
-    foot: Foot, start: float, apex_time: float, end: float, apex_height: float
-) -> StepEvent:
-    """StepEvent(...) for a completed swing, whose values hold its checks by
-    construction, built through the slot descriptors at half the cost."""
-    event = object.__new__(StepEvent)
-    _SET_FOOT(event, foot)
-    _SET_START(event, start)
-    _SET_APEX_TIME(event, apex_time)
-    _SET_END(event, end)
-    _SET_APEX_HEIGHT(event, apex_height)
-    return event
 
 
 # Tracker thresholds and smoothing constants. SWING_FRACTION is the nominal
@@ -238,7 +213,7 @@ class GaitTracker:
         elif grounded:
             track.aerial = track.descending = False
             if track.valid and track.running_apex >= MIN_STEP_HEIGHT:
-                event = _step_event(foot, track.swing_start, track.apex_time, t, track.running_apex)
+                event = _new(StepEvent, (foot, track.swing_start, track.apex_time, t, track.running_apex))
                 self._ema_row = _footfall(self._ema_row, self._recent_feet, foot, t, track.running_apex)
             track.valid = False
         else:
@@ -287,7 +262,7 @@ class GaitTracker:
         left, right = self._left, self._right
         grounded = not (left.aerial or right.aerial)
         if grounded and now - max(left.entered_at, right.entered_at) >= STOP_WINDOW:
-            return _new_estimate(GaitEstimate, (0.0, 0.0, now, True))
+            return _new(GaitEstimate, (0.0, 0.0, now, True))
         freq, base, active_feet, footfall = self._ema_row
         height = base
         partial_scale = PARTIAL_SLACK * active_feet
@@ -324,7 +299,7 @@ class GaitTracker:
                 freq = bound
         if not freq > 0.0:
             freq = 0.0
-        return _new_estimate(GaitEstimate, (freq, height, now, False))
+        return _new(GaitEstimate, (freq, height, now, False))
 
 
 # ----------------------------------------------------------------------
@@ -627,7 +602,7 @@ class TrackerLanes:
         steps = (entry - 1, foot, lane, *(a.reshape(-1)[at] for a in swing[4:7]))
         for k, side, i, start, top, top_time in zip(*(a.tolist() for a in steps)):
             side, end = _FEET[side], times[k]
-            events[i].append(_step_event(side, start, top_time, end, top))
+            events[i].append(_new(StepEvent, (side, start, top_time, end, top)))
             current[i] = row = _footfall(current[i], recent[i], side, end, top)
             rows += row
         # columns of table: each lane's carried-in EMAs, then one per step

@@ -304,11 +304,6 @@ def _keep_content(real: str, kept: str) -> None:
         os.replace(real, kept)
 
 
-def load_report(path: str) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # --- scenario echo ---------------------------------------------------------
 #
 # A recorded trace carries enough header metadata to re-run the exact same
@@ -352,19 +347,15 @@ def scenario_echo(
     scenario: ChaseScenario,
     params: WipParams,
     *,
-    seed: int | None = None,
-    noise_sd: float | None = None,
-    rig: ElasticRig | None = None,
+    seed: int,
+    noise_sd: float,
+    rig: ElasticRig | None,
 ) -> dict[str, Any]:
     """Flatten a run configuration into trace-header key/value pairs."""
     echo: dict[str, Any] = {key: getattr(params, key) for key in PARAMS_KEYS}
     echo["variant"] = params.variant.value
     echo.update((key, getattr(scenario, key)) for key in SCENARIO_KEYS)
-    if seed is not None:
-        echo["seed"] = seed
-    if noise_sd is not None:
-        echo["noise_sd"] = noise_sd
-    echo["rig"] = rig_spec(rig)
+    echo.update(seed=seed, noise_sd=noise_sd, rig=rig_spec(rig))
     return echo
 
 

@@ -1,5 +1,5 @@
-"""Validation plumbing: sample invariants, parameter guards, estimates,
-and the list of values a caller can set."""
+"""Validation plumbing: sample invariants, parameter guards, and the list
+of values a caller can set."""
 
 import dataclasses
 import importlib
@@ -18,7 +18,6 @@ from wiplab.core import (
     HEIGHT_FLOOR,
     Foot,
     FootSample,
-    GaitEstimate,
     NonMonotonicTime,
     NonPositiveGain,
     OutOfRangeHeight,
@@ -293,24 +292,6 @@ class TestWipParams:
             WipParams(**{name: value})
 
 
-class TestGaitEstimate:
-    def test_negative_values_rejected(self):
-        with pytest.raises(ValueError):
-            GaitEstimate(step_frequency=-0.1, step_height=0.1, as_of=0.0)
-        with pytest.raises(ValueError):
-            GaitEstimate(step_frequency=1.0, step_height=-0.1, as_of=0.0)
-
-    def test_stale_forces_zero_frequency(self):
-        est = GaitEstimate(step_frequency=2.0, step_height=0.1, as_of=3.0, stale=True)
-        assert est.step_frequency == 0.0
-        assert est.step_height == 0.1  # height is informational, not zeroed
-
-    def test_fresh_estimate_keeps_frequency(self):
-        est = GaitEstimate(step_frequency=2.0, step_height=0.1, as_of=3.0)
-        assert est.step_frequency == 2.0
-        assert not est.stale
-
-
 def test_every_public_name_resolves():
     import wiplab
 
@@ -326,12 +307,10 @@ def test_every_public_name_resolves():
 SETTABLE_VALUES = {
     "acceptance.run_all.only",
     "cli.main.argv",
-    "core.GaitEstimate.__new__.stale",
     "core.WipParams.natural_visual_gain",
     "core.WipParams.speed_gain",
     "core.WipParams.user_height",
     "core.WipParams.variant",
-    "core._GaitEstimateFields.stale",
     "elastic.ElasticRig.band_count",
     "elastic.ElasticRig.direction",
     "harness.ChaseScenario.chase_duration",
@@ -352,9 +331,6 @@ SETTABLE_VALUES = {
     "traceio._check_finite.path",
     "traceio.report_document.rows",
     "traceio.save_trace.scenario",
-    "traceio.scenario_echo.noise_sd",
-    "traceio.scenario_echo.rig",
-    "traceio.scenario_echo.seed",
 }
 
 

@@ -163,13 +163,6 @@ def test_event_ordering_invariant():
         assert ev.start < ev.apex_time < ev.end
 
 
-def test_step_event_rejects_bad_ordering():
-    with pytest.raises(ValueError):
-        StepEvent(foot=Foot.LEFT, start=1.0, apex_time=0.9, end=1.2, apex_height=0.1)
-    with pytest.raises(ValueError):
-        StepEvent(foot=Foot.LEFT, start=1.0, apex_time=1.1, end=1.2, apex_height=0.0)
-
-
 @pytest.mark.parametrize("freq", [0.5, 1.0, 1.8, 2.6, 3.0])
 @pytest.mark.parametrize("noise", [0.0, 0.004])
 def test_streaming_matches_offline_oracle(freq, noise):
@@ -1017,6 +1010,55 @@ def test_a_stale_frame_has_zero_frequency_and_height(case):
     ):
         if tracker.is_stale(now):
             assert freq == 0.0 and height == 0.0
+
+
+def check_step_event(event):
+    """What a StepEvent's producer guarantees: the record has no checks."""
+    assert type(event) is StepEvent
+    assert event.start < event.apex_time < event.end
+    assert event.apex_height >= MIN_STEP_HEIGHT
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=estimated_traces())
+def test_the_tracker_makes_records_that_hold_their_invariants(case):
+    """Every StepEvent GaitTracker.advance and estimate_frames give has
+    start < apex_time < end and an apex of at least MIN_STEP_HEIGHT, and
+    every estimate(t) is >= 0; a stale one is (0.0, 0.0)."""
+    trace, _ = case
+    tracker, events = GaitTracker(), []
+    for row in trace.tuples():
+        event = tracker.advance(row)
+        if event is not None:
+            events.append(event)
+        estimate = tracker.estimate(row[0])
+        assert type(estimate) is GaitEstimate
+        assert estimate.step_frequency >= 0.0 and estimate.step_height >= 0.0
+        if estimate.stale:
+            assert estimate[:2] == (0.0, 0.0)
+    estimate_frames(trace, events)
+    for event in events:
+        check_step_event(event)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cases=st.lists(estimated_traces(), min_size=1, max_size=4),
+       runs=st.lists(st.integers(1, 60)))
+def test_tracker_lanes_make_records_that_hold_their_invariants(cases, runs):
+    """The same for TrackerLanes: each lane steps through a trace's heights,
+    grounded once done, at 90 Hz, in runs."""
+    ticks = max(len(trace) // 2 for trace, _ in cases)
+    heights = np.zeros((ticks, 2, len(cases)))
+    for lane, (trace, _) in enumerate(cases):
+        heights[:len(trace) // 2, :, lane] = trace.height.reshape(-1, 2)
+    times = [k / 90.0 for k in range(ticks)]
+    batch = TrackerLanes(len(cases))
+    edges = [0, *np.cumsum(runs).tolist()]
+    for a, b in zip(edges, [*edges[1:], ticks]):
+        freq, height = batch.advance(times[a:b], heights[a:b])
+        assert (freq >= 0.0).all() and (height >= 0.0).all()
+    for event in (event for events in batch.events for event in events):
+        check_step_event(event)
 
 
 @settings(max_examples=40, deadline=None)

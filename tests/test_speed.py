@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wiplab.core import GaitEstimate, NonPositiveGain, Variant, WipParams
+from wiplab.core import Foot, NonPositiveGain, Variant, WipParams
+from wiplab.gait import STOP_WINDOW, GaitTracker
 from wiplab.speed import law
+from wiplab.synth import GaitProgram, synth_trace
 
 from reference_laws import apply_gain, gud_speed, shef_speed
 
@@ -119,8 +121,17 @@ class TestOutputSpeed:
         assert hi == lo == pytest.approx(gud_speed(1.8, 1.72))
 
     def test_stale_estimate_short_circuits_to_zero(self):
-        est = GaitEstimate(step_frequency=1.8, step_height=0.2, as_of=9.0, stale=True)
-        assert est.step_frequency == 0.0
+        """A walker who stops: the tracker still holds its cadence and apex
+        EMAs, but its stale estimate gives no speed."""
+        tracker = GaitTracker()
+        for row in synth_trace(GaitProgram(1.8, 0.2), 3.0, 90.0).tuples():
+            tracker.advance(row)
+        for foot in Foot:
+            tracker.advance((3.0, foot, 0.0))
+        walking = tracker.estimate(3.0)
+        assert walking.step_frequency > 0.0 and walking.step_height > 0.0
+        est = tracker.estimate(3.0 + 2 * STOP_WINDOW)
+        assert est.stale and est.step_frequency == 0.0
         raw, out = law(WipParams(variant=Variant.SHEF))(est.step_frequency, est.step_height)
         assert raw == 0.0
         assert out == 0.0
@@ -153,5 +164,6 @@ def test_law_equals_the_reference_laws_and_gain_stage_bit_for_bit(params, f, sh)
     out = apply_gain(raw, params.speed_gain, params.natural_visual_gain)
     expected = bits(raw, out)
     assert bits(*law(params)(f, sh)) == expected
-    stale = GaitEstimate(f, sh, as_of=1.0, stale=True)
+    stale = GaitTracker().estimate(1.0)  # no samples: stale
+    assert stale.stale
     assert bits(*law(params)(stale.step_frequency, stale.step_height)) == bits(0.0, 0.0)

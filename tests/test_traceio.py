@@ -1,5 +1,6 @@
 """Trace file round trips, parse errors, and report serialization."""
 
+import json
 import math
 import os
 from unittest import mock
@@ -17,7 +18,6 @@ from wiplab.synth import GaitProgram, synth_trace
 from wiplab.traceio import (
     TraceHeader,
     TraceParseError,
-    load_report,
     load_trace,
     params_from_echo,
     parse_rig_spec,
@@ -371,7 +371,8 @@ class TestReports:
         assert doc["schema_version"] == 1
         path = str(tmp_path / "report.json")
         text = save_report(path, doc)
-        assert load_report(path) == doc
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == doc
         assert '"avg_speed": 1.48' in text
 
     def test_save_replaces_a_longer_file_and_leaves_no_temporary(self, tmp_path):
