@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Threshold mutants: each flips one comparison against a gait, harness,
-traceio, synth or stream-contract threshold, and the focused tests must
-fail on it.
+traceio, synth or stream-contract threshold, or the bitwise comparison of
+neighbours in traceio's float text, and the focused tests must fail on it.
 
 Every mutant is one exact edit of the source, such as ``<`` to ``<=``. It
 is applied to a temporary copy of src/ and tests/, where pytest runs the
@@ -145,6 +145,8 @@ MUTANTS = [
     Mutant("traceio.header.positive", "traceio.py",
            "if not 0.0 < number < math.inf:", "if not 0.0 <= number < math.inf:",
            TRACEIO_TESTS),
+    Mutant("traceio.float-text.bits", "traceio.py",
+           "bits = column.view(np.int64)", "bits = column", ("tests/test_frames_csv.py",)),
     Mutant("core.stream.sorted", "core.py",
            "unsorted = time[1:] < time[:-1]", "unsorted = time[1:] <= time[:-1]", STREAM_TESTS),
     Mutant("core.stream.foot-sorted", "core.py",

@@ -19,13 +19,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from functools import cache
-from itertools import islice
-from operator import attrgetter
 from typing import Any, Callable, Iterable, TextIO
-
-import numpy as np
 
 from . import acceptance as acceptance_mod
 from .core import HEIGHT_CEILING, EmptyWindow, Variant, WipError
@@ -37,13 +33,14 @@ from .elastic import (
     bands_for_target,
     rig_force,
 )
-from .harness import Frames, MetricsReport, RunLog, replay_trace, run_chase
+from .harness import MetricsReport, RunLog, replay_trace, run_chase
 from .synth import WalkerAgent
 from .traceio import (
     PARAMS_KEYS,
     RUN_KEYS,
     _from_echo,
     _write_files,
+    _write_frames,
     load_trace,
     params_from_echo,
     parse_rig_spec,
@@ -125,37 +122,6 @@ def _simulate(args: argparse.Namespace) -> tuple[MetricsReport, RunLog, dict[str
         ) from exc
     echo = scenario_echo(scenario, params, seed=agent.seed, noise_sd=agent.noise_sd, rig=agent.rig)
     return report, log, echo
-
-
-# --frames-out columns that repeat values: estimates hold between footfalls,
-# the speeds follow them, and the error holds while the sphere mirrors the
-# walker
-_REPEATING = ("est_frequency", "est_step_height", "raw_speed", "output_speed", "error")
-_LINES_PER_WRITE = 512
-
-
-def _column_text(name: str, column: list) -> Iterable[str]:
-    """One frame column as text: floats by repr, a stage by its value. A
-    repeating column is repr'd once per distinct value, keyed by its bits
-    so that 0.0 and -0.0 stay apart."""
-    if name == "stage":
-        return map(attrgetter("_value_"), column)  # .value is a Python-level property
-    if name not in _REPEATING:
-        return map(repr, column)
-    distinct, at = np.unique(np.array(column).view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
-    return text[at].tolist()
-
-
-def _write_frames(fh: TextIO, frames: Frames) -> None:
-    """Write frames as CSV to fh, a line per frame: each column is formatted
-    on its own, and the lines are joined and written a few hundred at a time."""
-    names = [f.name for f in fields(Frames)]
-    fh.write(",".join(names) + "\n")
-    columns = (getattr(frames, name).tolist() for name in names)  # repr(np.float64(x)) != repr(x)
-    lines = map(",".join, zip(*map(_column_text, names, columns)))
-    while chunk := list(islice(lines, _LINES_PER_WRITE)):
-        fh.write("\n".join(chunk) + "\n")
 
 
 def _report_text(kind: str, scenario: dict[str, Any], metrics: dict[str, Any], **extra) -> str:

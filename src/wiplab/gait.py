@@ -160,7 +160,7 @@ class GaitTracker:
     _footfall replaces at each step event. estimate() checks staleness
     once per query from the two tracks, so the order across feet does not
     affect it, then derives frequency and step height from the row in one
-    pass over the two feet; is_stale() is its stale flag.
+    pass over the two feet; its stale flag says the walker has stopped.
     """
 
     def __init__(self):
@@ -235,10 +235,6 @@ class GaitTracker:
 
     # ------------------------------------------------------------------
     # queries
-
-    def is_stale(self, now: float) -> bool:
-        """Stopped: estimate(now)'s stale flag."""
-        return self.estimate(now).stale
 
     def estimate(self, now: float) -> GaitEstimate:
         """Cadence and step height at `now`, the two arguments of a speed

@@ -1,10 +1,13 @@
-"""On-disk formats: foot-sample traces and simulation reports.
+"""On-disk formats: foot-sample traces, simulation reports and frame CSVs.
 
 Traces are line-oriented text: '#'-prefixed header lines carrying key:value
 metadata, a column line, then one row per sample. Floats are written with
 repr() so a load/save cycle is lossless, and load_trace returns the samples
 as columns (core.Samples), parsed a column at a time. Reports are JSON
-documents with a schema_version field.
+documents with a schema_version field. The frames CSV (replay's
+--frames-out) is a line of harness.Frames field names, then a line per
+frame; it is written and never read back. Both text tables format a float
+column with _float_text.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
-from itertools import repeat
+from itertools import islice, repeat
+from operator import attrgetter
 from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
@@ -28,7 +32,7 @@ from .core import (
     WipParams,
 )
 from .elastic import ElasticRig, PullDirection
-from .harness import ChaseScenario
+from .harness import ChaseScenario, Frames
 
 TRACE_MAGIC = "wip-trace v1"
 REPORT_SCHEMA_VERSION = 1
@@ -76,15 +80,41 @@ def trace_text(samples: Samples, scenario: dict[str, Any]) -> str:
     for key, value in scenario.items():
         lines.append(f"# scenario.{key}: {value!r}")
     lines.append(_COLUMNS)
-    # a tick's samples share their time: repr each run of bit-equal times once
-    time = samples.time
-    new = np.empty(time.size, bool)
-    new[:1] = True
-    np.not_equal(time[1:].view(np.int64), time[:-1].view(np.int64), out=new[1:])
-    times = np.array([repr(t) for t in time[new].tolist()], object)[new.cumsum() - 1]
     feet = map(_FOOT_VALUE.__getitem__, samples.left.tolist())
-    lines += [f"{t},{foot},{h!r}" for t, foot, h in zip(times.tolist(), feet, samples.height.tolist())]
+    lines += map(",".join, zip(_float_text(samples.time), feet, _float_text(samples.height)))
     return "\n".join(lines) + "\n"
+
+
+def _float_text(column: np.ndarray) -> list[str]:
+    """The repr of each entry of a 1-D float64 column, which may be strided.
+    Each run of bit-equal neighbours is repr'd once: a tick's samples share
+    their time, and a frame estimate holds between footfalls. Neighbours
+    compare as int64 bits, so 0.0 and -0.0 stay apart."""
+    bits = column.view(np.int64)
+    new = np.empty(bits.size, bool)
+    new[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    text = np.array(list(map(repr, column[new].tolist())), object)
+    return text[new.cumsum() - 1].tolist()
+
+
+_LINES_PER_WRITE = 512
+
+
+def _write_frames(fh: TextIO, frames: Frames) -> None:
+    """Write frames as CSV to fh: the Frames field names, then a line per
+    frame, each float by repr (_float_text) and each stage by its value.
+    Each column is formatted on its own, and the lines are joined and
+    written a few hundred at a time."""
+    names = [f.name for f in fields(Frames)]
+    fh.write(",".join(names) + "\n")
+    columns = (getattr(frames, name) for name in names)
+    # a stage by _value_, as .value is a Python-level property
+    texts = (_float_text(c) if c.dtype == float else map(attrgetter("_value_"), c.tolist())
+             for c in columns)
+    lines = map(",".join, zip(*texts))
+    while chunk := list(islice(lines, _LINES_PER_WRITE)):
+        fh.write("\n".join(chunk) + "\n")
 
 
 def _parse_scalar(text: str):

@@ -1,20 +1,26 @@
 """The --frames-out CSV writer against the row-wise writer it replaced.
 
-cli._write_frames formats one column at a time and repr's each distinct
-value of a repeating column once. The old writer, one f-string per row, is
-kept here as the reference: on hand-written traces, with non-canonical
-number tokens, one foot, a late start and with or without a scenario
-header, the two must write the same bytes.
+traceio._write_frames formats one column at a time, each float column with
+traceio._float_text, which repr's each run of bit-equal entries once. The
+old writer, one f-string per row, is kept here as the reference: on
+hand-written traces, with non-canonical number tokens, one foot, a late
+start and with or without a scenario header, and on run_chase's frames,
+whose columns are strided views of one table, the two must write the same
+bytes.
 """
 
 import contextlib
 import io
+import math
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wiplab import cli
-from wiplab.harness import replay_trace
+from wiplab import cli, traceio
+from wiplab.core import Variant, WipParams
+from wiplab.harness import ChaseScenario, replay_trace, run_chase
+from wiplab.synth import WalkerAgent
 from wiplab.traceio import load_trace, params_from_echo, scenario_from_echo
 
 from frame_rows import FrameRow, rows_of
@@ -69,8 +75,20 @@ def hand_written_traces(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(text=hand_written_traces())
-def test_column_writer_equals_the_row_writer(tmp_path_factory, text):
+@given(
+    text=hand_written_traces(),
+    chase=st.tuples(st.sampled_from(list(Variant)), st.sampled_from([0.0, 0.004]),
+                    st.integers(0, 2**16), st.sampled_from([0.5, 1.5, 3.0])),
+)
+def test_column_writer_equals_the_row_writer(tmp_path_factory, text, chase):
+    variant, noise_sd, seed, target = chase
+    params = WipParams(variant=variant)
+    scenario = ChaseScenario(target_speed=target, prep_duration=0.5, chase_duration=1.5)
+    _, chased = run_chase(scenario, WalkerAgent(params, noise_sd=noise_sd, seed=seed), params)
+    out = io.StringIO()
+    traceio._write_frames(out, chased.rows)
+    assert out.getvalue() == reference_frames_csv(rows_of(chased.rows))
+
     workdir = tmp_path_factory.mktemp("frames")
     trace, frames = workdir / "t.csv", workdir / "frames.csv"
     trace.write_text(text)
@@ -83,9 +101,26 @@ def test_column_writer_equals_the_row_writer(tmp_path_factory, text):
     assert frames.read_bytes() == reference_frames_csv(rows_of(log.rows)).encode()
 
 
-def test_repeating_column_keeps_the_sign_of_zero():
-    column = (0.0, -0.0, 0.1, 0.1, -0.0, 1e-300)
-    assert list(cli._column_text("error", column)) == list(map(repr, column))
+EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 0.1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    runs=st.lists(
+        st.tuples(st.sampled_from(EDGE_FLOATS) | st.floats(), st.integers(1, 4)), max_size=16
+    ),
+    width=st.integers(1, 3),
+)
+@example(runs=[(0.0, 1), (-0.0, 1), (0.1, 2), (-0.0, 1), (1e-300, 1)], width=1)  # the sign of zero
+@example(runs=[], width=2)
+def test_float_text_is_the_repr_of_each_entry(runs, width):
+    """Each entry's repr, for runs of equal values, both zeros, NaN, the
+    infinities and subnormals, and for a column of a table width wide,
+    which is strided unless width is 1."""
+    table = np.zeros((sum(n for _, n in runs), width))
+    table[:, -1] = [value for value, n in runs for _ in range(n)]
+    column = table[:, -1]
+    assert traceio._float_text(column) == list(map(repr, column.tolist()))
 
 
 def test_hand_written_tokens_come_out_canonical(tmp_path):

@@ -399,10 +399,9 @@ def test_staleness_does_not_depend_on_the_order_across_feet(order):
     tracker = GaitTracker()
     events = stream(tracker, samples)
     assert sorted(ev.end for ev in events) == [0.5, 0.7, 1.0]
-    assert not tracker.is_stale(1.65)
     estimate = tracker.estimate(1.65)
     assert not estimate.stale and estimate.step_frequency > 0.0
-    assert tracker.is_stale(1.8)
+    assert tracker.estimate(1.8).stale
 
 
 def test_resume_after_pause_recovers_quickly():
@@ -550,7 +549,7 @@ def test_estimate_equals_its_parts_and_the_staleness_definition(runs, offsets, b
     events = []
 
     def check(now):
-        stale = tracker.is_stale(now)
+        stale = tracker.estimate(now).stale
         assert stale == reference_is_stale(tracker, now, STOP_WINDOW)
         assert estimate_bits(tracker, now) == reference_estimate(tracker, now, events)
 
@@ -1008,7 +1007,7 @@ def test_a_stale_frame_has_zero_frequency_and_height(case):
     for (now, tracker), freq, height in zip(
         frame_states(trace), frames.step_frequency.tolist(), frames.step_height.tolist()
     ):
-        if tracker.is_stale(now):
+        if tracker.estimate(now).stale:
             assert freq == 0.0 and height == 0.0
 
 
