@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Threshold mutants: each flips one comparison against a gait, harness,
-traceio, synth or stream-contract threshold, or the bitwise comparison of
-neighbours in traceio's float text, and the focused tests must fail on it.
+traceio, synth or stream-contract threshold, the bitwise comparison of
+neighbours in traceio's float text, or run_chase's test for a changed
+estimate, and the focused tests must fail on it.
 
 Every mutant is one exact edit of the source, such as ``<`` to ``<=``. It
 is applied to a temporary copy of src/ and tests/, where pytest runs the
@@ -140,6 +141,8 @@ MUTANTS = [
            "if len(heights) != 2 * ticks:", "if len(heights) < 2 * ticks:", HARNESS_TESTS),
     Mutant("harness.cadence.zero-gap", "harness.py",
            "gaps[gaps > 0.0]", "gaps[gaps >= 0.0]", HARNESS_TESTS),
+    Mutant("harness.chase.law-skip", "harness.py",
+           "if f != f_was or sh != sh_was:", "if f != f_was:", HARNESS_TESTS),
     Mutant("harness.window.start", "harness.py",
            "(start <= frames.time)", "(start < frames.time)", HARNESS_TESTS),
     Mutant("traceio.header.positive", "traceio.py",

@@ -11,12 +11,15 @@ computed strictly from frames and step events inside the chase window.
 The live loop, run_chase, takes a re-plan interval's heights from one
 agent samples() call after each command, then does each frame's work
 inline: advance the gait tracker through a left then a right (time, foot,
-height) tuple, estimate once, evaluate the law built once per run by
-speed.law, then integrate. Its per-frame cost is two advance() calls, one
-estimate() and the loop body, and run_chase binds what its loop calls
-once per run. Its RunLog's Frames and Samples come from a flat list of six
-floats per frame, read by one np.fromiter. It is the single-run path:
-simulate, record and the tests use it.
+height) tuple, estimate once, then integrate. The law, built once per run
+by speed.law, runs only on frames whose estimate changed: between
+footfalls most frames repeat the frame before's estimate, and the law is
+pure, so such a frame reuses that frame's speeds and position step. Its
+per-frame cost is two advance() calls, one estimate() and the loop body,
+and run_chase binds what its loop calls once per run. Its RunLog's
+Frames and Samples come from a flat list of six floats per frame, read
+by one np.fromiter. It is the single-run path: simulate, record and the
+tests use it.
 
 Independent chases that share a scenario run in lockstep as lanes:
 run_chase_lanes keeps every lane's state in numpy arrays and returns the
@@ -286,17 +289,19 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
     WalkerAgent's noise comes from a generator of its seed. An agent that
     returns other than 2 * ticks heights raises ValueError. Each frame
     advances the run's gait tracker through a left then a right plain
-    tuple, logging each StepEvent, calls estimate(t) once and feeds it to
-    the law speed.law builds. The log's Frames and samples come from one
-    np.fromiter and position, sphere and error from _integrate, whose sums
-    the loop repeats to command each interval and to check it for
-    divergence.
+    tuple, logging each StepEvent, and calls estimate(t) once. The law
+    speed.law builds runs only when the estimate differs from the frame
+    before's; otherwise that frame's speeds are reused. The log's Frames
+    and samples come from one np.fromiter and position, sphere and error
+    from _integrate, whose sums the loop repeats to command each interval
+    and to check it for divergence.
     """
     dt = scenario.timestep
     n_frames = int(round(scenario.total_duration / dt))
     replan_every = max(1, int(round(REPLAN_INTERVAL / dt)))
     chase_start = scenario.chase_start
     circle_lead, target_speed = scenario.circle_lead, scenario.target_speed
+    target_step = target_speed * dt
     rows: list[float] = []  # each frame's heights, estimate and law output, flat
     events: list[StepEvent] = []
     tracker = GaitTracker()
@@ -313,6 +318,9 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
 
     position = 0.0
     sphere = circle_lead  # starts at the catch-circle center
+    # the last estimate the law ran on; NaN differs from any, so frame 0 runs it.
+    # An estimate's zeros are +0.0, so equal estimates are bit-equal.
+    f_was = sh_was = math.nan
     for first in range(0, n_frames, replan_every):
         command(chase_policy(sphere - (position + circle_lead), target_speed))
         ticks = min(replan_every, n_frames - first)
@@ -332,10 +340,12 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
                 if ev is not None:
                     record(ev)
                 f, sh, _, _ = estimate(t)
-                raw, out = evaluate(f, sh)
+                if f != f_was or sh != sh_was:
+                    raw, out = evaluate(f, sh)
+                    f_was, sh_was, step = f, sh, out * dt
                 keep_row((height_left, height_right, f, sh, raw, out))
-                position += out * dt
-                sphere += (target_speed if t >= chase_start else out) * dt
+                position += step
+                sphere += target_step if t >= chase_start else step
         finally:  # a non-finite state stays so: it is reported over any later frame's error
             if not (isfinite(position) and isfinite(sphere)):
                 integrate()

@@ -37,6 +37,8 @@ def law(params: WipParams) -> Callable[[float, float], tuple[float, float]]:
     step height. The output speed is the raw speed times speed_gain times
     natural_visual_gain. The arguments are not checked: WipParams validated
     the constants, and gait estimates are non-negative by construction.
+    The function is pure, so equal arguments give bit-equal results:
+    run_chase evaluates it only when a frame's estimate changed.
     """
     height_ratio = params.user_height / REF_USER_HEIGHT
     gain, natural_gain = params.speed_gain, params.natural_visual_gain

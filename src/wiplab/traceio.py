@@ -147,7 +147,7 @@ def _header_line(header: TraceHeader, line: str, lineno: int) -> bool:
     if key in ("sample_rate_hint", "user_height"):
         try:
             number = float(_parse_scalar(value))
-        except ValueError:
+        except (ValueError, OverflowError):  # an integer past the largest float overflows
             number = math.nan
         if not 0.0 < number < math.inf:
             raise TraceParseError(

@@ -380,6 +380,7 @@ class TestRecordReplay:
 
     @pytest.mark.parametrize("line", [
         "# sample_rate_hint: abc", "# user_height: nan", "# sample_rate_hint: inf",
+        pytest.param("# sample_rate_hint: 1" + "0" * 400, id="# sample_rate_hint: 1000..."),
     ])
     def test_bad_header_number_is_bad_input_naming_its_line(self, tmp_path, capsys, line):
         trace = tmp_path / "run.csv"

@@ -2,7 +2,6 @@
 
 import math
 import re
-from itertools import count
 
 import numpy as np
 import pytest
@@ -301,23 +300,30 @@ class TestRunChase:
     def test_divergence_names_the_first_non_finite_frame(self, monkeypatch, frame, at):
         """The law's output turns infinite from one frame on: frame 100 lies
         inside the re-plan interval of frames 90-134, frame 320 inside the
-        run's final, partial interval of frames 315-323."""
-        law = speed.law
-
-        def diverging_law(params):
-            evaluate, frames = law(params), count()
-
-            def diverging(f, sh):
-                raw, out = evaluate(f, sh)
-                return raw, (math.inf if next(frames) >= frame else out)
-
-            return diverging
-
-        monkeypatch.setattr(speed, "law", diverging_law)
+        run's final, partial interval of frames 315-323. Each frame's step
+        frequency is its time, so every frame's estimate is new, and the law
+        stays a pure function of it, as run_chase assumes."""
         sc = ChaseScenario(
             target_speed=1.0, prep_distance=1.0, prep_duration=1.0, countdown=0.5, chase_duration=1.1
         )
         assert round(sc.total_duration / sc.timestep) == 324
+        estimate, law = GaitTracker.estimate, speed.law
+        diverges_at = frame * sc.timestep  # the frame's time, as run_chase computes it
+
+        def clocked(tracker, now):
+            return estimate(tracker, now)._replace(step_frequency=now)
+
+        def diverging_law(params):
+            evaluate = law(params)
+
+            def diverging(f, sh):
+                raw, out = evaluate(f, sh)
+                return raw, (math.inf if f >= diverges_at else out)
+
+            return diverging
+
+        monkeypatch.setattr(GaitTracker, "estimate", clocked)
+        monkeypatch.setattr(speed, "law", diverging_law)
         with pytest.raises(DivergedSimulation, match=f"^non-finite state at t={at}$"):
             run_chase(sc, WalkerAgent(SHEF, noise_sd=0.004, seed=3), SHEF)
 
@@ -568,6 +574,40 @@ def assert_lanes_equal_run_chase(scenario, lanes):
     want = [repr(run_chase(scenario, *lane_walker(*lane))[0]) for lane in lanes]
     agents, params = zip(*(lane_walker(*lane) for lane in lanes))
     assert list(map(repr, run_chase_lanes(scenario, agents, params))) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    variant=st.sampled_from(list(Variant)),
+    noise_sd=st.floats(0.0, MAX_NOISE_SD),
+    seed=st.integers(0, 2**16),
+    rig=st.sampled_from(sorted(RIGS)),
+    gain=st.sampled_from([1.0, 1.3]),
+    target=st.floats(0.3, 3.5),
+    timestep=st.floats(1.0 / 200.0, 1.0 / MIN_SAMPLE_RATE),
+)
+@example(  # shef steps above its apex EMA at a steady cadence EMA: the height alone moves
+    variant=Variant.SHEF, noise_sd=0.004, seed=3, rig="up:6", gain=1.0, target=1.5,
+    timestep=1.0 / 90.0,
+)
+@example(variant=Variant.GUD, noise_sd=0.0, seed=0, rig="down:4", gain=1.3, target=2.5,
+         timestep=1.0 / MIN_SAMPLE_RATE)
+def test_chase_speeds_are_the_law_of_each_frames_estimate(
+    variant, noise_sd, seed, rig, gain, target, timestep
+):
+    """run_chase runs the law only on frames whose estimate changed; every
+    frame's speeds are still the law of its own estimate, bit for bit."""
+    scenario = ChaseScenario(target_speed=target, prep_distance=1.0, prep_duration=1.0,
+                             countdown=0.5, chase_duration=2.0, timestep=timestep)
+    agent, params = lane_walker(variant, noise_sd, seed, rig, gain)
+    frames = run_chase(scenario, agent, params)[1].rows
+    evaluate = speed.law(params)
+    want = [
+        tuple(map(float.hex, evaluate(f, sh)))
+        for f, sh in zip(frames.est_frequency.tolist(), frames.est_step_height.tolist())
+    ]
+    speeds = zip(frames.raw_speed.tolist(), frames.output_speed.tolist())
+    assert [tuple(map(float.hex, pair)) for pair in speeds] == want
 
 
 lane = st.tuples(

@@ -171,6 +171,7 @@ class TestParseErrors:
         "# sample_rate_hint: 0",
         "# user_height: nan",
         "# user_height: -1.7",
+        pytest.param("# user_height: 1" + "0" * 400, id="# user_height: 1000..."),
     ])
     def test_header_numbers_must_be_finite_and_positive(self, tmp_path, line):
         path = write(tmp_path, GOOD.replace("\n", f"\n{line}\n", 1))
