@@ -2,7 +2,8 @@
 """Threshold mutants: each flips one comparison against a gait, harness,
 traceio, synth or stream-contract threshold, the bitwise comparison of
 neighbours in traceio's float text, or run_chase's test for a changed
-estimate, and the focused tests must fail on it.
+estimate and the search for where each run of its frame log starts, and
+the focused tests must fail on it.
 
 Every mutant is one exact edit of the source, such as ``<`` to ``<=``. It
 is applied to a temporary copy of src/ and tests/, where pytest runs the
@@ -104,8 +105,11 @@ MUTANTS = [
     Mutant("gait.footfall.zero-gap", "gait.py",
            "elif delta > 0.0:", "elif delta >= 0.0:", GAIT_TESTS),
     Mutant("gait.estimate.stop-window", "gait.py",
-           "now - max(left.entered_at, right.entered_at) >= STOP_WINDOW",
-           "now - max(left.entered_at, right.entered_at) > STOP_WINDOW", GAIT_TESTS),
+           "if now - entered >= STOP_WINDOW:", "if now - entered > STOP_WINDOW:", GAIT_TESTS),
+    Mutant("gait.estimate.left-partial", "gait.py",
+           "if left_elapsed > 0.0:", "if left_elapsed >= 0.0:", GAIT_TESTS),
+    Mutant("gait.estimate.right-partial", "gait.py",
+           "if right_elapsed > 0.0:", "if right_elapsed >= 0.0:", GAIT_TESTS),
     Mutant("gait.columns.stop-window", "gait.py",
            "now - np.maximum(entered_at[0], entered_at[1]) >= STOP_WINDOW",
            "now - np.maximum(entered_at[0], entered_at[1]) > STOP_WINDOW", GAIT_TESTS),
@@ -125,9 +129,9 @@ MUTANTS = [
     Mutant("synth.agent.positive-dt", "synth.py",
            "if not 0.0 < dt < math.inf:", "if not 0.0 <= dt < math.inf:", SYNTH_TESTS),
     Mutant("synth.agent.left-stance", "synth.py",
-           "or left < STANCE_FRACTION:", "or left <= STANCE_FRACTION:", SYNTH_TESTS),
+           "if left < stance:", "if left <= stance:", SYNTH_TESTS),
     Mutant("synth.agent.right-stance", "synth.py",
-           "or right < STANCE_FRACTION:", "or right <= STANCE_FRACTION:", SYNTH_TESTS),
+           "if right < stance:", "if right <= stance:", SYNTH_TESTS),
     Mutant("harness.lanes.adjacent-law", "harness.py",
            "adjacent = members[-1] - members[0] == len(members) - 1",
            "adjacent = members[-1] - members[0] >= len(members) - 1", HARNESS_TESTS),
@@ -143,6 +147,9 @@ MUTANTS = [
            "gaps[gaps > 0.0]", "gaps[gaps >= 0.0]", HARNESS_TESTS),
     Mutant("harness.chase.law-skip", "harness.py",
            "if f != f_was or sh != sh_was:", "if f != f_was:", HARNESS_TESTS),
+    Mutant("harness.chase.run-start", "harness.py",
+           "np.searchsorted(time, table[:, 0])", "np.searchsorted(time, table[:, 0], 'right')",
+           HARNESS_TESTS),
     Mutant("harness.window.start", "harness.py",
            "(start <= frames.time)", "(start < frames.time)", HARNESS_TESTS),
     Mutant("traceio.header.positive", "traceio.py",

@@ -58,10 +58,13 @@ def band_force_kgf(extension: float) -> float:
     """Tension of a single band at the given extension (cm), in kgf.
 
     The law was measured for extensions up to 25 cm; callers flag larger
-    extensions via ForceReading.extrapolated rather than erroring here.
+    extensions via ForceReading.extrapolated rather than erroring here. A
+    negative extension raises NegativeExtension, a NaN or +inf one ValueError.
     """
     if extension < 0.0:
         raise NegativeExtension(f"extension {extension} cm is negative")
+    if not extension < math.inf:  # NaN fails every comparison
+        raise ValueError(f"extension must be finite, got {extension!r} cm")
     return BAND_SLOPE * extension + BAND_INTERCEPT
 
 
@@ -77,9 +80,18 @@ def _extension_cm(direction: PullDirection, foot_height: float) -> float:
 
 
 def rig_force(rig: ElasticRig, foot_height: float) -> ForceReading:
-    """Total rig force on the foot at the given height (m)."""
+    """Total rig force on the foot at the given height (m), for every rig.
+    A negative height raises NegativeExtension, and a NaN one or one above
+    core.HEIGHT_CEILING ValueError, as bands_for_target does: a reading
+    there could be NaN, infinite or, for an upward rig at +inf, its slack
+    force, not the finite magnitude >= 0 a ForceReading holds."""
     if foot_height < 0.0:
         raise NegativeExtension(f"foot height {foot_height} m is negative")
+    if not foot_height <= HEIGHT_CEILING:  # NaN fails every comparison
+        raise ValueError(
+            f"foot height must be finite and <= HEIGHT_CEILING = {HEIGHT_CEILING} m, "
+            f"got {foot_height!r}"
+        )
     if rig.direction is PullDirection.NONE:
         return ForceReading(magnitude=0.0, direction_sign=0, extrapolated=False)
     extension = _extension_cm(rig.direction, foot_height)

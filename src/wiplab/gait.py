@@ -160,7 +160,8 @@ class GaitTracker:
     _footfall replaces at each step event. estimate() checks staleness
     once per query from the two tracks, so the order across feet does not
     affect it, then derives frequency and step height from the row in one
-    pass over the two feet; its stale flag says the walker has stopped.
+    pass over the two feet, written out per foot; its stale flag says the
+    walker has stopped.
     """
 
     def __init__(self):
@@ -253,39 +254,58 @@ class GaitTracker:
         the running apex of any observed swing in progress, so a user
         stepping higher is seen before the step completes.
 
-        One pass over the two feet gathers both bounds.
+        The pass over the two feet is written out once per foot, left then
+        right, with no loop, tuple or max(): each aerial foot blends its
+        apex into the height, then bounds the cadence, with the same
+        operations in the same order for both feet.
         """
         left, right = self._left, self._right
-        grounded = not (left.aerial or right.aerial)
-        if grounded and now - max(left.entered_at, right.entered_at) >= STOP_WINDOW:
-            return _new(GaitEstimate, (0.0, 0.0, now, True))
+        if not (left.aerial or right.aerial):
+            entered = left.entered_at  # max(left.entered_at, right.entered_at)
+            if right.entered_at > entered:
+                entered = right.entered_at
+            if now - entered >= STOP_WINDOW:
+                return _new(GaitEstimate, (0.0, 0.0, now, True))
         freq, base, active_feet, footfall = self._ema_row
         height = base
         partial_scale = PARTIAL_SLACK * active_feet
-        for track in (left, right):
-            if not track.aerial:
-                continue
-            if track.valid:
-                # anchor at lift-off when it was observed; the whole-swing
-                # budget keeps the bound independent of where the deadband
-                # happens to split ascent from descent
-                anchor = track.swing_start
-                apex = track.running_apex
-                if apex > base:
-                    weight = (now - anchor) / SMOOTHING_TAU
+        # A valid swing is anchored at lift-off: the whole-swing budget keeps
+        # the bound independent of where the deadband happens to split ascent
+        # from descent. A swing with no lift-off seen is anchored at its
+        # latest phase change. With no cadence EMA (0.0) no positive bound
+        # is lower.
+        if left.aerial:
+            if left.valid:
+                left_elapsed = now - left.swing_start
+                if left.running_apex > base:
+                    weight = left_elapsed / SMOOTHING_TAU
                     if not weight > 0.0:
                         weight = 0.0
                     elif not weight < 1.0:
                         weight = 1.0
-                    blended = base + weight * (apex - base)
+                    height = base + weight * (left.running_apex - base)  # >= base, so the max
+            else:
+                left_elapsed = now - left.entered_at
+            if left_elapsed > 0.0:
+                bound = partial_scale * (SWING_FRACTION / left_elapsed)
+                if bound < freq:
+                    freq = bound
+        if right.aerial:
+            if right.valid:
+                right_elapsed = now - right.swing_start
+                if right.running_apex > base:
+                    weight = right_elapsed / SMOOTHING_TAU
+                    if not weight > 0.0:
+                        weight = 0.0
+                    elif not weight < 1.0:
+                        weight = 1.0
+                    blended = base + weight * (right.running_apex - base)
                     if blended > height:
                         height = blended
             else:
-                anchor = track.entered_at
-            # with no cadence EMA (0.0) no positive bound is lower
-            elapsed = now - anchor
-            if elapsed > 0.0:
-                bound = partial_scale * (SWING_FRACTION / elapsed)
+                right_elapsed = now - right.entered_at
+            if right_elapsed > 0.0:
+                bound = partial_scale * (SWING_FRACTION / right_elapsed)
                 if bound < freq:
                     freq = bound
         gap = now - footfall  # NaN before any footfall

@@ -16,10 +16,12 @@ by speed.law, runs only on frames whose estimate changed: between
 footfalls most frames repeat the frame before's estimate, and the law is
 pure, so such a frame reuses that frame's speeds and position step. Its
 per-frame cost is two advance() calls, one estimate() and the loop body,
-and run_chase binds what its loop calls once per run. Its RunLog's
-Frames and Samples come from a flat list of six floats per frame, read
-by one np.fromiter. It is the single-run path: simulate, record and the
-tests use it.
+and run_chase binds what its loop calls once per run. The frame log is
+run-length: the loop keeps each interval's heights as the agent's own
+list, and logs (time, estimate, law output) only for a frame whose
+estimate changed. Its RunLog's Frames and Samples come from one
+np.fromiter of the heights and one np.repeat of the changes over their
+runs. It is the single-run path: simulate, record and the tests use it.
 
 Independent chases that share a scenario run in lockstep as lanes:
 run_chase_lanes keeps every lane's state in numpy arrays and returns the
@@ -53,6 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -291,10 +294,14 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
     advances the run's gait tracker through a left then a right plain
     tuple, logging each StepEvent, and calls estimate(t) once. The law
     speed.law builds runs only when the estimate differs from the frame
-    before's; otherwise that frame's speeds are reused. The log's Frames
-    and samples come from one np.fromiter and position, sphere and error
-    from _integrate, whose sums the loop repeats to command each interval
-    and to check it for divergence.
+    before's, and only then is the frame's (time, estimate, law output)
+    logged; the frames after it until the next change reuse its speeds.
+    The log's heights and samples come from one np.fromiter of the
+    agent's lists, kept until the run ends (an agent must not change one
+    it has returned), its estimate and law columns from one np.repeat of the
+    logged changes over their runs, and position, sphere and error from
+    _integrate, whose sums the loop repeats to command each interval and
+    to check it for divergence.
     """
     dt = scenario.timestep
     n_frames = int(round(scenario.total_duration / dt))
@@ -302,19 +309,24 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
     chase_start = scenario.chase_start
     circle_lead, target_speed = scenario.circle_lead, scenario.target_speed
     target_step = target_speed * dt
-    rows: list[float] = []  # each frame's heights, estimate and law output, flat
+    intervals: list[Sequence[float]] = []  # each interval's heights, as the agent gave them
+    changes: list[float] = []  # (time, estimate, law output) of each frame whose estimate changed, flat
     events: list[StepEvent] = []
     tracker = GaitTracker()
     advance, estimate, evaluate = tracker.advance, tracker.estimate, speed.law(params)
     command, emit = agent.command, agent.samples
-    record, keep_row = events.append, rows.extend
+    record, keep_heights, keep_change = events.append, intervals.append, changes.extend
     isfinite = math.isfinite
     time = np.arange(n_frames) * dt  # each bit equals the scalar k * dt
 
-    def integrate() -> tuple[np.ndarray, ...]:
-        """The logged frames' columns and sums; _integrate raises on divergence."""
-        table = np.fromiter(rows, float, len(rows)).reshape(-1, 6)
-        return table, *_integrate(scenario, time[:len(table)], table[:, 5], 0.0, circle_lead)
+    def integrate(frames: int) -> tuple[np.ndarray, ...]:
+        """The estimate and law columns of the run's first frames frames,
+        each logged change repeated until the next, and their sums;
+        _integrate raises on divergence."""
+        table = np.fromiter(changes, float, len(changes)).reshape(-1, 5)
+        starts = np.searchsorted(time, table[:, 0])  # a change's time is its frame's
+        columns = np.repeat(table[:, 1:], np.diff(starts, append=frames), axis=0)
+        return columns, *_integrate(scenario, time[:frames], columns[:, 3], 0.0, circle_lead)
 
     position = 0.0
     sphere = circle_lead  # starts at the catch-circle center
@@ -329,6 +341,7 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
             raise ValueError(
                 f"agent gave {len(heights)} heights for {ticks} ticks, not {2 * ticks}"
             )
+        keep_heights(heights)
         try:
             for t, height_left, height_right in zip(
                 time[first:first + ticks].tolist(), heights[0::2], heights[1::2]
@@ -343,16 +356,18 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
                 if f != f_was or sh != sh_was:
                     raw, out = evaluate(f, sh)
                     f_was, sh_was, step = f, sh, out * dt
-                keep_row((height_left, height_right, f, sh, raw, out))
+                    keep_change((t, f, sh, raw, out))
                 position += step
                 sphere += target_step if t >= chase_start else step
         finally:  # a non-finite state stays so: it is reported over any later frame's error
             if not (isfinite(position) and isfinite(sphere)):
-                integrate()
+                integrate(first + ticks)
 
-    table, position, sphere, error = integrate()
-    samples = Samples(np.repeat(time, 2), np.tile((True, False), n_frames), table[:, :2].ravel())
-    frames = Frames(time, _stages(scenario, time), *table.T, position[:-1], sphere[:-1], error)
+    columns, position, sphere, error = integrate(n_frames)
+    height = np.fromiter(chain.from_iterable(intervals), float, 2 * n_frames)
+    samples = Samples(np.repeat(time, 2), np.tile((True, False), n_frames), height)
+    frames = Frames(time, _stages(scenario, time), height[0::2], height[1::2], *columns.T,
+                    position[:-1], sphere[:-1], error)
     log = RunLog(scenario, frames, events, samples)
     return compute_metrics(log), log
 

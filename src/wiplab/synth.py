@@ -238,20 +238,29 @@ class WalkerAgent:
 
         The gait state lives in locals for the call and is written back
         once, and the two feet are written out rather than looped over. A
-        swing height is apex * sin(pi * u), u the share of the swing gone;
-        noise is read for the left foot, then the right, as a per-foot loop
-        would. Raises ValueError unless ticks is an int >= 0 and dt > 0.
+        foot stands while its clock is below the stance threshold:
+        STANCE_FRACTION, or inf for a parked walker (frequency <= 0), whose
+        clocks step by 0.0. A swing height is apex * sin(pi * u), u the
+        share of the swing gone; noise is read for the left foot, then the
+        right, as a per-foot loop would. Each clock adds its phase step and
+        wraps by % 1.0 only once the sum reaches 1.0: a clock starts in
+        [0, 1) and its step is >= 0, and % 1.0 leaves a sum in [0, 1) as
+        it is, so that is (c + step) % 1.0 bit for bit. Raises ValueError
+        unless ticks is an int >= 0 and dt > 0.
         """
         ticks = _ticks(ticks)
         frequency, pending, sd = self._frequency, self._pending_apex, self._effective_sd
-        phase_step = _tick(dt) * frequency / 2.0
+        dt = _tick(dt)
+        phase_step, stance = 0.0, math.inf
+        if frequency > 0.0:
+            phase_step, stance = dt * frequency / 2.0, STANCE_FRACTION
         (left, right), (left_apex, right_apex) = self._cycle, self._apex
         left_in_stance, right_in_stance = self._in_stance
         unread = self._unread
         heights: list[float] = []
         emit, sin, pi, swing = heights.append, math.sin, math.pi, 1.0 - STANCE_FRACTION
         for _ in range(ticks):
-            if frequency <= 0.0 or left < STANCE_FRACTION:
+            if left < stance:
                 left_h = 0.0
                 left_in_stance = True
             else:
@@ -260,7 +269,7 @@ class WalkerAgent:
                     left_apex = pending
                     left_in_stance = False
                 left_h = left_apex * sin(pi * ((left - STANCE_FRACTION) / swing))
-            if frequency <= 0.0 or right < STANCE_FRACTION:
+            if right < stance:
                 right_h = 0.0
                 right_in_stance = True
             else:
@@ -275,9 +284,12 @@ class WalkerAgent:
                 right_h += sd * unread.pop()
                 left_h = left_h if left_h > 0.0 else 0.0  # max(0.0, h), also for -0.0 and NaN
                 right_h = right_h if right_h > 0.0 else 0.0
-            if frequency > 0.0:
-                left = (left + phase_step) % 1.0
-                right = (right + phase_step) % 1.0
+            left += phase_step
+            if left >= 1.0:
+                left %= 1.0
+            right += phase_step
+            if right >= 1.0:
+                right %= 1.0
             emit(left_h)
             emit(right_h)
         self._cycle, self._apex = [left, right], [left_apex, right_apex]

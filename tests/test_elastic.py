@@ -29,6 +29,14 @@ def test_band_force_anchors():
 def test_band_force_rejects_negative_extension():
     with pytest.raises(NegativeExtension):
         band_force_kgf(-0.1)
+    with pytest.raises(NegativeExtension):
+        band_force_kgf(-math.inf)
+
+
+@pytest.mark.parametrize("extension", [math.nan, math.inf], ids=["nan", "+inf"])
+def test_band_force_rejects_non_finite_extension(extension):
+    with pytest.raises(ValueError, match="^extension must be finite, got (nan|inf) cm$"):
+        band_force_kgf(extension)
 
 
 @given(e1=st.floats(min_value=0.0, max_value=40.0), e2=st.floats(min_value=0.0, max_value=40.0))
@@ -81,6 +89,25 @@ class TestRigForce:
         rig = ElasticRig(direction=PullDirection.DOWNWARD, band_count=1)
         with pytest.raises(NegativeExtension):
             rig_force(rig, -0.01)
+
+    @pytest.mark.parametrize("rig", [
+        ElasticRig(),
+        ElasticRig(direction=PullDirection.DOWNWARD, band_count=4),
+        ElasticRig(direction=PullDirection.UPWARD, band_count=6),
+        ElasticRig(direction=PullDirection.DOWNWARD, band_count=MAX_BANDS),
+    ], ids=["none", "down:4", "up:6", "down:100"])
+    @pytest.mark.parametrize(
+        "height", [math.nan, math.inf, 2.0001, 1.7e306], ids=["nan", "+inf", "2.0001", "1.7e306"]
+    )
+    def test_nan_and_heights_past_the_ceiling_rejected(self, rig, height):
+        """A down:4 rig's force would read NaN at NaN and inf at +inf, an
+        up:6 rig's its slack 5.0 N at +inf, and a down:100 rig's inf at
+        1.7e306 m. Like bands_for_target, rig_force takes heights up to
+        HEIGHT_CEILING; -inf stays a NegativeExtension."""
+        with pytest.raises(ValueError, match=r"^foot height must be finite and <= HEIGHT_CEILING"):
+            rig_force(rig, height)
+        with pytest.raises(NegativeExtension):
+            rig_force(rig, -math.inf)
 
     @given(
         h1=st.floats(min_value=0.0, max_value=0.35),

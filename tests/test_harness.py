@@ -295,14 +295,18 @@ class TestRunChase:
         assert Stage.COUNTDOWN in stages
 
     @pytest.mark.parametrize(
-        "frame, at", [(100, "1.111"), (320, "3.556")], ids=["mid-interval", "final-interval"]
+        "frame, at, clocked", [(100, "1.111", True), (320, "3.556", True), (0, "0.000", False)],
+        ids=["mid-interval", "final-interval", "one-logged-run"],
     )
-    def test_divergence_names_the_first_non_finite_frame(self, monkeypatch, frame, at):
+    def test_divergence_names_the_first_non_finite_frame(self, monkeypatch, frame, at, clocked):
         """The law's output turns infinite from one frame on: frame 100 lies
         inside the re-plan interval of frames 90-134, frame 320 inside the
-        run's final, partial interval of frames 315-323. Each frame's step
-        frequency is its time, so every frame's estimate is new, and the law
-        stays a pure function of it, as run_chase assumes."""
+        run's final, partial interval of frames 315-323. In those two each
+        frame's step frequency is its time, so every frame's estimate is
+        new, and the law stays a pure function of it, as run_chase assumes.
+        In the third a standing PinnedAgent's estimate never changes, so the
+        one change logged, at frame 0, spans every frame up to the check at
+        the end of the first interval."""
         sc = ChaseScenario(
             target_speed=1.0, prep_distance=1.0, prep_duration=1.0, countdown=0.5, chase_duration=1.1
         )
@@ -310,7 +314,7 @@ class TestRunChase:
         estimate, law = GaitTracker.estimate, speed.law
         diverges_at = frame * sc.timestep  # the frame's time, as run_chase computes it
 
-        def clocked(tracker, now):
+        def clocked_estimate(tracker, now):
             return estimate(tracker, now)._replace(step_frequency=now)
 
         def diverging_law(params):
@@ -322,10 +326,13 @@ class TestRunChase:
 
             return diverging
 
-        monkeypatch.setattr(GaitTracker, "estimate", clocked)
+        agent = PinnedAgent()
+        if clocked:
+            monkeypatch.setattr(GaitTracker, "estimate", clocked_estimate)
+            agent = WalkerAgent(SHEF, noise_sd=0.004, seed=3)
         monkeypatch.setattr(speed, "law", diverging_law)
         with pytest.raises(DivergedSimulation, match=f"^non-finite state at t={at}$"):
-            run_chase(sc, WalkerAgent(SHEF, noise_sd=0.004, seed=3), SHEF)
+            run_chase(sc, agent, SHEF)
 
 
     @pytest.mark.parametrize(
@@ -592,22 +599,24 @@ def assert_lanes_equal_run_chase(scenario, lanes):
 )
 @example(variant=Variant.GUD, noise_sd=0.0, seed=0, rig="down:4", gain=1.3, target=2.5,
          timestep=1.0 / MIN_SAMPLE_RATE)
-def test_chase_speeds_are_the_law_of_each_frames_estimate(
+@example(variant=Variant.SHEF, noise_sd=MAX_NOISE_SD, seed=7, rig="none", gain=1.3, target=3.5,
+         timestep=1.0 / 200.0)
+def test_chase_log_equals_the_per_frame_reference(
     variant, noise_sd, seed, rig, gain, target, timestep
 ):
-    """run_chase runs the law only on frames whose estimate changed; every
-    frame's speeds are still the law of its own estimate, bit for bit."""
+    """run_chase logs a frame's estimate and law output only when its
+    estimate changed, and repeats them over the run of frames that follow;
+    its rows, events and report still equal, by repr, the per-frame loop's
+    over its own samples, which estimates and runs the law on every frame."""
     scenario = ChaseScenario(target_speed=target, prep_distance=1.0, prep_duration=1.0,
                              countdown=0.5, chase_duration=2.0, timestep=timestep)
     agent, params = lane_walker(variant, noise_sd, seed, rig, gain)
-    frames = run_chase(scenario, agent, params)[1].rows
-    evaluate = speed.law(params)
-    want = [
-        tuple(map(float.hex, evaluate(f, sh)))
-        for f, sh in zip(frames.est_frequency.tolist(), frames.est_step_height.tolist())
-    ]
-    speeds = zip(frames.raw_speed.tolist(), frames.output_speed.tolist())
-    assert [tuple(map(float.hex, pair)) for pair in speeds] == want
+    report, log = run_chase(scenario, agent, params)
+    samples = list(map(FootSample._make, log.samples.tuples()))
+    want_report, want_log = reference_replay(samples, params, scenario)
+    assert [repr(r) for r in rows_of(log.rows)] == [repr(r) for r in rows_of(want_log.rows)]
+    assert [repr(e) for e in log.events] == [repr(e) for e in want_log.events]
+    assert repr(report) == repr(want_report)
 
 
 lane = st.tuples(
