@@ -9,7 +9,8 @@ from here by rebinding module attributes, so nothing under src/ changes.
 A layer's time includes its callees', so ``gait._swing_scan`` is part of
 ``gait.TrackerLanes.advance``; each is the fastest round's total. A layer
 that is not found is printed as absent. The first line names Python,
-numpy and nproc, as every timing depends on them.
+numpy and nproc, as every timing depends on them; nproc counts the CPUs
+this process may run on, as perfbench/run.py records it.
 
 Usage:
     python3 scripts/gate_profile.py              # 7 rounds, about 10 s
@@ -93,8 +94,10 @@ def main(argv=None) -> int:
         parser.error(f"--rounds must be at least 1, got {args.rounds}")
 
     numpy = sys.modules["numpy"]  # imported by wiplab
+    nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
     print(f"# python {platform.python_version()}, numpy {numpy.__version__}, "
-          f"nproc {os.cpu_count()}, min of {args.rounds} rounds")
+          f"nproc {nproc}, min of {args.rounds} rounds")
     ok, total = True, 0.0
     for name, check in acceptance.CHECKS:
         best = float("inf")

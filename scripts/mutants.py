@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Threshold mutants: each flips one comparison against a gait, harness,
-traceio, synth or stream-contract threshold, the bitwise comparison of
-neighbours in traceio's float text, or run_chase's test for a changed
-estimate and the search for where each run of its frame log starts, and
-the focused tests must fail on it.
+traceio, synth, elastic or stream-contract threshold, the bitwise
+comparison of neighbours in traceio's float text, or run_chase's test for
+a changed estimate and the search for where each run of its frame log
+starts, and the focused tests must fail on it.
 
 Every mutant is one exact edit of the source, such as ``<`` to ``<=``. It
 is applied to a temporary copy of src/ and tests/, where pytest runs the
@@ -41,6 +41,7 @@ TRACEIO_TESTS = ("tests/test_traceio.py", "tests/test_cli.py")
 STREAM_TESTS = (*TRACEIO_TESTS, "tests/test_core.py")
 SYNTH_TESTS = ("tests/test_synth.py", "tests/test_harness.py")
 ORACLE_TESTS = ("tests/test_acceptance.py",)
+ELASTIC_TESTS = ("tests/test_elastic.py", "tests/test_traceio.py")
 
 # Loaded by the copy's conftest.py before any test module is imported, so
 # every @settings inherits it.
@@ -152,6 +153,8 @@ MUTANTS = [
            HARNESS_TESTS),
     Mutant("harness.window.start", "harness.py",
            "(start <= frames.time)", "(start < frames.time)", HARNESS_TESTS),
+    Mutant("elastic.rig.band-floor", "elastic.py",
+           "1 <= self.band_count", "0 <= self.band_count", ELASTIC_TESTS),
     Mutant("traceio.header.positive", "traceio.py",
            "if not 0.0 < number < math.inf:", "if not 0.0 <= number < math.inf:",
            TRACEIO_TESTS),

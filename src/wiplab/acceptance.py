@@ -307,10 +307,8 @@ def check_determinism() -> tuple[bool, str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.trace")
         save_trace(path, log.samples, scenario=echo)
-        header, samples = load_trace(path)
-        second, _ = replay_trace(
-            samples, params_from_echo(header.scenario), scenario_from_echo(header.scenario)
-        )
+        loaded, samples = load_trace(path)
+        second, _ = replay_trace(samples, params_from_echo(loaded), scenario_from_echo(loaded))
     ok = first == second
     return ok, (
         "replayed metrics "

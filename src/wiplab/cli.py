@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import asdict
 from functools import cache
-from typing import Any, Callable, Iterable, TextIO
+from typing import Any, Callable, TextIO
 
 from . import acceptance as acceptance_mod
 from .core import HEIGHT_CEILING, EmptyWindow, Variant, WipError
@@ -56,25 +56,20 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2  # WipError subclasses carry their own exit_code
 
 
-def _load_json_object(path: str, what: str, kind: str, keys: Iterable[str]) -> dict[str, Any]:
-    """The JSON object in the file at path, which may hold only the given
-    keys. Errors name the path, a decode error its line; their text calls
-    the file what and its keys kind keys."""
+def _load_scenario_file(path: str) -> dict[str, Any]:
+    """The JSON object in the scenario file at path, which may hold only
+    RUN_KEYS, each a string or a number. Errors name the path, a decode
+    error its line."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: {what} must be a JSON object")
-    unknown = sorted(set(data) - set(keys))
+        raise ValueError(f"{path}: scenario file must be a JSON object")
+    unknown = sorted(set(data) - set(RUN_KEYS))
     if unknown:
-        raise ValueError(f"{path}: unknown {kind} keys: {', '.join(unknown)}")
-    return data
-
-
-def _load_scenario_file(path: str) -> dict[str, Any]:
-    data = _load_json_object(path, "scenario file", "scenario", RUN_KEYS)
+        raise ValueError(f"{path}: unknown scenario keys: {', '.join(unknown)}")
     for key, value in data.items():
         # seed is checked as an integer >= 0, from the file or the flag, by WalkerAgent
         kind = str if key in ("variant", "rig") else (int, float)
@@ -153,13 +148,13 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    header, samples = load_trace(args.trace)
+    echo, samples = load_trace(args.trace)
     overrides = {key: value for key in PARAMS_KEYS if (value := getattr(args, key)) is not None}
-    params = params_from_echo(header.scenario | overrides)
-    scenario = scenario_from_echo(header.scenario)
+    params = params_from_echo(echo | overrides)
+    scenario = scenario_from_echo(echo)
     report, log = replay_trace(samples, params, scenario)
     _write_outputs(
-        (args.out, _report_text("replay", dict(header.scenario), asdict(report))),
+        (args.out, _report_text("replay", echo, asdict(report))),
         (args.frames_out, lambda fh: _write_frames(fh, log.rows)),
     )
     return EXIT_OK
@@ -210,31 +205,8 @@ def cmd_calibrate_bands(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_acceptance_config(path: str) -> list[str] | None:
-    """The check names an acceptance config file selects, None for all."""
-    config = _load_json_object(path, "config", "config", ("only",))
-    if "only" not in config:
-        return None
-    only = config["only"]
-    if not (isinstance(only, list) and only and all(isinstance(name, str) for name in only)):
-        raise ValueError(
-            f"{path}: only: expected a non-empty list of check names, got {json.dumps(only)}"
-        )
-    return only
-
-
 def cmd_acceptance(args: argparse.Namespace) -> int:
-    only: list[str] | None = args.only or None
-    if args.config is not None:
-        from_file = _load_acceptance_config(args.config)
-        if only is None:
-            only = from_file
-    if only is not None:
-        unknown = sorted(set(only) - set(acceptance_mod.CHECK_NAMES))
-        if unknown:
-            raise ValueError(f"unknown check names: {', '.join(unknown)}")
-
-    results = acceptance_mod.run_all(only)
+    results = acceptance_mod.run_all(args.only)  # argparse admits only CHECK_NAMES
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"[{status}] {result.name}: {result.detail}")
@@ -298,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE")
 
     p = sub.add_parser("acceptance", help="run the acceptance checks")
-    p.add_argument("--config", metavar="FILE",
-                   help='optional JSON config, e.g. {"only": ["EQ1-ANCHOR"]}')
     p.add_argument("--only", action="append", choices=acceptance_mod.CHECK_NAMES,
                    help="run only this check (repeatable)")
 

@@ -28,29 +28,27 @@ MAX_BANDS = 100
 
 
 class PullDirection(Enum):
-    NONE = "none"
     UPWARD = "up"
     DOWNWARD = "down"
 
 
 @dataclass(frozen=True)
 class ElasticRig:
-    """One band stack: its pull direction and how many bands it holds."""
+    """One band stack: its pull direction and how many bands it holds. No
+    rig is None, not an ElasticRig."""
 
-    direction: PullDirection = PullDirection.NONE
-    band_count: int = 0
+    direction: PullDirection
+    band_count: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.band_count <= MAX_BANDS:
-            raise ValueError(f"band_count must be in [0, {MAX_BANDS}], got {self.band_count!r}")
-        if (self.band_count == 0) != (self.direction is PullDirection.NONE):
-            raise ValueError("band_count is 0 exactly when direction is NONE")
+        if not 1 <= self.band_count <= MAX_BANDS:
+            raise ValueError(f"band_count must be in [1, {MAX_BANDS}], got {self.band_count!r}")
 
 
 @dataclass(frozen=True)
 class ForceReading:
     magnitude: float       # N, always >= 0
-    direction_sign: int    # +1 pulling up, -1 pulling down, 0 for no rig
+    direction_sign: int    # +1 pulling up, -1 pulling down
     extrapolated: bool     # extension beyond the measured law range
 
 
@@ -74,13 +72,12 @@ def _extension_cm(direction: PullDirection, foot_height: float) -> float:
     # distance and relax as the foot rises.
     if direction is PullDirection.DOWNWARD:
         return foot_height * 100.0
-    if direction is PullDirection.UPWARD:
-        return max(0.0, ANCHOR_DISTANCE - foot_height * 100.0)
-    return 0.0
+    return max(0.0, ANCHOR_DISTANCE - foot_height * 100.0)
 
 
 def rig_force(rig: ElasticRig, foot_height: float) -> ForceReading:
-    """Total rig force on the foot at the given height (m), for every rig.
+    """Total force of a band stack on the foot at the given height (m): its
+    magnitude, and its sign +1 for an upward rig, -1 for a downward one.
     A negative height raises NegativeExtension, and a NaN one or one above
     core.HEIGHT_CEILING ValueError, as bands_for_target does: a reading
     there could be NaN, infinite or, for an upward rig at +inf, its slack
@@ -92,8 +89,6 @@ def rig_force(rig: ElasticRig, foot_height: float) -> ForceReading:
             f"foot height must be finite and <= HEIGHT_CEILING = {HEIGHT_CEILING} m, "
             f"got {foot_height!r}"
         )
-    if rig.direction is PullDirection.NONE:
-        return ForceReading(magnitude=0.0, direction_sign=0, extrapolated=False)
     extension = _extension_cm(rig.direction, foot_height)
     magnitude = rig.band_count * band_force_kgf(extension) * KGF_TO_N
     sign = 1 if rig.direction is PullDirection.UPWARD else -1
@@ -123,8 +118,6 @@ def bands_for_target(direction: PullDirection, target_kgf: float, at_foot_height
         )
     if at_foot_height < 0.0:
         raise NegativeExtension(f"foot height {at_foot_height} m is negative")
-    if direction is PullDirection.NONE:
-        raise ZeroExtension("a rig with no direction produces no force")
     extension = _extension_cm(direction, at_foot_height)
     if direction is PullDirection.UPWARD and extension == 0.0:
         raise ZeroExtension(

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Foot, InvalidRate, Samples, Variant, WipParams, require_finite
-from .elastic import ElasticRig, PullDirection, rig_force
+from .elastic import ElasticRig, rig_force
 from .speed import REF_FREQUENCY, REF_STEP_HEIGHT, REF_USER_HEIGHT, law
 
 FEET = (Foot.LEFT, Foot.RIGHT)  # order of per-foot agent state and of emitted heights
@@ -155,8 +155,9 @@ def chase_policy(distance_error: float, target_speed: float) -> float:
 
 def elastic_apex_shift(rig: ElasticRig | None, planned_apex: float) -> float:
     """Apex change induced by a rig: downward pull lowers steps, upward
-    pull assists them. Force is evaluated at the planned apex height."""
-    if rig is None or rig.direction is PullDirection.NONE:
+    pull assists them, and no rig (None) changes nothing. Force is
+    evaluated at the planned apex height."""
+    if rig is None:
         return 0.0
     reading = rig_force(rig, planned_apex)
     net_downward = -reading.direction_sign * reading.magnitude

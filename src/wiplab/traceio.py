@@ -2,12 +2,12 @@
 
 Traces are line-oriented text: '#'-prefixed header lines carrying key:value
 metadata, a column line, then one row per sample. Floats are written with
-repr() so a load/save cycle is lossless, and load_trace returns the samples
-as columns (core.Samples), parsed a column at a time. Reports are JSON
-documents with a schema_version field. The frames CSV (replay's
---frames-out) is a line of harness.Frames field names, then a line per
-frame; it is written and never read back. Both text tables format a float
-column with _float_text.
+repr() so a load/save cycle is lossless, and load_trace returns the
+scenario echo and the samples as columns (core.Samples), parsed a column
+at a time. Reports are JSON documents with a schema_version field. The
+frames CSV (replay's --frames-out) is a line of harness.Frames field
+names, then a line per frame; it is written and never read back. Both
+text tables format a float column with _float_text.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from itertools import islice, repeat
 from operator import attrgetter
 from typing import Any, Callable, Sequence, TextIO
@@ -46,13 +46,6 @@ class TraceParseError(WipError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-@dataclass
-class TraceHeader:
-    sample_rate_hint: float | None = None
-    user_height: float | None = None
-    scenario: dict[str, Any] = field(default_factory=dict)  # flat echo, may be empty
 
 
 _COLUMNS = "time,foot,height"
@@ -131,11 +124,14 @@ def _parse_scalar(text: str):
         return text
 
 
-def _header_line(header: TraceHeader, line: str, lineno: int) -> bool:
-    """Apply one '#' line to header; True when it is the format line.
+def _header_line(echo: dict[str, Any], line: str, lineno: int) -> bool:
+    """Apply one '#' line to the scenario echo; True when it is the format
+    line.
 
-    sample_rate_hint and user_height must be finite numbers > 0. Unknown
-    keys are ignored for forward compatibility.
+    A scenario.<key> line sets echo[key]. sample_rate_hint and user_height
+    must be finite numbers > 0; they are checked and not kept, as the echo
+    holds the timestep and user_height they come from. Unknown keys are
+    ignored for forward compatibility.
     """
     body = line[1:].strip()
     if body == TRACE_MAGIC:
@@ -153,14 +149,15 @@ def _header_line(header: TraceHeader, line: str, lineno: int) -> bool:
             raise TraceParseError(
                 f"{key} must be a finite number > 0, got {value.strip()!r}", lineno
             )
-        setattr(header, key, number)
     elif key.startswith("scenario."):
-        header.scenario[key[len("scenario."):]] = _parse_scalar(value)
+        echo[key[len("scenario."):]] = _parse_scalar(value)
     return False
 
 
-def load_trace(path: str) -> tuple[TraceHeader, Samples]:
-    """Read a trace as a Samples; raises TraceParseError with a line number.
+def load_trace(path: str) -> tuple[dict[str, Any], Samples]:
+    """Read a trace as its scenario echo, the dict of its scenario.<key>
+    header lines (empty when it has none), and a Samples; raises
+    TraceParseError with a line number.
 
     The rows after the column line are parsed by column if each is a data
     row that converts, else by the line walk, in file order up to the first
@@ -169,11 +166,11 @@ def load_trace(path: str) -> tuple[TraceHeader, Samples]:
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
-    header, saw_magic = TraceHeader(), False
+    echo, saw_magic = {}, False
     start = len(lines)  # past the column line, if there is one
     for lineno, line in enumerate(lines, start=1):
         if line.startswith("#"):
-            saw_magic = _header_line(header, line, lineno) or saw_magic
+            saw_magic = _header_line(echo, line, lineno) or saw_magic
         elif line.strip():
             if not saw_magic:
                 raise TraceParseError("missing trace format line", lineno)
@@ -191,7 +188,7 @@ def load_trace(path: str) -> tuple[TraceHeader, Samples]:
         try:
             for lineno, line in enumerate(lines[start:], start=start + 1):
                 if line.startswith("#"):
-                    _header_line(header, line, lineno)
+                    _header_line(echo, line, lineno)
                 elif line.strip():
                     rows.append(_row_sample(line))
                     row_lines.append(lineno)
@@ -207,7 +204,7 @@ def load_trace(path: str) -> tuple[TraceHeader, Samples]:
         raise TraceParseError(message, row_lines[i]) from error
     if unread is not None:
         raise unread
-    return header, samples
+    return echo, samples
 
 
 def _row_sample(line: str) -> FootSample:
@@ -236,7 +233,7 @@ def _parse_columns(rows: list[str]) -> Samples | None:
     return Samples(t, left, h)
 
 
-def _check_finite(obj: Any, path: str = "$") -> None:
+def _check_finite(obj: Any, path: str) -> None:
     if isinstance(obj, float):  # an int, of any size, is finite
         if not math.isfinite(obj):
             raise DivergedSimulation(f"non-finite value at {path}")
@@ -260,13 +257,13 @@ def report_document(kind: str, scenario: dict[str, Any], metrics_fields: dict[st
     }
     if rows is not None:
         doc["rows"] = rows
-    _check_finite(doc)
+    _check_finite(doc, "$")
     return doc
 
 
 def save_report(path: str | None, document: dict[str, Any]) -> str:
     """Serialize a report; writes to path when given, always returns the text."""
-    _check_finite(document)
+    _check_finite(document, "$")
     text = json.dumps(document, indent=2, sort_keys=True)
     if path is not None:
         _write_files([(path, text + "\n")])
@@ -349,8 +346,9 @@ RUN_KEYS = PARAMS_KEYS + SCENARIO_KEYS + AGENT_KEYS
 
 
 def rig_spec(rig: ElasticRig | None) -> str:
-    """Render a rig as the compact form used on the command line, e.g. 'down:4'."""
-    if rig is None or rig.direction is PullDirection.NONE:
+    """Render a rig as the compact form used on the command line, e.g.
+    'down:4', and no rig (None) as 'none'."""
+    if rig is None:
         return "none"
     return f"{rig.direction.value}:{rig.band_count}"
 
@@ -363,14 +361,10 @@ def parse_rig_spec(text: str) -> ElasticRig | None:
     direction_text, sep, count_text = text.partition(":")
     if not sep:
         raise ValueError(f"rig spec {text!r} must look like 'down:4', 'up:6', or 'none'")
-    try:
-        direction = PullDirection(direction_text)
-        count = int(count_text)
+    try:  # ElasticRig holds 1 to MAX_BANDS bands
+        return ElasticRig(direction=PullDirection(direction_text), band_count=int(count_text))
     except ValueError as exc:
         raise ValueError(f"bad rig spec {text!r}: {exc}") from exc
-    if direction is PullDirection.NONE or count < 1:
-        raise ValueError(f"rig spec {text!r} needs a pull direction and >= 1 band")
-    return ElasticRig(direction=direction, band_count=count)
 
 
 def scenario_echo(

@@ -311,8 +311,6 @@ SETTABLE_VALUES = {
     "core.WipParams.speed_gain",
     "core.WipParams.user_height",
     "core.WipParams.variant",
-    "elastic.ElasticRig.band_count",
-    "elastic.ElasticRig.direction",
     "harness.ChaseScenario.chase_duration",
     "harness.ChaseScenario.circle_lead",
     "harness.ChaseScenario.countdown",
@@ -325,10 +323,6 @@ SETTABLE_VALUES = {
     "synth.WalkerAgent.__init__.noise_sd",
     "synth.WalkerAgent.__init__.rig",
     "synth.WalkerAgent.__init__.seed",
-    "traceio.TraceHeader.sample_rate_hint",
-    "traceio.TraceHeader.scenario",
-    "traceio.TraceHeader.user_height",
-    "traceio._check_finite.path",
     "traceio.report_document.rows",
     "traceio.save_trace.scenario",
 }

@@ -46,12 +46,6 @@ def test_band_force_monotone_in_extension(e1, e2):
 
 
 class TestRigForce:
-    def test_no_rig_means_no_force(self):
-        reading = rig_force(ElasticRig(), 0.1)
-        assert reading.magnitude == 0.0
-        assert reading.direction_sign == 0
-        assert not reading.extrapolated
-
     def test_downward_rig_at_calibration_height(self):
         rig = ElasticRig(direction=PullDirection.DOWNWARD, band_count=4)
         reading = rig_force(rig, 0.156)
@@ -91,11 +85,10 @@ class TestRigForce:
             rig_force(rig, -0.01)
 
     @pytest.mark.parametrize("rig", [
-        ElasticRig(),
         ElasticRig(direction=PullDirection.DOWNWARD, band_count=4),
         ElasticRig(direction=PullDirection.UPWARD, band_count=6),
         ElasticRig(direction=PullDirection.DOWNWARD, band_count=MAX_BANDS),
-    ], ids=["none", "down:4", "up:6", "down:100"])
+    ], ids=["down:4", "up:6", "down:100"])
     @pytest.mark.parametrize(
         "height", [math.nan, math.inf, 2.0001, 1.7e306], ids=["nan", "+inf", "2.0001", "1.7e306"]
     )
@@ -124,9 +117,14 @@ class TestRigForce:
 
 class TestRigValidation:
     def test_band_count_requires_direction(self):
-        with pytest.raises(ValueError):
-            ElasticRig(direction=PullDirection.NONE, band_count=4)
-        with pytest.raises(ValueError):
+        """No rig is None: a rig has both fields and at least one band, and
+        there is no direction without a pull."""
+        assert [d.value for d in PullDirection] == ["up", "down"]
+        with pytest.raises(TypeError):
+            ElasticRig()
+        with pytest.raises(TypeError):
+            ElasticRig(band_count=4)
+        with pytest.raises(ValueError, match=r"band_count must be in \[1, 100\], got 0"):
             ElasticRig(direction=PullDirection.UPWARD, band_count=0)
 
     def test_negative_band_count_rejected(self):
@@ -135,7 +133,7 @@ class TestRigValidation:
 
     def test_band_count_above_the_bound_rejected(self):
         ElasticRig(direction=PullDirection.UPWARD, band_count=MAX_BANDS)
-        with pytest.raises(ValueError, match=r"band_count must be in \[0, 100\], got 101"):
+        with pytest.raises(ValueError, match=r"band_count must be in \[1, 100\], got 101"):
             ElasticRig(direction=PullDirection.UPWARD, band_count=MAX_BANDS + 1)
 
 
@@ -172,10 +170,6 @@ class TestBandsForTarget:
     def test_rejects_non_finite_input_and_unbuildable_targets(self, target, height, match):
         with pytest.raises(ValueError, match=match):
             bands_for_target(PullDirection.DOWNWARD, target, height)
-
-    def test_no_direction_cannot_reach_any_target(self):
-        with pytest.raises(ZeroExtension):
-            bands_for_target(PullDirection.NONE, 1.0, 0.156)
 
     def test_slack_upward_geometry_cannot_reach_target(self):
         with pytest.raises(ZeroExtension):

@@ -92,10 +92,8 @@ def test_column_writer_equals_the_row_writer(tmp_path_factory, text, chase):
     workdir = tmp_path_factory.mktemp("frames")
     trace, frames = workdir / "t.csv", workdir / "frames.csv"
     trace.write_text(text)
-    header, samples = load_trace(str(trace))
-    _, log = replay_trace(
-        samples, params_from_echo(header.scenario), scenario_from_echo(header.scenario)
-    )
+    echo, samples = load_trace(str(trace))
+    _, log = replay_trace(samples, params_from_echo(echo), scenario_from_echo(echo))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["replay", str(trace), "--frames-out", str(frames)]) == 0
     assert frames.read_bytes() == reference_frames_csv(rows_of(log.rows)).encode()

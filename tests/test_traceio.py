@@ -7,16 +7,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiplab import traceio
 from wiplab.core import DivergedSimulation, Foot, FootSample, Samples, Variant, WipParams
-from wiplab.elastic import ElasticRig, PullDirection
+from wiplab.elastic import MAX_BANDS, ElasticRig, PullDirection
 from wiplab.harness import ChaseScenario
 from wiplab.synth import GaitProgram, synth_trace
 from wiplab.traceio import (
-    TraceHeader,
     TraceParseError,
     load_trace,
     params_from_echo,
@@ -44,9 +43,9 @@ class TestTraceRoundTrip:
         trace = synth_trace(GaitProgram(1.8, 0.14, noise_sd=0.002, seed=5), 4.0, 90.0)
         path = str(tmp_path / "walk.csv")
         save_trace(path, trace)
-        header, loaded = load_trace(path)
+        echo, loaded = load_trace(path)
         assert list(loaded.tuples()) == list(trace.tuples())  # repr() serialization is lossless
-        assert header == TraceHeader()
+        assert type(echo) is dict and echo == {}
 
     def test_a_recorded_trace_is_parsed_by_columns(self, tmp_path):
         """Both feet share each sample time; the column parse takes such rows,
@@ -65,14 +64,16 @@ class TestTraceRoundTrip:
         echo = scenario_echo(sc, params, seed=7, noise_sd=0.003, rig=rig)
         path = str(tmp_path / "run.csv")
         save_trace(path, Samples.of([FootSample(0.0, Foot.LEFT, 0.0)]), scenario=echo)
-        header, _ = load_trace(path)
-        assert header.scenario == echo
+        loaded, _ = load_trace(path)
+        assert loaded == echo
         # the timestep and user_height of the echo also fill the header lines
-        assert header.sample_rate_hint == 1.0 / sc.timestep
-        assert header.user_height == 1.80
-        assert params_from_echo(header.scenario) == params
-        assert scenario_from_echo(header.scenario) == sc
-        assert parse_rig_spec(header.scenario["rig"]) == rig
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        assert f"# sample_rate_hint: {1.0 / sc.timestep!r}" in lines
+        assert "# user_height: 1.8" in lines
+        assert params_from_echo(loaded) == params
+        assert scenario_from_echo(loaded) == sc
+        assert parse_rig_spec(loaded["rig"]) == rig
 
     def test_echo_without_target_gives_no_scenario(self):
         assert scenario_from_echo({"variant": "gud"}) is None
@@ -156,9 +157,9 @@ class TestParseErrors:
 
     def test_unknown_header_keys_are_ignored(self, tmp_path):
         path = write(tmp_path, "# wip-trace v1\n# exporter: v9\n" + GOOD[15:])
-        header, samples = load_trace(path)
+        echo, samples = load_trace(path)
         assert len(samples) == 3
-        assert header.scenario == {}
+        assert echo == {}
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = write(tmp_path, GOOD.replace("time,", "\ntime,"))
@@ -185,9 +186,9 @@ class TestParseErrors:
         ("variant", "sideways", params_from_echo),
     ])
     def test_bad_scenario_values_name_their_key(self, tmp_path, key, value, rebuild):
-        header, _ = load_trace(write(tmp_path, f"# wip-trace v1\n# scenario.{key}: {value}\n"))
+        echo, _ = load_trace(write(tmp_path, f"# wip-trace v1\n# scenario.{key}: {value}\n"))
         with pytest.raises(ValueError, match=f"^scenario.{key}: "):
-            rebuild(header.scenario)
+            rebuild(echo)
 
 
 def trace_text(n_rows):
@@ -243,10 +244,10 @@ MUTATIONS = [
 
 def outcome(load, path):
     try:
-        header, samples = load(path)
+        echo, samples = load(path)
     except TraceParseError as exc:
         return ("error", exc.line, str(exc))
-    return (repr(header), [repr(s) for s in samples.tuples()])
+    return (repr(echo), [repr(s) for s in samples.tuples()])
 
 
 def walk_lines(path):
@@ -337,10 +338,10 @@ class TestScalarParsing:
             "# scenario.timestep: 0.011111111111111112\n"
             "time,foot,height\n0.0,L,0.0\n"
         )
-        header, _ = load_trace(write(tmp_path, text))
-        assert header.scenario["variant"] == "shef"
-        assert header.scenario["seed"] == 12
-        assert header.scenario["timestep"] == 0.011111111111111112
+        echo, _ = load_trace(write(tmp_path, text))
+        assert echo["variant"] == "shef"
+        assert echo["seed"] == 12
+        assert echo["timestep"] == 0.011111111111111112
 
 
 class TestRigSpec:
@@ -348,7 +349,7 @@ class TestRigSpec:
         "rig,expected",
         [
             (None, "none"),
-            (ElasticRig(direction=PullDirection.NONE, band_count=0), "none"),
+            (ElasticRig(direction=PullDirection.UPWARD, band_count=MAX_BANDS), "up:100"),
             (ElasticRig(direction=PullDirection.DOWNWARD, band_count=4), "down:4"),
             (ElasticRig(direction=PullDirection.UPWARD, band_count=6), "up:6"),
         ],
@@ -358,7 +359,28 @@ class TestRigSpec:
 
     @pytest.mark.parametrize("text", ["down:4", "up:10", "none", " DOWN:4 "])
     def test_round_trip(self, text):
-        assert rig_spec(parse_rig_spec(text)) == text.strip().lower().replace("down:4", "down:4")
+        assert rig_spec(parse_rig_spec(text)) == text.strip().lower()
+
+    @given(
+        direction=st.sampled_from(PullDirection),
+        band_count=st.integers(1, MAX_BANDS),
+    )
+    @example(direction=PullDirection.DOWNWARD, band_count=4)
+    @example(direction=PullDirection.UPWARD, band_count=6)
+    @example(direction=PullDirection.UPWARD, band_count=10)
+    @example(direction=PullDirection.DOWNWARD, band_count=MAX_BANDS)
+    def test_every_rig_round_trips(self, direction, band_count):
+        """Each rig of the domain renders to a spec that parses back to it;
+        no rig is None, rendered 'none', and no ElasticRig renders so."""
+        rig = ElasticRig(direction=direction, band_count=band_count)
+        assert parse_rig_spec(rig_spec(rig)) == rig
+        assert rig_spec(rig) != "none"
+        assert rig_spec(None) == "none"
+        assert parse_rig_spec("none") is None
+        for bad in (f"none:{band_count}", f"{direction.value}:0",
+                    f"{direction.value}:{MAX_BANDS + 1}"):
+            with pytest.raises(ValueError):
+                parse_rig_spec(bad)
 
     @pytest.mark.parametrize("bad", ["down", "down:", "down:0", "left:4", "none:2", "down:x"])
     def test_rejects(self, bad):
