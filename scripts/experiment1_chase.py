@@ -35,11 +35,11 @@ def main(argv=None):
 
     variants = (Variant.GUD, Variant.SHEF)
     try:
-        params = [WipParams(variant=variant, user_height=args.user_height) for variant in variants]
         # every variant's seeds side by side, one batch of them per target speed
-        lanes = [p for p in params for _ in range(args.seeds)]
         agents = [
-            WalkerAgent(p, noise_sd=args.noise, seed=i % args.seeds) for i, p in enumerate(lanes)
+            WalkerAgent(WipParams(variant=variant, user_height=args.user_height),
+                        noise_sd=args.noise, seed=seed)
+            for variant in variants for seed in range(args.seeds)
         ]
         if args.out:
             open(args.out, "w").close()  # fail now rather than after the runs
@@ -47,7 +47,7 @@ def main(argv=None):
         parser.error(str(exc))
     reports = {}
     for target in SPEEDS:
-        batch = run_chase_lanes(ChaseScenario(target_speed=target), agents, lanes)
+        batch = run_chase_lanes(ChaseScenario(target_speed=target), agents)
         for i, variant in enumerate(variants):
             reports[variant, target] = batch[i * args.seeds : (i + 1) * args.seeds]
 

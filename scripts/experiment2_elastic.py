@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Elastic-rig sweep: stepping effort under assistive and resistive band loads.
 
-Runs one walker per rig condition at a fixed chase target and reports how the
-band force shifts the achieved step height (downward pull lowers it, upward
-pull raises it) and what that does to tracking.
+Runs one walker per rig condition at a fixed chase target, all conditions as
+one batch of lanes, and reports how the band force shifts the achieved step
+height (downward pull lowers it, upward pull raises it) and what that does to
+tracking.
 
 Usage:
     python3 scripts/experiment2_elastic.py
@@ -16,7 +17,7 @@ import sys
 
 from wiplab.core import Variant, WipParams
 from wiplab.elastic import ElasticRig, PullDirection, rig_force
-from wiplab.harness import ChaseScenario, run_chase
+from wiplab.harness import ChaseScenario, run_chase_lanes
 from wiplab.synth import WalkerAgent
 from wiplab.traceio import rig_spec
 
@@ -55,13 +56,8 @@ def main(argv=None):
     rows = []
     print(f"{'rig':8} {'force_N':>8} {'step_h':>7} {'cadence':>8} "
           f"{'avg_speed':>10} {'distance':>9}")
-    for rig, agent in zip(CONDITIONS, agents):
-        report, _ = run_chase(scenario, agent, params)
-        if rig is not None:
-            reading = rig_force(rig, probe_height)
-            force = reading.direction_sign * reading.magnitude
-        else:
-            force = 0.0
+    for rig, report in zip(CONDITIONS, run_chase_lanes(scenario, agents)):
+        force = rig_force(rig, probe_height) if rig is not None else 0.0
         print(f"{rig_spec(rig):8} {force:8.2f} {report.avg_step_height:7.3f} "
               f"{report.avg_step_frequency:8.2f} {report.avg_speed:10.3f} "
               f"{report.avg_target_distance:9.3f}")

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Threshold mutants: each flips one comparison against a gait, harness,
-traceio, synth, elastic or stream-contract threshold, the bitwise
-comparison of neighbours in traceio's float text, or run_chase's test for
-a changed estimate and the search for where each run of its frame log
-starts, and the focused tests must fail on it.
+traceio, synth, elastic or stream-contract threshold, the sign of a
+downward rig's force, the bitwise comparison of neighbours in traceio's
+float text, or run_chase's test for a changed estimate and the search for
+where each run of its frame log starts, and the focused tests must fail
+on it.
 
 Every mutant is one exact edit of the source, such as ``<`` to ``<=``. It
 is applied to a temporary copy of src/ and tests/, where pytest runs the
@@ -155,6 +156,8 @@ MUTANTS = [
            "(start <= frames.time)", "(start < frames.time)", HARNESS_TESTS),
     Mutant("elastic.rig.band-floor", "elastic.py",
            "1 <= self.band_count", "0 <= self.band_count", ELASTIC_TESTS),
+    Mutant("elastic.rig.sign", "elastic.py",
+           "UPWARD else -force", "UPWARD else force", ELASTIC_TESTS),
     Mutant("traceio.header.positive", "traceio.py",
            "if not 0.0 < number < math.inf:", "if not 0.0 <= number < math.inf:",
            TRACEIO_TESTS),

@@ -144,9 +144,11 @@ def check_ceiling() -> tuple[bool, str]:
 def check_stability() -> tuple[bool, str]:
     """At a 2.5 m/s chase with matched noise, shef speed varies no more than gud."""
     variants = (Variant.GUD, Variant.SHEF)
-    params = [WipParams(variant=variant) for variant in variants for _ in range(20)]
-    agents = [WalkerAgent(p, noise_sd=0.004, seed=seed % 20) for seed, p in enumerate(params)]
-    reports = run_chase_lanes(ChaseScenario(target_speed=2.5), agents, params)
+    agents = [
+        WalkerAgent(WipParams(variant=variant), noise_sd=0.004, seed=seed)
+        for variant in variants for seed in range(20)
+    ]
+    reports = run_chase_lanes(ChaseScenario(target_speed=2.5), agents)
     mean_sd: dict[Variant, float] = {}
     for i, variant in enumerate(variants):
         mean_sd[variant] = _mean([report.speed_sd for report in reports[20 * i : 20 * i + 20]])
@@ -166,8 +168,8 @@ def check_elastic_anchors() -> tuple[bool, str]:
     heights = [k * 0.01 for k in range(36)]  # 0 .. 0.35 m
     up_rig = ElasticRig(direction=PullDirection.UPWARD, band_count=6)
     down_rig = ElasticRig(direction=PullDirection.DOWNWARD, band_count=4)
-    up = [elastic.rig_force(up_rig, h).magnitude for h in heights]
-    down = [elastic.rig_force(down_rig, h).magnitude for h in heights]
+    up = [elastic.rig_force(up_rig, h) for h in heights]
+    down = [-elastic.rig_force(down_rig, h) for h in heights]
     up_ok = all(a >= b for a, b in zip(up, up[1:]))
     down_ok = all(a <= b for a, b in zip(down, down[1:]))
     ok = anchors_ok and up_ok and down_ok
@@ -303,7 +305,7 @@ def check_determinism() -> tuple[bool, str]:
     agent = WalkerAgent(params, noise_sd=0.003, seed=11)
     first, log = run_chase(scenario, agent, params)
 
-    echo = scenario_echo(scenario, params, seed=11, noise_sd=0.003, rig=None)
+    echo = scenario_echo(scenario, agent)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.trace")
         save_trace(path, log.samples, scenario=echo)

@@ -115,8 +115,7 @@ def _simulate(args: argparse.Namespace) -> tuple[MetricsReport, RunLog, dict[str
             f"chase_duration {scenario.chase_duration!r} s holds no frame at "
             f"timestep {scenario.timestep!r} s"
         ) from exc
-    echo = scenario_echo(scenario, params, seed=agent.seed, noise_sd=agent.noise_sd, rig=agent.rig)
-    return report, log, echo
+    return report, log, scenario_echo(scenario, agent)
 
 
 def _report_text(kind: str, scenario: dict[str, Any], metrics: dict[str, Any], **extra) -> str:
@@ -181,8 +180,8 @@ def cmd_calibrate_bands(args: argparse.Namespace) -> int:
     rows: list[dict[str, Any]] = []
     for target_kgf in targets:
         count = bands_for_target(direction, target_kgf, height)
-        reading = rig_force(ElasticRig(direction=direction, band_count=count), height)
-        achieved_kgf = reading.magnitude / KGF_TO_N
+        force = rig_force(ElasticRig(direction=direction, band_count=count), height)
+        achieved_kgf = abs(force) / KGF_TO_N
         rows.append(
             {
                 "direction": direction.value,

@@ -272,12 +272,12 @@ class WipParams:
 # A plain NamedTuple, as is gait.StepEvent: the tracker builds one per frame
 # with a single tuple.__new__ call, and the type checks nothing.
 class GaitEstimate(NamedTuple):
-    """Instantaneous gait state at as_of: the (frequency, height) a speed
-    law takes, both >= 0. Stale means no gait activity inside the tracker's
-    stop window; GaitTracker.estimate then gives both as 0.0, so downstream
-    speed is zero regardless of history."""
+    """Instantaneous gait state at the time GaitTracker.estimate was asked
+    about: the (frequency, height) a speed law takes, both >= 0, and the
+    stale flag. Stale means no gait activity inside the tracker's stop
+    window; both are then 0.0, so downstream speed is zero regardless of
+    history."""
 
     step_frequency: float  # Hz, footfalls per second over both feet
     step_height: float     # m, smoothed apex height
-    as_of: float           # s, query time
     stale: bool

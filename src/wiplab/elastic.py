@@ -3,7 +3,9 @@
 A rig is a stack of identical bands pulling the foot either downward
 (anchored at the ground, taut when the foot rests) or upward (anchored
 39 cm above the foot strap, so the band relaxes as the foot rises). The
-per-band tension follows a measured affine law in the extension.
+per-band tension follows an affine law in the extension, measured up to
+25 cm and extended linearly past it. A rig's force on the foot is one
+signed number in N: > 0 pulling up, < 0 pulling down.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ KGF_TO_N = 9.81
 # Affine tension law, kgf per band as a function of extension in cm.
 BAND_SLOPE = 0.011      # kgf / cm
 BAND_INTERCEPT = 0.085  # kgf
-VALID_EXTENSION_MAX = 25.0  # cm, measured range of the force law
 ANCHOR_DISTANCE = 39.0      # cm, upward anchor above the strap at rest
 DOWNWARD_CALIBRATION_HEIGHT = 0.156  # m, foot height downward rigs are calibrated at
 # Most bands one rig holds; bounds how high an upward rig lifts a simulated
@@ -45,19 +46,12 @@ class ElasticRig:
             raise ValueError(f"band_count must be in [1, {MAX_BANDS}], got {self.band_count!r}")
 
 
-@dataclass(frozen=True)
-class ForceReading:
-    magnitude: float       # N, always >= 0
-    direction_sign: int    # +1 pulling up, -1 pulling down
-    extrapolated: bool     # extension beyond the measured law range
-
-
 def band_force_kgf(extension: float) -> float:
     """Tension of a single band at the given extension (cm), in kgf.
 
-    The law was measured for extensions up to 25 cm; callers flag larger
-    extensions via ForceReading.extrapolated rather than erroring here. A
-    negative extension raises NegativeExtension, a NaN or +inf one ValueError.
+    The law was measured for extensions up to 25 cm and holds linearly
+    past it. A negative extension raises NegativeExtension, a NaN or +inf
+    one ValueError.
     """
     if extension < 0.0:
         raise NegativeExtension(f"extension {extension} cm is negative")
@@ -75,13 +69,13 @@ def _extension_cm(direction: PullDirection, foot_height: float) -> float:
     return max(0.0, ANCHOR_DISTANCE - foot_height * 100.0)
 
 
-def rig_force(rig: ElasticRig, foot_height: float) -> ForceReading:
-    """Total force of a band stack on the foot at the given height (m): its
-    magnitude, and its sign +1 for an upward rig, -1 for a downward one.
-    A negative height raises NegativeExtension, and a NaN one or one above
-    core.HEIGHT_CEILING ValueError, as bands_for_target does: a reading
+def rig_force(rig: ElasticRig, foot_height: float) -> float:
+    """Total force of a band stack on the foot at the given height (m), in
+    N: > 0 for an upward rig, < 0 for a downward one. A negative height
+    raises NegativeExtension, and a NaN one or one above
+    core.HEIGHT_CEILING ValueError, as bands_for_target does: a force
     there could be NaN, infinite or, for an upward rig at +inf, its slack
-    force, not the finite magnitude >= 0 a ForceReading holds."""
+    force, not a finite one."""
     if foot_height < 0.0:
         raise NegativeExtension(f"foot height {foot_height} m is negative")
     if not foot_height <= HEIGHT_CEILING:  # NaN fails every comparison
@@ -90,13 +84,8 @@ def rig_force(rig: ElasticRig, foot_height: float) -> ForceReading:
             f"got {foot_height!r}"
         )
     extension = _extension_cm(rig.direction, foot_height)
-    magnitude = rig.band_count * band_force_kgf(extension) * KGF_TO_N
-    sign = 1 if rig.direction is PullDirection.UPWARD else -1
-    return ForceReading(
-        magnitude=magnitude,
-        direction_sign=sign,
-        extrapolated=extension > VALID_EXTENSION_MAX,
-    )
+    force = rig.band_count * band_force_kgf(extension) * KGF_TO_N
+    return force if rig.direction is PullDirection.UPWARD else -force
 
 
 def bands_for_target(direction: PullDirection, target_kgf: float, at_foot_height: float) -> int:

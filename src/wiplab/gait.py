@@ -265,7 +265,7 @@ class GaitTracker:
             if right.entered_at > entered:
                 entered = right.entered_at
             if now - entered >= STOP_WINDOW:
-                return _new(GaitEstimate, (0.0, 0.0, now, True))
+                return _new(GaitEstimate, (0.0, 0.0, True))
         freq, base, active_feet, footfall = self._ema_row
         height = base
         partial_scale = PARTIAL_SLACK * active_feet
@@ -315,7 +315,7 @@ class GaitTracker:
                 freq = bound
         if not freq > 0.0:
             freq = 0.0
-        return _new(GaitEstimate, (freq, height, now, False))
+        return _new(GaitEstimate, (freq, height, False))
 
 
 # ----------------------------------------------------------------------
@@ -324,13 +324,15 @@ class GaitTracker:
 
 class FrameEstimates(NamedTuple):
     """Per-frame columns of a replayed stream, one frame per distinct sample
-    time: what the frame loop reads from its samples and from estimate(t)."""
+    time: what the frame loop reads from its samples and from estimate(t);
+    and the stream's step events, in the order advance() gave them."""
 
     time: np.ndarray
     height_left: np.ndarray   # m, 0 where the foot has no sample in the frame
     height_right: np.ndarray
     step_frequency: np.ndarray
     step_height: np.ndarray
+    events: list[StepEvent]
 
 
 def _first_swing(time, height) -> _Swing:
@@ -455,7 +457,7 @@ def _frame_swings(t: np.ndarray, h: np.ndarray, frame: np.ndarray, n_frames: int
     return _Swing(*(a[latest] for a in swing))
 
 
-def estimate_frames(samples: Samples, events: list[StepEvent]) -> FrameEstimates:
+def estimate_frames(samples: Samples) -> FrameEstimates:
     """Check time-sorted samples, stream them through one tracker, then
     estimate every frame at once, bit for bit as arrays.
 
@@ -463,7 +465,7 @@ def estimate_frames(samples: Samples, events: list[StepEvent]) -> FrameEstimates
     NonMonotonicTime (staleness reads the latest grounding time, a running
     max only on sorted input), any other what validate_sample raises. Then
     every sample goes through GaitTracker.advance, a plain tuple, for the
-    StepEvents (appended to events) and the EMA row after each; each foot's
+    StepEvents (the result's events) and the EMA row after each; each foot's
     swing state comes from _swing_scan over its own samples.
     """
     t, left, h = samples.time, samples.left, samples.height
@@ -476,7 +478,7 @@ def estimate_frames(samples: Samples, events: list[StepEvent]) -> FrameEstimates
 
     # _estimate_columns' EMA arguments after each footfall; row 0 is before any
     tracker = GaitTracker()
-    advance, emas = tracker.advance, [_NO_FOOTFALL]
+    advance, emas, events = tracker.advance, [_NO_FOOTFALL], []
     for s in samples.tuples():
         ev = advance(s)
         if ev is not None:
@@ -500,7 +502,7 @@ def estimate_frames(samples: Samples, events: list[StepEvent]) -> FrameEstimates
     emas = np.array(emas).T
     snap = np.searchsorted(np.searchsorted(now, emas[3, 1:]), np.arange(n_frames), side="right")
     step_frequency, step_height = _estimate_columns(now, feet, *np.take(emas, snap, axis=1))
-    return FrameEstimates(now, *foot_heights, step_frequency, step_height)
+    return FrameEstimates(now, *foot_heights, step_frequency, step_height, events)
 
 
 def _estimate_columns(

@@ -352,7 +352,7 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
                 ev = advance((t, _RIGHT, height_right))
                 if ev is not None:
                     record(ev)
-                f, sh, _, _ = estimate(t)
+                f, sh, _ = estimate(t)
                 if f != f_was or sh != sh_was:
                     raw, out = evaluate(f, sh)
                     f_was, sh_was, step = f, sh, out * dt
@@ -372,15 +372,14 @@ def run_chase(scenario: ChaseScenario, agent, params: WipParams) -> tuple[Metric
     return compute_metrics(log), log
 
 
-def run_chase_lanes(
-    scenario: ChaseScenario, agents: Sequence[WalkerAgent], params: Sequence[WipParams]
-) -> list[MetricsReport]:
+def run_chase_lanes(scenario: ChaseScenario, agents: Sequence[WalkerAgent]) -> list[MetricsReport]:
     """run_chase for many walkers at once: one report per lane, each equal
-    to run_chase(scenario, agents[i], params[i])'s bit for bit.
+    to run_chase(scenario, agents[i], agents[i].params)'s bit for bit.
 
-    The lanes run in lockstep, a re-plan interval at a time, with no Python
-    loop over frames: each lane re-plans with its own agent's plan (a
-    WalkerAgent), synth.WalkerLanes emits the interval's samples and
+    Each lane's law is its agent's params, the settings it plans its gait
+    with. The lanes run in lockstep, a re-plan interval at a time, with no
+    Python loop over frames: each lane re-plans with its own agent's plan
+    (a WalkerAgent), synth.WalkerLanes emits the interval's samples and
     gait.TrackerLanes returns every frame's estimates, each with array
     scans over the interval; then speed.law runs once per distinct params
     on its lanes and position and sphere are cumulative sums, as in
@@ -392,8 +391,9 @@ def run_chase_lanes(
     one afterwards gives that lane's RunLog.
     """
     lanes = len(agents)
-    if lanes == 0 or len(params) != lanes:
-        raise ValueError(f"need one params per agent, got {len(params)} for {lanes} agents")
+    if lanes == 0:
+        raise ValueError("need at least one agent")
+    params = [agent.params for agent in agents]
     dt = scenario.timestep
     n_frames = int(round(scenario.total_duration / dt))
     replan_every = max(1, int(round(REPLAN_INTERVAL / dt)))
@@ -459,8 +459,7 @@ def replay_trace(
     """
     if not len(samples):
         raise EmptyWindow("trace holds no samples")
-    events: list[StepEvent] = []
-    est = estimate_frames(samples, events)
+    est = estimate_frames(samples)
     t = est.time
     with np.errstate(over="ignore", invalid="ignore"):  # caught as divergence below
         raw, out = speed.law(params)(est.step_frequency, est.step_height)
@@ -475,7 +474,7 @@ def replay_trace(
 
     frames = Frames(t, _stages(scenario, t), est.height_left, est.height_right, est.step_frequency,
                     est.step_height, raw, out, position[:-1], sphere[:-1], error)
-    log = RunLog(scenario, frames, events, samples)
+    log = RunLog(scenario, frames, est.events, samples)
     return compute_metrics(log), log
 
 

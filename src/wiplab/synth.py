@@ -31,8 +31,8 @@ from .speed import REF_FREQUENCY, REF_STEP_HEIGHT, REF_USER_HEIGHT, law
 FEET = (Foot.LEFT, Foot.RIGHT)  # order of per-foot agent state and of emitted heights
 MIN_SAMPLE_RATE = 30.0  # Hz, below this swing segmentation falls apart
 
-# Coupling of rig force into realized step apex, meters per newton of net
-# downward force.
+# Coupling of rig force into realized step apex, meters per newton of
+# upward force (elastic.rig_force's sign).
 APEX_FORCE_RESPONSE = 0.002
 
 # How strongly an unachievable command degrades execution noise.
@@ -159,9 +159,7 @@ def elastic_apex_shift(rig: ElasticRig | None, planned_apex: float) -> float:
     evaluated at the planned apex height."""
     if rig is None:
         return 0.0
-    reading = rig_force(rig, planned_apex)
-    net_downward = -reading.direction_sign * reading.magnitude
-    return -APEX_FORCE_RESPONSE * net_downward
+    return APEX_FORCE_RESPONSE * rig_force(rig, planned_apex)
 
 
 class WalkerAgent:

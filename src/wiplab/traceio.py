@@ -33,6 +33,7 @@ from .core import (
 )
 from .elastic import ElasticRig, PullDirection
 from .harness import ChaseScenario, Frames
+from .synth import WalkerAgent
 
 TRACE_MAGIC = "wip-trace v1"
 REPORT_SCHEMA_VERSION = 1
@@ -248,7 +249,8 @@ def _check_finite(obj: Any, path: str) -> None:
 
 def report_document(kind: str, scenario: dict[str, Any], metrics_fields: dict[str, float],
                     rows: list[dict[str, Any]] | None = None) -> dict[str, Any]:
-    """Assemble a report document; numeric fields must be finite."""
+    """Assemble a report document; save_report, which serializes it,
+    refuses one that holds a NaN or an infinity."""
     doc: dict[str, Any] = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "kind": kind,
@@ -257,12 +259,13 @@ def report_document(kind: str, scenario: dict[str, Any], metrics_fields: dict[st
     }
     if rows is not None:
         doc["rows"] = rows
-    _check_finite(doc, "$")
     return doc
 
 
 def save_report(path: str | None, document: dict[str, Any]) -> str:
-    """Serialize a report; writes to path when given, always returns the text."""
+    """Serialize a report; writes to path when given, always returns the
+    text. A NaN or infinite number anywhere in it raises
+    DivergedSimulation, naming its place."""
     _check_finite(document, "$")
     text = json.dumps(document, indent=2, sort_keys=True)
     if path is not None:
@@ -367,19 +370,16 @@ def parse_rig_spec(text: str) -> ElasticRig | None:
         raise ValueError(f"bad rig spec {text!r}: {exc}") from exc
 
 
-def scenario_echo(
-    scenario: ChaseScenario,
-    params: WipParams,
-    *,
-    seed: int,
-    noise_sd: float,
-    rig: ElasticRig | None,
-) -> dict[str, Any]:
-    """Flatten a run configuration into trace-header key/value pairs."""
+def scenario_echo(scenario: ChaseScenario, agent: WalkerAgent) -> dict[str, Any]:
+    """Flatten a run configuration into trace-header key/value pairs, in
+    RUN_KEYS order: the law settings, seed, noise_sd and rig of the agent
+    that walked the run, and the scenario it walked. params_from_echo,
+    scenario_from_echo and parse_rig_spec read them back."""
+    params = agent.params
     echo: dict[str, Any] = {key: getattr(params, key) for key in PARAMS_KEYS}
     echo["variant"] = params.variant.value
     echo.update((key, getattr(scenario, key)) for key in SCENARIO_KEYS)
-    echo.update(seed=seed, noise_sd=noise_sd, rig=rig_spec(rig))
+    echo.update(seed=agent.seed, noise_sd=agent.noise_sd, rig=rig_spec(agent.rig))
     return echo
 
 

@@ -269,7 +269,7 @@ def test_steady_lane_columns_equal_estimate_frames(monkeypatch):
     assert len(programs) == len(columns) == 9
     for program, lane in zip(programs, columns):
         trace = synth_trace(program, acceptance.STEADY_DURATION, acceptance.STEADY_RATE)
-        frames = estimate_frames(trace, [])
+        frames = estimate_frames(trace)
         for got, want in zip(lane, (frames.step_frequency, frames.step_height)):
             assert list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist()))
 

@@ -3,11 +3,12 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from wiplab.core import NegativeExtension, ZeroExtension
+from wiplab.core import HEIGHT_CEILING, NegativeExtension, ZeroExtension
 from wiplab.elastic import (
+    ANCHOR_DISTANCE,
     KGF_TO_N,
     MAX_BANDS,
     ElasticRig,
@@ -16,6 +17,7 @@ from wiplab.elastic import (
     bands_for_target,
     rig_force,
 )
+from wiplab.synth import APEX_FORCE_RESPONSE, elastic_apex_shift
 
 
 def test_band_force_anchors():
@@ -48,36 +50,48 @@ def test_band_force_monotone_in_extension(e1, e2):
 class TestRigForce:
     def test_downward_rig_at_calibration_height(self):
         rig = ElasticRig(direction=PullDirection.DOWNWARD, band_count=4)
-        reading = rig_force(rig, 0.156)
-        # 4 * (0.011 * 15.6 + 0.085) kgf in newtons
-        assert reading.magnitude == pytest.approx(10.068984, rel=1e-9)
-        assert reading.direction_sign == -1
-        assert not reading.extrapolated
+        # 4 * (0.011 * 15.6 + 0.085) kgf in newtons, pulling down
+        assert rig_force(rig, 0.156) == pytest.approx(-10.068984, rel=1e-9)
 
     def test_downward_taut_at_ground(self):
         rig = ElasticRig(direction=PullDirection.DOWNWARD, band_count=12)
-        reading = rig_force(rig, 0.0)
         # zero extension still leaves the pre-tension intercept per band
-        assert reading.magnitude == pytest.approx(12 * 0.085 * KGF_TO_N, rel=1e-9)
+        assert rig_force(rig, 0.0) == pytest.approx(-12 * 0.085 * KGF_TO_N, rel=1e-9)
 
     def test_upward_rig_at_ground(self):
         rig = ElasticRig(direction=PullDirection.UPWARD, band_count=2)
-        reading = rig_force(rig, 0.0)
-        assert reading.magnitude == pytest.approx(10.08468, rel=1e-9)
-        assert reading.direction_sign == 1
-        # 39 cm is past the band's characterized range
-        assert reading.extrapolated
+        # 39 cm, past the 25 cm the law was measured to, on its linear extension
+        assert rig_force(rig, 0.0) == pytest.approx(10.08468, rel=1e-9)
 
     def test_upward_rig_slack_above_anchor(self):
         rig = ElasticRig(direction=PullDirection.UPWARD, band_count=6)
         low = rig_force(rig, 0.39)
         high = rig_force(rig, 0.6)
-        assert low.magnitude == high.magnitude == pytest.approx(6 * 0.085 * KGF_TO_N)
+        assert low == high == pytest.approx(6 * 0.085 * KGF_TO_N)
 
-    def test_extrapolation_flag_on_long_extension(self):
-        rig = ElasticRig(direction=PullDirection.DOWNWARD, band_count=1)
-        assert not rig_force(rig, 0.25).extrapolated
-        assert rig_force(rig, 0.2501).extrapolated
+    @given(
+        direction=st.sampled_from(PullDirection),
+        band_count=st.integers(1, MAX_BANDS),
+        height=st.floats(0.0, HEIGHT_CEILING),
+    )
+    @example(direction=PullDirection.DOWNWARD, band_count=4, height=0.156)
+    @example(direction=PullDirection.UPWARD, band_count=6, height=0.0)
+    @example(direction=PullDirection.UPWARD, band_count=MAX_BANDS, height=HEIGHT_CEILING)
+    @example(direction=PullDirection.DOWNWARD, band_count=1, height=0.0)
+    def test_the_force_is_signed_by_direction(self, direction, band_count, height):
+        """An upward rig pulls with a force >= 0 and a downward one <= 0,
+        band_count bands of the band law at the mount's extension; the apex
+        shift a walker takes from the rig is APEX_FORCE_RESPONSE times it."""
+        rig = ElasticRig(direction=direction, band_count=band_count)
+        force = rig_force(rig, height)
+        if direction is PullDirection.UPWARD:
+            assert force >= 0.0
+            extension = max(0.0, ANCHOR_DISTANCE - height * 100.0)
+        else:
+            assert force <= 0.0
+            extension = height * 100.0
+        assert abs(force) == band_count * band_force_kgf(extension) * KGF_TO_N
+        assert elastic_apex_shift(rig, height) == APEX_FORCE_RESPONSE * force
 
     def test_negative_height_rejected(self):
         rig = ElasticRig(direction=PullDirection.DOWNWARD, band_count=1)
@@ -111,8 +125,8 @@ class TestRigForce:
         lo, hi = sorted((h1, h2))
         down = ElasticRig(direction=PullDirection.DOWNWARD, band_count=n)
         up = ElasticRig(direction=PullDirection.UPWARD, band_count=n)
-        assert rig_force(down, lo).magnitude <= rig_force(down, hi).magnitude
-        assert rig_force(up, lo).magnitude >= rig_force(up, hi).magnitude
+        assert -rig_force(down, lo) <= -rig_force(down, hi)
+        assert rig_force(up, lo) >= rig_force(up, hi)
 
 
 class TestRigValidation:
@@ -187,8 +201,8 @@ class TestBandsForTarget:
     def test_count_is_sufficient_and_minimal(self, target, height, direction):
         n = bands_for_target(direction, target, height)
         rig = ElasticRig(direction=direction, band_count=n)
-        achieved = rig_force(rig, height).magnitude / KGF_TO_N
+        achieved = abs(rig_force(rig, height)) / KGF_TO_N
         assert achieved >= target - 1e-9
         if n > 1:
             smaller = ElasticRig(direction=direction, band_count=n - 1)
-            assert rig_force(smaller, height).magnitude / KGF_TO_N < target + 1e-9
+            assert abs(rig_force(smaller, height)) / KGF_TO_N < target + 1e-9

@@ -513,20 +513,20 @@ def reference_step_height(tracker, now):
 
 
 def reference_estimate(tracker, now, events):
-    """(step_frequency, step_height, as_of, stale), every float by hex."""
+    """(step_frequency, step_height, stale), every float by hex."""
     if reference_is_stale(tracker, now, STOP_WINDOW):
         freq, height, stale = 0.0, 0.0, True
     else:
         freq = reference_frequency(tracker, now, events)
         height = reference_step_height(tracker, now)
         stale = False
-    return freq.hex(), height.hex(), now.hex(), stale
+    return freq.hex(), height.hex(), stale
 
 
 def estimate_bits(tracker, now):
     est = tracker.estimate(now)
     assert type(est) is GaitEstimate
-    return est.step_frequency.hex(), est.step_height.hex(), est.as_of.hex(), est.stale
+    return est.step_frequency.hex(), est.step_height.hex(), est.stale
 
 
 # a stream is a list of runs: each foot ramps linearly between two heights
@@ -960,7 +960,7 @@ def estimated_traces(draw):
         trace = Samples.of([*map(FootSample._make, trace.tuples())] + [
             FootSample(end + k / 30.0, foot, 0.0) for k in range(1, 40) for foot in Foot
         ])
-    return trace, estimate_frames(trace, [])
+    return trace, estimate_frames(trace)
 
 
 @pytest.mark.parametrize(
@@ -969,10 +969,9 @@ def estimated_traces(draw):
     ids=["Samples", "list"],  # empty columns, and the columns of an empty list of rows
 )
 def test_estimate_frames_of_an_empty_stream_has_no_frames(samples):
-    events = []
-    frames = estimate_frames(samples, events)
+    *columns, events = estimate_frames(samples)
     assert events == []
-    assert [column.shape for column in frames] == [(0,)] * len(frames)
+    assert [column.shape for column in columns] == [(0,)] * len(columns)
 
 
 def frame_states(trace):
@@ -1035,8 +1034,7 @@ def test_the_tracker_makes_records_that_hold_their_invariants(case):
         assert estimate.step_frequency >= 0.0 and estimate.step_height >= 0.0
         if estimate.stale:
             assert estimate[:2] == (0.0, 0.0)
-    estimate_frames(trace, events)
-    for event in events:
+    for event in events + estimate_frames(trace).events:
         check_step_event(event)
 
 

@@ -390,7 +390,7 @@ def frame_step(params, events):
             if ev is not None:
                 events.append(ev)
             heights[s.foot] = s.height
-        f, sh, _, _ = tracker.estimate(t)
+        f, sh, _ = tracker.estimate(t)
         raw, out = evaluate(f, sh)
         return heights[Foot.LEFT], heights[Foot.RIGHT], f, sh, raw, out
 
@@ -579,8 +579,8 @@ def lane_walker(variant, noise_sd, seed, rig, gain=1.0):
 def assert_lanes_equal_run_chase(scenario, lanes):
     """run_chase_lanes' reports equal run_chase's, lane by lane, by repr."""
     want = [repr(run_chase(scenario, *lane_walker(*lane))[0]) for lane in lanes]
-    agents, params = zip(*(lane_walker(*lane) for lane in lanes))
-    assert list(map(repr, run_chase_lanes(scenario, agents, params))) == want
+    agents = [lane_walker(*lane)[0] for lane in lanes]
+    assert list(map(repr, run_chase_lanes(scenario, agents))) == want
 
 
 @settings(max_examples=30, deadline=None)
@@ -681,12 +681,12 @@ def test_lanes_with_no_frame_in_the_window_raise_empty_window():
     with pytest.raises(EmptyWindow):
         run_chase(scenario, WalkerAgent(SHEF), SHEF)
     with pytest.raises(EmptyWindow):
-        run_chase_lanes(scenario, [WalkerAgent(SHEF)], [SHEF])
+        run_chase_lanes(scenario, [WalkerAgent(SHEF)])
 
 
-def test_lanes_need_one_params_per_agent():
-    with pytest.raises(ValueError, match="one params per agent"):
-        run_chase_lanes(ChaseScenario(target_speed=1.0), [WalkerAgent(SHEF)], [SHEF, SHEF])
+def test_a_batch_needs_at_least_one_agent():
+    with pytest.raises(ValueError, match="^need at least one agent$"):
+        run_chase_lanes(ChaseScenario(target_speed=1.0), [])
 
 
 SHORT_CHASE = ChaseScenario(target_speed=1.0, prep_duration=0.5, chase_duration=0.5)
@@ -703,7 +703,7 @@ def test_an_agent_passed_twice_runs_two_fresh_chases():
     """Each lane seeds its own generator from its agent's seed, so two lanes
     of one agent each run a fresh agent's chase."""
     agent = WalkerAgent(SHEF, noise_sd=0.004, seed=1)
-    reports = run_chase_lanes(SHORT_CHASE, [agent, agent], [SHEF] * 2)
+    reports = run_chase_lanes(SHORT_CHASE, [agent, agent])
     assert list(map(repr, reports)) == [fresh_chase(0.004, 1)[0]] * 2
 
 
@@ -712,7 +712,7 @@ def test_an_agent_that_ran_a_noisy_chase_starts_its_lane_fresh():
     the half-read noise block a run_chase left in it."""
     used = WalkerAgent(SHEF, noise_sd=0.004, seed=1)
     run_chase(SHORT_CHASE, used, SHEF)
-    reports = run_chase_lanes(SHORT_CHASE, [WalkerAgent(SHEF), used], [SHEF] * 2)
+    reports = run_chase_lanes(SHORT_CHASE, [WalkerAgent(SHEF), used])
     assert repr(reports[1]) == fresh_chase(0.004, 1)[0]
 
 
@@ -721,7 +721,7 @@ def test_a_batch_leaves_its_agents_as_they_were(noise_sd, seed):
     """After a batch an agent's own run_chase is a fresh agent's: the batch
     reads the agent's settings and changes nothing in it."""
     agents = [WalkerAgent(SHEF, noise_sd=noise_sd, seed=seed), WalkerAgent(SHEF, seed=3)]
-    run_chase_lanes(SHORT_CHASE, agents, [SHEF] * 2)
+    run_chase_lanes(SHORT_CHASE, agents)
     report, log = run_chase(SHORT_CHASE, agents[0], SHEF)
     assert (repr(report), log.samples.height.tobytes()) == fresh_chase(noise_sd, seed)
 
@@ -751,7 +751,7 @@ def test_lanes_carry_no_view_of_an_interval(monkeypatch):
 
     monkeypatch.setattr(harness, "_integrate", spy)
     scenario = ChaseScenario(target_speed=1.5, prep_duration=1.0, chase_duration=1.0)
-    run_chase_lanes(scenario, [WalkerAgent(SHEF), WalkerAgent(SHEF, seed=1)], [SHEF] * 2)
+    run_chase_lanes(scenario, [WalkerAgent(SHEF), WalkerAgent(SHEF, seed=1)])
     assert len(carried) > 2
     assert [a.base is None for a in carried] == [True] * len(carried)
 

@@ -11,11 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiplab import traceio
-from wiplab.core import DivergedSimulation, Foot, FootSample, Samples, Variant, WipParams
+from wiplab.core import MAX_GAIN, DivergedSimulation, Foot, FootSample, Samples, Variant, WipParams
 from wiplab.elastic import MAX_BANDS, ElasticRig, PullDirection
 from wiplab.harness import ChaseScenario
-from wiplab.synth import GaitProgram, synth_trace
+from wiplab.synth import MAX_NOISE_SD, MIN_SAMPLE_RATE, GaitProgram, WalkerAgent, synth_trace
 from wiplab.traceio import (
+    RUN_KEYS,
     TraceParseError,
     load_trace,
     params_from_echo,
@@ -61,7 +62,7 @@ class TestTraceRoundTrip:
         sc = ChaseScenario(target_speed=1.5)
         params = WipParams(variant=Variant.GUD, user_height=1.80, speed_gain=1.2)
         rig = ElasticRig(direction=PullDirection.DOWNWARD, band_count=8)
-        echo = scenario_echo(sc, params, seed=7, noise_sd=0.003, rig=rig)
+        echo = scenario_echo(sc, WalkerAgent(params, noise_sd=0.003, seed=7, rig=rig))
         path = str(tmp_path / "run.csv")
         save_trace(path, Samples.of([FootSample(0.0, Foot.LEFT, 0.0)]), scenario=echo)
         loaded, _ = load_trace(path)
@@ -74,6 +75,44 @@ class TestTraceRoundTrip:
         assert params_from_echo(loaded) == params
         assert scenario_from_echo(loaded) == sc
         assert parse_rig_spec(loaded["rig"]) == rig
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        params=st.builds(
+            WipParams,
+            user_height=st.floats(1.0, 2.5),
+            variant=st.sampled_from(Variant),
+            speed_gain=st.floats(0.0, MAX_GAIN, exclude_min=True),
+            natural_visual_gain=st.floats(0.0, MAX_GAIN, exclude_min=True),
+        ),
+        seed=st.integers(0, 2**63),
+        noise_sd=st.floats(0.0, MAX_NOISE_SD),
+        rig=st.none() | st.builds(
+            ElasticRig, direction=st.sampled_from(PullDirection), band_count=st.integers(1, MAX_BANDS)
+        ),
+        scenario=st.builds(
+            ChaseScenario,
+            target_speed=st.just(0.0) | st.floats(0.1, 100.0),
+            prep_distance=st.floats(0.1, 10.0),
+            prep_duration=st.floats(0.1, 20.0),
+            countdown=st.floats(0.1, 5.0),
+            chase_duration=st.floats(0.1, 30.0),
+            circle_lead=st.floats(0.1, 5.0),
+            timestep=st.floats(1.0 / 2000.0, 1.0 / MIN_SAMPLE_RATE),
+        ),
+    )
+    @example(params=WipParams(), seed=0, noise_sd=0.0, rig=None,
+             scenario=ChaseScenario(target_speed=1.5))
+    def test_an_echo_reads_back_as_its_agent_and_scenario(self, params, seed, noise_sd, rig,
+                                                          scenario):
+        """scenario_echo takes the law settings, seed, noise_sd and rig from
+        the agent that walked the run, so reading the echo back gives them
+        and the scenario."""
+        echo = scenario_echo(scenario, WalkerAgent(params, noise_sd=noise_sd, seed=seed, rig=rig))
+        assert list(echo) == list(RUN_KEYS)
+        assert params_from_echo(echo) == params
+        assert scenario_from_echo(echo) == scenario
+        assert (echo["seed"], echo["noise_sd"], parse_rig_spec(echo["rig"])) == (seed, noise_sd, rig)
 
     def test_echo_without_target_gives_no_scenario(self):
         assert scenario_from_echo({"variant": "gud"}) is None
@@ -413,12 +452,12 @@ class TestReports:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_metrics_refused(self, bad):
         with pytest.raises(DivergedSimulation):
-            report_document("chase", {}, {"avg_speed": bad})
+            save_report(None, report_document("chase", {}, {"avg_speed": bad}))
 
     def test_non_finite_nested_in_rows_refused(self):
         with pytest.raises(DivergedSimulation):
-            report_document("chase", {}, {}, rows=[{"t": 0.0, "v": math.nan}])
+            save_report(None, report_document("chase", {}, {}, rows=[{"t": 0.0, "v": math.nan}]))
 
     def test_bools_are_not_treated_as_numbers(self):
-        doc = report_document("bands", {"extrapolated": True}, {})
-        assert doc["scenario"]["extrapolated"] is True
+        text = save_report(None, report_document("bands", {"clipped": True}, {}))
+        assert json.loads(text)["scenario"]["clipped"] is True
