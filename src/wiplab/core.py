@@ -108,7 +108,7 @@ class FootSample(NamedTuple):
     height: float  # m
 
 
-_FOOT_OF = (Foot.RIGHT, Foot.LEFT)  # by is-left
+_FOOT_OF = np.array([Foot.RIGHT, Foot.LEFT], object)  # by is-left, to gather from
 
 
 class Samples:
@@ -151,8 +151,8 @@ class Samples:
         return len(self.time)
 
     def tuples(self) -> Iterator[tuple[float, Foot, float]]:
-        """The rows as plain (time, foot, height) tuples, in stream order."""
-        return zip(self.time.tolist(), map(_FOOT_OF.__getitem__, self.left.tolist()),
+        """The rows as plain (time, foot, height) tuples in stream order, feet by one gather."""
+        return zip(self.time.tolist(), _FOOT_OF[self.left.view(np.uint8)].tolist(),
                    self.height.tolist())
 
     def fault(self) -> tuple[int, bool, WipError | None] | None:
@@ -190,7 +190,7 @@ def stream_fault(time: np.ndarray, before: np.ndarray, left: np.ndarray,
     ok &= in_range.all(axis=1)
     k = int(ok.argmin())
     i = k * in_range.shape[1] + int(in_range[k].argmin())
-    foot = _FOOT_OF[bool(np.broadcast_to(left, height.shape).flat[i])]
+    foot = _FOOT_OF[int(np.broadcast_to(left, height.shape).flat[i])]
     previous = None if before[k] == -_INF else before[k].item()
     try:
         validate_sample(FootSample(time[k].item(), foot, height.flat[i].item()), previous)

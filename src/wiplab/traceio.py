@@ -3,11 +3,11 @@
 Traces are line-oriented text: '#'-prefixed header lines carrying key:value
 metadata, a column line, then one row per sample. Floats are written with
 repr() so a load/save cycle is lossless, and load_trace returns the
-scenario echo and the samples as columns (core.Samples), parsed a column
-at a time. Reports are JSON documents with a schema_version field. The
-frames CSV (replay's --frames-out) is a line of harness.Frames field
-names, then a line per frame; it is written and never read back. Both
-text tables format a float column with _float_text.
+scenario echo and the samples as columns (core.Samples), read by NumPy's
+C text reader (see load_trace). Reports are JSON documents with a
+schema_version field. The frames CSV (replay's --frames-out) is a line of
+harness.Frames field names, then a line per frame; it is written and never
+read back. Both text tables format a float column with _float_text.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import math
 import os
 from dataclasses import fields
-from itertools import islice, repeat
+from itertools import islice
 from operator import attrgetter
 from typing import Any, Callable, Sequence, TextIO
 
@@ -50,7 +50,8 @@ class TraceParseError(WipError):
 
 
 _COLUMNS = "time,foot,height"
-_IS_LEFT = {Foot.LEFT.value: True, Foot.RIGHT.value: False}
+_ROW = np.dtype([("time", float), ("foot", "U2"), ("height", float)])
+_READER_ONLY = "\0\x1c\x1d\x1e\x1f"  # NumPy's reader drops or strips them, float() refuses
 _FOOT_VALUE = (Foot.RIGHT.value, Foot.LEFT.value)  # by is-left
 
 
@@ -115,24 +116,22 @@ def _parse_scalar(text: str):
     text = text.strip()
     if text.startswith("'") and text.endswith("'") and len(text) >= 2:
         return text[1:-1]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _header_line(echo: dict[str, Any], line: str, lineno: int) -> bool:
     """Apply one '#' line to the scenario echo; True when it is the format
     line.
 
-    A scenario.<key> line sets echo[key]. sample_rate_hint and user_height
-    must be finite numbers > 0; they are checked and not kept, as the echo
-    holds the timestep and user_height they come from. Unknown keys are
-    ignored for forward compatibility.
+    A scenario.<key> line sets echo[key]; a value that reads as a NaN or
+    an infinite float raises. sample_rate_hint and user_height must be
+    finite numbers > 0, checked and not kept: the echo holds the timestep
+    and user_height they come from. Unknown keys are ignored, for forward compatibility.
     """
     body = line[1:].strip()
     if body == TRACE_MAGIC:
@@ -140,18 +139,19 @@ def _header_line(echo: dict[str, Any], line: str, lineno: int) -> bool:
     if ":" not in body:
         raise TraceParseError(f"malformed header {body!r}", lineno)
     key, _, value = body.partition(":")
-    key = key.strip()
+    key, number = key.strip(), _parse_scalar(value)
     if key in ("sample_rate_hint", "user_height"):
         try:
-            number = float(_parse_scalar(value))
+            number = float(number)
         except (ValueError, OverflowError):  # an integer past the largest float overflows
             number = math.nan
         if not 0.0 < number < math.inf:
-            raise TraceParseError(
-                f"{key} must be a finite number > 0, got {value.strip()!r}", lineno
-            )
+            raise TraceParseError(f"{key} must be a finite number > 0, got {value.strip()!r}",
+                                  lineno)
     elif key.startswith("scenario."):
-        echo[key[len("scenario."):]] = _parse_scalar(value)
+        if isinstance(number, float) and not -math.inf < number < math.inf:
+            raise TraceParseError(f"{key} must be finite, got {value.strip()!r}", lineno)
+        echo[key[len("scenario."):]] = number
     return False
 
 
@@ -160,13 +160,13 @@ def load_trace(path: str) -> tuple[dict[str, Any], Samples]:
     header lines (empty when it has none), and a Samples; raises
     TraceParseError with a line number.
 
-    The rows after the column line are parsed by column if each is a data
-    row that converts, else by the line walk, in file order up to the first
-    line it cannot read, with one Samples.of of its FootSamples. Then
-    Samples.fault checks the stream; its fault comes before that line's.
+    Rows after the column line go through _parse_columns unless the text
+    holds one of _READER_ONLY; else, or when it gives None, the line walk
+    reads them in file order up to the first line it cannot, into one
+    Samples.of. Then Samples.fault checks the stream; its fault goes first.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+        lines = (text := fh.read()).split("\n")
     echo, saw_magic = {}, False
     start = len(lines)  # past the column line, if there is one
     for lineno, line in enumerate(lines, start=1):
@@ -181,7 +181,7 @@ def load_trace(path: str) -> tuple[dict[str, Any], Samples]:
             break
     if not saw_magic:
         raise TraceParseError("missing trace format line", 1)
-    samples = _parse_columns(lines[start:])
+    samples = None if any(map(text.__contains__, _READER_ONLY)) else _parse_columns(lines[start:])
     row_lines: Sequence[int] = range(start + 1, len(lines) + 1)
     unread = None
     if samples is None:  # the line walk
@@ -217,21 +217,21 @@ def _row_sample(line: str) -> FootSample:
 
 
 def _parse_columns(rows: list[str]) -> Samples | None:
-    """The samples of the data rows, parsed one column at a time, or None
-    unless there are rows and each is a data row whose three fields convert."""
+    """The samples of the data rows, which hold none of _READER_ONLY, read by
+    one call of NumPy's C text reader with float()'s strtod; None unless
+    there are rows, each a data row of two numbers and a foot L or R."""
     if rows and not rows[-1]:
         rows.pop()  # the newline that ends the file
-    if set(map(str.count, rows, repeat(","))) != {2}:
+    if not rows:  # the reader would warn
         return None
-    tokens = ",".join(rows).split(",")
-    n = len(rows)
-    try:
-        t = np.fromiter(map(float, tokens[0::3]), float, n)
-        left = np.fromiter(map(_IS_LEFT.__getitem__, tokens[1::3]), bool, n)
-        h = np.fromiter(map(float, tokens[2::3]), float, n)
-    except (ValueError, KeyError):
+    try:  # a field count, or an underscore or a non-ASCII digit in a number
+        table = np.loadtxt(rows, _ROW, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
         return None
-    return Samples(t, left, h)
+    left = table["foot"] == Foot.LEFT.value
+    if len(table) != len(rows) or not (left | (table["foot"] == Foot.RIGHT.value)).all():
+        return None  # it skipped a blank row, or a foot is neither L nor R
+    return Samples(table["time"].copy(), left, table["height"].copy())
 
 
 def _check_finite(obj: Any, path: str) -> None:

@@ -378,6 +378,19 @@ class TestRecordReplay:
         assert out == ""
         assert "target_speed must be finite" in err
 
+    @pytest.mark.parametrize("key,value", [("seed", "nan"), ("rig", "inf"), ("bogus", "1e400")])
+    def test_non_finite_scenario_value_is_bad_input_naming_its_line(self, tmp_path, capsys, key,
+                                                                     value):
+        trace = tmp_path / "run.csv"
+        run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)
+        lines = trace.read_text().split("\n")
+        lines.insert(2, f"# scenario.{key}: {value}")
+        trace.write_text("\n".join(lines))
+        code, out, err = run(["replay", str(trace)], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: line 3: scenario.{key} must be finite, got '{value}'" in err
+
     @pytest.mark.parametrize("line", [
         "# sample_rate_hint: abc", "# user_height: nan", "# sample_rate_hint: inf",
         pytest.param("# sample_rate_hint: 1" + "0" * 400, id="# sample_rate_hint: 1000..."),

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import sys
 from unittest import mock
 
 import numpy as np
@@ -220,6 +221,14 @@ class TestParseErrors:
             load_trace(path)
         assert info.value.line == 2
 
+    @pytest.mark.parametrize("value", ["nan", "-nan", "inf", "-inf", "1e400", "-1e400"])
+    @pytest.mark.parametrize("key", ["seed", "rig", "bogus"])
+    def test_scenario_values_must_not_read_as_non_finite_floats(self, tmp_path, key, value):
+        path = write(tmp_path, GOOD.replace("\n", f"\n# scenario.{key}: {value}\n", 1))
+        with pytest.raises(TraceParseError, match=f"scenario.{key} must be finite") as info:
+            load_trace(path)
+        assert info.value.line == 2
+
     @pytest.mark.parametrize("key,value,rebuild", [
         ("target_speed", "fast", scenario_from_echo),
         ("variant", "sideways", params_from_echo),
@@ -270,6 +279,24 @@ def mutate(lines, kind, row, other):
         lines[at] += "   "
     elif kind == "header after the rows":
         lines.append("# user_height: 0")
+    elif kind == "nul in foot":
+        lines[at] = f"{time},{foot}\0,{height}"
+    elif kind == "nul in height":
+        lines[at] = f"{time},{foot},{height}\0"
+    elif kind == "separator around a number":
+        lines[at] = f"{time}\x1c,{foot},\x1f{height}"
+    elif kind == "underscore digits":
+        lines[at] = f"{time},{foot},0.0_1"
+    elif kind == "arabic-indic digits":
+        lines[at] = f"{time},{foot},\u0660.\u0660\u0665"
+    elif kind == "foot LX":
+        lines[at] = f"{time},LX,{height}"
+    elif kind == "quoted foot":
+        lines[at] = f'{time},"{foot}",{height}'
+    elif kind == "spaces only":
+        lines.insert(at, "   ")
+    elif kind == "1e400 height":
+        lines[at] = f"{time},{foot},1e400"
     return lines
 
 
@@ -277,7 +304,9 @@ MUTATIONS = [
     "none", "drop field", "extra field", "corrupt time", "corrupt height", "nan", "inf",
     "-inf", "unknown foot", "padded foot", "height out of range", "swap rows",
     "blank line", "comment line", "bare comment", "trailing spaces",
-    "header after the rows",
+    "header after the rows", "nul in foot", "nul in height", "separator around a number",
+    "underscore digits", "arabic-indic digits", "foot LX", "quoted foot", "spaces only",
+    "1e400 height",
 ]
 
 
@@ -304,6 +333,9 @@ def walk_lines(path):
     newline=st.sampled_from(["\n", "\r\n"]),
     final_newline=st.booleans(),
 )
+@example(n_rows=3, defects=[("nul in foot", 1, 0)], newline="\n", final_newline=True)
+@example(n_rows=3, defects=[("separator around a number", 1, 0)], newline="\n",
+         final_newline=True)
 def test_column_parse_agrees_with_the_line_walk(tmp_path_factory, n_rows, defects, newline,
                                                 final_newline):
     lines = trace_text(n_rows)
@@ -368,7 +400,37 @@ def test_trace_rows_equal_a_row_at_a_time_repr(runs):
     assert text.split("\n")[2:-1] == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(
+    st.floats() | st.sampled_from([-0.0, 5e-324, sys.float_info.max]), min_size=1, max_size=20,
+))
+def test_every_float_reads_back_bit_identical(tmp_path_factory, values):
+    """Each float64 trace_text writes, in either column, reads back through
+    load_trace with the bits float() gives its repr: its own bits, or the
+    one NaN float("nan") reads for any NaN. The stream check is patched
+    out, so times and heights need not hold the contract."""
+    time = np.array(values)
+    height = time[::-1].copy()
+    text = traceio.trace_text(Samples(time, np.arange(len(time)) % 2 == 0, height), {})
+    assert traceio._parse_columns(text.split("\n")[2:]) is not None
+    path = tmp_path_factory.mktemp("floats") / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(Samples, "fault", return_value=None):
+        _, samples = load_trace(str(path))
+    for written, read in ((time, samples.time), (height, samples.height)):
+        want = np.where(np.isnan(written), math.nan, written)
+        assert np.array_equal(read.view(np.int64), want.view(np.int64))
+
+
 class TestScalarParsing:
+    @pytest.mark.parametrize("value,read", [
+        ("'nan'", "nan"), ("7", 7), ("1" + "0" * 400, 10**400),
+    ], ids=["quoted nan", "int", "int past the largest float"])
+    def test_scenario_values_that_are_not_floats_are_kept(self, tmp_path, value, read):
+        text = GOOD.replace("\n", f"\n# scenario.seed: {value}\n", 1)
+        echo, _ = load_trace(write(tmp_path, text))
+        assert echo == {"seed": read}
+
     def test_quoted_strings_ints_and_floats(self, tmp_path):
         text = (
             "# wip-trace v1\n"
