@@ -2,9 +2,10 @@
 """Threshold mutants: each flips one comparison against a gait, harness,
 traceio, synth, elastic or stream-contract threshold, the sign of a
 downward rig's force, the bitwise comparison of neighbours in traceio's
-float text, the NUL guard before traceio's column reader, or run_chase's
-test for a changed estimate and the search for where each run of its
-frame log starts, and the focused tests must fail on it.
+float text, the NUL guard before traceio's column reader, read_run's
+walker keys, or run_chase's test for a changed estimate and the search for
+where each run of its frame log starts, and the focused tests must fail on
+it.
 
 Every mutant is one exact edit of the source, such as ``<`` to ``<=``. It
 is applied to a temporary copy of src/ and tests/, where pytest runs the
@@ -165,6 +166,9 @@ MUTANTS = [
            "bits = column.view(np.int64)", "bits = column", ("tests/test_frames_csv.py",)),
     Mutant("traceio.columns.nul", "traceio.py",
            '_READER_ONLY = "\\0\\x1c', '_READER_ONLY = "\\x1c', ("tests/test_traceio.py",)),
+    Mutant("traceio.read-run.walker-keys", "traceio.py",
+           "WalkerAgent(params, **{key: run[key] for key in AGENT_KEYS if key in run})",
+           "WalkerAgent(params)", TRACEIO_TESTS),
     Mutant("core.stream.sorted", "core.py",
            "unsorted = time[1:] < time[:-1]", "unsorted = time[1:] <= time[:-1]", STREAM_TESTS),
     Mutant("core.stream.foot-sorted", "core.py",

@@ -52,13 +52,7 @@ from .harness import (
     run_chase_lanes,
 )
 from .synth import GaitProgram, WalkerAgent, plan_gait, synth_trace
-from .traceio import (
-    load_trace,
-    params_from_echo,
-    save_trace,
-    scenario_echo,
-    scenario_from_echo,
-)
+from .traceio import load_trace, read_run, save_trace, scenario_echo
 
 
 # The steady-state walk behind ROUND-TRIP and CEILING: seconds walked, the
@@ -310,7 +304,8 @@ def check_determinism() -> tuple[bool, str]:
         path = os.path.join(tmp, "run.trace")
         save_trace(path, log.samples, scenario=echo)
         loaded, samples = load_trace(path)
-        second, _ = replay_trace(samples, params_from_echo(loaded), scenario_from_echo(loaded))
+        replayed, walker = read_run(loaded)
+        second, _ = replay_trace(samples, walker.params, replayed)
     ok = first == second
     return ok, (
         "replayed metrics "

@@ -8,6 +8,8 @@ Subcommands:
     acceptance       run the named acceptance checks
 
 Configuration precedence is flags > scenario file > built-in defaults.
+Flags, scenario files and trace headers set the same run keys, and
+traceio.read_run reads and checks them all.
 Exit codes: 0 success, 1 failed acceptance check, 2 bad input, 3 runtime
 failure (diverged/non-terminating/empty-window runs, failed writes).
 """
@@ -34,20 +36,16 @@ from .elastic import (
     rig_force,
 )
 from .harness import MetricsReport, RunLog, replay_trace, run_chase
-from .synth import WalkerAgent
 from .traceio import (
     PARAMS_KEYS,
     RUN_KEYS,
-    _from_echo,
     _write_files,
     _write_frames,
     load_trace,
-    params_from_echo,
-    parse_rig_spec,
+    read_run,
     report_document,
     save_report,
     scenario_echo,
-    scenario_from_echo,
     trace_text,
 )
 
@@ -58,7 +56,7 @@ EXIT_BAD_INPUT = 2  # WipError subclasses carry their own exit_code
 
 def _load_scenario_file(path: str) -> dict[str, Any]:
     """The JSON object in the scenario file at path, which may hold only
-    RUN_KEYS, each a string or a number. Errors name the path, a decode
+    RUN_KEYS; read_run reads their values. Errors name the path, a decode
     error its line."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -70,14 +68,6 @@ def _load_scenario_file(path: str) -> dict[str, Any]:
     unknown = sorted(set(data) - set(RUN_KEYS))
     if unknown:
         raise ValueError(f"{path}: unknown scenario keys: {', '.join(unknown)}")
-    for key, value in data.items():
-        # seed is checked as an integer >= 0, from the file or the flag, by WalkerAgent
-        kind = str if key in ("variant", "rig") else (int, float)
-        if key != "seed" and (isinstance(value, bool) or not isinstance(value, kind)):
-            raise ValueError(
-                f"scenario.{key}: expected a JSON {'string' if kind is str else 'number'}, "
-                f"got {json.dumps(value)}"
-            )
     return data
 
 
@@ -100,16 +90,9 @@ def _merge_run_config(args: argparse.Namespace) -> dict[str, Any]:
 def _simulate(args: argparse.Namespace) -> tuple[MetricsReport, RunLog, dict[str, Any]]:
     """Run the chase the flags and scenario file configure; also return its
     echo, the flat key/value record of everything that was run."""
-    config = _merge_run_config(args)
-    params = params_from_echo(config)
-    scenario = scenario_from_echo(config)
-    # only the walker settings the config holds; WalkerAgent defaults the rest
-    converters = (("rig", parse_rig_spec), ("noise_sd", float), ("seed", lambda seed: seed))
-    agent = WalkerAgent(params, **{
-        key: _from_echo(config, key, convert) for key, convert in converters if key in config
-    })
+    scenario, agent = read_run(_merge_run_config(args))
     try:
-        report, log = run_chase(scenario, agent, params)
+        report, log = run_chase(scenario, agent, agent.params)
     except EmptyWindow as exc:  # the scenario is too short, not the run at fault
         raise ValueError(
             f"chase_duration {scenario.chase_duration!r} s holds no frame at "
@@ -149,9 +132,8 @@ def cmd_record(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     echo, samples = load_trace(args.trace)
     overrides = {key: value for key in PARAMS_KEYS if (value := getattr(args, key)) is not None}
-    params = params_from_echo(echo | overrides)
-    scenario = scenario_from_echo(echo)
-    report, log = replay_trace(samples, params, scenario)
+    scenario, agent = read_run(echo | overrides)  # the walker checks the recorded settings
+    report, log = replay_trace(samples, agent.params, scenario)
     _write_outputs(
         (args.out, _report_text("replay", echo, asdict(report))),
         (args.frames_out, lambda fh: _write_frames(fh, log.rows)),

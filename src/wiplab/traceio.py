@@ -4,7 +4,9 @@ Traces are line-oriented text: '#'-prefixed header lines carrying key:value
 metadata, a column line, then one row per sample. Floats are written with
 repr() so a load/save cycle is lossless, and load_trace returns the
 scenario echo and the samples as columns (core.Samples), read by NumPy's
-C text reader (see load_trace). Reports are JSON documents with a
+C text reader (see load_trace). The echo holds each scenario.<key> line
+once; read_run reads it back as the run's scenario and walker, as it reads
+a scenario file and the run flags. Reports are JSON documents with a
 schema_version field. The frames CSV (replay's --frames-out) is a line of
 harness.Frames field names, then a line per frame; it is written and never
 read back. Both text tables format a float column with _float_text.
@@ -124,14 +126,16 @@ def _parse_scalar(text: str):
     return text
 
 
-def _header_line(echo: dict[str, Any], line: str, lineno: int) -> bool:
+def _header_line(echo: dict[str, Any], set_at: dict[str, int], line: str, lineno: int) -> bool:
     """Apply one '#' line to the scenario echo; True when it is the format
     line.
 
-    A scenario.<key> line sets echo[key]; a value that reads as a NaN or
-    an infinite float raises. sample_rate_hint and user_height must be
-    finite numbers > 0, checked and not kept: the echo holds the timestep
-    and user_height they come from. Unknown keys are ignored, for forward compatibility.
+    A scenario.<key> line sets echo[key] and set_at[key] to its line; a
+    value that reads as a NaN or an infinite float raises, and so does a
+    key that an earlier line set, naming both lines. sample_rate_hint and
+    user_height must be finite numbers > 0, checked and not kept: the echo
+    holds the timestep and user_height they come from. Unknown keys are
+    ignored, for forward compatibility.
     """
     body = line[1:].strip()
     if body == TRACE_MAGIC:
@@ -151,7 +155,10 @@ def _header_line(echo: dict[str, Any], line: str, lineno: int) -> bool:
     elif key.startswith("scenario."):
         if isinstance(number, float) and not -math.inf < number < math.inf:
             raise TraceParseError(f"{key} must be finite, got {value.strip()!r}", lineno)
-        echo[key[len("scenario."):]] = number
+        name = key[len("scenario."):]
+        if name in set_at:
+            raise TraceParseError(f"{key} repeats line {set_at[name]}", lineno)
+        echo[name], set_at[name] = number, lineno
     return False
 
 
@@ -167,11 +174,11 @@ def load_trace(path: str) -> tuple[dict[str, Any], Samples]:
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = (text := fh.read()).split("\n")
-    echo, saw_magic = {}, False
+    echo, set_at, saw_magic = {}, {}, False
     start = len(lines)  # past the column line, if there is one
     for lineno, line in enumerate(lines, start=1):
         if line.startswith("#"):
-            saw_magic = _header_line(echo, line, lineno) or saw_magic
+            saw_magic = _header_line(echo, set_at, line, lineno) or saw_magic
         elif line.strip():
             if not saw_magic:
                 raise TraceParseError("missing trace format line", lineno)
@@ -189,7 +196,7 @@ def load_trace(path: str) -> tuple[dict[str, Any], Samples]:
         try:
             for lineno, line in enumerate(lines[start:], start=start + 1):
                 if line.startswith("#"):
-                    _header_line(echo, line, lineno)
+                    _header_line(echo, set_at, line, lineno)
                 elif line.strip():
                     rows.append(_row_sample(line))
                     row_lines.append(lineno)
@@ -339,8 +346,9 @@ def _keep_content(real: str, kept: str) -> None:
 # A recorded trace carries enough header metadata to re-run the exact same
 # simulation: the chase scenario geometry, the control-law settings, and the
 # agent's noise/seed/rig configuration. Keys are flat "scenario.<name>"
-# entries in the file, in the order of RUN_KEYS; a scenario file uses the
-# same keys.
+# entries in the file, in the order of RUN_KEYS; a scenario file and the run
+# flags use the same keys. scenario_echo writes them and read_run, the one
+# reader of run values, reads them back, whatever their source.
 
 PARAMS_KEYS = ("variant", "user_height", "speed_gain", "natural_visual_gain")
 SCENARIO_KEYS = tuple(f.name for f in fields(ChaseScenario))
@@ -357,7 +365,10 @@ def rig_spec(rig: ElasticRig | None) -> str:
 
 
 def parse_rig_spec(text: str) -> ElasticRig | None:
-    """Inverse of rig_spec. Returns None for 'none'; raises ValueError otherwise."""
+    """Inverse of rig_spec. Returns None for 'none'; raises ValueError for
+    any other value that is not a rig spec, a value that is not a text too."""
+    if not isinstance(text, str):
+        raise ValueError(f"rig spec must be a text such as 'down:4', got {text!r}")
     text = text.strip().lower()
     if text == "none":
         return None
@@ -373,8 +384,8 @@ def parse_rig_spec(text: str) -> ElasticRig | None:
 def scenario_echo(scenario: ChaseScenario, agent: WalkerAgent) -> dict[str, Any]:
     """Flatten a run configuration into trace-header key/value pairs, in
     RUN_KEYS order: the law settings, seed, noise_sd and rig of the agent
-    that walked the run, and the scenario it walked. params_from_echo,
-    scenario_from_echo and parse_rig_spec read them back."""
+    that walked the run, and the scenario it walked. read_run is its
+    inverse."""
     params = agent.params
     echo: dict[str, Any] = {key: getattr(params, key) for key in PARAMS_KEYS}
     echo["variant"] = params.variant.value
@@ -383,28 +394,38 @@ def scenario_echo(scenario: ChaseScenario, agent: WalkerAgent) -> dict[str, Any]
     return echo
 
 
-def _from_echo(echo: dict[str, Any], key: str, convert: Callable[[Any], Any]) -> Any:
-    """Convert one header value; a failure names its scenario.<key>."""
-    try:
-        return convert(echo[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"scenario.{key}: {exc}") from exc
+def _number(value: Any) -> float:
+    """A number key's value as a float: an int or a float, never a bool or a text."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
-def params_from_echo(echo: dict[str, Any]) -> WipParams:
-    """Rebuild control-law settings from header metadata (defaults fill gaps)."""
-    return WipParams(**{
-        key: _from_echo(echo, key, Variant if key == "variant" else float)
-        for key in PARAMS_KEYS if key in echo
-    })
+# How read_run reads each key; seed goes as it is, since WalkerAgent checks it.
+_READERS: dict[str, Callable[[Any], Any]] = {
+    **dict.fromkeys(RUN_KEYS, _number),
+    "variant": Variant,
+    "rig": parse_rig_spec,
+    "seed": lambda seed: seed,
+}
 
 
-def scenario_from_echo(echo: dict[str, Any]) -> ChaseScenario | None:
-    """Rebuild the chase scenario; None when the header has no target_speed.
-    Keys that are not ChaseScenario fields, such as the retired
+def read_run(echo: dict[str, Any]) -> tuple[ChaseScenario | None, WalkerAgent]:
+    """Inverse of scenario_echo: the chase scenario, None when echo has no
+    target_speed, and the walker, with its law settings, of the RUN_KEYS
+    in echo; WipParams, ChaseScenario and WalkerAgent default the rest and
+    check every value. A value that does not convert raises ValueError
+    naming its scenario.<key>. Other keys, such as the retired
     sphere_radius of older traces, are ignored."""
-    if "target_speed" not in echo:
-        return None
-    return ChaseScenario(**{
-        key: _from_echo(echo, key, float) for key in SCENARIO_KEYS if key in echo
-    })
+    run: dict[str, Any] = {}
+    for key in RUN_KEYS:
+        if key in echo:
+            try:
+                run[key] = _READERS[key](echo[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"scenario.{key}: {exc}") from exc
+    params = WipParams(**{key: run[key] for key in PARAMS_KEYS if key in run})
+    scenario = None
+    if "target_speed" in run:
+        scenario = ChaseScenario(**{key: run[key] for key in SCENARIO_KEYS if key in run})
+    return scenario, WalkerAgent(params, **{key: run[key] for key in AGENT_KEYS if key in run})

@@ -403,21 +403,49 @@ class TestRecordReplay:
         assert out == ""
         assert f"line 2: {line[2:line.index(':')]} must be a finite number > 0" in err
 
-    @pytest.mark.parametrize("key,value", [
-        ("target_speed", "fast"), ("variant", "sideways"), ("target_speed", "1" + "0" * 400),
-    ], ids=lambda v: v[:20])
-    def test_bad_scenario_header_is_bad_input_naming_its_key(self, tmp_path, capsys, key,
-                                                             value):
+    @staticmethod
+    def replay_with_header(tmp_path, capsys, key, value):
+        """Replay a recorded trace whose scenario.<key> line holds value."""
         trace = tmp_path / "run.csv"
         run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)
         text = trace.read_text()
         start = text.index(f"# scenario.{key}: ")
         end = text.index("\n", start)
         trace.write_text(text[:start] + f"# scenario.{key}: {value}" + text[end:])
-        code, out, err = run(["replay", str(trace)], capsys)
+        return run(["replay", str(trace)], capsys)
+
+    @pytest.mark.parametrize("key,value", [
+        ("target_speed", "fast"), ("variant", "sideways"), ("target_speed", "1" + "0" * 400),
+        ("rig", "'up:0'"), ("rig", "5"), ("target_speed", "'1.5'"),
+    ], ids=lambda v: v[:20])
+    def test_bad_scenario_header_is_bad_input_naming_its_key(self, tmp_path, capsys, key,
+                                                             value):
+        code, out, err = self.replay_with_header(tmp_path, capsys, key, value)
         assert code == 2
         assert out == ""
         assert f"error: scenario.{key}: " in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("noise_sd", "-7"), ("noise_sd", "5.0"), ("seed", "-1"), ("seed", "'nan'"),
+    ])
+    def test_bad_walker_header_is_bad_input_naming_its_key(self, tmp_path, capsys, key, value):
+        """Replay walks no walker, yet the recorded walker settings are
+        checked as record checks them."""
+        code, out, err = self.replay_with_header(tmp_path, capsys, key, value)
+        assert code == 2
+        assert out == ""
+        assert f"error: {key} must be " in err
+
+    def test_a_repeated_scenario_header_is_bad_input_naming_both_lines(self, tmp_path, capsys):
+        trace = tmp_path / "run.csv"
+        run(["record", "--target", "1.0", "--trace-out", str(trace)], capsys)
+        lines = trace.read_text().split("\n")
+        at = lines.index("# scenario.rig: 'none'")
+        lines.insert(at, "# scenario.rig: 'up:6'")
+        trace.write_text("\n".join(lines))
+        code, out, err = run(["replay", str(trace)], capsys)
+        assert (code, out) == (2, "")
+        assert f"error: line {at + 2}: scenario.rig repeats line {at + 1}" in err
 
     def test_non_finite_gain_override_is_bad_input(self, tmp_path, capsys):
         trace = tmp_path / "run.csv"

@@ -21,7 +21,7 @@ from wiplab import cli, traceio
 from wiplab.core import Variant, WipParams
 from wiplab.harness import ChaseScenario, replay_trace, run_chase
 from wiplab.synth import WalkerAgent
-from wiplab.traceio import load_trace, params_from_echo, scenario_from_echo
+from wiplab.traceio import load_trace, read_run
 
 from frame_rows import FrameRow, rows_of
 
@@ -93,7 +93,8 @@ def test_column_writer_equals_the_row_writer(tmp_path_factory, text, chase):
     trace, frames = workdir / "t.csv", workdir / "frames.csv"
     trace.write_text(text)
     echo, samples = load_trace(str(trace))
-    _, log = replay_trace(samples, params_from_echo(echo), scenario_from_echo(echo))
+    replayed, walker = read_run(echo)
+    _, log = replay_trace(samples, walker.params, replayed)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(["replay", str(trace), "--frames-out", str(frames)]) == 0
     assert frames.read_bytes() == reference_frames_csv(rows_of(log.rows)).encode()

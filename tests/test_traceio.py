@@ -20,14 +20,13 @@ from wiplab.traceio import (
     RUN_KEYS,
     TraceParseError,
     load_trace,
-    params_from_echo,
     parse_rig_spec,
+    read_run,
     report_document,
     rig_spec,
     save_report,
     save_trace,
     scenario_echo,
-    scenario_from_echo,
 )
 
 
@@ -73,9 +72,11 @@ class TestTraceRoundTrip:
             lines = fh.read().split("\n")
         assert f"# sample_rate_hint: {1.0 / sc.timestep!r}" in lines
         assert "# user_height: 1.8" in lines
-        assert params_from_echo(loaded) == params
-        assert scenario_from_echo(loaded) == sc
+        scenario, agent = read_run(loaded)
+        assert agent.params == params
+        assert scenario == sc
         assert parse_rig_spec(loaded["rig"]) == rig
+        assert (agent.seed, agent.noise_sd, agent.rig) == (7, 0.003, rig)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -111,12 +112,16 @@ class TestTraceRoundTrip:
         and the scenario."""
         echo = scenario_echo(scenario, WalkerAgent(params, noise_sd=noise_sd, seed=seed, rig=rig))
         assert list(echo) == list(RUN_KEYS)
-        assert params_from_echo(echo) == params
-        assert scenario_from_echo(echo) == scenario
+        read_scenario, agent = read_run(echo)
+        assert agent.params == params
+        assert read_scenario == scenario
         assert (echo["seed"], echo["noise_sd"], parse_rig_spec(echo["rig"])) == (seed, noise_sd, rig)
+        assert (agent.seed, agent.noise_sd, agent.rig) == (seed, noise_sd, rig)
 
     def test_echo_without_target_gives_no_scenario(self):
-        assert scenario_from_echo({"variant": "gud"}) is None
+        scenario, agent = read_run({"variant": "gud"})
+        assert scenario is None
+        assert agent.params == WipParams(variant=Variant.GUD)
 
 
 class TestParseErrors:
@@ -229,14 +234,29 @@ class TestParseErrors:
             load_trace(path)
         assert info.value.line == 2
 
-    @pytest.mark.parametrize("key,value,rebuild", [
-        ("target_speed", "fast", scenario_from_echo),
-        ("variant", "sideways", params_from_echo),
+    @pytest.mark.parametrize("key,value", [
+        ("target_speed", "fast"),
+        ("variant", "sideways"),
+        ("target_speed", "'1.5'"),
+        ("rig", "5"),
+        ("rig", "'up:0'"),
     ])
-    def test_bad_scenario_values_name_their_key(self, tmp_path, key, value, rebuild):
+    def test_bad_scenario_values_name_their_key(self, tmp_path, key, value):
         echo, _ = load_trace(write(tmp_path, f"# wip-trace v1\n# scenario.{key}: {value}\n"))
         with pytest.raises(ValueError, match=f"^scenario.{key}: "):
-            rebuild(echo)
+            read_run(echo)
+
+    @pytest.mark.parametrize("among_the_rows", [False, True])
+    @pytest.mark.parametrize("key", ["rig", "seed", "bogus"])
+    def test_a_repeated_scenario_key_names_both_lines(self, tmp_path, key, among_the_rows):
+        """A second scenario.<key> line, in the header or among the rows,
+        is refused naming both lines, not read over the first."""
+        again = f"# scenario.{key}: 2\n"
+        text = GOOD.replace("\n", f"\n# scenario.{key}: 1\n# user_height: 1.7\n", 1)
+        text = text + again if among_the_rows else text.replace("time,", again + "time,")
+        line = 8 if among_the_rows else 4
+        with pytest.raises(TraceParseError, match=f"^line {line}: scenario.{key} repeats line 2$"):
+            load_trace(write(tmp_path, text))
 
 
 def trace_text(n_rows):
@@ -486,6 +506,13 @@ class TestRigSpec:
     @pytest.mark.parametrize("bad", ["down", "down:", "down:0", "left:4", "none:2", "down:x"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
+            parse_rig_spec(bad)
+
+    @pytest.mark.parametrize("bad", [5, None], ids=repr)
+    def test_rejects_a_value_that_is_not_a_text(self, bad):
+        """A header or scenario file may hold a rig that is no text; it is a
+        ValueError, which the command line reports as bad input."""
+        with pytest.raises(ValueError, match=f"rig spec must be a text .*, got {bad!r}$"):
             parse_rig_spec(bad)
 
 
