@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Threshold mutants: each flips one comparison against a gait, harness,
-traceio, synth, elastic or stream-contract threshold, the sign of a
-downward rig's force, the bitwise comparison of neighbours in traceio's
-float text, the NUL guard before traceio's column reader, read_run's
-walker keys, or run_chase's test for a changed estimate and the search for
-where each run of its frame log starts, and the focused tests must fail on
-it.
+synth, elastic or stream-contract threshold, the sign of a downward rig's
+force, the bitwise comparison of neighbours in traceio's float text, the
+NUL guard before traceio's row reader or its count of the rows it read,
+read_run's walker keys, or run_chase's test for a changed estimate and the
+search for where each run of its frame log starts, and the focused tests
+must fail on it.
 
 Every mutant is one exact edit of the source, such as ``<`` to ``<=``. It
 is applied to a temporary copy of src/ and tests/, where pytest runs the
@@ -159,9 +159,8 @@ MUTANTS = [
            "1 <= self.band_count", "0 <= self.band_count", ELASTIC_TESTS),
     Mutant("elastic.rig.sign", "elastic.py",
            "UPWARD else -force", "UPWARD else force", ELASTIC_TESTS),
-    Mutant("traceio.header.positive", "traceio.py",
-           "if not 0.0 < number < math.inf:", "if not 0.0 <= number < math.inf:",
-           TRACEIO_TESTS),
+    Mutant("traceio.rows.blank", "traceio.py",
+           "if len(table) != len(rows) or not", "if not", TRACEIO_TESTS),
     Mutant("traceio.float-text.bits", "traceio.py",
            "bits = column.view(np.int64)", "bits = column", ("tests/test_frames_csv.py",)),
     Mutant("traceio.columns.nul", "traceio.py",

@@ -10,8 +10,9 @@ Subcommands:
 Configuration precedence is flags > scenario file > built-in defaults.
 Flags, scenario files and trace headers set the same run keys, and
 traceio.read_run reads and checks them all.
-Exit codes: 0 success, 1 failed acceptance check, 2 bad input, 3 runtime
-failure (diverged/non-terminating/empty-window runs, failed writes).
+Exit codes: 0 success, 1 failed acceptance check, 2 bad input (including a
+run or trace with no frame in its measurement window), 3 runtime failure
+(diverged or non-terminating runs, failed writes).
 """
 
 from __future__ import annotations
@@ -133,7 +134,16 @@ def cmd_replay(args: argparse.Namespace) -> int:
     echo, samples = load_trace(args.trace)
     overrides = {key: value for key in PARAMS_KEYS if (value := getattr(args, key)) is not None}
     scenario, agent = read_run(echo | overrides)  # the walker checks the recorded settings
-    report, log = replay_trace(samples, agent.params, scenario)
+    try:
+        report, log = replay_trace(samples, agent.params, scenario)
+    except EmptyWindow as exc:  # the trace ends too soon, not the replay at fault
+        if not len(samples):
+            raise
+        raise EmptyWindow(
+            f"no frame inside the chase window [{scenario.chase_start!r}, "
+            f"{scenario.total_duration!r}) s that the scenario.<key> lines set: the samples "
+            f"run from {samples.time[0].item()!r} to {samples.time[-1].item()!r} s"
+        ) from exc
     _write_outputs(
         (args.out, _report_text("replay", echo, asdict(report))),
         (args.frames_out, lambda fh: _write_frames(fh, log.rows)),

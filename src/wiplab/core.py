@@ -85,7 +85,10 @@ class WrongArity(WipError):
 
 
 class EmptyWindow(WipError):
-    """No frames fall inside the measurement window."""
+    """No frames fall inside the measurement window: the run or trace is
+    too short."""
+
+    exit_code = 2
 
 
 class Foot(Enum):

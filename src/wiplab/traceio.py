@@ -1,15 +1,16 @@
 """On-disk formats: foot-sample traces, simulation reports and frame CSVs.
 
-Traces are line-oriented text: '#'-prefixed header lines carrying key:value
-metadata, a column line, then one row per sample. Floats are written with
-repr() so a load/save cycle is lossless, and load_trace returns the
-scenario echo and the samples as columns (core.Samples), read by NumPy's
-C text reader (see load_trace). The echo holds each scenario.<key> line
-once; read_run reads it back as the run's scenario and walker, as it reads
-a scenario file and the run flags. Reports are JSON documents with a
-schema_version field. The frames CSV (replay's --frames-out) is a line of
-harness.Frames field names, then a line per frame; it is written and never
-read back. Both text tables format a float column with _float_text.
+A trace is exactly what trace_text writes: a header of '#'-prefixed lines,
+the format line and a scenario.<key> line per echo value, then a column
+line and one row per sample. Floats are written with repr() so a load/save
+cycle is lossless, and load_trace returns the scenario echo and the samples
+as columns (core.Samples), every row read by NumPy's C text reader (see
+load_trace). The echo holds each scenario.<key> line once; read_run reads
+it back as the run's scenario and walker, as it reads a scenario file and
+the run flags. Reports are JSON documents with a schema_version field. The
+frames CSV (replay's --frames-out) is a line of harness.Frames field names,
+then a line per frame; it is written and never read back. Both text tables
+format a float column with _float_text.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 from .core import (
     DivergedSimulation,
     Foot,
-    FootSample,
     Samples,
     Variant,
     WipError,
@@ -53,7 +53,7 @@ class TraceParseError(WipError):
 
 _COLUMNS = "time,foot,height"
 _ROW = np.dtype([("time", float), ("foot", "U2"), ("height", float)])
-_READER_ONLY = "\0\x1c\x1d\x1e\x1f"  # NumPy's reader drops or strips them, float() refuses
+_READER_ONLY = "\0\x1c\x1d\x1e\x1f"  # the reader drops or strips them: a row holding one is refused
 _FOOT_VALUE = (Foot.RIGHT.value, Foot.LEFT.value)  # by is-left
 
 
@@ -64,16 +64,9 @@ def save_trace(path: str, samples: Samples, *, scenario: dict[str, Any] | None =
 
 
 def trace_text(samples: Samples, scenario: dict[str, Any]) -> str:
-    """The trace file's text: the commented header, then a row per sample.
-
-    The header's sample_rate_hint (1 / timestep) and user_height lines come
-    from the scenario echo's timestep and user_height, when it has them.
-    """
+    """The trace file's text: the format line, a scenario.<key> line per
+    echo value, the column line, then a row per sample."""
     lines = [f"# {TRACE_MAGIC}"]
-    if "timestep" in scenario:
-        lines.append(f"# sample_rate_hint: {1.0 / scenario['timestep']!r}")
-    if "user_height" in scenario:
-        lines.append(f"# user_height: {scenario['user_height']!r}")
     for key, value in scenario.items():
         lines.append(f"# scenario.{key}: {value!r}")
     lines.append(_COLUMNS)
@@ -127,15 +120,14 @@ def _parse_scalar(text: str):
 
 
 def _header_line(echo: dict[str, Any], set_at: dict[str, int], line: str, lineno: int) -> bool:
-    """Apply one '#' line to the scenario echo; True when it is the format
-    line.
+    """Apply one '#' line of the header to the scenario echo; True when it
+    is the format line.
 
     A scenario.<key> line sets echo[key] and set_at[key] to its line; a
     value that reads as a NaN or an infinite float raises, and so does a
-    key that an earlier line set, naming both lines. sample_rate_hint and
-    user_height must be finite numbers > 0, checked and not kept: the echo
-    holds the timestep and user_height they come from. Unknown keys are
-    ignored, for forward compatibility.
+    key that an earlier line set, naming both lines. Any other key: value
+    line is ignored, for forward compatibility, as are the sample_rate_hint
+    and user_height lines that older versions wrote.
     """
     body = line[1:].strip()
     if body == TRACE_MAGIC:
@@ -143,16 +135,9 @@ def _header_line(echo: dict[str, Any], set_at: dict[str, int], line: str, lineno
     if ":" not in body:
         raise TraceParseError(f"malformed header {body!r}", lineno)
     key, _, value = body.partition(":")
-    key, number = key.strip(), _parse_scalar(value)
-    if key in ("sample_rate_hint", "user_height"):
-        try:
-            number = float(number)
-        except (ValueError, OverflowError):  # an integer past the largest float overflows
-            number = math.nan
-        if not 0.0 < number < math.inf:
-            raise TraceParseError(f"{key} must be a finite number > 0, got {value.strip()!r}",
-                                  lineno)
-    elif key.startswith("scenario."):
+    key = key.strip()
+    if key.startswith("scenario."):
+        number = _parse_scalar(value)
         if isinstance(number, float) and not -math.inf < number < math.inf:
             raise TraceParseError(f"{key} must be finite, got {value.strip()!r}", lineno)
         name = key[len("scenario."):]
@@ -167,70 +152,54 @@ def load_trace(path: str) -> tuple[dict[str, Any], Samples]:
     header lines (empty when it has none), and a Samples; raises
     TraceParseError with a line number.
 
-    Rows after the column line go through _parse_columns unless the text
-    holds one of _READER_ONLY; else, or when it gives None, the line walk
-    reads them in file order up to the first line it cannot, into one
-    Samples.of. Then Samples.fault checks the stream; its fault goes first.
+    The header, '#' lines (_header_line) and blank lines, runs to the
+    column line. Every line after it is a row, but for the final newline
+    and any blank lines at the end, and one _read_rows call reads them all.
+    When it refuses them, _first_refused finds the first refused row, and
+    Samples.fault checks the rows before it: a stream fault there goes
+    first, then the refused row.
     """
+    echo, set_at, saw_magic, lineno = {}, {}, False, 0
     with open(path, "r", encoding="utf-8") as fh:
-        lines = (text := fh.read()).split("\n")
-    echo, set_at, saw_magic = {}, {}, False
-    start = len(lines)  # past the column line, if there is one
-    for lineno, line in enumerate(lines, start=1):
-        if line.startswith("#"):
-            saw_magic = _header_line(echo, set_at, line, lineno) or saw_magic
-        elif line.strip():
-            if not saw_magic:
-                raise TraceParseError("missing trace format line", lineno)
-            if line.strip() != _COLUMNS:
-                raise TraceParseError(f"unexpected column line {line!r}", lineno)
-            start = lineno
-            break
+        for lineno, line in enumerate(fh, start=1):
+            if line.startswith("#"):
+                saw_magic = _header_line(echo, set_at, line, lineno) or saw_magic
+            elif columns := line.strip():
+                if not saw_magic:
+                    raise TraceParseError("missing trace format line", lineno)
+                if columns != _COLUMNS:
+                    raise TraceParseError(f"unexpected column line {columns!r}", lineno)
+                break
+        text = fh.read().rstrip("\n")  # the rows, row i on line lineno + 1 + i
     if not saw_magic:
         raise TraceParseError("missing trace format line", 1)
-    samples = None if any(map(text.__contains__, _READER_ONLY)) else _parse_columns(lines[start:])
-    row_lines: Sequence[int] = range(start + 1, len(lines) + 1)
-    unread = None
-    if samples is None:  # the line walk
-        rows, row_lines = [], []
-        try:
-            for lineno, line in enumerate(lines[start:], start=start + 1):
-                if line.startswith("#"):
-                    _header_line(echo, set_at, line, lineno)
-                elif line.strip():
-                    rows.append(_row_sample(line))
-                    row_lines.append(lineno)
-        except (TraceParseError, ValueError) as exc:  # a header, field count or conversion
-            unread = exc if isinstance(exc, TraceParseError) else TraceParseError(str(exc), lineno)
-        samples = Samples.of(rows)
+    refused = None
+    samples = _read_rows(text) if text else Samples.of([])
+    if samples is None:
+        rows = text.split("\n")
+        refused = _first_refused(rows)
+        samples = _read_rows("\n".join(rows[:refused])) if refused else Samples.of([])
     fault = samples.fault()
     if fault is not None:
         i, unsorted, error = fault
         t = samples.time
         message = (f"rows not sorted by time ({t[i].item()!r} after {t[i - 1].item()!r})"
                    if unsorted else str(error))
-        raise TraceParseError(message, row_lines[i]) from error
-    if unread is not None:
-        raise unread
+        raise TraceParseError(message, lineno + 1 + i) from error
+    if refused is not None:
+        raise TraceParseError(f"expected a row of two numbers and a foot L or R, got "
+                              f"{rows[refused]!r}", lineno + 1 + refused)
     return echo, samples
 
 
-def _row_sample(line: str) -> FootSample:
-    """The sample of one data row of the line walk, or ValueError."""
-    parts = line.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected 3 fields, got {len(parts)}")
-    return FootSample(float(parts[0]), Foot(parts[1].strip()), float(parts[2]))
-
-
-def _parse_columns(rows: list[str]) -> Samples | None:
-    """The samples of the data rows, which hold none of _READER_ONLY, read by
-    one call of NumPy's C text reader with float()'s strtod; None unless
-    there are rows, each a data row of two numbers and a foot L or R."""
-    if rows and not rows[-1]:
-        rows.pop()  # the newline that ends the file
-    if not rows:  # the reader would warn
-        return None
+def _read_rows(text: str) -> Samples | None:
+    """The samples of the rows in text, which has no final newline, read by
+    one call of NumPy's C text reader with float()'s strtod; None when it
+    refuses a row: a blank row, a row holding any of _READER_ONLY, or one
+    that is not two numbers and a foot L or R."""
+    rows = text.split("\n")
+    if not rows[0] or any(map(text.__contains__, _READER_ONLY)):
+        return None  # a blank first row: the reader would warn when no row follows
     try:  # a field count, or an underscore or a non-ASCII digit in a number
         table = np.loadtxt(rows, _ROW, delimiter=",", comments=None, ndmin=1)
     except ValueError:
@@ -239,6 +208,18 @@ def _parse_columns(rows: list[str]) -> Samples | None:
     if len(table) != len(rows) or not (left | (table["foot"] == Foot.RIGHT.value)).all():
         return None  # it skipped a blank row, or a foot is neither L nor R
     return Samples(table["time"].copy(), left, table["height"].copy())
+
+
+_ROWS_PER_BLOCK = 256
+
+
+def _first_refused(rows: list[str]) -> int:
+    """The index of the first row _read_rows refuses, found by the reader
+    itself: a block of rows at a time, then a row at a time inside the
+    first refused block. Some row must be refused."""
+    block = next(b for b in range(0, len(rows), _ROWS_PER_BLOCK)
+                 if _read_rows("\n".join(rows[b:b + _ROWS_PER_BLOCK])) is None)
+    return next(i for i in range(block, block + _ROWS_PER_BLOCK) if _read_rows(rows[i]) is None)
 
 
 def _check_finite(obj: Any, path: str) -> None:

@@ -391,17 +391,30 @@ class TestRecordReplay:
         assert out == ""
         assert f"error: line 3: scenario.{key} must be finite, got '{value}'" in err
 
-    @pytest.mark.parametrize("line", [
-        "# sample_rate_hint: abc", "# user_height: nan", "# sample_rate_hint: inf",
-        pytest.param("# sample_rate_hint: 1" + "0" * 400, id="# sample_rate_hint: 1000..."),
-    ])
-    def test_bad_header_number_is_bad_input_naming_its_line(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("height", ["1.72", "2.4", "nan"])
+    def test_old_hint_lines_are_ignored(self, tmp_path, capsys, height):
+        """Traces of older versions also carry sample_rate_hint and
+        user_height lines, copies of the echo's timestep and user_height;
+        replay reads the echo, whatever they say."""
         trace = tmp_path / "run.csv"
-        trace.write_text(f"# wip-trace v1\n{line}\ntime,foot,height\n0.0,L,0.0\n")
-        code, out, err = run(["replay", str(trace)], capsys)
-        assert code == 2
-        assert out == ""
-        assert f"line 2: {line[2:line.index(':')]} must be a finite number > 0" in err
+        run(["record", "--target", "1.5", "--seed", "8", "--trace-out", str(trace)], capsys)
+        new = run(["replay", str(trace)], capsys)
+        assert new[0] == 0
+        lines = trace.read_text().split("\n")
+        lines[1:1] = ["# sample_rate_hint: 90.0", f"# user_height: {height}"]
+        trace.write_text("\n".join(lines))
+        assert run(["replay", str(trace)], capsys) == new
+
+    def test_a_trace_cut_before_its_chase_window_is_bad_input(self, tmp_path, capsys):
+        trace = tmp_path / "run.csv"
+        run(["record", "--target", "1.5", "--seed", "8", "--trace-out", str(trace)], capsys)
+        lines = trace.read_text().split("\n")
+        trace.write_text("\n".join(lines[:200]) + "\n")
+        code, out, err = run(["replay", str(trace), "--out", str(tmp_path / "r.json")], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no frame inside the chase window [")
+        assert "scenario." in err
+        assert not (tmp_path / "r.json").exists()
 
     @staticmethod
     def replay_with_header(tmp_path, capsys, key, value):
@@ -464,11 +477,11 @@ class TestRecordReplay:
         assert (code, err) == (0, "")
         assert json.loads(out)["metrics"]["avg_speed"] == 0.0
 
-    def test_empty_trace_is_a_runtime_error(self, tmp_path, capsys):
+    def test_empty_trace_is_bad_input(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         save_trace(str(empty), core.Samples.of([]))
         code, _, err = run(["replay", str(empty)], capsys)
-        assert code == 3
+        assert (code, err) == (2, "error: trace holds no samples\n")
 
 
 class _FullDisk:
@@ -732,10 +745,10 @@ class TestAcceptance:
         (TraceParseError("bad", 3), 2),
         *[(getattr(core, name)("bad"), 2) for name in (
             "NonMonotonicTime", "OutOfRangeHeight", "NonPositiveGain",
-            "NegativeExtension", "ZeroExtension", "InvalidRate",
+            "NegativeExtension", "ZeroExtension", "InvalidRate", "EmptyWindow",
         )],
         *[(getattr(core, name)("bad"), 3) for name in (
-            "WipError", "DivergedSimulation", "EmptyWindow", "NonTermination", "WrongArity",
+            "WipError", "DivergedSimulation", "NonTermination", "WrongArity",
         )],
         (ValueError("bad"), 2),
         (OSError("bad"), 2),

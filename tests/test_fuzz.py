@@ -1,10 +1,11 @@
-"""Fuzzing the command line's run inputs: scenario files and the simulate
-and replay flags.
+"""Fuzzing the command line's run inputs: scenario files, trace files and
+the simulate and replay flags.
 
 Every input ends in exactly one of two ways: exit 2 with an error that
-names a scenario key or a flag, or exit 0 with a report whose numbers are
-all finite. Valid durations and rates are kept short, so a run takes
-milliseconds; the out-of-range pool still holds huge and tiny values.
+names a scenario key, a flag or a trace line, or exit 0 with a report (and
+a frames CSV) whose numbers are all finite. Valid durations and rates are
+kept short, so a run takes milliseconds; the out-of-range pool still holds
+huge and tiny values.
 """
 
 import contextlib
@@ -131,3 +132,87 @@ def test_replay_ends_in_a_finite_report_or_names_its_bad_flag(trace, flags):
     for key, text in flags.items():
         argv += [FLAGS[key], text]
     assert_contract(argv)
+
+
+TRACE_EDITS = ("delete", "duplicate", "swap", "junk field", "flip foot", "junk header",
+               "junk scenario", "truncate")
+TRACE_KEYS = (*RUN_KEYS, "bogus")
+
+
+def edit_trace(lines, kind, at, other, junk):
+    """One edit of a trace's lines, in place, at line at modulo their count."""
+    if not lines and kind not in ("junk header", "junk scenario"):
+        return
+    at %= max(len(lines), 1)
+    if kind == "delete":
+        del lines[at]
+    elif kind == "duplicate":
+        lines.insert(at, lines[at])
+    elif kind == "swap":
+        b = other % len(lines)
+        lines[at], lines[b] = lines[b], lines[at]
+    elif kind == "junk field":
+        fields = lines[at].split(",")
+        fields[other % len(fields)] = junk
+        lines[at] = ",".join(fields)
+    elif kind == "flip foot":
+        lines[at] = lines[at].translate(str.maketrans("LR", "RL"))
+    elif kind == "junk header":
+        lines.insert(at, f"# {junk}")
+    elif kind == "junk scenario":
+        lines.insert(at, f"# scenario.{TRACE_KEYS[other % len(TRACE_KEYS)]}: {junk}")
+    elif kind == "truncate":
+        del lines[at:]
+
+
+trace_junk = st.sampled_from([
+    "", " ", "nan", "inf", "-inf", "-1", "0", "1e300", "1e400", "1" + "0" * 400, "x", "0.0_1",
+    "\u0661", "L", "LR", "\0", "'up:0'", "'none'", "loose words", ": 1",
+])
+
+
+@pytest.fixture(scope="module")
+def short_trace(tmp_path_factory):
+    """A recorded trace of a short noisy run, as its lines."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    scenario = folder / "short.json"
+    scenario.write_text(json.dumps({
+        "target_speed": 1.2, "prep_distance": 1.0, "prep_duration": 0.5, "countdown": 0.5,
+        "chase_duration": 1.0, "timestep": 1 / 30, "noise_sd": 0.003,
+    }))
+    path = folder / "short.trace"
+    code, _, err = run_cli(["record", "--scenario", str(scenario), "--trace-out", str(path)])
+    assert code == 0, err
+    return path.read_text().split("\n")[:-1]
+
+
+@fuzz
+@given(edits=st.lists(
+    st.tuples(st.sampled_from(TRACE_EDITS), st.integers(0, 10**4), st.integers(0, 10**4),
+              trace_junk),
+    min_size=1, max_size=3,
+))
+@example(edits=[("junk scenario", 1, RUN_KEYS.index("seed"), "nan")])
+@example(edits=[("junk scenario", 1, RUN_KEYS.index("rig"), "'up:0'")])
+@example(edits=[("truncate", 60, 0, "")])  # rows to 0.7 s; the chase window opens at 1.8 s
+def test_an_edited_trace_replays_to_a_finite_report_or_names_its_bad_line(tmp_path, short_trace,
+                                                                         edits):
+    """1 to 3 random edits of a recorded trace, then replay with --out and
+    --frames-out: exit 0 with finite numbers, or exit 2 with an error that
+    names a line, a scenario key, or a trace that holds no samples."""
+    lines = list(short_trace)
+    for edit in edits:
+        edit_trace(lines, *edit)
+    trace = tmp_path / "edited.trace"
+    trace.write_text("".join(line + "\n" for line in lines))
+    report, frames = tmp_path / "report.json", tmp_path / "frames.csv"
+    code, out, err = run_cli(["replay", str(trace), "--out", str(report),
+                              "--frames-out", str(frames)])
+    assert code in (0, 2), (edits, code, err)
+    if code == 2:
+        assert ("line " in err or "scenario." in err or err == "error: trace holds no samples\n"
+                or any(f"{key} must be" in err for key in RUN_KEYS)), (edits, err)
+        return
+    assert all(map(math.isfinite, json.loads(report.read_text())["metrics"].values())), edits
+    rows = [line.split(",") for line in frames.read_text().split("\n")[1:-1]]
+    assert rows and all(math.isfinite(float(v)) for row in rows for v in row[:1] + row[2:]), edits

@@ -207,7 +207,8 @@ def test_replay_frames_csv_matches_golden(tmp_path):
 # for one scenario that sets every key off its default, by sha256, so the
 # echoed keys, their order and their values are pinned. Recorded before the
 # key lists were derived from the dataclasses, with the retired sphere_radius
-# line and key taken out.
+# line and key taken out, and the trace's sample_rate_hint and user_height
+# lines too once the header carried each value once.
 
 SCHEMA_SCENARIO = {
     "target_speed": 1.4, "variant": "gud", "noise_sd": 0.003, "seed": 7, "rig": "down:4",
@@ -215,7 +216,7 @@ SCHEMA_SCENARIO = {
     "prep_duration": 1.5, "countdown": 0.5, "chase_duration": 3.0, "circle_lead": 1.2,
     "timestep": 1 / 60,
 }  # and --gain 1.1 for speed_gain
-GOLDEN_RECORD_TRACE = "fea143c8e9609133e04e0fcdd320acc16e35e4619679e4494758daae7f416025"
+GOLDEN_RECORD_TRACE = "a07143308d4dfa8ed8df94bb70fba76507f6dee11c782ddb7fca72de9d612340"
 GOLDEN_SIMULATE_REPORT = "2e09db909a1f1c65f437f5b966f8e9e10fd7e1b9489acc4f56a3d3a12c9a1842"
 
 
@@ -244,17 +245,19 @@ def test_record_and_simulate_outputs_match_golden(tmp_path):
 
 # Two recorded runs and their replay's --frames-out CSV, by sha256: a noisy
 # gud run and a shef run on a down:4 rig, each replayed under its own law.
-# Recorded before replay carried its samples as columns.
+# Recorded before replay carried its samples as columns; the traces' digests
+# are of those recordings with their sample_rate_hint and user_height lines
+# taken out.
 
 RECORD_REPLAY_RUNS = {
     "gud-noisy": (
         {"target_speed": 1.8, "variant": "gud", "noise_sd": 0.004, "seed": 21},
-        "401494d2d21b2e0b1ad6e75524b8f69db41e190a325bcb949ee02976a0fefff4",
+        "355264fd1bb76b7ebbfbd107d196b3f245663c22ccd4297c927ac94af4bee17e",
         "360e3d49bb454adbf89a996afc10e90c7059ff3dff1c3c2d705ca403f71c6aae",
     ),
     "shef-down4": (
         {"target_speed": 1.5, "variant": "shef", "noise_sd": 0.003, "seed": 9, "rig": "down:4"},
-        "04e80d2375a8d78d846e8c2dcdf2e3da67387c2b12518ff31d4231d36ff46c55",
+        "56f1c11f0d7b85772b9220abea7846cfcd4b796094de8dd0a12053b048577622",
         "34543a11b3a9b453a3d0175809596537aa35f5186308b0beda74c15b710191fc",
     ),
 }

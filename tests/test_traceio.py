@@ -37,6 +37,7 @@ def write(tmp_path, text, name="t.csv"):
 
 
 GOOD = "# wip-trace v1\ntime,foot,height\n0.0,L,0.0\n0.0,R,0.0\n0.1,L,0.05\n"
+REFUSED = "expected a row of two numbers and a foot L or R"
 
 
 class TestTraceRoundTrip:
@@ -49,13 +50,13 @@ class TestTraceRoundTrip:
         assert type(echo) is dict and echo == {}
 
     def test_a_recorded_trace_is_parsed_by_columns(self, tmp_path):
-        """Both feet share each sample time; the column parse takes such rows,
-        and the line walk is left for traces it refuses."""
+        """Both feet share each sample time; one call of the row reader
+        takes all the rows of such a trace."""
         trace = synth_trace(GaitProgram(1.8, 0.14, seed=5), 1.0, 90.0)
         path = tmp_path / "walk.csv"
         save_trace(str(path), trace)
-        rows = path.read_text(encoding="utf-8").split("\n")
-        parsed = traceio._parse_columns(rows[rows.index("time,foot,height") + 1:])
+        rows = path.read_text(encoding="utf-8").split("time,foot,height\n")[1]
+        parsed = traceio._read_rows(rows.rstrip("\n"))
         assert parsed is not None and list(parsed.tuples()) == list(trace.tuples())
 
     def test_scenario_header_round_trips(self, tmp_path):
@@ -67,11 +68,13 @@ class TestTraceRoundTrip:
         save_trace(path, Samples.of([FootSample(0.0, Foot.LEFT, 0.0)]), scenario=echo)
         loaded, _ = load_trace(path)
         assert loaded == echo
-        # the timestep and user_height of the echo also fill the header lines
+        # the header carries each value once: the format line and a line per echo key
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")
-        assert f"# sample_rate_hint: {1.0 / sc.timestep!r}" in lines
-        assert "# user_height: 1.8" in lines
+        assert lines[:len(echo) + 2] == [
+            "# wip-trace v1", *(f"# scenario.{key}: {value!r}" for key, value in echo.items()),
+            "time,foot,height",
+        ]
         scenario, agent = read_run(loaded)
         assert agent.params == params
         assert scenario == sc
@@ -142,14 +145,14 @@ class TestParseErrors:
 
     def test_wrong_field_count(self, tmp_path):
         path = write(tmp_path, GOOD + "0.2,L\n")
-        with pytest.raises(TraceParseError, match="3 fields") as info:
+        with pytest.raises(TraceParseError, match=f"{REFUSED}, got '0.2,L'$") as info:
             load_trace(path)
         assert info.value.line == 6
 
     def test_field_counts_are_checked_per_row(self, tmp_path):
         # the surplus of row 6 and the shortfalls of rows 7 and 8 cancel out
         path = write(tmp_path, GOOD + "0.2,L,0.0,0.2,R,0.0\n0.3\nL,0.05\n")
-        with pytest.raises(TraceParseError, match="got 6") as info:
+        with pytest.raises(TraceParseError, match="got '0.2,L,0.0,0.2,R,0.0'$") as info:
             load_trace(path)
         assert info.value.line == 6
 
@@ -211,20 +214,20 @@ class TestParseErrors:
         _, samples = load_trace(path)
         assert len(samples) == 3
 
-    @pytest.mark.parametrize("line", [
-        "# sample_rate_hint: abc",
-        "# sample_rate_hint: inf",
-        "# sample_rate_hint: 0",
-        "# user_height: nan",
-        "# user_height: -1.7",
-        pytest.param("# user_height: 1" + "0" * 400, id="# user_height: 1000..."),
-    ])
-    def test_header_numbers_must_be_finite_and_positive(self, tmp_path, line):
-        path = write(tmp_path, GOOD.replace("\n", f"\n{line}\n", 1))
-        key = line[2:line.index(":")]
-        with pytest.raises(TraceParseError, match=f"{key} must be a finite number > 0") as info:
-            load_trace(path)
-        assert info.value.line == 2
+    @pytest.mark.parametrize("lines", [
+        "# sample_rate_hint: 90.0\n# user_height: 1.72",
+        "# sample_rate_hint: abc\n# user_height: nan",
+        "# sample_rate_hint: 0\n# user_height: 1" + "0" * 400,
+    ], ids=["as written", "not numbers", "out of range"])
+    def test_old_hint_lines_are_ignored(self, tmp_path, lines):
+        """Older versions wrote sample_rate_hint and user_height lines, copies
+        of the echo's timestep and user_height; they are read as any other
+        key: value line that is not a scenario.<key> line."""
+        text = GOOD.replace("\n", "\n# scenario.user_height: 1.8\n", 1)
+        old = write(tmp_path, text.replace("\n", f"\n{lines}\n", 1), "old.csv")
+        echo, samples = load_trace(old)
+        assert echo == {"user_height": 1.8}
+        assert list(samples.tuples()) == list(load_trace(write(tmp_path, text))[1].tuples())
 
     @pytest.mark.parametrize("value", ["nan", "-nan", "inf", "-inf", "1e400", "-1e400"])
     @pytest.mark.parametrize("key", ["seed", "rig", "bogus"])
@@ -249,21 +252,40 @@ class TestParseErrors:
     @pytest.mark.parametrize("among_the_rows", [False, True])
     @pytest.mark.parametrize("key", ["rig", "seed", "bogus"])
     def test_a_repeated_scenario_key_names_both_lines(self, tmp_path, key, among_the_rows):
-        """A second scenario.<key> line, in the header or among the rows,
-        is refused naming both lines, not read over the first."""
+        """A second scenario.<key> line in the header is refused naming both
+        lines, not read over the first; among the rows it is a row that is
+        refused."""
         again = f"# scenario.{key}: 2\n"
         text = GOOD.replace("\n", f"\n# scenario.{key}: 1\n# user_height: 1.7\n", 1)
         text = text + again if among_the_rows else text.replace("time,", again + "time,")
-        line = 8 if among_the_rows else 4
-        with pytest.raises(TraceParseError, match=f"^line {line}: scenario.{key} repeats line 2$"):
+        with pytest.raises(TraceParseError) as info:
             load_trace(write(tmp_path, text))
+        if among_the_rows:
+            assert str(info.value) == f"line 8: {REFUSED}, got {again[:-1]!r}"
+        else:
+            assert str(info.value) == f"line 4: scenario.{key} repeats line 2"
+
+    @pytest.mark.parametrize("row", [
+        "# scenario.note: 1", "", "   ", "0.2, L ,0.0", "0.2,L,0.0_1", "0.2,L,\u0660.\u0665",
+    ], ids=["comment", "blank", "spaces only", "padded foot", "underscore", "arabic-indic digit"])
+    def test_a_line_between_rows_that_no_writer_writes_is_refused(self, tmp_path, row):
+        """No writer spells a row so: between two rows, each is refused
+        naming its line."""
+        with pytest.raises(TraceParseError) as info:
+            load_trace(write(tmp_path, GOOD.replace("\n0.1,", f"\n{row}\n0.1,")))
+        assert str(info.value) == f"line 5: {REFUSED}, got {row!r}"
 
 
-def trace_text(n_rows):
-    """A clean trace as lines: two header lines, the column line, and rows
-    alternating between the feet, both feet sharing each time."""
-    rows = [f"{k // 2 / 90.0!r},{'LR'[k % 2]},{0.1 * (k % 7) / 6!r}" for k in range(n_rows)]
-    return ["# wip-trace v1", "# sample_rate_hint: 90.0", "time,foot,height"] + rows
+def trace_lines(rows):
+    """A clean trace as lines: the format line, a scenario line, the column
+    line, then a line per (time, foot, height) row."""
+    return (["# wip-trace v1", "# scenario.timestep: 0.011111111111111112", "time,foot,height"]
+            + [f"{time!r},{foot},{height!r}" for time, foot, height in rows])
+
+
+def alternating(n_rows):
+    """n_rows rows alternating between the feet, both feet sharing each time."""
+    return [(k // 2 / 90.0, "LR"[k % 2], 0.1 * (k % 7) / 6) for k in range(n_rows)]
 
 
 def mutate(lines, kind, row, other):
@@ -330,17 +352,13 @@ MUTATIONS = [
 ]
 
 
-def outcome(load, path):
-    try:
-        echo, samples = load(path)
-    except TraceParseError as exc:
-        return ("error", exc.line, str(exc))
-    return (repr(echo), [repr(s) for s in samples.tuples()])
+HARMLESS = ("none", "trailing spaces")
 
 
-def walk_lines(path):
-    with mock.patch.object(traceio, "_parse_columns", return_value=None):
-        return load_trace(path)
+def reprs(path):
+    """The echo and the rows of the trace at path, by repr."""
+    echo, samples = load_trace(str(path))
+    return repr(echo), [repr(row) for row in samples.tuples()]
 
 
 @settings(max_examples=200, deadline=None)
@@ -352,52 +370,81 @@ def walk_lines(path):
     ),
     newline=st.sampled_from(["\n", "\r\n"]),
     final_newline=st.booleans(),
+    blank_lines_at_the_end=st.integers(0, 2),
 )
-@example(n_rows=3, defects=[("nul in foot", 1, 0)], newline="\n", final_newline=True)
+@example(n_rows=3, defects=[("nul in foot", 1, 0)], newline="\n", final_newline=True,
+         blank_lines_at_the_end=0)
 @example(n_rows=3, defects=[("separator around a number", 1, 0)], newline="\n",
-         final_newline=True)
-def test_column_parse_agrees_with_the_line_walk(tmp_path_factory, n_rows, defects, newline,
-                                                final_newline):
-    lines = trace_text(n_rows)
+         final_newline=True, blank_lines_at_the_end=0)
+@example(n_rows=3, defects=[("trailing spaces", 2, 0)], newline="\n", final_newline=True,
+         blank_lines_at_the_end=3)
+# spellings no writer produces: a '#' or blank line between rows, a whitespace-only row,
+# a padded foot, and '_' or non-ASCII digits in a number
+@example(n_rows=3, defects=[("comment line", 1, 0)], newline="\n", final_newline=True,
+         blank_lines_at_the_end=0)
+@example(n_rows=3, defects=[("blank line", 1, 0)], newline="\n", final_newline=True,
+         blank_lines_at_the_end=0)
+@example(n_rows=3, defects=[("spaces only", 1, 0)], newline="\n", final_newline=True,
+         blank_lines_at_the_end=0)
+@example(n_rows=3, defects=[("padded foot", 1, 0)], newline="\n", final_newline=True,
+         blank_lines_at_the_end=0)
+@example(n_rows=3, defects=[("underscore digits", 1, 0)], newline="\n", final_newline=True,
+         blank_lines_at_the_end=0)
+@example(n_rows=3, defects=[("arabic-indic digits", 1, 0)], newline="\n", final_newline=True,
+         blank_lines_at_the_end=0)
+def test_a_trace_loads_as_written_or_names_its_first_edited_row(
+        tmp_path_factory, n_rows, defects, newline, final_newline, blank_lines_at_the_end):
+    """The trace grammar. Harmless edits (trailing spaces on a row, blank
+    lines at the end of the file) load bit-identically to the unedited
+    trace. Any other single edit but a swap of rows raises TraceParseError
+    naming its line; rows swapped out of time order may be named at a
+    later row, and a swap of the feet of one time loads. Whatever the
+    edits, an error names the first line the trace goes bad at: cut before
+    it, the trace loads. A trace that loads holds the rows its lines spell."""
+    folder = tmp_path_factory.mktemp("grammar")
+    clean = trace_lines(alternating(n_rows))
+    lines = list(clean)
     for kind, row, other in defects:
         lines = mutate(lines, kind, row % n_rows, other % n_rows)
-    text = newline.join(lines) + (newline if final_newline else "")
-    path = tmp_path_factory.mktemp("fuzz") / "t.csv"
-    path.write_bytes(text.encode("utf-8"))
-    assert outcome(load_trace, str(path)) == outcome(walk_lines, str(path))
-    if all(kind == "none" for kind, _, _ in defects):
-        rows = path.read_text(encoding="utf-8").split("\n")[3:]
-        assert traceio._parse_columns(rows) is not None
+    ending = newline if final_newline or blank_lines_at_the_end else ""
+    path, unedited, cut = folder / "edited.csv", folder / "clean.csv", folder / "cut.csv"
+    path.write_bytes((newline.join(lines) + ending + newline * blank_lines_at_the_end).encode())
+    unedited.write_text("\n".join(clean) + "\n")
+    want = reprs(unedited)
+    assert want[1] == [repr((t, Foot(foot), h)) for t, foot, h in alternating(n_rows)]
+    edited = [line.rstrip(" ") for line in lines]
+    if edited == clean:
+        assert reprs(path) == want
+        return
+    first = next(k for k, (a, b) in enumerate(zip(edited + [None], clean + [None])) if a != b)
+    harmful = [kind for kind, _, _ in defects if kind not in HARMLESS]
+    single = len(harmful) == 1 and harmful[0] != "swap rows"
+    try:
+        got = reprs(path)
+    except TraceParseError as exc:
+        assert exc.line > first, (exc, first)
+        cut.write_text("\n".join(lines[:exc.line - 1]) + "\n")
+        load_trace(str(cut))
+        if single:
+            assert exc.line == first + 1, (exc, first)
+    else:
+        assert not single
+        spelled = (row.split(",") for row in edited[3:])
+        assert got == (want[0], [repr((float(t), Foot(foot), float(h))) for t, foot, h in spelled])
 
 
-def walked_foot_samples(path):
-    """The FootSample list the line walk builds, before it becomes columns."""
-    built, to_columns = [], Samples.of
-
-    def keep(samples):
-        built.append(list(samples))
-        return to_columns(samples)
-
-    with mock.patch.object(traceio, "_parse_columns", return_value=None), \
-            mock.patch.object(Samples, "of", keep):
-        load_trace(path)
-    return built[-1]
-
-
-@pytest.mark.parametrize("lines", [
-    trace_text(1), trace_text(2), trace_text(40),
-    trace_text(0)[:3] + [f"{5.0 + k / 90!r},R,{0.02 * k!r}" for k in range(9)],  # one foot, late
+@pytest.mark.parametrize("rows", [
+    alternating(1), alternating(2), alternating(40),
+    [(5.0 + k / 90, "R", 0.02 * k) for k in range(9)],  # one foot, late
 ], ids=["one row", "two rows", "40 rows", "one foot late"])
-def test_samples_agree_with_the_line_walks_foot_samples(tmp_path, lines):
-    path = write(tmp_path, "\n".join(lines) + "\n")
-    _, samples = load_trace(path)
-    walked = walked_foot_samples(path)
-    assert isinstance(samples, Samples) and len(samples) == len(walked)
-    rows = list(map(FootSample._make, samples.tuples()))
-    assert rows == walked
-    assert [repr(s) for s in rows] == [repr(s) for s in walked]  # floats, not numpy scalars
-    assert list(Samples.of(walked).tuples()) == walked
-
+def test_samples_are_the_rows_written(tmp_path, rows):
+    _, samples = load_trace(write(tmp_path, "\n".join(trace_lines(rows)) + "\n"))
+    want = [FootSample(time, Foot(foot), height) for time, foot, height in rows]
+    assert isinstance(samples, Samples)
+    got = list(map(FootSample._make, samples.tuples()))
+    assert got == want
+    assert [repr(s) for s in got] == [repr(s) for s in want]  # floats, not numpy scalars
+    assert list(Samples.of(want).tuples()) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -432,7 +479,7 @@ def test_every_float_reads_back_bit_identical(tmp_path_factory, values):
     time = np.array(values)
     height = time[::-1].copy()
     text = traceio.trace_text(Samples(time, np.arange(len(time)) % 2 == 0, height), {})
-    assert traceio._parse_columns(text.split("\n")[2:]) is not None
+    assert traceio._read_rows(text.split("\n", 2)[2].rstrip("\n")) is not None
     path = tmp_path_factory.mktemp("floats") / "t.csv"
     path.write_text(text, encoding="utf-8")
     with mock.patch.object(Samples, "fault", return_value=None):
